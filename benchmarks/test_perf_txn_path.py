@@ -24,6 +24,10 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   must be O(locks held), not O(lock table).  The baseline is the
   pre-index release copied inline below (full-table scan + per-key list
   rebuild); the gate requires the reverse-indexed release to beat it.
+  A second arm holds the lock table's other promise: an operation
+  commit's ``release_operation`` costs the same at the 500th operation of
+  a transaction as at the 10th (it walked every held key before the
+  per-(txn, op) key lists; the ratio was ~30).
 
 ``TXN_BENCH_QUICK=1`` shrinks the workload and relaxes the lifecycle
 gate for CI smoke runs.
@@ -419,6 +423,33 @@ LOCK_KEYS_PER_SESSION = 4
 LOCK_HOT_KEYS = 4
 LOCK_CYCLES = 200 if QUICK else 1000
 REQUIRED_LOCK_RELEASE_SPEEDUP = 1.2 if QUICK else 2.0
+LONG_TXN_OPS = (10, 500)  # operations per transaction, short vs long
+LONG_TXN_TOTAL_OPS = 1000 if QUICK else 5000
+LONG_TXN_LOCKS_PER_OP = 3
+MAX_LONG_TXN_RELEASE_RATIO = 2.0
+
+
+def _release_operation_us_per_op(ops_per_txn: int) -> float:
+    """Mean time inside ``release_operation`` over ``LONG_TXN_TOTAL_OPS``
+    operations, each taking ``LONG_TXN_LOCKS_PER_OP`` txn-duration row
+    locks and one op-duration lock (the TPC-B operation's shape)."""
+    locks = LockManager()
+    spent = 0.0
+    op_id = 0
+    for txn_id in range(1, LONG_TXN_TOTAL_OPS // ops_per_txn + 1):
+        for _ in range(ops_per_txn):
+            op_id += 1
+            for k in range(LONG_TXN_LOCKS_PER_OP):
+                locks.acquire(txn_id, f"row:{op_id}:{k}", LockMode.EXCLUSIVE, op_id=op_id)
+            locks.acquire(
+                txn_id, "allocator", LockMode.EXCLUSIVE, duration="op", op_id=op_id
+            )
+            start = time.perf_counter()
+            locks.release_operation(txn_id, op_id)
+            spent += time.perf_counter() - start
+        assert len(locks.locks_held(txn_id)) == ops_per_txn * LONG_TXN_LOCKS_PER_OP
+        locks.release_all(txn_id)
+    return spent / op_id * 1e6
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +487,10 @@ def lock_release_results() -> dict:
         # it timed an empty table.
         assert len(locks._table) == LOCK_BG_SESSIONS * LOCK_KEYS_PER_SESSION
         entries[label] = wall_s
+    short_us, long_us = (
+        min(_release_operation_us_per_op(ops) for _ in range(3))
+        for ops in LONG_TXN_OPS
+    )
     return {
         "background_sessions": LOCK_BG_SESSIONS,
         "resident_grants": LOCK_BG_SESSIONS * LOCK_KEYS_PER_SESSION,
@@ -464,6 +499,13 @@ def lock_release_results() -> dict:
         "seed_s": entries["seed"],
         "indexed_s": entries["indexed"],
         "speedup": entries["seed"] / entries["indexed"],
+        "long_transaction": {
+            "locks_per_op": LONG_TXN_LOCKS_PER_OP,
+            "total_ops": LONG_TXN_TOTAL_OPS,
+            "ops_per_txn": list(LONG_TXN_OPS),
+            "release_operation_us_per_op": [short_us, long_us],
+            "ratio": long_us / short_us,
+        },
     }
 
 
@@ -549,6 +591,14 @@ class TestTxnPath:
             f"full-table-scan seed against "
             f"{lock_release_results['resident_grants']} resident grants "
             f"(required {REQUIRED_LOCK_RELEASE_SPEEDUP}x)"
+        )
+
+    def test_operation_release_independent_of_txn_length(self, lock_release_results):
+        arm = lock_release_results["long_transaction"]
+        assert arm["ratio"] <= MAX_LONG_TXN_RELEASE_RATIO, (
+            f"release_operation costs {arm['release_operation_us_per_op']} us/op "
+            f"at {arm['ops_per_txn']} ops per transaction: ratio "
+            f"{arm['ratio']:.1f} (allowed {MAX_LONG_TXN_RELEASE_RATIO})"
         )
 
     def test_incremental_audit_scales_with_dirty_set(self, audit_results):

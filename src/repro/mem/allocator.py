@@ -165,14 +165,15 @@ class SlotAllocator:
 
     def _find_free(self, ctx: MemoryAccessor, hint: int) -> int:
         """Scan the bitmap starting at ``hint``, wrapping once."""
-        for probe in range(self.slot_count):
+        probe = 0
+        while probe < self.slot_count:
             slot = (hint + probe) % self.slot_count
             byte = ctx.read(self.bitmap_base + slot // 8, 1)[0]
             if not byte & (1 << (slot % 8)):
                 return slot
-            # Skip the rest of a fully-set byte to bound scan cost.
-            if byte == 0xFF and slot % 8 == 0 and probe + 8 <= self.slot_count:
-                continue
+            # Skip the rest of a fully-set byte to bound scan cost (bits
+            # past slot_count are never set, so its 8 slots all exist).
+            probe += 8 if byte == 0xFF and slot % 8 == 0 else 1
         raise OutOfSpaceError("no free slot found despite header count")
 
     def _set_bit(self, ctx: MemoryAccessor, slot: int, value: bool) -> None:

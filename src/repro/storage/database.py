@@ -465,6 +465,7 @@ class Database:
             table.allocator.format(ctx)
             if table.index is not None:
                 table.index.format(ctx)
+            ctx.flush()
             self.manager.commit_operation(txn, LogicalUndo("noop"))
         self.manager.commit(txn)
 

@@ -15,10 +15,14 @@ paper's benchmark runs one transaction at a time, where a conflict
 indicates a bug; the serving front-end (:mod:`repro.serve`) turns the
 same fail-fast conflict into a per-session abort-and-retry.
 
-Release is O(locks held by the transaction), not O(lock table): a
+Release cost follows what is being released, not what is held.  A
 reverse index maps each transaction to the keys it holds, so
-``release_all``/``release_operation`` never scan keys owned by other
-sessions (the before/after numbers are in ``BENCH_txn.json`` under
+``release_all`` is O(locks held by the transaction) and never scans keys
+owned by other sessions.  Op-duration grants are also listed per
+(transaction, operation) when they are taken, so ``release_operation``
+is O(op-duration locks that operation took): an operation commit costs
+the same whether it is the first or the five-hundredth of its
+transaction (the numbers are in ``BENCH_txn.json`` under
 ``lock_release``).  All public methods take an internal mutex --
 concurrent serving sessions share one lock table, and check-then-act
 sequences like conflict detection must be atomic against them.
@@ -60,6 +64,12 @@ class LockManager:
         #: contains a grant with ``txn_id == t`` (there is at most one
         #: such grant per (txn, key); re-acquisition nests its depth).
         self._txn_keys: dict[int, set[str]] = {}
+        #: txn_id -> op_id -> keys first granted with op duration under
+        #: that operation, in grant order.  A listed key may since have
+        #: escalated to txn duration (``release_operation`` re-checks the
+        #: grant); a key whose grant is op-duration is always listed, and
+        #: a transaction's lists go when it ends.
+        self._op_keys: dict[int, dict[int | None, list[str]]] = {}
         self._mutex = threading.RLock()
         self.acquire_count = 0
 
@@ -96,6 +106,8 @@ class LockManager:
                 return
             grants.append(_Grant(txn_id, mode, duration, op_id))
             self._txn_keys.setdefault(txn_id, set()).add(key)
+            if duration == "op":
+                self._op_keys.setdefault(txn_id, {}).setdefault(op_id, []).append(key)
 
     def holds(self, txn_id: int, key: str, mode: LockMode | None = None) -> bool:
         with self._mutex:
@@ -121,20 +133,28 @@ class LockManager:
     def release_operation(self, txn_id: int, op_id: int) -> None:
         """Release the op-duration locks of one committed operation.
 
-        Scans only the keys this transaction holds (reverse index), not
-        the whole table -- under concurrent sessions the table holds
-        every session's grants, and an O(table) scan per operation
-        commit would make operation cost grow with the session count.
+        Visits only the keys that operation took with op duration (its
+        per-op list), not every key the transaction holds -- a long
+        transaction holds thousands of txn-duration locks, and walking
+        them on every operation commit made operation cost grow with
+        the number of operations already run.
         """
         with self._mutex:
-            keys = self._txn_keys.get(txn_id)
-            if not keys:
+            by_op = self._op_keys.get(txn_id)
+            if not by_op:
                 return
-            for key in list(keys):
+            listed = by_op.pop(op_id, None)
+            if not by_op:
+                del self._op_keys[txn_id]
+            if not listed:
+                return
+            keys = self._txn_keys[txn_id]
+            for key in listed:
                 grants = self._table[key]
                 for i, grant in enumerate(grants):
                     if grant.txn_id != txn_id:
                         continue
+                    # Still op-duration, i.e. not escalated to txn since.
                     if grant.duration == "op" and grant.op_id == op_id:
                         del grants[i]
                         keys.discard(key)
@@ -147,6 +167,7 @@ class LockManager:
     def release_all(self, txn_id: int) -> None:
         """Release every lock of a finished transaction: O(locks held)."""
         with self._mutex:
+            self._op_keys.pop(txn_id, None)
             keys = self._txn_keys.pop(txn_id, None)
             if not keys:
                 return
@@ -167,3 +188,4 @@ class LockManager:
         with self._mutex:
             self._table.clear()
             self._txn_keys.clear()
+            self._op_keys.clear()

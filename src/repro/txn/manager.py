@@ -293,8 +293,9 @@ class TransactionManager:
                 self._commits_since_flush = 0
 
     def _release_txn_locks(self, txn: Transaction) -> None:
-        for _key in self.locks.locks_held(txn.txn_id):
-            self.meter.charge("lock_release")
+        held = len(self.locks.locks_held(txn.txn_id))
+        if held:  # a zero charge would still create the meter's event row
+            self.meter.charge("lock_release", held)
         self.locks.release_all(txn.txn_id)
 
     # ------------------------------------------------------- operations

@@ -129,3 +129,42 @@ class TestIteration:
         assert alloc.allocated_count(ctx) == 0
         refilled = [alloc.allocate(ctx) for _ in range(16)]
         assert sorted(refilled) == slots
+
+
+class CountingAccessor(RawAccessor):
+    """Counts prescribed reads (each costs a hook pass in production)."""
+
+    reads = 0
+
+    def read(self, address: int, length: int) -> bytes:
+        self.reads += 1
+        return super().read(address, length)
+
+
+class TestFreeSlotScan:
+    def test_scan_past_a_lowered_hint_reads_one_byte_per_full_byte(self):
+        """A delete lowers the hint; the allocate after the refill scans
+        from there to the frontier -- a bitmap byte per 8 slots, not one
+        prescribed read per slot."""
+        alloc, raw = make_allocator(slots=4096, slot_size=4)
+        ctx = CountingAccessor(raw.memory)
+        for _ in range(4000):
+            alloc.allocate(ctx)
+        alloc.free(ctx, 5)
+        assert alloc.allocate(ctx) == 5  # hint is now 6, frontier at 4000
+        ctx.reads = 0
+        assert alloc.allocate(ctx) == 4000
+        # header + slots 6,7 + bytes 1..499 + slot 4000 + the bit flip's read
+        assert ctx.reads == 1 + 2 + 499 + 1 + 1
+
+    def test_scan_finds_the_one_free_slot_from_any_hint(self):
+        """Stale hints (recovery) make the scan wrap; 20 slots leave a
+        partial last bitmap byte, which is never 0xFF."""
+        alloc, ctx = make_allocator(slots=20)
+        for _ in range(20):
+            alloc.allocate(ctx)
+        for slot in range(20):
+            alloc.free(ctx, slot)
+            for hint in range(20):
+                assert alloc._find_free(ctx, hint) == slot
+            alloc.allocate_at(ctx, slot)
