@@ -3,14 +3,14 @@
 Measures the :mod:`repro.serve` front-end over a codeword-protected
 image: N client threads, each with its own session, run
 begin/query/update/commit transactions against disjoint account slots
-through the threaded server.  For each point in the (client count x
+through the server's admission gate.  For each point in the (client count x
 group-commit window) matrix we report wall-clock throughput and
 p50/p99 transaction latency.
 
 Unlike the virtual-clock tables (``BENCH_tables.json``), these numbers
-are *wall-clock*: the serving layer's queueing, worker hand-off and
-lock/latch contention are exactly what is being measured, and the
-virtual clock does not see them.
+are *wall-clock*: admission, waiting for an executor slot, and GIL and
+lock/latch contention between client threads are exactly what is being
+measured, and the virtual clock does not see them.
 
 The fault-campaign variant re-runs the busiest point while a fault
 injector wild-writes into a cold table no session ever touches, then

@@ -4,7 +4,9 @@ The paper's performance study drives the storage manager from a single
 benchmark loop.  This package adds the missing runtime half: a
 :class:`~repro.serve.server.Server` multiplexes N client sessions over
 the same lock/latch managers, with per-session transaction state, a
-request/response operation protocol, bounded admission (backpressure),
+request/response operation protocol, bounded admission (a request runs
+on its client's thread once the gate lets it in; beyond ``workers``
+executing and ``queue_depth`` waiting it is refused with backpressure),
 and per-session error containment -- one session hitting a quarantined
 region or a lock conflict fails alone, it does not take the server down.
 

@@ -1,32 +1,35 @@
-"""The server: bounded admission over a pool of session executors.
+"""The server: an admission gate in front of the sessions.
 
-Clients interact synchronously -- ``server.submit(session, request)``
-returns that request's :class:`~repro.serve.protocol.Response` -- but
-what happens in between depends on the database's scheduler mode:
+``server.submit(session, request)`` runs the request **on the caller's
+own thread** and returns its :class:`~repro.serve.protocol.Response` --
+the shape the paper assumes, where the application calls the storage
+manager inside its own address space.  What the server adds is the
+admission gate every submit passes through:
 
-* **threaded**: requests are admitted into a bounded queue and executed
-  by worker threads.  A full queue raises
-  :class:`~repro.errors.BackpressureError` to the submitting client
-  instead of buffering without bound -- load is shed at admission.
-* **deterministic**: the request executes inline on the submitting
-  thread (no queue, no workers).  Session semantics -- per-session
-  transactions, error containment, the op protocol -- are identical,
-  which is what lets the session tests run in both modes.
+* at most ``workers`` requests execute at once (a concurrency bound,
+  not a thread count: the server owns no threads);
+* at most ``queue_depth`` more are admitted and wait their turn, oldest
+  first -- a finishing request hands its slot to the oldest waiter;
+* anything beyond that raises :class:`~repro.errors.BackpressureError`
+  to the submitting client: load is shed at admission, never buffered
+  without bound.
+
+The gate is the same under either scheduler mode; a single-threaded
+(deterministic) caller always finds a free slot and never waits.
 
 The server adds no locking of its own around database state: the lock
 manager, latches, system-log mutex and scheduler already make the
 storage layers safe for concurrent sessions; the server only guards its
-own session registry and queue.
+own session registry and the gate.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
+from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.errors import BackpressureError, ServeError
-from repro.runtime.scheduler import THREADED
 from repro.serve.protocol import Request, Response
 from repro.serve.session import Session
 
@@ -34,19 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
 
 
-class _WorkItem:
-    __slots__ = ("session", "request", "done", "response", "error")
-
-    def __init__(self, session: Session, request: Request) -> None:
-        self.session = session
-        self.request = request
-        self.done = threading.Event()
-        self.response: Response | None = None
-        self.error: BaseException | None = None
-
-
 class Server:
-    """Multiplexes client sessions over one database."""
+    """Multiplexes client sessions over one database.
+
+    ``threaded`` is accepted for callers that state their mode; the gate
+    behaves the same either way.
+    """
 
     def __init__(
         self,
@@ -65,30 +61,19 @@ class Server:
         #: A replica front-end: every session rejects mutating ops until
         #: :meth:`promote_to_primary` flips the flag after failover.
         self.read_only = read_only
-        if threaded is None:
-            # Autodetect from the database's scheduler mode.  Fronts with
-            # no single scheduler (the shard router runs one per worker)
-            # pass ``threaded`` explicitly.
-            scheduler = getattr(db, "scheduler", None)
-            threaded = scheduler is not None and scheduler.mode == THREADED
-        self.threaded = threaded
+        self.workers = workers
         self.queue_depth = queue_depth
         self._sessions: dict[int, Session] = {}
         self._next_session_id = 1
+        #: Guards the session registry and every field of the gate.
         self._guard = threading.Lock()
         self._closed = False
+        self._executing = 0
+        #: One held lock per admitted-but-waiting request, oldest first;
+        #: releasing it passes an executor slot to that request.
+        self._waiters: deque[threading.Lock] = deque()
         self.requests_admitted = 0
         self.backpressure_rejections = 0
-        self._queue: "queue.Queue[_WorkItem | None] | None" = None
-        self._workers: list[threading.Thread] = []
-        if self.threaded:
-            self._queue = queue.Queue(maxsize=queue_depth)
-            for i in range(workers):
-                thread = threading.Thread(
-                    target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
-                )
-                thread.start()
-                self._workers.append(thread)
 
     # ---------------------------------------------------------- sessions
 
@@ -132,65 +117,66 @@ class Server:
     def submit(self, session: Session, request: Request) -> Response:
         """Execute one request on a session; returns its response.
 
-        Contained failures come back as ``ok=False`` responses.  Only
-        admission failure (:class:`BackpressureError`) and simulated
-        process death raise.
+        Contained failures come back as ``ok=False`` responses.  Only a
+        refused admission (:class:`BackpressureError`, or
+        :class:`ServeError` once the server is closed) and simulated
+        process death raise.  An admitted request always runs, even if
+        :meth:`close` is called while it waits.
         """
-        if self._closed:
-            raise ServeError("server is closed")
-        if not self.threaded:
-            self.requests_admitted += 1
-            return session.execute(request)
-        item = _WorkItem(session, request)
-        assert self._queue is not None
-        try:
-            self._queue.put_nowait(item)
-        except queue.Full:
-            with self._guard:
-                self.backpressure_rejections += 1
-            raise BackpressureError(
-                f"admission queue full ({self.queue_depth} requests pending); "
-                "back off and retry"
-            ) from None
         with self._guard:
+            if self._closed:
+                raise ServeError("server is closed")
+            if self._executing < self.workers:
+                self._executing += 1
+                turn = None
+            elif len(self._waiters) < self.queue_depth:
+                turn = threading.Lock()
+                turn.acquire()
+                self._waiters.append(turn)
+            else:
+                self.backpressure_rejections += 1
+                raise BackpressureError(
+                    f"admission queue full ({self.queue_depth} requests pending); "
+                    "back off and retry"
+                )
             self.requests_admitted += 1
-        item.done.wait()
-        if item.error is not None:
-            raise item.error
-        assert item.response is not None
-        return item.response
+        if turn is not None:
+            turn.acquire()  # parked until a finishing request hands over its slot
+        try:
+            return session.execute(request)
+        finally:
+            with self._guard:
+                if self._waiters:
+                    self._waiters.popleft().release()
+                else:
+                    self._executing -= 1
 
-    def _worker_loop(self) -> None:
-        assert self._queue is not None
-        while True:
-            item = self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            try:
-                item.response = item.session.execute(item.request)
-            except BaseException as exc:  # SimulatedCrash -> submitter
-                item.error = exc
-            finally:
-                item.done.set()
-                self._queue.task_done()
+    @property
+    def executing(self) -> int:
+        """Requests inside ``session.execute`` right now (<= ``workers``)."""
+        with self._guard:
+            return self._executing
+
+    @property
+    def waiting(self) -> int:
+        """Requests admitted but waiting for a slot (<= ``queue_depth``)."""
+        with self._guard:
+            return len(self._waiters)
 
     # ------------------------------------------------------------- close
 
     def close(self) -> None:
-        """Stop workers and close every session (open txns roll back)."""
+        """Refuse new requests and close every session (open txns roll back).
+
+        Requests already admitted still run; closing a session waits for
+        the one executing on it.
+        """
         with self._guard:
             if self._closed:
                 return
             self._closed = True
             sessions = list(self._sessions.values())
             self._sessions.clear()
-        if self._queue is not None:
-            for _ in self._workers:
-                self._queue.put(None)
-            for thread in self._workers:
-                thread.join(timeout=10)
-            self._workers.clear()
         for session in sessions:
             session.close()
 
@@ -201,8 +187,7 @@ class Server:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "threaded" if self.threaded else "deterministic"
         return (
-            f"Server({mode}, sessions={len(self._sessions)}, "
-            f"admitted={self.requests_admitted})"
+            f"Server(sessions={len(self._sessions)}, executing={self._executing}, "
+            f"waiting={len(self._waiters)}, admitted={self.requests_admitted})"
         )

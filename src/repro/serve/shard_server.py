@@ -3,10 +3,11 @@
 :class:`ShardServer` puts :class:`~repro.shard.router.ShardRouter`
 behind the same bounded-admission :class:`~repro.serve.server.Server`
 that fronts a single database: sessions speak the identical
-request/response protocol, threaded mode runs them on the worker pool
-(bounded queue, backpressure at admission), and contained errors carry
-the taxonomy's ``retryable`` bit so a remote client knows whether to
-back off and resubmit.  Under a
+request/response protocol, requests pass the same admission gate and run
+on their client's thread (``workers`` executing, ``queue_depth`` waiting,
+backpressure beyond that), and contained errors carry the taxonomy's
+``retryable`` bit so a remote client knows whether to back off and
+resubmit.  Under a
 :class:`~repro.shard.supervisor.ShardSupervisor` this is degraded-mode
 serving end to end: a request touching a recovering shard gets a
 fail-fast retryable ``ShardUnavailableError`` response while sessions on
@@ -231,9 +232,8 @@ class ShardSession(ShardRouter):
 class ShardServer(Server):
     """Bounded-admission serving over a :class:`ShardedDatabase`.
 
-    ``threaded`` must be passed explicitly (default inline/deterministic)
-    -- the router has no single scheduler to autodetect from, each shard
-    runs its own inside its worker.
+    ``threaded`` says whether several client threads will submit; the
+    admission gate is the same either way.
     """
 
     def __init__(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro import Database, DBConfig, Field, FieldType, Schema
@@ -13,6 +15,18 @@ ACCT_SCHEMA = Schema(
         Field("name", FieldType.CHAR, 16),
     ]
 )
+
+
+@pytest.fixture
+def aggressive_thread_switching():
+    """Shrink the GIL switch interval so read-modify-write races that
+    would hide behind CPython's default 5 ms quantum actually fire."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.fixture

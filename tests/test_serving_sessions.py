@@ -1,9 +1,15 @@
 """Session semantics over one image (``repro.serve``).
 
 Every test in ``TestSessionSemantics`` runs in BOTH scheduler modes:
-deterministic (requests execute inline on the submitting thread) and
-threaded (worker pool behind a bounded admission queue).  The protocol,
-per-session transactions and error containment must be mode-invariant.
+deterministic (one client thread, so the admission gate never has to
+park anyone) and threaded (concurrent client threads behind the gate).
+The protocol, per-session transactions and error containment must be
+mode-invariant.
+
+``TestAdmissionGate`` pins the gate's contract -- at most ``workers``
+requests executing, at most ``queue_depth`` waiting in arrival order,
+load shed beyond that -- through the public ``executing`` / ``waiting``
+gauges, with the waits of ``tests/gate_probe.py``.
 """
 
 from __future__ import annotations
@@ -13,11 +19,12 @@ import threading
 import pytest
 
 from repro import Database, DBConfig
-from repro.errors import BackpressureError, ServeError
+from repro.errors import BackpressureError, ServeError, SimulatedCrash
 from repro.faults.injector import FaultInjector
 from repro.serve import Request, Server
 
 from tests.conftest import ACCT_SCHEMA, insert_accounts
+from tests.gate_probe import TIMEOUT, Probe, join_all, until
 
 MODES = ("deterministic", "threaded")
 
@@ -171,44 +178,252 @@ class TestQuarantineContainment:
         db.close()
 
 
-class TestThreadedServing:
-    def test_backpressure_sheds_load_at_admission(self, tmp_path):
-        db = make_db(tmp_path, "bp", scheduler_mode="threaded")
+@pytest.fixture
+def threaded_db(tmp_path):
+    db = make_db(tmp_path, "gate", scheduler_mode="threaded")
+    insert_accounts(db, 4)
+    yield db
+    db.close()
+
+
+class TestAdmissionGate:
+    def test_never_more_than_workers_execute_at_once(
+        self, threaded_db, aggressive_thread_switching
+    ):
+        server = Server(threaded_db, queue_depth=16, workers=2)
+        probe = Probe()
+        n_clients, n_txns = 16, 5
+        failures: list[str] = []
+
+        def client() -> None:
+            session = probe.attach(server.open_session())
+            for _ in range(n_txns):
+                for op in ("begin", "commit"):
+                    response = server.submit(session, Request(op=op))
+                    if not response.ok:
+                        failures.append(f"{response.error}: {response.detail}")
+
+        threads = [threading.Thread(target=client) for _ in range(n_clients)]
+        for thread in threads:
+            thread.start()
+        # Both slots fill and stay full while the probe holds them.
+        probe.wait_entered(2)
+        assert server.executing == 2
+        assert probe.inside == 2
+        probe.open()
+        join_all(threads)
+        assert failures == []
+        assert probe.peak == 2
+        assert server.requests_admitted == n_clients * n_txns * 2
+        assert server.backpressure_rejections == 0
+        assert (server.executing, server.waiting) == (0, 0)
+        server.close()
+
+    def test_waiters_are_released_in_arrival_order(self, threaded_db):
+        server = Server(threaded_db, queue_depth=8, workers=1)
+        probe = Probe()
+        sessions = [probe.attach(server.open_session()) for _ in range(6)]
+        threads = [
+            threading.Thread(target=server.submit, args=(session, Request(op="begin")))
+            for session in sessions
+        ]
+        threads[0].start()
+        probe.wait_entered(1)
+        for position, thread in enumerate(threads[1:], start=1):
+            thread.start()
+            until(lambda: server.waiting == position, f"waiter {position} to park")
+        assert server.executing == 1
+        probe.open()
+        join_all(threads)
+        assert probe.order == [session.session_id for session in sessions]
+        assert probe.peak == 1
+        assert (server.executing, server.waiting) == (0, 0)
+        server.close()
+
+    def test_crash_reaches_its_submitter_and_frees_the_slot(self, threaded_db):
+        server = Server(threaded_db, queue_depth=4, workers=1)
+        probe = Probe()
+        doomed = server.open_session()
+        ok(server, doomed, op="begin")
+        ok(server, doomed, op="update", table="acct", slot=0, values={"balance": 7})
+        probe.attach(doomed)
+        bystanders = [server.open_session() for _ in range(2)]
+        outcomes: dict[str, object] = {}
+
+        def submit(name: str, session, op: str) -> None:
+            try:
+                outcomes[name] = server.submit(session, Request(op=op))
+            except SimulatedCrash as crash:
+                outcomes[name] = crash
+
+        # The doomed commit dies at the flush, on whichever thread runs it.
+        threaded_db.crashpoints.arm("wal.flush.pre")
+        threads = [threading.Thread(target=submit, args=("doomed", doomed, "commit"))]
+        threads[0].start()
+        probe.wait_entered(1)
+        for position, session in enumerate(bystanders, start=1):
+            name = f"bystander-{position}"
+            threads.append(
+                threading.Thread(target=submit, args=(name, session, "begin"))
+            )
+            threads[-1].start()
+            until(lambda: server.waiting == position, f"{name} to park")
+        probe.open()
+        join_all(threads)
+        crash = outcomes["doomed"]
+        assert isinstance(crash, SimulatedCrash) and crash.point == "wal.flush.pre"
+        for position in (1, 2):
+            assert outcomes[f"bystander-{position}"].ok
+        assert (server.executing, server.waiting) == (0, 0)
+        threaded_db.crash()
+
+    def test_every_submit_is_admitted_or_rejected(
+        self, threaded_db, aggressive_thread_switching
+    ):
+        server = Server(threaded_db, queue_depth=2, workers=2)
+        probe = Probe()
+        n_clients, n_requests = 16, 20
+        shed = threading.Event()
+        responses: list[int] = []
+        rejections: list[int] = []
+
+        def client() -> None:
+            session = probe.attach(server.open_session())
+            served = 0
+            for i in range(n_requests):
+                try:
+                    server.submit(session, Request(op="begin" if i % 2 == 0 else "abort"))
+                    served += 1
+                except BackpressureError:
+                    shed.set()
+            responses.append(served)
+            rejections.append(n_requests - served)
+
+        threads = [threading.Thread(target=client) for _ in range(n_clients)]
+        for thread in threads:
+            thread.start()
+        # Nothing finishes while the probe holds, so the first shed
+        # submit proves both slots and the waiting room were full.
+        probe.wait_entered(2)
+        assert shed.wait(TIMEOUT)
+        assert (server.executing, server.waiting) == (2, 2)
+        probe.open()
+        join_all(threads)
+        assert server.requests_admitted == sum(responses)
+        assert server.backpressure_rejections == sum(rejections) >= 1
+        assert (
+            server.requests_admitted + server.backpressure_rejections
+            == n_clients * n_requests
+        )
+        assert probe.peak == 2
+        assert (server.executing, server.waiting) == (0, 0)
+        server.close()
+
+    def test_deterministic_mode_never_parks(self, tmp_path):
+        db = make_db(tmp_path, "inline", scheduler_mode="deterministic")
         insert_accounts(db, 4)
         server = Server(db, queue_depth=1, workers=1)
-        blocked = server.open_session()
-        other = server.open_session()
-        # Jam the single worker: hold the session's serial lock so its
-        # request parks inside execute(), then fill the depth-1 queue.
-        blocked._serial.acquire()
-        try:
-            t1 = threading.Thread(
-                target=server.submit, args=(blocked, Request(op="begin"))
-            )
-            t1.start()
-            # Wait until the worker has dequeued t1's item and is parked.
-            deadline = [server._queue.unfinished_tasks]
-            for _ in range(1000):
-                if server._queue.qsize() == 0 and deadline[0] >= 1:
-                    break
-                threading.Event().wait(0.005)
-            t2 = threading.Thread(
-                target=server.submit, args=(other, Request(op="begin"))
-            )
-            t2.start()
-            for _ in range(1000):
-                if server._queue.qsize() == 1:
-                    break
-                threading.Event().wait(0.005)
-            with pytest.raises(BackpressureError):
-                server.submit(other, Request(op="begin"))
-            assert server.backpressure_rejections == 1
-        finally:
-            blocked._serial.release()
-        t1.join(timeout=10)
-        t2.join(timeout=10)
+        session = server.open_session()
+        seen: list[tuple[int, int]] = []
+        inner = session.execute
+
+        def execute(request):
+            seen.append((server.executing, server.waiting))
+            return inner(request)
+
+        session.execute = execute
+        for _ in range(10):
+            ok(server, session, op="begin")
+            ok(server, session, op="read", table="acct", slot=0)
+            ok(server, session, op="commit")
+        assert set(seen) == {(1, 0)}
+        assert server.requests_admitted == 30
+        assert server.backpressure_rejections == 0
+        assert (server.executing, server.waiting) == (0, 0)
         server.close()
         db.close()
+
+    def test_close_drains_admitted_requests_and_refuses_new_ones(self, threaded_db):
+        """A submit racing ``close()`` is either admitted (and runs) or
+        refused; the queue-and-sentinel server could strand it forever."""
+        server = Server(threaded_db, queue_depth=4, workers=1)
+        blocked = server.open_session()
+        other = server.open_session()
+        closing = threading.Event()
+        close_session = blocked.close
+
+        def close_and_tell() -> None:
+            closing.set()  # close() is past its closed flag when it gets here
+            close_session()
+
+        blocked.close = close_and_tell
+        responses: dict[str, object] = {}
+
+        def submit(name: str, session) -> None:
+            responses[name] = server.submit(session, Request(op="begin"))
+
+        executor = threading.Thread(target=submit, args=("executing", blocked))
+        waiter = threading.Thread(target=submit, args=("waiting", other))
+        closer = threading.Thread(target=server.close)
+        blocked._serial.acquire()  # parks the first request inside execute()
+        try:
+            executor.start()
+            until(lambda: server.executing == 1, "the first request to take the slot")
+            waiter.start()
+            until(lambda: server.waiting == 1, "the second request to park")
+            closer.start()
+            assert closing.wait(TIMEOUT)
+            with pytest.raises(ServeError, match="server is closed"):
+                server.submit(other, Request(op="begin"))
+            # The admitted waiter was not thrown away by close().
+            assert (server.executing, server.waiting) == (1, 1)
+        finally:
+            blocked._serial.release()
+        join_all([executor, waiter, closer])
+        assert set(responses) == {"executing", "waiting"}
+        assert (server.executing, server.waiting) == (0, 0)
+        assert server.requests_admitted == 2
+
+
+class TestThreadedServing:
+    def test_backpressure_sheds_load_at_admission(self, threaded_db):
+        server = Server(threaded_db, queue_depth=1, workers=1)
+        probe = Probe()
+        blocked = probe.attach(server.open_session())
+        outcomes: list[str] = []
+        shed = threading.Event()
+
+        def contend() -> None:
+            try:
+                server.submit(server.open_session(), Request(op="begin"))
+                outcomes.append("served")
+            except BackpressureError:
+                outcomes.append("shed")
+                shed.set()
+
+        threads = [
+            threading.Thread(target=server.submit, args=(blocked, Request(op="begin")))
+        ]
+        threads[0].start()
+        probe.wait_entered(1)  # the single slot is taken ...
+        assert (server.executing, server.waiting) == (1, 0)
+        # ... so of two more submits one takes the depth-1 waiting room
+        # and the other is shed, whichever arrives first.
+        for _ in range(2):
+            threads.append(threading.Thread(target=contend))
+            threads[-1].start()
+        assert shed.wait(TIMEOUT)
+        assert (server.executing, server.waiting) == (1, 1)
+        assert server.backpressure_rejections == 1
+        with pytest.raises(BackpressureError):
+            server.submit(server.open_session(), Request(op="begin"))
+        assert server.backpressure_rejections == 2
+        probe.open()
+        join_all(threads)
+        assert sorted(outcomes) == ["served", "shed"]
+        assert server.requests_admitted == 2
+        assert (server.executing, server.waiting) == (0, 0)
+        server.close()
 
     def test_concurrent_sessions_commit_disjoint_updates(self, tmp_path):
         db = make_db(tmp_path, "fanout", scheme="data_codeword", scheduler_mode="threaded")

@@ -15,8 +15,11 @@ import threading
 import pytest
 
 from repro import Field, FieldType, Schema
+from repro.errors import BackpressureError
 from repro.serve import Request, ShardServer
 from repro.shard import ShardSupervisor, ShardedConfig, ShardedDatabase
+
+from tests.gate_probe import TIMEOUT, Probe, join_all
 
 ACCOUNT_SCHEMA = Schema(
     [
@@ -366,6 +369,62 @@ class TestThreadedShardServer:
             for aid in range(8)
         )
         assert total == 800
+        db.close()
+
+
+    def test_admission_gate_bounds_shard_sessions(self, tmp_path):
+        """``ShardServer`` inherits the gate: two slots, a two-deep waiting
+        room, everything beyond shed -- and shed clients that retry still
+        finish their transactions."""
+        db = make_db(tmp_path, "gate")
+        with ShardServer(db, threaded=True, workers=2, queue_depth=2) as server:
+            probe = Probe()
+            n_clients, rounds = 8, 4
+            shed = threading.Event()
+            failures: list[str] = []
+            submits: list[int] = []
+
+            def client(aid: int) -> None:
+                session = probe.attach(server.open_session())
+                attempts = 0
+                for _ in range(rounds):
+                    for request in (
+                        Request(op="begin"),
+                        Request(op="query", table="account", key=aid),
+                        Request(op="commit"),
+                    ):
+                        while True:
+                            attempts += 1
+                            try:
+                                response = server.submit(session, request)
+                                break
+                            except BackpressureError:
+                                shed.set()
+                        if not response.ok:
+                            failures.append(f"{response.error}: {response.detail}")
+                submits.append(attempts)
+
+            threads = [
+                threading.Thread(target=client, args=(aid,)) for aid in range(n_clients)
+            ]
+            for thread in threads:
+                thread.start()
+            # Nothing finishes while the probe holds, so the first shed
+            # submit proves both slots and the waiting room were full.
+            probe.wait_entered(2)
+            assert shed.wait(TIMEOUT)
+            assert (server.executing, server.waiting) == (2, 2)
+            probe.open()
+            join_all(threads)
+            assert failures == []
+            assert probe.peak == 2
+            assert server.requests_admitted == n_clients * rounds * 3
+            assert (
+                server.requests_admitted + server.backpressure_rejections
+                == sum(submits)
+            )
+            assert (server.executing, server.waiting) == (0, 0)
+            assert server._holders == {}
         db.close()
 
 

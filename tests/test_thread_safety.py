@@ -10,7 +10,6 @@ mutexes added for concurrent serving.
 
 from __future__ import annotations
 
-import sys
 import threading
 
 import pytest
@@ -25,16 +24,7 @@ THREADS = 8
 ROUNDS = 400
 
 
-@pytest.fixture(autouse=True)
-def aggressive_thread_switching():
-    """Shrink the GIL switch interval so read-modify-write races that
-    would hide behind CPython's default 5 ms quantum actually fire."""
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(previous)
+pytestmark = pytest.mark.usefixtures("aggressive_thread_switching")
 
 
 def run_threads(worker) -> None:
