@@ -16,6 +16,8 @@ classification contract lives in ``docs/errors.md``.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package.
@@ -29,6 +31,14 @@ class ReproError(Exception):
     #: useful.  ``False`` by default: unknown errors must not be retried
     #: blindly (the operation may have partially applied).
     retryable = False
+
+    def __reduce__(self):
+        # Errors cross the shard worker pipe as pickled objects.  Default
+        # exception pickling re-calls ``type(self)(*self.args)``, which
+        # breaks for every subclass whose constructor takes structured
+        # arguments and formats its own message; rebuild without
+        # ``__init__`` instead: class, ``args``, then instance attributes.
+        return (copyreg.__newobj__, (type(self), *self.args), self.__dict__ or None)
 
 
 class RetryableError(ReproError):
@@ -148,10 +158,7 @@ class LockError(ReproError):
     duration string) shares the class but is caught in development.
 
     Conflicts carry the holding transaction id (``holder_txn_id``) so
-    the cross-shard deadlock detector can build wait-for edges.  The
-    id also rides in the message (``"... by transaction N"``) because
-    worker-process errors cross the pipe as strings;
-    :func:`lock_holder_from_detail` recovers it on the other side.
+    the cross-shard deadlock detector can build wait-for edges.
     """
 
     retryable = True
@@ -159,27 +166,6 @@ class LockError(ReproError):
     def __init__(self, message: str, holder_txn_id: int | None = None):
         super().__init__(message)
         self.holder_txn_id = holder_txn_id
-
-
-def lock_holder_from_detail(detail: str) -> int | None:
-    """Recover a conflict's holder txn id from a stringified LockError.
-
-    Worker-process shards report errors over a pipe as ``(class name,
-    message)`` pairs, so structured attributes are lost; the holder id
-    survives only in the message text.  Returns ``None`` when the text
-    is not a conflict message.
-    """
-    marker = " by transaction "
-    index = detail.rfind(marker)
-    if index < 0:
-        return None
-    tail = detail[index + len(marker):].strip()
-    digits = ""
-    for ch in tail:
-        if not ch.isdigit():
-            break
-        digits += ch
-    return int(digits) if digits else None
 
 
 class TransactionError(ReproError):

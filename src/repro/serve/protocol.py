@@ -26,18 +26,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Every op the session layer dispatches.
-OPS = (
-    "begin",
-    "commit",
-    "abort",
-    "insert",
-    "read",
-    "update",
-    "delete",
-    "lookup",
-    "query",
-)
+#: Data op -> the request fields it requires.  The one table the session
+#: validates against and the sharded context routes by: an op that names
+#: a ``slot`` goes to the shard tagged in it, a ``key`` to the key's
+#: shard, and a bare row (``insert``) to the row's.
+DATA_OPS = {
+    "insert": ("table", "values"),
+    "read": ("table", "slot"),
+    "update": ("table", "slot", "values"),
+    "delete": ("table", "slot"),
+    "lookup": ("table", "key"),
+    "query": ("table", "key"),
+}
+
+#: Every op the session layer interprets.
+OPS = ("begin", "commit", "abort", *DATA_OPS)
+
+#: Data ops that answer with a row; the others answer with a slot id.
+ROW_OPS = frozenset({"read", "query"})
 
 #: Ops a read-only session (an unpromoted replica) rejects.
 MUTATING_OPS = frozenset({"insert", "update", "delete"})

@@ -1,15 +1,25 @@
-"""Per-session transaction context and error containment.
+"""The session: the one interpreter of the serve protocol.
 
 A session owns at most one open transaction at a time and serializes its
 own requests (an internal lock -- a client that shares a session between
-threads gets in-order execution, not interleaving).  Failure of one
-request is contained to the session: any :class:`~repro.errors.ReproError`
--- a lock conflict from another session's writer, a quarantined-region
-read, a transaction-state violation -- rolls back *this* session's open
-transaction and is reported in the response; the server, the image, and
-every other session keep running.  Only :class:`~repro.errors.SimulatedCrash`
-propagates: an armed crash point means the whole simulated process dies,
-which no session survives.
+threads gets in-order execution, not interleaving).  It validates every
+request against :mod:`repro.serve.protocol` -- known op, required fields
+(``DATA_OPS``), transaction state, read-only -- and then drives a
+**transaction context**: ``begin() / apply(op, table, slot, key, values)
+/ commit() / abort()`` plus ``in_txn``.  There are exactly two contexts:
+:class:`LocalContext` below (one :class:`~repro.storage.database.Database`)
+and :class:`~repro.shard.router.ShardRouter` (per-shard branches, 2PC on
+commit); the session is the same over either, so both fronts answer a
+malformed request, a state violation or a closed session identically.
+
+Failure of one request is contained to the session: any
+:class:`~repro.errors.ReproError` -- a lock conflict from another
+session's writer, a quarantined-region read, a transaction-state
+violation -- rolls back *this* session's open transaction and is reported
+in the response; the server, the image, and every other session keep
+running.  Only :class:`~repro.errors.SimulatedCrash` propagates: an armed
+crash point means the whole simulated process dies, which no session
+survives.
 """
 
 from __future__ import annotations
@@ -18,31 +28,67 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, ServeError, SimulatedCrash
-from repro.serve.protocol import MUTATING_OPS, OPS, Request, Response
+from repro.serve.protocol import DATA_OPS, MUTATING_OPS, OPS, Request, Response
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
     from repro.txn.transaction import Transaction
 
 
+class LocalContext:
+    """The transaction context over one :class:`Database`."""
+
+    def __init__(self, db: "Database") -> None:
+        self.db = db
+        self.txn: "Transaction | None" = None
+
+    @property
+    def in_txn(self) -> bool:
+        return self.txn is not None
+
+    def begin(self) -> int:
+        self.txn = self.db.begin()
+        return self.txn.txn_id
+
+    def apply(self, op: str, table: str, slot, key, values):
+        return self.db.apply(self.txn, op, table, slot, key, values)
+
+    def commit(self) -> int:
+        # Cleared only on success: a failed commit leaves the transaction
+        # for the session's containment to roll back.
+        txn = self.txn
+        self.db.commit(txn)
+        self.txn = None
+        return txn.txn_id
+
+    def abort(self) -> int:
+        txn, self.txn = self.txn, None
+        self.db.abort(txn)
+        return txn.txn_id
+
+
 class Session:
     """One client's view of the database."""
 
     def __init__(
-        self, db: "Database", session_id: int, read_only: bool = False
+        self, db, session_id: int, read_only: bool = False, context=None
     ) -> None:
-        self.db = db
         self.session_id = session_id
         #: Read-only sessions (a hot standby serving reads before
         #: promotion) reject every mutating op with a contained error.
         self.read_only = read_only
-        self.txn: "Transaction | None" = None
+        self.context = LocalContext(db) if context is None else context
         self.closed = False
         self._serial = threading.Lock()
         self.requests_served = 0
         self.errors_contained = 0
         self.txns_committed = 0
         self.txns_aborted = 0
+
+    @property
+    def in_txn(self) -> bool:
+        """Whether this session has an open transaction."""
+        return self.context.in_txn
 
     # ----------------------------------------------------------- execute
 
@@ -52,16 +98,11 @@ class Session:
             if self.closed:
                 return self._error(request, ServeError("session is closed"))
             try:
-                value = self._dispatch(request)
+                return self._ok(request, self._dispatch(request))
             except SimulatedCrash:
                 raise
             except ReproError as exc:
-                self._contain(exc)
-                return self._error(request, exc)
-            self.requests_served += 1
-            return Response(
-                ok=True, op=request.op, request_id=request.request_id, value=value
-            )
+                return self._contain(request, exc)
 
     def _dispatch(self, request: Request):
         op = request.op
@@ -73,63 +114,54 @@ class Session:
                 "read-only (replica not promoted)"
             )
         if op == "begin":
-            if self.txn is not None:
+            if self.in_txn:
                 raise ServeError(
                     f"session {self.session_id} already has an open transaction"
                 )
-            self.txn = self.db.begin()
-            return self.txn.txn_id
-        if op == "commit":
-            txn = self._require_txn()
-            self.db.commit(txn)
-            self.txn = None
+            return self.context.begin()
+        if not self.in_txn:
+            raise ServeError(
+                f"session {self.session_id} has no open transaction; "
+                "send 'begin' first"
+            )
+        fields = DATA_OPS.get(op)
+        if fields is not None:
+            for name in fields:
+                if getattr(request, name) is None:
+                    raise ServeError(f"op {op!r} needs {name!r}")
+            return self.context.apply(
+                op, request.table, request.slot, request.key, request.values
+            )
+        return self._end(commit=op == "commit")
+
+    def _end(self, commit: bool) -> int:
+        """Finish the open transaction; every commit and rollback on this
+        session passes through here."""
+        if commit:
+            value = self.context.commit()
             self.txns_committed += 1
-            return txn.txn_id
-        if op == "abort":
-            txn = self._require_txn()
-            self.db.abort(txn)
-            self.txn = None
+        else:
+            value = self.context.abort()
             self.txns_aborted += 1
-            return txn.txn_id
-        txn = self._require_txn()
-        table = self.db.table(self._require(request, "table"))
-        if op == "insert":
-            return table.insert(txn, self._require(request, "values"))
-        if op == "read":
-            return table.read(txn, self._require(request, "slot"))
-        if op == "update":
-            slot = self._require(request, "slot")
-            table.update(txn, slot, self._require(request, "values"))
-            return slot
-        if op == "delete":
-            slot = self._require(request, "slot")
-            table.delete(txn, slot)
-            return slot
-        if op == "lookup":
-            return table.lookup(txn, self._require(request, "key"))
-        # query: index lookup + record read, the TPC-B point read.
-        slot = table.lookup(txn, self._require(request, "key"))
-        if slot is None:
-            return None
-        return table.read(txn, slot)
+        return value
 
     # ------------------------------------------------------- containment
 
-    def _contain(self, cause: ReproError) -> None:
+    def _contain(self, request: Request, exc: ReproError) -> Response:
         """Roll back this session's open transaction, and only it."""
-        txn = self.txn
-        self.txn = None
-        if txn is None:
+        self._rollback()
+        self.errors_contained += 1
+        return self._error(request, exc)
+
+    def _rollback(self) -> None:
+        if not self.in_txn:
             return
         try:
-            self.db.abort(txn)
-            self.txns_aborted += 1
+            self._end(commit=False)
         except ReproError:
             # The abort itself failed (e.g. the database crashed under
-            # us); drop the transaction reference -- recovery owns it now.
+            # us); the context dropped the transaction -- recovery owns it.
             pass
-        self.errors_contained += 1
-        del cause  # reported by the caller; nothing more to do with it
 
     def close(self) -> None:
         """End the session; an open transaction rolls back."""
@@ -137,30 +169,15 @@ class Session:
             if self.closed:
                 return
             self.closed = True
-            txn = self.txn
-            self.txn = None
-            if txn is not None:
-                try:
-                    self.db.abort(txn)
-                    self.txns_aborted += 1
-                except ReproError:
-                    pass
+            self._rollback()
 
     # ---------------------------------------------------------- helpers
 
-    def _require_txn(self) -> "Transaction":
-        if self.txn is None:
-            raise ServeError(
-                f"session {self.session_id} has no open transaction; "
-                "send 'begin' first"
-            )
-        return self.txn
-
-    def _require(self, request: Request, name: str):
-        value = getattr(request, name)
-        if value is None:
-            raise ServeError(f"op {request.op!r} needs {name!r}")
-        return value
+    def _ok(self, request: Request, value) -> Response:
+        self.requests_served += 1
+        return Response(
+            ok=True, op=request.op, request_id=request.request_id, value=value
+        )
 
     def _error(self, request: Request, exc: Exception) -> Response:
         return Response(
@@ -173,5 +190,5 @@ class Session:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.closed else ("in-txn" if self.txn else "idle")
-        return f"Session(id={self.session_id}, {state})"
+        state = "closed" if self.closed else ("in-txn" if self.in_txn else "idle")
+        return f"{type(self).__name__}(id={self.session_id}, {state})"

@@ -1,17 +1,19 @@
-"""The sharded serving front-end: router sessions behind the server.
+"""The sharded serving front-end: the same session over a shard router.
 
-:class:`ShardServer` puts :class:`~repro.shard.router.ShardRouter`
-behind the same bounded-admission :class:`~repro.serve.server.Server`
-that fronts a single database: sessions speak the identical
-request/response protocol, requests pass the same admission gate and run
+:class:`ShardServer` puts sessions whose transaction context is a
+:class:`~repro.shard.router.ShardRouter` behind the same
+bounded-admission :class:`~repro.serve.server.Server` that fronts a
+single database.  The protocol is interpreted in one place --
+:class:`~repro.serve.session.Session` -- so both fronts validate, count
+and contain identically; requests pass the same admission gate and run
 on their client's thread (``workers`` executing, ``queue_depth`` waiting,
 backpressure beyond that), and contained errors carry the taxonomy's
 ``retryable`` bit so a remote client knows whether to back off and
-resubmit.  Under a
-:class:`~repro.shard.supervisor.ShardSupervisor` this is degraded-mode
-serving end to end: a request touching a recovering shard gets a
-fail-fast retryable ``ShardUnavailableError`` response while sessions on
-surviving shards proceed untouched.
+resubmit.  :class:`ShardSession` adds only this front's error policy
+(below).  Under a :class:`~repro.shard.supervisor.ShardSupervisor` this
+is degraded-mode serving end to end: a request touching a recovering
+shard gets a fail-fast retryable ``ShardUnavailableError`` response
+while sessions on surviving shards proceed untouched.
 
 The front-end also hosts the **cross-shard deadlock detector**.  Locks
 in this system fail fast (a conflict raises
@@ -44,32 +46,32 @@ from repro.errors import (
     ReproError,
     ServeError,
     SimulatedCrash,
-    lock_holder_from_detail,
 )
 from repro.serve.protocol import Request, Response
 from repro.serve.server import Server
+from repro.serve.session import Session
 from repro.shard.router import ShardedDatabase, ShardRouter
 from repro.shard.shard import ShardCrashed
 from repro.shard.supervisor import WaitForGraph
 
 
-class ShardSession(ShardRouter):
+class ShardSession(Session):
     """One client session on the sharded database.
 
-    A :class:`ShardRouter` (per-shard branch bookkeeping, slot tagging,
-    2PC on commit) wearing the serve layer's session contract: serialized
-    execution, error containment, per-session counters -- plus the
-    deadlock-detection hooks described in the module docstring.
+    The same :class:`Session` -- validation, state checks, counters,
+    containment -- over a :class:`ShardRouter` context, plus the three
+    policy differences of this front: a ``LockError`` keeps the
+    transaction open and records a wait-for edge, a detector conviction
+    is served at the next request, and :class:`ShardCrashed` propagates.
     """
 
     def __init__(
         self, server: "ShardServer", db: ShardedDatabase, session_id: int
     ) -> None:
-        super().__init__(db)
+        super().__init__(
+            db, session_id, context=ShardRouter(db, self._on_branch_open)
+        )
         self.server = server
-        self.session_id = session_id
-        self.closed = False
-        self._serial = threading.Lock()
         #: Global age order for youngest-victim selection, assigned at
         #: ``begin`` (shard-local txn ids collide across shards).
         self.txn_seq = 0
@@ -79,14 +81,8 @@ class ShardSession(ShardRouter):
         #: a conviction that races this session's commit cannot abort a
         #: *later* transaction (the seq no longer matches).
         self._victim_cycle: tuple[tuple[int, ...], int] | None = None
-        self._last_shard: int | None = None
-        self._branches: list[tuple[int, int]] = []
         self._waiting = False
-        self.requests_served = 0
-        self.errors_contained = 0
         self.deadlock_aborts = 0
-        self.txns_committed = 0
-        self.txns_aborted = 0
 
     # ----------------------------------------------------------- execute
 
@@ -107,16 +103,13 @@ class ShardSession(ShardRouter):
             except LockError as exc:
                 return self._on_lock_conflict(request, exc)
             except ReproError as exc:
-                self._rollback()
-                self.errors_contained += 1
-                return self._error(request, exc)
+                return self._contain(request, exc)
+            if request.op == "begin":
+                self.txn_seq = self.server._next_txn_seq()
             if self._waiting:
                 self._waiting = False
                 self.server._graph_progress(self.session_id)
-            self.requests_served += 1
-            return Response(
-                ok=True, op=request.op, request_id=request.request_id, value=value
-            )
+            return self._ok(request, value)
 
     def _consume_conviction(self) -> DeadlockError | None:
         """The detector convicted us since our last request; abort now."""
@@ -125,15 +118,12 @@ class ShardSession(ShardRouter):
             return None
         self._victim_cycle = None
         cycle, seq = pending
-        if not self._in_txn or seq != self.txn_seq:
+        if not self.in_txn or seq != self.txn_seq:
             # The convicted transaction already ended (we committed or
             # rolled back concurrently with the detection, breaking the
             # cycle); a transaction begun since is innocent.
             return None
-        self._rollback()
-        self.deadlock_aborts += 1
-        self.errors_contained += 1
-        return DeadlockError(self.session_id, cycle)
+        return self._deadlock_abort(cycle)
 
     def _on_lock_conflict(self, request: Request, exc: LockError) -> Response:
         """A shard refused a lock.  Crucially we do NOT roll back: our
@@ -141,92 +131,38 @@ class ShardSession(ShardRouter):
         exist), and the client retries just this op.  The conflict is
         reported as a wait-for edge; if that closes a cycle with us as
         the youngest member, we abort instead."""
-        holder_txn = exc.holder_txn_id
-        if holder_txn is None:
-            # Process-mode workers report errors as strings; the holder
-            # id survives in the message text.
-            holder_txn = lock_holder_from_detail(str(exc))
         cycle = None
-        if holder_txn is not None and self._last_shard is not None:
+        if exc.holder_txn_id is not None:
             self._waiting = True
             cycle = self.server._on_wait(
-                self.session_id, self._last_shard, holder_txn
+                self.session_id, self.context.last_shard, exc.holder_txn_id
             )
-        self.errors_contained += 1
         if cycle is not None:
-            self._rollback()
-            self.deadlock_aborts += 1
-            return self._error(request, DeadlockError(self.session_id, cycle))
+            return self._error(request, self._deadlock_abort(cycle))
+        self.errors_contained += 1
         return self._error(request, exc)
 
-    # ------------------------------------------------- router overrides
+    def _deadlock_abort(self, cycle: tuple[int, ...]) -> DeadlockError:
+        self._rollback()
+        self.deadlock_aborts += 1
+        self.errors_contained += 1
+        return DeadlockError(self.session_id, cycle)
 
-    def _dispatch(self, request: Request):
-        op = request.op
-        if op == "begin":
-            value = super()._dispatch(request)
-            self.txn_seq = self.server._next_txn_seq()
-            return value
-        if op in ("commit", "abort"):
-            try:
-                value = super()._dispatch(request)
-            finally:
-                # Locks are gone either way (commit, abort, or 2PC
-                # failure fan-out); stop advertising the branches.
-                self._release_branches()
-            if op == "commit":
-                self.txns_committed += 1
-            else:
-                self.txns_aborted += 1
-            return value
-        return super()._dispatch(request)
-
-    def _shard_op(self, shard_id: int, op: tuple):
-        # Remember where the op ran so a LockError can be attributed to
-        # (shard, holder txn) -- txn ids alone collide across shards.
-        self._last_shard = shard_id
-        return super()._shard_op(shard_id, op)
+    # ------------------------------------------------ detector bookkeeping
 
     def _on_branch_open(self, shard_id: int, txn_id: int) -> None:
-        self._branches.append((shard_id, txn_id))
         self.server._register_holder(shard_id, txn_id, self.session_id)
 
-    def _rollback(self) -> None:
-        super()._rollback()
-        if self._in_txn is False:
-            self._release_branches()
-
-    def _release_branches(self) -> None:
-        branches, self._branches = self._branches, []
-        self._waiting = False
-        self._victim_cycle = None
-        self.server._release(self.session_id, branches)
-
-    # ----------------------------------------------------------- plumbing
-
-    def close(self) -> None:
-        with self._serial:
-            if self.closed:
-                return
-            self.closed = True
-            if self._in_txn:
-                self._rollback()
-                self.txns_aborted += 1
-            self._release_branches()
-
-    def _error(self, request: Request, exc: Exception) -> Response:
-        return Response(
-            ok=False,
-            op=request.op,
-            request_id=request.request_id,
-            error=type(exc).__name__,
-            detail=str(exc),
-            retryable=bool(getattr(exc, "retryable", False)),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.closed else ("in-txn" if self._in_txn else "idle")
-        return f"ShardSession(id={self.session_id}, {state})"
+    def _end(self, commit: bool) -> int:
+        branches = list(self.context.open_txns.items())
+        try:
+            return super()._end(commit)
+        finally:
+            # Locks are gone either way (commit, abort, or 2PC failure
+            # fan-out); stop advertising the branches.
+            self._waiting = False
+            self._victim_cycle = None
+            self.server._release(self.session_id, branches)
 
 
 class ShardServer(Server):

@@ -8,11 +8,14 @@ plain tuples -- nothing that crosses the boundary holds a database object
 or a closure, so every command pickles.
 
 Transaction state is explicit: ``("begin",)`` returns a transaction id and
-subsequent ``("op", txn_id, ...)`` commands name it, which lets the
-serve-protocol router hold transactions open across requests.  The
-``("txn", ops)`` form is the one-round-trip fast path for whole
-transactions (what the throughput benchmark uses); ``("txn_prepare", gid,
-ops)`` is its 2PC twin, ending in a prepare vote instead of a commit.
+subsequent commands name it, which lets the serve-protocol router hold
+transactions open across requests: ``("apply", txn_id, op, table, slot,
+key, values)`` runs one serve-protocol data op through
+:meth:`Database.apply <repro.storage.database.Database.apply>`, and
+``("op", txn_id, workload_op)`` one workload op.  The ``("txn", ops)``
+form is the one-round-trip fast path for whole transactions (what the
+throughput benchmark uses); ``("txn_prepare", gid, ops)`` is its 2PC
+twin, ending in a prepare vote instead of a commit.
 """
 
 from __future__ import annotations
@@ -90,6 +93,10 @@ class ShardCore:
     def _cmd_op(self, txn_id: int, op: tuple):
         txn = self._txn(txn_id)
         return self._apply(txn, op)
+
+    def _cmd_apply(self, txn_id: int, op: str, table: str, slot, key, values):
+        """One serve-protocol data op on an open transaction."""
+        return self.db.apply(self._txn(txn_id), op, table, slot, key, values)
 
     def _cmd_commit(self, txn_id: int) -> int:
         txn = self._txns.pop(txn_id, None)
@@ -184,12 +191,10 @@ class ShardCore:
             return None
         if kind == "insert":
             _, table_name, values = op
-            return self.db.table(table_name).insert(txn, values)
-        if kind == "query":
+            return self.db.apply(txn, kind, table_name, values=values)
+        if kind in ("query", "lookup"):
             _, table_name, key = op
-            table = self.db.table(table_name)
-            slot = table.lookup(txn, key)
-            return None if slot is None else table.read(txn, slot)
+            return self.db.apply(txn, kind, table_name, key=key)
         if kind == "update_key":
             _, table_name, key, values = op
             table = self.db.table(table_name)
@@ -198,20 +203,6 @@ class ShardCore:
                 raise ReproError(f"{table_name} key {key} not found")
             table.update(txn, slot, values)
             return slot
-        if kind == "read_slot":
-            _, table_name, slot = op
-            return self.db.table(table_name).read(txn, slot)
-        if kind == "update_slot":
-            _, table_name, slot, values = op
-            self.db.table(table_name).update(txn, slot, values)
-            return slot
-        if kind == "delete_slot":
-            _, table_name, slot = op
-            self.db.table(table_name).delete(txn, slot)
-            return slot
-        if kind == "lookup":
-            _, table_name, key = op
-            return self.db.table(table_name).lookup(txn, key)
         if kind == "charge":
             self.db.meter.charge(op[1])
             return None

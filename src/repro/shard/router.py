@@ -21,10 +21,11 @@ commit.  The 2PC pieces are deliberately minimal:
   Shards never consult each other, so N recoveries run in N processes
   and wall-clock drops near-linearly (``bench --sharded`` measures it).
 
-:class:`ShardRouter` fronts the ``repro/serve`` request/response protocol
-on top: one router instance is one client session, holding at most one
-open (possibly multi-shard) transaction, with slot ids transparently
-tagged with their shard.
+:class:`ShardRouter` is the sharded *transaction context* of a serve
+session (:class:`~repro.serve.session.Session` interprets the protocol;
+the router only routes): one instance holds at most one open (possibly
+multi-shard) transaction, with slot ids transparently tagged with their
+shard.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.errors import (
     TwoPhaseCommitError,
 )
 from repro.faults.crashpoints import CrashPointRegistry
-from repro.serve.protocol import Request, Response
+from repro.serve.protocol import DATA_OPS, ROW_OPS
 from repro.shard.core import ShardCore
 from repro.shard.partition import PartitionSpec, shard_capacity
 from repro.shard.shard import LocalShard, ProcessShard, ShardCrashed
@@ -514,7 +515,11 @@ class ShardedDatabase:
         )
 
     def _abort_prepared(self, gid: str, prepared: list[int]) -> None:
-        """Send abort to every prepared branch, best-effort per shard.
+        """Send abort to every prepared branch of ``gid``."""
+        self._send_aborts({sid: ("decide", gid, False) for sid in prepared})
+
+    def _send_aborts(self, cmds: dict[int, tuple]) -> None:
+        """Send each shard its abort command, best-effort per shard.
 
         One failing shard must not skip the rest: each remaining branch
         holds exclusive locks until aborted.  Presumed abort makes a
@@ -525,9 +530,9 @@ class ShardedDatabase:
         a dead shard is reported (its restart rolls the branch back) and
         the abort fan-out continues.
         """
-        for sid in prepared:
+        for sid, cmd in cmds.items():
             try:
-                self.shard_call(sid, ("decide", gid, False))
+                self.shard_call(sid, cmd)
             except (SimulatedCrash, ShardCrashed):
                 raise
             except Exception:
@@ -607,8 +612,12 @@ class ShardedDatabase:
             undelivered=tuple(sid for sid, _ in undelivered),
         )
 
-    def _commit_two_phase(self, groups: dict[int, list]) -> None:
-        """Presumed-abort 2PC over ``groups`` (shard id -> ops).
+    def _two_phase(
+        self, gid: str, prepares: dict[int, tuple], aborts: dict[int, tuple]
+    ) -> None:
+        """Presumed-abort 2PC: ``prepares`` maps each participant shard
+        to the command that makes its branch vote; ``aborts`` to the
+        command that rolls back a branch which never got to vote.
 
         Prepares carry a deadline under supervision
         (``prepare_timeout_s``): a participant that does not vote in
@@ -617,16 +626,14 @@ class ShardedDatabase:
         shard's restart.  That is what makes a hung worker a transient
         condition instead of a wedged coordinator.
         """
-        gid = self._new_gid()
         prepared: list[int] = []
         tokens: dict[int, int] = {}
-        failure: BaseException | None = None
-        for sid in sorted(groups):
+        for sid in sorted(prepares):
             tokens[sid] = self._prepare_token(sid)
             try:
                 self.shard_call(
                     sid,
-                    ("txn_prepare", gid, groups[sid]),
+                    prepares[sid],
                     timeout=self.prepare_timeout_s or self.call_timeout_s,
                 )
                 prepared.append(sid)
@@ -634,16 +641,16 @@ class ShardedDatabase:
                 raise  # inproc crash simulation: whole process dies here
             except ShardCrashed:
                 raise  # process mode: the worker is gone; recover
-            except BaseException as exc:
-                failure = exc
-                break
-        if failure is not None:
-            # Presumed abort: nothing durable names this gid; roll back
-            # the branches that did prepare and surface the vote-no cause.
-            self._abort_prepared(gid, prepared)
-            raise TwoPhaseCommitError(
-                f"transaction {gid} aborted: {failure}"
-            ) from failure
+            except BaseException as failure:
+                # Presumed abort: nothing durable names this gid; roll
+                # back every branch and surface the vote-no cause.
+                self._abort_prepared(gid, prepared)
+                self._send_aborts(
+                    {s: aborts[s] for s in sorted(aborts) if s not in prepared}
+                )
+                raise TwoPhaseCommitError(
+                    f"transaction {gid} aborted: {failure}"
+                ) from failure
         self.crashpoints.reach("twopc.pre_decide")
         stale = self._fenced_decide(gid, prepared, tokens)
         if stale is not None:
@@ -651,12 +658,20 @@ class ShardedDatabase:
         self.crashpoints.reach("twopc.after_decide")
         self._commit_prepared(gid, prepared)
 
+    def _commit_two_phase(self, groups: dict[int, list]) -> None:
+        """2PC over ``groups`` (shard id -> ops): each branch runs its
+        ops and votes in one round trip.  A branch that fails aborts
+        itself in the shard and the later ones never begin."""
+        gid = self._new_gid()
+        self._two_phase(
+            gid, {sid: ("txn_prepare", gid, ops) for sid, ops in groups.items()}, {}
+        )
+
     def commit_session(self, open_txns: dict[int, int]) -> None:
         """Commit a session's open per-shard transactions (serve front).
 
         ``open_txns`` maps shard id -> open transaction id.  One shard
-        commits locally; several run the same presumed-abort 2PC as
-        :meth:`_commit_two_phase`, but over already-open transactions.
+        commits locally; several run 2PC over the already-open branches.
         """
         self._require_open()
         if not open_txns:
@@ -666,42 +681,11 @@ class ShardedDatabase:
             self.shard_call(sid, ("commit", txn_id))
             return
         gid = self._new_gid()
-        prepared: list[int] = []
-        tokens: dict[int, int] = {}
-        failure: BaseException | None = None
-        for sid in sorted(open_txns):
-            tokens[sid] = self._prepare_token(sid)
-            try:
-                self.shard_call(
-                    sid,
-                    ("prepare", open_txns[sid], gid),
-                    timeout=self.prepare_timeout_s or self.call_timeout_s,
-                )
-                prepared.append(sid)
-            except (SimulatedCrash, ShardCrashed):
-                raise
-            except BaseException as exc:
-                failure = exc
-                break
-        if failure is not None:
-            self._abort_prepared(gid, prepared)
-            for sid in sorted(open_txns):
-                if sid not in prepared:
-                    try:
-                        self.shard_call(sid, ("abort", open_txns[sid]))
-                    except (SimulatedCrash, ShardCrashed):
-                        raise
-                    except Exception:
-                        pass
-            raise TwoPhaseCommitError(
-                f"transaction {gid} aborted: {failure}"
-            ) from failure
-        self.crashpoints.reach("twopc.pre_decide")
-        stale = self._fenced_decide(gid, prepared, tokens)
-        if stale is not None:
-            raise self._fence_abort(gid, prepared, stale)
-        self.crashpoints.reach("twopc.after_decide")
-        self._commit_prepared(gid, prepared)
+        self._two_phase(
+            gid,
+            {sid: ("prepare", txn_id, gid) for sid, txn_id in open_txns.items()},
+            {sid: ("abort", txn_id) for sid, txn_id in open_txns.items()},
+        )
 
     # -------------------------------------------------- admin / queries
 
@@ -785,112 +769,73 @@ class ShardedDatabase:
 
 
 class ShardRouter:
-    """One client session speaking the ``repro/serve`` protocol.
+    """The sharded transaction context of a serve session.
 
-    Slot ids crossing the protocol boundary are shard-tagged
-    (``global_slot = local_slot * n_shards + shard_id``) so ``read`` /
-    ``update`` / ``delete`` by slot route without a lookup.  ``commit``
-    commits locally when the transaction touched one shard and runs 2PC
-    when it touched several.
+    What is genuinely sharded about a session's transaction, and nothing
+    else (validation, state checks and containment are the session's):
+    pick the shard -- from the row on ``insert``, the key on ``lookup`` /
+    ``query``, the tag in the slot otherwise -- open that shard's branch
+    lazily, tag returned slots (``global_slot = local_slot * n_shards +
+    shard_id``, so later ops by slot route without a lookup), and on
+    ``commit`` hand the open branches to
+    :meth:`ShardedDatabase.commit_session` (local commit for one shard,
+    2PC for several).
     """
 
-    def __init__(self, db: ShardedDatabase) -> None:
+    def __init__(self, db: ShardedDatabase, on_branch_open=None) -> None:
         self.db = db
-        self._open_txns: dict[int, int] = {}
-        self._in_txn = False
+        #: shard id -> that shard's open branch (a shard-local txn id)
+        self.open_txns: dict[int, int] = {}
+        self.in_txn = False
+        #: Where the last op ran, so the serve layer can attribute a
+        #: ``LockError`` to (shard, holder txn) -- txn ids alone collide
+        #: across shards.
+        self.last_shard: int | None = None
+        #: Called with ``(shard_id, txn_id)`` when a branch opens (the
+        #: serve layer registers it for deadlock detection).
+        self._on_branch_open = on_branch_open
 
-    # ------------------------------------------------------------- slots
+    def begin(self) -> int:
+        self.in_txn = True
+        return 0
 
-    def _encode_slot(self, shard_id: int, slot: int) -> int:
-        return slot * self.db.config.n_shards + shard_id
-
-    def _decode_slot(self, global_slot: int) -> tuple[int, int]:
-        n = self.db.config.n_shards
-        return global_slot % n, global_slot // n
-
-    # ---------------------------------------------------------- protocol
-
-    def handle(self, request: Request) -> Response:
-        try:
-            value = self._dispatch(request)
-            return Response(True, request.op, request.request_id, value)
-        except (SimulatedCrash, ShardCrashed):
-            raise
-        except BaseException as exc:
-            self._rollback()
-            return Response(
-                False,
-                request.op,
-                request.request_id,
-                None,
-                error=type(exc).__name__,
-                detail=str(exc),
-            )
-
-    def _dispatch(self, request: Request):
-        op = request.op
-        if op == "begin":
-            if self._in_txn:
-                raise ShardError("transaction already open")
-            self._in_txn = True
-            self._open_txns = {}
-            return 0
-        if op == "commit":
-            self._require_txn()
-            txns, self._open_txns = self._open_txns, {}
-            self._in_txn = False
-            self.db.commit_session(txns)
-            return 0
-        if op == "abort":
-            self._require_txn()
-            self._rollback()
-            return 0
-        self._require_txn()
-        if op == "insert":
-            sid = self.db.partition.shard_for_row(request.table, request.values)
-            slot = self._shard_op(sid, ("insert", request.table, request.values))
-            return self._encode_slot(sid, slot)
-        if op == "lookup":
-            sid = self.db.partition.shard_for_key(request.table, request.key)
-            slot = self._shard_op(sid, ("lookup", request.table, request.key))
-            return None if slot is None else self._encode_slot(sid, slot)
-        if op == "query":
-            sid = self.db.partition.shard_for_key(request.table, request.key)
-            return self._shard_op(sid, ("query", request.table, request.key))
-        if op == "read":
-            sid, slot = self._decode_slot(request.slot)
-            return self._shard_op(sid, ("read_slot", request.table, slot))
-        if op == "update":
-            sid, slot = self._decode_slot(request.slot)
-            self._shard_op(sid, ("update_slot", request.table, slot, request.values))
-            return request.slot
-        if op == "delete":
-            sid, slot = self._decode_slot(request.slot)
-            self._shard_op(sid, ("delete_slot", request.table, slot))
-            return request.slot
-        raise ShardError(f"unknown op {op!r}")
-
-    def _shard_op(self, shard_id: int, op: tuple):
-        txn_id = self._open_txns.get(shard_id)
+    def apply(self, op: str, table: str, slot, key, values):
+        n_shards = self.db.config.n_shards
+        fields = DATA_OPS[op]
+        if "slot" in fields:
+            sid, slot = slot % n_shards, slot // n_shards
+        elif "key" in fields:
+            sid = self.db.partition.shard_for_key(table, key)
+        else:
+            sid = self.db.partition.shard_for_row(table, values)
+        self.last_shard = sid
+        txn_id = self.open_txns.get(sid)
         if txn_id is None:
-            txn_id = self.db.shard_call(shard_id, ("begin",))
-            self._open_txns[shard_id] = txn_id
-            self._on_branch_open(shard_id, txn_id)
-        return self.db.shard_call(shard_id, ("op", txn_id, op))
+            txn_id = self.open_txns[sid] = self.db.shard_call(sid, ("begin",))
+            if self._on_branch_open is not None:
+                self._on_branch_open(sid, txn_id)
+        value = self.db.shard_call(
+            sid, ("apply", txn_id, op, table, slot, key, values)
+        )
+        if value is None or op in ROW_OPS:
+            return value
+        return value * n_shards + sid
 
-    def _on_branch_open(self, shard_id: int, txn_id: int) -> None:
-        """Hook: a new per-shard branch opened (overridden by the serve
-        layer to register the branch for deadlock detection)."""
+    def commit(self) -> int:
+        self.db.commit_session(self._take_open())
+        return 0
 
-    def _require_txn(self) -> None:
-        if not self._in_txn:
-            raise ShardError("no open transaction; send begin first")
-
-    def _rollback(self) -> None:
-        txns, self._open_txns = self._open_txns, {}
-        self._in_txn = False
-        for sid, txn_id in txns.items():
+    def abort(self) -> int:
+        """Roll back every branch, best-effort per shard (a dead shard's
+        restart recovery rolls its branch back)."""
+        for sid, txn_id in self._take_open().items():
             try:
                 self.db.shard_call(sid, ("abort", txn_id))
             except Exception:
                 pass
+        return 0
+
+    def _take_open(self) -> dict[int, int]:
+        txns, self.open_txns = self.open_txns, {}
+        self.in_txn = False
+        return txns

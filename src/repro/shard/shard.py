@@ -33,13 +33,7 @@ import multiprocessing as mp
 import threading
 import time
 
-import repro.errors as errors_mod
-from repro.errors import (
-    ReproError,
-    ShardError,
-    ShardTimeoutError,
-    SimulatedCrash,
-)
+from repro.errors import ReproError, ShardError, ShardTimeoutError
 from repro.shard.core import ShardCore
 from repro.shard.worker import shard_worker_main
 
@@ -305,13 +299,9 @@ class ProcessShard:
             self._poisoned = True
             self._proc.join(timeout=10)
             raise ShardCrashed(self.shard_id, point, hit)
-        _tag, exc_name, message = reply
-        exc_class = getattr(errors_mod, exc_name, None)
-        if exc_class is None or not isinstance(exc_class, type):
-            exc_class = ReproError
-        if exc_class is SimulatedCrash:  # pragma: no cover - crash uses "crash"
-            exc_class = ReproError
-        raise exc_class(f"[shard {self.shard_id}] {message}")
+        _tag, exc = reply
+        exc.args = (f"[shard {self.shard_id}] {exc}",)
+        raise exc
 
     def close(self) -> None:
         if self._proc.is_alive() and not self._poisoned:

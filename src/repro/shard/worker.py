@@ -5,10 +5,13 @@ system log, checkpointer, scheduler threads -- so N shards fold codewords
 and flush logs on N cores with no shared GIL.  The protocol over the pipe
 is deliberately dumb: the parent sends command tuples
 (:meth:`~repro.shard.core.ShardCore.execute` commands), the worker answers
-``("ok", result)`` or ``("err", exc_class_name, message)``.  Errors are
-reconstructed parent-side by :class:`~repro.shard.shard.ProcessShard`;
-the pipe stays FIFO, so the parent may pipeline many commands before
-reading any answer (how the throughput benchmark keeps every worker busy).
+``("ok", result)`` or ``("err", exc)``.  The error crosses as the pickled
+:class:`~repro.errors.ReproError` itself -- class, message, ``retryable``
+and every structured attribute intact -- and
+:class:`~repro.shard.shard.ProcessShard` re-raises it parent-side; anything
+that is not a ``ReproError`` is wrapped in one first.  The pipe stays FIFO,
+so the parent may pipeline many commands before reading any answer (how
+the throughput benchmark keeps every worker busy).
 
 Startup performs creation *or recovery* inside the worker.  Recovery
 inside the worker is the point of shard-parallel restart: the parent
@@ -22,7 +25,7 @@ from __future__ import annotations
 import time
 import traceback
 
-from repro.errors import SimulatedCrash
+from repro.errors import ReproError, SimulatedCrash
 from repro.shard.core import ShardCore
 
 
@@ -61,7 +64,8 @@ def shard_worker_main(
             summary = None
         conn.send(("ok", {"ready": True, "recovery": summary}))
     except BaseException as exc:  # startup failure: report, then exit
-        conn.send(("err", type(exc).__name__, f"{exc}\n{traceback.format_exc()}"))
+        detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        conn.send(("err", ReproError(detail)))
         conn.close()
         return
 
@@ -91,6 +95,8 @@ def shard_worker_main(
                 pass
             conn.send(("crash", exc.point, exc.hit))
             running = False
+        except ReproError as exc:
+            conn.send(("err", exc))
         except BaseException as exc:
-            conn.send(("err", type(exc).__name__, str(exc)))
+            conn.send(("err", ReproError(f"{type(exc).__name__}: {exc}")))
     conn.close()

@@ -557,6 +557,32 @@ class Database:
         except KeyError:
             raise ConfigError(f"no table named {name!r}") from None
 
+    def apply(
+        self, txn: Transaction, op: str, table: str, slot=None, key=None, values=None
+    ):
+        """Run one serve-protocol data op (``repro.serve.protocol.DATA_OPS``).
+
+        The only place the protocol's op names meet :class:`Table` calls:
+        a local session and a shard's ``apply`` command both land here.
+        """
+        target = self.table(table)
+        if op == "insert":
+            return target.insert(txn, values)
+        if op == "read":
+            return target.read(txn, slot)
+        if op == "update":
+            target.update(txn, slot, values)
+            return slot
+        if op == "delete":
+            target.delete(txn, slot)
+            return slot
+        if op == "lookup":
+            return target.lookup(txn, key)
+        if op == "query":  # index lookup + record read, the TPC-B point read
+            slot = target.lookup(txn, key)
+            return None if slot is None else target.read(txn, slot)
+        raise ConfigError(f"unknown data op {op!r}")
+
     # ------------------------------------------- maintenance operations
 
     def checkpoint(self):

@@ -296,7 +296,7 @@ class TestReadOnlyServing:
             assert resp.error == "ServeError"
             assert "read-only" in resp.detail
             # Containment rolled the open transaction back.
-            assert session.txn is None
+            assert not session.in_txn
             # Failover flips the whole node, existing sessions included.
             server.promote_to_primary()
             assert session.execute(Request(op="begin")).ok

@@ -21,7 +21,8 @@ import pytest
 from repro import Database, DBConfig
 from repro.errors import BackpressureError, ServeError, SimulatedCrash
 from repro.faults.injector import FaultInjector
-from repro.serve import Request, Server
+from repro.serve import Request, Server, ShardServer
+from repro.shard import ShardedConfig, ShardedDatabase
 
 from tests.conftest import ACCT_SCHEMA, insert_accounts
 from tests.gate_probe import TIMEOUT, Probe, join_all, until
@@ -73,7 +74,7 @@ class TestSessionSemantics:
         ok(server, session, op="update", table="acct", slot=slot, values={"balance": 501})
         assert ok(server, session, op="read", table="acct", slot=slot)["balance"] == 501
         ok(server, session, op="commit")
-        assert session.txn is None
+        assert not session.in_txn
         server.close_session(session)
 
     def test_conflicting_updates_serialize_via_locks(self, served):
@@ -89,8 +90,8 @@ class TestSessionSemantics:
         )
         assert not denied.ok
         assert denied.error == "LockError"
-        assert b.txn is None  # B's transaction rolled back
-        assert a.txn is not None  # A is untouched
+        assert not b.in_txn  # B's transaction rolled back
+        assert a.in_txn  # A is untouched
         ok(server, a, op="commit")
         # B retries after A's locks released and wins.
         ok(server, b, op="begin")
@@ -138,9 +139,80 @@ class TestSessionSemantics:
         session = server.open_session()
         ok(server, session, op="begin")
         server.close_session(session)
-        assert session.txn is None  # open transaction rolled back
+        assert not session.in_txn  # open transaction rolled back
         refused = server.submit(session, Request(op="begin"))
         assert not refused.ok and refused.error == "ServeError"
+
+
+@pytest.fixture(params=("plain", "sharded"))
+def front(request, tmp_path):
+    """The same protocol on both serve fronts: ``Server(Database)`` and
+    ``ShardServer(ShardedDatabase)``."""
+    if request.param == "plain":
+        db = make_db(tmp_path, "front")
+        server = Server(db)
+    else:
+        config = ShardedConfig(
+            dir=str(tmp_path / "front"), n_shards=2, branches=2,
+            scheme="data_codeword",
+        )
+        db = ShardedDatabase.create(config, [("acct", ACCT_SCHEMA, 64, "id")])
+        server = ShardServer(db)
+    yield server
+    server.close()
+    db.close()
+
+
+#: The argument column of the table in ``repro/serve/protocol.py``,
+#: restated here so a field dropped from the code's table is caught.
+REQUIRED_FIELDS = {
+    "insert": ("table", "values"),
+    "read": ("table", "slot"),
+    "update": ("table", "slot", "values"),
+    "delete": ("table", "slot"),
+    "lookup": ("table", "key"),
+    "query": ("table", "key"),
+}
+
+
+def _malformed_requests():
+    """``(id, needs an open transaction, request)`` for every request the
+    protocol must refuse."""
+    full = {
+        "table": "acct",
+        "slot": 0,
+        "key": 1,
+        "values": {"id": 1, "balance": 1, "name": "x"},
+    }
+    for op, fields in REQUIRED_FIELDS.items():
+        for missing in fields:
+            kept = {name: full[name] for name in fields if name != missing}
+            yield f"{op}-without-{missing}", True, Request(op, **kept)
+    yield "unknown-op-idle", False, Request("frobnicate")
+    yield "unknown-op-in-txn", True, Request("frobnicate")
+    yield "commit-without-begin", False, Request("commit")
+    yield "abort-without-begin", False, Request("abort")
+    yield "data-op-without-begin", False, Request("query", table="acct", key=1)
+    yield "second-begin", True, Request("begin")
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "in_txn, request_",
+        [pytest.param(in_txn, req, id=name) for name, in_txn, req in _malformed_requests()],
+    )
+    def test_contained_as_serve_error_on_every_front(self, front, in_txn, request_):
+        session = front.open_session()
+        if in_txn:
+            ok(front, session, op="begin")
+        refused = front.submit(session, request_)  # nothing raised out of submit
+        assert not refused.ok
+        assert refused.error == "ServeError"
+        assert not refused.retryable
+        assert not session.in_txn
+        # The session keeps working.
+        ok(front, session, op="begin")
+        ok(front, session, op="commit")
 
 
 class TestQuarantineContainment:
@@ -170,7 +242,7 @@ class TestQuarantineContainment:
         denied = server.submit(poisoned, Request(op="read", table="acct", slot=slots[0]))
         assert not denied.ok
         assert denied.error == "QuarantinedRegionError"
-        assert poisoned.txn is None  # contained: only this session aborted
+        assert not poisoned.in_txn  # contained: only this session aborted
         # The healthy session reads a different region and commits.
         assert ok(server, healthy, op="read", table="acct", slot=slots[7])["balance"] == 100
         ok(server, healthy, op="commit")
@@ -494,7 +566,7 @@ class TestThreadedServing:
                 if response.ok:
                     server.submit(session, Request(op="commit"))
                 i += 1
-            if session.txn is not None:
+            if session.in_txn:
                 server.submit(session, Request(op="abort"))
 
         def reader(reader_id: int) -> None:

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Database, DBConfig, Field, FieldType, Schema
 from repro.core.codeword import fold_words
+from repro.serve import Request, Server, ShardServer
 from repro.shard import ShardedConfig, ShardedDatabase
 
 SLOW = settings(
@@ -215,3 +216,88 @@ class TestReshardInvariance:
                 db.close()
         assert digests[0] == digests[1] == digests[2]
         assert balances[0] == balances[1] == balances[2]
+
+
+# ------------------------------------------------- served N=1 identity
+#
+# The request-protocol twin of TestSingleShardIdentity: the same script
+# of serve requests through ``Server(Database)`` and through
+# ``ShardServer`` over a one-shard database.  A transaction is a list of
+# data requests closed by ``commit`` or ``abort``; an op that fails rolls
+# the transaction back on both fronts, so the rest of it is skipped.
+# Every transaction has at least one data request: the sharded front
+# opens its branch lazily, so an empty transaction costs it nothing.
+
+SLOTS = list(range(20))  # 12 preloaded + room for inserts + free slots
+NEW_KEYS = list(range(20))  # overlaps KEYS: duplicate inserts must fail alike
+
+data_requests = st.one_of(
+    st.builds(
+        lambda key, balance: Request(
+            "insert", table="account", values={"aid": key, "balance": balance}
+        ),
+        st.sampled_from(NEW_KEYS),
+        st.integers(0, 10_000),
+    ),
+    st.builds(
+        lambda op, key: Request(op, table="account", key=key),
+        st.sampled_from(["lookup", "query"]),
+        st.sampled_from(NEW_KEYS),
+    ),
+    st.builds(
+        lambda op, slot: Request(op, table="account", slot=slot),
+        st.sampled_from(["read", "delete"]),
+        st.sampled_from(SLOTS),
+    ),
+    st.builds(
+        lambda slot, balance: Request(
+            "update", table="account", slot=slot, values={"balance": balance}
+        ),
+        st.sampled_from(SLOTS),
+        st.integers(0, 10_000),
+    ),
+)
+served_scripts = st.lists(
+    st.tuples(
+        st.lists(data_requests, min_size=1, max_size=6),
+        st.sampled_from(["commit", "abort"]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestServedSingleShardIdentity:
+    """N=1 behind ``ShardServer`` == ``Server(Database)``, request for request."""
+
+    @SLOW
+    @given(script=served_scripts)
+    def test_responses_image_and_meter_identical(self, tmp_path, script):
+        sharded = _fresh_sharded(tmp_path, "served-sharded", n_shards=1)
+        plain = _fresh_unsharded(tmp_path, "served-plain")
+        try:
+            with Server(plain) as plain_server, ShardServer(sharded) as shard_server:
+                plain_session = plain_server.open_session()
+                shard_session = shard_server.open_session()
+
+                def both(request: Request) -> bool:
+                    mine = plain_server.submit(plain_session, request)
+                    theirs = shard_server.submit(shard_session, request)
+                    assert (mine.ok, mine.error) == (theirs.ok, theirs.error), (
+                        request, mine, theirs,
+                    )
+                    if request.table is not None:
+                        # Slot tags are the identity at N=1.
+                        assert mine.value == theirs.value, (request, mine, theirs)
+                    return mine.ok
+
+                for requests, ending in script:
+                    assert both(Request("begin"))
+                    if all(both(request) for request in requests):
+                        assert both(Request(ending))
+            (shard_segments,) = sharded.call_all(("snapshot",))
+            assert shard_segments == plain.memory.snapshot_segments()
+            assert sharded.meters()[0] == plain.meter.snapshot()
+        finally:
+            sharded.close()
+            plain.close()

@@ -6,13 +6,12 @@ from __future__ import annotations
 import pytest
 
 from repro import Field, FieldType, Schema
-from repro.errors import ShardError
-from repro.serve.protocol import Request
+from repro.errors import LockError, QuarantinedRegionError
+from repro.serve import Request, ShardServer
 from repro.shard import (
     PartitionSpec,
     ShardedConfig,
     ShardedDatabase,
-    ShardRouter,
     shard_capacity,
 )
 
@@ -167,88 +166,98 @@ class TestQuarantineIsolation:
 
 
 class TestShardRouterProtocol:
-    """The repro/serve request/response front over a sharded database."""
+    """The repro/serve request/response front over a sharded database:
+    a real ``ShardServer`` session, whose context is the ``ShardRouter``."""
 
     def _session(self, tmp_path, name):
         db, _ = _make(tmp_path, name)
-        return db, ShardRouter(db)
+        return db, ShardServer(db).open_session()
 
     def test_insert_lookup_query_roundtrip(self, tmp_path):
-        db, router = self._session(tmp_path, "crud")
-        assert router.handle(Request(op="begin")).ok
-        slot = router.handle(
+        db, session = self._session(tmp_path, "crud")
+        assert session.execute(Request(op="begin")).ok
+        slot = session.execute(
             Request(op="insert", table="account", values={"aid": 3, "balance": 9})
         ).value
-        assert router.handle(Request(op="commit")).ok
-        router.handle(Request(op="begin"))
-        assert router.handle(Request(op="lookup", table="account", key=3)).value == slot
-        row = router.handle(Request(op="query", table="account", key=3)).value
+        assert session.execute(Request(op="commit")).ok
+        session.execute(Request(op="begin"))
+        assert session.execute(Request(op="lookup", table="account", key=3)).value == slot
+        row = session.execute(Request(op="query", table="account", key=3)).value
         assert row["balance"] == 9
-        read = router.handle(Request(op="read", table="account", slot=slot)).value
+        read = session.execute(Request(op="read", table="account", slot=slot)).value
         assert read["aid"] == 3
-        router.handle(Request(op="commit"))
+        session.execute(Request(op="commit"))
         db.close()
 
     def test_slot_tags_route_back_to_owning_shard(self, tmp_path):
-        db, router = self._session(tmp_path, "slots")
-        router.handle(Request(op="begin"))
+        db, session = self._session(tmp_path, "slots")
+        session.execute(Request(op="begin"))
         slots = {
-            aid: router.handle(
+            aid: session.execute(
                 Request(op="insert", table="account", values={"aid": aid, "balance": 0})
             ).value
             for aid in range(4)
         }
-        router.handle(Request(op="commit"))
+        session.execute(Request(op="commit"))
         for aid, slot in slots.items():
-            shard_id, _local = router._decode_slot(slot)
-            assert shard_id == db.partition.shard_for_key("account", aid)
-            router.handle(Request(op="begin"))
-            router.handle(
+            owner = db.partition.shard_for_key("account", aid)
+            assert slot % db.config.n_shards == owner
+            session.execute(Request(op="begin"))
+            session.execute(
                 Request(op="update", table="account", slot=slot, values={"balance": aid})
             )
-            router.handle(Request(op="commit"))
+            assert list(session.context.open_txns) == [owner]
+            session.execute(Request(op="commit"))
         assert db.sum_field("account", "balance") == sum(range(4))
         db.close()
 
     def test_cross_shard_session_commits_atomically(self, tmp_path):
-        db, router = self._session(tmp_path, "xshard")
-        router.handle(Request(op="begin"))
-        router.handle(
+        db, session = self._session(tmp_path, "xshard")
+        session.execute(Request(op="begin"))
+        session.execute(
             Request(op="insert", table="account", values={"aid": 0, "balance": 1})
         )
-        router.handle(
+        session.execute(
             Request(op="insert", table="account", values={"aid": 1, "balance": 2})
         )
-        assert len(router._open_txns) == 2  # touched both shards
-        assert router.handle(Request(op="commit")).ok
+        assert len(session.context.open_txns) == 2  # touched both shards
+        assert session.execute(Request(op="commit")).ok
         assert len(db.decisions) == 1  # went through 2PC
         assert db.sum_field("account", "balance") == 3
         db.close()
 
     def test_abort_rolls_back_every_touched_shard(self, tmp_path):
-        db, router = self._session(tmp_path, "abort")
-        router.handle(Request(op="begin"))
-        router.handle(
+        db, session = self._session(tmp_path, "abort")
+        session.execute(Request(op="begin"))
+        session.execute(
             Request(op="insert", table="account", values={"aid": 0, "balance": 1})
         )
-        router.handle(
+        session.execute(
             Request(op="insert", table="account", values={"aid": 1, "balance": 2})
         )
-        assert router.handle(Request(op="abort")).ok
+        assert session.execute(Request(op="abort")).ok
         assert db.row_count("account") == 0
         db.close()
 
     def test_error_rolls_back_and_reports(self, tmp_path):
-        db, router = self._session(tmp_path, "err")
-        response = router.handle(Request(op="query", table="account", key=1))
-        assert not response.ok  # no begin first
-        assert response.error == "ShardError"
+        db, session = self._session(tmp_path, "err")
+        session.execute(Request(op="begin"))
+        session.execute(
+            Request(op="insert", table="account", values={"aid": 0, "balance": 1})
+        )
+        response = session.execute(Request(op="query", table="nope", key=1))
+        assert not response.ok
+        assert response.error == "ConfigError"
+        assert not session.in_txn  # the error rolled the transaction back
+        assert db.row_count("account") == 0
         db.close()
 
     def test_ops_require_begin(self, tmp_path):
-        db, router = self._session(tmp_path, "nobegin")
-        with pytest.raises(ShardError):
-            router._require_txn()
+        db, session = self._session(tmp_path, "nobegin")
+        response = session.execute(Request(op="query", table="account", key=1))
+        assert not response.ok
+        assert response.error == "ServeError"
+        assert "begin" in response.detail
         db.close()
 
 
@@ -279,3 +288,52 @@ class TestProcessMode:
             assert all(clean for clean, _, _ in recovered.audit_all())
         finally:
             recovered.close()
+
+    def test_quarantined_read_keeps_its_region_ids(self, tmp_path):
+        """Errors cross the worker pipe as objects: structured fields
+        arrive intact (they used to be rebuilt from the message text)."""
+        db, _ = _make(
+            tmp_path, "proc-quarantine", mode="process",
+            quarantine=True, scheme_params={"region_size": 64},
+        )
+        try:
+            _load_accounts(db, count=4)
+            db.wild_write("account", 0, 8, b"\xff" * 8)
+            (clean, regions, _ranges), _other = db.audit_all()
+            assert not clean
+            with pytest.raises(QuarantinedRegionError) as raised:
+                db.submit_txn([("query", "account", 0)])
+            assert raised.value.region_ids == list(regions)
+            assert str(raised.value).startswith("[shard 0] ")
+            assert not raised.value.retryable
+        finally:
+            db.close()
+
+    def test_lock_conflict_carries_the_holder_txn_id(self, tmp_path):
+        db, _ = _make(tmp_path, "proc-conflict", mode="process")
+        try:
+            _load_accounts(db, count=4)
+            with ShardServer(db) as server:
+                holder = server.open_session()
+                waiter = server.open_session()
+                update = Request(
+                    "update", table="account", slot=0, values={"balance": 1}
+                )
+                assert server.submit(holder, Request("begin")).ok
+                assert server.submit(waiter, Request("begin")).ok
+                assert server.submit(holder, update).ok
+                denied = server.submit(waiter, update)
+                assert (denied.error, denied.retryable) == ("LockError", True)
+                # The typed holder id reached the detector: a wait-for edge.
+                assert server.graph.edges() == {
+                    waiter.session_id: (holder.session_id,)
+                }
+                with pytest.raises(LockError) as raised:
+                    db.shard_call(
+                        0,
+                        ("apply", waiter.context.open_txns[0], "update",
+                         "account", 0, None, {"balance": 1}),
+                    )
+                assert raised.value.holder_txn_id == holder.context.open_txns[0]
+        finally:
+            db.close()

@@ -74,7 +74,7 @@ class TestShardSessionProtocol:
                values={"balance": 150})
             ok(server, session, op="commit")
             assert session.txns_committed == 1
-            assert len(session._open_txns) == 0
+            assert len(session.context.open_txns) == 0
             check = server.open_session()
             ok(server, check, op="begin")
             assert ok(server, check, op="query", table="account",
@@ -105,7 +105,7 @@ class TestShardSessionProtocol:
             assert not denied.ok
             assert denied.error == "LockError"
             assert denied.retryable
-            assert b._in_txn  # not rolled back: retry just the op
+            assert b.in_txn  # not rolled back: retry just the op
             ok(server, a, op="commit")
             retried = server.submit(
                 b, Request(op="update", table="account", slot=slot,
@@ -171,7 +171,7 @@ class TestDeadlockDetection:
             )
             assert convicted.error == "DeadlockError"
             assert convicted.retryable
-            assert not b._in_txn
+            assert not b.in_txn
             assert server.deadlocks_broken == 1
             # The survivor now takes the contested lock and commits.
             retried = server.submit(
@@ -226,7 +226,7 @@ class TestDeadlockDetection:
                 b, Request(op="query", table="account", key=1),
             )
             assert sentence.error == "DeadlockError"
-            assert not b._in_txn
+            assert not b.in_txn
             # A's retry now succeeds and the system quiesces.
             assert server.submit(
                 a, Request(op="update", table="account", slot=s1,
@@ -260,7 +260,7 @@ class TestDeadlockDetection:
                 b, Request(op="query", table="account", key=0),
             )
             assert survived.ok, survived.detail
-            assert b._in_txn
+            assert b.in_txn
             assert b.deadlock_aborts == 0
             ok(server, b, op="commit")
         db.close()
