@@ -2,14 +2,14 @@
 background sweeps.  Results land in ``BENCH_write.json`` at the repo root.
 
 * **batched_updates** -- the tentpole gate.  A TPC-B-flavoured stream of
-  in-place balance updates driven at the manager level through three
-  arms: scalar one-region windows, explicit multi-region windows
-  (``begin_updates``), and coalescing windows (``update_batch=N``).
-  All three runs must end byte-, meter- and codeword-identical (the
-  batch paths are an optimisation, not a semantics change); the
-  explicit-window arm must clear ``REQUIRED_SPEEDUP``.  Arms are
-  interleaved over ``ROUNDS`` rounds and the best wall time per arm is
-  kept, so a background scheduling hiccup cannot sink one arm alone.
+  in-place balance updates driven at the manager level through two
+  arms: one-range windows (``update``) and multi-range windows
+  (``begin_updates``).  Both runs must end byte-, meter- and
+  codeword-identical (the window shape is an optimisation, not a
+  semantics change); the multi-range arm must clear
+  ``REQUIRED_SPEEDUP``.  Arms are interleaved over ``ROUNDS`` rounds and
+  the best wall time per arm is kept, so a background scheduling hiccup
+  cannot sink one arm alone.
 * **background_sweep** -- full-sweep escalation latency.  The gate is
   deterministic: launching the off-thread fold must cost less wall time
   than running the same fold inline, since the launch only spawns the
@@ -39,11 +39,14 @@ BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_write.json")
 QUICK = os.environ.get("WRITE_BENCH_QUICK") == "1"
 ACCOUNTS = 256
 UPDATES = 2_560 if QUICK else 12_800
-UPDATE_BATCH = 64
+WINDOW_RANGES = 64
 ROUNDS = 2 if QUICK else 3
 REGION_SIZE = 512  # Section 5.3 mid-point: 0.78% space overhead
+# Full size reads 3.1-3.2x on a calm 2-core VM (11 runs at PR 20: median
+# 3.06, range 2.55-3.78; 2.51-3.25 at its parent).  The margin is thin: a
+# host-noise episode that hits one arm reads 2.5-2.7x, so re-run before
+# believing a failure.
 REQUIRED_SPEEDUP = 1.5 if QUICK else 3.0
-COALESCED_SPEEDUP = 1.1 if QUICK else 1.5
 SWEEP_CAPACITY = 32_768 if QUICK else 262_144  # 1 MiB / 8 MiB data segment
 AUDIT_EVERY = 64
 CKPT_CAPACITY = 8_192 if QUICK else 65_536
@@ -104,10 +107,10 @@ def _tpcb_update_mix(count: int):
     i = 0
     while i < count:
         windows.append(
-            (i, [(base + k * 37) % ACCOUNTS for k in range(UPDATE_BATCH)])
+            (i, [(base + k * 37) % ACCOUNTS for k in range(WINDOW_RANGES)])
         )
         base = (base + 11) % ACCOUNTS
-        i += UPDATE_BATCH
+        i += WINDOW_RANGES
     return windows
 
 
@@ -120,12 +123,12 @@ def _flat_update_mix(count: int):
 
 
 def _drive_updates(db: Database, count: int, *, windows: bool) -> float:
-    """Run the update mix at the manager level, one operation (and one
-    window scope) per UPDATE_BATCH updates; returns wall seconds.
+    """Run the update mix at the manager level, one operation per
+    WINDOW_RANGES updates; returns wall seconds.
 
-    ``windows=True`` opens one explicit multi-region window per
-    transaction; otherwise each update goes through ``mgr.update`` (one
-    scalar window each, or a coalescing window under ``update_batch``).
+    ``windows=True`` opens one multi-range window per transaction;
+    otherwise each update goes through ``mgr.update`` (a one-range
+    window each).
     """
     mgr = db.manager
     table = db.table("acct")
@@ -154,10 +157,9 @@ def _drive_updates(db: Database, count: int, *, windows: bool) -> float:
 
 
 _ARMS = (
-    # (label, update_batch config, explicit windows?)
-    ("scalar", 1, False),
-    ("batched", 1, True),
-    ("coalesced", UPDATE_BATCH, False),
+    # (label, one multi-range window per transaction?)
+    ("scalar", False),
+    ("batched", True),
 )
 
 
@@ -166,14 +168,13 @@ def batched_results(tmp_path_factory) -> dict:
     base = tmp_path_factory.mktemp("writebench")
     entries = {}
     states = {}
-    walls = {label: float("inf") for label, _batch, _win in _ARMS}
+    walls = {label: float("inf") for label, _windows in _ARMS}
     for round_no in range(ROUNDS):
-        for label, batch, windows in _ARMS:
+        for label, windows in _ARMS:
             db = _make_db(
                 base,
                 f"{label}{round_no}",
                 scheme_params={"region_size": REGION_SIZE},
-                update_batch=batch,
             )
             wall_s = _drive_updates(db, UPDATES, windows=windows)
             walls[label] = min(walls[label], wall_s)
@@ -187,19 +188,16 @@ def batched_results(tmp_path_factory) -> dict:
                     db.meter.clock.now_ns,
                 )
             db.close()
-    # The batch paths are an optimisation, not a semantics change.
+    # The window shape is an optimisation, not a semantics change.
     assert states["batched"] == states["scalar"]
-    assert states["coalesced"] == states["scalar"]
-    for label, batch, windows in _ARMS:
+    for label, windows in _ARMS:
         entries[label] = {
             "updates": UPDATES,
-            "update_batch": batch,
             "explicit_windows": windows,
             "wall_s": walls[label],
             "updates_per_sec": UPDATES / walls[label],
         }
     entries["speedup"] = walls["scalar"] / walls["batched"]
-    entries["coalesced_speedup"] = walls["scalar"] / walls["coalesced"]
     return entries
 
 
@@ -300,16 +298,6 @@ class TestWritePath:
         assert batched_results["speedup"] >= REQUIRED_SPEEDUP, (
             f"batched update windows only {batched_results['speedup']:.2f}x "
             f"faster than scalar windows (required {REQUIRED_SPEEDUP}x)"
-        )
-
-    def test_coalesced_updates_speedup(self, batched_results):
-        # update_batch coalescing pays extra bookkeeping the explicit
-        # window arm does not (per-extension undo capture and scheme
-        # hooks), so its bar is lower -- but it must still clearly beat
-        # scalar windows.
-        assert batched_results["coalesced_speedup"] >= COALESCED_SPEEDUP, (
-            f"coalescing windows only {batched_results['coalesced_speedup']:.2f}x "
-            f"faster than scalar windows (required {COALESCED_SPEEDUP}x)"
         )
 
     def test_background_escalation_cheaper_than_inline_sweep(self, sweep_results):

@@ -107,8 +107,8 @@ def print_profile(scale: float, scheme: str, top: int) -> None:
     """cProfile one TPC-B run; print the top-N cumulative-time entries.
 
     Answers "where do the update cycles actually go" for the write-path
-    work: run under ``--profile`` before and after flipping
-    ``update_batch`` / ``image_backing`` to see which frames moved.
+    work: run under ``--profile`` before and after a change (or after
+    flipping ``image_backing``) to see which frames moved.
     """
     import cProfile
     import pstats

@@ -16,6 +16,17 @@ maintainer from the folded policy of its codeword members (smallest
 region size, strictest latch mode) and makes every member adopt it, so a
 stack audits and maintains exactly one table.
 
+There is one window API, over lists: ``open_window(txn, ranges)`` latches
+every protection region the window's ranges span, ``maintain(txn, items)``
+folds the ``(address, old_image, new_image)`` items into the table with
+the Section 3.2 codeword latches held *across* the table update (Data
+Codeword updaters hold the protection latch only shared, so nothing else
+serializes the codeword's read-modify-write), and ``apply_maintenance``
+is the unlatched table update itself, for callers that already exclude
+everyone else (physical undo under the exclusive protection latch,
+single-threaded restart redo).  The scalar scheme hooks pass one-element
+lists.
+
 Every meter charge in this module is verbatim from the seed scheme code;
 the refactor is observably pure for Table 2 (property-tested by
 ``tests/test_pipeline_equivalence.py``).
@@ -151,32 +162,19 @@ class CodewordMaintainer:
 
     # ---------------------------------------------------------- windows
 
-    def open_window(self, txn: Transaction, address: int, length: int) -> None:
-        """Latch every region the update window touches."""
-        assert self.table is not None and self.meter is not None
-        latches = []
-        for region_id in self.table.regions_spanning(address, length):
-            latch = self.protection_latches.latch(region_id)
-            latch.acquire(self.update_latch_mode)
-            self.meter.charge("latch_pair")
-            latches.append(latch)
-        txn.scheme_state.setdefault("window_latches", []).extend(latches)
-
-    def open_window_batch(
-        self, txn: Transaction, regions: list[tuple[int, int]]
-    ) -> None:
-        """Latch every region a multi-range window touches, in one pass.
+    def open_window(self, txn: Transaction, ranges: list[tuple[int, int]]) -> None:
+        """Latch every region the update window's ranges touch, in one pass.
 
         Each latch is physically acquired once (they are reentrant, so
         this is purely a wall-clock saving) but ``latch_pair`` is charged
         once per range-and-region occurrence -- exactly what opening the
-        ranges as N scalar windows would charge.
+        ranges as separate windows would charge.
         """
         assert self.table is not None and self.meter is not None
         latches = txn.scheme_state.setdefault("window_latches", [])
         seen: set[int] = set()
         pairs = 0
-        for address, length in regions:
+        for address, length in ranges:
             for region_id in self.table.regions_spanning(address, length):
                 pairs += 1
                 if region_id not in seen:
@@ -191,56 +189,40 @@ class CodewordMaintainer:
             latch.release()
 
     def maintain(
-        self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
-    ) -> None:
-        """Fold an in-place update into the codewords at ``end_update``."""
-        assert self.table is not None and self.meter is not None
-        if self.uses_codeword_latch:
-            for region_id in self.table.regions_spanning(address, len(old_image)):
-                latch = self.codeword_latches.latch(region_id)
-                with latch.exclusive():
-                    self.meter.charge("latch_pair")
-        self.apply_maintenance(address, old_image, new_image)
-
-    def maintain_batch(
         self, txn: Transaction, items: list[tuple[int, bytes, bytes]]
     ) -> None:
-        """Fold a whole batch of updates into the codewords at once.
+        """Fold a window's ``(address, old_image, new_image)`` updates into
+        the codewords at ``end_update``.
 
-        Byte- and meter-identical to calling :meth:`maintain` per item --
-        XOR folding is associative/commutative and ``Meter.charge`` is
-        linear -- but the deltas go through one vectorized kernel call
-        and the charges are bulk (property-tested against the scalar
-        path).
+        Section 3.2's codeword latch "guard[s] the update to the actual
+        codewords": updaters hold the protection latch only in shared
+        mode, so each distinct codeword latch is acquired once and held
+        *across* the table update.  ``latch_pair`` is still charged per
+        range-and-region occurrence, as one window per range would.
         """
         assert self.table is not None and self.meter is not None
-        if self.uses_codeword_latch:
-            # Acquire each distinct codeword latch once and hold it across
-            # the whole batch fold (strictly stronger than the scalar
-            # path's per-item acquire/release), but charge ``latch_pair``
-            # per range-and-region occurrence -- exactly what N scalar
-            # maintain calls would charge.
-            spans = [
-                self.table.regions_spanning(address, len(old_image))
-                for address, old_image, _new in items
-            ]
-            pairs = 0
-            held: dict[int, Latch] = {}
-            for span in spans:
-                for region_id in span:
-                    pairs += 1
-                    if region_id not in held:
-                        latch = self.codeword_latches.latch(region_id)
-                        latch.acquire(EXCLUSIVE)
-                        held[region_id] = latch
-            try:
-                self.meter.charge("latch_pair", pairs)
-                self.apply_maintenance_batch(items, spans)
-            finally:
-                for latch in held.values():
-                    latch.release()
+        if not self.uses_codeword_latch:
+            self.apply_maintenance(items)
             return
-        self.apply_maintenance_batch(items)
+        spans = [
+            self.table.regions_spanning(address, len(old_image))
+            for address, old_image, _new in items
+        ]
+        pairs = 0
+        held: dict[int, Latch] = {}
+        for span in spans:
+            for region_id in span:
+                pairs += 1
+                if region_id not in held:
+                    latch = self.codeword_latches.latch(region_id)
+                    latch.acquire(EXCLUSIVE)
+                    held[region_id] = latch
+        try:
+            self.meter.charge("latch_pair", pairs)
+            self.apply_maintenance(items, spans)
+        finally:
+            for latch in held.values():
+                latch.release()
 
     def _note_dirty(self, regions) -> None:
         """Record prescribed-path dirtiness (and sweep interference)."""
@@ -249,32 +231,14 @@ class CodewordMaintainer:
             self._sweep_touched.update(regions)
 
     def apply_maintenance(
-        self, address: int, old_image: bytes, new_image: bytes
-    ) -> None:
-        """Immediate table update, or delta accumulation when deferred."""
-        assert self.table is not None and self.meter is not None
-        self._note_dirty(self.table.regions_spanning(address, len(old_image)))
-        if self.deferred:
-            for region_id, delta, words in self.table.compute_deltas(
-                address, old_image, new_image
-            ):
-                self._pending[region_id] = self._pending.get(region_id, 0) ^ delta
-                self.meter.charge("cw_maint_word", words)
-                self.meter.charge("deferred_update")
-        else:
-            words = self.table.apply_update(address, old_image, new_image)
-            self.meter.charge("cw_maint_fixed")
-            self.meter.charge("cw_maint_word", words)
-
-    def apply_maintenance_batch(
         self,
         items: list[tuple[int, bytes, bytes]],
         spans: list[range] | None = None,
     ) -> None:
-        """Batch table update (or per-item accumulation when deferred).
+        """Immediate table update, or delta accumulation when deferred.
 
         ``spans`` lets the caller pass the per-item region spans it
-        already computed (``maintain_batch`` needs them for latching), so
+        already computed (:meth:`maintain` needs them for latching), so
         the geometry is not re-derived here.
         """
         assert self.table is not None and self.meter is not None
@@ -320,7 +284,9 @@ class CodewordMaintainer:
         try:
             if entry.codeword_applied:
                 current = self.memory.read(entry.address, len(entry.image))
-                self.apply_maintenance(entry.address, current, entry.image)
+                self.apply_maintenance(
+                    [(entry.address, current, entry.image)], [regions]
+                )
             self.memory.write(entry.address, entry.image)
         finally:
             for latch in latches:

@@ -186,7 +186,7 @@ class ProtectionPipeline(ProtectionScheme):
 
     def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
         if self.maintainer is not None:
-            self.maintainer.open_window(txn, address, length)
+            self.maintainer.open_window(txn, [(address, length)])
         for member in self.members:
             if not member.uses_codewords:
                 member.on_begin_update(txn, address, length)
@@ -196,7 +196,7 @@ class ProtectionPipeline(ProtectionScheme):
     ) -> int | None:
         checksum: int | None = None
         if self.maintainer is not None:
-            self.maintainer.maintain(txn, address, old_image, new_image)
+            self.maintainer.maintain(txn, [(address, old_image, new_image)])
             self.maintainer.release_window(txn)
             if self.logs_read_checksums:
                 # Codewords-in-write-records (Section 4.3): the update is
@@ -227,7 +227,7 @@ class ProtectionPipeline(ProtectionScheme):
         self, txn: Transaction, regions: list[tuple[int, int]]
     ) -> None:
         if self.maintainer is not None:
-            self.maintainer.open_window_batch(txn, regions)
+            self.maintainer.open_window(txn, regions)
         for member in self.members:
             if not member.uses_codewords:
                 for address, length in regions:
@@ -238,7 +238,7 @@ class ProtectionPipeline(ProtectionScheme):
     ) -> list[int | None]:
         checksums: list[int | None] = [None] * len(items)
         if self.maintainer is not None:
-            self.maintainer.maintain_batch(txn, items)
+            self.maintainer.maintain(txn, items)
             self.maintainer.release_window(txn)
             if self.logs_read_checksums:
                 checksums = [

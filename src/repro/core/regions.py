@@ -132,9 +132,10 @@ class CodewordTable:
             words_folded += words
         return words_folded
 
-    #: Below this many packed bytes the scalar per-update loop beats the
-    #: numpy call overhead.  One ``reduceat`` already wins by ~2x at 32
-    #: packed bytes (two 8-byte chunks); only a single tiny chunk ties.
+    #: Below this many image bytes (old + new, summed over the batch) the
+    #: scalar per-update loop beats the numpy call overhead.  One
+    #: ``reduceat`` already wins by ~2x at 32 bytes (two 8-byte updates);
+    #: only a single tiny update ties.
     _BATCH_NUMPY_THRESHOLD = 32
 
     def apply_update_batch(self, items: list[tuple[int, bytes, bytes]]) -> int:
@@ -146,10 +147,13 @@ class CodewordTable:
         padding is reproduced exactly), and returns the same total
         words-folded count, but all the per-chunk folds go through a
         single ``np.bitwise_xor.reduceat`` over one packed buffer instead
-        of 2 scalar folds per region chunk.
+        of 2 scalar folds per region chunk -- unless the batch is too
+        small for that to pay (``_BATCH_NUMPY_THRESHOLD``).
         """
-        if not items:
-            return 0
+        if 2 * sum(len(old) for _address, old, _new in items) < (
+            self._BATCH_NUMPY_THRESHOLD
+        ):
+            return sum(self.apply_update(*item) for item in items)
         # Pack every chunk's positioned old and new images, word-aligned,
         # into one buffer: lead = chunk_address % 4 zero bytes in front
         # (positioned_fold), zero padding to the next word boundary behind
@@ -193,10 +197,6 @@ class CodewordTable:
                         buf += b"\x00" * pad
                 chunk_regions.append(region_id)
                 words_folded += 2 * ((lead + chunk_len + 3) // 4)
-        if len(buf) < self._BATCH_NUMPY_THRESHOLD:
-            for address, old, new in items:
-                self.apply_update(address, old, new)
-            return words_folded
         folds = np.bitwise_xor.reduceat(
             np.frombuffer(buf, dtype="<u4"), np.asarray(starts)
         )

@@ -90,11 +90,10 @@ class ProtectionScheme(ABC):
 
     # ------------------------------------------------------ batch hooks
     #
-    # Multi-region update windows (``begin_updates`` / batched
-    # ``update()`` coalescing) dispatch through these.  The defaults loop
-    # the scalar hooks, so every scheme is batch-correct by construction;
-    # the pipeline overrides them to drive the shared maintainer's
-    # vectorized batch fold instead.
+    # Multi-range update windows (``begin_updates``) dispatch through
+    # these.  The defaults loop the scalar hooks, so every scheme is
+    # batch-correct by construction; the pipeline overrides them to drive
+    # the shared maintainer once for the whole window instead.
 
     def on_begin_update_batch(
         self, txn: Transaction, regions: list[tuple[int, int]]
@@ -221,12 +220,12 @@ class CodewordSchemeBase(ProtectionScheme):
     # ---------------------------------------------------------- windows
 
     def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
-        self.maintainer.open_window(txn, address, length)
+        self.maintainer.open_window(txn, [(address, length)])
 
     def on_end_update(
         self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
     ) -> int | None:
-        self.maintainer.maintain(txn, address, old_image, new_image)
+        self.maintainer.maintain(txn, [(address, old_image, new_image)])
         self.maintainer.release_window(txn)
         return None
 

@@ -537,7 +537,7 @@ class RestartRecovery:
             maintainer = getattr(self.db.pipeline, "maintainer", None)
             if maintainer is not None:
                 maintainer.apply_maintenance(
-                    record.address, pre_image, record.image
+                    [(record.address, pre_image, record.image)]
                 )
         self.db.meter.charge("redo_apply")
         self.report.redo_applied += 1

@@ -141,7 +141,6 @@ class ShardedConfig:
     scheme_params: dict = dc_field(default_factory=dict)
     page_size: int = 8192
     group_commit_size: int = 1
-    update_batch: int = 1
     audit_mode: str = "full"
     full_sweep_every: int = 8
     quarantine: bool = False
@@ -158,7 +157,6 @@ class ShardedConfig:
             scheme_params=dict(self.scheme_params),
             page_size=self.page_size,
             group_commit_size=self.group_commit_size,
-            update_batch=self.update_batch,
             audit_mode=self.audit_mode,
             full_sweep_every=self.full_sweep_every,
             quarantine=self.quarantine,

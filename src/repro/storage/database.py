@@ -49,7 +49,7 @@ from repro.runtime.scheduler import (
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import CostModel, DEFAULT_COSTS
 from repro.storage.btree import BTreeIndex
-from repro.storage.index import HashIndex
+from repro.storage.index import BUCKETS_PER_ENTRY, HashIndex
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.txn.locks import LockManager
@@ -73,8 +73,6 @@ class DBConfig:
     page_size: int = 8192
     costs: CostModel = DEFAULT_COSTS
     record_history: bool = False
-    #: hash-index directory size as a fraction of table capacity
-    index_bucket_ratio: float = 0.5
     #: Group commit: one stable-log latch/flush pair covers up to this
     #: many commits.  1 (the default) is the paper's flush-per-commit
     #: discipline, meter-identical to pre-group-commit behaviour; with
@@ -99,13 +97,6 @@ class DBConfig:
     #: advances only to the sweep's *begin* LSN -- the same conservative
     #: semantics as the round-robin incremental sweep.
     background_sweeps: bool = False
-    #: Opt-in write batching: consecutive ``update()`` calls inside one
-    #: operation coalesce into a multi-region update window of up to this
-    #: many regions, closed as one batch (one bulk undo capture, one
-    #: vectorized codeword delta-fold, bulk meter charges).  1 keeps the
-    #: scalar window-per-update path; any N is meter- and byte-identical
-    #: to it on committed workloads (property-tested).
-    update_batch: int = 1
     #: Segment storage: ``"heap"`` (default) keeps segments in bytearrays;
     #: ``"mmap"`` maps each segment onto a sparse file under ``image_path``
     #: (default ``<dir>/image``), so databases larger than RAM work.  The
@@ -178,8 +169,6 @@ class Database:
             raise ConfigError(
                 f"full_sweep_every must be >= 1: {config.full_sweep_every}"
             )
-        if config.update_batch < 1:
-            raise ConfigError(f"update_batch must be >= 1: {config.update_batch}")
         if config.background_sweeps and config.audit_mode != "incremental":
             raise ConfigError(
                 "background_sweeps only makes sense with audit_mode="
@@ -380,7 +369,7 @@ class Database:
                 )
                 index = BTreeIndex(idx_seg.base, nodes)
             elif table_def.indexed:
-                buckets = max(16, int(table_def.capacity * self.config.index_bucket_ratio))
+                buckets = max(16, int(table_def.capacity * BUCKETS_PER_ENTRY))
                 idx_size = HashIndex.size_for(buckets, table_def.capacity)
                 idx_seg = self.memory.add_segment(f"{name}.idx", idx_size, kind="data")
                 index = HashIndex(idx_seg.base, buckets, table_def.capacity)
@@ -419,7 +408,6 @@ class Database:
             self.pipeline,
             self.meter,
             group_commit_size=self.config.group_commit_size,
-            update_batch=self.config.update_batch,
             scheduler=self.scheduler,
         )
         self.manager.undo_executor = self._dispatch_logical_undo

@@ -33,6 +33,9 @@ _ENTRY = struct.Struct("<qII")
 
 ENTRY_SIZE = _ENTRY.size  # 16 bytes
 
+#: Hash directory size as a fraction of the table's capacity.
+BUCKETS_PER_ENTRY = 0.5
+
 
 def _mix(key: int) -> int:
     """Deterministic integer hash (stable across processes)."""

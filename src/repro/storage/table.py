@@ -5,6 +5,11 @@ an operation, performs its physical updates through the prescribed
 interface, and commits the operation with a logical undo description that
 the recovery machinery can execute to compensate it.  Table methods are
 therefore exactly the level-1 operations of the paper's model.
+
+Every physical write of an operation -- allocator, record, fields, index
+-- goes through :class:`TxnAccessor`, which queues them and opens *one*
+update window per flush; ``TxnAccessor.flush`` is the only place this
+package calls the manager's ``update`` / ``begin_updates``.
 """
 
 from __future__ import annotations
@@ -194,27 +199,12 @@ class Table:
         read-modify-write (``balance += delta``) with a single prescribed
         read of the record.
 
-        A multi-field update opens *one* multi-region update window over
-        all the target field ranges (``begin_updates``), so the storage
-        layer gets the batched undo capture and the single vectorized
-        codeword fold without callers configuring ``update_batch`` --
-        meter-identical, event for event, to the scalar window-per-field
-        path (``_update_scalar``, kept as the identity-test reference).
-        Under ``update_batch > 1`` the scalar path is used instead: its
-        per-field ``mgr.update`` calls feed the manager's coalescing
-        window, which may batch *across* record updates -- strictly more
-        coalescing than one window per record.
+        The field writes are queued on the accessor and flushed as *one*
+        update window over all the target field ranges -- meter-identical,
+        event for event, to a window per field.
         """
         if not values:
             raise TransactionError("update with no fields")
-        mgr = self.db.manager
-        if len(values) > 1 and mgr.update_batch == 1:
-            self._update_batched(txn, slot, values)
-            return
-        self._update_scalar(txn, slot, values)
-
-    def _update_scalar(self, txn: Transaction, slot: int, values: dict) -> None:
-        """Window-per-field reference path (and the coalescing feeder)."""
         mgr = self.db.manager
         mgr.begin_operation(txn, self._record_key(slot))
         try:
@@ -238,51 +228,9 @@ class Table:
                     value = value(current)
                 encoded = self.schema.encode_field(name, value)
                 undo_args.extend([offset, old_record[offset : offset + size]])
-                mgr.update(txn, base + offset, encoded)
+                ctx.update(base + offset, encoded)
                 new_record[offset : offset + size] = encoded
-            self.db.meter.charge("record_write")
-            self.db.note_write(txn, self.name, slot, bytes(new_record))
-            mgr.commit_operation(
-                txn, LogicalUndo("undo_update", tuple(undo_args))
-            )
-        except Exception:
-            mgr.abort_operation(txn)
-            raise
-
-    def _update_batched(self, txn: Transaction, slot: int, values: dict) -> None:
-        """One ``begin_updates`` window over every updated field range."""
-        mgr = self.db.manager
-        mgr.begin_operation(txn, self._record_key(slot))
-        try:
-            ctx = self._ctx(txn)
-            mgr.lock(txn, self._record_key(slot), LockMode.EXCLUSIVE)
-            if not self.allocator.is_allocated(ctx, slot):
-                raise ConfigError(f"{self.name} slot {slot} is not allocated")
-            base = self.record_address(slot)
-            self.db.meter.charge("record_read")
-            old_record = mgr.read(txn, base, self.schema.record_size)
-            self.db.note_read(txn, self.name, slot, old_record)
-            names = sorted(values, key=self.schema.offset_of)
-            ranges = [self.schema.field_range(name) for name in names]
-            # Field ranges are disjoint by schema construction, so they
-            # satisfy the batch window's pairwise-disjoint requirement.
-            mgr.begin_updates(
-                txn, [(base + offset, size) for offset, size in ranges]
-            )
-            undo_args: list = [self.name, slot]
-            new_record = bytearray(old_record)
-            for name, (offset, size) in zip(names, ranges):
-                value = values[name]
-                if callable(value):
-                    current = self.schema.decode_field(
-                        name, old_record[offset : offset + size]
-                    )
-                    value = value(current)
-                encoded = self.schema.encode_field(name, value)
-                undo_args.extend([offset, old_record[offset : offset + size]])
-                mgr.write(txn, base + offset, encoded)
-                new_record[offset : offset + size] = encoded
-            mgr.end_update(txn)
+            ctx.flush()
             self.db.meter.charge("record_write")
             self.db.note_write(txn, self.name, slot, bytes(new_record))
             mgr.commit_operation(
@@ -297,14 +245,16 @@ class Table:
         mgr = self.db.manager
         mgr.begin_operation(txn, self._record_key(slot))
         try:
+            ctx = self._ctx(txn)
             mgr.lock(txn, self._record_key(slot), LockMode.EXCLUSIVE)
             base = self.record_address(slot)
             undo_args: list = [self.name, slot]
             for offset, data in pairs:
                 self.db.meter.charge("record_read")
-                current = mgr.read(txn, base + offset, len(data))
+                current = ctx.read(base + offset, len(data))
                 undo_args.extend([offset, current])
-                mgr.update(txn, base + offset, data)
+                ctx.update(base + offset, data)
+            ctx.flush()
             self.db.meter.charge("record_write")
             record = self.db.memory.read(base, self.schema.record_size)
             self.db.note_write(txn, self.name, slot, record)

@@ -8,6 +8,13 @@ hook these three points; anything that writes memory without them (a wild
 write through :meth:`~repro.mem.memory.MemoryImage.poke`) is by definition
 an addressing error.
 
+An update window has one shape: a list of pairwise-disjoint ranges opened
+once (``begin_updates``; ``begin_update`` is its one-range case), written
+through ``write`` and closed by one ``end_update``.  The only thing that
+depends on the range count is which scheme hook is told about it.  The
+manager never batches on its own -- the storage layer's write-combining
+:class:`~repro.storage.table.TxnAccessor` decides what shares a window.
+
 The manager dispatches only to the hook interface, never to a concrete
 scheme: since the pipeline refactor the object handed in by ``Database``
 is a :class:`~repro.core.pipeline.ProtectionPipeline`, which fans each
@@ -66,7 +73,6 @@ class TransactionManager:
         scheme: "ProtectionScheme",
         meter: Meter,
         group_commit_size: int = 1,
-        update_batch: int = 1,
         scheduler: "Scheduler | None" = None,
     ) -> None:
         self.memory = memory
@@ -74,14 +80,6 @@ class TransactionManager:
         self.locks = locks
         self.scheme = scheme
         self.meter = meter
-        #: Write batching (opt-in): with N > 1, consecutive :meth:`update`
-        #: calls inside one operation coalesce into a multi-region window
-        #: that closes as one batch -- one bulk codeword delta-fold, bulk
-        #: meter charges with the *same* event counts as N scalar windows.
-        #: The window flushes before any read, operation boundary or
-        #: explicit window open, so visibility and recovery semantics are
-        #: unchanged.
-        self.update_batch = max(1, int(update_batch))
         #: Group commit (opt-in): one latch/flush pair covers up to this
         #: many committers.  1 keeps the paper's flush-per-commit
         #: behaviour, bit-for-bit and meter-identical.  With N > 1 a
@@ -302,11 +300,6 @@ class TransactionManager:
 
     def begin_operation(self, txn: Transaction, object_key: str) -> Operation:
         txn.require_active()
-        # A coalescing window belongs to the enclosing operation; close it
-        # before a nested operation opens so its undo entries stay inside
-        # the right operation scope.
-        if txn.pending_update is not None and txn.pending_update.coalescing:
-            self.end_update(txn)
         with self._id_lock:
             op_id = self._next_op_id
             self._next_op_id += 1
@@ -325,14 +318,9 @@ class TransactionManager:
         txn.require_active()
         op = txn.current_op
         if txn.pending_update is not None:
-            if txn.pending_update.coalescing:
-                # Implicit batch window: flush it so its redo records are
-                # in the local log before they migrate with this commit.
-                self.end_update(txn)
-            else:
-                raise TransactionError(
-                    f"operation {op.op_id} commits with an open update window"
-                )
+            raise TransactionError(
+                f"operation {op.op_id} commits with an open update window"
+            )
         # Move redo records to the system log tail bracketed by OpBegin /
         # OpCommit, then replace physical undo with the logical undo --
         # all before lock release.  The OpBegin record is synthesized here
@@ -402,9 +390,9 @@ class TransactionManager:
     def _rollback_pending_update(self, txn: Transaction) -> None:
         """Close an update window left open by an error path.
 
-        A multi-region window rolls back every captured range,
-        newest-first; none of its codewords moved (``end_update`` never
-        ran), so the physical undos restore bytes only.
+        Every captured range rolls back, newest-first; none of the
+        window's codewords moved (``end_update`` never ran), so the
+        physical undos restore bytes only.
         """
         if txn.pending_update is None:
             return
@@ -417,12 +405,11 @@ class TransactionManager:
         ):  # pragma: no cover
             raise TransactionError("pending update lost its undo entries")
         del txn.undo_log.entries[first:]
-        if len(pending.regions) == 1:
-            self.scheme.close_update_window(txn, pending.address, pending.length)
+        ranges = [(r.address, r.length) for r in pending.regions]
+        if len(ranges) == 1:
+            self.scheme.close_update_window(txn, *ranges[0])
         else:
-            self.scheme.close_update_window_batch(
-                txn, [(r.address, r.length) for r in pending.regions]
-            )
+            self.scheme.close_update_window_batch(txn, ranges)
         for entry in reversed(entries):
             self._apply_physical_undo(txn, entry)
 
@@ -444,11 +431,6 @@ class TransactionManager:
     def read(self, txn: Transaction, address: int, length: int) -> bytes:
         """Prescribed read; protection schemes hook here (precheck, read log)."""
         txn.require_active()
-        if txn.pending_update is not None and txn.pending_update.coalescing:
-            # Close the implicit batch window before the read hooks run: a
-            # precheck would need the window's protection latches, and read
-            # logging must see the update records in order.
-            self.end_update(txn)
         if self.quarantine_guard is not None:
             self.quarantine_guard(txn, address, length)
         self.scheme.on_read(txn, address, length)
@@ -461,8 +443,8 @@ class TransactionManager:
         return self.memory.read(address, length)
 
     def begin_update(self, txn: Transaction, address: int, length: int) -> None:
-        """Open an update window: capture the undo image, notify the scheme."""
-        self._open_window(txn, [(address, length)], coalescing=False)
+        """Open a one-range update window."""
+        self._open_window(txn, [(address, length)])
 
     def begin_updates(
         self, txn: Transaction, regions: list[tuple[int, int]]
@@ -470,54 +452,44 @@ class TransactionManager:
         """Open one update window covering several ``(address, length)``
         ranges at once.
 
-        The batch window is the multi-region generalisation of
-        ``begin_update``: one scheme notification latches every spanned
-        protection region, the undo images are captured range by range,
-        and the matching ``end_update`` folds the whole batch's codeword
-        deltas through the vectorized kernel in a single call.  Meter
-        charges are identical, event for event, to opening and closing the
-        same ranges as individual scalar windows (``Meter.charge`` is
-        linear, so bulk charging cannot move any Table 2 number).
+        One scheme notification latches every spanned protection region,
+        the undo images are captured range by range, and the matching
+        ``end_update`` folds the whole window's codeword deltas in a
+        single call.  Meter charges are identical, event for event, to
+        opening and closing the same ranges as one-range windows
+        (``Meter.charge`` is linear, so bulk charging cannot move any
+        Table 2 number).
         """
-        self._open_window(txn, [(int(a), int(n)) for a, n in regions], coalescing=False)
+        ranges = [(int(a), int(n)) for a, n in regions]
+        if not ranges:
+            raise TransactionError("begin_updates needs at least one region")
+        # Every undo image is captured up front, so overlapping ranges
+        # would double-count codeword deltas and replay stale bytes on
+        # redo.
+        ordered = sorted(ranges)
+        for (a, n), (b, _m) in zip(ordered, ordered[1:]):
+            if a + n > b:
+                raise TransactionError(
+                    f"begin_updates ranges overlap at {b:#x}; window "
+                    "ranges must be pairwise disjoint"
+                )
+        self._open_window(txn, ranges)
 
-    def _open_window(
-        self,
-        txn: Transaction,
-        regions: list[tuple[int, int]],
-        coalescing: bool,
-    ) -> None:
+    def _open_window(self, txn: Transaction, ranges: list[tuple[int, int]]) -> None:
+        """Capture the undo images, notify the scheme (the window body)."""
         txn.require_active()
         op = txn.current_op  # updates must happen inside an operation
         if txn.pending_update is not None:
-            if txn.pending_update.coalescing and not coalescing:
-                # An explicit window open flushes the implicit batch first.
-                self.end_update(txn)
-            else:
-                raise TransactionError(
-                    f"transaction {txn.txn_id} already has an open update window"
-                )
-        if not regions:
-            raise TransactionError("begin_updates needs at least one region")
-        if len(regions) > 1 and not coalescing:
-            # Explicit batch windows capture every undo image up front, so
-            # overlapping ranges would double-count codeword deltas and
-            # replay stale bytes on redo; a coalescing window may revisit
-            # an address because its undo images are captured sequentially.
-            ordered = sorted(regions)
-            for (a, n), (b, _m) in zip(ordered, ordered[1:]):
-                if a + n > b:
-                    raise TransactionError(
-                        f"begin_updates ranges overlap at {b:#x}; batch "
-                        "window ranges must be pairwise disjoint"
-                    )
-        if len(regions) == 1:
-            self.scheme.on_begin_update(txn, regions[0][0], regions[0][1])
+            raise TransactionError(
+                f"transaction {txn.txn_id} already has an open update window"
+            )
+        if len(ranges) == 1:
+            self.scheme.on_begin_update(txn, *ranges[0])
         else:
-            self.scheme.on_begin_update_batch(txn, regions)
+            self.scheme.on_begin_update_batch(txn, ranges)
         window: list[WindowRegion] = []
         total = 0
-        for address, length in regions:
+        for address, length in ranges:
             undo_image = self.memory.read(address, length)
             entry = PhysicalUndo(
                 seq=self._take_seq(),
@@ -536,68 +508,26 @@ class TransactionManager:
                 )
             )
             total += length
-        txn.pending_update = PendingUpdate(regions=window, coalescing=coalescing)
-        count = len(regions)
+        txn.pending_update = PendingUpdate(window)
+        count = len(ranges)
         self.meter.charge("begin_update", count)
         self.meter.charge("log_record", count)
         self.meter.charge("log_byte", total)
 
-    def _extend_window(self, txn: Transaction, address: int, length: int) -> None:
-        """Add one more range to an open coalescing window."""
-        pending = txn.pending_update
-        assert pending is not None and pending.coalescing
-        op = txn.current_op
-        # The scalar hook latches the new range's regions; latches are
-        # reentrant, so a region already covered by the window simply
-        # nests (and still pays its per-range latch_pair, as N scalar
-        # windows would).
-        self.scheme.on_begin_update(txn, address, length)
-        undo_image = self.memory.read(address, length)
-        entry = PhysicalUndo(
-            seq=self._take_seq(),
-            op_id=op.op_id,
-            address=address,
-            image=undo_image,
-            codeword_applied=False,
-        )
-        txn.undo_log.append_physical(entry)
-        pending.add_region(
-            WindowRegion(
-                address=address,
-                length=length,
-                undo_image=undo_image,
-                undo_index=len(txn.undo_log.entries) - 1,
-            )
-        )
-        # The begin-side charges (begin_update/log_record/log_byte, same
-        # events the scalar path charges per window) are deferred to the
-        # window close and paid in bulk there -- Meter.charge is linear,
-        # so the totals are identical on every committed path.  A window
-        # rolled back while still open skips them, consistent with the
-        # documented abort divergence (the fold charges are skipped too).
-        pending.uncharged_ranges += 1
-        pending.uncharged_bytes += length
-
     def write(self, txn: Transaction, address: int, data: bytes) -> None:
         """Write inside the currently open update window.
 
-        The bytes are tracked in exactly one range of the window -- the
-        *latest* one fully containing the write.  That keeps the
-        per-region codeword delta chain sequential when a coalescing
-        window revisits an address (each region's ``undo_image`` was
-        captured after the previous region's writes, so its delta must
-        see only its own writes; folding the final bytes into every
-        intersecting region would double-count the delta).
+        The window's ranges are pairwise disjoint, so the bytes belong to
+        exactly one of them -- the one that contains the whole write.
         """
         pending = self._require_pending(txn)
         length = len(data)
         end = address + length
-        regions = pending.regions
         # Fast path: the write covers a whole range exactly (how
         # ``update()`` and the record-level storage code write).
         target = pending.exact_region(address, length)
         if target is None:
-            for region in reversed(regions):
+            for region in pending.regions:
                 if region.address <= address and end <= region.address + region.length:
                     target = region
                     break
@@ -614,35 +544,15 @@ class TransactionManager:
 
         The redo image of each range comes from the bytes tracked by
         :meth:`write` (byte-identical to re-reading the window from
-        memory, without the copy).  A multi-region window folds all its
-        codeword deltas through one batch scheme hook.
+        memory, without the copy).
         """
         pending = self._require_pending(txn)
         regions = pending.regions
-        if pending.uncharged_ranges:
-            # Begin-side charges deferred by coalescing extensions.
-            self.meter.charge("begin_update", pending.uncharged_ranges)
-            self.meter.charge("log_record", pending.uncharged_ranges)
-            self.meter.charge("log_byte", pending.uncharged_bytes)
-        if len(regions) == 1:
-            region = regions[0]
-            new_image = bytes(region.new_image)
-            old_checksum = self.scheme.on_end_update(
-                txn, region.address, region.undo_image, new_image
-            )
-            entry = txn.undo_log.entries[region.undo_index]
-            if isinstance(entry, PhysicalUndo):
-                entry.codeword_applied = True
-            txn.redo_log.append(
-                UpdateRecord(txn.txn_id, region.address, new_image, old_checksum)
-            )
-            txn.pending_update = None
-            self.meter.charge("end_update")
-            self.meter.charge("log_record")
-            self.meter.charge("log_byte", len(new_image))
-            return
         items = [(r.address, r.undo_image, bytes(r.new_image)) for r in regions]
-        checksums = self.scheme.on_end_update_batch(txn, items)
+        if len(items) == 1:
+            checksums = [self.scheme.on_end_update(txn, *items[0])]
+        else:
+            checksums = self.scheme.on_end_update_batch(txn, items)
         total = 0
         for region, (address, _old, new_image), checksum in zip(
             regions, items, checksums
@@ -661,23 +571,7 @@ class TransactionManager:
         self.meter.charge("log_byte", total)
 
     def update(self, txn: Transaction, address: int, data: bytes) -> None:
-        """Convenience: begin_update + write + end_update.
-
-        With ``update_batch > 1`` consecutive calls coalesce into one
-        multi-region window that closes after every ``update_batch``-th
-        range (or at the next read/operation boundary), batching the undo
-        capture and the codeword folds.
-        """
-        if self.update_batch > 1:
-            pending = txn.pending_update
-            if pending is not None and pending.coalescing:
-                self._extend_window(txn, address, len(data))
-            else:
-                self._open_window(txn, [(address, len(data))], coalescing=True)
-            self.write(txn, address, data)
-            if len(txn.pending_update.regions) >= self.update_batch:
-                self.end_update(txn)
-            return
+        """Convenience: begin_update + write + end_update."""
         self.begin_update(txn, address, len(data))
         self.write(txn, address, data)
         self.end_update(txn)

@@ -5,6 +5,11 @@ model (Section 2.1); nested operations form a stack.  Each transaction
 carries its *local* undo and redo logs; the ATT (with the local undo logs)
 is written out with every checkpoint so restart recovery can roll back
 transactions that were in progress at checkpoint time.
+
+A transaction has at most one open update window
+(:class:`PendingUpdate`): a list of pairwise-disjoint ranges
+(:class:`WindowRegion`), each tracking its undo image and the bytes
+written into it.
 """
 
 from __future__ import annotations
@@ -59,50 +64,21 @@ class WindowRegion:
 class PendingUpdate:
     """State of an open ``begin_update``/``end_update`` window.
 
-    A window covers one or more target ranges (``begin_updates`` opens a
-    multi-region window; the scalar ``begin_update`` is the one-region
-    special case).  ``coalescing`` marks windows the manager opened
-    implicitly to batch consecutive ``update()`` calls under
-    ``DBConfig(update_batch=N)``; such windows are flushed automatically
-    before any read, operation commit or explicit window open.
+    A window is a list of pairwise-disjoint target ranges
+    (``begin_updates``; ``begin_update`` opens the one-range case), so a
+    write inside it belongs to exactly one of them.
     """
 
     regions: list[WindowRegion]
-    coalescing: bool = False
-    # Begin-side meter charges owed by coalescing extensions, paid in
-    # bulk when the window closes (``TxnManager.end_update``).
-    uncharged_ranges: int = 0
-    uncharged_bytes: int = 0
 
     def __post_init__(self) -> None:
-        # (address, length) -> latest region with exactly that range; the
+        # (address, length) -> the region with exactly that range; the
         # fast path for whole-range writes (how update() and the storage
-        # layer write).  "Latest wins" matches the sequential-delta rule
-        # for coalescing windows that revisit an address.
+        # layer write).
         self._by_range = {(r.address, r.length): r for r in self.regions}
-
-    def add_region(self, region: WindowRegion) -> None:
-        self.regions.append(region)
-        self._by_range[(region.address, region.length)] = region
 
     def exact_region(self, address: int, length: int) -> WindowRegion | None:
         return self._by_range.get((address, length))
-
-    @property
-    def address(self) -> int:
-        return self.regions[0].address
-
-    @property
-    def length(self) -> int:
-        return self.regions[0].length
-
-    @property
-    def undo_image(self) -> bytes:
-        return self.regions[0].undo_image
-
-    @property
-    def undo_index(self) -> int:
-        return self.regions[0].undo_index
 
 
 class Transaction:

@@ -56,34 +56,6 @@ class UndoLog:
     def append_physical(self, entry: PhysicalUndo) -> None:
         self.entries.append(entry)
 
-    def replace_operation(self, op_id: int, logical: LogicalUndoEntry) -> None:
-        """Drop the op's physical undos, append its logical undo.
-
-        The physical entries of a committing operation are by construction
-        a suffix of the log (inner operations commit before outer ones).
-        """
-        keep = len(self.entries)
-        while keep > 0:
-            entry = self.entries[keep - 1]
-            if isinstance(entry, PhysicalUndo) and entry.op_id == op_id:
-                keep -= 1
-            else:
-                break
-        del self.entries[keep:]
-        self.entries.append(logical)
-
-    def drop_operation(self, op_id: int) -> list[PhysicalUndo]:
-        """Remove and return the op's trailing physical undos (op rollback)."""
-        removed: list[PhysicalUndo] = []
-        while self.entries:
-            entry = self.entries[-1]
-            if isinstance(entry, PhysicalUndo) and entry.op_id == op_id:
-                removed.append(entry)
-                self.entries.pop()
-            else:
-                break
-        return removed
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import pytest
 
 from repro import Database, DBConfig, Field, FieldType, Schema
+from repro.storage.table import Table, TxnAccessor
 
 ACCT_SCHEMA = Schema(
     [
@@ -15,6 +17,27 @@ ACCT_SCHEMA = Schema(
         Field("name", FieldType.CHAR, 16),
     ]
 )
+
+
+class PassThroughAccessor(TxnAccessor):
+    """Window-per-update reference: every write goes straight through."""
+
+    __slots__ = ()
+
+    def update(self, address: int, new_bytes: bytes) -> None:
+        self.db.manager.update(self.txn, address, new_bytes)
+
+
+@contextmanager
+def window_per_update():
+    """Table operations inside the block use :class:`PassThroughAccessor`
+    -- the reference the write-combining identity tests compare against."""
+    real = Table._ctx
+    Table._ctx = lambda self, txn: PassThroughAccessor(self.db, txn)
+    try:
+        yield
+    finally:
+        Table._ctx = real
 
 
 @pytest.fixture

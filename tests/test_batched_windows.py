@@ -1,22 +1,12 @@
 """Batched update windows: identity against the scalar window path.
 
 The tentpole claim of the batched write path is that it is a pure
-wall-clock optimisation: ``begin_updates`` (one multi-region window) and
-``DBConfig(update_batch=N)`` (implicit coalescing of consecutive
-``update()`` calls) must leave memory bytes, codewords, log contents and
-every meter count exactly where N scalar windows would have left them.
-``Meter.charge`` is linear and XOR folding is associative, so the bulk
-charges and the one vectorized delta-fold cannot move any Table 2 number
--- these tests make that claim load-bearing.
-
-Documented divergences (asserted as such, not papered over):
-
-* aborting an *open* coalescing window rolls back without ever folding
-  the pending deltas, so the abort path charges less than scalar
-  fold+unfold would -- the bytes and codewords still come back identical;
-* a coalescing window that revisits an address logs one redo record per
-  visit whose images chain sequentially; the *final* replayed bytes are
-  identical to the scalar path's.
+wall-clock optimisation: ``begin_updates`` (one multi-range window) must
+leave memory bytes, codewords, log contents and every meter count exactly
+where N one-range windows would have left them.  ``Meter.charge`` is
+linear and XOR folding is associative, so the bulk charges and the one
+vectorized delta-fold cannot move any Table 2 number -- these tests make
+that claim load-bearing.
 """
 
 from __future__ import annotations
@@ -163,7 +153,7 @@ class TestKernelFoldIdentity:
 
 
 # --------------------------------------------------------------------------
-# Full-path identity: scalar windows vs begin_updates vs update_batch
+# Full-path identity: scalar windows vs begin_updates
 # --------------------------------------------------------------------------
 
 
@@ -177,8 +167,7 @@ def _workloads(draw):
         )
         for _ in range(count)
     ]
-    batch = draw(st.sampled_from([2, 3, 8]))
-    return updates, batch
+    return updates
 
 
 class TestFullPathIdentity:
@@ -188,49 +177,8 @@ class TestFullPathIdentity:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_coalescing_is_meter_and_byte_identical(self, case):
-        """DBConfig(update_batch=N) vs scalar: same bytes, same meter."""
-        updates, batch = case
-        base = tempfile.mkdtemp(prefix="batchwin-")
-        try:
-            scalar_db = _make_db(f"{base}/scalar")
-            batched_db = _make_db(f"{base}/batched", update_batch=batch)
-            txn_updates = [(slot, value) for slot, value in updates]
-            for db in (scalar_db, batched_db):
-                # table-level update goes through manager.update per field;
-                # run at the manager level so coalescing actually engages.
-                mgr = db.manager
-                txn = db.begin()
-                mgr.begin_operation(txn, "acct:mix")
-                for slot, value in txn_updates:
-                    mgr.update(
-                        txn,
-                        _record_addr(db, slot) + 8,
-                        value.to_bytes(8, "little"),
-                    )
-                mgr.commit_operation(txn, LogicalUndo("noop"))
-                db.commit(txn)
-            s_mem, s_cw, s_counts, s_ns = _state(scalar_db)
-            b_mem, b_cw, b_counts, b_ns = _state(batched_db)
-            assert b_mem == s_mem
-            assert b_cw == s_cw
-            assert b_counts == s_counts
-            assert b_ns == s_ns
-            assert scalar_db.audit().clean and batched_db.audit().clean
-            scalar_db.close()
-            batched_db.close()
-        finally:
-            shutil.rmtree(base, ignore_errors=True)
-
-    @given(_workloads())
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_begin_updates_is_meter_and_byte_identical(self, case):
+    def test_begin_updates_is_meter_and_byte_identical(self, updates):
         """Explicit begin_updates vs N scalar windows over disjoint slots."""
-        updates, _batch = case
         # Disjoint ranges: keep the last value per slot (same final bytes).
         final = {}
         for slot, value in updates:
@@ -330,71 +278,25 @@ class TestBatchWindowSemantics:
         db.close()
 
     def test_abort_mid_window_restores_bytes_and_codewords(self):
-        db = self._db(update_batch=4)
+        db = self._db()
         mgr = db.manager
         addresses = [_record_addr(db, s) + 8 for s in (1, 2, 3)]
         before = db.memory.snapshot_segments()
+        codewords = db.scheme.codeword_table._codewords.copy()
         txn = db.begin()
         mgr.begin_operation(txn, "op")
+        mgr.begin_updates(txn, [(address, 8) for address in addresses])
         for i, address in enumerate(addresses):
-            mgr.update(txn, address, (7000 + i).to_bytes(8, "little"))
-        # The window is still open (3 < update_batch): abort rolls back.
-        assert txn.pending_update is not None and txn.pending_update.coalescing
+            mgr.write(txn, address, (7000 + i).to_bytes(8, "little"))
+        # The three-range window is still open: abort rolls every range
+        # back without ever folding a codeword delta.
+        assert len(txn.pending_update.regions) == 3
         db.abort(txn)
+        assert txn.pending_update is None
         assert db.memory.snapshot_segments() == before
+        assert np.array_equal(db.scheme.codeword_table._codewords, codewords)
+        assert not db.scheme.protection_latches.any_held()
         assert db.audit().clean
-        db.close()
-
-    def test_coalescing_flush_triggers(self):
-        db = self._db(update_batch=4)
-        mgr = db.manager
-        a = [_record_addr(db, s) + 8 for s in range(8)]
-        value = (42).to_bytes(8, "little")
-
-        txn = db.begin()
-        mgr.begin_operation(txn, "op")
-        mgr.update(txn, a[0], value)
-        assert txn.pending_update is not None  # window open, coalescing
-        mgr.read(txn, a[1], 8)  # a read flushes the window first
-        assert txn.pending_update is None
-
-        mgr.update(txn, a[1], value)
-        mgr.begin_update(txn, a[2], 8)  # explicit window open flushes too
-        mgr.write(txn, a[2], value)
-        mgr.end_update(txn)
-
-        mgr.update(txn, a[3], value)
-        mgr.commit_operation(txn, LogicalUndo("noop"))  # op commit flushes
-        assert txn.pending_update is None
-
-        mgr.begin_operation(txn, "op2")
-        for i in range(4, 8):
-            mgr.update(txn, a[i], value)
-            if i < 7:
-                assert txn.pending_update is not None
-        # 4 coalesced ranges == update_batch: the window closed itself.
-        assert txn.pending_update is None
-        mgr.commit_operation(txn, LogicalUndo("noop"))
-        db.commit(txn)
-        for address in a:
-            assert db.memory.read(address, 8) == value
-        assert db.audit().clean
-        db.close()
-
-    def test_repeated_address_in_coalescing_window(self):
-        """Sequential delta chain: same slot updated twice in one batch."""
-        db = self._db(update_batch=4)
-        mgr = db.manager
-        address = _record_addr(db, 9) + 8
-        txn = db.begin()
-        mgr.begin_operation(txn, "op")
-        mgr.update(txn, address, (1).to_bytes(8, "little"))
-        mgr.update(txn, address, (2).to_bytes(8, "little"))
-        mgr.update(txn, _record_addr(db, 10) + 8, (3).to_bytes(8, "little"))
-        mgr.commit_operation(txn, LogicalUndo("noop"))
-        db.commit(txn)
-        assert int.from_bytes(db.memory.read(address, 8), "little") == 2
-        assert db.audit().clean  # the delta chain folded sequentially
         db.close()
 
 

@@ -1,20 +1,24 @@
 """Record-level ``Table.update`` through batched update windows.
 
 A multi-field update used to open one maintenance window per field; it
-now opens a single ``begin_updates`` window over all changed field
-ranges and folds the codeword delta once.  The batched path must be
-*identical* to the scalar path in everything but shape: same final
-bytes, same undo behavior, and -- the meter-identity claim -- exactly
-the same virtual charge counts event for event (the batch bulk-charges
-``begin_update``/``end_update`` with the range count, so the totals
-match the window-per-field reference by construction).
+now queues the field writes on the accessor and flushes them as a single
+``begin_updates`` window over all changed field ranges, folding the
+codeword delta once.  That must be *identical* to a window per field in
+everything but shape: same final bytes, same undo behavior, and -- the
+meter-identity claim -- exactly the same virtual charge counts event for
+event (the window bulk-charges ``begin_update``/``end_update`` with the
+range count, so the totals match the reference by construction).  The
+reference is ``tests/conftest.py``'s ``PassThroughAccessor``, which opens
+a window per update.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
-from tests.conftest import insert_accounts
+from tests.conftest import insert_accounts, window_per_update
 
 
 def _meter_delta(after: dict, before: dict) -> dict:
@@ -86,11 +90,9 @@ class TestBatchedScalarIdentity:
         slots = insert_accounts(db, 3)
         txn = db.begin()
         table = db.table("acct")
-        for slot in slots.values():
-            if batched:
+        with nullcontext() if batched else window_per_update():
+            for slot in slots.values():
                 table.update(txn, slot, values)
-            else:
-                table._update_scalar(txn, slot, values)
         db.commit(txn)
         return slots
 
@@ -162,14 +164,18 @@ class TestBatchedScalarIdentity:
             ("scalar", db_scalar, False),
         ):
             insert_accounts(db, 2)
+            windows = _spy_windows(db)
             before = db.meter.snapshot()
             txn = db.begin()
             table = db.table("acct")
-            for slot in (0, 1):
-                if batched:
+            with nullcontext() if batched else window_per_update():
+                for slot in (0, 1):
                     table.update(txn, slot, values)
-                else:
-                    table._update_scalar(txn, slot, values)
             db.commit(txn)
-            results[name] = _meter_delta(db.meter.snapshot(), before)
-        assert results["batched"] == results["scalar"]
+            results[name] = (_meter_delta(db.meter.snapshot(), before), windows)
+        batched_meter, batched_windows = results["batched"]
+        scalar_meter, scalar_windows = results["scalar"]
+        assert batched_meter == scalar_meter
+        # The two sides really took different shapes.
+        assert batched_windows == {"begin_updates": [2, 2], "begin_update": 0}
+        assert scalar_windows == {"begin_updates": [], "begin_update": 4}

@@ -25,23 +25,6 @@ class TestUndoLog:
         log.append_physical(physical(2))
         assert len(log) == 2
 
-    def test_replace_operation_strips_trailing_physical(self):
-        log = UndoLog()
-        log.append_physical(physical(1, op_id=1))
-        log.append_physical(physical(2, op_id=2))
-        log.append_physical(physical(3, op_id=2))
-        log.replace_operation(2, logical(4, op_id=2))
-        kinds = [type(e).__name__ for e in log]
-        assert kinds == ["PhysicalUndo", "LogicalUndoEntry"]
-
-    def test_drop_operation(self):
-        log = UndoLog()
-        log.append_physical(physical(1, op_id=1))
-        log.append_physical(physical(2, op_id=2))
-        dropped = log.drop_operation(2)
-        assert [e.seq for e in dropped] == [2]
-        assert len(log) == 1
-
     def test_codec_roundtrip(self):
         log = UndoLog()
         entry = physical(1, address=0x50, image=b"\x01\x02\x03")

@@ -5,9 +5,9 @@ through one ``begin_updates`` window, so an insert's bitmap byte,
 allocator header, record and index writes stop opening a window each.
 That must change the *shape* of the work only.  The identity tests run
 one insert / delete / insert_at / update / abort history twice -- once
-as shipped, once with a pass-through accessor (defined here) that opens a
-window per update, which is what the storage layer did before -- and
-require equal memory, codewords, meter counts, virtual time, stable-log
+as shipped, once with the pass-through accessor of ``tests/conftest.py``
+that opens a window per update, which is what the storage layer did
+before -- and require equal memory, codewords, meter counts, virtual time, stable-log
 size and per-operation log records, for every protection scheme and both
 index types.  The unit cases pin the overlap-flush rule and the failure
 path (an insert that dies after queueing writes applies none of them).
@@ -22,14 +22,14 @@ import pytest
 
 from repro import Database, DBConfig
 from repro.errors import OutOfSpaceError
-from repro.storage.table import Table, TxnAccessor
+from repro.storage.table import TxnAccessor
 from repro.wal.records import (
     LogicalUndo,
     OpBeginRecord,
     OpCommitRecord,
     UpdateRecord,
 )
-from tests.conftest import ACCT_SCHEMA, insert_accounts
+from tests.conftest import ACCT_SCHEMA, insert_accounts, window_per_update
 
 #: (scheme name, scheme params): the Table 2 rows plus one stacked pipeline.
 SCHEMES = [
@@ -42,15 +42,6 @@ SCHEMES = [
     ("hardware", {}),
     ("precheck+read_logging", {"region_size": 64}),
 ]
-
-
-class PassThroughAccessor(TxnAccessor):
-    """Window-per-update reference: every write goes straight through."""
-
-    __slots__ = ()
-
-    def update(self, address: int, new_bytes: bytes) -> None:
-        self.db.manager.update(self.txn, address, new_bytes)
 
 
 def _build(tmp_path, name: str, scheme: str, params: dict) -> Database:
@@ -135,13 +126,10 @@ def _observe(db: Database) -> dict:
 
 
 @pytest.mark.parametrize("scheme,params", SCHEMES, ids=[s for s, _ in SCHEMES])
-def test_identical_to_window_per_update(tmp_path, monkeypatch, scheme, params):
+def test_identical_to_window_per_update(tmp_path, scheme, params):
     combined = _build(tmp_path, "combined", scheme, params)
     _history(combined)
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            Table, "_ctx", lambda self, txn: PassThroughAccessor(self.db, txn)
-        )
+    with window_per_update():
         reference = _build(tmp_path, "reference", scheme, params)
         _history(reference)
     try:
@@ -162,9 +150,9 @@ def _spy_windows(db) -> list[int]:
     mgr = db.manager
     real = mgr._open_window
 
-    def open_window(txn, regions, coalescing):
-        opened.append(len(regions))
-        return real(txn, regions, coalescing)
+    def open_window(txn, ranges):
+        opened.append(len(ranges))
+        return real(txn, ranges)
 
     mgr._open_window = open_window
     return opened
@@ -186,6 +174,20 @@ class TestOneWindowPerOperation:
         db.table("acct").delete(txn, slots[0])
         db.commit(txn)
         assert len(opened) == 1 and opened[0] > 1
+
+    def test_write_fields_opens_one_window(self, db_factory):
+        """The logical undo of a two-field update is one two-range window."""
+        db = db_factory(scheme="data_codeword")
+        slots = insert_accounts(db, 1)
+        table = db.table("acct")
+        before = db.memory.snapshot_segments()
+        txn = db.begin()
+        table.update(txn, slots[0], {"balance": 7, "name": "both"})
+        opened = _spy_windows(db)
+        db.abort(txn)  # runs write_fields with the two saved field images
+        assert opened == [2]
+        assert db.memory.snapshot_segments() == before
+        assert db.audit().clean
 
 
 class TestOverlapFlush:
