@@ -81,14 +81,13 @@ class Auditor:
         audit_mode: str = "full",
         full_sweep_every: int = 8,
         background: bool = False,
-        scheduler=None,
+        scheduler,
     ) -> None:
         self.system_log = system_log
         self.scheme = scheme
         #: The database's task scheduler (``repro.runtime``).  Background
         #: sweep folds are spawned through it so the shutdown/crash drain
-        #: settles them; ``None`` keeps a private worker thread for tests
-        #: that drive the auditor bare.
+        #: settles them.
         self.scheduler = scheduler
         self._next_audit_id = 1
         #: LSN at which the last clean audit began (Audit_SN); recovery
@@ -314,7 +313,7 @@ class Auditor:
         self._next_audit_id += 1
         begin_lsn = self.system_log.append(AuditBeginRecord(audit_id))
         maintainer.begin_sweep_tracking()
-        sweep = BackgroundSweep(audit_id, begin_lsn, table, scheduler=self.scheduler)
+        sweep = BackgroundSweep(audit_id, begin_lsn, table, self.scheduler)
         sweep.start()
         self._sweep = sweep
         return True
@@ -451,15 +450,6 @@ class Auditor:
             # The scheduler's "checkpoint" tick already performed the
             # certification join; deliver its verdict.
             self._pending_checkpoint_report = None
-            return report
-        if self._sweep is not None:
-            # Scheduler-less path (bare auditor): join inline.
-            report = self.join_background_sweep()
-            assert report is not None
-            self._dirty_audits_since_sweep = 0
-            maintainer = self._maintainer()
-            if report.clean and maintainer is not None:
-                maintainer.clear_dirty()
             return report
         if self.audit_mode == "incremental" and not force_full:
             return self.run_dirty()

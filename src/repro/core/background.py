@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.regions import CodewordTable
-from repro.runtime.scheduler import TaskHandle, ThreadHandle
+from repro.runtime.scheduler import TaskHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.scheduler import Scheduler
@@ -46,7 +46,7 @@ class BackgroundSweep:
         audit_id: int,
         begin_lsn: int,
         table: CodewordTable,
-        scheduler: "Scheduler | None" = None,
+        scheduler: "Scheduler",
     ) -> None:
         self.audit_id = audit_id
         #: LSN of the sweep's AuditBegin record.  A clean sweep advances
@@ -58,13 +58,9 @@ class BackgroundSweep:
         self._handle: TaskHandle | None = None
 
     def start(self) -> None:
-        name = f"audit.sweep.{self.audit_id}"
-        if self.scheduler is not None:
-            self._handle = self.scheduler.spawn(name, self.table.fold_all)
-        else:
-            # Direct construction without a scheduler (unit tests driving
-            # the auditor bare) keeps the historical worker-thread shape.
-            self._handle = ThreadHandle(name, self.table.fold_all)
+        self._handle = self.scheduler.spawn(
+            f"audit.sweep.{self.audit_id}", self.table.fold_all
+        )
 
     @property
     def done(self) -> bool:
@@ -95,7 +91,7 @@ class BackgroundSweep:
             self._deregister()
 
     def _deregister(self) -> None:
-        if self.scheduler is not None and self._handle is not None:
+        if self._handle is not None:
             self.scheduler.forget(self._handle)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -367,9 +367,6 @@ class CodewordMaintainer:
         """Release regions that were repaired (cache recovery)."""
         self.quarantined.difference_update(region_ids)
 
-    def clear_quarantine(self) -> None:
-        self.quarantined.clear()
-
     def quarantined_overlapping(self, address: int, length: int) -> list[int]:
         """Quarantined regions overlapping ``[address, address+length)``."""
         if not self.quarantined or self.table is None:

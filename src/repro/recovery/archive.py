@@ -25,12 +25,11 @@ import shutil
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ArchiveError, SimulatedCrash
+from repro.errors import ArchiveError
 from repro.recovery.checkpoint import ANCHOR_FILE
 from repro.recovery.restart import (
     CorruptionContext,
     RecoveryReport,
-    RestartRecovery,
     load_corruption_note,
 )
 from repro.wal.records import AmendRecord
@@ -115,11 +114,9 @@ def recover_from_archive(
         source = os.path.join(archive_dir, filename)
         shutil.copy2(source, os.path.join(config.dir, filename))
 
-    db = Database(config, crashpoints=crashpoints)
-    db.crashpoints.reach("archive.after_restore")
-    db._load_catalog()
-    db._build_layout()
-    db._open_log_and_manager()
+    if crashpoints is not None:
+        crashpoints.reach("archive.after_restore")
+    db = Database._open_shell(config, crashpoints)
 
     # Whether evidence kinds combine is a property of the protection
     # stack, not of the logged amendment (the AmendRecord codec predates
@@ -146,11 +143,4 @@ def recover_from_archive(
     if live is not None:
         contexts.append(live)
 
-    recovery = RestartRecovery(db, contexts if contexts else None)
-    try:
-        report = recovery.run()
-    except SimulatedCrash:
-        db.crash()
-        raise
-    db._started = True
-    return db, report
+    return db, db._run_recovery(contexts or None)

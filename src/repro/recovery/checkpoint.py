@@ -105,12 +105,11 @@ class Checkpointer:
 
         report: AuditReport | None = None
         if audit:
-            if db.scheduler is not None:
-                # Certification is a scheduled trigger point: the
-                # "checkpoint" tick joins any in-flight background sweep
-                # (the auditor's ``audit.certify_join`` task) before the
-                # certification audit below consumes its verdict.
-                db.scheduler.tick("checkpoint")
+            # Certification is a scheduled trigger point: the
+            # "checkpoint" tick joins any in-flight background sweep
+            # (the auditor's ``audit.certify_join`` task) before the
+            # certification audit below consumes its verdict.
+            db.scheduler.tick("checkpoint")
             report = db.auditor.run_for_checkpoint(force_full=force_full_audit)
             if not report.clean:
                 # Not certified: the anchor keeps pointing at the previous

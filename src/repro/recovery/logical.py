@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import RecoveryError
-from repro.recovery.restart import CorruptionContext, RecoveryReport, RestartRecovery
+from repro.recovery.restart import CorruptionContext, RecoveryReport
 from repro.wal.records import ReadRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,24 +39,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def delete_transactions(
-    config: "DBConfig", txn_ids: Iterable[int]
+    config: "DBConfig", txn_ids: Iterable[int], crashpoints=None
 ) -> tuple["Database", RecoveryReport]:
     """Delete committed transactions (and their taint) from history.
 
     The database must already be crashed or closed (recovery rebuilds it
     from the directory).  Returns the recovered database and a report
     whose ``deleted_set`` contains the roots plus every transaction
-    recruited transitively through the read log.
+    recruited transitively through the read log.  ``crashpoints`` arms
+    recovery crash points exactly as for :meth:`Database.recover`; a
+    crashed run is simply re-run with the same roots.
     """
     from repro.storage.database import Database
 
     roots = tuple(sorted(set(txn_ids)))
     if not roots:
         raise RecoveryError("no transactions named for deletion")
-    db = Database(config)
-    db._load_catalog()
-    db._build_layout()
-    db._open_log_and_manager()
+    db = Database._open_shell(config, crashpoints)
     if not getattr(db.scheme, "logs_reads", False):
         raise RecoveryError(
             "logical deletion needs read logging (scheme 'read_logging' or "
@@ -70,10 +69,7 @@ def delete_transactions(
         reads_traced=True,
         root_txns=roots,
     )
-    recovery = RestartRecovery(db, context)
-    report = recovery.run()
-    db._started = True
-    return db, report
+    return db, db._run_recovery(context)
 
 
 def trace_readers(

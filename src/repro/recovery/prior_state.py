@@ -14,21 +14,33 @@ We implement it so that contrast can be measured (see the recovery-study
 benchmark): the prior-state lost-transaction set is always a superset of
 the delete-transaction deleted set.
 
-Algorithm: load the anchored certified checkpoint, replay redo forward
-only while the transaction that issued each record committed at an LSN
-<= ``Audit_SN`` (the last point known corruption-free), and report every
-transaction whose commit lies after that point as lost.
+Algorithm: prior-state recovery is a restart recovery that finishes
+*early*.  :class:`~repro.recovery.restart.RestartRecovery` repeats history
+from the anchored certified checkpoint up to (not including) the cutoff --
+``Audit_SN``, the last point known corruption-free -- traverses the rest
+of the log only to find its end and the commits being lost, and then runs
+the shared undo phase and finishing checkpoint: exactly a crash at the
+cutoff.  History is never replayed filtered by transaction (a kept
+transaction's after-images of shared structures embed the effects of
+lost ones).
+
+Bound, as in the paper (Section 4.3: the finishing checkpoint
+"invalidates all archives"): the lost tail stays on the log and no
+amendment says "ignore LSNs [cutoff, here)", so
+:func:`~repro.recovery.archive.recover_from_archive` from an archive taken
+*before* a prior-state recovery replays the whole log and resurrects the
+lost transactions.  Re-archive after a prior-state recovery.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError
 from repro.storage.database import CORRUPTION_NOTE_FILE
-from repro.wal.records import TxnCommitRecord, UpdateRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
@@ -43,8 +55,6 @@ class PriorStateReport:
     redo_applied: int = 0
     #: committed transactions whose effects were discarded wholesale
     lost_committed: tuple[int, ...] = ()
-    replayed_committed: tuple[int, ...] = ()
-    details: dict = field(default_factory=dict)
 
     @property
     def lost_set(self) -> set[int]:
@@ -56,106 +66,42 @@ def prior_state_recovery(db: "Database", cutoff_lsn: int) -> PriorStateReport:
 
     ``cutoff_lsn`` is typically ``Audit_SN`` from the corruption note: the
     begin-LSN of the last clean audit, i.e. the last moment the database
-    was known corruption-free.  Only transactions whose COMMIT record lies
-    strictly before the cutoff are replayed; everything else -- corrupt or
-    not -- is lost.
+    was known corruption-free.  History is repeated up to the cutoff and
+    whatever was in flight there is rolled back, so only transactions
+    whose COMMIT record lies strictly before the cutoff survive;
+    everything else -- corrupt or not -- is lost.
 
     The database shell must be freshly built (as in
     :meth:`Database.recover`); on return it is checkpointed and usable.
     """
-    image_info = db.checkpointer.load_latest()
-    _image, ck_end, _audit_sn, att_bytes = image_info
+    ck_end = db.checkpointer.anchored_ck_end()
     if cutoff_lsn < ck_end:
         raise RecoveryError(
             f"cutoff LSN {cutoff_lsn} precedes the checkpoint's CK_end "
             f"{ck_end}; no certified starting point exists before it"
         )
-
-    # Pass 1: find which transactions committed before the cutoff.
-    committed_before: set[int] = set()
-    committed_after: set[int] = set()
-    last_lsn = -1
-    for lsn, record in db.system_log.scan(0):
-        last_lsn = lsn
-        if isinstance(record, TxnCommitRecord):
-            if lsn < cutoff_lsn:
-                committed_before.add(record.txn_id)
-            else:
-                committed_after.add(record.txn_id)
-    db.system_log.truncate_torn_tail()
-
-    # Pass 2: replay only the safe transactions' physical updates.
-    report = PriorStateReport(cutoff_lsn=cutoff_lsn, ck_end=ck_end)
-    for lsn, record in db.system_log.scan(ck_end):
-        if lsn >= cutoff_lsn:
-            break
-        if isinstance(record, UpdateRecord) and record.txn_id in committed_before:
-            db.memory.restore(record.address, record.image)
-            db.meter.charge("redo_apply")
-            report.redo_applied += 1
-
-    # The checkpoint image may contain effects of transactions that were
-    # open at checkpoint time and did not commit before the cutoff; roll
-    # them back from the checkpointed ATT's local undo logs.
-    from repro.txn.transaction import ActiveTransactionTable
-    from repro.wal.local_log import PhysicalUndo
-
-    ckpt_txns = ActiveTransactionTable.decode(att_bytes)
-    doomed = [t for t in ckpt_txns.values() if t.txn_id not in committed_before]
-    logical_entries = []
-    physical_entries = []
-    for txn_state in doomed:
-        for entry in txn_state.undo_log.entries:
-            if isinstance(entry, PhysicalUndo):
-                physical_entries.append(entry)
-            else:
-                logical_entries.append(entry)
-    for entry in sorted(physical_entries, key=lambda e: -e.seq):
-        db.memory.restore(entry.address, entry.image)
-        db.meter.charge("undo_apply")
-
-    db.system_log.next_lsn = last_lsn + 1
-    db.system_log.end_of_stable_lsn = last_lsn + 1
-    max_ckpt_txn = max(ckpt_txns, default=0)
-    db.manager._next_txn_id = (
-        max(committed_before | committed_after | {max_ckpt_txn}, default=0) + 1
+    report = db._run_recovery(None, until_lsn=cutoff_lsn)
+    return PriorStateReport(
+        cutoff_lsn=cutoff_lsn,
+        ck_end=report.ck_end,
+        redo_applied=report.redo_applied,
+        lost_committed=report.lost_committed,
     )
-    db.scheme.startup()
-    for entry in sorted(logical_entries, key=lambda e: -e.seq):
-        if entry.undo.op_name == "noop":
-            continue
-        rtxn = db.manager.begin(is_recovery=True)
-        db._dispatch_logical_undo(rtxn, entry.undo, lenient=True)
-        db.manager.commit(rtxn)
-    db.memory.dirty_pages.mark_all_dirty(db.memory.iter_pages())
-    result = db.checkpointer.checkpoint(force_full_audit=True)
-    if not result.certified:
-        raise RecoveryError("prior-state image failed certification")
-    note = db.path(CORRUPTION_NOTE_FILE)
-    if os.path.exists(note):
-        os.remove(note)
-
-    report.lost_committed = tuple(sorted(committed_after))
-    report.replayed_committed = tuple(sorted(committed_before))
-    return report
 
 
-def recover_prior_state(config) -> tuple["Database", PriorStateReport]:
+def recover_prior_state(
+    config, crashpoints=None
+) -> tuple["Database", PriorStateReport]:
     """Recover a crashed database under the prior-state model.
 
     The cutoff is taken from the corruption note's ``Audit_SN`` (a failed
     audit must have crashed the system; without a note there is no
-    corruption point to cut at).
+    corruption point to cut at).  ``crashpoints`` arms recovery crash
+    points exactly as for :meth:`Database.recover`.
     """
-    import json
-
     from repro.storage.database import Database
 
-    db = Database(config)
-    db._load_catalog()
-    db._build_layout()
-    db._open_log_and_manager()
-    note_path = db.path(CORRUPTION_NOTE_FILE)
+    note_path = os.path.join(config.dir, CORRUPTION_NOTE_FILE)
     if not os.path.exists(note_path):
         raise RecoveryError(
             "prior-state recovery needs a corruption note (a failed audit); "
@@ -163,6 +109,5 @@ def recover_prior_state(config) -> tuple["Database", PriorStateReport]:
         )
     with open(note_path) as handle:
         note = json.load(handle)
-    report = prior_state_recovery(db, int(note["audit_sn"]))
-    db._started = True
-    return db, report
+    db = Database._open_shell(config, crashpoints)
+    return db, prior_state_recovery(db, int(note["audit_sn"]))

@@ -1,6 +1,15 @@
 """Restart recovery: Dali multi-level recovery plus the delete-transaction
 corruption recovery algorithm of Section 4.3.
 
+:class:`RestartRecovery` is the only code that replays the stable log onto
+an image.  It has three drivers: :meth:`RestartRecovery.run` (restart,
+archive and delete-transaction recovery scan to the end of the log); the
+hot standby's :meth:`~RestartRecovery.continuous` /
+:meth:`~RestartRecovery.apply_record` / :meth:`~RestartRecovery.complete`
+(a restart that never finishes); and prior-state recovery's early stop,
+``run(until_lsn=...)`` (a restart that finishes early -- exactly a crash at
+the cutoff).
+
 Normal restart ("repeating history physically", Section 2.1):
 
 1. load the anchored checkpoint image and its ATT (with local undo logs);
@@ -37,7 +46,9 @@ comparison but still lands in the CDT via the failed audit's note.
 from __future__ import annotations
 
 import bisect
+import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -62,8 +73,6 @@ from repro.wal.records import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
-
-import json
 
 
 @dataclass(frozen=True)
@@ -190,6 +199,9 @@ class RecoveryReport:
     #: aborted (or unresolvable -- presumed abort) branches roll back.
     resolved_committed: tuple[int, ...] = ()
     resolved_aborted: tuple[int, ...] = ()
+    #: ``run(until_lsn=...)`` only: user transactions whose commit record
+    #: lies at or past the stop -- discarded wholesale with the tail.
+    lost_committed: tuple[int, ...] = ()
 
     @property
     def deleted_set(self) -> set[int]:
@@ -309,8 +321,13 @@ class RestartRecovery:
 
     # --------------------------------------------------------------- run
 
-    def run(self) -> RecoveryReport:
+    def run(self, until_lsn: int | None = None) -> RecoveryReport:
         """Run recovery; every phase boundary is a registered crash point.
+
+        ``until_lsn`` stops repeating history there (prior-state recovery,
+        Section 4.1): records at or past it are traversed but not applied,
+        and everything in flight at the stop is undone -- a crash at
+        ``until_lsn``, replayed.
 
         Recovery is *idempotent* across those points: crashing at any of
         them and re-running converges to a byte-identical image and an
@@ -323,24 +340,29 @@ class RestartRecovery:
         """
         db = self.db
         crashpoints = db.crashpoints
-        image, ck_end, _meta_audit_sn, att_bytes = db.checkpointer.load_latest()
-        self.report.ck_end = ck_end
-        self._load_checkpointed_att(att_bytes)
+        ck_end = self._load_checkpoint()
         self._seed_due_contexts(ck_end)
-        last_lsn = self._redo_phase(ck_end)
+        self.replay(ck_end, until_lsn)
         crashpoints.reach("recovery.after_redo")
-        # The system log was reopened in append mode with fresh counters;
-        # resume LSN assignment after the last stable record.
-        db.system_log.next_lsn = last_lsn + 1
-        db.system_log.end_of_stable_lsn = last_lsn + 1
-        db.manager._next_txn_id = self._max_txn_id + 1
-        db.manager._next_seq = self._seq + 1
         self._undo_phase()
         crashpoints.reach("recovery.after_undo")
         self._finish()
         return self.report
 
-    def _load_checkpointed_att(self, att_bytes: bytes) -> None:
+    def _resume_counters(self, last_lsn: int) -> None:
+        """The system log was reopened in append mode with fresh counters;
+        resume LSN, transaction-id and undo-sequence assignment after the
+        last stable record."""
+        db = self.db
+        db.system_log.next_lsn = last_lsn + 1
+        db.system_log.end_of_stable_lsn = last_lsn + 1
+        db.manager._next_txn_id = self._max_txn_id + 1
+        db.manager._next_seq = self._seq + 1
+
+    def _load_checkpoint(self) -> int:
+        """Load the anchored image and its ATT; returns ``CK_end``."""
+        _image, ck_end, _audit_sn, att_bytes = self.db.checkpointer.load_latest()
+        self.report.ck_end = ck_end
         for txn_id, ckpt_txn in ActiveTransactionTable.decode(att_bytes).items():
             rec = _RecTxn(txn_id)
             rec.entries = list(ckpt_txn.undo_log.entries)
@@ -349,34 +371,28 @@ class RestartRecovery:
             self._max_txn_id = max(self._max_txn_id, txn_id)
             for entry in rec.entries:
                 self._seq = max(self._seq, entry.seq + 1)
+        return ck_end
 
     # ------------------------------------------------- continuous replay
 
     @classmethod
-    def continuous(
-        cls,
-        db: "Database",
-        ck_end: int,
-        att_bytes: bytes,
-        maintain_codewords: bool = True,
-    ) -> "RestartRecovery":
+    def continuous(cls, db: "Database") -> "RestartRecovery":
         """A recovery run driven one record at a time: the hot standby.
 
-        A replica is a restart recovery that never finishes.  The caller
-        loads the archived checkpoint image into memory first, then feeds
+        A replica is a restart recovery that never finishes.  The
+        archived checkpoint image is loaded here; the caller then feeds
         every shipped record through :meth:`apply_record` as it arrives,
         instead of this class scanning a local log; :meth:`complete`
         (promotion) runs the undo/finish tail whenever failover demands
-        it.  ``maintain_codewords`` keeps the replica's codeword table
-        incrementally correct during replay -- redo bypasses the
-        prescribed update interface, so without it the table would only
-        match the image at rebuild points and the replica's own audits
-        could not convict replica-side wild writes.
+        it.  Replay keeps the replica's codeword table incrementally
+        correct (``maintain_codewords``) -- redo bypasses the prescribed
+        update interface, so without it the table would only match the
+        image at rebuild points and the replica's own audits could not
+        convict replica-side wild writes.
         """
         recovery = cls(db, None)
-        recovery.report.ck_end = ck_end
-        recovery.maintain_codewords = maintain_codewords
-        recovery._load_checkpointed_att(att_bytes)
+        recovery.maintain_codewords = True
+        recovery._load_checkpoint()
         return recovery
 
     def apply_record(self, record) -> None:
@@ -393,11 +409,7 @@ class RestartRecovery:
         would fold existing replica-side corruption into fresh, matching
         codewords and mask it forever.
         """
-        db = self.db
-        db.system_log.next_lsn = last_lsn + 1
-        db.system_log.end_of_stable_lsn = last_lsn + 1
-        db.manager._next_txn_id = self._max_txn_id + 1
-        db.manager._next_seq = self._seq + 1
+        self._resume_counters(last_lsn)
         self._undo_phase()
         self._finish()
         return self.report
@@ -419,19 +431,44 @@ class RestartRecovery:
 
     # ------------------------------------------------------- redo phase
 
-    def _redo_phase(self, ck_end: int) -> int:
-        # Frames below CK_end are CRC-verified but never constructed
+    def replay(self, from_lsn: int, until_lsn: int | None = None) -> None:
+        """Repeat history from the stable log and resume its counters.
+
+        The one scan loop: :meth:`run` and a reopening standby both replay
+        through it.
+        """
+        # Frames below from_lsn are CRC-verified but never constructed
         # (the scan's from_lsn filter skips decoding them); the true end
         # of log still comes from last_scanned_lsn, which tracks every
         # frame the scan traversed, filtered or not.
         system_log = self.db.system_log
-        for lsn, record in system_log.scan(ck_end):
+        stop = sys.maxsize if until_lsn is None else until_lsn
+        lost: list[int] = []
+        recovery_txns: set[int] = set()
+        for lsn, record in system_log.scan(from_lsn):
+            if lsn >= stop:
+                # Past the early stop nothing is applied; the tail still
+                # yields the end of the log, the highest transaction id
+                # and the commits being lost.  Compensation transactions
+                # of an interrupted earlier attempt are not user work.
+                if isinstance(record, TxnBeginRecord):
+                    self._max_txn_id = max(self._max_txn_id, record.txn_id)
+                    if record.is_recovery:
+                        recovery_txns.add(record.txn_id)
+                elif (
+                    isinstance(record, TxnCommitRecord)
+                    and record.txn_id not in recovery_txns
+                ):
+                    lost.append(record.txn_id)
+                continue
             self._seed_due_contexts(lsn)
             self._dispatch(record)
+        self.report.lost_committed = tuple(sorted(lost))
         # A crash mid-flush can leave a torn record at the end of the
         # stable log; cut it off before recovery appends anything new.
         system_log.truncate_torn_tail()
-        return system_log.last_scanned_lsn
+        # An empty log (a bootstrapping standby) resumes at from_lsn.
+        self._resume_counters(max(system_log.last_scanned_lsn, from_lsn - 1))
 
     def _dispatch(self, record) -> None:
         if isinstance(record, UpdateRecord):

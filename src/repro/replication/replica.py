@@ -195,37 +195,25 @@ class Replica:
     def _open(cls, config, crashpoints, audit_every: int) -> "Replica":
         from repro.storage.database import Database
 
-        db = Database(config, crashpoints=crashpoints)
-        db._load_catalog()
-        db._build_layout()
-        db._open_log_and_manager()
+        db = Database._open_shell(config, crashpoints)
         if db.pipeline.maintainer is None or db.pipeline.codeword_table is None:
             raise ConfigError(
                 "replication requires a codeword scheme: the replica's "
                 "independent audits and digest checks have nothing to "
                 "compare otherwise"
             )
-        _image, ck_end, _audit_sn, att_bytes = db.checkpointer.load_latest()
+        recovery = RestartRecovery.continuous(db)
+        ck_end = recovery.report.ck_end
         # Codewords from the restored content: the replica's table is
         # built from its own image, never copied from the primary.
         db.scheme.startup()
         # Audit brackets go to a scratch log so the replicated log stays
         # a byte-identical prefix of the primary's.
         db.auditor.system_log = SystemLog(db.path(REPLICA_AUDIT_LOG), db.meter)
-        recovery = RestartRecovery.continuous(
-            db, ck_end, att_bytes, maintain_codewords=True
-        )
         replica = cls(db, recovery, ck_end, audit_every)
         # Reopen path: replay every frame already ingested (bootstrap
         # scans an empty log and falls straight through).
-        for _lsn, record in db.system_log.scan(ck_end):
-            recovery.apply_record(record)
-            replica.applied_records += 1
-        db.system_log.truncate_torn_tail()
-        last = db.system_log.last_scanned_lsn
-        next_lsn = max(ck_end, last + 1)
-        db.system_log.next_lsn = next_lsn
-        db.system_log.end_of_stable_lsn = next_lsn
+        recovery.replay(ck_end)
         return replica
 
     @property

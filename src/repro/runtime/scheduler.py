@@ -8,7 +8,7 @@ their own join/flush ordering.  The scheduler centralizes all of it:
 
 * **Tick tasks** run at named trigger points (``"commit"``,
   ``"checkpoint"``, ``"interval"``): the group-commit size trigger and
-  the optional group-commit deadline are tick tasks, not inline code.
+  the certification join are tick tasks, not inline code.
 * **Background work** is spawned through :meth:`Scheduler.spawn`, which
   returns a :class:`TaskHandle`.  In ``threaded`` mode the work runs on
   a worker thread; in ``deterministic`` mode it is *deferred* and runs
@@ -150,15 +150,6 @@ class TaskInfo:
     detail: str = ""
     runs: int = 0
     live: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "detail": self.detail,
-            "runs": self.runs,
-            "live": self.live,
-        }
 
 
 class Scheduler:

@@ -107,11 +107,6 @@ class Server:
         with self._guard:
             self._sessions.pop(session.session_id, None)
 
-    @property
-    def session_count(self) -> int:
-        with self._guard:
-            return len(self._sessions)
-
     # ------------------------------------------------------------ submit
 
     def submit(self, session: Session, request: Request) -> Response:

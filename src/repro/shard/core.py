@@ -297,12 +297,6 @@ class ShardCore:
         self.db.memory.poke(address, data)
         return address
 
-    def _cmd_committed_count(self) -> int:
-        return self.db.manager.committed_count
-
-    def _cmd_status(self) -> str:
-        return self.db.status()
-
     def _cmd_ping(self) -> str:
         return "pong"
 

@@ -182,8 +182,8 @@ class ShardSupervisor:
         The supervisor owns a tiny :class:`Scheduler` of its own (the
         router has no single scheduler -- each shard database runs one
         *inside* its worker) and registers :meth:`tick` as an
-        ``"interval"`` task, the same machinery that drives group-commit
-        deadlines and background sweeps elsewhere.
+        ``"interval"`` task, the same machinery that drives background
+        sweeps elsewhere.
         """
         if not self._attached:
             self.attach()

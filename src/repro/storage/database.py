@@ -127,13 +127,6 @@ class DBConfig:
     #: tested); threaded mode backs background folds with worker threads
     #: and is what the serving front-end (:mod:`repro.serve`) requires.
     scheduler_mode: str = "auto"
-    #: Optional group-commit deadline: in threaded mode, a ticker flushes
-    #: a non-empty commit window at most this many milliseconds after it
-    #: opened, bounding commit-acknowledgement latency when traffic is too
-    #: light to fill ``group_commit_size``.  ``None`` disables the ticker;
-    #: deterministic mode has no wall clock, so the deadline is inert
-    #: there by design.
-    group_commit_deadline_ms: int | None = None
 
 
 @dataclass
@@ -182,14 +175,6 @@ class Database:
         self._scheduler_mode = resolve_scheduler_mode(
             config.scheduler_mode, config.background_sweeps
         )
-        if (
-            config.group_commit_deadline_ms is not None
-            and config.group_commit_deadline_ms < 1
-        ):
-            raise ConfigError(
-                "group_commit_deadline_ms must be >= 1 or None: "
-                f"{config.group_commit_deadline_ms}"
-            )
         os.makedirs(config.dir, exist_ok=True)
         self.clock = VirtualClock()
         self.meter = Meter(self.clock, config.costs)
@@ -307,32 +292,51 @@ class Database:
         otherwise normal Dali restart recovery does.
 
         ``crashpoints`` (optional) arms deterministic crash points for the
-        run; if one fires mid-recovery the half-recovered shell is crashed
-        (its log handle closed) before the
-        :class:`~repro.errors.SimulatedCrash` propagates, so the caller
-        can simply ``recover`` again -- recovery is idempotent across
-        every registered crash point.
+        run; if one fires the caller can simply ``recover`` again --
+        recovery is idempotent across every registered crash point.
 
         ``in_doubt_resolver`` (optional) is a ``gid -> bool`` callable
         consulted for prepared 2PC branches found on the log (the shard
         router passes its durable decision log); absent or unknown gids
         are presumed aborted.
         """
-        from repro.recovery.restart import RestartRecovery, load_corruption_note
+        from repro.recovery.restart import load_corruption_note
 
+        db = cls._open_shell(config, crashpoints)
+        report = db._run_recovery(load_corruption_note(db), in_doubt_resolver)
+        return db, report
+
+    @classmethod
+    def _open_shell(
+        cls, config: DBConfig, crashpoints: CrashPointRegistry | None = None
+    ) -> "Database":
+        """A database rebuilt from its directory -- catalog, layout, log
+        opened for append -- with nothing replayed yet: what every recovery
+        door (restart, archive, delete-transaction, prior-state, replica)
+        starts from."""
         db = cls(config, crashpoints=crashpoints)
         db._load_catalog()
         db._build_layout()
         db._open_log_and_manager()
-        corruption = load_corruption_note(db)
-        recovery = RestartRecovery(db, corruption, in_doubt_resolver=in_doubt_resolver)
+        return db
+
+    def _run_recovery(self, corruption, in_doubt_resolver=None, until_lsn=None):
+        """Run restart recovery on this shell and open it for business.
+
+        If an armed crash point fires mid-recovery the half-recovered
+        shell is crashed (its log handle closed) before the
+        :class:`~repro.errors.SimulatedCrash` propagates.
+        """
+        from repro.recovery.restart import RestartRecovery
+
+        recovery = RestartRecovery(self, corruption, in_doubt_resolver)
         try:
-            report = recovery.run()
+            report = recovery.run(until_lsn=until_lsn)
         except SimulatedCrash:
-            db.crash()
+            self.crash()
             raise
-        db._started = True
-        return db, report
+        self._started = True
+        return report
 
     def _require_not_started(self) -> None:
         if self._started:
@@ -387,11 +391,7 @@ class Database:
     def _open_log_and_manager(self) -> None:
         from repro.recovery.checkpoint import Checkpointer
 
-        deadline_ms = self.config.group_commit_deadline_ms
-        self.scheduler = Scheduler(
-            self._scheduler_mode,
-            tick_interval_s=(deadline_ms / 1000.0) if deadline_ms else 0.01,
-        )
+        self.scheduler = Scheduler(self._scheduler_mode)
         if self._scheduler_mode == THREADED:
             # Worker threads and serving sessions share this meter; the
             # lock keeps counts exact without touching the cost model.
@@ -438,12 +438,6 @@ class Database:
         self.scheduler.register_tick(
             "audit.certify_join", ("checkpoint",), self.auditor.checkpoint_tick
         )
-        if deadline_ms is not None:
-            self.scheduler.register_tick(
-                "group_commit.deadline",
-                ("interval",),
-                lambda _event: self.manager.flush_commits(),
-            )
 
     def _format_structures(self) -> None:
         txn = self.manager.begin()
@@ -684,8 +678,6 @@ class Database:
             return
         if self.scheduler is not None:
             self.scheduler.shutdown(crash=True)
-        elif self.auditor is not None:  # pragma: no cover - pre-start crash
-            self.auditor.abandon_background_sweep()
         if self.system_log is not None:
             self.system_log.crash()
         self.locks.clear()
@@ -731,8 +723,6 @@ class Database:
             return
         if self.scheduler is not None:
             self.scheduler.shutdown(crash=False)
-        elif self.auditor is not None:  # pragma: no cover - pre-start close
-            self.auditor.abandon_background_sweep()
         if self.system_log is not None:
             self.system_log.close()
         self._crashed = True

@@ -282,8 +282,7 @@ class TransactionManager:
 
         Flushes once the window holds ``group_commit_size`` commits.
         Fired from :meth:`commit` right where the pre-scheduler code
-        flushed inline; also safe to fire from an ``"interval"`` deadline
-        tick, since a short window simply stays open.
+        flushed inline.
         """
         with self._gc_lock:
             if self._commits_since_flush >= self.group_commit_size:

@@ -266,25 +266,12 @@ def _decode_str(data, offset: int) -> tuple[str, int]:
 _OPT_U32_NONE = 0xFFFFFFFFFFFFFFFF
 
 
-def _pack_opt_u32(value: int | None) -> bytes:
-    return struct.pack("<Q", _OPT_U32_NONE if value is None else value)
-
-
-def _unpack_opt_u32(data: bytes, offset: int) -> tuple[int | None, int]:
-    (raw,) = struct.unpack_from("<Q", data, offset)
-    return (None if raw == _OPT_U32_NONE else raw), offset + 8
-
-
 # One combined Struct per record kind covers the type byte plus the fixed
 # part of the payload in a single pack/unpack call ("<" means standard
 # sizes, no padding, so the combined layout is byte-identical to packing
 # the pieces separately).
 _U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
-_F_UPDATE = struct.Struct("<BQqIQ")   # type, txn_id, address, image_len, opt_cksum
 _F_OP = struct.Struct("<BQQBH")       # type, txn_id, op_id, level, key_len
-_F_TXN_BEGIN = struct.Struct("<BQB")  # type, txn_id, is_recovery
-_F_U64 = struct.Struct("<BQ")         # type, txn_id/audit_id
 _F_AUDIT_END = struct.Struct("<BQBII")
 _F_AMEND = struct.Struct("<BQQBII")
 _F_TXN_PREPARE = struct.Struct("<BQH")  # type, txn_id, gid_len

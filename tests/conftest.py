@@ -68,6 +68,7 @@ def db_factory(tmp_path):
         capacity: int = 200,
         record_history: bool = True,
         tables: list | None = None,
+        index_type: str = "hash",
         **scheme_params,
     ) -> Database:
         counter[0] += 1
@@ -79,7 +80,9 @@ def db_factory(tmp_path):
         )
         db = Database(config)
         if tables is None:
-            db.create_table("acct", ACCT_SCHEMA, capacity, key_field="id")
+            db.create_table(
+                "acct", ACCT_SCHEMA, capacity, key_field="id", index_type=index_type
+            )
         else:
             for name, schema, cap, key in tables:
                 db.create_table(name, schema, cap, key_field=key)
