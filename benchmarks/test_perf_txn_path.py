@@ -29,6 +29,14 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   a transaction as at the 10th (it walked every held key before the
   per-(txn, op) key lists; the ratio was ~30).
 
+* **recovery.replay** -- restart redo's fast path.  ``replay()`` over a
+  generated log whose transactions all commit (analysis names every one
+  a finisher; their frames are applied without building a record)
+  against the same records with the commit frames left off (nobody
+  finishes: every record is decoded, tracked and given an undo entry,
+  which is what redo did for every transaction before).  Records/s of
+  both, gated on their ratio.
+
 ``TXN_BENCH_QUICK=1`` shrinks the workload and relaxes the lifecycle
 gate for CI smoke runs.
 """
@@ -44,11 +52,15 @@ import zlib
 import pytest
 
 from repro import Database, DBConfig, Field, FieldType, Schema
+from repro.recovery.restart import RestartRecovery
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.txn.latches import Latch
 from repro.txn.locks import LockManager, LockMode
 from repro.wal.records import (
+    LogicalUndo,
+    OpBeginRecord,
+    OpCommitRecord,
     RecordType,
     TxnBeginRecord,
     TxnCommitRecord,
@@ -509,6 +521,82 @@ def lock_release_results() -> dict:
     }
 
 
+REPLAY_TXNS = 22 if QUICK else 220
+REPLAY_OPS_PER_TXN = 50
+REPLAY_UPDATES_PER_OP = 7  # a TPC-B operation logs 6-7 update records
+#: Fast-path records/s over tracked records/s must stay at least this far
+#: apart.  Ten full runs on a contended 2-core box read 2.4-3.5 (fast
+#: 350-530 k records/s, tracked 110-170 k; best of three each); five quick
+#: runs, 2.2-2.9.  The verified frame walk is in both and bounds the ratio.
+REQUIRED_REPLAY_RATIO = 1.5 if QUICK else 2.0
+
+
+def _replay_records(txn_id: int, addresses: list[int], commit: bool):
+    """One transaction of ``REPLAY_OPS_PER_TXN`` operations in the paper
+    workload's shape: operation begin, 32-byte updates, operation commit
+    carrying a logical undo."""
+    image = (txn_id % 251).to_bytes(1, "little") * 32
+    undo = LogicalUndo("write_fields", ("acct", 0, image))
+    records = [TxnBeginRecord(txn_id)]
+    for op in range(REPLAY_OPS_PER_TXN):
+        op_id = txn_id * REPLAY_OPS_PER_TXN + op
+        records.append(OpBeginRecord(txn_id, op_id, 1, "acct:0"))
+        for i in range(REPLAY_UPDATES_PER_OP):
+            address = addresses[(op_id + i) % len(addresses)]
+            records.append(UpdateRecord(txn_id, address, image))
+        records.append(OpCommitRecord(txn_id, op_id, 1, "acct:0", undo))
+    if commit:
+        records.append(TxnCommitRecord(txn_id))
+    return records
+
+
+def _replay_records_per_s(base, name: str, commit: bool) -> tuple[float, int, int]:
+    """Crash a database whose stable log holds ``REPLAY_TXNS`` generated
+    transactions, then time ``replay()`` alone on fresh shells; returns
+    the best records/s of three, the record count and the fast frames."""
+    db = _make_db(base, name, scheme="data_cw")
+    db.checkpoint()  # replay starts at the generated transactions
+    config = db.config
+    table = db.table("acct")
+    addresses = [table.record_address(slot) for slot in range(64)]
+    first = db.manager._next_txn_id
+    for txn_id in range(first, first + REPLAY_TXNS):
+        db.system_log.extend(_replay_records(txn_id, addresses, commit))
+        db.system_log.flush()
+    db.crash()
+    best = float("inf")
+    for _ in range(3):
+        shell = Database._open_shell(config)
+        recovery = RestartRecovery(shell, None)
+        ck_end = recovery._load_checkpoint()
+        start = time.perf_counter()
+        recovery.replay(ck_end)
+        best = min(best, time.perf_counter() - start)
+        phases = recovery.report.phase_seconds
+        shell.crash()
+    records = REPLAY_TXNS * len(_replay_records(0, addresses, commit))
+    assert recovery.report.redo_applied == (
+        REPLAY_TXNS * REPLAY_OPS_PER_TXN * REPLAY_UPDATES_PER_OP
+    )
+    return records / best, records, int(phases["fast_frames"])
+
+
+@pytest.fixture(scope="module")
+def replay_results(tmp_path_factory) -> dict:
+    base = tmp_path_factory.mktemp("replaybench")
+    fast, records, fast_frames = _replay_records_per_s(base, "finished", True)
+    tracked, tracked_records, none_fast = _replay_records_per_s(base, "open", False)
+    assert fast_frames == records and none_fast == 0
+    return {
+        "transactions": REPLAY_TXNS,
+        "records": records,
+        "fast_records_per_s": fast,
+        "tracked_records": tracked_records,
+        "tracked_records_per_s": tracked,
+        "ratio": fast / tracked,
+    }
+
+
 @pytest.fixture(scope="module")
 def audit_results(tmp_path_factory) -> dict:
     db = _make_db(
@@ -601,6 +689,14 @@ class TestTxnPath:
             f"{arm['ratio']:.1f} (allowed {MAX_LONG_TXN_RELEASE_RATIO})"
         )
 
+    def test_replay_of_finished_transactions_skips_the_undo_log(self, replay_results):
+        assert replay_results["ratio"] >= REQUIRED_REPLAY_RATIO, (
+            f"replay of finished transactions runs at "
+            f"{replay_results['fast_records_per_s']:.0f} records/s against "
+            f"{replay_results['tracked_records_per_s']:.0f} tracked: ratio "
+            f"{replay_results['ratio']:.2f} (required {REQUIRED_REPLAY_RATIO})"
+        )
+
     def test_incremental_audit_scales_with_dirty_set(self, audit_results):
         costs = [e["virtual_ns"] for e in audit_results["dirty"]]
         assert costs == sorted(costs)  # audit cost grows with the dirty set
@@ -613,6 +709,7 @@ class TestTxnPath:
         commit_results,
         audit_results,
         lock_release_results,
+        replay_results,
     ):
         payload = {
             "version": 1,
@@ -622,6 +719,7 @@ class TestTxnPath:
             "commit_path": commit_results,
             "incremental_audit": audit_results,
             "lock_release": lock_release_results,
+            "recovery": {"replay": replay_results},
         }
         with open(BENCH_PATH, "w") as handle:
             json.dump(payload, handle, indent=2)

@@ -96,9 +96,8 @@ def _apply_overlapping_updates(
         buf_off = lo - start
         buffer[buf_off : buf_off + n] = record.image[img_off : img_off + n]
 
-    for _lsn, record in db.system_log.scan(ck_end):
-        if isinstance(record, UpdateRecord):
-            apply(record)
+    for _lsn, record in db.system_log.scan(ck_end, only=(UpdateRecord,)):
+        apply(record)
     for _lsn, record in db.system_log.tail:
         if isinstance(record, UpdateRecord):
             apply(record)

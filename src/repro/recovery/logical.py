@@ -96,7 +96,7 @@ def trace_readers(
                 (lsn, record.address, record.length)
             )
 
-    for lsn, record in db.system_log.scan(from_lsn):
+    for lsn, record in db.system_log.scan(from_lsn, only=(ReadRecord,)):
         note(lsn, record)
     for lsn, record in db.system_log.tail:
         if lsn >= from_lsn:

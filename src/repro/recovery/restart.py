@@ -13,14 +13,32 @@ the cutoff).
 Normal restart ("repeating history physically", Section 2.1):
 
 1. load the anchored checkpoint image and its ATT (with local undo logs);
-2. redo phase: forward scan from ``CK_end`` applying every physical update
-   record, while reconstructing local undo logs (pre-images captured
-   before each redo; operation commit records replace an operation's
-   physical undo with its logical undo);
-3. undo phase: transactions without a commit/abort record are rolled back
+2. analysis: read the stable log once, verify every frame, and collect the
+   transactions whose commit or abort frame lies in the replayed span --
+   the *finished* transactions, which the undo phase will never visit;
+3. redo phase: forward pass from ``CK_end`` applying every physical update
+   record, while reconstructing the local undo logs of every transaction
+   that is not finished (pre-images captured before each redo; operation
+   commit records replace an operation's physical undo with its logical
+   undo).  A finished transaction's frames are applied as they lie in the
+   log buffer: the after-image is stored from the frame bytes, its
+   operation brackets are matched by id, and no record object, pre-image
+   or undo entry is built -- only the undo sequence counter advances as
+   if they had been;
+4. undo phase: transactions without a commit/abort record are rolled back
    level by level -- physical (level-0) undo first, then logical undo of
    committed operations, newest first;
-4. a checkpoint finishes recovery.
+5. a checkpoint finishes recovery.
+
+The eligibility rule for step 3's shortcut is one test per frame: the
+record names a transaction in the finished set.  The set is empty -- so
+every record is decoded and tracked, at the old cost -- whenever an undo
+log can be needed from a transaction that does finish: in every
+delete-transaction mode (below), because a transaction may be recruited
+at any record and its undo log must exist from its first action; for the
+hot standby, which maintains codewords from the pre-images; and for
+transactions carried in the checkpoint's ATT, whose open operations began
+before ``CK_end``.  Records past an early stop are not replayed at all.
 
 Delete-transaction mode is the same scan with the modifications of
 Section 4.3: a CorruptDataTable (byte intervals) and CorruptTransTable are
@@ -49,6 +67,8 @@ import bisect
 import json
 import os
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -58,21 +78,41 @@ from repro.storage.database import CORRUPTION_NOTE_FILE
 from repro.txn.transaction import ActiveTransactionTable
 from repro.wal.local_log import LogicalUndoEntry, PhysicalUndo
 from repro.wal.records import (
+    OP_HEAD,
+    TXN_ID,
+    UPDATE_HEAD,
     AmendRecord,
     AuditBeginRecord,
     AuditEndRecord,
     OpBeginRecord,
     OpCommitRecord,
     ReadRecord,
+    RecordType,
     TxnAbortRecord,
     TxnBeginRecord,
     TxnCommitRecord,
     TxnPrepareRecord,
     UpdateRecord,
+    decode_payload,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
+
+# Plain-int wire type codes: the replay loop compares one per frame.
+_UPDATE = int(RecordType.UPDATE)
+_OP_BEGIN = int(RecordType.OP_BEGIN)
+_OP_COMMIT = int(RecordType.OP_COMMIT)
+_TXN_BEGIN = int(RecordType.TXN_BEGIN)
+_TXN_COMMIT = int(RecordType.TXN_COMMIT)
+_TXN_ABORT = int(RecordType.TXN_ABORT)
+#: Records whose ``txn_id`` names a transaction (an audit's or an
+#: amendment's names an audit or a recovery episode).
+_TXN_RECORD_CODES = frozenset(
+    int(code)
+    for code in RecordType
+    if code not in (RecordType.AUDIT_BEGIN, RecordType.AUDIT_END, RecordType.AMEND)
+)
 
 
 @dataclass(frozen=True)
@@ -202,6 +242,13 @@ class RecoveryReport:
     #: ``run(until_lsn=...)`` only: user transactions whose commit record
     #: lies at or past the stop -- discarded wholesale with the tail.
     lost_committed: tuple[int, ...] = ()
+    #: Where the time went: wall seconds of ``load`` (checkpoint image and
+    #: ATT), ``analysis`` (log read, frame verification, finisher set),
+    #: ``redo``, ``undo`` and ``finish``, plus ``frames`` walked and the
+    #: ``fast_frames`` among them replayed without building a record.
+    #: Measurement only -- nothing reads it to decide anything, and two
+    #: runs that did the same work still compare equal.
+    phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def deleted_set(self) -> set[int]:
@@ -338,16 +385,27 @@ class RestartRecovery:
         skips in its undo phase (lenient logical undo + the rule that
         ``is_recovery`` transactions are never recruited).
         """
-        db = self.db
-        crashpoints = db.crashpoints
-        ck_end = self._load_checkpoint()
+        crashpoints = self.db.crashpoints
+        with self._timed("load"):
+            ck_end = self._load_checkpoint()
         self._seed_due_contexts(ck_end)
         self.replay(ck_end, until_lsn)
         crashpoints.reach("recovery.after_redo")
-        self._undo_phase()
+        with self._timed("undo"):
+            self._undo_phase()
         crashpoints.reach("recovery.after_undo")
-        self._finish()
+        with self._timed("finish"):
+            self._finish()
         return self.report
+
+    @contextmanager
+    def _timed(self, phase: str):
+        """Record a phase's wall seconds in ``report.phase_seconds``."""
+        began = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.report.phase_seconds[phase] = time.perf_counter() - began
 
     def _resume_counters(self, last_lsn: int) -> None:
         """The system log was reopened in append mode with fresh counters;
@@ -435,40 +493,128 @@ class RestartRecovery:
         """Repeat history from the stable log and resume its counters.
 
         The one scan loop: :meth:`run` and a reopening standby both replay
-        through it.
+        through it.  The log is read and its frames verified once; an
+        analysis pass names the transactions that finish below the stop,
+        and redo applies their records straight from the frame bytes.
+        Every other record is decoded and handed to :meth:`_dispatch`.
         """
-        # Frames below from_lsn are CRC-verified but never constructed
-        # (the scan's from_lsn filter skips decoding them); the true end
-        # of log still comes from last_scanned_lsn, which tracks every
-        # frame the scan traversed, filtered or not.
         system_log = self.db.system_log
         stop = sys.maxsize if until_lsn is None else until_lsn
-        lost: list[int] = []
-        recovery_txns: set[int] = set()
-        for lsn, record in system_log.scan(from_lsn):
-            if lsn >= stop:
-                # Past the early stop nothing is applied; the tail still
-                # yields the end of the log, the highest transaction id
-                # and the commits being lost.  Compensation transactions
-                # of an interrupted earlier attempt are not user work.
-                if isinstance(record, TxnBeginRecord):
-                    self._max_txn_id = max(self._max_txn_id, record.txn_id)
-                    if record.is_recovery:
-                        recovery_txns.add(record.txn_id)
-                elif (
-                    isinstance(record, TxnCommitRecord)
-                    and record.txn_id not in recovery_txns
-                ):
-                    lost.append(record.txn_id)
-                continue
-            self._seed_due_contexts(lsn)
-            self._dispatch(record)
-        self.report.lost_committed = tuple(sorted(lost))
+        with self._timed("analysis"):
+            # Frames below from_lsn are verified like the rest (the true
+            # end of log is last_scanned_lsn, whatever replay skips).
+            view = system_log.read_stable()
+            frames = list(system_log.frames(view))
+            finished = self._finished_transactions(view, frames, from_lsn, stop)
+            self._max_txn_id = max(self._max_txn_id, max(finished, default=0))
+        with self._timed("redo"):
+            fast = self._redo(view, frames, finished, from_lsn, stop)
+        self.report.phase_seconds["frames"] = len(frames)
+        self.report.phase_seconds["fast_frames"] = fast
         # A crash mid-flush can leave a torn record at the end of the
         # stable log; cut it off before recovery appends anything new.
         system_log.truncate_torn_tail()
         # An empty log (a bootstrapping standby) resumes at from_lsn.
         self._resume_counters(max(system_log.last_scanned_lsn, from_lsn - 1))
+
+    def _finished_transactions(
+        self, view, frames, from_lsn: int, stop: int
+    ) -> set[int]:
+        """Analysis pass: the transactions redo need not be able to undo.
+
+        A transaction whose commit or abort frame lies in ``[from_lsn,
+        stop)`` is never rolled back by a plain restart, so the undo log
+        redo would rebuild for it is thrown away at that frame.  Not so
+        in any delete-transaction mode (a transaction may be recruited at
+        any record, and its undo log must exist from its first action),
+        for a standby (redo maintains codewords from the pre-images), or
+        for a transaction carried in the checkpoint's ATT (its open
+        operations and undo log began before ``from_lsn``).
+        """
+        if self.contexts or self.maintain_codewords:
+            return set()
+        txn_id_at = TXN_ID.unpack_from
+        finished = {
+            txn_id_at(view, pos)[0]
+            for lsn, code, pos, _end in frames
+            if (code == _TXN_COMMIT or code == _TXN_ABORT) and from_lsn <= lsn < stop
+        }
+        finished.difference_update(self._txns)
+        return finished
+
+    def _redo(
+        self, view, frames, finished: set[int], from_lsn: int, stop: int
+    ) -> int:
+        """Apply ``frames`` in ``[from_lsn, stop)``; returns how many took
+        the fast path (records of ``finished`` transactions, replayed from
+        the frame bytes with no record, pre-image or undo entry built)."""
+        restore = self.db.memory.restore
+        update_head = UPDATE_HEAD.unpack_from
+        image_at = UPDATE_HEAD.size
+        op_head = OP_HEAD.unpack_from
+        txn_id_at = TXN_ID.unpack_from
+        #: open operation ids per finished transaction: all that is kept of
+        #: their op stacks, so an unmatched operation commit still raises
+        open_ops: dict[int, list[int]] = {}
+        lost: list[int] = []
+        recovery_txns: set[int] = set()
+        fast = applied = 0
+        for lsn, code, pos, end in frames:
+            if lsn < from_lsn:
+                continue
+            if lsn >= stop:
+                # Past the early stop nothing is applied; the tail still
+                # yields the end of the log, the highest transaction id
+                # and the commits being lost.  Compensation transactions
+                # of an interrupted earlier attempt are not user work.
+                if code == _TXN_BEGIN:
+                    record = decode_payload(code, view, pos, end)
+                    self._max_txn_id = max(self._max_txn_id, record.txn_id)
+                    if record.is_recovery:
+                        recovery_txns.add(record.txn_id)
+                elif code == _TXN_COMMIT:
+                    txn_id = txn_id_at(view, pos)[0]
+                    if txn_id not in recovery_txns:
+                        lost.append(txn_id)
+                continue
+            txn_id = txn_id_at(view, pos)[0]
+            if txn_id in finished and code in _TXN_RECORD_CODES:
+                if code == _UPDATE:
+                    _txn_id, address, length, _checksum = update_head(view, pos)
+                    image = pos + image_at
+                    restore(address, view[image : image + length])
+                    applied += 1
+                    self._seq += 1  # the PhysicalUndo not built
+                elif code == _OP_BEGIN:
+                    open_ops.setdefault(txn_id, []).append(op_head(view, pos)[1])
+                elif code == _OP_COMMIT:
+                    op_id = op_head(view, pos)[1]
+                    ops = open_ops.get(txn_id, ())
+                    if op_id not in ops:
+                        raise RecoveryError(
+                            f"operation commit {op_id} without matching begin "
+                            f"(txn {txn_id})"
+                        )
+                    while ops.pop() != op_id:
+                        pass  # operations nested inside it end with it
+                    self._seq += 1  # the LogicalUndoEntry not built
+                elif code == _TXN_COMMIT or code == _TXN_ABORT:
+                    # Whatever the log says of this id from here on is a
+                    # new transaction with no end in sight: tracked.
+                    finished.discard(txn_id)
+                    open_ops.pop(txn_id, None)
+                # Nothing to keep of the rest: reads matter to corruption
+                # tracing only, is_recovery to recruitment, a prepare to a
+                # branch still in doubt.
+                fast += 1
+                continue
+            self._seed_due_contexts(lsn)
+            self._dispatch(decode_payload(code, view, pos, end))
+        if applied:
+            self.db.meter.charge("redo_apply", applied)
+            self.report.redo_applied += applied
+        self.report.lost_committed = tuple(sorted(lost))
+        return fast
 
     def _dispatch(self, record) -> None:
         if isinstance(record, UpdateRecord):

@@ -58,6 +58,7 @@ def shard_worker_main(
                 # (max across workers = the N-core critical path).
                 "recovery_wall_s": time.perf_counter() - wall_began,
                 "recovery_cpu_s": time.process_time() - cpu_began,
+                "phase_seconds": dict(report.phase_seconds),
             }
         else:
             core = ShardCore.create(config, table_defs)

@@ -287,6 +287,11 @@ _P_AMEND = struct.Struct("<QQBII")
 _H_UPDATE = struct.Struct("<IBQqIQ")  # body_len, type, txn, addr, len, cksum
 _H_TXN_BEGIN = struct.Struct("<IBQB")
 _H_U64 = struct.Struct("<IBQ")
+#: Fixed payload heads, public for readers that act on a verified frame
+#: without building its record (restart redo's fast path).
+UPDATE_HEAD = _P_UPDATE  # txn_id, address, image length, old checksum; the image follows
+OP_HEAD = _P_OP  # txn_id, op_id, level
+TXN_ID = _P_U64  # every payload starts with the txn_id of LogRecord
 _T_UPDATE = int(RecordType.UPDATE)
 _T_READ = int(RecordType.READ)
 _T_TXN_BEGIN = int(RecordType.TXN_BEGIN)
@@ -576,10 +581,16 @@ def decode_record(data, offset: int = 0, want=None):
     rtype = data[body_start]
     if want is not None and rtype not in want:
         return None, next_offset
+    return decode_payload(rtype, data, body_start + 1, body_end), next_offset
+
+
+def decode_payload(rtype: int, data, pos: int, end: int) -> LogRecord:
+    """Build the record of wire type ``rtype`` whose payload is
+    ``data[pos:end]``, for callers that verified the frame themselves."""
     decoder = _DECODERS.get(rtype)
     if decoder is None:
         raise LogError(f"unknown record type {rtype}")
-    return decoder(data, body_start + 1, body_end), next_offset
+    return decoder(data, pos, end)
 
 
 def iter_records(data, offset: int = 0, want=None):

@@ -21,22 +21,65 @@ time instead of an O(file) scan per call.
 from __future__ import annotations
 
 import os
+import struct
 import threading
+import zlib
 from typing import Iterator
 
 from repro.errors import LogError
 from repro.faults.crashpoints import CrashPointRegistry
 from repro.sim.clock import Meter
 from repro.txn.latches import Latch
-from repro.wal.records import LogRecord, decode_record, encode_into, type_codes
-
-import struct
+from repro.wal.records import LogRecord, decode_payload, encode_into, type_codes
 
 _LSN_HEADER = struct.Struct("<Q")
+_FRAME_HEAD = struct.Struct("<QI")  # the LSN header plus the record frame's u32 length
+_CRC = struct.Struct("<I")
+#: A frame occupies ``[payload start - _PAYLOAD_OFFSET, body end + _CRC.size)``:
+#: LSN, length and the type byte precede the payload, the CRC follows the body.
+_PAYLOAD_OFFSET = _FRAME_HEAD.size + 1
 
-#: ``want`` filter matching no record type: frames are CRC-verified and
-#: skipped without constructing the record.
-_SKIP_ALL = frozenset()
+
+class _TornFrame(LogError):
+    """A frame that ends early or fails its CRC: where a crash tore a flush."""
+
+
+def walk_frames(view: memoryview) -> Iterator[tuple[int, int, int, int]]:
+    """The one verified-frame iterator over ``u64 lsn | framed record`` bytes.
+
+    Yields ``(lsn, type code, payload start, body end)`` per frame, the
+    offsets into ``view``: the CRC of every frame is checked and LSNs must
+    ascend, but no record is built -- ``decode_payload(code, view, start,
+    end)`` does that for the frames a caller wants.  (All-int tuples: the
+    garbage collector stops tracking them, so a caller may keep a whole
+    log's worth in a list.)  A truncated or CRC-damaged frame raises
+    :class:`_TornFrame` (a :class:`~repro.errors.LogError`); an LSN out of
+    order raises a plain ``LogError``, which no caller mistakes for a torn
+    tail.
+    """
+    size = len(view)
+    head = _FRAME_HEAD.unpack_from
+    head_size = _FRAME_HEAD.size
+    crc_at = _CRC.unpack_from
+    crc_size = _CRC.size
+    crc32 = zlib.crc32
+    offset = 0
+    previous_lsn = -1
+    while offset < size:
+        body_start = offset + head_size
+        if body_start > size:
+            raise _TornFrame("truncated frame header")
+        lsn, body_len = head(view, offset)
+        body_end = body_start + body_len
+        if body_len == 0 or body_end + crc_size > size:
+            raise _TornFrame("truncated record body")
+        if crc32(view[body_start:body_end]) != crc_at(view, body_end)[0]:
+            raise _TornFrame("log record CRC mismatch")
+        if lsn <= previous_lsn:
+            raise LogError(f"frame LSNs out of order: {lsn} after {previous_lsn}")
+        previous_lsn = lsn
+        yield lsn, view[body_start], body_start + 1, body_end
+        offset = body_end + crc_size
 
 
 def decode_frames(payload: bytes) -> Iterator[tuple[int, LogRecord]]:
@@ -48,20 +91,8 @@ def decode_frames(payload: bytes) -> Iterator[tuple[int, LogRecord]]:
     before a single byte lands in its log).
     """
     view = memoryview(payload)
-    size = len(view)
-    offset = 0
-    previous_lsn = -1
-    while offset < size:
-        if offset + 8 > size:
-            raise LogError("truncated LSN header in shipped frames")
-        (lsn,) = _LSN_HEADER.unpack_from(view, offset)
-        record, offset = decode_record(view, offset + 8, None)
-        if lsn <= previous_lsn:
-            raise LogError(
-                f"shipped frame LSNs out of order: {lsn} after {previous_lsn}"
-            )
-        previous_lsn = lsn
-        yield lsn, record
+    for lsn, code, pos, end in walk_frames(view):
+        yield lsn, decode_payload(code, view, pos, end)
 
 
 class SystemLog:
@@ -201,69 +232,70 @@ class SystemLog:
 
     # ------------------------------------------------------------- read
 
+    def read_stable(self) -> memoryview:
+        """The stable file's bytes (empty when it does not exist)."""
+        if not os.path.exists(self.path):
+            return memoryview(b"")
+        with open(self.path, "rb") as handle:
+            return memoryview(handle.read())
+
+    def frames(
+        self, view: memoryview, strict: bool = False
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Walk the whole *stable* log: :func:`walk_frames` over ``view``,
+        which the caller got from :meth:`read_stable`.
+
+        A crash can tear the last flush, leaving a truncated or
+        CRC-damaged record at the end of the file.  By default the walk
+        stops cleanly at the first such frame (setting
+        :attr:`torn_tail_detected`), which is the standard write-ahead-log
+        recovery behaviour; ``strict=True`` raises instead, for integrity
+        checks that must see every byte accounted for.
+        """
+        self.torn_tail_detected = False
+        self._clean_prefix_bytes = 0
+        self.last_scanned_lsn = -1
+        clean, last, count = 0, -1, 0
+        try:
+            for frame in walk_frames(view):
+                last = frame[0]
+                clean = frame[3] + _CRC.size
+                count += 1
+                yield frame
+        except _TornFrame:
+            if strict:
+                raise
+            self.torn_tail_detected = True
+            # The file holds bytes the counter can no longer vouch
+            # for; recount lazily after the tail is repaired.
+            self._stable_count = None
+        else:
+            if self._stable_count is None:
+                # A clean full traversal counted every frame; repair the
+                # counter for free.
+                self._stable_count = count
+        finally:
+            self._clean_prefix_bytes = clean
+            self.last_scanned_lsn = last
+
     def scan(
         self, from_lsn: int = 0, strict: bool = False, only=None
     ) -> Iterator[tuple[int, LogRecord]]:
         """Yield ``(lsn, record)`` from the *stable* log, lsn >= from_lsn.
 
-        A crash can tear the last flush, leaving a truncated or
-        CRC-damaged record at the end of the file.  By default the scan
-        stops cleanly at the first undecodable record (setting
-        :attr:`torn_tail_detected`), which is the standard write-ahead-log
-        recovery behaviour; ``strict=True`` raises instead, for integrity
-        checks that must see every byte accounted for.
-
-        ``only`` restricts the yield to an iterable of record *classes*
-        (e.g. ``only=(AmendRecord,)`` for archive replay's amendment
-        prepass).  Skipped frames -- filtered by type or below
-        ``from_lsn`` -- are still CRC-verified and LSN-ordered, but the
-        record object is never constructed, so a filtered scan touches
-        each byte once and allocates nothing per skipped record.
+        Torn tails and ``strict`` are those of :meth:`frames`.  ``only``
+        restricts the yield to an iterable of record *classes* (e.g.
+        ``only=(AmendRecord,)`` for archive replay's amendment prepass).
+        Skipped frames -- filtered by type or below ``from_lsn`` -- are
+        still CRC-verified and LSN-ordered, but the record object is never
+        constructed, so a filtered scan touches each byte once and
+        allocates nothing per skipped record.
         """
-        self.torn_tail_detected = False
-        self._clean_prefix_bytes = 0
-        self.last_scanned_lsn = -1
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            data = handle.read()
         want = type_codes(only) if only is not None else None
-        view = memoryview(data)
-        size = len(view)
-        offset = 0
-        previous_lsn = -1
-        frames = 0
-        unpack_lsn = _LSN_HEADER.unpack_from
-        while offset < size:
-            try:
-                if offset + 8 > size:
-                    raise LogError("truncated LSN header in stable log")
-                (lsn,) = unpack_lsn(view, offset)
-                record, offset = decode_record(
-                    view, offset + 8, want if lsn >= from_lsn else _SKIP_ALL
-                )
-            except LogError:
-                if strict:
-                    raise
-                self.torn_tail_detected = True
-                # The file holds bytes the counter can no longer vouch
-                # for; recount lazily after the tail is repaired.
-                self._stable_count = None
-                return
-            self._clean_prefix_bytes = offset
-            if lsn <= previous_lsn:
-                raise LogError(
-                    f"stable log LSNs out of order: {lsn} after {previous_lsn}"
-                )
-            previous_lsn = lsn
-            self.last_scanned_lsn = lsn
-            frames += 1
-            if record is not None:
-                yield lsn, record
-        if self._stable_count is None:
-            # A clean full traversal counted every frame; repair the
-            # counter for free.
-            self._stable_count = frames
+        view = self.read_stable()
+        for lsn, code, pos, end in self.frames(view, strict):
+            if lsn >= from_lsn and (want is None or code in want):
+                yield lsn, decode_payload(code, view, pos, end)
 
     def export_frames(
         self,
@@ -283,38 +315,25 @@ class SystemLog:
         tail is never exported.  ``first_lsn`` is ``-1`` when nothing
         qualifies.
         """
-        if not os.path.exists(self.path):
-            return b"", -1, 0
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        view = memoryview(data)
-        size = len(view)
-        offset = 0
-        start_offset = None
+        view = self.read_stable()
+        start = stop = 0
         first_lsn = -1
         count = 0
-        unpack_lsn = _LSN_HEADER.unpack_from
-        while offset + 8 <= size:
-            (lsn,) = unpack_lsn(view, offset)
-            if up_to_lsn is not None and lsn >= up_to_lsn:
-                break
-            if max_records is not None and count >= max_records:
-                break
-            try:
-                _record, next_offset = decode_record(view, offset + 8, _SKIP_ALL)
-            except LogError:
-                break  # torn tail: not shippable until truncated
-            if lsn >= from_lsn:
-                if start_offset is None:
-                    start_offset = offset
-                    first_lsn = lsn
-                count += 1
-            offset = next_offset
-        if start_offset is None:
-            return b"", -1, 0
-        payload = bytes(data[start_offset:offset])
-        del view
-        return payload, first_lsn, count
+        try:
+            for lsn, _code, pos, end in walk_frames(view):
+                if up_to_lsn is not None and lsn >= up_to_lsn:
+                    break
+                if max_records is not None and count >= max_records:
+                    break
+                if lsn >= from_lsn:
+                    if count == 0:
+                        start = pos - _PAYLOAD_OFFSET
+                        first_lsn = lsn
+                    count += 1
+                    stop = end + _CRC.size
+        except _TornFrame:
+            pass  # torn tail: not shippable until truncated
+        return bytes(view[start:stop]), first_lsn, count
 
     def ingest_frames(self, payload: bytes, first_lsn: int) -> int:
         """Append exported frames verbatim; returns the new end-of-stable LSN.
@@ -375,30 +394,22 @@ class SystemLog:
         exactly what the old decode→re-encode cycle produced.  Torn-tail
         bytes, if any, stay in place for ``scan``/``truncate_torn_tail``.
         """
-        if not os.path.exists(self.path):
-            return 0
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        view = memoryview(data)
-        size = len(view)
-        offset = 0
+        view = self.read_stable()
+        cut = 0
         removed = 0
-        while offset + 8 <= size:
-            (record_lsn,) = _LSN_HEADER.unpack_from(view, offset)
-            if record_lsn >= lsn:
-                break
-            try:
-                _record, offset = decode_record(view, offset + 8, _SKIP_ALL)
-            except LogError:
-                break
-            removed += 1
+        try:
+            for record_lsn, _code, _pos, end in walk_frames(view):
+                if record_lsn >= lsn:
+                    break
+                cut = end + _CRC.size
+                removed += 1
+        except _TornFrame:
+            pass
         if removed == 0:
             return 0
-        kept = data[offset:]
-        del view
         self._file.close()
         with open(self.path, "wb") as handle:
-            handle.write(kept)
+            handle.write(view[cut:])
         self._file = open(self.path, "ab")
         if self._stable_count is not None:
             self._stable_count -= removed
@@ -431,16 +442,10 @@ class SystemLog:
         """
         if self._stable_count is None:
             count = 0
-            if os.path.exists(self.path):
-                with open(self.path, "rb") as handle:
-                    view = memoryview(handle.read())
-                size = len(view)
-                offset = 0
-                while offset + 8 <= size:
-                    try:
-                        _record, offset = decode_record(view, offset + 8, _SKIP_ALL)
-                    except LogError:
-                        break
+            try:
+                for _frame in walk_frames(self.read_stable()):
                     count += 1
+            except _TornFrame:
+                pass
             self._stable_count = count
         return self._stable_count

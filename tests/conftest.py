@@ -53,6 +53,23 @@ def aggressive_thread_switching():
 
 
 @pytest.fixture
+def built_record_codes(monkeypatch) -> list[int]:
+    """Wire type code of every record a stable-log scan constructs from
+    here on (frames it only verifies and skips do not appear)."""
+    import repro.wal.system_log as system_log
+
+    built: list[int] = []
+    real = system_log.decode_payload
+
+    def spy(code, view, pos, end):
+        built.append(code)
+        return real(code, view, pos, end)
+
+    monkeypatch.setattr(system_log, "decode_payload", spy)
+    return built
+
+
+@pytest.fixture
 def db_factory(tmp_path):
     """Create small single-table databases; closes them at teardown.
 

@@ -5,6 +5,7 @@ import pytest
 from repro import FaultInjector
 from repro.errors import RecoveryError
 from repro.recovery.cache_recovery import repair_regions
+from repro.wal.records import RecordType
 
 from tests.conftest import insert_accounts
 
@@ -45,6 +46,21 @@ class TestRepair:
         txn = cdb.begin()
         assert table.read(txn, slots[0])["balance"] == 424
         cdb.commit(txn)
+
+    def test_repair_builds_only_update_records(self, cdb, request):
+        """The stable-log pass of a repair constructs the update records
+        it replays and nothing else (it runs once per repaired region)."""
+        slots = insert_accounts(cdb, 3)
+        cdb.checkpoint()
+        table = cdb.table("acct")
+        txn = cdb.begin()
+        table.update(txn, slots[0], {"balance": 424})
+        cdb.commit(txn)
+        FaultInjector(cdb, seed=2).wild_write(table.record_address(slots[0]) + 16, 4)
+        report = cdb.audit()
+        built = request.getfixturevalue("built_record_codes")  # spy from here on
+        repair_regions(cdb, list(report.corrupt_regions))
+        assert built and set(built) == {RecordType.UPDATE}
 
     def test_repair_replays_unflushed_tail(self, cdb):
         slots = insert_accounts(cdb, 3)

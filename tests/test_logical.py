@@ -137,3 +137,12 @@ class TestTraceReaders:
     def test_empty_ranges(self, db_factory):
         db, *_ = setup_history(db_factory)
         assert trace_readers(db, []) == {}
+
+    def test_builds_only_read_records(self, db_factory, request):
+        from repro.wal.records import RecordType
+
+        db, slots, _bad, carrier, _b = setup_history(db_factory)
+        address = db.table("acct").record_address(slots[1])
+        built = request.getfixturevalue("built_record_codes")  # spy from here on
+        assert carrier in trace_readers(db, [(address, 32)])
+        assert built and set(built) == {RecordType.READ}

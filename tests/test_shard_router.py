@@ -284,6 +284,7 @@ class TestProcessMode:
         try:
             assert len(reports) == 2
             assert all("recovery_cpu_s" in r for r in reports)
+            assert all(r["phase_seconds"]["frames"] > 0 for r in reports)
             assert recovered.sum_field("account", "balance") == 8 * 100
             assert all(clean for clean, _, _ in recovered.audit_all())
         finally:
