@@ -10,10 +10,10 @@ Usage::
     python -m repro.bench --profile       # cProfile the TPC-B update loop
     python -m repro.bench --faults --faults-backing mmap
     python -m repro.bench --serving       # concurrent-session throughput/latency
-    python -m repro.bench --serving --serving-quick   # CI smoke variant
     python -m repro.bench --replication   # hot-standby detection/failover gate
     python -m repro.bench --sharded       # shard-per-core scale-up curves
     python -m repro.bench --chaos         # supervised worker-kill/hang soak
+    python -m repro.bench --serving --quick   # any fault harness, CI smoke size
 
 Each suite registers its flags, selection predicate and runner as a
 :class:`repro.bench.suites.Suite`; this module only assembles the

@@ -50,15 +50,17 @@ import shutil
 import time
 from dataclasses import dataclass, replace
 
-from repro.bench.reporting import render_table, write_bench_json
-from repro.bench.suites import Suite
+from repro.bench.reporting import render_table
+from repro.bench.suites import Suite, run_gated
 from repro.bench.tpcb import (
     ACCOUNT_SCHEMA,
-    BRANCH_SCHEMA,
-    HISTORY_SCHEMA,
-    TELLER_SCHEMA,
+    branch_load_ops,
+    branch_table_defs,
+    branch_txn,
 )
 from repro.errors import ReproError, SimulatedCrash
+from repro.faults.campaign import convicted
+from repro.faults.injector import wild_payload
 from repro.faults.workers import (
     hang_worker,
     kill_after_decision,
@@ -74,23 +76,6 @@ from repro.shard import (
 from repro.shard.router import DECISION_LOG_FILE, DecisionLog
 
 CHAOS_JSON_VERSION = 1
-
-_BALANCE_OFFSET = 16
-
-
-def _wild_payload(rng: random.Random) -> bytes:
-    """A unique 8-byte scribble for one wild-write injection.
-
-    The payload must vary per injection: the audit folds a region with
-    XOR, so two *identical* scribbles over identical old bytes in the
-    same region cancel exactly and the corruption becomes invisible by
-    construction (and re-scribbling an address with the same bytes is
-    not a state change at all).  Unique random payloads make
-    cancellation a 2^-64 coincidence instead of a certainty, which is
-    also the realistic model -- a wild pointer does not write the same
-    sentinel twice.
-    """
-    return bytes(rng.randrange(256) for _ in range(8))
 
 #: The protocol moments the kill matrix crashes a participant at.
 KILL_POINTS = ("prepare", "decide", "after_decide", "serving", "hang")
@@ -130,19 +115,6 @@ class ChaosBenchConfig:
         """CI smoke variant: same code paths, fewer transactions."""
         return replace(self, soak_txns=60, soak_faults=5)
 
-    @property
-    def accounts(self) -> int:
-        return self.branches * self.accounts_per_branch
-
-    def table_defs(self) -> list[tuple]:
-        history_capacity = 4 * self.soak_txns * self.ops_per_txn + 64
-        return [
-            ("account", ACCOUNT_SCHEMA, self.accounts, "aid"),
-            ("teller", TELLER_SCHEMA, self.branches * self.tellers_per_branch, "tid"),
-            ("branch", BRANCH_SCHEMA, self.branches, "bid"),
-            ("history", HISTORY_SCHEMA, history_capacity, "hid"),
-        ]
-
     def sharded_config(self, workdir: str) -> ShardedConfig:
         return ShardedConfig(
             dir=workdir,
@@ -168,21 +140,13 @@ class ChaosBenchConfig:
 
 
 def _build(workdir: str, config: ChaosBenchConfig) -> tuple:
-    db = ShardedDatabase.create(config.sharded_config(workdir), config.table_defs())
+    db = ShardedDatabase.create(
+        config.sharded_config(workdir),
+        branch_table_defs(config, 4 * config.soak_txns * config.ops_per_txn + 64),
+    )
     supervisor = ShardSupervisor(db, config.supervisor_config()).attach()
     for b in range(config.branches):
-        ops: list = [("insert", "branch", {"bid": b, "balance": 0})]
-        ops.extend(
-            ("insert", "teller",
-             {"tid": b + config.branches * j, "branch_id": b, "balance": 0})
-            for j in range(config.tellers_per_branch)
-        )
-        ops.extend(
-            ("insert", "account",
-             {"aid": b + config.branches * j, "branch_id": b, "balance": 0})
-            for j in range(config.accounts_per_branch)
-        )
-        db.submit_txn(ops)
+        db.submit_txn(branch_load_ops(config, b))
     # Certify the loaded image and bound any later repair replay.
     db.checkpoint_all()
     return db, supervisor
@@ -262,8 +226,6 @@ def _soak_txn(config: ChaosBenchConfig, rng: random.Random, index: int,
     """
     hot = config.accounts_per_branch - config.cold_accounts_per_branch
     first_hid = next_hid
-    ops: list = []
-    delta_sum = 0
     if config.transfer_every and index % config.transfer_every == 0:
         # Cross-shard transfer: branch b -> branch b+1 (adjacent
         # branches land on different shards when n_shards divides
@@ -284,20 +246,10 @@ def _soak_txn(config: ChaosBenchConfig, rng: random.Random, index: int,
         ]
         return ops, first_hid, b, next_hid + 2, 0
     branch = index % config.branches
-    for _ in range(config.ops_per_txn):
-        aid = branch + config.branches * rng.randrange(hot)
-        tid = branch + config.branches * rng.randrange(config.tellers_per_branch)
-        delta = rng.randint(-999, 999)
-        delta_sum += delta
-        ops.append(("add", "account", aid, "balance", delta))
-        ops.append(("add", "teller", tid, "balance", delta))
-        ops.append(("add", "branch", branch, "balance", delta))
-        ops.append(
-            ("insert", "history",
-             {"hid": next_hid, "aid": aid, "tid": tid, "bid": branch,
-              "delta": delta})
-        )
-        next_hid += 1
+    ops, next_hid, delta_sum = branch_txn(
+        config, rng, branch, next_hid, config.ops_per_txn,
+        hot_accounts=hot, max_delta=999,
+    )
     return ops, first_hid, branch, next_hid, delta_sum
 
 
@@ -334,11 +286,11 @@ def _inject_fault(db, supervisor, config: ChaosBenchConfig,
                 - rng.randrange(config.cold_accounts_per_branch)
             )
             aid = branch + cold
-            payload = _wild_payload(
-                random.Random(config.seed * 1000003 + len(wild_writes))
+            payload = wild_payload(
+                random.Random(config.seed * 1000003 + len(wild_writes)), 8
             )
             address = db.wild_write(
-                "account", aid, _BALANCE_OFFSET, payload
+                "account", aid, ACCOUNT_SCHEMA.offset_of("balance"), payload
             )
             wild_writes.append(
                 {"shard": sid, "aid": aid, "address": address,
@@ -423,18 +375,9 @@ def run_chaos_soak(base_dir: str, config: ChaosBenchConfig) -> dict:
         erased_by_restart = 0
         for injection in wild_writes:
             sid = injection["shard"]
-            restarted = (
-                summary["shards"][sid]["restarts"]
-                > injection["restarts_at_injection"]
-            )
-            clean, _regions, byte_ranges = audits[sid]
-            flagged = any(
-                start <= injection["address"] < start + length
-                for start, length in byte_ranges
-            )
-            if flagged:
+            if convicted(injection["address"], audits[sid][2]):
                 continue
-            if restarted:
+            if summary["shards"][sid]["restarts"] > injection["restarts_at_injection"]:
                 # The restart rebuilt the image from WAL + checkpoint
                 # after the injection; the in-memory scribble is gone,
                 # which is a repair, not a miss.
@@ -657,16 +600,31 @@ def render_chaos_table(matrix: list[dict]) -> str:
     )
 
 
-def run_chaos_benchmark(json_path: str | None, quick: bool = False,
-                        base_dir: str | None = None) -> int:
-    """CLI driver for ``--chaos``; returns a process exit code."""
-    import tempfile
+# --------------------------------------------------------- registration
 
-    config = ChaosBenchConfig()
-    if quick:
-        config = config.quick()
-    workdir = base_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    try:
+
+def _add_arguments(parser) -> None:
+    parser.add_argument(
+        "--chaos",
+        action="store_true",
+        help="run the supervised chaos soak (process mode: targeted "
+        "worker kills at 2PC protocol moments plus a random kill/hang/"
+        "wild-write soak; exit 1 on any lost committed transaction, "
+        "detection false negative, or unhealed shard)",
+    )
+    parser.add_argument(
+        "--chaos-json",
+        metavar="PATH",
+        default="BENCH_chaos.json",
+        help="where --chaos writes its JSON artifact "
+        "(default: BENCH_chaos.json)",
+    )
+
+
+def _run(args) -> int:
+    config = ChaosBenchConfig().quick() if args.quick else ChaosBenchConfig()
+
+    def run(workdir: str) -> tuple[dict, list[str]]:
         matrix = run_kill_matrix(workdir, config)
         print(render_chaos_table(matrix))
         print()
@@ -685,69 +643,26 @@ def run_chaos_benchmark(json_path: str | None, quick: bool = False,
             f"({soak['wild_writes_erased_by_restart']} erased by restart)."
         )
         gates = chaos_gates(matrix, soak)
-        if json_path:
-            write_bench_json(
-                json_path, chaos_payload(matrix, soak, gates, config, quick)
-            )
-            print(f"\nwrote {json_path}")
-        failed = []
+        failures = []
         if not gates["matrix_ok"]:
-            failed.append("targeted kill matrix breached a guarantee")
+            failures.append("targeted kill matrix breached a guarantee")
         if gates["lost_committed"]:
-            failed.append(f"{gates['lost_committed']} acked transactions lost")
+            failures.append(f"{gates['lost_committed']} acked transactions lost")
         if not gates["conserved"]:
-            failed.append("balance sums not conserved")
+            failures.append("balance sums not conserved")
         if gates["false_negatives"]:
-            failed.append("wild-write false negatives")
+            failures.append("wild-write false negatives")
         if gates["hard_errors"]:
-            failed.append(
-                f"{gates['hard_errors']} non-retryable errors surfaced"
-            )
+            failures.append(f"{gates['hard_errors']} non-retryable errors surfaced")
         if gates["gave_up"]:
-            failed.append("client retry budget exhausted")
+            failures.append("client retry budget exhausted")
         if gates["survivor_probe_failures"]:
-            failed.append("surviving shard failed to serve mid-recovery")
+            failures.append("surviving shard failed to serve mid-recovery")
         if not gates["healed"]:
-            failed.append("shards did not heal to SERVING")
-        if failed:
-            print()
-            for failure in failed:
-                print(f"GATE: {failure}")
-            return 1
-        return 0
-    finally:
-        if base_dir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+            failures.append("shards did not heal to SERVING")
+        return chaos_payload(matrix, soak, gates, config, args.quick), failures
 
-
-# --------------------------------------------------------- registration
-
-
-def _add_arguments(parser) -> None:
-    parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="run the supervised chaos soak (process mode: targeted "
-        "worker kills at 2PC protocol moments plus a random kill/hang/"
-        "wild-write soak; exit 1 on any lost committed transaction, "
-        "detection false negative, or unhealed shard)",
-    )
-    parser.add_argument(
-        "--chaos-quick",
-        action="store_true",
-        help="shrink the --chaos soak for CI smoke runs",
-    )
-    parser.add_argument(
-        "--chaos-json",
-        metavar="PATH",
-        default="BENCH_chaos.json",
-        help="where --chaos writes its JSON artifact "
-        "(default: BENCH_chaos.json)",
-    )
-
-
-def _run(args) -> int:
-    return run_chaos_benchmark(args.chaos_json, quick=args.chaos_quick)
+    return run_gated("chaos", args.chaos_json, run)
 
 
 CHAOS_SUITE = Suite(

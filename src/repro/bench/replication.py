@@ -23,12 +23,10 @@ The exit code is the CI gate: 0 only when every one of those holds.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from dataclasses import replace
 
-from repro.bench.reporting import render_table, write_bench_json
+from repro.bench.reporting import BENCH_JSON_VERSION, render_table, write_bench_json
+from repro.bench.suites import Suite, run_gated
 from repro.replication.campaign import (
     ReplicationCampaignResult,
     ReplicationCampaignSpec,
@@ -36,11 +34,6 @@ from repro.replication.campaign import (
 )
 
 REPLICATION_JSON_VERSION = 1
-
-
-def quick_spec(spec: ReplicationCampaignSpec) -> ReplicationCampaignSpec:
-    """CI smoke variant: every fault kind, one seed."""
-    return replace(spec, seeds=(1,))
 
 
 def render_replication_table(result: ReplicationCampaignResult) -> str:
@@ -105,11 +98,10 @@ def replication_payload(
 
 def gate_failures(result: ReplicationCampaignResult) -> list[str]:
     """Every reason the bench gate would fail, as printable strings."""
-    failures: list[str] = []
-    if result.errors:
-        failures.append(
-            f"{len(result.errors)} schedule(s) raised unexpected errors"
-        )
+    failures = [
+        f"schedule raised: {o.kind} seed={o.seed} idx={o.index}: {o.error}"
+        for o in result.errors
+    ]
     if result.false_negatives:
         failures.append(
             f"FALSE NEGATIVES: {len(result.false_negatives)} corruption(s) "
@@ -146,29 +138,41 @@ def gate_failures(result: ReplicationCampaignResult) -> list[str]:
     return failures
 
 
-def run_replication_benchmark(
-    json_path: str | None,
-    quick: bool = False,
-    base_dir: str | None = None,
-    merge_json: str | None = None,
-) -> int:
-    """CLI driver for ``--replication``; returns a process exit code.
+# --------------------------------------------------------- registration
 
-    ``merge_json`` is the generic ``--json`` artifact path: when given, a
-    ``{"replication": ...}`` section with the detection-latency
-    percentiles, cold-region comparison and lost-commit stats is written
-    there too, so perf-trajectory tooling that only reads the generic
-    artifact still sees the replication numbers.
+
+def _add_arguments(parser) -> None:
+    parser.add_argument(
+        "--replication",
+        action="store_true",
+        help="run the two-node replication campaign (log-shipped hot "
+        "standby, independent replica audits, certified failover): exit 1 "
+        "on any false negative, untolerated transport fault, uncertified "
+        "promotion, or lost-commit window past the ship window bound",
+    )
+    parser.add_argument(
+        "--replication-json",
+        metavar="PATH",
+        default="BENCH_replication.json",
+        help="where --replication writes its JSON artifact "
+        "(default: BENCH_replication.json)",
+    )
+
+
+def _run(args) -> int:
+    """``--replication``: the full 3-seed matrix, or one seed under ``--quick``.
+
+    ``--json`` alongside it also writes a ``{"replication": ...}`` section
+    to that generic artifact, so perf-trajectory tooling that only reads
+    the generic artifact still sees the replication numbers.
     """
     spec = ReplicationCampaignSpec()
-    if quick or os.environ.get("REPL_BENCH_QUICK") == "1":
-        quick = True
-        spec = quick_spec(spec)
-    workdir = base_dir or tempfile.mkdtemp(prefix="repro-replication-")
-    try:
+    if args.quick:
+        spec = replace(spec, seeds=(1,))
+
+    def run(workdir: str) -> tuple[dict, list[str]]:
         result = run_replication_campaign(spec, workdir)
         print(render_replication_table(result))
-
         latency = result.latency_percentiles()
         cold = result.cold_comparison()
         lost = result.lost_commit_stats()
@@ -188,72 +192,16 @@ def run_replication_benchmark(
             f"max {lost['max_lost_records']} record(s), "
             f"{lost['bound_violations']} bound violation(s)."
         )
-
-        payload = replication_payload(result, quick)
-        if json_path:
-            write_bench_json(json_path, payload)
-            print(f"\nwrote {json_path}")
-        if merge_json:
-            from repro.bench.reporting import BENCH_JSON_VERSION
-
+        payload = replication_payload(result, args.quick)
+        if args.json:
             write_bench_json(
-                merge_json,
-                {"version": BENCH_JSON_VERSION, "replication": payload},
+                args.json, {"version": BENCH_JSON_VERSION, "replication": payload}
             )
-            print(f"wrote {merge_json}")
+            print(f"wrote {args.json}")
+        return payload, gate_failures(result)
 
-        failures = gate_failures(result)
-        if failures:
-            print()
-            for failure in failures:
-                print(f"GATE: {failure}")
-            for o in result.errors:
-                print(f"  {o.kind} seed={o.seed} idx={o.index}: {o.error}")
-            return 1
-        return 0
-    finally:
-        if base_dir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+    return run_gated("replication", args.replication_json, run)
 
-
-# --------------------------------------------------------- registration
-
-
-def _add_arguments(parser) -> None:
-    parser.add_argument(
-        "--replication",
-        action="store_true",
-        help="run the two-node replication campaign (log-shipped hot "
-        "standby, independent replica audits, certified failover): exit 1 "
-        "on any false negative, untolerated transport fault, uncertified "
-        "promotion, or lost-commit window past the ship window bound",
-    )
-    parser.add_argument(
-        "--replication-quick",
-        action="store_true",
-        help="shrink the --replication campaign to one seed for CI smoke "
-        "runs (also via REPL_BENCH_QUICK=1)",
-    )
-    parser.add_argument(
-        "--replication-json",
-        metavar="PATH",
-        default="BENCH_replication.json",
-        help="where --replication writes its JSON artifact "
-        "(default: BENCH_replication.json)",
-    )
-
-
-def _run(args) -> int:
-    # --json alongside --replication merges the detection-latency
-    # percentiles into the generic artifact as well.
-    return run_replication_benchmark(
-        args.replication_json,
-        quick=args.replication_quick,
-        merge_json=args.json,
-    )
-
-
-from repro.bench.suites import Suite  # noqa: E402 - registration footer
 
 REPLICATION_SUITE = Suite(
     name="replication",

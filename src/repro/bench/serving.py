@@ -29,7 +29,9 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
-from repro.bench.reporting import render_table, write_bench_json
+from repro.bench.reporting import render_table
+from repro.bench.suites import Suite, run_gated
+from repro.faults.campaign import percentile, score_injections
 from repro.faults.injector import FaultInjector
 from repro.serve import Request, Server
 from repro.storage.database import Database, DBConfig
@@ -93,13 +95,6 @@ class ServingPoint:
             "p50_ms": round(self.p50_ms, 3),
             "p99_ms": round(self.p99_ms, 3),
         }
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(round(fraction * (len(sorted_values) - 1))))
-    return sorted_values[index]
 
 
 def _make_db(
@@ -199,8 +194,8 @@ def run_serving_point(
         errors=len(errors),
         wall_s=wall_s,
         throughput_txn_s=txns / wall_s,
-        p50_ms=1000.0 * _percentile(latencies, 0.50),
-        p99_ms=1000.0 * _percentile(latencies, 0.99),
+        p50_ms=1000.0 * percentile(latencies, 0.50),
+        p99_ms=1000.0 * percentile(latencies, 0.99),
     )
 
 
@@ -257,36 +252,24 @@ def run_serving_fault_campaign(base_dir: str, config: ServingConfig) -> dict:
         injector_thread.join(timeout=60)
         assert injected_done.is_set(), "fault injector did not finish"
         report = db.audit()
-        detected = [
-            any(
-                start <= event.address < start + length
-                for start, length in report.corrupt_byte_ranges
-            )
-            for event in injector.events
-        ]
-        false_negatives = detected.count(False)
-        # The detection audit is *supposed* to be dirty -- it just found
-        # the injected corruption (`audit_clean: false` here is success,
-        # not failure).  Make the report self-describing: the corrupt
-        # regions are quarantined by that audit, repaired from checkpoint
-        # + log, and a second audit certifies the repaired image.
-        quarantined = len(db.quarantined_regions())
-        repaired = db.repair_quarantined()
-        post_repair = db.audit()
         return {
             "clients": clients,
             "txns": clients * config.txns_per_client,
             "traffic_errors": len(errors),
-            "injected": len(injector.events),
-            "detected": detected.count(True),
-            "false_negatives": false_negatives,
             # Detection-time audit state: clean=False means the injected
             # corruption was caught (zero FN), not that the bench failed.
             "detection_audit_clean": report.clean,
             "corrupt_regions": len(report.corrupt_regions),
-            "quarantined_regions": quarantined,
-            "repaired_regions": repaired,
-            "post_repair_audit_clean": post_repair.clean,
+            # The detection audit quarantined the corrupt regions; they
+            # are repaired from checkpoint + log and a second audit
+            # certifies the repaired image.
+            **score_injections(
+                [event.address for event in injector.events],
+                report.corrupt_byte_ranges,
+                quarantined=len(db.quarantined_regions()),
+                repair=db.repair_quarantined,
+                audit_clean=lambda: db.audit().clean,
+            ),
         }
     finally:
         server.close()
@@ -327,44 +310,6 @@ def render_serving_table(points: list[ServingPoint]) -> str:
     )
 
 
-def run_serving_benchmark(
-    json_path: str | None, quick: bool = False, base_dir: str | None = None
-) -> int:
-    """CLI driver for ``--serving``; returns a process exit code."""
-    import tempfile
-
-    config = ServingConfig()
-    if quick:
-        config = config.quick()
-    workdir = base_dir or tempfile.mkdtemp(prefix="repro-serving-")
-    try:
-        points = run_serving_matrix(workdir, config)
-        print(render_serving_table(points))
-        print()
-        campaign = run_serving_fault_campaign(workdir, config)
-        print(
-            f"Fault campaign under {campaign['clients']} concurrent sessions: "
-            f"{campaign['injected']} wild writes into cold regions, "
-            f"{campaign['detected']} detected, "
-            f"{campaign['false_negatives']} false negatives; "
-            f"{campaign['quarantined_regions']} regions quarantined, "
-            f"{campaign['repaired_regions']} repaired, post-repair audit "
-            f"clean={campaign['post_repair_audit_clean']}."
-        )
-        if json_path:
-            write_bench_json(
-                json_path, serving_payload(points, campaign, config, quick)
-            )
-            print(f"\nwrote {json_path}")
-        if campaign["false_negatives"]:
-            print("\nFALSE NEGATIVES under concurrent serving")
-            return 1
-        return 0
-    finally:
-        if base_dir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-
 # --------------------------------------------------------- registration
 
 
@@ -378,11 +323,6 @@ def _add_arguments(parser) -> None:
         "fault campaign under concurrency (exit 1 on any false negative)",
     )
     parser.add_argument(
-        "--serving-quick",
-        action="store_true",
-        help="shrink the --serving matrix for CI smoke runs",
-    )
-    parser.add_argument(
         "--serving-json",
         metavar="PATH",
         default="BENCH_serving.json",
@@ -392,10 +332,29 @@ def _add_arguments(parser) -> None:
 
 
 def _run(args) -> int:
-    return run_serving_benchmark(args.serving_json, quick=args.serving_quick)
+    config = ServingConfig().quick() if args.quick else ServingConfig()
 
+    def run(workdir: str) -> tuple[dict, list[str]]:
+        points = run_serving_matrix(workdir, config)
+        print(render_serving_table(points))
+        print()
+        campaign = run_serving_fault_campaign(workdir, config)
+        print(
+            f"Fault campaign under {campaign['clients']} concurrent sessions: "
+            f"{campaign['injected']} wild writes into cold regions, "
+            f"{campaign['detected']} detected, "
+            f"{campaign['false_negatives']} false negatives; "
+            f"{campaign['quarantined_regions']} regions quarantined, "
+            f"{campaign['repaired_regions']} repaired, post-repair audit "
+            f"clean={campaign['post_repair_audit_clean']}."
+        )
+        failures = []
+        if campaign["false_negatives"]:
+            failures.append("false negatives under concurrent serving")
+        return serving_payload(points, campaign, config, args.quick), failures
 
-from repro.bench.suites import Suite  # noqa: E402 - registration footer
+    return run_gated("serving", args.serving_json, run)
+
 
 SERVING_SUITE = Suite(
     name="serving",

@@ -41,29 +41,22 @@ import shutil
 import time
 from dataclasses import dataclass, replace
 
-from repro.bench.reporting import render_table, write_bench_json
+from repro.bench.reporting import render_table
+from repro.bench.suites import Suite, run_gated
 from repro.bench.tpcb import (
     ACCOUNT_SCHEMA,
-    BRANCH_SCHEMA,
-    HISTORY_SCHEMA,
-    TELLER_SCHEMA,
+    branch_load_ops,
+    branch_table_defs,
+    branch_txn,
 )
-from repro.bench.suites import Suite
+from repro.faults.campaign import score_injections
+from repro.faults.injector import wild_payload
 from repro.shard import ShardedConfig, ShardedDatabase
 
 SHARDED_JSON_VERSION = 1
 
-#: Wild writes scribble 8 bytes over the balance field (offset 16) of an
-#: account record -- corruption a balance-sum check alone would miss
-#: until read, but a codeword audit flags immediately.  Each injection
-#: gets a *unique* payload: the audit folds a region with XOR, so two
-#: identical scribbles over identical old bytes in one region cancel
-#: exactly and become invisible by construction.
-_BALANCE_OFFSET = 16
-
-
-def _wild_payload(rng: random.Random) -> bytes:
-    return bytes(rng.randrange(256) for _ in range(8))
+#: Bound on one operation's balance delta.
+_MAX_DELTA = 9_999
 
 
 @dataclass(frozen=True)
@@ -101,25 +94,12 @@ class ShardedBenchConfig:
             schemes=("data_codeword",),
         )
 
-    @property
-    def accounts(self) -> int:
-        return self.branches * self.accounts_per_branch
-
-    @property
-    def tellers(self) -> int:
-        return self.branches * self.tellers_per_branch
-
     def table_defs(self) -> list[tuple]:
         history_capacity = 2 * max(
             self.txns * self.ops_per_txn,
             self.campaign_txns * self.campaign_ops_per_txn,
         ) + 64
-        return [
-            ("account", ACCOUNT_SCHEMA, self.accounts, "aid"),
-            ("teller", TELLER_SCHEMA, self.tellers, "tid"),
-            ("branch", BRANCH_SCHEMA, self.branches, "bid"),
-            ("history", HISTORY_SCHEMA, history_capacity, "hid"),
-        ]
+        return branch_table_defs(self, history_capacity)
 
     def sharded_config(self, workdir: str, n_shards: int, scheme: str,
                        quarantine: bool = False) -> ShardedConfig:
@@ -188,62 +168,10 @@ class ShardedPoint:
 def _load(db: ShardedDatabase, config: ShardedBenchConfig) -> None:
     """Populate all branches; each branch's rows ride one shard-local txn."""
     for b in range(config.branches):
-        ops: list = [("insert", "branch", {"bid": b, "balance": 0})]
-        ops.extend(
-            (
-                "insert",
-                "teller",
-                {"tid": b + config.branches * j, "branch_id": b, "balance": 0},
-            )
-            for j in range(config.tellers_per_branch)
-        )
-        ops.extend(
-            (
-                "insert",
-                "account",
-                {"aid": b + config.branches * j, "branch_id": b, "balance": 0},
-            )
-            for j in range(config.accounts_per_branch)
-        )
-        db.submit_txn_nowait(ops)
+        db.submit_txn_nowait(branch_load_ops(config, b))
         if (b + 1) % 4 == 0:
             db.drain()
     db.drain()
-
-
-def _make_txn(
-    config: ShardedBenchConfig,
-    rng: random.Random,
-    branch: int,
-    next_hid: int,
-    ops_per_txn: int,
-) -> tuple[list, int, int]:
-    """One single-branch TPC-B transaction; returns (ops, next_hid, delta_sum)."""
-    ops: list = []
-    delta_sum = 0
-    for _ in range(ops_per_txn):
-        aid = branch + config.branches * rng.randrange(config.accounts_per_branch)
-        tid = branch + config.branches * rng.randrange(config.tellers_per_branch)
-        delta = rng.randint(-9_999, 9_999)
-        delta_sum += delta
-        ops.append(("add", "account", aid, "balance", delta))
-        ops.append(("add", "teller", tid, "balance", delta))
-        ops.append(("add", "branch", branch, "balance", delta))
-        ops.append(
-            (
-                "insert",
-                "history",
-                {
-                    "hid": next_hid,
-                    "aid": aid,
-                    "tid": tid,
-                    "bid": branch,
-                    "delta": delta,
-                },
-            )
-        )
-        next_hid += 1
-    return ops, next_hid, delta_sum
 
 
 def run_sharded_point(
@@ -263,8 +191,9 @@ def run_sharded_point(
         began = time.perf_counter()
         for i in range(config.txns):
             # Round-robin branch choice keeps shard load exactly even.
-            ops, next_hid, delta_sum = _make_txn(
-                config, rng, i % config.branches, next_hid, config.ops_per_txn
+            ops, next_hid, delta_sum = branch_txn(
+                config, rng, i % config.branches, next_hid, config.ops_per_txn,
+                config.accounts_per_branch, _MAX_DELTA,
             )
             expected += delta_sum
             db.submit_txn_nowait(ops)
@@ -359,13 +288,17 @@ def run_sharded_fault_campaign(base_dir: str, config: ShardedBenchConfig) -> dic
         expected = 0
         for i in range(config.campaign_txns):
             branch = hot_branches[i % len(hot_branches)]
-            ops, next_hid, delta_sum = _make_txn(
-                config, rng, branch, next_hid, config.campaign_ops_per_txn
+            ops, next_hid, delta_sum = branch_txn(
+                config, rng, branch, next_hid, config.campaign_ops_per_txn,
+                config.accounts_per_branch, _MAX_DELTA,
             )
             expected += delta_sum
             db.submit_txn_nowait(ops)
 
         # Traffic is still queued on shards 1..N-1; scribble on shard 0.
+        # Each wild write covers the balance field of a cold account --
+        # corruption a balance-sum check alone would miss until read, but
+        # a codeword audit flags immediately.
         in_flight = sum(shard.pending for shard in db.shards)
         cold_aids = [
             config.branches * j
@@ -374,8 +307,9 @@ def run_sharded_fault_campaign(base_dir: str, config: ShardedBenchConfig) -> dic
                 config.accounts_per_branch,
             )
         ]
+        balance = ACCOUNT_SCHEMA.offset_of("balance")
         injected = [
-            db.wild_write("account", aid, _BALANCE_OFFSET, _wild_payload(rng))
+            db.wild_write("account", aid, balance, wild_payload(rng, 8))
             for aid in cold_aids
         ]
 
@@ -387,19 +321,13 @@ def run_sharded_fault_campaign(base_dir: str, config: ShardedBenchConfig) -> dic
             traffic_errors += 1
 
         audits = db.audit_all()
-        victim_ranges = audits[0][2]
-        detected = [
-            any(start <= address < start + length for start, length in victim_ranges)
-            for address in injected
-        ]
-        false_negatives = detected.count(False)
-        others_clean = all(clean for clean, _, _ in audits[1:])
-
-        quarantined = len(db.quarantined().get(0, ()))
-        repaired = db.repair_all()
-        post = db.audit_all()
-        post_clean = all(clean for clean, _, _ in post)
-        conserved = db.sum_field("account", "balance") == expected
+        scored = score_injections(
+            injected,
+            audits[0][2],
+            quarantined=len(db.quarantined().get(0, ())),
+            repair=db.repair_all,
+            audit_clean=lambda: all(clean for clean, _, _ in db.audit_all()),
+        )
         return {
             "shards": n_shards,
             "victim_shard": 0,
@@ -407,14 +335,9 @@ def run_sharded_fault_campaign(base_dir: str, config: ShardedBenchConfig) -> dic
             "traffic_in_flight_at_injection": in_flight,
             "traffic_completed": completed,
             "traffic_errors": traffic_errors,
-            "injected": len(injected),
-            "detected": detected.count(True),
-            "false_negatives": false_negatives,
-            "other_shards_audit_clean": others_clean,
-            "quarantined_regions": quarantined,
-            "repaired_regions": repaired,
-            "post_repair_audit_clean": post_clean,
-            "balances_conserved": conserved,
+            "other_shards_audit_clean": all(clean for clean, _, _ in audits[1:]),
+            **scored,
+            "balances_conserved": db.sum_field("account", "balance") == expected,
         }
     finally:
         db.close()
@@ -523,22 +446,41 @@ def render_sharded_table(points: list[ShardedPoint]) -> str:
     )
 
 
-def run_sharded_benchmark(
-    json_path: str | None,
-    quick: bool = False,
-    base_dir: str | None = None,
-    shard_counts: tuple[int, ...] | None = None,
-) -> int:
-    """CLI driver for ``--sharded``; returns a process exit code."""
-    import tempfile
+# --------------------------------------------------------- registration
 
-    config = ShardedBenchConfig()
-    if quick:
-        config = config.quick()
-    if shard_counts:
-        config = replace(config, shard_counts=shard_counts)
-    workdir = base_dir or tempfile.mkdtemp(prefix="repro-sharded-")
-    try:
+
+def _add_arguments(parser) -> None:
+    parser.add_argument(
+        "--sharded",
+        action="store_true",
+        help="run the shard-per-core scale-up benchmark (process mode: "
+        "throughput and recovery-time curves over 1..N shards, plus a "
+        "sharded fault campaign; exit 1 on any false negative)",
+    )
+    parser.add_argument(
+        "--sharded-json",
+        metavar="PATH",
+        default="BENCH_sharded.json",
+        help="where --sharded writes its JSON artifact "
+        "(default: BENCH_sharded.json)",
+    )
+    parser.add_argument(
+        "--sharded-shards",
+        default=None,
+        help="comma-separated shard counts for the scale-up curve "
+        "(default: 1,2,4; must divide --sharded's branch count of 16)",
+    )
+
+
+def _run(args) -> int:
+    config = ShardedBenchConfig().quick() if args.quick else ShardedBenchConfig()
+    if args.sharded_shards:
+        config = replace(
+            config,
+            shard_counts=tuple(int(s) for s in args.sharded_shards.split(",") if s),
+        )
+
+    def run(workdir: str) -> tuple[dict, list[str]]:
         points = run_sharded_matrix(workdir, config)
         print(render_sharded_table(points))
         print()
@@ -561,78 +503,23 @@ def run_sharded_benchmark(
                 f"{gates['throughput_speedup']}x throughput, "
                 f"recovery ratio {gates['recovery_ratio']}."
             )
-        if json_path:
-            write_bench_json(
-                json_path, sharded_payload(points, campaign, gates, config, quick)
-            )
-            print(f"\nwrote {json_path}")
-        failed = []
+        failures = []
         if campaign["false_negatives"]:
-            failed.append("false negatives in the sharded fault campaign")
+            failures.append("false negatives in the sharded fault campaign")
         if campaign["traffic_errors"]:
-            failed.append("traffic errors on non-victim shards")
+            failures.append("traffic errors on non-victim shards")
         if not gates["conserved"]:
-            failed.append("balance sums not conserved")
-        if not quick:
+            failures.append("balance sums not conserved")
+        if not args.quick:
             if gates["throughput_ok"] is False:
-                failed.append(
+                failures.append(
                     f"throughput speedup {gates['throughput_speedup']}x < 2.5x"
                 )
             if gates["recovery_ok"] is False:
-                failed.append(
-                    f"recovery ratio {gates['recovery_ratio']} > 0.5"
-                )
-        if failed:
-            print()
-            for failure in failed:
-                print(f"GATE: {failure}")
-            return 1
-        return 0
-    finally:
-        if base_dir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+                failures.append(f"recovery ratio {gates['recovery_ratio']} > 0.5")
+        return sharded_payload(points, campaign, gates, config, args.quick), failures
 
-
-# --------------------------------------------------------- registration
-
-
-def _add_arguments(parser) -> None:
-    parser.add_argument(
-        "--sharded",
-        action="store_true",
-        help="run the shard-per-core scale-up benchmark (process mode: "
-        "throughput and recovery-time curves over 1..N shards, plus a "
-        "sharded fault campaign; exit 1 on any false negative)",
-    )
-    parser.add_argument(
-        "--sharded-quick",
-        action="store_true",
-        help="shrink the --sharded matrix for CI smoke runs",
-    )
-    parser.add_argument(
-        "--sharded-json",
-        metavar="PATH",
-        default="BENCH_sharded.json",
-        help="where --sharded writes its JSON artifact "
-        "(default: BENCH_sharded.json)",
-    )
-    parser.add_argument(
-        "--sharded-shards",
-        default=None,
-        help="comma-separated shard counts for the scale-up curve "
-        "(default: 1,2,4; must divide --sharded's branch count of 16)",
-    )
-
-
-def _run(args) -> int:
-    counts = (
-        tuple(int(s) for s in args.sharded_shards.split(",") if s)
-        if args.sharded_shards
-        else None
-    )
-    return run_sharded_benchmark(
-        args.sharded_json, quick=args.sharded_quick, shard_counts=counts
-    )
+    return run_gated("sharded", args.sharded_json, run)
 
 
 SHARDED_SUITE = Suite(

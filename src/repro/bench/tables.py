@@ -28,7 +28,7 @@ from repro.bench.reporting import (
     render_table2,
     write_bench_json,
 )
-from repro.bench.suites import Suite
+from repro.bench.suites import Suite, report_gates
 from repro.bench.tpcb import TPCBConfig
 
 
@@ -197,15 +197,22 @@ def print_fault_campaign(
             ),
         )
     )
-    if result.errors:
-        print(f"\n{len(result.errors)} schedule(s) raised unexpected errors:")
-        for o in result.errors:
-            print(f"  {o.scheme} seed={o.seed} idx={o.index}: {o.error}")
-    if result.false_negatives:
-        print(f"\nFALSE NEGATIVES: {len(result.false_negatives)}")
-    if result.garbage_served:
-        print(f"\nQUARANTINE SERVED GARBAGE: {len(result.garbage_served)}")
     return result
+
+
+def fault_gate_failures(result) -> list[str]:
+    """Every reason the ``--faults`` gate fails, as printable lines."""
+    failures = [
+        f"schedule raised: {o.scheme} seed={o.seed} idx={o.index}: {o.error}"
+        for o in result.errors
+    ]
+    if result.false_negatives:
+        failures.append(f"FALSE NEGATIVES: {len(result.false_negatives)}")
+    if result.garbage_served:
+        failures.append(
+            f"QUARANTINE SERVED GARBAGE: {len(result.garbage_served)}"
+        )
+    return failures
 
 
 # --------------------------------------------------------- registration
@@ -317,11 +324,9 @@ def _run_tables(args: argparse.Namespace) -> int:
             payload["faults"] = campaign.to_payload()
         write_bench_json(args.json, payload)
         print(f"\nwrote {args.json}")
-    if campaign is not None and (
-        campaign.false_negatives or campaign.garbage_served or campaign.errors
-    ):
-        return 1
-    return 0
+    return report_gates(
+        fault_gate_failures(campaign) if campaign is not None else []
+    )
 
 
 def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:

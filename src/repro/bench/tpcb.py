@@ -193,3 +193,76 @@ class TPCBWorkload:
         if self._txn is not None:
             self.db.commit(self._txn)
             self._txn = None
+
+
+# ------------------------------------------------- the sharded TPC-B bank
+#
+# The sharded harnesses partition by branch: row ids are ``branch +
+# branches * j``, so every row of a branch (and every single-branch
+# transaction) lives on the branch's shard.  ``shape`` is any config with
+# ``branches``, ``accounts_per_branch`` and ``tellers_per_branch``.
+
+
+def branch_table_defs(shape, history_capacity: int) -> list[tuple]:
+    """The four tables for :meth:`ShardedDatabase.create`.
+
+    The capacities fix record addresses, which fix which codeword region
+    a wild write lands in.
+    """
+    return [
+        ("account", ACCOUNT_SCHEMA, shape.branches * shape.accounts_per_branch, "aid"),
+        ("teller", TELLER_SCHEMA, shape.branches * shape.tellers_per_branch, "tid"),
+        ("branch", BRANCH_SCHEMA, shape.branches, "bid"),
+        ("history", HISTORY_SCHEMA, history_capacity, "hid"),
+    ]
+
+
+def branch_load_ops(shape, branch: int) -> list:
+    """One shard-local transaction inserting a branch, its tellers and its
+    accounts, all at zero balance."""
+    ops: list = [("insert", "branch", {"bid": branch, "balance": 0})]
+    ops.extend(
+        ("insert", "teller",
+         {"tid": branch + shape.branches * j, "branch_id": branch, "balance": 0})
+        for j in range(shape.tellers_per_branch)
+    )
+    ops.extend(
+        ("insert", "account",
+         {"aid": branch + shape.branches * j, "branch_id": branch, "balance": 0})
+        for j in range(shape.accounts_per_branch)
+    )
+    return ops
+
+
+def branch_txn(
+    shape,
+    rng: random.Random,
+    branch: int,
+    next_hid: int,
+    ops_per_txn: int,
+    hot_accounts: int,
+    max_delta: int,
+) -> tuple[list, int, int]:
+    """One single-branch TPC-B transaction: ``(ops, next_hid, delta_sum)``.
+
+    Each operation adds a delta in ``[-max_delta, max_delta]`` to one of
+    the branch's first ``hot_accounts`` accounts, one of its tellers and
+    the branch, and appends a history row.
+    """
+    ops: list = []
+    delta_sum = 0
+    for _ in range(ops_per_txn):
+        aid = branch + shape.branches * rng.randrange(hot_accounts)
+        tid = branch + shape.branches * rng.randrange(shape.tellers_per_branch)
+        delta = rng.randint(-max_delta, max_delta)
+        delta_sum += delta
+        ops.append(("add", "account", aid, "balance", delta))
+        ops.append(("add", "teller", tid, "balance", delta))
+        ops.append(("add", "branch", branch, "balance", delta))
+        ops.append(
+            ("insert", "history",
+             {"hid": next_hid, "aid": aid, "tid": tid, "bid": branch,
+              "delta": delta})
+        )
+        next_hid += 1
+    return ops, next_hid, delta_sum

@@ -30,6 +30,13 @@ Determinism: every schedule derives its own ``random.Random`` from the
 string ``"{seed}:{scheme}:{index}"`` (string seeding is stable across
 processes, unlike ``hash``), so a campaign is exactly reproducible from
 its spec.
+
+This module is also the campaign kernel every fault harness scores
+with: the :class:`Outcome` base, the seeded schedule loop
+(:func:`run_schedules`), the account bank and its committed-value
+:class:`Ledger`, the convicted-address predicate with the detect ->
+quarantine -> repair -> re-audit tail (:func:`score_injections`), and
+the scoreboard columns and percentile every campaign reports.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from __future__ import annotations
 import os
 import random
 import shutil
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable
 
 from repro.errors import (
     ConfigError,
@@ -50,6 +59,8 @@ from repro.faults.crashpoints import (
     RECOVERY_CRASH_POINTS,
 )
 from repro.faults.injector import FaultInjector
+from repro.storage.database import Database, DBConfig
+from repro.storage.schema import Field, FieldType, Schema
 from repro.txn.transaction import TxnStatus
 
 #: Fault kinds that scribble directly on the in-memory image -- the class
@@ -63,6 +74,252 @@ DEFAULT_SCHEMES = (
     "read_logging",
     "data_cw+cw_read_logging",
 )
+
+#: The campaign bank's one table, ``acct``.
+BANK_SCHEMA = Schema([Field("id", FieldType.INT64), Field("balance", FieldType.INT64)])
+
+
+# ------------------------------------------------------------ the kernel
+
+
+@dataclass
+class Outcome:
+    """Score of one schedule against ground truth (every campaign's fields)."""
+
+    seed: int
+    index: int
+    fault_op: int = -1
+    detection_stage: str = "none"
+    detection_op: int | None = None
+    false_negative: bool = False
+    value_ok: bool = True
+    error: str | None = None
+
+    @property
+    def detection_latency(self) -> int | None:
+        if self.detection_op is None:
+            return None
+        return self.detection_op - self.fault_op
+
+    def on_detect(self, stage: str, op: int) -> None:
+        """Record a detection; the first one wins."""
+        if self.detection_op is None:
+            self.detection_stage = stage
+            self.detection_op = op
+
+
+@dataclass
+class CampaignOutcomes:
+    """A campaign's spec and every schedule outcome, in run order."""
+
+    spec: object
+    outcomes: list = field(default_factory=list)
+
+    @property
+    def false_negatives(self) -> list:
+        return [o for o in self.outcomes if o.false_negative]
+
+    @property
+    def errors(self) -> list:
+        return [o for o in self.outcomes if o.error is not None]
+
+
+def spec_payload(spec) -> dict:
+    """Every field of a campaign spec, JSON-shaped (tuples as lists), so
+    ``SpecClass(**payload)`` reproduces the run."""
+    return {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in asdict(spec).items()
+    }
+
+
+def detection_latencies(rows: Iterable[Outcome]) -> list[int]:
+    """Sorted detection latencies (ops) of the rows that saw a detection."""
+    return sorted(
+        o.detection_latency for o in rows if o.detection_latency is not None
+    )
+
+
+def score_columns(rows: list[Outcome], latencies: list[int]) -> dict:
+    """The scoreboard columns every campaign reports for one group of rows.
+
+    ``latencies`` are the detection latencies the group is scored on (a
+    campaign may score only its in-image faults), so ``detected`` counts
+    exactly those detections.
+    """
+    stages = Counter(o.detection_stage for o in rows)
+    return {
+        "schedules": len(rows),
+        "detected": len(latencies),
+        "false_negatives": sum(1 for o in rows if o.false_negative),
+        "mean_detection_latency_ops": (
+            round(sum(latencies) / len(latencies), 2) if latencies else None
+        ),
+        "stages": dict(sorted(stages.items())),
+        "values_ok": sum(1 for o in rows if o.value_ok),
+        "errors": sum(1 for o in rows if o.error is not None),
+    }
+
+
+def percentile(sorted_values: list, fraction: float) -> float:
+    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
+    if not sorted_values:
+        return 0.0
+    index = min(
+        len(sorted_values) - 1, int(round(fraction * (len(sorted_values) - 1)))
+    )
+    return float(sorted_values[index])
+
+
+def run_schedules(spec, keys: Iterable[str], per_key: int, schedule,
+                  base_dir: str) -> list:
+    """The seeded schedule loop every campaign runs: key -> seed -> index.
+
+    Each schedule gets a fresh directory and its own
+    ``random.Random(f"{seed}:{key}:{index}")``; ``schedule(spec, key,
+    seed, index, work_dir, rng)`` builds it, ``.run()`` returns its
+    outcome and ``.close()`` releases it.  An exception is scored into
+    ``outcome.error``, not raised: one bad schedule must not hide the
+    rest of the campaign's scoreboard.
+    """
+    os.makedirs(base_dir, exist_ok=True)
+    outcomes = []
+    for key in keys:
+        for seed in spec.seeds:
+            for index in range(per_key):
+                work_dir = os.path.join(
+                    base_dir, f"{key.replace('+', '_')}-s{seed}-{index}"
+                )
+                shutil.rmtree(work_dir, ignore_errors=True)
+                os.makedirs(work_dir)
+                rng = random.Random(f"{seed}:{key}:{index}")
+                run = schedule(spec, key, seed, index, work_dir, rng)
+                try:
+                    outcome = run.run()
+                except Exception as exc:  # scored, not raised
+                    run.outcome.error = f"{type(exc).__name__}: {exc}"
+                    outcome = run.outcome
+                finally:
+                    run.close()
+                    shutil.rmtree(work_dir, ignore_errors=True)
+                outcomes.append(outcome)
+    return outcomes
+
+
+class Ledger:
+    """Committed-value ground truth for the bank's accounts.
+
+    ``slots`` maps an account id to its record slot; ``history`` holds
+    every value ever committed to it, initial balance first.  Without a
+    crash the last committed value must be exact; after one (a lost
+    group-commit window, rolled-back or deleted transactions) any value
+    in the history is acceptable, but bytes from outside it are
+    corruption served as data.
+    """
+
+    def __init__(self) -> None:
+        self.slots: dict[int, int] = {}
+        self.history: dict[int, list[int]] = {}
+
+    def commit(self, acct: int, value: int) -> None:
+        self.history[acct].append(value)
+
+    def admits(self, acct: int, value: int, exact: bool = False) -> bool:
+        history = self.history[acct]
+        return value == history[-1] if exact else value in history
+
+    def check(self, db: Database, exact: bool) -> tuple[list[int], list[int]]:
+        """Read every account back: ``(unreadable, wrong)`` account ids.
+
+        Unreadable accounts are still fenced by the protection stack
+        (honest, but not repaired); wrong ones hold a value the ledger
+        does not admit.
+        """
+        table = db.table("acct")
+        unreadable: list[int] = []
+        wrong: list[int] = []
+        for acct, slot in self.slots.items():
+            txn = db.begin()
+            try:
+                row = table.read(txn, slot)
+            except (QuarantinedRegionError, CorruptionDetected):
+                unreadable.append(acct)
+                continue
+            finally:
+                abort_if_active(db, txn)
+            if not self.admits(acct, row["balance"], exact):
+                wrong.append(acct)
+        return unreadable, wrong
+
+
+def abort_if_active(db: Database, txn) -> None:
+    """End a read-only probe transaction a failed read may already have ended."""
+    if txn.status is TxnStatus.ACTIVE:
+        db.abort(txn)
+
+
+def close_quietly(*nodes) -> None:
+    """Release what a schedule opened; a node it crashed may refuse."""
+    for node in nodes:
+        if node is not None:
+            try:
+                node.close()
+            except Exception:
+                pass
+
+
+def open_bank(config: DBConfig, accounts: int,
+              capacity: int) -> tuple[Database, Ledger]:
+    """A started database whose ``acct`` table holds ``accounts`` rows
+    (``balance = 1000 + id``, one committed transaction), plus the ledger
+    that vouches for them.  ``capacity`` fixes the record addresses."""
+    db = Database(config)
+    try:
+        db.create_table("acct", BANK_SCHEMA, capacity=capacity, key_field="id")
+        db.start()
+        ledger = Ledger()
+        table = db.table("acct")
+        txn = db.begin()
+        for i in range(accounts):
+            ledger.slots[i] = table.insert(txn, {"id": i, "balance": 1000 + i})
+            ledger.history[i] = [1000 + i]
+        db.commit(txn)
+    except BaseException:
+        close_quietly(db)
+        raise
+    return db, ledger
+
+
+def convicted(address: int, byte_ranges: Iterable[tuple[int, int]]) -> bool:
+    """Did an audit convict the byte at ``address``?
+
+    ``byte_ranges`` are the ``(start, length)`` spans an audit reported
+    corrupt; an injection whose address falls in none is a miss.
+    """
+    return any(start <= address < start + length for start, length in byte_ranges)
+
+
+def score_injections(addresses: list[int], byte_ranges, quarantined: int,
+                     repair: Callable[[], int],
+                     audit_clean: Callable[[], bool]) -> dict:
+    """Detect -> quarantine -> repair -> re-audit, scored on ground truth.
+
+    ``byte_ranges`` come from the detection audit, ``quarantined`` is the
+    region count that audit fenced; ``repair()`` returns the regions it
+    restored and ``audit_clean()`` re-certifies the repaired image.
+    """
+    detected = sum(1 for address in addresses if convicted(address, byte_ranges))
+    return {
+        "injected": len(addresses),
+        "detected": detected,
+        "false_negatives": len(addresses) - detected,
+        "quarantined_regions": quarantined,
+        "repaired_regions": repair(),
+        "post_repair_audit_clean": audit_clean(),
+    }
+
+
+# ----------------------------------------------------- the fault campaign
 
 
 @dataclass(frozen=True)
@@ -84,54 +341,29 @@ class CampaignSpec:
         return len(self.seeds) * len(self.schemes) * self.schedules_per_config
 
 
-@dataclass
-class ScheduleOutcome:
-    """Score of one schedule against the injector's ground truth."""
+@dataclass(kw_only=True)
+class ScheduleOutcome(Outcome):
+    """One fault-campaign schedule's score."""
 
     scheme: str
-    seed: int
-    index: int
-    fault_kind: str
-    fault_op: int
+    fault_kind: str = ""
     crash_point: str | None = None
     crashed: bool = False
-    detection_stage: str = "none"
-    detection_op: int | None = None
-    false_negative: bool = False
     repaired: bool = False
     repair_ok: bool = True
-    value_ok: bool = True
     quarantine_blocked: int = 0
     quarantine_served_garbage: bool = False
     recovery_reruns: int = 0
     deleted_committed: int = 0
-    error: str | None = None
-
-    @property
-    def detection_latency(self) -> int | None:
-        if self.detection_op is None:
-            return None
-        return self.detection_op - self.fault_op
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(CampaignOutcomes):
     """All schedule outcomes plus the per-scheme scoreboard."""
-
-    spec: CampaignSpec
-    outcomes: list[ScheduleOutcome] = field(default_factory=list)
-
-    @property
-    def false_negatives(self) -> list[ScheduleOutcome]:
-        return [o for o in self.outcomes if o.false_negative]
 
     @property
     def garbage_served(self) -> list[ScheduleOutcome]:
         return [o for o in self.outcomes if o.quarantine_served_garbage]
-
-    @property
-    def errors(self) -> list[ScheduleOutcome]:
-        return [o for o in self.outcomes if o.error is not None]
 
     def scoreboard(self) -> dict[str, dict]:
         """Per-scheme aggregate: detection, latency, repair, quarantine."""
@@ -139,35 +371,17 @@ class CampaignResult:
         for scheme in self.spec.schemes:
             rows = [o for o in self.outcomes if o.scheme == scheme]
             direct = [o for o in rows if o.fault_kind in DIRECT_FAULT_KINDS]
-            latencies = [
-                o.detection_latency
-                for o in direct
-                if o.detection_latency is not None
-            ]
-            stages: dict[str, int] = {}
-            for o in rows:
-                stages[o.detection_stage] = stages.get(o.detection_stage, 0) + 1
+            latencies = detection_latencies(direct)
             repairs = [o for o in rows if o.repaired]
             board[scheme] = {
-                "schedules": len(rows),
+                **score_columns(rows, latencies),
                 "direct_faults": len(direct),
-                "detected": sum(
-                    1 for o in direct if o.detection_op is not None
-                ),
                 "erased": sum(
                     1 for o in direct if o.detection_stage == "erased"
                 ),
-                "false_negatives": sum(1 for o in direct if o.false_negative),
-                "mean_detection_latency_ops": (
-                    round(sum(latencies) / len(latencies), 2)
-                    if latencies
-                    else None
-                ),
                 "max_detection_latency_ops": max(latencies, default=None),
-                "stages": dict(sorted(stages.items())),
                 "repairs": len(repairs),
                 "repairs_ok": sum(1 for o in repairs if o.repair_ok),
-                "values_ok": sum(1 for o in rows if o.value_ok),
                 "quarantine_blocked_reads": sum(
                     o.quarantine_blocked for o in rows
                 ),
@@ -179,22 +393,13 @@ class CampaignResult:
                 "deleted_committed_txns": sum(
                     o.deleted_committed for o in rows
                 ),
-                "errors": sum(1 for o in rows if o.error is not None),
             }
         return board
 
     def to_payload(self) -> dict:
         """JSON-ready summary (merged into ``BENCH_faults.json``)."""
         return {
-            "spec": {
-                "seeds": list(self.spec.seeds),
-                "schemes": list(self.spec.schemes),
-                "schedules_per_config": self.spec.schedules_per_config,
-                "ops_per_schedule": self.spec.ops_per_schedule,
-                "accounts": self.spec.accounts,
-                "region_size": self.spec.region_size,
-                "image_backing": self.spec.image_backing,
-            },
+            "spec": spec_payload(self.spec),
             "schedules": len(self.outcomes),
             "false_negatives": len(self.false_negatives),
             "quarantine_served_garbage": len(self.garbage_served),
@@ -211,42 +416,6 @@ class CampaignResult:
         }
 
 
-class CampaignRunner:
-    """Replays a :class:`CampaignSpec` and scores every schedule."""
-
-    def __init__(self, spec: CampaignSpec, base_dir: str) -> None:
-        self.spec = spec
-        self.base_dir = base_dir
-
-    def run(self) -> CampaignResult:
-        result = CampaignResult(self.spec)
-        for scheme in self.spec.schemes:
-            for seed in self.spec.seeds:
-                for index in range(self.spec.schedules_per_config):
-                    outcome = self._run_schedule(scheme, seed, index)
-                    result.outcomes.append(outcome)
-        return result
-
-    # ------------------------------------------------------- one schedule
-
-    def _run_schedule(self, scheme: str, seed: int, index: int) -> ScheduleOutcome:
-        rng = random.Random(f"{seed}:{scheme}:{index}")
-        safe = scheme.replace("+", "_")
-        db_dir = os.path.join(self.base_dir, f"{safe}-s{seed}-{index}")
-        if os.path.exists(db_dir):
-            shutil.rmtree(db_dir)
-        schedule = _Schedule(self.spec, scheme, seed, index, db_dir, rng)
-        try:
-            return schedule.run()
-        except Exception as exc:  # scored, not raised: one bad schedule
-            # must not hide the rest of the campaign's scoreboard.
-            schedule.outcome.error = f"{type(exc).__name__}: {exc}"
-            return schedule.outcome
-        finally:
-            schedule.close()
-            shutil.rmtree(db_dir, ignore_errors=True)
-
-
 class _Schedule:
     """One randomized schedule: workload, one fault, optional crash."""
 
@@ -257,65 +426,30 @@ class _Schedule:
         self.rng = rng
         self.db = None
         self.injector: FaultInjector | None = None
-        self.slots: dict[int, int] = {}
-        #: Every value ever committed per account id (plus the initial
-        #: balance): after a crash or delete-transaction recovery the
-        #: surviving value must come from this set.
-        self.committed: dict[int, list[int]] = {}
-        self.outcome = ScheduleOutcome(
-            scheme=scheme, seed=seed, index=index, fault_kind="", fault_op=-1
-        )
-
-    # ------------------------------------------------------------- setup
-
-    def _build(self):
-        from repro import Database, DBConfig, Field, FieldType, Schema
-
-        schema = Schema(
-            [Field("id", FieldType.INT64), Field("balance", FieldType.INT64)]
-        )
-        config = DBConfig(
-            dir=self.db_dir,
-            scheme=self.scheme,
-            scheme_params={"region_size": self.spec.region_size},
-            quarantine=True,
-            image_backing=self.spec.image_backing,
-        )
-        db = Database(config)
-        db.create_table("acct", schema, capacity=max(64, self.spec.accounts * 2),
-                        key_field="id")
-        db.start()
-        return db
+        self.ledger: Ledger | None = None
+        self.outcome = ScheduleOutcome(scheme=scheme, seed=seed, index=index)
 
     def close(self) -> None:
-        if self.db is not None:
-            try:
-                self.db.close()
-            except Exception:
-                pass
+        close_quietly(self.db)
 
     @property
     def _logs_reads(self) -> bool:
         return "read_logging" in self.scheme
 
-    def _abort_quietly(self, txn) -> None:
-        if txn.status is TxnStatus.ACTIVE:
-            self.db.abort(txn)
-
     # --------------------------------------------------------------- run
 
     def run(self) -> ScheduleOutcome:
         spec, rng, out = self.spec, self.rng, self.outcome
-        self.db = self._build()
-        table = self.db.table("acct")
-        txn = self.db.begin()
-        for i in range(spec.accounts):
-            balance = 1000 + i
-            self.slots[i] = table.insert(
-                txn, {"id": i, "balance": balance}
-            )
-            self.committed[i] = [balance]
-        self.db.commit(txn)
+        config = DBConfig(
+            dir=self.db_dir,
+            scheme=self.scheme,
+            scheme_params={"region_size": spec.region_size},
+            quarantine=True,
+            image_backing=spec.image_backing,
+        )
+        self.db, self.ledger = open_bank(
+            config, spec.accounts, max(64, spec.accounts * 2)
+        )
         self.db.checkpoint()
         self.injector = FaultInjector(self.db, seed=rng.randrange(2**31))
 
@@ -344,12 +478,12 @@ class _Schedule:
                 if op == checkpoint_op:
                     result = self.db.checkpoint()
                     if not result.certified:
-                        self._on_detect("checkpoint", op)
+                        out.on_detect("checkpoint", op)
                         return self._repair_and_score(result.audit_report)
                 elif op % audit_every == audit_every - 1:
                     report = self.db.audit()
                     if not report.clean:
-                        self._on_detect("audit", op)
+                        out.on_detect("audit", op)
                         return self._repair_and_score(report)
                 else:
                     self._workload_op(op)
@@ -357,7 +491,7 @@ class _Schedule:
                 # First detection on the read path is always the precheck
                 # itself (the quarantine guard can only block regions an
                 # earlier detection already convicted).
-                self._on_detect("precheck", op)
+                out.on_detect("precheck", op)
                 return self._repair_and_score(None)
             except SimulatedCrash:
                 self._crash_and_recover()
@@ -370,11 +504,12 @@ class _Schedule:
         rng = self.rng
         acct = rng.randrange(self.spec.accounts)
         db, table = self.db, self.db.table("acct")
+        slot = self.ledger.slots[acct]
         if rng.random() < 0.6:
             value = rng.randrange(1, 10**6)
             txn = db.begin()
             try:
-                table.update(txn, self.slots[acct], {"balance": value})
+                table.update(txn, slot, {"balance": value})
             except Exception:
                 db.abort(txn)
                 raise
@@ -384,28 +519,29 @@ class _Schedule:
                 # A crash mid-commit-flush: the value may or may not have
                 # become durable.  Either way it is a legitimately
                 # prescribed value, so admit it to the acceptable set.
-                self.committed[acct].append(value)
+                self.ledger.commit(acct, value)
                 raise
-            self.committed[acct].append(value)
+            self.ledger.commit(acct, value)
         else:
             txn = db.begin()
             try:
-                table.read(txn, self.slots[acct])
+                table.read(txn, slot)
             finally:
-                self._abort_quietly(txn)
+                abort_if_active(db, txn)
 
     def _inject(self, op: int) -> None:
         kind, rng, inj = self.outcome.fault_kind, self.rng, self.injector
+        slots = self.ledger.slots
         if kind == "corrupt_record":
             acct = rng.randrange(self.spec.accounts)
-            inj.corrupt_record("acct", self.slots[acct])
+            inj.corrupt_record("acct", slots[acct])
         elif kind == "wild_write":
             inj.wild_write(length=rng.choice([1, 4, 8, 16]))
         elif kind == "bit_flip":
             inj.bit_flip()
         elif kind == "copy_overrun":
             acct = rng.randrange(self.spec.accounts)
-            inj.copy_overrun("acct", self.slots[acct], overrun=rng.choice([4, 8, 16]))
+            inj.copy_overrun("acct", slots[acct], overrun=rng.choice([4, 8, 16]))
         elif kind == "torn_crash":
             # A real crash whose final flush is torn: crash first (the
             # append handle must be closed before the file is cut).
@@ -424,8 +560,6 @@ class _Schedule:
         self._reopen()
 
     def _reopen(self) -> None:
-        from repro import Database
-
         config = self.db.config
         # The registry rides across the crash so a recovery crash point
         # armed before crash_with_corruption fires mid-recovery; it is
@@ -442,11 +576,6 @@ class _Schedule:
 
     # ------------------------------------------------------------ scoring
 
-    def _on_detect(self, stage: str, op: int) -> None:
-        if self.outcome.detection_op is None:
-            self.outcome.detection_stage = stage
-            self.outcome.detection_op = op
-
     def _full_audit(self):
         """Ground-truth audit: full sweep, no quarantine skip."""
         return self.db.auditor.run()
@@ -460,7 +589,7 @@ class _Schedule:
             if event.kind == "torn_flush":
                 continue
             lo, hi = event.address, event.address + event.length
-            for acct, slot in self.slots.items():
+            for acct, slot in self.ledger.slots.items():
                 start = table.record_address(slot)
                 if start < hi and lo < start + size:
                     hits.append(acct)
@@ -473,7 +602,7 @@ class _Schedule:
         maintainer = db.pipeline.maintainer
         cw_table = maintainer.table
         for acct in self._affected_accounts():
-            slot = self.slots[acct]
+            slot = self.ledger.slots[acct]
             start = table.record_address(slot)
             regions = cw_table.regions_spanning(start, table.schema.record_size)
             if not maintainer.quarantined.intersection(regions):
@@ -484,10 +613,10 @@ class _Schedule:
             except QuarantinedRegionError:
                 out.quarantine_blocked += 1
             else:
-                if row["balance"] not in self.committed[acct]:
+                if not self.ledger.admits(acct, row["balance"]):
                     out.quarantine_served_garbage = True
             finally:
-                self._abort_quietly(txn)
+                abort_if_active(db, txn)
 
     def _repair_and_score(self, report) -> ScheduleOutcome:
         """Detection happened: quarantine-probe, repair, verify."""
@@ -527,7 +656,7 @@ class _Schedule:
         out = self.outcome
         final = self._full_audit()
         if not final.clean:
-            self._on_detect("audit", self.spec.ops_per_schedule)
+            out.on_detect("audit", self.spec.ops_per_schedule)
             return self._repair_and_score(final)
         if out.fault_kind in DIRECT_FAULT_KINDS and out.detection_op is None:
             if out.crashed:
@@ -540,35 +669,20 @@ class _Schedule:
         return out
 
     def _score_values(self) -> None:
-        """Committed values must survive repair/recovery.
-
-        Without a crash the last committed value must be exact; after a
-        crash (lost group-commit window, rolled-back or deleted
-        transactions) any value this schedule ever committed -- including
-        the initial balance -- is acceptable, but bytes from outside that
-        set are corruption served as data.
-        """
-        db, out = self.db, self.outcome
-        table = db.table("acct")
-        exact = not out.crashed
-        for acct, slot in self.slots.items():
-            txn = db.begin()
-            try:
-                row = table.read(txn, slot)
-            except (QuarantinedRegionError, CorruptionDetected):
-                # Still fenced: honest, but the repair did not finish.
-                out.repair_ok = False
-                continue
-            finally:
-                self._abort_quietly(txn)
-            if exact:
-                if row["balance"] != self.committed[acct][-1]:
-                    out.value_ok = False
-            elif row["balance"] not in self.committed[acct]:
-                out.value_ok = False
+        """Committed values must survive repair/recovery; an account the
+        stack still fences is honest, but the repair did not finish."""
+        out = self.outcome
+        unreadable, wrong = self.ledger.check(self.db, exact=not out.crashed)
+        if unreadable:
+            out.repair_ok = False
+        if wrong:
+            out.value_ok = False
 
 
 def run_campaign(spec: CampaignSpec, base_dir: str) -> CampaignResult:
-    """Convenience wrapper: build a runner and run the whole campaign."""
-    os.makedirs(base_dir, exist_ok=True)
-    return CampaignRunner(spec, base_dir).run()
+    """Run every schedule of ``spec`` under ``base_dir`` and score it."""
+    return CampaignResult(
+        spec,
+        run_schedules(spec, spec.schemes, spec.schedules_per_config,
+                      _Schedule, base_dir),
+    )

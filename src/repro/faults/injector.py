@@ -26,29 +26,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _frame_starts(path: str) -> list[int]:
-    """Byte offset of every decodable ``(lsn, frame)`` in a stable log.
+    """Byte offset of every verified ``(lsn, frame)`` in a stable log.
 
-    Walks the file exactly like :meth:`SystemLog.scan` (8-byte LSN header
-    then a CRC-framed record), stopping at the first undecodable frame,
+    Walks the file with :func:`~repro.wal.system_log.walk_frames`, the
+    walk :meth:`SystemLog.scan` uses, stopping at the first torn frame,
     so trailing torn-tail garbage is not counted as a frame.
     """
     # Imported here, not at module top: the system log itself imports
     # ``repro.faults`` (for crash points), so a top-level wal import
     # would be circular.
-    from repro.wal.records import decode_record
+    from repro.wal.system_log import PAYLOAD_OFFSET, walk_frames
 
     with open(path, "rb") as handle:
         view = memoryview(handle.read())
-    size = len(view)
     starts: list[int] = []
-    offset = 0
-    while offset + 8 <= size:
-        start = offset
-        try:
-            _record, offset = decode_record(view, offset + 8, frozenset())
-        except LogError:
-            break
-        starts.append(start)
+    try:
+        for _lsn, _code, pos, _end in walk_frames(view):
+            starts.append(pos - PAYLOAD_OFFSET)
+    except LogError:
+        pass
     return starts
 
 
@@ -252,6 +248,21 @@ class FaultInjector:
         """Random bytes guaranteed to differ from current content."""
         current = self.db.memory.read(address, length)
         while True:
-            data = bytes(self.rng.randrange(256) for _ in range(length))
+            data = wild_payload(self.rng, length)
             if data != current:
                 return data
+
+
+def wild_payload(rng: random.Random, length: int) -> bytes:
+    """``length`` random bytes from ``rng``: one wild write's scribble.
+
+    The payload must vary per injection: the audit folds a region with
+    XOR, so two *identical* scribbles over identical old bytes in the
+    same region cancel exactly and the corruption becomes invisible by
+    construction (and re-scribbling an address with the same bytes is
+    not a state change at all).  Unique random payloads make
+    cancellation a 2^-(8 * length) coincidence instead of a certainty,
+    which is also the realistic model -- a wild pointer does not write
+    the same sentinel twice.
+    """
+    return bytes(rng.randrange(256) for _ in range(length))

@@ -54,15 +54,24 @@ from __future__ import annotations
 
 import os
 import random
-import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     CorruptionDetected,
     PromotionError,
     QuarantinedRegionError,
-    ReproError,
     SimulatedCrash,
+)
+from repro.faults.campaign import (
+    CampaignOutcomes,
+    Outcome,
+    close_quietly,
+    detection_latencies,
+    open_bank,
+    percentile,
+    run_schedules,
+    score_columns,
+    spec_payload,
 )
 from repro.faults.crashpoints import (
     CrashPointRegistry,
@@ -72,6 +81,7 @@ from repro.faults.injector import FaultInjector
 from repro.replication.replica import Replica
 from repro.replication.shipper import LogShipper
 from repro.replication.transport import ShipTransport
+from repro.storage.database import DBConfig
 
 #: One schedule per (kind, seed, index).
 REPLICATION_FAULT_KINDS = (
@@ -132,21 +142,18 @@ class ReplicationCampaignSpec:
         return len(self.seeds) * len(self.kinds) * self.schedules_per_kind
 
 
-@dataclass
-class ReplicationOutcome:
-    """Score of one schedule against ground truth."""
+@dataclass(kw_only=True)
+class ReplicationOutcome(Outcome):
+    """Score of one schedule against ground truth.
+
+    ``detection_stage`` is one of "replay_checksum" | "audit" | "digest" |
+    "transport" | "primary_certify" | "primary_inline" | "promote_sweep" |
+    "none".
+    """
 
     kind: str
-    seed: int
-    index: int
-    fault_op: int = -1
-    #: "replay_checksum" | "audit" | "digest" | "transport" |
-    #: "primary_certify" | "primary_inline" | "promote_sweep" | "none"
-    detection_stage: str = "none"
-    detection_op: int | None = None
     #: Divergence classification when the digest channel fired.
     classification: str = ""
-    false_negative: bool = False
     #: Transport kinds: did the protocol converge despite the fault?
     tolerated: bool = True
     promoted: bool = False
@@ -155,31 +162,16 @@ class ReplicationOutcome:
     crashes: int = 0
     lost_commit_window: int | None = None
     lost_window_bound: int = 0
-    value_ok: bool = True
     #: ``primary_wild_write_cold`` only: ops the *single-node* arm needed
     #: to catch the same fault (its final full sweep).
     single_node_latency: int | None = None
     retransmits: int = 0
     transport_errors: int = 0
-    error: str | None = None
-
-    @property
-    def detection_latency(self) -> int | None:
-        if self.detection_op is None:
-            return None
-        return self.detection_op - self.fault_op
 
 
 @dataclass
-class ReplicationCampaignResult:
+class ReplicationCampaignResult(CampaignOutcomes):
     """All outcomes plus the aggregate scoreboard."""
-
-    spec: ReplicationCampaignSpec
-    outcomes: list[ReplicationOutcome] = field(default_factory=list)
-
-    @property
-    def false_negatives(self) -> list[ReplicationOutcome]:
-        return [o for o in self.outcomes if o.false_negative]
 
     @property
     def tolerance_failures(self) -> list[ReplicationOutcome]:
@@ -193,28 +185,18 @@ class ReplicationCampaignResult:
     def uncertified(self) -> list[ReplicationOutcome]:
         return [o for o in self.outcomes if o.error is None and not o.certified]
 
-    @property
-    def errors(self) -> list[ReplicationOutcome]:
-        return [o for o in self.outcomes if o.error is not None]
-
-    def detection_latencies(self) -> list[int]:
-        return sorted(
-            o.detection_latency
-            for o in self.outcomes
-            if o.kind in CORRUPTION_KINDS and o.detection_latency is not None
-        )
-
     def latency_percentiles(self) -> dict[str, float | None]:
         """p50/p90/max of replica-side detection latency, in workload ops."""
-        latencies = self.detection_latencies()
+        latencies = detection_latencies(
+            o for o in self.outcomes if o.kind in CORRUPTION_KINDS
+        )
         if not latencies:
             return {"p50": None, "p90": None, "max": None}
-
-        def pct(p: float) -> float:
-            i = min(len(latencies) - 1, int(round(p * (len(latencies) - 1))))
-            return float(latencies[i])
-
-        return {"p50": pct(0.5), "p90": pct(0.9), "max": float(latencies[-1])}
+        return {
+            "p50": percentile(latencies, 0.5),
+            "p90": percentile(latencies, 0.9),
+            "max": float(latencies[-1]),
+        }
 
     def cold_comparison(self) -> dict:
         """Replica digest latency vs single-node full-sweep latency."""
@@ -251,23 +233,9 @@ class ReplicationCampaignResult:
         board: dict[str, dict] = {}
         for kind in self.spec.kinds:
             rows = [o for o in self.outcomes if o.kind == kind]
-            latencies = [
-                o.detection_latency
-                for o in rows
-                if o.detection_latency is not None
-            ]
-            stages: dict[str, int] = {}
-            for o in rows:
-                stages[o.detection_stage] = stages.get(o.detection_stage, 0) + 1
             board[kind] = {
-                "schedules": len(rows),
-                "detected": sum(1 for o in rows if o.detection_op is not None),
-                "false_negatives": sum(1 for o in rows if o.false_negative),
+                **score_columns(rows, detection_latencies(rows)),
                 "tolerated": sum(1 for o in rows if o.tolerated),
-                "mean_detection_latency_ops": (
-                    round(sum(latencies) / len(latencies), 2) if latencies else None
-                ),
-                "stages": dict(sorted(stages.items())),
                 "promoted": sum(1 for o in rows if o.promoted),
                 "certified": sum(1 for o in rows if o.certified),
                 "promote_retries": sum(o.promote_retries for o in rows),
@@ -275,26 +243,13 @@ class ReplicationCampaignResult:
                 "max_lost_commit_window": max(
                     (o.lost_commit_window or 0 for o in rows), default=0
                 ),
-                "values_ok": sum(1 for o in rows if o.value_ok),
                 "retransmits": sum(o.retransmits for o in rows),
-                "errors": sum(1 for o in rows if o.error is not None),
             }
         return board
 
     def to_payload(self) -> dict:
         return {
-            "spec": {
-                "seeds": list(self.spec.seeds),
-                "kinds": list(self.spec.kinds),
-                "schedules_per_kind": self.spec.schedules_per_kind,
-                "scheme": self.spec.scheme,
-                "ops_per_schedule": self.spec.ops_per_schedule,
-                "accounts": self.spec.accounts,
-                "region_size": self.spec.region_size,
-                "checkpoint_every": self.spec.checkpoint_every,
-                "window": self.spec.window,
-                "batch_records": self.spec.batch_records,
-            },
+            "spec": spec_payload(self.spec),
             "schedules": len(self.outcomes),
             "false_negatives": len(self.false_negatives),
             "tolerance_failures": len(self.tolerance_failures),
@@ -310,45 +265,14 @@ class ReplicationCampaignResult:
         }
 
 
-class ReplicationCampaignRunner:
-    """Replays a :class:`ReplicationCampaignSpec` and scores it."""
-
-    def __init__(self, spec: ReplicationCampaignSpec, base_dir: str) -> None:
-        self.spec = spec
-        self.base_dir = base_dir
-
-    def run(self) -> ReplicationCampaignResult:
-        result = ReplicationCampaignResult(self.spec)
-        for kind in self.spec.kinds:
-            for seed in self.spec.seeds:
-                for index in range(self.spec.schedules_per_kind):
-                    result.outcomes.append(self._run_schedule(kind, seed, index))
-        return result
-
-    def _run_schedule(self, kind: str, seed: int, index: int) -> ReplicationOutcome:
-        work_dir = os.path.join(self.base_dir, f"{kind}-s{seed}-{index}")
-        if os.path.exists(work_dir):
-            shutil.rmtree(work_dir)
-        os.makedirs(work_dir)
-        schedule = _ReplicationSchedule(self.spec, kind, seed, index, work_dir)
-        try:
-            return schedule.run()
-        except Exception as exc:  # scored, not raised
-            schedule.outcome.error = f"{type(exc).__name__}: {exc}"
-            return schedule.outcome
-        finally:
-            schedule.close()
-            shutil.rmtree(work_dir, ignore_errors=True)
-
-
 class _ReplicationSchedule:
     """One schedule: primary + standby, one fault, death, failover."""
 
-    def __init__(self, spec, kind, seed, index, work_dir) -> None:
+    def __init__(self, spec, kind, seed, index, work_dir, rng) -> None:
         self.spec = spec
         self.kind = kind
         self.work_dir = work_dir
-        self.rng = random.Random(f"{seed}:{kind}:{index}")
+        self.rng = rng
         self.outcome = ReplicationOutcome(kind=kind, seed=seed, index=index)
         self.db = None
         self.replica: Replica | None = None
@@ -356,15 +280,12 @@ class _ReplicationSchedule:
         self.transport = ShipTransport()
         self.replica_registry = CrashPointRegistry()
         self.injector: FaultInjector | None = None
-        self.slots: dict[int, int] = {}
-        self.committed: dict[int, list[int]] = {}
+        self.ledger = None
         self.primary_dead = False
 
     # ------------------------------------------------------------- setup
 
-    def _db_config(self, name: str):
-        from repro import DBConfig
-
+    def _db_config(self, name: str) -> DBConfig:
         return DBConfig(
             dir=os.path.join(self.work_dir, name),
             scheme=self.spec.scheme,
@@ -378,31 +299,13 @@ class _ReplicationSchedule:
             full_sweep_every=1000,
         )
 
-    def _build_primary(self):
-        from repro import Database, Field, FieldType, Schema
-
-        schema = Schema(
-            [Field("id", FieldType.INT64), Field("balance", FieldType.INT64)]
+    def _open_bank(self, name: str):
+        return open_bank(
+            self._db_config(name), self.spec.accounts, max(64, self.spec.accounts * 4)
         )
-        db = Database(self._db_config("primary"))
-        db.create_table(
-            "acct", schema, capacity=max(64, self.spec.accounts * 4), key_field="id"
-        )
-        db.start()
-        return db
 
     def close(self) -> None:
-        for node in (self.replica, ):
-            if node is not None:
-                try:
-                    node.close()
-                except Exception:
-                    pass
-        if self.db is not None:
-            try:
-                self.db.close()
-            except Exception:
-                pass
+        close_quietly(self.replica, self.db)
 
     # --------------------------------------------------------------- run
 
@@ -410,14 +313,8 @@ class _ReplicationSchedule:
         from repro.recovery.archive import create_archive
 
         spec, rng, out = self.spec, self.rng, self.outcome
-        self.db = self._build_primary()
+        self.db, self.ledger = self._open_bank("primary")
         table = self.db.table("acct")
-        txn = self.db.begin()
-        for i in range(spec.accounts):
-            balance = 1000 + i
-            self.slots[i] = table.insert(txn, {"id": i, "balance": balance})
-            self.committed[i] = [balance]
-        self.db.commit(txn)
         archive_dir = os.path.join(self.work_dir, "archive")
         create_archive(self.db, archive_dir)
         self.injector = FaultInjector(self.db, seed=rng.randrange(2**31))
@@ -457,7 +354,7 @@ class _ReplicationSchedule:
                 # The primary's own stack caught it inline; stop the
                 # primary and fail over -- the replica must still hold
                 # every committed value.
-                self._on_detect("primary_inline", op)
+                out.on_detect("primary_inline", op)
                 break
             self._pump(op)
             self._poll_detection(op)
@@ -470,7 +367,7 @@ class _ReplicationSchedule:
         if op % self.spec.checkpoint_every == self.spec.checkpoint_every - 1:
             result = self.db.checkpoint()
             if not result.certified:
-                self._on_detect("primary_certify", op)
+                self.outcome.on_detect("primary_certify", op)
                 raise CorruptionDetected(
                     list(result.audit_report.corrupt_regions)
                     if result.audit_report
@@ -480,12 +377,12 @@ class _ReplicationSchedule:
             return
         txn = self.db.begin()
         try:
-            table.update(txn, self.slots[acct], {"balance": value})
+            table.update(txn, self.ledger.slots[acct], {"balance": value})
         except Exception:
             self.db.abort(txn)
             raise
         self.db.commit(txn)
-        self.committed[acct].append(value)
+        self.ledger.commit(acct, value)
 
     # ------------------------------------------------------------- faults
 
@@ -496,7 +393,7 @@ class _ReplicationSchedule:
             # this account exercises the first-touch replay-checksum path.
             target = acct_seq[min(op + 1, len(acct_seq) - 1)]
             self.injector.wild_write(
-                address=table.record_address(self.slots[target]),
+                address=table.record_address(self.ledger.slots[target]),
                 length=table.schema.record_size,
             )
         elif kind == "primary_wild_write_cold":
@@ -510,7 +407,7 @@ class _ReplicationSchedule:
             target = rng.randrange(self.spec.accounts)
             replica_table = self.replica.db.table("acct")
             FaultInjector(self.replica.db, seed=rng.randrange(2**31)).wild_write(
-                address=replica_table.record_address(self.slots[target]),
+                address=replica_table.record_address(self.ledger.slots[target]),
                 length=16,
             )
         elif kind == "ship_drop":
@@ -540,6 +437,10 @@ class _ReplicationSchedule:
             self._replica_crash_recover()
 
     def _replica_crash_recover(self) -> None:
+        self._reopen_replica()
+        self.shipper.resync(self.replica)
+
+    def _reopen_replica(self) -> None:
         self.outcome.crashes += 1
         self.replica.crash()
         self.replica = Replica.reopen(
@@ -547,7 +448,6 @@ class _ReplicationSchedule:
             crashpoints=self.replica_registry,
             audit_every=self.spec.audit_every_batches,
         )
-        self.shipper.resync(self.replica)
 
     def _poll_detection(self, op: int) -> None:
         out, replica = self.outcome, self.replica
@@ -555,17 +455,12 @@ class _ReplicationSchedule:
             return
         if replica.detections:
             first = replica.detections[0]
-            self._on_detect(first.channel, op)
+            out.on_detect(first.channel, op)
             diverged = replica.divergence.diverged
             if diverged:
                 out.classification = diverged[0].classification
         elif replica.divergence.transport_errors:
-            self._on_detect("transport", op)
-
-    def _on_detect(self, stage: str, op: int) -> None:
-        if self.outcome.detection_op is None:
-            self.outcome.detection_stage = stage
-            self.outcome.detection_op = op
+            out.on_detect("transport", op)
 
     # ----------------------------------------------------------- failover
 
@@ -582,9 +477,9 @@ class _ReplicationSchedule:
                 acct = self.rng.randrange(spec.accounts)
                 value = self.rng.randrange(1, 10**6)
                 txn = self.db.begin()
-                table.update(txn, self.slots[acct], {"balance": value})
+                table.update(txn, self.ledger.slots[acct], {"balance": value})
                 self.db.commit(txn)
-                self.committed[acct].append(value)
+                self.ledger.commit(acct, value)
             self.transport.arm_fault("drop")
             self._pump(end_op)
         elif out.detection_stage not in ("primary_inline", "primary_certify"):
@@ -593,7 +488,7 @@ class _ReplicationSchedule:
             try:
                 self._workload_op(table, 0, 0, spec.checkpoint_every - 1)
             except (QuarantinedRegionError, CorruptionDetected):
-                self._on_detect("primary_certify", end_op)
+                out.on_detect("primary_certify", end_op)
             for _ in range(50):
                 if self.shipper.caught_up:
                     break
@@ -632,17 +527,11 @@ class _ReplicationSchedule:
                 # and log, then certify again.
                 out.promote_retries += 1
                 if out.detection_op is None:
-                    self._on_detect("promote_sweep", self.spec.ops_per_schedule)
+                    out.on_detect("promote_sweep", self.spec.ops_per_schedule)
                 self.replica.repair()
             except SimulatedCrash:
-                out.crashes += 1
                 out.promote_retries += 1
-                self.replica.crash()
-                self.replica = Replica.reopen(
-                    self.replica_config,
-                    crashpoints=self.replica_registry,
-                    audit_every=self.spec.audit_every_batches,
-                )
+                self._reopen_replica()
         raise PromotionError("promotion did not converge within 6 attempts")
 
     # ------------------------------------------------------------ scoring
@@ -683,25 +572,9 @@ class _ReplicationSchedule:
             and not out.lost_commit_window
             and out.detection_stage not in ("primary_inline", "primary_certify")
         )
-        db = self.replica.db
-        table = db.table("acct")
-        for acct, slot in self.slots.items():
-            txn = db.begin()
-            try:
-                row = table.read(txn, slot)
-            except ReproError:
-                out.value_ok = False
-                continue
-            finally:
-                try:
-                    db.abort(txn)
-                except ReproError:
-                    pass
-            if exact:
-                if row["balance"] != self.committed[acct][-1]:
-                    out.value_ok = False
-            elif row["balance"] not in self.committed[acct]:
-                out.value_ok = False
+        unreadable, wrong = self.ledger.check(self.replica.db, exact)
+        if unreadable or wrong:
+            out.value_ok = False
 
     def _single_node_cold_latency(self) -> int:
         """The comparison arm: same fault, no replica watching.
@@ -713,34 +586,11 @@ class _ReplicationSchedule:
         surfaces only at the end-of-schedule full sweep -- the latency
         the replica's digest channel must strictly beat.
         """
-        from repro import Database, DBConfig, Field, FieldType, Schema
-
         spec, out = self.spec, self.outcome
         rng = random.Random(f"single:{out.seed}:{out.index}")
-        config = DBConfig(
-            dir=os.path.join(self.work_dir, "single"),
-            scheme=spec.scheme,
-            scheme_params={"region_size": spec.region_size},
-            quarantine=True,
-            audit_mode="incremental",
-            full_sweep_every=1000,
-        )
-        schema = Schema(
-            [Field("id", FieldType.INT64), Field("balance", FieldType.INT64)]
-        )
-        db = Database(config)
-        db.create_table(
-            "acct", schema, capacity=max(64, spec.accounts * 4), key_field="id"
-        )
-        db.start()
+        db, ledger = self._open_bank("single")
         try:
             table = db.table("acct")
-            txn = db.begin()
-            slots = {
-                i: table.insert(txn, {"id": i, "balance": 1000 + i})
-                for i in range(spec.accounts)
-            }
-            db.commit(txn)
             db.checkpoint()
             injector = FaultInjector(db, seed=rng.randrange(2**31))
             detection_op: int | None = None
@@ -759,7 +609,7 @@ class _ReplicationSchedule:
                     acct = rng.randrange(spec.accounts)
                     txn = db.begin()
                     table.update(
-                        txn, slots[acct], {"balance": rng.randrange(1, 10**6)}
+                        txn, ledger.slots[acct], {"balance": rng.randrange(1, 10**6)}
                     )
                     db.commit(txn)
             if detection_op is None:
@@ -771,15 +621,15 @@ class _ReplicationSchedule:
                     detection_op = spec.ops_per_schedule + 1
             return detection_op - out.fault_op
         finally:
-            try:
-                db.close()
-            except Exception:
-                pass
+            close_quietly(db)
 
 
 def run_replication_campaign(
     spec: ReplicationCampaignSpec, base_dir: str
 ) -> ReplicationCampaignResult:
-    """Convenience wrapper: build a runner and run the whole campaign."""
-    os.makedirs(base_dir, exist_ok=True)
-    return ReplicationCampaignRunner(spec, base_dir).run()
+    """Run every schedule of ``spec`` under ``base_dir`` and score it."""
+    return ReplicationCampaignResult(
+        spec,
+        run_schedules(spec, spec.kinds, spec.schedules_per_kind,
+                      _ReplicationSchedule, base_dir),
+    )

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -49,8 +48,8 @@ from repro.recovery.checkpoint import ANCHOR_FILE
 from repro.recovery.restart import RecoveryReport, RestartRecovery
 from repro.replication.divergence import DivergenceDetector
 from repro.replication.transport import KIND_DIGEST, KIND_RECORDS, ShipBatch
-from repro.wal.records import UpdateRecord, decode_record
-from repro.wal.system_log import SystemLog, decode_frames
+from repro.wal.records import UpdateRecord
+from repro.wal.system_log import PAYLOAD_OFFSET, SystemLog, decode_frames, walk_frames
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.audit import AuditReport
@@ -61,26 +60,20 @@ import numpy as np
 #: The replica's private audit-bracket log (never shipped, never replayed).
 REPLICA_AUDIT_LOG = "replica_audit.log"
 
-_LSN = struct.Struct("<Q")
-_SKIP = frozenset()
-
 
 def _first_frame_at(payload: bytes, from_lsn: int) -> int:
     """Byte offset of the first frame with ``lsn >= from_lsn``.
 
     Retransmitted batches can overlap what a crashed-and-reopened replica
     already has durable; the already-ingested prefix is sliced off by
-    LSN (the idempotence key) before a byte touches the log.
+    LSN (the idempotence key) before a byte touches the log.  Shipped
+    batches are verbatim stable-log frames, so the skipped prefix is
+    CRC-checked like any other walk of them.
     """
-    view = memoryview(payload)
-    size = len(view)
-    offset = 0
-    while offset + 8 <= size:
-        (lsn,) = _LSN.unpack_from(view, offset)
+    for lsn, _code, pos, _end in walk_frames(memoryview(payload)):
         if lsn >= from_lsn:
-            break
-        _record, offset = decode_record(view, offset + 8, _SKIP)
-    return offset
+            return pos - PAYLOAD_OFFSET
+    return len(payload)
 
 
 @dataclass(frozen=True)

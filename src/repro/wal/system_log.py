@@ -35,9 +35,9 @@ from repro.wal.records import LogRecord, decode_payload, encode_into, type_codes
 _LSN_HEADER = struct.Struct("<Q")
 _FRAME_HEAD = struct.Struct("<QI")  # the LSN header plus the record frame's u32 length
 _CRC = struct.Struct("<I")
-#: A frame occupies ``[payload start - _PAYLOAD_OFFSET, body end + _CRC.size)``:
+#: A frame occupies ``[payload start - PAYLOAD_OFFSET, body end + _CRC.size)``:
 #: LSN, length and the type byte precede the payload, the CRC follows the body.
-_PAYLOAD_OFFSET = _FRAME_HEAD.size + 1
+PAYLOAD_OFFSET = _FRAME_HEAD.size + 1
 
 
 class _TornFrame(LogError):
@@ -327,7 +327,7 @@ class SystemLog:
                     break
                 if lsn >= from_lsn:
                     if count == 0:
-                        start = pos - _PAYLOAD_OFFSET
+                        start = pos - PAYLOAD_OFFSET
                         first_lsn = lsn
                     count += 1
                     stop = end + _CRC.size

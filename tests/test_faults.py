@@ -154,6 +154,20 @@ class TestTearLogTailFrames:
         assert not after.torn_tail_detected
         after.close()
 
+    def test_frame_tear_also_drops_trailing_torn_garbage(self, db):
+        insert_accounts(db, 3)
+        db.crash()
+        before = SystemLog(db.system_log.path, db.meter)
+        count = len(list(before.scan(strict=True)))
+        before.close()
+        with open(db.system_log.path, "ab") as handle:
+            handle.write(b"\xff" * 13)  # a torn frame: header, no body
+        tear_log_tail(db.system_log.path, frames=1)
+        after = SystemLog(db.system_log.path, db.meter)
+        # Cut at the last whole frame's start: the garbage goes with it.
+        assert len(list(after.scan(strict=True))) == count - 1
+        after.close()
+
 
 class TestGroupCommitLoss:
     def test_frame_tear_swallows_buffered_commit_undetectably(self, tmp_path):

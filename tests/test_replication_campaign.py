@@ -2,13 +2,16 @@
 
 One seed over a representative slice of the fault matrix -- the full
 3-seed x 11-kind matrix runs under ``python -m repro.bench
---replication`` (and the CI ``replication-bench`` job).
+--replication`` (and the CI ``fault-harness gates`` job).
 """
 
 from __future__ import annotations
 
+import json
+
 from repro.bench.replication import gate_failures, replication_payload
 from repro.replication.campaign import (
+    ReplicationCampaignResult,
     ReplicationCampaignSpec,
     run_replication_campaign,
 )
@@ -49,3 +52,11 @@ def test_small_campaign_gate_holds(tmp_path):
     payload = replication_payload(result, quick=True)
     assert payload["false_negatives"] == 0
     assert payload["detection_latency_ops"]["max"] is not None
+
+
+def test_payload_spec_reproduces_the_run():
+    spec = ReplicationCampaignSpec(seeds=(7,), audit_every_batches=2)
+    payload = json.loads(json.dumps(ReplicationCampaignResult(spec).to_payload()))
+    rebuilt = ReplicationCampaignSpec(**payload["spec"])
+    assert rebuilt.audit_every_batches == 2
+    assert ReplicationCampaignResult(rebuilt).to_payload()["spec"] == payload["spec"]
