@@ -464,21 +464,10 @@ def _add_arguments(parser) -> None:
         help="where --sharded writes its JSON artifact "
         "(default: BENCH_sharded.json)",
     )
-    parser.add_argument(
-        "--sharded-shards",
-        default=None,
-        help="comma-separated shard counts for the scale-up curve "
-        "(default: 1,2,4; must divide --sharded's branch count of 16)",
-    )
 
 
 def _run(args) -> int:
     config = ShardedBenchConfig().quick() if args.quick else ShardedBenchConfig()
-    if args.sharded_shards:
-        config = replace(
-            config,
-            shard_counts=tuple(int(s) for s in args.sharded_shards.split(",") if s),
-        )
 
     def run(workdir: str) -> tuple[dict, list[str]]:
         points = run_sharded_matrix(workdir, config)

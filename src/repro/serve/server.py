@@ -136,7 +136,19 @@ class Server:
                 )
             self.requests_admitted += 1
         if turn is not None:
-            turn.acquire()  # parked until a finishing request hands over its slot
+            try:
+                turn.acquire()  # parked until a finishing request hands over its slot
+            except BaseException:
+                # Interrupted while parked: leave the queue, or pass on a
+                # slot that was already handed over, so it is not lost.
+                with self._guard:
+                    if turn in self._waiters:
+                        self._waiters.remove(turn)
+                    elif self._waiters:
+                        self._waiters.popleft().release()
+                    else:
+                        self._executing -= 1
+                raise
         try:
             return session.execute(request)
         finally:

@@ -21,7 +21,6 @@ twin, ending in a prepare vote instead of a commit.
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 from repro.core.codeword import fold_words
 from repro.errors import ConfigError, ReproError, SimulatedCrash
@@ -41,37 +40,49 @@ class ShardCore:
     # ------------------------------------------------------ construction
 
     @classmethod
-    def create(
+    def open(
         cls,
         config: DBConfig,
-        table_defs: list[tuple],
+        table_defs: list[tuple] | None = None,
+        committed: frozenset = frozenset(),
         crashpoints: CrashPointRegistry | None = None,
-    ) -> "ShardCore":
-        """Build and start a fresh shard database."""
-        db = Database(config, crashpoints=crashpoints)
-        for name, schema, capacity, key_field in table_defs:
-            db.create_table(name, schema, capacity, key_field=key_field)
-        db.start()
-        return cls(db)
+    ) -> tuple["ShardCore", dict | None]:
+        """Build and start a fresh shard (``table_defs`` given) or recover
+        one from its directory; returns ``(core, summary)``.
 
-    @classmethod
-    def recover(
-        cls,
-        config: DBConfig,
-        crashpoints: CrashPointRegistry | None = None,
-        in_doubt_resolver: Callable[[str], bool] | None = None,
-    ) -> tuple["ShardCore", object]:
-        """Recover a shard from its directory; returns ``(core, report)``.
-
-        Prepared 2PC branches found on the shard's log are resolved
-        against ``in_doubt_resolver`` (the router passes its decision
-        log); recovery itself commits or rolls them back, so the core
-        starts with no prepared transactions.
+        Prepared 2PC branches found on a recovered shard's log are
+        resolved against ``committed`` (the router's decision-log
+        snapshot); recovery itself commits or rolls them back, so the
+        core starts with no prepared transactions.  ``summary`` is the
+        picklable recovery report both execution modes hand back, None
+        after a create.
         """
+        if table_defs is not None:
+            db = Database(config, crashpoints=crashpoints)
+            for name, schema, capacity, key_field in table_defs:
+                db.create_table(name, schema, capacity, key_field=key_field)
+            db.start()
+            return cls(db), None
+        wall_began = time.perf_counter()
+        cpu_began = time.process_time()
         db, report = Database.recover(
-            config, crashpoints=crashpoints, in_doubt_resolver=in_doubt_resolver
+            config, crashpoints=crashpoints, in_doubt_resolver=committed.__contains__
         )
-        return cls(db), report
+        return cls(db), {
+            "mode": report.mode,
+            "redo_applied": report.redo_applied,
+            "rolled_back": list(report.rolled_back),
+            "resolved_committed": list(report.resolved_committed),
+            "resolved_aborted": list(report.resolved_aborted),
+            # Both clocks: on a machine with >= N cores they agree; on
+            # fewer cores the OS timeslices the N workers and the wall
+            # number smears, while per-worker CPU time still measures
+            # each shard's true share of the replay work (max across
+            # workers = the N-core critical path).
+            "recovery_wall_s": time.perf_counter() - wall_began,
+            "recovery_cpu_s": time.process_time() - cpu_began,
+            "phase_seconds": dict(report.phase_seconds),
+        }
 
     # ---------------------------------------------------------- dispatch
 

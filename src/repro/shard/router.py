@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 
 from repro.errors import (
     ConfigError,
@@ -45,13 +45,19 @@ from repro.errors import (
 )
 from repro.faults.crashpoints import CrashPointRegistry
 from repro.serve.protocol import DATA_OPS, ROW_OPS
-from repro.shard.core import ShardCore
 from repro.shard.partition import PartitionSpec, shard_capacity
-from repro.shard.shard import LocalShard, ProcessShard, ShardCrashed
+from repro.shard.shard import ShardCrashed, open_shard
 from repro.storage.database import DBConfig
 
 DECISION_LOG_FILE = "2pc.decisions"
 EPOCH_FILE = "2pc.epoch"
+
+#: Supervised, a decide delivery is retried inline this many times (with
+#: capped-exponential backoff) before the supervisor's repair queue takes
+#: over; unsupervised it is tried once.
+DECIDE_RETRIES = 2
+DECIDE_BACKOFF_BASE_S = 0.01
+DECIDE_BACKOFF_CAP_S = 0.25
 
 
 def _bump_epoch(dir_path: str) -> int:
@@ -91,10 +97,7 @@ class DecisionLog:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._committed: set[str] = set()
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                self._committed = {line.strip() for line in handle if line.strip()}
+        self._committed = set(self.load_committed(path))
         self._handle = open(path, "a", encoding="utf-8")
 
     def append(self, gid: str) -> None:
@@ -102,13 +105,6 @@ class DecisionLog:
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._committed.add(gid)
-
-    def committed(self, gid: str) -> bool:
-        return gid in self._committed
-
-    def resolver(self):
-        committed = frozenset(self._committed)
-        return lambda gid: gid in committed
 
     def __len__(self) -> int:
         return len(self._committed)
@@ -125,92 +121,68 @@ class DecisionLog:
 
 
 @dataclass
-class ShardedConfig:
-    """Shape of a sharded database: partitioning plus per-shard DBConfig."""
+class ShardedConfig(DBConfig):
+    """A :class:`DBConfig` plus partitioning.  Every ``DBConfig`` field
+    reaches each shard (:meth:`db_config`); only the three below are
+    genuinely sharded."""
 
-    dir: str
+    scheme: str = "data_codeword"
     n_shards: int = 1
     #: ``"inproc"`` runs every shard on the caller's thread (deterministic;
     #: what the identity properties and crash-point tests use);
-    #: ``"process"`` runs one worker process per shard.
+    #: ``"process"`` runs one worker process per shard.  Read only by
+    #: :func:`~repro.shard.shard.open_shard`.
     mode: str = "inproc"
     #: partition modulus: branch = key % branches (see PartitionSpec)
     branches: int = 2
-    # ------------------------------------------- per-shard DBConfig knobs
-    scheme: str = "data_codeword"
-    scheme_params: dict = dc_field(default_factory=dict)
-    page_size: int = 8192
-    group_commit_size: int = 1
-    audit_mode: str = "full"
-    full_sweep_every: int = 8
-    quarantine: bool = False
-    quarantine_repair: bool = False
-    scheduler_mode: str = "auto"
 
     def shard_dir(self, shard_id: int) -> str:
-        return os.path.join(self.dir, f"shard-{shard_id:02d}")
+        return _per_shard(self.dir, shard_id)
 
     def db_config(self, shard_id: int) -> DBConfig:
-        return DBConfig(
-            dir=self.shard_dir(shard_id),
-            scheme=self.scheme,
-            scheme_params=dict(self.scheme_params),
-            page_size=self.page_size,
-            group_commit_size=self.group_commit_size,
-            audit_mode=self.audit_mode,
-            full_sweep_every=self.full_sweep_every,
-            quarantine=self.quarantine,
-            quarantine_repair=self.quarantine_repair,
-            scheduler_mode=self.scheduler_mode,
-        )
+        """Shard ``shard_id``'s own config: every ``DBConfig`` field as set
+        here, in the shard's own directory, with its own ``scheme_params``
+        and (when one is set) its own ``image_path`` below this one."""
+        values = {f.name: getattr(self, f.name) for f in fields(DBConfig)}
+        values["dir"] = self.shard_dir(shard_id)
+        values["scheme_params"] = dict(self.scheme_params)
+        if self.image_path is not None:
+            values["image_path"] = _per_shard(self.image_path, shard_id)
+        return DBConfig(**values)
 
     def partition(self) -> PartitionSpec:
         return PartitionSpec(branches=self.branches, n_shards=self.n_shards)
 
 
-def _shard_table_defs(table_defs: list[tuple], n_shards: int) -> list[tuple]:
-    """Global table defs -> per-shard defs with split capacities."""
-    return [
-        (name, schema, shard_capacity(capacity, n_shards), key_field)
-        for name, schema, capacity, key_field in table_defs
-    ]
+def _per_shard(path: str, shard_id: int) -> str:
+    return os.path.join(path, f"shard-{shard_id:02d}")
 
 
 class ShardedDatabase:
     """N protected stores behind one transaction router."""
 
     def __init__(
-        self,
-        config: ShardedConfig,
-        shards: list,
-        partition: PartitionSpec,
-        decisions: DecisionLog,
-        crashpoints: CrashPointRegistry,
+        self, config: ShardedConfig, shards: list, decisions: DecisionLog
     ) -> None:
         self.config = config
         self.shards = shards
-        self.partition = partition
+        self.partition = config.partition()
         self.decisions = decisions
         #: Router-side crash points (the ``twopc.pre_decide`` /
         #: ``after_decide`` / ``after_first_commit`` coordinator moments).
-        self.crashpoints = crashpoints
+        self.crashpoints = CrashPointRegistry()
         self._epoch = _bump_epoch(config.dir)
         self._next_gid = 1
         self._closed = False
-        #: Supervision hooks, set by
-        #: :meth:`~repro.shard.supervisor.ShardSupervisor.attach`.  When
-        #: ``supervisor`` is None (the pre-supervision contract every
-        #: existing test relies on) routed calls have no deadlines and a
-        #: dead worker raises :class:`ShardCrashed` to the caller, who
-        #: owns recovery.  Supervised, deadlines apply, crashes are
+        #: Set by :meth:`~repro.shard.supervisor.ShardSupervisor.attach`.
+        #: When None (the pre-supervision contract every existing test
+        #: relies on) routed calls have no deadlines, a decide is tried
+        #: once, and a dead worker raises :class:`ShardCrashed` to the
+        #: caller, who owns recovery.  Supervised, the deadlines of the
+        #: supervisor's ``config`` apply, decides retry, crashes are
         #: reported for automatic restart, and callers get fail-fast
         #: retryable :class:`~repro.errors.ShardUnavailableError`.
         self.supervisor = None
-        self.call_timeout_s: float | None = None
-        self.prepare_timeout_s: float | None = None
-        self.decide_retries: int = 0
-        self.decide_backoff_base_s: float = 0.01
-        self.decide_backoff_cap_s: float = 0.25
         #: Serializes commit decisions against restart-recovery snapshot
         #: reads (see :meth:`_fenced_decide`): a recovery snapshot taken
         #: under this lock either precedes a decision's incarnation fence
@@ -231,79 +203,47 @@ class ShardedDatabase:
         ``(name, schema, capacity, key_field)`` tuples; each shard gets an
         even capacity split (exactly ``capacity`` when N=1)."""
         os.makedirs(config.dir, exist_ok=True)
-        per_shard = _shard_table_defs(table_defs, config.n_shards)
-        shards: list = []
-        if config.mode == "inproc":
-            for i in range(config.n_shards):
-                registry = (
-                    shard_crashpoints[i] if shard_crashpoints is not None else None
-                )
-                core = ShardCore.create(
-                    config.db_config(i), per_shard, crashpoints=registry
-                )
-                shards.append(LocalShard(i, core))
-        elif config.mode == "process":
-            for i in range(config.n_shards):
-                shards.append(ProcessShard(i, config.db_config(i), per_shard))
-            for shard in shards:
-                shard.wait_ready()
-        else:
-            raise ConfigError(f"unknown shard mode {config.mode!r}")
-        decisions = DecisionLog(os.path.join(config.dir, DECISION_LOG_FILE))
-        return cls(
-            config, shards, config.partition(), decisions, CrashPointRegistry()
-        )
+        per_shard = [
+            (name, schema, shard_capacity(capacity, config.n_shards), key_field)
+            for name, schema, capacity, key_field in table_defs
+        ]
+        return cls._open(config, per_shard, shard_crashpoints)[0]
 
     @classmethod
     def recover(
         cls,
         config: ShardedConfig,
         shard_crashpoints: list[CrashPointRegistry] | None = None,
-    ) -> tuple["ShardedDatabase", list]:
-        """Recover every shard; returns ``(router, per-shard reports)``.
+    ) -> tuple["ShardedDatabase", list[dict]]:
+        """Recover every shard; returns ``(router, per-shard summaries)``
+        (:meth:`~repro.shard.core.ShardCore.open`'s dicts, in both modes).
 
         In process mode the N recoveries run concurrently inside the N
         fresh worker processes -- this is the shard-parallel restart the
         benchmark's recovery curve measures.  Each shard resolves its
         in-doubt 2PC branches against the shared decision log.
         """
+        return cls._open(config, None, shard_crashpoints)
+
+    @classmethod
+    def _open(
+        cls,
+        config: ShardedConfig,
+        table_defs: list[tuple] | None,
+        shard_crashpoints: list[CrashPointRegistry] | None,
+    ) -> tuple["ShardedDatabase", list]:
+        """Create (``table_defs`` given) or recover all N shards.  Every
+        shard starts opening before any is waited on, so process shards
+        open in parallel."""
         decision_path = os.path.join(config.dir, DECISION_LOG_FILE)
         committed = DecisionLog.load_committed(decision_path)
-        shards: list = []
-        reports: list = []
-        if config.mode == "inproc":
-            resolver = lambda gid: gid in committed  # noqa: E731
-            for i in range(config.n_shards):
-                registry = (
-                    shard_crashpoints[i] if shard_crashpoints is not None else None
-                )
-                core, report = ShardCore.recover(
-                    config.db_config(i),
-                    crashpoints=registry,
-                    in_doubt_resolver=resolver,
-                )
-                shards.append(LocalShard(i, core))
-                reports.append(report)
-        elif config.mode == "process":
-            for i in range(config.n_shards):
-                shards.append(
-                    ProcessShard(
-                        i,
-                        config.db_config(i),
-                        [],
-                        recover=True,
-                        committed_gids=committed,
-                    )
-                )
-            for shard in shards:
-                reports.append(shard.wait_ready()["recovery"])
-        else:
-            raise ConfigError(f"unknown shard mode {config.mode!r}")
-        decisions = DecisionLog(decision_path)
-        router = cls(
-            config, shards, config.partition(), decisions, CrashPointRegistry()
-        )
-        return router, reports
+        registries = shard_crashpoints or [None] * config.n_shards
+        shards = [
+            open_shard(config, i, table_defs, committed, registries[i])
+            for i in range(config.n_shards)
+        ]
+        summaries = [shard.wait_ready() for shard in shards]
+        return cls(config, shards, DecisionLog(decision_path)), summaries
 
     # ----------------------------------------------------------- routing
 
@@ -359,24 +299,20 @@ class ShardedDatabase:
         on (or crashing into) a dead pipe: the crash is reported to the
         supervisor, which restarts and recovers the shard while the
         surviving shards keep serving.  ``timeout=None`` means "the
-        supervisor's default call deadline".
+        supervisor's ``call_timeout_s``".
         """
         sup = self.supervisor
-        if sup is not None:
-            sup.ensure_serving(shard_id)
+        if sup is None:
+            # No deadline, and no ``timeout`` argument: tests wrap
+            # ``handle.call`` with single-argument fakes.
+            return self.shards[shard_id].call(cmd)
+        sup.ensure_serving(shard_id)
         if timeout is None:
-            timeout = self.call_timeout_s
+            timeout = sup.config.call_timeout_s
         handle = self.shards[shard_id]
         try:
-            # Only pass the deadline when one applies: tests wrap
-            # ``handle.call`` with single-argument fakes, and the
-            # unsupervised contract has no deadlines at all.
-            if timeout is None:
-                return handle.call(cmd)
             return handle.call(cmd, timeout=timeout)
         except (ShardCrashed, ShardUnavailableError) as exc:
-            if sup is None:
-                raise
             raise self._shard_down(shard_id, handle, exc) from exc
 
     def _shard_down(self, shard_id: int, handle, exc) -> ShardUnavailableError:
@@ -434,15 +370,16 @@ class ShardedDatabase:
         crash propagates as before."""
         results: list = []
         lost: dict[int, int] = {}
+        sup = self.supervisor
         for shard in self.shards:
             backlog = shard.pending
             try:
-                if self.call_timeout_s is None:
+                if sup is None:
                     results.extend(shard.drain())
                 else:
-                    results.extend(shard.drain(timeout=self.call_timeout_s))
+                    results.extend(shard.drain(timeout=sup.config.call_timeout_s))
             except (ShardCrashed, ShardUnavailableError) as exc:
-                if self.supervisor is None:
+                if sup is None:
                     raise
                 self._shard_down(shard.shard_id, shard, exc)
                 lost[shard.shard_id] = backlog
@@ -537,7 +474,7 @@ class ShardedDatabase:
                 pass
 
     def _deliver_decide(self, gid: str, sid: int, commit: bool):
-        """One decide delivery with capped-exponential retry.
+        """One decide delivery; supervised, with capped-exponential retry.
 
         Returns ``None`` on success or the final failure.  Retries only
         make sense for transient non-crash failures (a flaky transport
@@ -548,13 +485,11 @@ class ShardedDatabase:
         supervised path queues the delivery with the supervisor instead.
         """
         last: Exception | None = None
-        for attempt in range(max(0, self.decide_retries) + 1):
+        retries = 0 if self.supervisor is None else DECIDE_RETRIES
+        for attempt in range(retries + 1):
             if attempt:
                 time.sleep(
-                    min(
-                        self.decide_backoff_cap_s,
-                        self.decide_backoff_base_s * (2 ** (attempt - 1)),
-                    )
+                    min(DECIDE_BACKOFF_CAP_S, DECIDE_BACKOFF_BASE_S * 2 ** (attempt - 1))
                 )
             try:
                 self.shard_call(sid, ("decide", gid, commit))
@@ -626,14 +561,12 @@ class ShardedDatabase:
         """
         prepared: list[int] = []
         tokens: dict[int, int] = {}
+        sup = self.supervisor
+        timeout = None if sup is None else sup.config.prepare_timeout_s
         for sid in sorted(prepares):
             tokens[sid] = self._prepare_token(sid)
             try:
-                self.shard_call(
-                    sid,
-                    prepares[sid],
-                    timeout=self.prepare_timeout_s or self.call_timeout_s,
-                )
+                self.shard_call(sid, prepares[sid], timeout=timeout)
                 prepared.append(sid)
             except SimulatedCrash:
                 raise  # inproc crash simulation: whole process dies here
@@ -732,23 +665,13 @@ class ShardedDatabase:
     def crash(self) -> None:
         """Simulate failure of the whole node: every shard dies."""
         for shard in self.shards:
-            if isinstance(shard, LocalShard):
-                try:
-                    shard.crash()
-                except Exception:
-                    pass
-            else:
-                shard.terminate()
+            shard.terminate()
         self.decisions.close()
         self._closed = True
 
     def crash_shard(self, shard_id: int) -> None:
         """Kill one shard only; the rest keep serving."""
-        shard = self.shards[shard_id]
-        if isinstance(shard, LocalShard):
-            shard.crash()
-        else:
-            shard.terminate()
+        self.shards[shard_id].terminate()
 
     def close(self) -> None:
         if self._closed:

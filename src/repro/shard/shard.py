@@ -1,13 +1,16 @@
 """Shard handles: one synchronous, one process-backed with pipelining.
 
-Both expose the same three calls -- ``call`` (one command, one answer),
-``call_nowait``/``drain`` (pipelined) -- so the router and the benchmarks
-are mode-blind.  :class:`LocalShard` runs commands inline (deterministic;
-identity properties compare it byte-for-byte against the unsharded
-database).  :class:`ProcessShard` sends them to a worker process; because
-the pipe is FIFO, ``call_nowait`` may queue an arbitrary backlog and
-``drain`` collects answers in order, which keeps every worker core busy
-while the parent does nothing but pickle tuples.
+:func:`open_shard` is the one place a shard is created or recovered and
+the only code that reads ``ShardedConfig.mode``.  Both handles it
+returns expose the same calls -- ``wait_ready`` (the open's recovery
+summary), ``call`` (one command, one answer), ``call_nowait``/``drain``
+(pipelined), ``terminate`` (hard kill) -- so the router, the supervisor
+and the benchmarks are mode-blind.  :class:`LocalShard` runs commands
+inline (deterministic; identity properties compare it byte-for-byte
+against the unsharded database).  :class:`ProcessShard` sends them to a
+worker process; because the pipe is FIFO, ``call_nowait`` may queue an
+arbitrary backlog and ``drain`` collects answers in order, which keeps
+every worker core busy while the parent does nothing but pickle tuples.
 
 Failure semantics (what the supervisor builds on):
 
@@ -33,7 +36,7 @@ import multiprocessing as mp
 import threading
 import time
 
-from repro.errors import ReproError, ShardError, ShardTimeoutError
+from repro.errors import ConfigError, ReproError, ShardError, ShardTimeoutError
 from repro.shard.core import ShardCore
 from repro.shard.worker import shard_worker_main
 
@@ -53,15 +56,51 @@ class ShardCrashed(ShardError):
         self.hit = hit
 
 
+def open_shard(
+    config,
+    shard_id: int,
+    table_defs: list[tuple] | None = None,
+    committed: frozenset = frozenset(),
+    crashpoints=None,
+):
+    """Create (``table_defs`` given) or recover shard ``shard_id`` of a
+    :class:`~repro.shard.router.ShardedConfig`; returns its handle.
+
+    A process shard opens inside its new worker, so this returns at once
+    and ``wait_ready()`` blocks for the outcome -- callers start every
+    shard before waiting on any.  An inproc shard opens right here.
+    ``crashpoints`` arms an inproc shard's database; a worker process
+    cannot see the caller's registry, so arming one there is refused
+    rather than silently dropped.
+    """
+    db_config = config.db_config(shard_id)
+    if config.mode == "inproc":
+        core, summary = ShardCore.open(db_config, table_defs, committed, crashpoints)
+        return LocalShard(shard_id, core, summary)
+    if config.mode != "process":
+        raise ConfigError(f"unknown shard mode {config.mode!r}")
+    if crashpoints is not None:
+        raise ConfigError(
+            "shard crash points need mode='inproc': a process shard's "
+            "worker cannot see the caller's registry"
+        )
+    return ProcessShard(shard_id, db_config, table_defs, committed)
+
+
 class LocalShard:
     """In-process shard: commands run inline on the caller's thread."""
 
-    def __init__(self, shard_id: int, core: ShardCore) -> None:
+    def __init__(self, shard_id: int, core: ShardCore, summary: dict | None) -> None:
         self.shard_id = shard_id
         self.core = core
+        self._summary = summary
         self._pending: list = []
         self._crashed = False
         self.mutex = threading.RLock()
+
+    def wait_ready(self, timeout: float | None = None) -> dict | None:
+        """The open already finished inline; returns its recovery summary."""
+        return self._summary
 
     def call(self, cmd: tuple, timeout: float | None = None):
         # Inline execution cannot hang on a pipe, so ``timeout`` is
@@ -108,28 +147,26 @@ class LocalShard:
         self.core.db.crash()
 
     def terminate(self) -> None:
-        """Interface parity with :class:`ProcessShard` (hard kill)."""
+        """Hard kill; like :meth:`ProcessShard.terminate`, never raises."""
         if not self._crashed:
-            self.crash()
+            try:
+                self.crash()
+            except Exception:
+                pass
 
 
 class ProcessShard:
     """A shard behind a worker process and a FIFO pipe."""
 
     def __init__(
-        self,
-        shard_id: int,
-        config,
-        table_defs,
-        recover: bool = False,
-        committed_gids: frozenset = frozenset(),
+        self, shard_id: int, config, table_defs, committed: frozenset
     ) -> None:
         self.shard_id = shard_id
         ctx = _mp_context()
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=shard_worker_main,
-            args=(child_conn, config, table_defs, recover, frozenset(committed_gids)),
+            args=(child_conn, config, table_defs, committed),
             daemon=True,
             name=f"shard-{shard_id}",
         )
@@ -140,7 +177,8 @@ class ProcessShard:
         #: FIFO, so a synchronous call must consume the pipelined
         #: backlog's answers first); handed out by the next ``drain``.
         self._parked: list = []
-        self._ready = None  # set by wait_ready
+        self._ready = False
+        self._summary: dict | None = None
         self._poisoned = False
         #: When a probe found a pipelined backlog with no reply ready,
         #: the monotonic time it first saw that; a backlog that makes no
@@ -148,11 +186,13 @@ class ProcessShard:
         self._stall_since: float | None = None
         self.mutex = threading.RLock()
 
-    def wait_ready(self, timeout: float | None = None) -> dict:
-        """Block until the worker finishes creation/recovery."""
-        if self._ready is None:
-            self._ready = self._decode(self._recv(timeout))
-        return self._ready
+    def wait_ready(self, timeout: float | None = None) -> dict | None:
+        """Block until the worker has opened its shard; returns the
+        recovery summary (None after a create)."""
+        if not self._ready:
+            self._summary = self._decode(self._recv(timeout))
+            self._ready = True
+        return self._summary
 
     def call(self, cmd: tuple, timeout: float | None = None):
         with self.mutex:

@@ -15,10 +15,10 @@ caller and stayed there.  :class:`ShardSupervisor` closes the loop:
   its pipe is poisoned (a late reply would desynchronize the FIFO) and
   it is restarted exactly like a dead one.
 * **Automatic restart + certified recovery.**  A crashed shard is
-  terminated, recovered through the same shard-parallel restart path the
-  router uses (fresh worker with ``recover=True`` in process mode,
-  :meth:`ShardCore.recover` inproc), resolving in-doubt 2PC branches
-  against a fresh snapshot of the decision log.  Before the shard
+  terminated and recovered through the opener the router uses
+  (:func:`~repro.shard.shard.open_shard`: a fresh worker in process
+  mode, inline otherwise), resolving in-doubt 2PC branches against a
+  fresh snapshot of the decision log.  Before the shard
   rejoins, its recovery is *certified* by a full codeword audit (with a
   quarantine-repair retry when the shard is configured for it); an
   uncertified shard never serves.  Surviving shards serve throughout --
@@ -60,25 +60,26 @@ while the survivors proceed.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
 
 from repro.errors import ReproError, ShardError, ShardUnavailableError
 from repro.runtime.scheduler import THREADED, Scheduler
-from repro.shard.core import ShardCore
-from repro.shard.router import (
-    DECISION_LOG_FILE,
-    DecisionLog,
-    ShardedDatabase,
-)
-from repro.shard.shard import LocalShard, ProcessShard
+from repro.shard.router import DecisionLog, ShardedDatabase
+from repro.shard.shard import open_shard
 
 #: Shard lifecycle states the supervisor tracks.
 SERVING = "serving"
 RECOVERING = "recovering"
 DOWN = "down"
+
+#: Backoff between repair-queue delivery attempts of one decision
+#: (capped exponential in its failed attempts).
+REPAIR_BACKOFF_BASE_S = 0.01
+REPAIR_BACKOFF_CAP_S = 0.5
+#: Period of the automatic supervision tick (:meth:`ShardSupervisor.start`).
+TICK_INTERVAL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -94,21 +95,11 @@ class SupervisorConfig:
     #: Deadline of one 2PC prepare; a late vote is a vote of no
     #: (presumed abort).  ``None`` falls back to ``call_timeout_s``.
     prepare_timeout_s: float | None = 2.0
-    #: Inline retries of one decide delivery before the supervisor's
-    #: repair queue takes over.
-    decide_retries: int = 2
-    decide_backoff_base_s: float = 0.01
-    decide_backoff_cap_s: float = 0.25
     #: Deadline for a restarted worker to finish recovery.
     restart_timeout_s: float = 60.0
     #: Consecutive failed restart attempts before the shard is parked
     #: ``DOWN`` (a crash loop must not become a restart storm).
     max_restarts: int = 5
-    #: Backoff between repair-queue delivery attempts per decision.
-    repair_backoff_base_s: float = 0.01
-    repair_backoff_cap_s: float = 0.5
-    #: Period of the automatic supervision tick (:meth:`start`).
-    tick_interval_s: float = 0.05
 
 
 @dataclass
@@ -154,16 +145,12 @@ class ShardSupervisor:
     # ------------------------------------------------------- attachment
 
     def attach(self) -> "ShardSupervisor":
-        """Wire supervision into the router: deadlines on every routed
-        call, fail-fast on non-serving shards, crash reporting, and the
-        pending-delivery path for undelivered commit decisions."""
-        config = self.config
+        """Wire supervision into the router, which then reads this
+        supervisor's ``config``: deadlines on every routed call,
+        decide retries, fail-fast on non-serving shards, crash
+        reporting, and the pending-delivery path for undelivered commit
+        decisions."""
         self.db.supervisor = self
-        self.db.call_timeout_s = config.call_timeout_s
-        self.db.prepare_timeout_s = config.prepare_timeout_s
-        self.db.decide_retries = config.decide_retries
-        self.db.decide_backoff_base_s = config.decide_backoff_base_s
-        self.db.decide_backoff_cap_s = config.decide_backoff_cap_s
         self._attached = True
         return self
 
@@ -171,9 +158,6 @@ class ShardSupervisor:
         """Restore the pre-supervision router contract."""
         self.stop()
         self.db.supervisor = None
-        self.db.call_timeout_s = None
-        self.db.prepare_timeout_s = None
-        self.db.decide_retries = 0
         self._attached = False
 
     def start(self) -> "ShardSupervisor":
@@ -188,9 +172,7 @@ class ShardSupervisor:
         if not self._attached:
             self.attach()
         if self._scheduler is None:
-            self._scheduler = Scheduler(
-                THREADED, tick_interval_s=self.config.tick_interval_s
-            )
+            self._scheduler = Scheduler(THREADED, tick_interval_s=TICK_INTERVAL_S)
             self._scheduler.register_tick(
                 "supervise", ("interval",), self._scheduled_tick
             )
@@ -391,9 +373,9 @@ class ShardSupervisor:
         return True
 
     def _recover_handle(self, shard_id: int):
-        """Recover one shard through the same path the parallel-restart
-        benchmark uses, resolving in-doubt branches against a fresh
-        decision-log snapshot.  Returns ``(handle, snapshot)``.
+        """Recover one shard through the router's opener, resolving
+        in-doubt branches against a fresh decision-log snapshot.
+        Returns ``(handle, snapshot)``.
 
         The snapshot read is fenced against live coordinators
         (:meth:`~repro.shard.router.ShardedDatabase._fenced_decide`):
@@ -404,26 +386,11 @@ class ShardSupervisor:
         recovery can never presume-abort a branch whose commit the
         coordinator acks.
         """
-        config = self.db.config
         with self.db.decision_lock:
-            committed = DecisionLog.load_committed(
-                os.path.join(config.dir, DECISION_LOG_FILE)
-            )
-        if config.mode == "process":
-            handle = ProcessShard(
-                shard_id,
-                config.db_config(shard_id),
-                [],
-                recover=True,
-                committed_gids=committed,
-            )
-            handle.wait_ready(timeout=self.config.restart_timeout_s)
-            return handle, committed
-        core, _report = ShardCore.recover(
-            config.db_config(shard_id),
-            in_doubt_resolver=lambda gid: gid in committed,
-        )
-        return LocalShard(shard_id, core), committed
+            committed = DecisionLog.load_committed(self.db.decisions.path)
+        handle = open_shard(self.db.config, shard_id, committed=committed)
+        handle.wait_ready(timeout=self.config.restart_timeout_s)
+        return handle, committed
 
     def _certify(self, handle) -> bool:
         """Certified recovery: a full codeword audit must pass before
@@ -486,8 +453,8 @@ class ShardSupervisor:
                 else:
                     item.attempts += 1
                     item.next_try_at = now + min(
-                        self.config.repair_backoff_cap_s,
-                        self.config.repair_backoff_base_s * (2 ** item.attempts),
+                        REPAIR_BACKOFF_CAP_S,
+                        REPAIR_BACKOFF_BASE_S * 2 ** item.attempts,
                     )
         return delivered
 

@@ -13,57 +13,28 @@ that is not a ``ReproError`` is wrapped in one first.  The pipe stays FIFO,
 so the parent may pipeline many commands before reading any answer (how
 the throughput benchmark keeps every worker busy).
 
-Startup performs creation *or recovery* inside the worker.  Recovery
+Startup opens the shard -- creation *or recovery*, through
+:meth:`~repro.shard.core.ShardCore.open` -- inside the worker.  Recovery
 inside the worker is the point of shard-parallel restart: the parent
-spawns N workers with ``recover=True`` and the N redo/undo scans run
-concurrently in separate processes; each worker reports its recovery
-summary in its ready message.
+starts N recovering workers and the N redo/undo scans run concurrently
+in separate processes; each worker's ready message carries its recovery
+summary.
 """
 
 from __future__ import annotations
 
-import time
 import traceback
 
 from repro.errors import ReproError, SimulatedCrash
 from repro.shard.core import ShardCore
 
 
-def shard_worker_main(
-    conn,
-    config,
-    table_defs,
-    recover: bool,
-    committed_gids: frozenset,
-) -> None:
-    """Entry point of one shard worker process."""
+def shard_worker_main(conn, config, table_defs, committed: frozenset) -> None:
+    """Entry point of one shard worker process (arguments as for
+    :meth:`~repro.shard.core.ShardCore.open`)."""
     try:
-        if recover:
-            wall_began = time.perf_counter()
-            cpu_began = time.process_time()
-            core, report = ShardCore.recover(
-                config,
-                in_doubt_resolver=lambda gid: gid in committed_gids,
-            )
-            summary = {
-                "mode": report.mode,
-                "redo_applied": report.redo_applied,
-                "rolled_back": list(report.rolled_back),
-                "resolved_committed": list(report.resolved_committed),
-                "resolved_aborted": list(report.resolved_aborted),
-                # Both clocks: on a machine with >= N cores they agree;
-                # on fewer cores the OS timeslices the N workers and the
-                # wall number smears, while per-worker CPU time still
-                # measures each shard's true share of the replay work
-                # (max across workers = the N-core critical path).
-                "recovery_wall_s": time.perf_counter() - wall_began,
-                "recovery_cpu_s": time.process_time() - cpu_began,
-                "phase_seconds": dict(report.phase_seconds),
-            }
-        else:
-            core = ShardCore.create(config, table_defs)
-            summary = None
-        conn.send(("ok", {"ready": True, "recovery": summary}))
+        core, summary = ShardCore.open(config, table_defs, committed)
+        conn.send(("ok", summary))
     except BaseException as exc:  # startup failure: report, then exit
         detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
         conn.send(("err", ReproError(detail)))

@@ -69,3 +69,27 @@ class Probe:
 
     def open(self) -> None:
         self._go.set()
+
+
+class InterruptedPark(Exception):
+    """What :class:`InterruptedTurn` raises instead of blocking."""
+
+
+class InterruptedTurn:
+    """A gate turn whose park is interrupted.
+
+    ``Server.submit`` takes a fresh turn lock once (never contended) and
+    then parks on a second ``acquire``; here that blocking acquire raises
+    at once, the deterministic stand-in for a signal landing in the wait.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        if self._lock.acquire(blocking=False):
+            return True
+        raise InterruptedPark("interrupted while parked")
+
+    def release(self) -> None:
+        self._lock.release()

@@ -15,6 +15,7 @@ gauges, with the waits of ``tests/gate_probe.py``.
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,14 @@ from repro.serve import Request, Server, ShardServer
 from repro.shard import ShardedConfig, ShardedDatabase
 
 from tests.conftest import ACCT_SCHEMA, insert_accounts
-from tests.gate_probe import TIMEOUT, Probe, join_all, until
+from tests.gate_probe import (
+    TIMEOUT,
+    InterruptedPark,
+    InterruptedTurn,
+    Probe,
+    join_all,
+    until,
+)
 
 MODES = ("deterministic", "threaded")
 
@@ -348,6 +356,38 @@ class TestAdmissionGate:
             assert outcomes[f"bystander-{position}"].ok
         assert (server.executing, server.waiting) == (0, 0)
         threaded_db.crash()
+
+    def test_interrupted_park_gives_back_its_place(self, threaded_db, monkeypatch):
+        """A waiter interrupted while parked must leave the queue: the
+        next finishing request would otherwise hand its slot to the dead
+        waiter, and with one worker every later submit parks forever."""
+        server = Server(threaded_db, queue_depth=4, workers=1)
+        probe = Probe()
+        holder = probe.attach(server.open_session())
+        first = threading.Thread(target=server.submit, args=(holder, Request(op="begin")))
+        first.start()
+        probe.wait_entered(1)
+        interrupted = server.open_session()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.serve.server.threading", SimpleNamespace(Lock=InterruptedTurn)
+            )
+            with pytest.raises(InterruptedPark):
+                server.submit(interrupted, Request(op="begin"))
+        probe.open()
+        join_all([first])
+        responses = []
+        after = threading.Thread(
+            target=lambda: responses.append(
+                server.submit(server.open_session(), Request(op="begin"))
+            ),
+            daemon=True,
+        )
+        after.start()
+        join_all([after])
+        assert responses[0].ok
+        assert (server.executing, server.waiting) == (0, 0)
+        server.close()
 
     def test_every_submit_is_admitted_or_rejected(
         self, threaded_db, aggressive_thread_switching

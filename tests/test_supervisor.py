@@ -27,7 +27,7 @@ from repro.shard import (
     SupervisorConfig,
     WaitForGraph,
 )
-from repro.shard.supervisor import DOWN, RECOVERING, SERVING
+from repro.shard.supervisor import DOWN, RECOVERING, REPAIR_BACKOFF_CAP_S, SERVING
 
 ACCOUNT_SCHEMA = Schema(
     [
@@ -257,7 +257,7 @@ class TestDecisionRepair:
         assert supervisor.pending_decisions == {}
         db.close()
 
-    def test_repair_backoff_defers_retry(self, tmp_path):
+    def test_repair_backoff_defers_retry(self, tmp_path, monkeypatch):
         db, supervisor = _build(tmp_path, "backoff")
 
         calls = []
@@ -269,6 +269,9 @@ class TestDecisionRepair:
                 raise RuntimeError("flaky transport")
             return original(cmd, timeout=timeout)
 
+        # The supervisor's clock stands still unless the test moves it.
+        now = [time.monotonic()]
+        monkeypatch.setattr("repro.shard.supervisor.time.monotonic", lambda: now[0])
         db.shards[0].call = failing
         supervisor.queue_decision_delivery("g2.2", [0])
         supervisor._repair_decisions()
@@ -278,9 +281,10 @@ class TestDecisionRepair:
         supervisor._repair_decisions()  # inside backoff -> no new attempt
         assert len(calls) == 1
         db.shards[0].call = original
-        time.sleep(0.05)
+        now[0] += REPAIR_BACKOFF_CAP_S  # past any backoff
         supervisor._repair_decisions()
         assert supervisor.pending_decisions == {}
+        monkeypatch.undo()
         db.close()
 
 

@@ -292,7 +292,7 @@ class TestTwoPcCrashMatrix:
         recovered, reports = ShardedDatabase.recover(config)
         assert _balances(recovered) == (70, 130)
         # Each shard's recovery resolved exactly one in-doubt branch.
-        assert [len(r.resolved_committed) for r in reports] == [1, 1]
+        assert [len(r["resolved_committed"]) for r in reports] == [1, 1]
         recovered.close()
 
 
@@ -342,7 +342,7 @@ class TestTwoPcHardening:
         be aborted, not left ACTIVE in the ATT holding exclusive locks
         while reachable by neither abort-by-txn-id nor decide-by-gid."""
         config = DBConfig(dir=str(tmp_path / "prep-fail"), scheme="data_codeword")
-        core = ShardCore.create(config, [("account", ACCOUNT_SCHEMA, 32, "aid")])
+        core, _ = ShardCore.open(config, [("account", ACCOUNT_SCHEMA, 32, "aid")])
         setup = core.execute(("begin",))
         core.execute(("op", setup, ("insert", "account", {"aid": 1, "balance": 100})))
         core.execute(("commit", setup))
