@@ -183,7 +183,7 @@ def batched_results(tmp_path_factory) -> dict:
                 assert report.clean
                 states[label] = (
                     db.memory.snapshot_segments(),
-                    db.scheme.codeword_table._codewords.tolist(),
+                    db.scheme.codeword_table.stored_words.tolist(),
                     dict(db.meter.counts),
                     db.meter.clock.now_ns,
                 )

@@ -352,7 +352,7 @@ class Auditor:
             meter.charge("latch_pair", n)
             meter.charge("cw_check_fixed", n)
             meter.charge("cw_check_word", words)
-        mismatched = {int(i) for i in np.nonzero(computed != table._codewords)[0]}
+        mismatched = {int(i) for i in np.nonzero(computed != table.stored_words)[0]}
         quarantined: tuple[int, ...] = ()
         qset: set[int] = set()
         if skip_quarantined and maintainer.quarantined:

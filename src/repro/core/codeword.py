@@ -22,9 +22,39 @@ import struct
 import numpy as np
 
 WORD = 4
-_NUMPY_THRESHOLD = 256  # below this, a Python loop beats numpy's call overhead
+# Below this many bytes one integer XOR-halving beats numpy's call overhead;
+# the two cross near 1 KiB.
+_NUMPY_THRESHOLD = 1024
 
 CODEWORD_MASK = 0xFFFFFFFF
+
+
+def _halvings(words: int) -> tuple[tuple[int, int], ...]:
+    """``(shift, mask)`` steps that XOR-halve a ``words``-word integer
+    (``words`` a power of two) down to one word."""
+    steps = []
+    bits = 32 * words
+    while bits > 32:
+        bits //= 2
+        steps.append((bits, (1 << bits) - 1))
+    return tuple(steps)
+
+
+# Per byte length, the halving steps of its word count rounded up to a
+# power of two (the words past the data are zero, so they fold in for
+# free).  Lengths share one step tuple per power of two.
+_STEPS = [_halvings(1 << k) for k in range((_NUMPY_THRESHOLD // WORD).bit_length())]
+_HALVINGS = tuple(
+    _STEPS[max(0, -(-length // WORD) - 1).bit_length()]
+    for length in range(_NUMPY_THRESHOLD)
+)
+
+
+def _fold_int(value: int, length: int) -> int:
+    """XOR-fold a ``length``-byte little-endian integer to one word."""
+    for shift, mask in _HALVINGS[length]:
+        value = (value >> shift) ^ (value & mask)
+    return value
 
 
 def fold_words(data: "bytes | bytearray | memoryview") -> int:
@@ -33,25 +63,23 @@ def fold_words(data: "bytes | bytearray | memoryview") -> int:
     Data whose length is not a multiple of four is zero-padded at the end,
     which matches how a region at the very end of the image is folded.
     Accepts any contiguous byte buffer (``bytes``, ``bytearray``,
-    ``memoryview``) and never copies the aligned prefix: only the ragged
-    tail word -- at most three bytes -- is materialized for padding.
+    ``memoryview``).
+
+    Below ``_NUMPY_THRESHOLD`` bytes the buffer is read as one
+    little-endian integer and XOR-halved to a word (a 64-byte region is
+    four shift/xor steps); a ragged tail is the integer's top bytes, so it
+    is zero-padded by construction.  Larger buffers reduce a zero-copy
+    numpy view of the aligned prefix.
     """
     length = len(data)
-    if length == 0:
-        return 0
+    if length < _NUMPY_THRESHOLD:
+        return _fold_int(int.from_bytes(data, "little"), length)
     remainder = length % WORD
     aligned = length - remainder
-    codeword = 0
-    if aligned:
-        if aligned >= _NUMPY_THRESHOLD:
-            # Zero-copy view of the aligned prefix; `count` stops numpy
-            # from reading the ragged tail.
-            words = np.frombuffer(data, dtype="<u4", count=aligned // WORD)
-            codeword = int(np.bitwise_xor.reduce(words))
-        else:
-            prefix = memoryview(data)[:aligned] if remainder else data
-            for (word,) in struct.iter_unpack("<I", prefix):
-                codeword ^= word
+    # Zero-copy view of the aligned prefix; `count` stops numpy from
+    # reading the ragged tail.
+    words = np.frombuffer(data, dtype="<u4", count=aligned // WORD)
+    codeword = int(np.bitwise_xor.reduce(words))
     if remainder:
         tail = bytes(memoryview(data)[aligned:]) + b"\x00" * (WORD - remainder)
         codeword ^= struct.unpack("<I", tail)[0]
@@ -62,14 +90,32 @@ def positioned_fold(address: int, data: bytes) -> int:
     """Fold ``data`` as it sits in memory at ``address``.
 
     A byte at offset ``k`` within its 32-bit word contributes
-    ``byte << (8 * k)`` to that word's value; prepending ``address % 4``
-    zero bytes reproduces that positioning, so the fold of an unaligned
-    update is exact without touching unchanged neighbours.
+    ``byte << (8 * k)`` to that word's value; shifting the data left by
+    ``address % 4`` bytes reproduces that positioning, so the fold of an
+    unaligned update is exact without touching unchanged neighbours.
     """
     lead = address % WORD
+    length = lead + len(data)
+    if length < _NUMPY_THRESHOLD:
+        return _fold_int(int.from_bytes(data, "little") << (8 * lead), length)
     if lead:
         data = b"\x00" * lead + bytes(data)
     return fold_words(data)
+
+
+def update_delta(address: int, old: bytes, new: bytes) -> int:
+    """The XOR that moves a codeword from ``old`` to ``new`` at ``address``:
+    ``positioned_fold(address, old) ^ positioned_fold(address, new)``.
+
+    Folding is linear over XOR, so the two equal-length images are XORed
+    as integers and folded once.
+    """
+    lead = address % WORD
+    length = lead + len(old)
+    if length < _NUMPY_THRESHOLD:
+        value = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+        return _fold_int(value << (8 * lead), length)
+    return positioned_fold(address, old) ^ positioned_fold(address, new)
 
 
 def word_count(length: int) -> int:

@@ -27,18 +27,25 @@ everyone else (physical undo under the exclusive protection latch,
 single-threaded restart redo).  The scalar scheme hooks pass one-element
 lists.
 
-Every meter charge in this module is verbatim from the seed scheme code;
-the refactor is observably pure for Table 2 (property-tested by
-``tests/test_pipeline_equivalence.py``).
+Read prechecking is one call per read, ``precheck(checked, address,
+length)``: one latched pass over the regions the read spans.
+
+Every meter event in this module is the seed scheme code's; read
+prechecks and audits sum a read's or a run's charges into one call per
+event, which :meth:`~repro.sim.clock.Meter.charge`'s linearity makes
+identical.  The refactor is observably pure for Table 2 (property-tested
+by ``tests/test_pipeline_equivalence.py`` and
+``tests/test_fused_precheck.py``).
 """
 
 from __future__ import annotations
 
 from repro.core.codeword import fold_words, word_count
 from repro.core.regions import CodewordTable
+from repro.errors import CorruptionDetected, QuarantinedRegionError
 from repro.mem.memory import MemoryImage
 from repro.sim.clock import Meter
-from repro.txn.latches import Latch, LatchTable, EXCLUSIVE, SHARED
+from repro.txn.latches import LatchTable, EXCLUSIVE, SHARED
 from repro.txn.transaction import Transaction
 from repro.wal.local_log import PhysicalUndo
 
@@ -132,6 +139,9 @@ class CodewordMaintainer:
         #: as it raises (set by the storage layer under
         #: ``DBConfig(quarantine=True)``).
         self.quarantine_on_detect = False
+        #: Regions :meth:`precheck` folded, and the mismatches among them.
+        self.precheck_count = 0
+        self.precheck_failures = 0
         #: While a background full sweep is folding memory in a worker
         #: thread, every region dirtied through the prescribed interface
         #: is also recorded here; the sweep's verdict re-checks exactly
@@ -162,6 +172,21 @@ class CodewordMaintainer:
 
     # ---------------------------------------------------------- windows
 
+    def _window_regions(self, spans: list[range]) -> tuple[range | list[int], int]:
+        """Distinct region ids of a window's per-range spans, in first-seen
+        order, and the range-and-region occurrence count ``latch_pair`` is
+        charged by (what one window per range would charge).  A one-range
+        window returns its span itself, building nothing."""
+        if len(spans) == 1:
+            span = spans[0]
+            return span, len(span)
+        regions: dict[int, None] = {}
+        pairs = 0
+        for span in spans:
+            pairs += len(span)
+            regions.update(dict.fromkeys(span))
+        return list(regions), pairs
+
     def open_window(self, txn: Transaction, ranges: list[tuple[int, int]]) -> None:
         """Latch every region the update window's ranges touch, in one pass.
 
@@ -171,22 +196,28 @@ class CodewordMaintainer:
         ranges as separate windows would charge.
         """
         assert self.table is not None and self.meter is not None
-        latches = txn.scheme_state.setdefault("window_latches", [])
-        seen: set[int] = set()
-        pairs = 0
-        for address, length in ranges:
-            for region_id in self.table.regions_spanning(address, length):
-                pairs += 1
-                if region_id not in seen:
-                    seen.add(region_id)
-                    latch = self.protection_latches.latch(region_id)
-                    latch.acquire(self.update_latch_mode)
-                    latches.append(latch)
+        spanning = self.table.regions_spanning
+        regions, pairs = self._window_regions(
+            [spanning(address, length) for address, length in ranges]
+        )
+        latch_of = self.protection_latches.latch
+        mode = self.update_latch_mode
+        acquired = 0
+        try:
+            for region_id in regions:
+                latch_of(region_id).acquire(mode)
+                acquired += 1
+        except BaseException:
+            for region_id in regions[:acquired]:
+                latch_of(region_id).release()
+            raise
+        txn.scheme_state["window_regions"] = regions
         self.meter.charge("latch_pair", pairs)
 
     def release_window(self, txn: Transaction) -> None:
-        for latch in txn.scheme_state.pop("window_latches", []):
-            latch.release()
+        latch_of = self.protection_latches.latch
+        for region_id in txn.scheme_state.pop("window_regions", ()):
+            latch_of(region_id).release()
 
     def maintain(
         self, txn: Transaction, items: list[tuple[int, bytes, bytes]]
@@ -199,30 +230,33 @@ class CodewordMaintainer:
         mode, so each distinct codeword latch is acquired once and held
         *across* the table update.  ``latch_pair`` is still charged per
         range-and-region occurrence, as one window per range would.
+
+        A stack that also prechecks reads holds its window's protection
+        latches *exclusively*, which already excludes every other writer
+        of those regions' codewords (windows, physical undo, repairs);
+        there the codeword latch is charged as the stacked scheme's cost
+        but not physically taken.
         """
         assert self.table is not None and self.meter is not None
         if not self.uses_codeword_latch:
             self.apply_maintenance(items)
             return
-        spans = [
-            self.table.regions_spanning(address, len(old_image))
-            for address, old_image, _new in items
-        ]
-        pairs = 0
-        held: dict[int, Latch] = {}
-        for span in spans:
-            for region_id in span:
-                pairs += 1
-                if region_id not in held:
-                    latch = self.codeword_latches.latch(region_id)
-                    latch.acquire(EXCLUSIVE)
-                    held[region_id] = latch
+        spanning = self.table.regions_spanning
+        spans = [spanning(address, len(old_image)) for address, old_image, _new in items]
+        regions, pairs = self._window_regions(spans)
+        if self.update_latch_mode == EXCLUSIVE:
+            self.meter.charge("latch_pair", pairs)
+            self.apply_maintenance(items, spans)
+            return
+        latch_of = self.codeword_latches.latch
+        for region_id in regions:
+            latch_of(region_id).acquire(EXCLUSIVE)
         try:
             self.meter.charge("latch_pair", pairs)
             self.apply_maintenance(items, spans)
         finally:
-            for latch in held.values():
-                latch.release()
+            for region_id in regions:
+                latch_of(region_id).release()
 
     def _note_dirty(self, regions) -> None:
         """Record prescribed-path dirtiness (and sweep interference)."""
@@ -376,16 +410,76 @@ class CodewordMaintainer:
 
     # ------------------------------------------------------------ audit
 
-    def check_region(self, region_id: int) -> bool:
-        """Latch, charge and compare one region (read prechecking)."""
-        assert self.table is not None and self.meter is not None
-        latch = self.protection_latches.latch(region_id)
-        with latch.exclusive():
-            self.meter.charge("latch_pair")
-            _start, region_len = self.table.region_bounds(region_id)
-            self.meter.charge("cw_check_fixed")
-            self.meter.charge("cw_check_word", word_count(region_len))
-            return self.table.matches(region_id)
+    def precheck(self, checked: set[int], address: int, length: int) -> None:
+        """Verify every region a read spans against its stored codeword.
+
+        One pass over ``[address, address + length)`` in ascending region
+        order.  A region already in ``checked`` (verified earlier in this
+        operation) is skipped; a quarantined region refuses the read
+        without being folded again; every other region is read straight
+        from its segment and folded under its exclusive protection latch,
+        and the first fold that differs from the stored word fails the
+        read.  The
+        latch is taken and released per region, so a reader never holds
+        two and cannot deadlock against an update window.  Every region
+        the pass reaches joins ``checked``.
+
+        ``latch_pair`` / ``cw_check_fixed`` / ``cw_check_word`` are charged
+        once per read for the regions folded, through the first failing
+        one -- the totals a charge per region gave, since
+        :meth:`~repro.sim.clock.Meter.charge` is linear.  Raises
+        :class:`QuarantinedRegionError` for a quarantined region (or a
+        mismatch under ``quarantine_on_detect``), else
+        :class:`CorruptionDetected`.
+        """
+        table = self.table
+        memory = self.memory
+        assert table is not None and memory is not None and self.meter is not None
+        region_size = self.region_size
+        first = address // region_size
+        stop = (address + max(length, 1) - 1) // region_size + 1
+        image_size = memory.size
+        read = memory.read
+        latch_of = self.protection_latches.latch
+        quarantined = self.quarantined
+        stored = table.stored
+        folded = words = 0
+        mismatch = refused = None
+        for region_id in range(first, stop):
+            if region_id in checked:
+                continue
+            checked.add(region_id)
+            if region_id in quarantined:
+                refused = region_id
+                break
+            start = region_id * region_size
+            # The image's last region may be ragged (region_bounds).
+            region_len = min(region_size, image_size - start)
+            latch = latch_of(region_id)
+            latch.acquire(EXCLUSIVE)
+            try:
+                matches = fold_words(read(start, region_len)) == stored(region_id)
+            finally:
+                latch.release()
+            folded += 1
+            words += word_count(region_len)
+            if not matches:
+                mismatch = region_id
+                break
+        if folded:
+            charge = self.meter.charge
+            charge("latch_pair", folded)
+            charge("cw_check_fixed", folded)
+            charge("cw_check_word", words)
+            self.precheck_count += folded
+        if refused is not None:
+            raise QuarantinedRegionError([refused])
+        if mismatch is not None:
+            self.precheck_failures += 1
+            if self.quarantine_on_detect:
+                self.quarantine([mismatch])
+                raise QuarantinedRegionError([mismatch])
+            raise CorruptionDetected([mismatch], context="read precheck")
 
     def audit_regions(self, region_ids=None) -> list[int]:
         """Check codewords against content; returns mismatching regions.

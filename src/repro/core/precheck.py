@@ -12,16 +12,15 @@ the whole region -- which is the time/space tradeoff explored by the
 64-byte/512-byte/8 KB rows of Table 2.
 
 The *virtual* cost charged per check (``cw_check_word`` x words in the
-region) is unchanged by vectorization; the wall-clock fold goes through
-:meth:`CodewordTable.matches`, which folds a zero-copy
-:meth:`~repro.mem.memory.MemoryImage.view` of the region instead of a
-copying ``read`` + scalar loop.
+region) is fixed by the cost model; the wall-clock work is one
+:meth:`~repro.core.maintainer.CodewordMaintainer.precheck` pass per read,
+which reads each unchecked region straight from its segment and folds it
+as one integer.
 """
 
 from __future__ import annotations
 
 from repro.core.schemes import CodewordSchemeBase
-from repro.errors import CorruptionDetected, QuarantinedRegionError
 from repro.txn.latches import EXCLUSIVE
 from repro.txn.transaction import Transaction
 
@@ -41,11 +40,19 @@ class ReadPrecheckScheme(CodewordSchemeBase):
 
     def __init__(self, region_size: int = 64) -> None:
         super().__init__(region_size)
-        self.precheck_count = 0
-        self.precheck_failures = 0
+
+    @property
+    def precheck_count(self) -> int:
+        """Regions folded by read prechecks."""
+        return self.maintainer.precheck_count
+
+    @property
+    def precheck_failures(self) -> int:
+        """Prechecks whose fold disagreed with the stored codeword."""
+        return self.maintainer.precheck_failures
 
     def on_read(self, txn: Transaction, address: int, length: int) -> None:
-        """Verify every region the read touches.
+        """Verify every region the read touches, in one maintainer pass.
 
         Within one operation a region is checked at most once: the
         operation's locks (and, for its own update windows, the exclusive
@@ -54,31 +61,14 @@ class ReadPrecheckScheme(CodewordSchemeBase):
         region cannot learn anything new about *prescribed* writes -- it
         could only re-detect a wild write, which the next operation's
         check (or an audit) will catch anyway.  The cache is cleared at
-        every operation boundary.
+        every operation boundary.  A quarantined region is refused without
+        re-folding bytes the codeword already convicted.
         """
-        table = self.maintainer.table
-        assert table is not None
-        checked: set[int] = txn.scheme_state.setdefault("checked_regions", set())
-        for region_id in table.regions_spanning(address, length):
-            if region_id in checked:
-                continue
-            checked.add(region_id)
-            self._check_region(region_id)
-
-    def _check_region(self, region_id: int) -> None:
-        if region_id in self.maintainer.quarantined:
-            # Known-corrupt: refuse the read without re-folding bytes the
-            # codeword already convicted.
-            raise QuarantinedRegionError([region_id])
-        self.precheck_count += 1
-        # check_region() folds a zero-copy view of the region under the
-        # exclusive protection latch and charges the cost-model events.
-        if not self.maintainer.check_region(region_id):
-            self.precheck_failures += 1
-            if self.maintainer.quarantine_on_detect:
-                self.maintainer.quarantine([region_id])
-                raise QuarantinedRegionError([region_id])
-            raise CorruptionDetected([region_id], context="read precheck")
+        state = txn.scheme_state
+        checked = state.get("checked_regions")
+        if checked is None:
+            checked = state["checked_regions"] = set()
+        self.maintainer.precheck(checked, address, length)
 
     def on_operation_end(self, txn: Transaction) -> None:
         txn.scheme_state.pop("checked_regions", None)

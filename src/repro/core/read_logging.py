@@ -44,15 +44,15 @@ class ReadLoggingScheme(DataCodewordScheme):
         return self.log_checksums
 
     def on_read(self, txn: Transaction, address: int, length: int) -> None:
-        assert self.memory is not None and self.meter is not None
         checksum = None
         if self.log_checksums:
             checksum = self.checksum_of(self.memory.read(address, length))
         record = ReadRecord(txn.txn_id, address, length, checksum)
         txn.redo_log.append(record)
         self.read_records_logged += 1
-        self.meter.charge("readlog_record")
-        self.meter.charge("readlog_byte", record.approx_size())
+        charge = self.meter.charge
+        charge("readlog_record")
+        charge("readlog_byte", record.approx_size())
 
     def on_end_update(
         self, txn: Transaction, address: int, old_image: bytes, new_image: bytes

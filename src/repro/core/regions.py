@@ -11,12 +11,13 @@ Space overhead is ``4 / region_size``: 6.25% at 64-byte regions, 0.78% at
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.core.codeword import fold_words, positioned_fold
+from repro.core.codeword import fold_words, update_delta
 from repro.mem.memory import MemoryImage
 
 
@@ -31,7 +32,12 @@ class CodewordTable:
         self.memory = memory
         self.region_size = region_size
         self.region_count = -(-memory.size // region_size)
-        self._codewords = np.zeros(self.region_count, dtype=np.uint32)
+        # Stored words live in an ``array('I')``, so the scalar paths
+        # (precheck compare, delta apply) index plain Python ints; ``_words``
+        # is a zero-copy numpy view of the same buffer for the vector kernels.
+        self._codewords = array("I", bytes(4 * self.region_count))
+        assert self._codewords.itemsize == 4
+        self._words = np.frombuffer(self._codewords, dtype=np.uint32)
 
     # --------------------------------------------------------- geometry
 
@@ -61,7 +67,20 @@ class CodewordTable:
     # ------------------------------------------------------ maintenance
 
     def stored(self, region_id: int) -> int:
-        return int(self._codewords[region_id])
+        return self._codewords[region_id]
+
+    @property
+    def stored_words(self) -> np.ndarray:
+        """A ``uint32`` copy of every stored codeword, by region id.
+
+        The one way outside this class to copy, compare or (by assigning
+        an array of ``region_count`` words) seed the stored words.
+        """
+        return self._words.copy()
+
+    @stored_words.setter
+    def stored_words(self, words) -> None:
+        self._words[:] = words
 
     def set_stored(self, region_id: int, codeword: int) -> None:
         self._codewords[region_id] = codeword & 0xFFFFFFFF
@@ -92,7 +111,7 @@ class CodewordTable:
 
     def rebuild_all(self) -> None:
         """Recompute every codeword from memory (vectorized)."""
-        self._codewords = self.fold_all()
+        self._words[:] = self.fold_all()
 
     def compute_deltas(self, address: int, old: bytes, new: bytes) -> list[tuple[int, int, int]]:
         """Per-region codeword deltas for an in-place update.
@@ -113,30 +132,33 @@ class CodewordTable:
             old_chunk = old[offset : offset + chunk_len]
             new_chunk = new[offset : offset + chunk_len]
             chunk_address = address + offset
-            delta = positioned_fold(chunk_address, old_chunk) ^ positioned_fold(
-                chunk_address, new_chunk
-            )
+            delta = update_delta(chunk_address, old_chunk, new_chunk)
             lead = chunk_address % 4
             words = 2 * ((lead + chunk_len + 3) // 4)
             deltas.append((region_id, delta, words))
         return deltas
 
     def apply_delta(self, region_id: int, delta: int) -> None:
-        self._codewords[region_id] ^= np.uint32(delta)
+        self._codewords[region_id] ^= delta
 
     def apply_update(self, address: int, old: bytes, new: bytes) -> int:
         """Incrementally maintain codewords; returns words folded."""
+        length = len(old)
+        region_size = self.region_size
+        if 0 < length == len(new) and address % region_size + length <= region_size:
+            # Within one region: one delta, no split.
+            self._codewords[address // region_size] ^= update_delta(address, old, new)
+            return 2 * ((address % 4 + length + 3) // 4)
         words_folded = 0
         for region_id, delta, words in self.compute_deltas(address, old, new):
-            self._codewords[region_id] ^= np.uint32(delta)
+            self._codewords[region_id] ^= delta
             words_folded += words
         return words_folded
 
     #: Below this many image bytes (old + new, summed over the batch) the
-    #: scalar per-update loop beats the numpy call overhead.  One
-    #: ``reduceat`` already wins by ~2x at 32 bytes (two 8-byte updates);
-    #: only a single tiny update ties.
-    _BATCH_NUMPY_THRESHOLD = 32
+    #: scalar per-update loop -- one integer fold per region chunk -- beats
+    #: the numpy call overhead; the two tie between 400 and 600 bytes.
+    _BATCH_NUMPY_THRESHOLD = 512
 
     def apply_update_batch(self, items: list[tuple[int, bytes, bytes]]) -> int:
         """Incrementally maintain codewords for a batch of updates.
@@ -150,6 +172,8 @@ class CodewordTable:
         of 2 scalar folds per region chunk -- unless the batch is too
         small for that to pay (``_BATCH_NUMPY_THRESHOLD``).
         """
+        if len(items) == 1:
+            return self.apply_update(*items[0])
         if 2 * sum(len(old) for _address, old, _new in items) < (
             self._BATCH_NUMPY_THRESHOLD
         ):
@@ -200,8 +224,10 @@ class CodewordTable:
         folds = np.bitwise_xor.reduceat(
             np.frombuffer(buf, dtype="<u4"), np.asarray(starts)
         )
-        for index, region_id in enumerate(chunk_regions):
-            self._codewords[region_id] ^= folds[2 * index] ^ folds[2 * index + 1]
+        deltas = (folds[0::2] ^ folds[1::2]).tolist()
+        codewords = self._codewords
+        for region_id, delta in zip(chunk_regions, deltas):
+            codewords[region_id] ^= delta
         return words_folded
 
     def _split(self, address: int, length: int) -> Iterator[tuple[int, int, int]]:
@@ -282,6 +308,6 @@ class CodewordTable:
             if not len(ids):
                 return []
             computed = self.fold_range(ids.start, ids.stop)
-            mismatched = np.nonzero(computed != self._codewords[ids.start : ids.stop])[0]
+            mismatched = np.nonzero(computed != self._words[ids.start : ids.stop])[0]
             return [ids.start + int(index) for index in mismatched]
         return [region_id for region_id in ids if not self.matches(region_id)]

@@ -167,6 +167,20 @@ class MemoryImage:
             if isinstance(segment.data, mmap.mmap):
                 segment.data.flush()
 
+    def close(self) -> None:
+        """Unmap every mmap-backed segment and close its backing file.
+
+        Idempotent; a heap-backed image holds nothing to release.  The
+        image is unusable on mmap backing afterwards, which is what both a
+        clean shutdown and a simulated crash leave behind.
+        """
+        for segment in self._segments:
+            if isinstance(segment.data, mmap.mmap):
+                segment.data.close()
+        for handle in self._backing_files.values():
+            handle.close()
+        self._backing_files.clear()
+
     def segment(self, name: str) -> Segment:
         try:
             return self._by_name[name]
@@ -237,8 +251,8 @@ class MemoryImage:
             # Fast path: the whole range lies within one segment (the
             # overwhelmingly common case -- reads rarely straddle).
             segment = self._segments[bisect_right(self._bases, address) - 1]
-            if address + length <= segment.end:
-                offset = address - segment.base
+            offset = address - segment.base
+            if offset + length <= segment.size:
                 return bytes(segment.data[offset : offset + length])
         chunks = [
             bytes(seg.data[off : off + n]) for seg, off, n in self._spans(address, length)
@@ -298,8 +312,8 @@ class MemoryImage:
         if length > 0 and address >= 0 and address + length <= self._next_base:
             # Fast path: single-segment store without the span generator.
             segment = self._segments[bisect_right(self._bases, address) - 1]
-            if address + length <= segment.end:
-                offset = address - segment.base
+            offset = address - segment.base
+            if offset + length <= segment.size:
                 segment.data[offset : offset + length] = data
                 return
         consumed = 0

@@ -683,6 +683,7 @@ class Database:
         self.locks.clear()
         if self.manager is not None:
             self.manager.att.clear()
+        self.memory.close()
         self._crashed = True
 
     def crash_with_corruption(self, report: AuditReport) -> None:
@@ -725,6 +726,7 @@ class Database:
             self.scheduler.shutdown(crash=False)
         if self.system_log is not None:
             self.system_log.close()
+        self.memory.close()
         self._crashed = True
 
     def _require_usable(self) -> None:

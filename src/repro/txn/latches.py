@@ -18,17 +18,26 @@ from contextlib import contextmanager
 
 from repro.errors import LatchError
 
+_get_ident = threading.get_ident
+
 SHARED = "S"
 EXCLUSIVE = "X"
 
 
 class Latch:
-    """A shared/exclusive latch, reentrant for its current owner thread."""
+    """A shared/exclusive latch, reentrant for its current owner thread.
+
+    The uncontended cases -- the latch is free, or the caller is its
+    exclusive owner -- are granted inline under the raw mutex.  The
+    ``threading.Condition`` waiters park on is only built the first time
+    a request has to wait, so the one-latch-per-region tables never pay
+    for one on a single-threaded run.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._cond: threading.Condition | None = None
         self._waiters = 0
         self._shared_holders: dict[int, int] = {}  # thread id -> depth
         self._exclusive_owner: int | None = None
@@ -38,50 +47,59 @@ class Latch:
     # ---------------------------------------------------------- acquire
 
     def acquire(self, mode: str, timeout: float | None = 10.0) -> None:
-        if mode not in (SHARED, EXCLUSIVE):
+        if mode != EXCLUSIVE and mode != SHARED:
             raise LatchError(f"bad latch mode {mode!r}")
-        me = threading.get_ident()
-        # Take the raw lock directly: latch acquisition is on the
-        # per-update hot path, and ``Condition.__enter__`` is a
-        # Python-level wrapper around this same lock.
-        self._lock.acquire()
+        me = _get_ident()
+        lock = self._lock
+        lock.acquire()
         try:
-            if not self._grantable(mode, me):
-                deadline = None if timeout is None else (
-                    threading.TIMEOUT_MAX if timeout <= 0 else timeout
-                )
-                self._waiters += 1
-                try:
-                    while not self._grantable(mode, me):
-                        if not self._cond.wait(timeout=deadline):
-                            raise LatchError(
-                                f"timeout acquiring latch {self.name!r} "
-                                f"in mode {mode}"
-                            )
-                finally:
-                    self._waiters -= 1
-            self._grant(mode, me)
+            owner = self._exclusive_owner
+            if owner == me:
+                # Reentrant: the exclusive owner may nest either mode.
+                self._exclusive_depth += 1
+            elif owner is None and not self._shared_holders:
+                if mode == EXCLUSIVE:
+                    self._exclusive_owner = me
+                    self._exclusive_depth = 1
+                else:
+                    self._shared_holders[me] = 1
+            else:
+                self._acquire_slow(mode, me, timeout)
             self.acquire_count += 1
         finally:
-            self._lock.release()
+            lock.release()
+
+    def _acquire_slow(self, mode: str, me: int, timeout: float | None) -> None:
+        """Grant a request the fast path could not; called with the mutex held."""
+        if not self._grantable(mode, me):
+            cond = self._cond
+            if cond is None:
+                cond = self._cond = threading.Condition(self._lock)
+            deadline = None if timeout is None else (
+                threading.TIMEOUT_MAX if timeout <= 0 else timeout
+            )
+            self._waiters += 1
+            try:
+                while not self._grantable(mode, me):
+                    if not cond.wait(timeout=deadline):
+                        raise LatchError(
+                            f"timeout acquiring latch {self.name!r} in mode {mode}"
+                        )
+            finally:
+                self._waiters -= 1
+        self._grant(mode, me)
 
     def _grantable(self, mode: str, me: int) -> bool:
-        if self._exclusive_owner == me:
-            return True  # reentrant: exclusive owner may nest either mode
-        if mode == SHARED:
-            return self._exclusive_owner is None
-        # Exclusive request: grantable if free, or if we are the sole
-        # shared holder (upgrade).
+        # Only reached when the caller is not the exclusive owner (the fast
+        # path re-enters that), and waiting cannot make it one.
         if self._exclusive_owner is not None:
             return False
-        if not self._shared_holders:
+        if mode == SHARED or not self._shared_holders:
             return True
+        # Exclusive request while shared: an upgrade by the sole holder.
         return set(self._shared_holders) == {me}
 
     def _grant(self, mode: str, me: int) -> None:
-        if self._exclusive_owner == me:
-            self._exclusive_depth += 1
-            return
         if mode == SHARED:
             self._shared_holders[me] = self._shared_holders.get(me, 0) + 1
             return
@@ -94,16 +112,20 @@ class Latch:
     # ---------------------------------------------------------- release
 
     def release(self) -> None:
-        me = threading.get_ident()
-        self._lock.acquire()
+        me = _get_ident()
+        lock = self._lock
+        lock.acquire()
         try:
             if self._exclusive_owner == me:
-                self._exclusive_depth -= 1
-                if self._exclusive_depth == 0:
+                depth = self._exclusive_depth - 1
+                self._exclusive_depth = depth
+                if depth == 0:
                     self._exclusive_owner = None
             elif me in self._shared_holders:
-                self._shared_holders[me] -= 1
-                if self._shared_holders[me] == 0:
+                depth = self._shared_holders[me] - 1
+                if depth:
+                    self._shared_holders[me] = depth
+                else:
                     del self._shared_holders[me]
             else:
                 raise LatchError(
@@ -112,7 +134,7 @@ class Latch:
             if self._waiters:
                 self._cond.notify_all()
         finally:
-            self._lock.release()
+            lock.release()
 
     # ------------------------------------------------------------ views
 

@@ -139,6 +139,9 @@ class LocalRedoLog:
 
     def take_from(self, mark: int) -> list[LogRecord]:
         """Remove and return all records appended since ``mark``."""
+        if mark == 0:
+            taken, self.records = self.records, []
+            return taken
         taken = self.records[mark:]
         del self.records[mark:]
         return taken

@@ -159,7 +159,8 @@ class SystemLog:
         so one bulk ``log_record``/``log_byte`` charge equals the
         per-record sequence in both event counts and virtual nanoseconds.
         """
-        records = list(records)
+        if not isinstance(records, list):
+            records = list(records)
         with self._tail_lock:
             first = self.next_lsn
             lsn = first

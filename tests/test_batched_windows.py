@@ -88,7 +88,7 @@ def _run_updates(db: Database, updates, batched_api: bool) -> None:
 
 
 def _state(db: Database) -> tuple:
-    codewords = db.scheme.codeword_table._codewords.copy()
+    codewords = db.scheme.codeword_table.stored_words
     return (
         db.memory.snapshot_segments(),
         codewords.tolist(),
@@ -129,14 +129,14 @@ class TestKernelFoldIdentity:
         scalar = CodewordTable(memory, region_size)
         batch = CodewordTable(memory, region_size)
         seed = np.arange(scalar.region_count, dtype=np.uint32) * 0x9E3779B9
-        scalar._codewords = seed.copy()
-        batch._codewords = seed.copy()
+        scalar.stored_words = seed
+        batch.stored_words = seed
 
         scalar_words = sum(scalar.apply_update(a, o, n) for a, o, n in items)
         batch_words = batch.apply_update_batch(items)
 
         assert batch_words == scalar_words
-        assert np.array_equal(scalar._codewords, batch._codewords)
+        assert np.array_equal(scalar.stored_words, batch.stored_words)
 
     def test_both_threshold_paths_agree(self):
         """Force the scalar fallback and the reduceat path explicitly."""
@@ -149,7 +149,7 @@ class TestKernelFoldIdentity:
             batch = CodewordTable(memory, 64)
             words = sum(scalar.apply_update(a, o, n) for a, o, n in items)
             assert batch.apply_update_batch(items) == words
-            assert np.array_equal(scalar._codewords, batch._codewords)
+            assert np.array_equal(scalar.stored_words, batch.stored_words)
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +282,7 @@ class TestBatchWindowSemantics:
         mgr = db.manager
         addresses = [_record_addr(db, s) + 8 for s in (1, 2, 3)]
         before = db.memory.snapshot_segments()
-        codewords = db.scheme.codeword_table._codewords.copy()
+        codewords = db.scheme.codeword_table.stored_words
         txn = db.begin()
         mgr.begin_operation(txn, "op")
         mgr.begin_updates(txn, [(address, 8) for address in addresses])
@@ -294,7 +294,7 @@ class TestBatchWindowSemantics:
         db.abort(txn)
         assert txn.pending_update is None
         assert db.memory.snapshot_segments() == before
-        assert np.array_equal(db.scheme.codeword_table._codewords, codewords)
+        assert np.array_equal(db.scheme.codeword_table.stored_words, codewords)
         assert not db.scheme.protection_latches.any_held()
         assert db.audit().clean
         db.close()

@@ -37,6 +37,51 @@ from tests.conftest import ACCT_SCHEMA, insert_accounts
 REGION = 4096
 
 
+def _assert_held_across_table_writes(db, monkeypatch, latches) -> None:
+    """Run an update, a multi-field update and an insert; every codeword
+    table write must find each region it spans latched exclusively in
+    ``latches``."""
+    slots = insert_accounts(db, 2)
+    seen: list[tuple[str, bool]] = []
+
+    def spy(name):
+        real = getattr(CodewordTable, name)
+
+        def wrapper(table, *args):
+            items = args[0] if name == "apply_update_batch" else [args]
+            seen.append(
+                (
+                    name,
+                    all(
+                        latches.latch(r).held_exclusive()
+                        for address, old, _new in items
+                        for r in table.regions_spanning(address, len(old))
+                    ),
+                )
+            )
+            return real(table, *args)
+
+        monkeypatch.setattr(CodewordTable, name, wrapper)
+
+    spy("apply_update")
+    spy("apply_update_batch")
+    table = db.table("acct")
+    operations = {
+        "single-field update": lambda txn: table.update(txn, slots[0], {"balance": 1}),
+        "multi-field update": lambda txn: table.update(
+            txn, slots[1], {"balance": 2, "name": "two"}
+        ),
+        "insert": lambda txn: table.insert(txn, {"id": 9, "balance": 3, "name": "nine"}),
+    }
+    for label, operation in operations.items():
+        del seen[:]
+        txn = db.begin()
+        operation(txn)
+        db.commit(txn)
+        assert seen and all(held for _name, held in seen), (label, seen)
+    assert db.audit().clean
+
+
 def make_scheme(cls, **kwargs):
     memory = MemoryImage(page_size=4096)
     memory.add_segment("data", 2 * REGION)
@@ -162,48 +207,18 @@ class TestCodewordLatchGuardsTheFold:
         """Every region a table write spans has its codeword latch held
         exclusively at that moment -- whatever the window's shape."""
         db = db_factory(scheme="data_cw", region_size=64)
-        slots = insert_accounts(db, 2)
-        maintainer = db.pipeline.maintainer
-        seen: list[tuple[str, bool]] = []
+        _assert_held_across_table_writes(
+            db, monkeypatch, db.pipeline.maintainer.codeword_latches
+        )
 
-        def spy(name):
-            real = getattr(CodewordTable, name)
-
-            def wrapper(table, *args):
-                items = args[0] if name == "apply_update_batch" else [args]
-                seen.append(
-                    (
-                        name,
-                        all(
-                            maintainer.codeword_latches.latch(r).held_exclusive()
-                            for address, old, _new in items
-                            for r in table.regions_spanning(address, len(old))
-                        ),
-                    )
-                )
-                return real(table, *args)
-
-            monkeypatch.setattr(CodewordTable, name, wrapper)
-
-        spy("apply_update")
-        spy("apply_update_batch")
-        table = db.table("acct")
-        operations = {
-            "single-field update": lambda txn: table.update(txn, slots[0], {"balance": 1}),
-            "multi-field update": lambda txn: table.update(
-                txn, slots[1], {"balance": 2, "name": "two"}
-            ),
-            "insert": lambda txn: table.insert(
-                txn, {"id": 9, "balance": 3, "name": "nine"}
-            ),
-        }
-        for label, operation in operations.items():
-            del seen[:]
-            txn = db.begin()
-            operation(txn)
-            db.commit(txn)
-            assert seen and all(held for _name, held in seen), (label, seen)
-        assert db.audit().clean
+    def test_protection_latch_guards_a_prechecking_stack(self, db_factory, monkeypatch):
+        """A stack that prechecks reads holds its window's protection latch
+        exclusively across the table write, so its codeword latch is
+        priced but not taken."""
+        db = db_factory(scheme="precheck+read_logging", region_size=64)
+        _assert_held_across_table_writes(
+            db, monkeypatch, db.pipeline.maintainer.protection_latches
+        )
 
     def test_concurrent_single_field_updates_raise_no_false_alarm(self, tmp_path):
         """Four threads commit single-field updates, each to its *own*

@@ -123,11 +123,97 @@ class TestCrossThread:
 
         thread = threading.Thread(target=worker)
         thread.start()
-        time.sleep(0.05)
+        _wait_until_parked(latch)
         assert not acquired.is_set()
         latch.release()
         thread.join(timeout=5.0)
         assert acquired.is_set()
+
+
+def _wait_until_parked(latch: Latch, waiters: int = 1) -> None:
+    """Spin until ``waiters`` threads are parked on ``latch`` -- no sleep:
+    the interpreter's switch interval lets the waiter run -- failing after
+    five seconds."""
+    deadline = time.monotonic() + 5.0
+    while latch._waiters != waiters:
+        assert time.monotonic() < deadline, "waiter never parked"
+
+
+class TestFastPath:
+    """Uncontended acquire/release never builds the latch's Condition."""
+
+    def test_reentrant_exclusive_stays_on_the_fast_path(self):
+        latch = Latch("t")
+        for _ in range(3):
+            latch.acquire(EXCLUSIVE)
+        for depth in (2, 1, 0):
+            latch.release()
+            assert latch.held_exclusive() == bool(depth)
+        assert latch._cond is None
+        assert latch.acquire_count == 3
+
+    def test_sole_shared_holder_upgrades_without_waiting(self):
+        latch = Latch("t")
+        latch.acquire(SHARED)
+        latch.acquire(EXCLUSIVE)
+        assert latch.held_exclusive()
+        latch.release()
+        assert latch.held_exclusive()  # the shared depth folded in
+        latch.release()
+        assert not latch.held()
+        assert latch._cond is None
+
+    def test_parked_waiter_woken_by_fast_path_release(self):
+        latch = Latch("t")
+        latch.acquire(EXCLUSIVE)
+        latch.acquire(EXCLUSIVE)  # reentrant: the first release keeps it
+        acquired = threading.Event()
+
+        def worker():
+            latch.acquire(SHARED, timeout=5.0)
+            acquired.set()
+            latch.release()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        _wait_until_parked(latch)
+        latch.release()
+        assert latch._waiters == 1 and not acquired.is_set()
+        latch.release()
+        thread.join(timeout=5.0)
+        assert acquired.is_set()
+        assert latch._waiters == 0 and not latch.held()
+
+    def test_timeout_still_raises(self):
+        latch = Latch("t")
+        latch.acquire(EXCLUSIVE)
+        outcome = {}
+
+        def worker():
+            try:
+                latch.acquire(EXCLUSIVE, timeout=0.05)
+            except LatchError as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert isinstance(outcome.get("error"), LatchError)
+        assert latch._waiters == 0 and latch.held_exclusive()
+        latch.release()
+        assert not latch.held()
+
+    def test_any_held_sees_a_fast_path_hold(self):
+        table = LatchTable("protection")
+        latch = table.latch(7)
+        assert not table.any_held()
+        latch.acquire(EXCLUSIVE)
+        assert table.any_held()
+        latch.release()
+        latch.acquire(SHARED)
+        assert table.any_held()
+        latch.release()
+        assert not table.any_held()
 
 
 class TestLatchTable:

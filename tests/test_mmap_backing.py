@@ -132,6 +132,26 @@ class TestBackingIdentity:
         db.close()
 
 
+class TestBackingRelease:
+    @pytest.mark.parametrize("end", ["close", "crash"])
+    def test_close_and_crash_release_mappings_and_files(self, tmp_path, end):
+        db = _make_db(str(tmp_path / end), image_backing="mmap")
+        _seed_accounts(db)
+        segments = db.memory.segments
+        handles = [db.memory.backing_range(seg.base, 1)[0] for seg in segments]
+        getattr(db, end)()
+        assert all(handle.closed for handle in handles)
+        assert all(seg.data.closed for seg in segments)
+        db.close()  # idempotent after either ending
+
+    def test_heap_image_survives_crash(self, tmp_path):
+        db = _make_db(str(tmp_path / "heap"))
+        _seed_accounts(db)
+        before = db.memory.snapshot_segments()
+        db.crash()
+        assert db.memory.snapshot_segments() == before
+
+
 class TestWildWritesInMmap:
     def test_poke_lands_in_backing_file_and_audit_catches_it(self, tmp_path):
         db = _make_db(str(tmp_path / "db"), image_backing="mmap")

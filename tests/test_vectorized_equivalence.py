@@ -162,4 +162,4 @@ def test_codewords_dtype_stays_uint32():
     table = CodewordTable(memory, 16)
     table.rebuild_all()
     assert table.fold_all().dtype == np.uint32
-    assert table._codewords.dtype == np.uint32
+    assert table.stored_words.dtype == np.uint32
