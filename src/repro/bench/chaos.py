@@ -236,8 +236,8 @@ def _soak_txn(config: ChaosBenchConfig, rng: random.Random, index: int,
         dst = b2 + config.branches * rng.randrange(hot)
         amount = rng.randint(1, 999)
         ops = [
-            ("add", "account", src, "balance", -amount),
-            ("add", "account", dst, "balance", amount),
+            ("add", "account", src, {"balance": -amount}),
+            ("add", "account", dst, {"balance": amount}),
             ("insert", "history",
              {"hid": next_hid, "aid": src, "tid": 0, "bid": b, "delta": -amount}),
             ("insert", "history",
@@ -436,8 +436,8 @@ def run_kill_point(base_dir: str, config: ChaosBenchConfig,
     victim = 1
     # branch 0 -> shard 0, branch 1 -> shard 1 (branches % n_shards).
     transfer = [
-        ("add", "account", 0, "balance", -30),
-        ("add", "account", 1, "balance", 30),
+        ("add", "account", 0, {"balance": -30}),
+        ("add", "account", 1, {"balance": 30}),
     ]
     stats = {
         "retryable_errors": 0, "retried_txns": 0, "acked_by_outcome_check": 0,

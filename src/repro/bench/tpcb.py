@@ -256,9 +256,9 @@ def branch_txn(
         tid = branch + shape.branches * rng.randrange(shape.tellers_per_branch)
         delta = rng.randint(-max_delta, max_delta)
         delta_sum += delta
-        ops.append(("add", "account", aid, "balance", delta))
-        ops.append(("add", "teller", tid, "balance", delta))
-        ops.append(("add", "branch", branch, "balance", delta))
+        ops.append(("add", "account", aid, {"balance": delta}))
+        ops.append(("add", "teller", tid, {"balance": delta}))
+        ops.append(("add", "branch", branch, {"balance": delta}))
         ops.append(
             ("insert", "history",
              {"hid": next_hid, "aid": aid, "tid": tid, "bid": branch,

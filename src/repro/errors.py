@@ -47,9 +47,10 @@ class RetryableError(ReproError):
     A subclass promises two things: the failed operation left **no
     durable effect** that a retry could double-apply, and the condition
     is **transient** -- backing off and retrying (possibly after the
-    supervisor repairs a shard) can succeed.  The serving layer copies
-    this flag into :class:`~repro.serve.protocol.Response.retryable` so
-    remote clients get the same contract without type introspection.
+    supervisor repairs a shard) can succeed.  A serving
+    :class:`~repro.serve.protocol.Response` carries the error and reads
+    this flag off it (``Response.retryable``), so remote clients get the
+    same contract without type introspection.
     """
 
     retryable = True

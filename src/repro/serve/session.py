@@ -5,9 +5,11 @@ own requests (an internal lock -- a client that shares a session between
 threads gets in-order execution, not interleaving).  It validates every
 request against :mod:`repro.serve.protocol` -- known op, required fields
 (``DATA_OPS``), transaction state, read-only -- and then drives a
-**transaction context**: ``begin() / apply(op, table, slot, key, values)
-/ commit() / abort()`` plus ``in_txn``.  There are exactly two contexts:
-:class:`LocalContext` below (one :class:`~repro.storage.database.Database`)
+**transaction context**: ``begin() / apply(op, table, *args) / commit()
+/ abort()`` plus ``in_txn``, where ``(op, table, *args)`` is the data-op
+tuple built from the request's ``DATA_OPS`` fields.  There are exactly
+two contexts: :class:`LocalContext` below (one
+:class:`~repro.storage.database.Database`)
 and :class:`~repro.shard.router.ShardRouter` (per-shard branches, 2PC on
 commit); the session is the same over either, so both fronts answer a
 malformed request, a state violation or a closed session identically.
@@ -25,6 +27,7 @@ survives.
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, ServeError, SimulatedCrash
@@ -33,6 +36,9 @@ from repro.serve.protocol import DATA_OPS, MUTATING_OPS, OPS, Request, Response
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
     from repro.txn.transaction import Transaction
+
+#: Data op -> a getter of its request fields as a tuple, in data-op order.
+_DATA_FIELDS = {op: attrgetter(*fields) for op, fields in DATA_OPS.items()}
 
 
 class LocalContext:
@@ -50,8 +56,8 @@ class LocalContext:
         self.txn = self.db.begin()
         return self.txn.txn_id
 
-    def apply(self, op: str, table: str, slot, key, values):
-        return self.db.apply(self.txn, op, table, slot, key, values)
+    def apply(self, op: str, table: str, *args):
+        return self.db.apply(self.txn, op, table, *args)
 
     def commit(self) -> int:
         # Cleared only on success: a failed commit leaves the transaction
@@ -124,14 +130,13 @@ class Session:
                 f"session {self.session_id} has no open transaction; "
                 "send 'begin' first"
             )
-        fields = DATA_OPS.get(op)
-        if fields is not None:
-            for name in fields:
-                if getattr(request, name) is None:
-                    raise ServeError(f"op {op!r} needs {name!r}")
-            return self.context.apply(
-                op, request.table, request.slot, request.key, request.values
-            )
+        get_args = _DATA_FIELDS.get(op)
+        if get_args is not None:
+            args = get_args(request)
+            if None in args:
+                missing = DATA_OPS[op][args.index(None)]
+                raise ServeError(f"op {op!r} needs {missing!r}")
+            return self.context.apply(op, *args)
         return self._end(commit=op == "commit")
 
     def _end(self, commit: bool) -> int:
@@ -158,6 +163,8 @@ class Session:
             return
         try:
             self._end(commit=False)
+        except SimulatedCrash:
+            raise  # a crash point fired in the abort: the process dies
         except ReproError:
             # The abort itself failed (e.g. the database crashed under
             # us); the context dropped the transaction -- recovery owns it.
@@ -184,9 +191,7 @@ class Session:
             ok=False,
             op=request.op,
             request_id=request.request_id,
-            error=type(exc).__name__,
-            detail=str(exc),
-            retryable=bool(getattr(exc, "retryable", False)),
+            exc=exc.with_traceback(None),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,15 +7,16 @@ commands arriving over a pipe (:mod:`repro.shard.worker`).  Commands are
 plain tuples -- nothing that crosses the boundary holds a database object
 or a closure, so every command pickles.
 
-Transaction state is explicit: ``("begin",)`` returns a transaction id and
-subsequent commands name it, which lets the serve-protocol router hold
-transactions open across requests: ``("apply", txn_id, op, table, slot,
-key, values)`` runs one serve-protocol data op through
-:meth:`Database.apply <repro.storage.database.Database.apply>`, and
-``("op", txn_id, workload_op)`` one workload op.  The ``("txn", ops)``
-form is the one-round-trip fast path for whole transactions (what the
-throughput benchmark uses); ``("txn_prepare", gid, ops)`` is its 2PC
-twin, ending in a prepare vote instead of a commit.
+A shard speaks one op vocabulary: a data op is the tuple ``(op, table,
+*args)`` of :data:`repro.serve.protocol.DATA_OPS`, and every command that
+carries one hands it unchanged to :meth:`Database.apply
+<repro.storage.database.Database.apply>`.  Transaction state is explicit:
+``("begin",)`` returns a transaction id and subsequent commands name it,
+which lets the serve-protocol router hold transactions open across
+requests -- ``("apply", txn_id, op, table, *args)`` runs one data op.  The
+``("txn", ops)`` form is the one-round-trip fast path for whole
+transactions (what the throughput benchmark uses); ``("txn_prepare", gid,
+ops)`` is its 2PC twin, ending in a prepare vote instead of a commit.
 """
 
 from __future__ import annotations
@@ -101,46 +102,37 @@ class ShardCore:
         self._txns[txn.txn_id] = txn
         return txn.txn_id
 
-    def _cmd_op(self, txn_id: int, op: tuple):
-        txn = self._txn(txn_id)
-        return self._apply(txn, op)
-
-    def _cmd_apply(self, txn_id: int, op: str, table: str, slot, key, values):
-        """One serve-protocol data op on an open transaction."""
-        return self.db.apply(self._txn(txn_id), op, table, slot, key, values)
+    def _cmd_apply(self, txn_id: int, op: str, table: str, *args):
+        """One data op on an open transaction."""
+        return self.db.apply(self._txn(txn_id), op, table, *args)
 
     def _cmd_commit(self, txn_id: int) -> int:
-        txn = self._txns.pop(txn_id, None)
-        if txn is None:
-            raise ConfigError(f"no open transaction {txn_id}")
-        self.db.commit(txn)
+        self.db.commit(self._take(txn_id))
         return txn_id
 
     def _cmd_abort(self, txn_id: int) -> int:
-        txn = self._txns.pop(txn_id, None)
-        if txn is None:
-            raise ConfigError(f"no open transaction {txn_id}")
-        self.db.abort(txn)
+        self.db.abort(self._take(txn_id))
         return txn_id
 
     def _cmd_prepare(self, txn_id: int, gid: str) -> str:
-        txn = self._txns.pop(txn_id, None)
-        if txn is None:
-            raise ConfigError(f"no open transaction {txn_id}")
+        self._vote(self._take(txn_id), gid)
+        return "prepared"
+
+    def _vote(self, txn, gid: str) -> None:
+        """Prepare ``txn`` under ``gid`` and hold it for the decision."""
         try:
             self.db.prepare(txn, gid)
         except SimulatedCrash:
             raise
         except BaseException:
-            # A failed prepare must not orphan the branch: once popped
-            # from _txns it is reachable by neither ("abort", txn_id)
-            # nor ("decide", gid, ...), and an ACTIVE txn left behind
-            # holds its exclusive locks until restart.
+            # A failed prepare must not orphan the branch: it is no
+            # longer in _txns, so it is reachable by neither ("abort",
+            # txn_id) nor ("decide", gid, ...), and an ACTIVE txn left
+            # behind holds its exclusive locks until restart.
             if txn.status is TxnStatus.ACTIVE:
                 self.db.abort(txn)
             raise
         self._prepared[gid] = txn
-        return "prepared"
 
     def _cmd_decide(self, gid: str, commit: bool) -> str:
         """Finish a prepared branch.  Unknown gids are reported, not an
@@ -156,30 +148,27 @@ class ShardCore:
 
     def _cmd_txn(self, ops: list) -> list:
         """One whole transaction in one round trip."""
+        return self._run(ops, None)
+
+    def _cmd_txn_prepare(self, gid: str, ops: list) -> list:
+        """A 2PC participant branch in one round trip: work, then vote."""
+        return self._run(ops, gid)
+
+    def _run(self, ops: list, gid: str | None) -> list:
+        """Run ``ops`` in a new transaction, then commit it or, given a
+        ``gid``, prepare it; any failure but a crash rolls it back."""
         txn = self.db.begin()
         try:
-            results = [self._apply(txn, op) for op in ops]
+            results = [self.db.apply(txn, *op) for op in ops]
         except SimulatedCrash:
             raise  # a crash writes nothing more; Database.crash follows
         except BaseException:
             self.db.abort(txn)
             raise
-        self.db.commit(txn)
-        return results
-
-    def _cmd_txn_prepare(self, gid: str, ops: list) -> list:
-        """A 2PC participant branch in one round trip: work, then vote."""
-        txn = self.db.begin()
-        try:
-            results = [self._apply(txn, op) for op in ops]
-            self.db.prepare(txn, gid)
-        except SimulatedCrash:
-            raise
-        except BaseException:
-            if txn.status is TxnStatus.ACTIVE:
-                self.db.abort(txn)
-            raise
-        self._prepared[gid] = txn
+        if gid is None:
+            self.db.commit(txn)
+        else:
+            self._vote(txn, gid)
         return results
 
     def _txn(self, txn_id: int):
@@ -188,36 +177,11 @@ class ShardCore:
             raise ConfigError(f"no open transaction {txn_id}")
         return txn
 
-    # ----------------------------------------------------- workload ops
-
-    def _apply(self, txn, op: tuple):
-        kind = op[0]
-        if kind == "add":
-            _, table_name, key, field_name, delta = op
-            table = self.db.table(table_name)
-            slot = table.lookup(txn, key)
-            if slot is None:
-                raise ReproError(f"{table_name} key {key} not found")
-            table.update(txn, slot, {field_name: lambda cur: cur + delta})
-            return None
-        if kind == "insert":
-            _, table_name, values = op
-            return self.db.apply(txn, kind, table_name, values=values)
-        if kind in ("query", "lookup"):
-            _, table_name, key = op
-            return self.db.apply(txn, kind, table_name, key=key)
-        if kind == "update_key":
-            _, table_name, key, values = op
-            table = self.db.table(table_name)
-            slot = table.lookup(txn, key)
-            if slot is None:
-                raise ReproError(f"{table_name} key {key} not found")
-            table.update(txn, slot, values)
-            return slot
-        if kind == "charge":
-            self.db.meter.charge(op[1])
-            return None
-        raise ConfigError(f"unknown workload op {kind!r}")
+    def _take(self, txn_id: int):
+        """Remove and return open transaction ``txn_id``."""
+        txn = self._txn(txn_id)
+        del self._txns[txn_id]
+        return txn
 
     # -------------------------------------------------- admin / queries
 

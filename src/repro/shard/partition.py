@@ -57,9 +57,7 @@ class PartitionSpec:
     # ------------------------------------------------------------ mapping
 
     def branch_for_key(self, table: str, key: int) -> int:
-        if table in self.branch_key_tables:
-            return key % self.branches
-        if table in self.key_mod_tables:
+        if table in self.branch_key_tables or table in self.key_mod_tables:
             return key % self.branches
         raise ConfigError(
             f"table {table!r} is not key-routable; route by row instead"
@@ -69,21 +67,11 @@ class PartitionSpec:
         field_name = self.row_field.get(table)
         if field_name is not None:
             return int(values[field_name]) % self.branches
-        key_field = None
-        if table in self.branch_key_tables:
-            key_field = "bid" if "bid" in values else None
-        if key_field is not None:
-            return int(values[key_field]) % self.branches
-        # Fall back to any key the spec can route.
+        # Otherwise the first key-like field the row carries.
         for name in ("bid", "tid", "aid", "id", "key"):
             if name in values:
-                return self.branch_for_key_like(table, int(values[name]))
+                return int(values[name]) % self.branches
         raise ConfigError(f"cannot derive a branch for {table!r} row {values!r}")
-
-    def branch_for_key_like(self, table: str, key: int) -> int:
-        if table in self.branch_key_tables:
-            return key % self.branches
-        return key % self.branches
 
     def shard_of(self, branch: int) -> int:
         return branch % self.n_shards

@@ -1,10 +1,11 @@
 """The shard router: partitioned stores, 2PC transfers, parallel recovery.
 
 :class:`ShardedDatabase` owns N shards (in-process or worker processes)
-and routes whole transactions: every op in a transaction is mapped to a
-shard by the partition spec; a one-shard transaction commits locally in
-one round trip, a cross-shard transaction runs presumed-abort two-phase
-commit.  The 2PC pieces are deliberately minimal:
+and routes whole transactions: every data op in a transaction is mapped
+to a shard by one rule (:meth:`ShardedDatabase.route`, over the partition
+spec); a one-shard transaction commits locally in one round trip, a
+cross-shard transaction runs presumed-abort two-phase commit.  The 2PC
+pieces are deliberately minimal:
 
 - *Participants* are ordinary shard databases.  A prepare is the branch's
   redo migration plus a :class:`~repro.wal.records.TxnPrepareRecord`
@@ -247,44 +248,36 @@ class ShardedDatabase:
 
     # ----------------------------------------------------------- routing
 
-    def shard_for_op(self, op: tuple) -> int | None:
-        """Which shard executes one workload op; None = unconstrained."""
-        kind = op[0]
-        if kind in ("add", "query", "update_key", "lookup"):
-            return self.partition.shard_for_key(op[1], op[2])
-        if kind == "insert":
-            return self.partition.shard_for_row(op[1], op[2])
-        if kind == "charge":
-            return None
-        raise ConfigError(f"op {kind!r} is not routable; use slot-tagged forms")
+    def route(self, op: tuple) -> tuple[int, tuple]:
+        """The one routing rule: ``(shard id, the op as that shard runs
+        it)`` for a data op ``(op, table, *args)``.
+
+        The role of the field after ``table`` decides: a ``slot`` carries
+        its shard in its tag (``global = local * n_shards + shard``, and
+        the shard gets the local slot), a ``key`` goes to the key's shard
+        and a row (``insert``'s values) to the row's.
+        """
+        name, table, first = op[:3]
+        if name not in DATA_OPS:
+            raise ConfigError(f"unknown data op {name!r}")
+        role = DATA_OPS[name][1]
+        if role == "slot":
+            n_shards = self.config.n_shards
+            return first % n_shards, (name, table, first // n_shards, *op[3:])
+        if role == "key":
+            return self.partition.shard_for_key(table, first), op
+        return self.partition.shard_for_row(table, first), op
+
+    def shard_for_op(self, op: tuple) -> int:
+        """Which shard runs one data op."""
+        return self.route(op)[0]
 
     def _split(self, ops: list) -> dict[int, list]:
-        """Partition a transaction's ops by shard, preserving order.
-
-        Unconstrained ops (meter charges) ride with the transaction's
-        first routed shard so a single-branch transaction stays
-        single-shard.
-        """
+        """Partition a transaction's ops by shard, preserving order."""
         groups: dict[int, list] = {}
-        unrouted: list = []
-        first_shard: int | None = None
         for op in ops:
-            sid = self.shard_for_op(op)
-            if sid is None:
-                if first_shard is None:
-                    unrouted.append(op)
-                else:
-                    groups[first_shard].append(op)
-                continue
-            if sid not in groups:
-                groups[sid] = []
-            if first_shard is None:
-                first_shard = sid
-                groups[sid].extend(unrouted)
-                unrouted.clear()
-            groups[sid].append(op)
-        if unrouted:
-            groups.setdefault(0, []).extend(unrouted)
+            sid, local = self.route(op)
+            groups.setdefault(sid, []).append(local)
         return groups
 
     # ----------------------------------------------- supervised dispatch
@@ -325,6 +318,8 @@ class ShardedDatabase:
     def submit_txn(self, ops: list) -> list:
         """Run one whole transaction; single-shard fast path or 2PC.
 
+        ``ops`` are data-op tuples; a one-shard transaction returns their
+        results as its shard answered them (slots untagged), 2PC ``[]``.
         A shard that died or is mid-recovery fails this *fast* under
         supervision (retryable :class:`ShardUnavailableError` from
         :meth:`shard_call`) rather than blocking on the worker pipe.
@@ -694,10 +689,9 @@ class ShardRouter:
 
     What is genuinely sharded about a session's transaction, and nothing
     else (validation, state checks and containment are the session's):
-    pick the shard -- from the row on ``insert``, the key on ``lookup`` /
-    ``query``, the tag in the slot otherwise -- open that shard's branch
-    lazily, tag returned slots (``global_slot = local_slot * n_shards +
-    shard_id``, so later ops by slot route without a lookup), and on
+    pick the shard (:meth:`ShardedDatabase.route`), open that shard's
+    branch lazily, tag returned slots (``global_slot = local_slot *
+    n_shards + shard_id``, so later ops by slot route without a lookup), and on
     ``commit`` hand the open branches to
     :meth:`ShardedDatabase.commit_session` (local commit for one shard,
     2PC for several).
@@ -720,40 +714,29 @@ class ShardRouter:
         self.in_txn = True
         return 0
 
-    def apply(self, op: str, table: str, slot, key, values):
-        n_shards = self.db.config.n_shards
-        fields = DATA_OPS[op]
-        if "slot" in fields:
-            sid, slot = slot % n_shards, slot // n_shards
-        elif "key" in fields:
-            sid = self.db.partition.shard_for_key(table, key)
-        else:
-            sid = self.db.partition.shard_for_row(table, values)
+    def apply(self, op: str, table: str, *args):
+        sid, data = self.db.route((op, table, *args))
         self.last_shard = sid
         txn_id = self.open_txns.get(sid)
         if txn_id is None:
             txn_id = self.open_txns[sid] = self.db.shard_call(sid, ("begin",))
             if self._on_branch_open is not None:
                 self._on_branch_open(sid, txn_id)
-        value = self.db.shard_call(
-            sid, ("apply", txn_id, op, table, slot, key, values)
-        )
+        value = self.db.shard_call(sid, ("apply", txn_id, *data))
         if value is None or op in ROW_OPS:
             return value
-        return value * n_shards + sid
+        return value * self.db.config.n_shards + sid
 
     def commit(self) -> int:
         self.db.commit_session(self._take_open())
         return 0
 
     def abort(self) -> int:
-        """Roll back every branch, best-effort per shard (a dead shard's
-        restart recovery rolls its branch back)."""
-        for sid, txn_id in self._take_open().items():
-            try:
-                self.db.shard_call(sid, ("abort", txn_id))
-            except Exception:
-                pass
+        """Roll back every branch (:meth:`ShardedDatabase._send_aborts`:
+        best-effort per shard, crashes propagate)."""
+        self.db._send_aborts(
+            {sid: ("abort", txn_id) for sid, txn_id in self._take_open().items()}
+        )
         return 0
 
     def _take_open(self) -> dict[int, int]:

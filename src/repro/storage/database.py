@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from operator import add
 
 from repro.core.audit import AuditReport, Auditor
 from repro.core.pipeline import ProtectionPipeline
@@ -539,30 +541,41 @@ class Database:
         except KeyError:
             raise ConfigError(f"no table named {name!r}") from None
 
-    def apply(
-        self, txn: Transaction, op: str, table: str, slot=None, key=None, values=None
-    ):
-        """Run one serve-protocol data op (``repro.serve.protocol.DATA_OPS``).
+    def apply(self, txn: Transaction, op: str, table: str, *args):
+        """Run one data op ``(op, table, *args)``: ``args`` are the op's
+        ``repro.serve.protocol.DATA_OPS`` fields after ``table``, in order.
 
-        The only place the protocol's op names meet :class:`Table` calls:
-        a local session and a shard's ``apply`` command both land here.
+        The only place op names meet :class:`Table` calls: a local
+        session, a shard's ``apply`` command and its whole-transaction
+        ``txn`` / ``txn_prepare`` commands all land here.
         """
         target = self.table(table)
         if op == "insert":
-            return target.insert(txn, values)
+            return target.insert(txn, *args)
         if op == "read":
-            return target.read(txn, slot)
+            return target.read(txn, *args)
         if op == "update":
+            slot, values = args
             target.update(txn, slot, values)
             return slot
         if op == "delete":
+            (slot,) = args
             target.delete(txn, slot)
             return slot
         if op == "lookup":
-            return target.lookup(txn, key)
+            return target.lookup(txn, *args)
         if op == "query":  # index lookup + record read, the TPC-B point read
-            slot = target.lookup(txn, key)
+            slot = target.lookup(txn, *args)
             return None if slot is None else target.read(txn, slot)
+        if op == "add":  # keyed read-modify-write, the TPC-B balance update
+            key, deltas = args
+            slot = target.lookup(txn, key)
+            if slot is None:
+                raise ConfigError(f"{table} key {key} not found")
+            target.update(
+                txn, slot, {name: partial(add, delta) for name, delta in deltas.items()}
+            )
+            return slot
         raise ConfigError(f"unknown data op {op!r}")
 
     # ------------------------------------------- maintenance operations

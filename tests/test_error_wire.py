@@ -16,9 +16,14 @@ import pickle
 
 import pytest
 
-from repro import errors
-from repro.errors import ReproError
+from repro import Database, DBConfig, errors
+from repro.errors import LockError, QuarantinedRegionError, ReproError
+from repro.faults.injector import FaultInjector
+from repro.serve import Request, Server, ShardServer
+from repro.shard import ShardedConfig, ShardedDatabase
 from repro.shard.shard import ShardCrashed
+
+from tests.conftest import ACCT_SCHEMA, insert_accounts
 
 #: Constructor arguments for the classes that do not take a bare message.
 STRUCTURED = {
@@ -58,3 +63,59 @@ def test_every_error_survives_pickle(cls):
     assert copy.args == exc.args
     assert copy.retryable == exc.retryable
     assert vars(copy) == vars(exc)
+
+
+# ------------------------------------------------ error responses
+#
+# A failed request answers with the contained exception itself
+# (``Response.exc``); ``error`` / ``detail`` / ``retryable`` are read off
+# it.  A pickled response -- what a remote client would receive -- keeps
+# the structured fields a client acts on.
+
+
+def test_sharded_lock_conflict_response_keeps_the_holder(tmp_path):
+    config = ShardedConfig(
+        dir=str(tmp_path / "sharded"), n_shards=2, branches=2, scheme="data_codeword"
+    )
+    db = ShardedDatabase.create(config, [("acct", ACCT_SCHEMA, 64, "id")])
+    db.submit_txn([("insert", "acct", {"id": 0, "balance": 1, "name": "a"})])
+    update = Request("update", table="acct", slot=0, values={"balance": 2})
+    with ShardServer(db) as server:
+        holder, waiter = server.open_session(), server.open_session()
+        for session in (holder, waiter):
+            assert server.submit(session, Request("begin")).ok
+        assert server.submit(holder, update).ok
+        denied = pickle.loads(pickle.dumps(server.submit(waiter, update)))
+        assert (denied.ok, denied.error, denied.retryable) == (False, "LockError", True)
+        assert isinstance(denied.exc, LockError)
+        assert denied.exc.holder_txn_id == holder.context.open_txns[0]
+        assert denied.detail == str(denied.exc)
+    db.close()
+
+
+def test_local_quarantined_read_response_keeps_the_regions(tmp_path):
+    db = Database(
+        DBConfig(
+            dir=str(tmp_path / "local"), scheme="data_codeword",
+            scheme_params={"region_size": 64}, quarantine=True,
+        )
+    )
+    db.create_table("acct", ACCT_SCHEMA, 64, key_field="id")
+    db.start()
+    slots = insert_accounts(db, 4)
+    FaultInjector(db, seed=7).wild_write(db.table("acct").record_address(slots[0]), 8)
+    db.audit()
+    quarantined = set(db.quarantined_regions())
+    assert quarantined
+    with Server(db) as server:
+        session = server.open_session()
+        assert server.submit(session, Request("begin")).ok
+        response = server.submit(session, Request("read", table="acct", slot=slots[0]))
+    assert response.exc.__traceback__ is None  # contained: no frames kept alive
+    denied = pickle.loads(pickle.dumps(response))
+    assert (denied.ok, denied.error, denied.retryable) == (
+        False, "QuarantinedRegionError", False,
+    )
+    assert isinstance(denied.exc, QuarantinedRegionError)
+    assert denied.exc.region_ids and set(denied.exc.region_ids) <= quarantined
+    db.close()

@@ -312,3 +312,19 @@ class TestReadOnlyServing:
         session = Session(db, 1, read_only=True)
         with pytest.raises(ServeError, match="read-only"):
             session._dispatch(Request(op="insert", table="acct", values={}))
+
+    def test_read_only_session_rejects_add(self, db_factory):
+        db = db_factory(scheme="data_codeword", region_size=256)
+        insert_accounts(db, 1)
+        with Server(db, read_only=True) as server:
+            session = server.open_session()
+            assert session.execute(Request(op="begin")).ok
+            resp = session.execute(
+                Request(op="add", table="acct", key=0, values={"balance": 1})
+            )
+            assert (resp.ok, resp.error) == (False, "ServeError")
+            assert "read-only" in resp.detail
+            assert not session.in_txn
+        txn = db.begin()
+        assert db.apply(txn, "query", "acct", 0)["balance"] == 100
+        db.commit(txn)

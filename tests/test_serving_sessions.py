@@ -21,6 +21,7 @@ import pytest
 
 from repro import Database, DBConfig
 from repro.errors import BackpressureError, ServeError, SimulatedCrash
+from repro.faults.crashpoints import CrashPointRegistry
 from repro.faults.injector import FaultInjector
 from repro.serve import Request, Server, ShardServer
 from repro.shard import ShardedConfig, ShardedDatabase
@@ -180,6 +181,7 @@ REQUIRED_FIELDS = {
     "delete": ("table", "slot"),
     "lookup": ("table", "key"),
     "query": ("table", "key"),
+    "add": ("table", "key", "values"),
 }
 
 
@@ -221,6 +223,57 @@ class TestMalformedRequests:
         # The session keeps working.
         ok(front, session, op="begin")
         ok(front, session, op="commit")
+
+
+@pytest.fixture(params=("plain", "sharded"))
+def crash_front(request, tmp_path):
+    """Both fronts over one database (``ShardServer`` at N=1 inproc), and
+    the crash-point registry that database reaches."""
+    if request.param == "plain":
+        db = make_db(tmp_path, "crash-front", scheme="data_codeword")
+        crashpoints, server = db.crashpoints, Server(db)
+    else:
+        crashpoints = CrashPointRegistry()
+        config = ShardedConfig(
+            dir=str(tmp_path / "crash-front"), n_shards=1, branches=1,
+            scheme="data_codeword",
+        )
+        db = ShardedDatabase.create(
+            config, [("acct", ACCT_SCHEMA, 256, "id")], shard_crashpoints=[crashpoints]
+        )
+        server = ShardServer(db)
+    yield server, crashpoints
+    db.crash()
+
+
+class TestCrashDuringRollback:
+    """A crash point that fires while a session rolls back is process
+    death on both fronts: it propagates out of ``submit`` instead of
+    being answered as a contained error or a successful abort."""
+
+    ROW = {"id": 1, "balance": 5, "name": "one"}
+
+    def test_crash_in_containment_rollback_propagates(self, crash_front):
+        server, crashpoints = crash_front
+        session = server.open_session()
+        ok(server, session, op="begin")
+        ok(server, session, op="insert", table="acct", values=self.ROW)
+        crashpoints.arm("wal.flush.pre")
+        # Reading an unallocated slot is a contained ConfigError; its
+        # rollback's abort flush is where the armed point fires.
+        with pytest.raises(SimulatedCrash) as crash:
+            server.submit(session, Request(op="read", table="acct", slot=200))
+        assert crash.value.point == "wal.flush.pre"
+
+    def test_crash_in_explicit_abort_propagates(self, crash_front):
+        server, crashpoints = crash_front
+        session = server.open_session()
+        ok(server, session, op="begin")
+        ok(server, session, op="insert", table="acct", values=self.ROW)
+        crashpoints.arm("wal.flush.pre")
+        with pytest.raises(SimulatedCrash) as crash:
+            server.submit(session, Request(op="abort"))
+        assert crash.value.point == "wal.flush.pre"
 
 
 class TestQuarantineContainment:

@@ -42,30 +42,22 @@ TABLE_DEFS = [("account", ACCOUNT_SCHEMA, 48, "aid")]
 BRANCHES = 6
 KEYS = list(range(12))
 
-# Transactions over pre-inserted keys: balance adds and overwrites.
+# Transactions over pre-inserted keys: balance adds and point reads, as
+# data-op tuples.  (Overwrites through the router are covered by the
+# served identity's ``update`` requests below.)
 txn_ops = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("add"), st.sampled_from(KEYS), st.integers(-1000, 1000)
+        st.builds(
+            lambda key, delta: ("add", "account", key, {"balance": delta}),
+            st.sampled_from(KEYS),
+            st.integers(-1000, 1000),
         ),
-        st.tuples(
-            st.just("update_key"), st.sampled_from(KEYS), st.integers(0, 10_000)
-        ),
+        st.builds(lambda key: ("query", "account", key), st.sampled_from(KEYS)),
     ),
     min_size=1,
     max_size=6,
 )
 scripts = st.lists(txn_ops, min_size=1, max_size=8)
-
-
-def _to_shard_ops(ops: list[tuple]) -> list[tuple]:
-    shard_ops = []
-    for kind, key, value in ops:
-        if kind == "add":
-            shard_ops.append(("add", "account", key, "balance", value))
-        else:
-            shard_ops.append(("update_key", "account", key, {"balance": value}))
-    return shard_ops
 
 
 def _fresh_sharded(tmp_path, sub: str, n_shards: int) -> ShardedDatabase:
@@ -87,7 +79,7 @@ def _fresh_sharded(tmp_path, sub: str, n_shards: int) -> ShardedDatabase:
 
 def _run_sharded(db: ShardedDatabase, script: list[list[tuple]]) -> None:
     for ops in script:
-        db.submit_txn(_to_shard_ops(ops))
+        db.submit_txn(ops)
 
 
 def _fresh_unsharded(tmp_path, sub: str) -> Database:
@@ -112,16 +104,17 @@ def _fresh_unsharded(tmp_path, sub: str) -> Database:
 
 
 def _run_unsharded(db: Database, script: list[list[tuple]]) -> None:
-    """Exactly ShardCore's transaction semantics, without the router."""
+    """The same transactions as plain ``Table`` calls, without the router."""
     table = db.table("account")
     for ops in script:
         txn = db.begin()
-        for kind, key, value in ops:
+        for kind, _table, key, *values in ops:
             slot = table.lookup(txn, key)
             if kind == "add":
-                table.update(txn, slot, {"balance": lambda cur: cur + value})
+                delta = values[0]["balance"]
+                table.update(txn, slot, {"balance": lambda cur: cur + delta})
             else:
-                table.update(txn, slot, {"balance": value})
+                table.read(txn, slot)
         db.commit(txn)
 
 
@@ -255,6 +248,13 @@ data_requests = st.one_of(
         ),
         st.sampled_from(SLOTS),
         st.integers(0, 10_000),
+    ),
+    st.builds(
+        lambda key, delta: Request(
+            "add", table="account", key=key, values={"balance": delta}
+        ),
+        st.sampled_from(NEW_KEYS),
+        st.integers(-1000, 1000),
     ),
 )
 served_scripts = st.lists(

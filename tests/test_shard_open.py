@@ -21,8 +21,8 @@ ACCOUNT_SCHEMA = Schema(
 )
 TABLE_DEFS = [("account", ACCOUNT_SCHEMA, 32, "aid")]
 TRANSFER = [
-    ("add", "account", 0, "balance", -30),
-    ("add", "account", 1, "balance", 30),
+    ("add", "account", 0, {"balance": -30}),
+    ("add", "account", 1, {"balance": 30}),
 ]
 
 

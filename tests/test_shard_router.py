@@ -8,6 +8,7 @@ import pytest
 from repro import Field, FieldType, Schema
 from repro.errors import LockError, QuarantinedRegionError
 from repro.serve import Request, ShardServer
+from repro.serve.protocol import DATA_OPS
 from repro.shard import (
     PartitionSpec,
     ShardedConfig,
@@ -80,25 +81,45 @@ class TestRouting:
         db, _ = _make(tmp_path, "split")
         groups = db._split(
             [
-                ("add", "account", 0, "balance", 1),  # branch 0 -> shard 0
-                ("add", "account", 1, "balance", 1),  # branch 1 -> shard 1
-                ("add", "account", 2, "balance", 1),  # branch 2 -> shard 0
+                ("add", "account", 0, {"balance": 1}),  # branch 0 -> shard 0
+                ("add", "account", 1, {"balance": 1}),  # branch 1 -> shard 1
+                ("add", "account", 2, {"balance": 1}),  # branch 2 -> shard 0
             ]
         )
         assert set(groups) == {0, 1}
         assert len(groups[0]) == 2 and len(groups[1]) == 1
         db.close()
 
-    def test_charge_rides_first_routed_shard(self, tmp_path):
-        db, _ = _make(tmp_path, "charge")
-        groups = db._split(
-            [
-                ("charge", "base_operation"),
-                ("add", "account", 1, "balance", 1),
-            ]
-        )
-        assert set(groups) == {1}
-        assert groups[1][0] == ("charge", "base_operation")
+    def test_op_and_session_route_each_field_role_alike(self, tmp_path):
+        """One rule routes a row, a key and a tagged slot: a served
+        request runs on the shard ``shard_for_op`` names for its tuple."""
+        db, _ = _make(tmp_path, "roles")
+        _load_accounts(db, count=4)
+        with ShardServer(db) as server:
+            session = server.open_session()
+            assert server.submit(session, Request("begin")).ok
+            for aid in range(4):
+                slot = server.submit(
+                    session, Request("lookup", table="account", key=aid)
+                ).value
+                for request in (
+                    Request("insert", table="account",
+                            values={"aid": aid + 4, "balance": 0}),
+                    Request("lookup", table="account", key=aid),
+                    Request("add", table="account", key=aid, values={"balance": 1}),
+                    Request("read", table="account", slot=slot),
+                    Request("update", table="account", slot=slot,
+                            values={"balance": 5}),
+                ):
+                    op = (request.op,
+                          *(getattr(request, f) for f in DATA_OPS[request.op]))
+                    assert server.submit(session, request).ok, request
+                    # account aid -> branch aid % 4 -> shard aid % 2
+                    assert db.shard_for_op(op) == aid % 2, request
+                    assert session.context.last_shard == aid % 2, request
+            assert server.submit(session, Request("commit")).ok
+        # each preloaded account ends at 5; the inserted ones stay at 0
+        assert db.sum_field("account", "balance") == 4 * 5
         db.close()
 
     def test_row_counts_and_sums_merge_across_shards(self, tmp_path):
@@ -112,7 +133,7 @@ class TestRouting:
         db, _ = _make(tmp_path, "pipe")
         _load_accounts(db, count=8)
         for aid in range(8):
-            db.submit_txn_nowait([("add", "account", aid, "balance", aid)])
+            db.submit_txn_nowait([("add", "account", aid, {"balance": aid})])
         db.drain()
         assert db.sum_field("account", "balance") == 8 * 100 + sum(range(8))
         db.close()
@@ -150,7 +171,7 @@ class TestQuarantineIsolation:
         db.audit_all()  # quarantines the corrupt region on shard 0
         assert len(db.quarantined()[0]) > 0
         # Shard 1 (odd branches) keeps serving reads and writes.
-        db.submit_txn([("add", "account", 1, "balance", 11)])
+        db.submit_txn([("add", "account", 1, {"balance": 11})])
         row = db.submit_txn([("query", "account", 1)])[0]
         assert row["balance"] == 111
         db.close()
@@ -268,7 +289,7 @@ class TestProcessMode:
         db, _ = _make(tmp_path, "proc", mode="process")
         try:
             _load_accounts(db, count=8)
-            db.submit_txn([("add", "account", 3, "balance", 23)])
+            db.submit_txn([("add", "account", 3, {"balance": 23})])
             assert db.submit_txn([("query", "account", 3)])[0]["balance"] == 123
             assert db.sum_field("account", "balance") == 8 * 100 + 23
             assert all(clean for clean, _, _ in db.audit_all())
@@ -333,7 +354,7 @@ class TestProcessMode:
                     db.shard_call(
                         0,
                         ("apply", waiter.context.open_txns[0], "update",
-                         "account", 0, None, {"balance": 1}),
+                         "account", 0, {"balance": 1}),
                     )
                 assert raised.value.holder_txn_id == holder.context.open_txns[0]
         finally:

@@ -37,8 +37,8 @@ ACCOUNT_SCHEMA = Schema(
 )
 
 TRANSFER = [
-    ("add", "account", 0, "balance", -30),
-    ("add", "account", 1, "balance", 30),
+    ("add", "account", 0, {"balance": -30}),
+    ("add", "account", 1, {"balance": 30}),
 ]
 
 

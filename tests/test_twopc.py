@@ -191,8 +191,8 @@ def _build_sharded(
 
 
 TRANSFER = [
-    ("add", "account", 0, "balance", -30),
-    ("add", "account", 1, "balance", 30),
+    ("add", "account", 0, {"balance": -30}),
+    ("add", "account", 1, {"balance": 30}),
 ]
 
 
@@ -213,8 +213,8 @@ class TestCrossShardTransfer:
     def test_vote_no_aborts_prepared_branch(self, tmp_path):
         db, _ = _build_sharded(tmp_path, "voteno")
         bad = [
-            ("add", "account", 0, "balance", -30),
-            ("add", "account", 999, "balance", 30),  # no such key: vote no
+            ("add", "account", 0, {"balance": -30}),
+            ("add", "account", 999, {"balance": 30}),  # no such key: vote no
         ]
         with pytest.raises(TwoPhaseCommitError):
             db.submit_txn(bad)
@@ -226,7 +226,7 @@ class TestCrossShardTransfer:
 
     def test_single_shard_txns_skip_2pc(self, tmp_path):
         db, _ = _build_sharded(tmp_path, "local")
-        db.submit_txn([("add", "account", 0, "balance", 5)])
+        db.submit_txn([("add", "account", 0, {"balance": 5})])
         assert len(db.decisions) == 0
         db.close()
 
@@ -344,11 +344,11 @@ class TestTwoPcHardening:
         config = DBConfig(dir=str(tmp_path / "prep-fail"), scheme="data_codeword")
         core, _ = ShardCore.open(config, [("account", ACCOUNT_SCHEMA, 32, "aid")])
         setup = core.execute(("begin",))
-        core.execute(("op", setup, ("insert", "account", {"aid": 1, "balance": 100})))
+        core.execute(("apply", setup, "insert", "account", {"aid": 1, "balance": 100}))
         core.execute(("commit", setup))
 
         txn_id = core.execute(("begin",))
-        core.execute(("op", txn_id, ("update_key", "account", 1, {"balance": 50})))
+        core.execute(("apply", txn_id, "add", "account", 1, {"balance": -50}))
 
         def boom(txn, gid):
             raise RuntimeError("prepare I/O failure")
@@ -363,7 +363,7 @@ class TestTwoPcHardening:
         # can write the same key immediately (locks fail fast, so a
         # leaked lock would raise LockError here).
         redo = core.execute(("begin",))
-        core.execute(("op", redo, ("update_key", "account", 1, {"balance": 75})))
+        core.execute(("apply", redo, "add", "account", 1, {"balance": -25}))
         core.execute(("commit", redo))
         assert core.execute(("sum_field", "account", "balance")) == 75
         core.execute(("close",))
@@ -420,9 +420,9 @@ class TestTwoPcHardening:
 
         db.shards[0].call = flaky
         bad = [
-            ("add", "account", 0, "balance", -30),
-            ("add", "account", 1, "balance", 15),
-            ("add", "account", 1001, "balance", 15),  # shard 2: vote no
+            ("add", "account", 0, {"balance": -30}),
+            ("add", "account", 1, {"balance": 15}),
+            ("add", "account", 1001, {"balance": 15}),  # shard 2: vote no
         ]
         with pytest.raises(TwoPhaseCommitError):
             db.submit_txn(bad)
@@ -431,7 +431,7 @@ class TestTwoPcHardening:
         assert len(db.decisions) == 0
         # Shard 1's branch was aborted despite shard 0's failure: its
         # key is immediately writable and its balance unchanged.
-        db.submit_txn([("add", "account", 1, "balance", 1)])
+        db.submit_txn([("add", "account", 1, {"balance": 1})])
         assert db.submit_txn([("query", "account", 1)])[0]["balance"] == 101
         db.close()
 
@@ -439,7 +439,7 @@ class TestTwoPcHardening:
         db, _ = _build_sharded(tmp_path, "closed-nowait")
         db.close()
         with pytest.raises(ShardError):
-            db.submit_txn_nowait([("add", "account", 0, "balance", 1)])
+            db.submit_txn_nowait([("add", "account", 0, {"balance": 1})])
 
 
 class TestSupervisedDelivery:
