@@ -73,7 +73,7 @@ from repro.shard import (
     ShardedDatabase,
     SupervisorConfig,
 )
-from repro.shard.router import DECISION_LOG_FILE, DecisionLog
+from repro.shard.coordinator import DECISION_LOG_FILE, DecisionLog
 
 CHAOS_JSON_VERSION = 1
 

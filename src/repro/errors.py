@@ -274,9 +274,9 @@ class TwoPhaseCommitError(ShardError):
       delivering it to some participant failed.  The transaction IS
       committed; retrying it would apply it twice, so ``retryable``
       is ``False``.  Under supervision this state never surfaces: the
-      :class:`~repro.shard.supervisor.ShardSupervisor` queues the
-      undelivered decision and completes it, and the router reports
-      success.
+      :class:`~repro.shard.coordinator.Coordinator` queues the
+      undelivered decision, the supervisor's ticks complete it, and the
+      caller sees success.
     """
 
     def __init__(

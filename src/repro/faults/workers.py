@@ -19,8 +19,8 @@ Two injection styles:
   log's ``append``) so the worker dies at a *protocol moment*: as a 2PC
   prepare or decide reaches it, or in the gap after the coordinator
   fsyncs the commit decision but before delivery.  That last gap is the
-  "committed but undelivered" window the supervisor's repair loop
-  exists for.
+  "committed but undelivered" window the coordinator's redelivery
+  queue exists for.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ def kill_after_decision(db, shard_id: int):
     delivery.  Every prepared branch on the killed shard is then
     "committed but undelivered" -- the decision log says commit, the
     participant never heard -- which restart recovery (or the
-    supervisor's repair queue) must complete.  Returns ``disarm()``.
+    coordinator's redelivery queue) must complete.  Returns ``disarm()``.
     """
-    log = db.decisions
+    log = db.coordinator.decisions
     original = log.append
 
     def wrapped(gid):

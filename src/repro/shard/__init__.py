@@ -10,9 +10,9 @@ what breaks the single-image GIL plateau of ``repro/serve``.
 
 Single-branch transactions commit entirely within one shard.  Cross-shard
 transfers commit via a minimal presumed-abort two-phase commit
-(:mod:`repro.shard.router`): participant prepare records ride each shard's
-own WAL codec, the coordinator's commit decisions live in a durable
-decision log, and the existing :class:`~repro.recovery.restart.
+(:mod:`repro.shard.coordinator`): participant prepare records ride each
+shard's own WAL codec, the coordinator's commit decisions live in a
+durable decision log, and the existing :class:`~repro.recovery.restart.
 RestartRecovery` resolves in-doubt branches against that log at restart --
 shard recoveries are independent and run in parallel.
 
@@ -23,14 +23,10 @@ degraded-mode serving (fail-fast retryable errors for a shard that is
 mid-recovery while the survivors keep serving).
 """
 
+from repro.shard.coordinator import Coordinator, DecisionLog
 from repro.shard.core import ShardCore
 from repro.shard.partition import PartitionSpec, shard_capacity
-from repro.shard.router import (
-    DecisionLog,
-    ShardedConfig,
-    ShardedDatabase,
-    ShardRouter,
-)
+from repro.shard.router import ShardedConfig, ShardedDatabase, ShardRouter
 from repro.shard.shard import LocalShard, ProcessShard
 from repro.shard.supervisor import (
     ShardSupervisor,
@@ -39,6 +35,7 @@ from repro.shard.supervisor import (
 )
 
 __all__ = [
+    "Coordinator",
     "DecisionLog",
     "LocalShard",
     "PartitionSpec",

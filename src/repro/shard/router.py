@@ -1,26 +1,22 @@
-"""The shard router: partitioned stores, 2PC transfers, parallel recovery.
+"""The shard router: partitioned stores, routed transactions, parallel recovery.
 
 :class:`ShardedDatabase` owns N shards (in-process or worker processes)
 and routes whole transactions: every data op in a transaction is mapped
 to a shard by one rule (:meth:`ShardedDatabase.route`, over the partition
 spec); a one-shard transaction commits locally in one round trip, a
-cross-shard transaction runs presumed-abort two-phase commit.  The 2PC
-pieces are deliberately minimal:
+cross-shard one goes to the router's
+:class:`~repro.shard.coordinator.Coordinator` (presumed-abort two-phase
+commit, the decision log, gids, decision delivery).
 
 - *Participants* are ordinary shard databases.  A prepare is the branch's
   redo migration plus a :class:`~repro.wal.records.TxnPrepareRecord`
   (flushed) on that shard's own WAL -- no new log, no new codec.
-- *The coordinator's* durable state is the decision log
-  (:class:`DecisionLog`): a fsync'd append-only file of committed gids.
-  Absence means abort -- that is the whole presumed-abort protocol.
-  Gids carry a persisted incarnation epoch (``g<epoch>.<seq>``) so a
-  restarted coordinator can never mint a gid that collides with a
-  committed one from a prior life.
 - *Recovery* is per-shard and independent: each shard replays its own WAL
   through the existing :class:`~repro.recovery.restart.RestartRecovery`,
-  which resolves any prepared branch it finds against the decision log.
-  Shards never consult each other, so N recoveries run in N processes
-  and wall-clock drops near-linearly (``bench --sharded`` measures it).
+  which resolves any prepared branch it finds against the coordinator's
+  committed set.  Shards never consult each other, so N recoveries run in
+  N processes and wall-clock drops near-linearly (``bench --sharded``
+  measures it).
 
 :class:`ShardRouter` is the sharded *transaction context* of a serve
 session (:class:`~repro.serve.session.Session` interprets the protocol;
@@ -32,8 +28,6 @@ shard.
 from __future__ import annotations
 
 import os
-import threading
-import time
 from dataclasses import dataclass, fields
 
 from repro.errors import (
@@ -41,84 +35,14 @@ from repro.errors import (
     PartialDrainError,
     ShardError,
     ShardUnavailableError,
-    SimulatedCrash,
-    TwoPhaseCommitError,
 )
 from repro.faults.crashpoints import CrashPointRegistry
 from repro.serve.protocol import DATA_OPS, ROW_OPS
+# DECISION_LOG_FILE and DecisionLog stay importable from this module.
+from repro.shard.coordinator import DECISION_LOG_FILE, Coordinator, DecisionLog
 from repro.shard.partition import PartitionSpec, shard_capacity
 from repro.shard.shard import ShardCrashed, open_shard
 from repro.storage.database import DBConfig
-
-DECISION_LOG_FILE = "2pc.decisions"
-EPOCH_FILE = "2pc.epoch"
-
-#: Supervised, a decide delivery is retried inline this many times (with
-#: capped-exponential backoff) before the supervisor's repair queue takes
-#: over; unsupervised it is tried once.
-DECIDE_RETRIES = 2
-DECIDE_BACKOFF_BASE_S = 0.01
-DECIDE_BACKOFF_CAP_S = 0.25
-
-
-def _bump_epoch(dir_path: str) -> int:
-    """Advance and persist the coordinator incarnation counter.
-
-    Gids must be unique across coordinator restarts: the decision log
-    durably remembers committed gids from prior incarnations, so a
-    reused gid would let a crashed transaction's in-doubt branch resolve
-    against a stale decision.  ``len(decisions)`` cannot seed a sequence
-    either -- aborted gids are never written (presumed abort).  Each
-    incarnation therefore claims a fresh epoch, fsync'd before any gid
-    is handed out, and stamps it into every gid it generates.
-    """
-    path = os.path.join(dir_path, EPOCH_FILE)
-    epoch = 0
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read().strip()
-            if text:
-                epoch = int(text)
-    epoch += 1
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{epoch}\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    return epoch
-
-
-class DecisionLog:
-    """The coordinator's durable commit decisions: one gid per line.
-
-    Presumed abort needs exactly one durable bit per *committed* global
-    transaction; aborted ones are never written.  ``append`` is
-    write+flush+fsync, so by the time any participant is told to commit,
-    a crash-and-recover coordinator still answers "commit" for that gid.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._committed = set(self.load_committed(path))
-        self._handle = open(path, "a", encoding="utf-8")
-
-    def append(self, gid: str) -> None:
-        self._handle.write(gid + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._committed.add(gid)
-
-    def __len__(self) -> int:
-        return len(self._committed)
-
-    def close(self) -> None:
-        self._handle.close()
-
-    @staticmethod
-    def load_committed(path: str) -> frozenset:
-        if not os.path.exists(path):
-            return frozenset()
-        with open(path, encoding="utf-8") as handle:
-            return frozenset(line.strip() for line in handle if line.strip())
 
 
 @dataclass
@@ -162,34 +86,27 @@ def _per_shard(path: str, shard_id: int) -> str:
 class ShardedDatabase:
     """N protected stores behind one transaction router."""
 
-    def __init__(
-        self, config: ShardedConfig, shards: list, decisions: DecisionLog
-    ) -> None:
+    def __init__(self, config: ShardedConfig) -> None:
+        """A router with no shards yet (:meth:`create` / :meth:`recover`
+        open them) and its coordinator, which opens the decision log and
+        claims this incarnation's gid epoch."""
         self.config = config
-        self.shards = shards
+        self.shards: list = []
         self.partition = config.partition()
-        self.decisions = decisions
         #: Router-side crash points (the ``twopc.pre_decide`` /
         #: ``after_decide`` / ``after_first_commit`` coordinator moments).
         self.crashpoints = CrashPointRegistry()
-        self._epoch = _bump_epoch(config.dir)
-        self._next_gid = 1
         self._closed = False
         #: Set by :meth:`~repro.shard.supervisor.ShardSupervisor.attach`.
-        #: When None (the pre-supervision contract every existing test
-        #: relies on) routed calls have no deadlines, a decide is tried
-        #: once, and a dead worker raises :class:`ShardCrashed` to the
-        #: caller, who owns recovery.  Supervised, the deadlines of the
-        #: supervisor's ``config`` apply, decides retry, crashes are
-        #: reported for automatic restart, and callers get fail-fast
-        #: retryable :class:`~repro.errors.ShardUnavailableError`.
+        #: When None routed calls have no deadlines and a dead worker
+        #: raises :class:`ShardCrashed` to the caller, who owns recovery.
+        #: Supervised, the supervisor's ``config`` deadlines apply,
+        #: crashes are reported for automatic restart, and callers get a
+        #: fail-fast retryable :class:`~repro.errors.ShardUnavailableError`.
         self.supervisor = None
-        #: Serializes commit decisions against restart-recovery snapshot
-        #: reads (see :meth:`_fenced_decide`): a recovery snapshot taken
-        #: under this lock either precedes a decision's incarnation fence
-        #: (which then withholds the decision) or follows its append (and
-        #: so includes the gid).
-        self.decision_lock = threading.Lock()
+        self.coordinator = Coordinator(self)
+        #: The coordinator's log; its length counts committed 2PC gids.
+        self.decisions: DecisionLog = self.coordinator.decisions
 
     # ------------------------------------------------------ construction
 
@@ -222,7 +139,7 @@ class ShardedDatabase:
         In process mode the N recoveries run concurrently inside the N
         fresh worker processes -- this is the shard-parallel restart the
         benchmark's recovery curve measures.  Each shard resolves its
-        in-doubt 2PC branches against the shared decision log.
+        in-doubt 2PC branches against the coordinator's committed set.
         """
         return cls._open(config, None, shard_crashpoints)
 
@@ -236,15 +153,19 @@ class ShardedDatabase:
         """Create (``table_defs`` given) or recover all N shards.  Every
         shard starts opening before any is waited on, so process shards
         open in parallel."""
-        decision_path = os.path.join(config.dir, DECISION_LOG_FILE)
-        committed = DecisionLog.load_committed(decision_path)
+        db = cls(config)
+        committed = db.coordinator.snapshot()
         registries = shard_crashpoints or [None] * config.n_shards
-        shards = [
-            open_shard(config, i, table_defs, committed, registries[i])
-            for i in range(config.n_shards)
-        ]
-        summaries = [shard.wait_ready() for shard in shards]
-        return cls(config, shards, DecisionLog(decision_path)), summaries
+        try:
+            for i in range(config.n_shards):
+                db.shards.append(
+                    open_shard(config, i, table_defs, committed, registries[i])
+                )
+            summaries = [shard.wait_ready() for shard in db.shards]
+        except BaseException:
+            db.crash()  # the shards opened so far, and the decision log
+            raise
+        return db, summaries
 
     # ----------------------------------------------------------- routing
 
@@ -329,7 +250,10 @@ class ShardedDatabase:
         if len(groups) == 1:
             ((sid, shard_ops),) = groups.items()
             return self.shard_call(sid, ("txn", shard_ops))
-        self._commit_two_phase(groups)
+        gid = self.coordinator.new_gid()
+        self.coordinator.two_phase(
+            gid, {sid: ("txn_prepare", gid, ops) for sid, ops in groups.items()}, {}
+        )
         return []
 
     def submit_txn_nowait(self, ops: list) -> None:
@@ -382,222 +306,12 @@ class ShardedDatabase:
             raise PartialDrainError(results, lost)
         return results
 
-    def _new_gid(self) -> str:
-        """A gid unique across all coordinator incarnations (epoch.seq)."""
-        gid = f"g{self._epoch}.{self._next_gid}"
-        self._next_gid += 1
-        return gid
-
-    def _prepare_token(self, shard_id: int) -> int:
-        """Capture the shard's incarnation right before its prepare."""
-        if self.supervisor is None:
-            return 0
-        return self.supervisor.prepare_token(shard_id)
-
-    def _fenced_decide(
-        self, gid: str, prepared: list[int], tokens: dict[int, int]
-    ) -> list[int] | None:
-        """Durably decide commit, fenced on participant incarnations.
-
-        A restarting shard resolves its in-doubt branches against a
-        decision-log snapshot; if that snapshot was read *before* this
-        append, the recovered shard presumed-aborted the branch and a
-        commit decision now would be acked to the caller while one
-        branch is already rolled back -- an atomicity violation.  The
-        fence closes the race: snapshot reads
-        (:meth:`~repro.shard.supervisor.ShardSupervisor._recover_handle`)
-        and this check+append are serialized by ``decision_lock``, so
-        either every prepared participant is still its prepare-time
-        incarnation when the decision lands (and any later snapshot
-        includes the gid), or the decision is withheld and presumed
-        abort rolls every branch back.
-
-        Returns ``None`` when the decision was appended, else the
-        sorted stale shard ids (restarted or no longer serving since
-        their prepare); the caller aborts.
-        """
-        with self.decision_lock:
-            sup = self.supervisor
-            if sup is not None:
-                stale = sorted(
-                    sid
-                    for sid in prepared
-                    if not sup.can_decide(sid, tokens.get(sid, -1))
-                )
-                if stale:
-                    return stale
-            self.decisions.append(gid)
-            return None
-
-    def _fence_abort(
-        self, gid: str, prepared: list[int], stale: list[int]
-    ) -> TwoPhaseCommitError:
-        """Presumed abort after a fence rejection: roll back the live
-        branches (the stale shards' recoveries already did) and build
-        the retryable outcome error."""
-        self._abort_prepared(gid, prepared)
-        return TwoPhaseCommitError(
-            f"transaction {gid} aborted: shard(s) {stale} restarted "
-            "between prepare and the commit decision, so their recovery "
-            "resolved the branch against a decision-log snapshot that "
-            "predates this decision (incarnation fence)",
-            gid=gid,
-        )
-
-    def _abort_prepared(self, gid: str, prepared: list[int]) -> None:
-        """Send abort to every prepared branch of ``gid``."""
-        self._send_aborts({sid: ("decide", gid, False) for sid in prepared})
-
-    def _send_aborts(self, cmds: dict[int, tuple]) -> None:
-        """Send each shard its abort command, best-effort per shard.
-
-        One failing shard must not skip the rest: each remaining branch
-        holds exclusive locks until aborted.  Presumed abort makes a
-        swallowed failure safe -- that shard's restart recovery rolls
-        the branch back -- but live traffic on it blocks until then, so
-        we still try every shard.  Crash simulations propagate: the
-        whole node is dying and recovery handles everything.  Supervised,
-        a dead shard is reported (its restart rolls the branch back) and
-        the abort fan-out continues.
-        """
-        for sid, cmd in cmds.items():
-            try:
-                self.shard_call(sid, cmd)
-            except (SimulatedCrash, ShardCrashed):
-                raise
-            except Exception:
-                pass
-
-    def _deliver_decide(self, gid: str, sid: int, commit: bool):
-        """One decide delivery; supervised, with capped-exponential retry.
-
-        Returns ``None`` on success or the final failure.  Retries only
-        make sense for transient non-crash failures (a flaky transport
-        wrapper, a momentarily saturated worker): a dead shard
-        (:class:`ShardCrashed` unsupervised, converted to
-        :class:`ShardUnavailableError` supervised) will not answer until
-        its restart recovery runs, so hammering it is pointless -- the
-        supervised path queues the delivery with the supervisor instead.
-        """
-        last: Exception | None = None
-        retries = 0 if self.supervisor is None else DECIDE_RETRIES
-        for attempt in range(retries + 1):
-            if attempt:
-                time.sleep(
-                    min(DECIDE_BACKOFF_CAP_S, DECIDE_BACKOFF_BASE_S * 2 ** (attempt - 1))
-                )
-            try:
-                self.shard_call(sid, ("decide", gid, commit))
-                return None
-            except SimulatedCrash:
-                raise
-            except ShardCrashed:
-                raise  # unsupervised process mode: the caller recovers
-            except ShardUnavailableError as exc:
-                return exc  # supervisor already owns this shard's repair
-            except Exception as exc:
-                last = exc
-        return last
-
-    def _commit_prepared(self, gid: str, prepared: list[int]) -> None:
-        """Send commit to every prepared branch after the decision is
-        durable.  A non-crash failure on one shard must not strand the
-        later participants holding locks, so every shard is attempted;
-        failures are collected and surfaced once -- the transaction IS
-        committed (the decision log says so), the failed branches just
-        wait for that shard's restart recovery to complete them.
-
-        Supervised, an undelivered decision is *not* an error at all:
-        it is queued with the supervisor, whose repair loop (or the
-        shard's restart recovery against the decision log) completes the
-        branch, and the caller sees a committed transaction -- the PR-9
-        "committed but undelivered" terminal condition becomes a
-        transient, self-healing one.
-        """
-        undelivered: list[tuple[int, Exception]] = []
-        first = True
-        for sid in prepared:
-            failure = self._deliver_decide(gid, sid, True)
-            if failure is not None:
-                undelivered.append((sid, failure))
-            if first:
-                self.crashpoints.reach("twopc.after_first_commit")
-                first = False
-        if not undelivered:
-            return
-        if self.supervisor is not None:
-            self.supervisor.queue_decision_delivery(
-                gid, [sid for sid, _ in undelivered]
-            )
-            return
-        detail = "; ".join(f"shard {sid}: {exc}" for sid, exc in undelivered)
-        raise TwoPhaseCommitError(
-            f"transaction {gid} is committed, but delivering the "
-            f"decision failed on {detail}; restart recovery will "
-            f"complete those branches from the decision log",
-            gid=gid,
-            committed=True,
-            undelivered=tuple(sid for sid, _ in undelivered),
-        )
-
-    def _two_phase(
-        self, gid: str, prepares: dict[int, tuple], aborts: dict[int, tuple]
-    ) -> None:
-        """Presumed-abort 2PC: ``prepares`` maps each participant shard
-        to the command that makes its branch vote; ``aborts`` to the
-        command that rolls back a branch which never got to vote.
-
-        Prepares carry a deadline under supervision
-        (``prepare_timeout_s``): a participant that does not vote in
-        time is treated exactly like a vote of *no* -- presumed abort
-        rolls back the branches that did prepare, now or at the slow
-        shard's restart.  That is what makes a hung worker a transient
-        condition instead of a wedged coordinator.
-        """
-        prepared: list[int] = []
-        tokens: dict[int, int] = {}
-        sup = self.supervisor
-        timeout = None if sup is None else sup.config.prepare_timeout_s
-        for sid in sorted(prepares):
-            tokens[sid] = self._prepare_token(sid)
-            try:
-                self.shard_call(sid, prepares[sid], timeout=timeout)
-                prepared.append(sid)
-            except SimulatedCrash:
-                raise  # inproc crash simulation: whole process dies here
-            except ShardCrashed:
-                raise  # process mode: the worker is gone; recover
-            except BaseException as failure:
-                # Presumed abort: nothing durable names this gid; roll
-                # back every branch and surface the vote-no cause.
-                self._abort_prepared(gid, prepared)
-                self._send_aborts(
-                    {s: aborts[s] for s in sorted(aborts) if s not in prepared}
-                )
-                raise TwoPhaseCommitError(
-                    f"transaction {gid} aborted: {failure}"
-                ) from failure
-        self.crashpoints.reach("twopc.pre_decide")
-        stale = self._fenced_decide(gid, prepared, tokens)
-        if stale is not None:
-            raise self._fence_abort(gid, prepared, stale)
-        self.crashpoints.reach("twopc.after_decide")
-        self._commit_prepared(gid, prepared)
-
-    def _commit_two_phase(self, groups: dict[int, list]) -> None:
-        """2PC over ``groups`` (shard id -> ops): each branch runs its
-        ops and votes in one round trip.  A branch that fails aborts
-        itself in the shard and the later ones never begin."""
-        gid = self._new_gid()
-        self._two_phase(
-            gid, {sid: ("txn_prepare", gid, ops) for sid, ops in groups.items()}, {}
-        )
-
     def commit_session(self, open_txns: dict[int, int]) -> None:
         """Commit a session's open per-shard transactions (serve front).
 
         ``open_txns`` maps shard id -> open transaction id.  One shard
-        commits locally; several run 2PC over the already-open branches.
+        commits locally; several run the coordinator's 2PC over the
+        already-open branches.
         """
         self._require_open()
         if not open_txns:
@@ -606,8 +320,8 @@ class ShardedDatabase:
             ((sid, txn_id),) = open_txns.items()
             self.shard_call(sid, ("commit", txn_id))
             return
-        gid = self._new_gid()
-        self._two_phase(
+        gid = self.coordinator.new_gid()
+        self.coordinator.two_phase(
             gid,
             {sid: ("prepare", txn_id, gid) for sid, txn_id in open_txns.items()},
             {sid: ("abort", txn_id) for sid, txn_id in open_txns.items()},
@@ -658,26 +372,39 @@ class ShardedDatabase:
     # ---------------------------------------------------------- lifecycle
 
     def crash(self) -> None:
-        """Simulate failure of the whole node: every shard dies."""
+        """Simulate failure of the whole node: every shard dies, and
+        nothing restarts one (supervision stops)."""
+        self._shut_down()
         for shard in self.shards:
             shard.terminate()
-        self.decisions.close()
-        self._closed = True
+        self.coordinator.close()
 
     def crash_shard(self, shard_id: int) -> None:
         """Kill one shard only; the rest keep serving."""
         self.shards[shard_id].terminate()
 
     def close(self) -> None:
+        """Close every shard; supervision stops first."""
         if self._closed:
             return
+        self._shut_down()
         for shard in self.shards:
             try:
                 shard.close()
             except Exception:
                 pass
-        self.decisions.close()
+        self.coordinator.close()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def _shut_down(self) -> None:
+        """Refuse new work and stop supervision: a tick that reopened a
+        shard would write it alongside the owner's next open."""
         self._closed = True
+        if self.supervisor is not None:
+            self.supervisor.stop()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -732,9 +459,10 @@ class ShardRouter:
         return 0
 
     def abort(self) -> int:
-        """Roll back every branch (:meth:`ShardedDatabase._send_aborts`:
+        """Roll back every branch
+        (:meth:`~repro.shard.coordinator.Coordinator.send_aborts`:
         best-effort per shard, crashes propagate)."""
-        self.db._send_aborts(
+        self.db.coordinator.send_aborts(
             {sid: ("abort", txn_id) for sid, txn_id in self._take_open().items()}
         )
         return 0

@@ -18,19 +18,17 @@ caller and stayed there.  :class:`ShardSupervisor` closes the loop:
   terminated and recovered through the opener the router uses
   (:func:`~repro.shard.shard.open_shard`: a fresh worker in process
   mode, inline otherwise), resolving in-doubt 2PC branches against a
-  fresh snapshot of the decision log.  Before the shard
+  fresh snapshot of the coordinator's committed set.  Before the shard
   rejoins, its recovery is *certified* by a full codeword audit (with a
   quarantine-repair retry when the shard is configured for it); an
   uncertified shard never serves.  Surviving shards serve throughout --
   recovery touches only the dead shard's handle.
 * **In-doubt decision repair.**  A commit decision that could not be
   delivered (the participant died between the coordinator's fsync and
-  the decide fan-out) is queued here by the router; the repair loop
-  replays it with capped-exponential backoff until the participant
-  answers ``committed``/``unknown``, and a certified restart drops the
-  queue entry outright -- restart recovery already resolved the branch
-  against the decision log.  The caller saw a *committed* transaction
-  the whole time.
+  the decide fan-out) waits in the queue of
+  :mod:`repro.shard.coordinator`: every tick runs its redelivery pass,
+  and a certified restart prunes what its recovery resolved.  The
+  caller saw a *committed* transaction the whole time.
 * **Degraded-mode serving.**  While a shard is down, every routed call
   to it fails fast with a retryable
   :class:`~repro.errors.ShardUnavailableError` (:meth:`ensure_serving`)
@@ -44,7 +42,8 @@ a driver loop; fully deterministic) or *automatically*: :meth:`start`
 rides the existing :class:`~repro.runtime.scheduler.Scheduler` machinery
 -- a threaded scheduler whose ``"interval"`` tick drives supervision in
 the background, the same task plumbing that drives group-commit
-deadlines and background sweeps.
+deadlines and background sweeps.  Closing or crashing the database
+stops it: no tick reopens a shard of a closed database.
 
 :class:`WaitForGraph` is the cross-shard deadlock half of the story.
 Locks in this system *fail fast* (a conflict raises
@@ -66,7 +65,7 @@ from dataclasses import dataclass, field as dc_field
 
 from repro.errors import ReproError, ShardError, ShardUnavailableError
 from repro.runtime.scheduler import THREADED, Scheduler
-from repro.shard.router import DecisionLog, ShardedDatabase
+from repro.shard.router import ShardedDatabase
 from repro.shard.shard import open_shard
 
 #: Shard lifecycle states the supervisor tracks.
@@ -74,10 +73,6 @@ SERVING = "serving"
 RECOVERING = "recovering"
 DOWN = "down"
 
-#: Backoff between repair-queue delivery attempts of one decision
-#: (capped exponential in its failed attempts).
-REPAIR_BACKOFF_BASE_S = 0.01
-REPAIR_BACKOFF_CAP_S = 0.5
 #: Period of the automatic supervision tick (:meth:`ShardSupervisor.start`).
 TICK_INTERVAL_S = 0.05
 
@@ -114,14 +109,6 @@ class _ShardState:
     restarts: int = 0
 
 
-@dataclass
-class _PendingDecision:
-    gid: str
-    shards: set
-    attempts: int = 0
-    next_try_at: float = 0.0
-
-
 class ShardSupervisor:
     """Heartbeats, restarts, and repairs the shards of one router."""
 
@@ -133,12 +120,10 @@ class ShardSupervisor:
         self._states: dict[int, _ShardState] = {
             sid: _ShardState() for sid in range(len(db.shards))
         }
-        self._pending: dict[str, _PendingDecision] = {}
         self._lock = threading.RLock()
         self._tick_lock = threading.Lock()
         self._scheduler: Scheduler | None = None
         self.events: list[dict] = []
-        self.decisions_repaired = 0
         self.heartbeat_failures = 0
         self._attached = False
 
@@ -147,9 +132,8 @@ class ShardSupervisor:
     def attach(self) -> "ShardSupervisor":
         """Wire supervision into the router, which then reads this
         supervisor's ``config``: deadlines on every routed call,
-        decide retries, fail-fast on non-serving shards, crash
-        reporting, and the pending-delivery path for undelivered commit
-        decisions."""
+        fail-fast on non-serving shards, crash reporting, and the
+        coordinator's queue for undelivered commit decisions."""
         self.db.supervisor = self
         self._attached = True
         return self
@@ -179,15 +163,18 @@ class ShardSupervisor:
         return self
 
     def stop(self) -> None:
+        """Stop scheduled ticks and wait out a tick in flight."""
         scheduler, self._scheduler = self._scheduler, None
         if scheduler is not None:
             scheduler.shutdown()
+        with self._tick_lock:
+            pass
 
     def _scheduled_tick(self, _event: str) -> None:
         try:
             self.tick()
         except Exception as exc:  # pragma: no cover - ticker must survive
-            self._event("tick_error", None, str(exc))
+            self.record("tick_error", None, str(exc))
 
     # ------------------------------------------------------ fast checks
 
@@ -226,10 +213,10 @@ class ShardSupervisor:
                 return
             entry.state = RECOVERING
             entry.open_since = time.monotonic()
-            self._event("crash_detected", shard_id, reason)
+            self.record("crash_detected", shard_id, reason)
 
     def prepare_token(self, shard_id: int) -> int:
-        """Incarnation token the router captures right before a 2PC
+        """Incarnation token the coordinator takes right before a 2PC
         prepare: the shard's restart count while it is serving, or a
         sentinel that can never match when it is not (the prepare is
         doomed anyway -- :meth:`ensure_serving` fails it fast)."""
@@ -250,23 +237,6 @@ class ShardSupervisor:
             entry = self._states[shard_id]
             return entry.state == SERVING and entry.restarts == token
 
-    def queue_decision_delivery(self, gid: str, shards) -> None:
-        """A durable commit decision could not reach these participants;
-        remember it until delivery or certified restart resolves it."""
-        with self._lock:
-            entry = self._pending.get(gid)
-            if entry is None:
-                entry = self._pending[gid] = _PendingDecision(gid, set())
-            entry.shards.update(shards)
-            self._event(
-                "decision_queued", None, f"{gid} -> shards {sorted(entry.shards)}"
-            )
-
-    @property
-    def pending_decisions(self) -> dict[str, tuple]:
-        with self._lock:
-            return {gid: tuple(sorted(p.shards)) for gid, p in self._pending.items()}
-
     # ------------------------------------------------------------- tick
 
     def tick(self) -> dict:
@@ -274,14 +244,17 @@ class ShardSupervisor:
 
         Safe to call from a test loop or the scheduler ticker; a second
         concurrent tick is skipped rather than queued (supervision is
-        idempotent, the next tick picks up whatever this one missed).
+        idempotent, the next tick picks up whatever this one missed), and
+        so is every tick once the database is closed or crashed.
         """
         if not self._tick_lock.acquire(blocking=False):
             return {"skipped": True}
         try:
+            if self.db.closed:
+                return {"skipped": True}
             self._heartbeat()
             restarted = self._restart_pass()
-            delivered = self._repair_decisions()
+            delivered = self.db.coordinator.redeliver()
             return {
                 "skipped": False,
                 "restarted": restarted,
@@ -314,13 +287,13 @@ class ShardSupervisor:
         entry = self._states[shard_id]
         if entry.failed_restarts >= self.config.max_restarts:
             entry.state = DOWN
-            self._event(
+            self.record(
                 "shard_down",
                 shard_id,
                 f"{entry.failed_restarts} consecutive restart failures",
             )
             return False
-        self._event("restart_attempt", shard_id, "")
+        self.record("restart_attempt", shard_id, "")
         old = self.db.shards[shard_id]
         try:
             old.terminate()
@@ -335,7 +308,7 @@ class ShardSupervisor:
                 )
         except Exception as exc:
             entry.failed_restarts += 1
-            self._event("restart_failed", shard_id, str(exc))
+            self.record("restart_failed", shard_id, str(exc))
             if new_handle is not None:
                 try:
                     new_handle.terminate()
@@ -350,44 +323,15 @@ class ShardSupervisor:
             if entry.open_since is not None:
                 entry.windows.append((entry.open_since, time.monotonic()))
                 entry.open_since = None
-            # Restart recovery resolved every in-doubt branch against
-            # this restart's decision-log snapshot, so a pending
-            # delivery whose gid the snapshot contains is already
-            # satisfied on this shard.  A gid the snapshot does NOT
-            # contain was fsync'd after the snapshot was read (the
-            # incarnation fence guarantees no such decision names a
-            # branch this recovery touched); it stays queued for the
-            # repair loop to deliver to the new incarnation.
-            for gid in list(self._pending):
-                if gid not in snapshot:
-                    continue
-                pending = self._pending[gid]
-                pending.shards.discard(shard_id)
-                if not pending.shards:
-                    del self._pending[gid]
-                    self.decisions_repaired += 1
-                    self._event(
-                        "decision_delivered", shard_id, f"{gid} (via restart recovery)"
-                    )
-        self._event("rejoined", shard_id, f"restart #{entry.restarts}")
+        self.db.coordinator.rejoined(shard_id, snapshot)
+        self.record("rejoined", shard_id, f"restart #{entry.restarts}")
         return True
 
     def _recover_handle(self, shard_id: int):
-        """Recover one shard through the router's opener, resolving
-        in-doubt branches against a fresh decision-log snapshot.
-        Returns ``(handle, snapshot)``.
-
-        The snapshot read is fenced against live coordinators
-        (:meth:`~repro.shard.router.ShardedDatabase._fenced_decide`):
-        taken under ``decision_lock``, it either precedes a decision's
-        incarnation-fence check -- which then sees this shard
-        RECOVERING and withholds the decision -- or follows the
-        fsync'd append and so contains the gid.  Either way this
-        recovery can never presume-abort a branch whose commit the
-        coordinator acks.
-        """
-        with self.db.decision_lock:
-            committed = DecisionLog.load_committed(self.db.decisions.path)
+        """Recover one shard through the router's opener, resolving its
+        in-doubt branches against a fresh coordinator snapshot; returns
+        ``(handle, snapshot)``."""
+        committed = self.db.coordinator.snapshot()
         handle = open_shard(self.db.config, shard_id, committed=committed)
         handle.wait_ready(timeout=self.config.restart_timeout_s)
         return handle, committed
@@ -411,53 +355,6 @@ class ShardSupervisor:
         )
         return bool(clean)
 
-    def _repair_decisions(self) -> int:
-        """Replay undelivered commit decisions to serving participants.
-
-        Per-decision capped-exponential backoff; a participant that died
-        again is reported (its restart will resolve the branch) and the
-        entry stays queued.  ``committed``/``unknown`` both count as
-        delivered -- ``unknown`` means the shard's own recovery already
-        finished the branch.
-        """
-        delivered = 0
-        now = time.monotonic()
-        with self._lock:
-            pending = [p for p in self._pending.values() if p.next_try_at <= now]
-        for item in pending:
-            for sid in sorted(item.shards):
-                if self._states[sid].state != SERVING:
-                    continue
-                handle = self.db.shards[sid]
-                try:
-                    handle.call(
-                        ("decide", item.gid, True),
-                        timeout=self.config.call_timeout_s,
-                    )
-                except ReproError as exc:
-                    self.report_crash(sid, handle, reason=str(exc))
-                    continue
-                except Exception as exc:  # contain: retry after backoff
-                    self._event(
-                        "decision_delivery_failed", sid, f"{item.gid}: {exc}"
-                    )
-                    continue
-                with self._lock:
-                    item.shards.discard(sid)
-                self._event("decision_delivered", sid, item.gid)
-            with self._lock:
-                if not item.shards:
-                    self._pending.pop(item.gid, None)
-                    self.decisions_repaired += 1
-                    delivered += 1
-                else:
-                    item.attempts += 1
-                    item.next_try_at = now + min(
-                        REPAIR_BACKOFF_CAP_S,
-                        REPAIR_BACKOFF_BASE_S * 2 ** item.attempts,
-                    )
-        return delivered
-
     # ------------------------------------------------------------ status
 
     def heal(self, timeout_s: float = 60.0, tick_sleep_s: float = 0.01) -> bool:
@@ -467,7 +364,7 @@ class ShardSupervisor:
         while time.monotonic() < deadline:
             self.tick()
             states = {entry.state for entry in self._states.values()}
-            if states == {SERVING} and not self._pending:
+            if states == {SERVING} and not self.db.coordinator.pending:
                 return True
             if DOWN in states:
                 return False
@@ -483,6 +380,9 @@ class ShardSupervisor:
 
     def summary(self) -> dict:
         """Machine-readable supervision outcome (the chaos bench JSON)."""
+        coordinator = self.db.coordinator
+        # Outside our lock: the coordinator's fence takes ours under its own.
+        pending = len(coordinator.pending)
         with self._lock:
             per_shard = {}
             for sid, entry in self._states.items():
@@ -502,12 +402,13 @@ class ShardSupervisor:
                 "shards": per_shard,
                 "restarts": sum(e.restarts for e in self._states.values()),
                 "heartbeat_failures": self.heartbeat_failures,
-                "decisions_repaired": self.decisions_repaired,
-                "pending_decisions": len(self._pending),
+                "decisions_repaired": coordinator.repaired,
+                "pending_decisions": pending,
                 "events": len(self.events),
             }
 
-    def _event(self, kind: str, shard_id: int | None, detail: str) -> None:
+    def record(self, kind: str, shard_id: int | None, detail: str) -> None:
+        """Log one event (the coordinator logs its deliveries here too)."""
         self.events.append(
             {
                 "t": time.monotonic(),

@@ -329,10 +329,10 @@ class TestTwoPcHardening:
 
     def test_incarnation_epoch_is_monotone(self, tmp_path):
         db, config = _build_sharded(tmp_path, "monotone")
-        first_epoch = db._epoch
+        first_epoch = db.coordinator.epoch
         db.close()
         second, _ = ShardedDatabase.recover(config)
-        assert second._epoch > first_epoch
+        assert second.coordinator.epoch > first_epoch
         second.close()
 
     def test_failed_session_prepare_releases_the_branch(
@@ -461,7 +461,7 @@ class TestSupervisedDelivery:
 
         # The decision is durable and its delivery is queued, not lost.
         assert len(db.decisions) == 1
-        assert len(supervisor.pending_decisions) == 1
+        assert len(db.coordinator.pending) == 1
         # Degraded mode: the victim fails fast with a retryable error
         # while the survivor serves.
         with pytest.raises(ShardUnavailableError) as err:
@@ -473,7 +473,7 @@ class TestSupervisedDelivery:
         # prepared branch against the decision log, so the pending
         # delivery is satisfied and funds are conserved.
         supervisor.tick()
-        assert supervisor.pending_decisions == {}
+        assert db.coordinator.pending == {}
         assert _balances(db) == (70, 130)
         assert sum(_balances(db)) == 200
         supervisor.detach()
