@@ -604,7 +604,6 @@ def audit_results(tmp_path_factory) -> dict:
         "adb",
         scheme="data_cw",
         scheme_params={"region_size": 256},
-        audit_mode="incremental",
         full_sweep_every=10**6,
     )
     maintainer = db.scheme.maintainer

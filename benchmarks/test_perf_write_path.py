@@ -210,7 +210,6 @@ def sweep_results(tmp_path_factory) -> dict:
             base,
             mode,
             capacity=SWEEP_CAPACITY,
-            audit_mode="incremental",
             full_sweep_every=4,
             background_sweeps=background,
         )

@@ -1,27 +1,46 @@
-"""The auditor: asynchronous codeword consistency checks.
+"""The audit engine: asynchronous codeword consistency checks.
 
 "The process of auditing is nothing more than an asynchronous check of
 consistency between the contents of a protection region and the codeword
 for that region." (Section 3.2)
 
-Each audit brackets itself in the system log with AUDIT_BEGIN/AUDIT_END
-records.  The LSN of the last *clean* audit's begin record is ``Audit_SN``
-(Section 4.3): corruption recovery conservatively assumes the error
-occurred immediately after it.  When an audit fails, the corrupt region
-list is recorded in the AUDIT_END record (and by the database in a
-side-file "corruption note") so the subsequent restart can seed its
-CorruptDataTable.
+Every audit policy -- an inline full or partial run, a dirty-region
+pass, a background sweep, a round-robin slice -- goes through one
+bracket: :meth:`Auditor._open` allocates the audit id and appends
+AUDIT_BEGIN, :meth:`Auditor._close` appends AUDIT_END, flushes, counts
+the verdict and applies the one ``Audit_SN`` rule.  ``Audit_SN``
+(Section 4.3) is where the last clean whole-image sweep began:
+corruption recovery conservatively assumes the error occurred
+immediately after it.  It always lives in the data log's LSN space,
+even on a standby whose brackets go to a private scratch log.  When an
+audit fails, the corrupt region list is recorded in the AUDIT_END record
+(and by the database in a side-file "corruption note") so the subsequent
+restart can seed its CorruptDataTable.
+
+The routine policy has one knob, ``full_sweep_every``: 1 makes every
+routine audit a full sweep (the paper's checkpoint audit); K > 1 makes
+routine audits dirty-region passes with every K-th one a full sweep.
+With ``background`` on, that full sweep's fold runs as scheduler work
+(:meth:`~repro.runtime.scheduler.Scheduler.spawn`): ``fold_all`` is one
+GIL-releasing numpy reduction, so under a threaded scheduler it overlaps
+the mutator -- validate beside the mutator, not on its critical path
+(the Sandboxing-STM observation).  Under a deterministic scheduler the
+fold defers and runs inline at join.  Either way the verdict, the log
+records and the meter charges are the inline sweep's: only the fold is
+background work, and regions the mutator touched while it raced memory
+are re-checked on the joining thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.background import BackgroundSweep
 from repro.core.codeword import word_count
 from repro.core.schemes import ProtectionScheme
+from repro.runtime.scheduler import TaskHandle
 from repro.wal.records import AuditBeginRecord, AuditEndRecord
 from repro.wal.system_log import SystemLog
 
@@ -70,6 +89,14 @@ class AuditReport:
         return tuple(ranges)
 
 
+class _Sweep(NamedTuple):
+    """An in-flight background sweep: its open bracket and its fold."""
+
+    audit_id: int
+    begin_lsn: int
+    handle: TaskHandle
+
+
 class Auditor:
     """Runs audits for a scheme and tracks ``Audit_SN``."""
 
@@ -78,41 +105,36 @@ class Auditor:
         system_log: SystemLog,
         scheme: ProtectionScheme,
         *,
-        audit_mode: str = "full",
-        full_sweep_every: int = 8,
+        full_sweep_every: int = 1,
         background: bool = False,
         scheduler,
     ) -> None:
+        #: The data log: ``Audit_SN`` is an LSN of this log, and audit
+        #: brackets go here unless :meth:`use_scratch_log` redirects them.
         self.system_log = system_log
+        self._scratch_log: SystemLog | None = None
         self.scheme = scheme
         #: The database's task scheduler (``repro.runtime``).  Background
         #: sweep folds are spawned through it so the shutdown/crash drain
         #: settles them.
         self.scheduler = scheduler
         self._next_audit_id = 1
-        #: LSN at which the last clean audit began (Audit_SN); recovery
-        #: conservatively treats everything after it as suspect.
+        #: LSN at which the last clean whole-image sweep began (Audit_SN);
+        #: recovery conservatively treats everything after it as suspect.
         self.last_clean_audit_lsn = 0
         self.audits_run = 0
         self.failures = 0
-        # Incremental auditing state: next region of the round-robin
-        # cursor and the begin-LSN of the current sweep.
+        # Round-robin state: next region of the cursor and the begin LSN
+        # of the sweep the cursor is walking.
         self._cursor = 0
-        self._sweep_begin_lsn: int | None = None
-        #: "full" | "incremental" -- how routine audits (checkpoints,
-        #: ``Database.audit()``) are scheduled; see :meth:`run_dirty`.
-        self.audit_mode = audit_mode
+        self._round_robin_begin = 0
+        #: Routine cadence (see :meth:`run_routine`).
         self.full_sweep_every = max(1, full_sweep_every)
         self._dirty_audits_since_sweep = 0
-        #: Run full-sweep escalations in a worker thread (see
-        #: :meth:`start_background_sweep`); only meaningful with
-        #: ``audit_mode="incremental"``.
+        #: Run the routine full sweep's fold as background work (see
+        #: :meth:`start_background_sweep`); needs ``full_sweep_every > 1``.
         self.background = background
-        self._sweep: BackgroundSweep | None = None
-        #: Report produced by :meth:`checkpoint_tick` (the scheduler's
-        #: ``"checkpoint"`` trigger), consumed by the next
-        #: :meth:`run_for_checkpoint` call.
-        self._pending_checkpoint_report: AuditReport | None = None
+        self._sweep: _Sweep | None = None
         #: Digest listeners: ``fn(ck_end, digests)`` callables invoked
         #: when a certified checkpoint publishes its per-region codeword
         #: digests (replication's divergence channel -- see
@@ -123,7 +145,124 @@ class Auditor:
     def _maintainer(self):
         return getattr(self.scheme, "maintainer", None)
 
-    # -------------------------------------------------- digest publication
+    # ------------------------------------------------------- bracket logs
+
+    def use_scratch_log(self, path: str) -> None:
+        """Bracket audits in a private log at ``path`` (a standby).
+
+        A standby's replicated log must stay a byte-identical prefix of
+        the primary's, so AUDIT_BEGIN/END records must not burn its LSNs.
+        ``Audit_SN`` still lives in the data log's LSN space: an audit
+        begins at the data log's next LSN, so prior-state recovery on a
+        promoted standby cuts off where the primary's would.
+        """
+        self._scratch_log = SystemLog(path, self.system_log.meter)
+
+    def use_data_log(self) -> None:
+        """Bracket audits in the data log again (promotion); closes the
+        scratch log."""
+        if self._scratch_log is not None:
+            self._scratch_log.close()
+            self._scratch_log = None
+
+    def close(self) -> None:
+        """Shutdown and crash drain step: settle any in-flight sweep
+        without a verdict and close a scratch log (never read back, so
+        its unflushed tail is dropped either way)."""
+        self.abandon_background_sweep()
+        self.use_data_log()
+
+    # ------------------------------------------------------------ bracket
+
+    def _open(self) -> tuple[int, int]:
+        """Allocate an audit id and append AUDIT_BEGIN.
+
+        Returns ``(audit_id, begin)``; ``begin`` is in the data log's LSN
+        space (the begin record's own LSN unless brackets go to a scratch
+        log).
+        """
+        audit_id = self._next_audit_id
+        self._next_audit_id += 1
+        log = self._scratch_log or self.system_log
+        lsn = log.append(AuditBeginRecord(audit_id))
+        return audit_id, lsn if log is self.system_log else self.system_log.next_lsn
+
+    def _close(
+        self,
+        audit_id: int,
+        begin: int,
+        corrupt: tuple[int, ...],
+        audited: list[int] | None,
+        quarantined: tuple[int, ...] = (),
+        *,
+        flush: bool = True,
+        sweep_begin: int | None = None,
+    ) -> AuditReport:
+        """Append AUDIT_END, count the verdict and build the report.
+
+        ``audited`` lists the region ids folded (None: every region).
+        ``sweep_begin`` is where the whole-image sweep this verdict
+        completes began, None when it covered only part of the image.
+        The one ``Audit_SN`` rule: a clean, non-degraded whole-image
+        verdict advances ``Audit_SN`` to ``max(Audit_SN, sweep_begin)``.
+        """
+        table = self.scheme.codeword_table
+        region_size = region_count = image_size = 0
+        ranges: tuple[tuple[int, int], ...] = ()
+        if table is not None:
+            region_size, region_count = table.region_size, table.region_count
+            image_size = table.memory.size
+            ranges = tuple(table.region_bounds(r) for r in corrupt)
+        log = self._scratch_log or self.system_log
+        log.append(
+            AuditEndRecord(
+                audit_id,
+                clean=not corrupt,
+                corrupt_regions=corrupt,
+                region_size=region_size,
+            )
+        )
+        if flush:
+            log.flush()
+        self.audits_run += 1
+        if corrupt:
+            self.failures += 1
+        elif sweep_begin is not None and not quarantined:
+            self.last_clean_audit_lsn = max(self.last_clean_audit_lsn, sweep_begin)
+        return AuditReport(
+            audit_id=audit_id,
+            begin_lsn=begin,
+            clean=not corrupt,
+            corrupt_regions=corrupt,
+            region_size=region_size,
+            regions_checked=region_count if audited is None else len(audited),
+            corrupt_ranges=ranges,
+            image_size=image_size,
+            quarantined_regions=quarantined,
+        )
+
+    def _exclude_quarantined(
+        self, region_ids, skip: bool
+    ) -> tuple[list[int] | None, tuple[int, ...]]:
+        """The skip-and-report rule: ``(ids to audit, quarantined ids skipped)``.
+
+        ``ids`` is None for "every region" when nothing is skipped.
+        Quarantined regions are known-corrupt; re-failing an audit on
+        their account would mask *new* corruption elsewhere.
+        """
+        if region_ids is not None:
+            region_ids = list(region_ids)
+        maintainer = self._maintainer()
+        if not skip or maintainer is None or not maintainer.quarantined:
+            return region_ids, ()
+        qset = set(maintainer.quarantined)
+        if region_ids is None:
+            count = maintainer.table.region_count
+            return [r for r in range(count) if r not in qset], tuple(sorted(qset))
+        skipped = tuple(sorted(qset.intersection(region_ids)))
+        return [r for r in region_ids if r not in qset], skipped
+
+    # ------------------------------------------------- digest publication
 
     def publish_digests(self, ck_end: int, quiescent: bool = True) -> bool:
         """Publish per-region *computed* digests for the epoch ``ck_end``.
@@ -151,13 +290,9 @@ class Auditor:
         self.digests_published += 1
         return True
 
-    def run(
-        self,
-        region_ids=None,
-        flush: bool = True,
-        advance_audit_sn: bool = True,
-        skip_quarantined: bool = False,
-    ) -> AuditReport:
+    # ------------------------------------------------------------ policies
+
+    def run(self, region_ids=None, skip_quarantined: bool = False) -> AuditReport:
         """Audit the given regions (default: all); returns a report.
 
         The report is informational -- deciding to crash and enter
@@ -165,136 +300,128 @@ class Auditor:
         response differs between schemes (cache recovery for plain Data
         Codeword, delete-transaction recovery with read logging).
 
-        ``skip_quarantined`` excludes regions the maintainer already
-        holds in quarantine: they are known-corrupt, and re-failing the
-        audit on their account would mask *new* corruption elsewhere.
-        The skipped ids are reported (``report.quarantined_regions``) and
-        a degraded audit never advances ``Audit_SN`` -- it certified only
-        part of the image.
+        Only a full run (no ``region_ids``) can advance ``Audit_SN``; a
+        degraded one (``skip_quarantined`` skipped regions, reported in
+        ``report.quarantined_regions``) certified only part of the image
+        and does not.
         """
-        audit_id = self._next_audit_id
-        self._next_audit_id += 1
-        begin_lsn = self.system_log.append(AuditBeginRecord(audit_id))
-        table = self.scheme.codeword_table
-        region_size = table.region_size if table is not None else 0
-        quarantined: tuple[int, ...] = ()
-        if skip_quarantined:
-            maintainer = getattr(self.scheme, "maintainer", None)
-            if maintainer is not None and maintainer.quarantined:
-                qset = set(maintainer.quarantined)
-                if region_ids is None:
-                    count = table.region_count if table is not None else 0
-                    region_ids = [r for r in range(count) if r not in qset]
-                    quarantined = tuple(sorted(qset))
-                else:
-                    region_ids = list(region_ids)
-                    quarantined = tuple(
-                        sorted(qset.intersection(region_ids))
-                    )
-                    region_ids = [r for r in region_ids if r not in qset]
-        if quarantined:
-            # Part of the image went unverified; a clean result here must
-            # not certify the whole database.
-            advance_audit_sn = False
-        if region_ids is None:
-            regions_checked = table.region_count if table is not None else 0
-        else:
-            region_ids = list(region_ids)
-            regions_checked = len(region_ids)
-        corrupt = tuple(self.scheme.audit_regions(region_ids))
-        ranges = ()
-        if table is not None:
-            ranges = tuple(table.region_bounds(r) for r in corrupt)
-        self.system_log.append(
-            AuditEndRecord(
-                audit_id,
-                clean=not corrupt,
-                corrupt_regions=corrupt,
-                region_size=region_size,
-            )
-        )
-        if flush:
-            self.system_log.flush()
-        self.audits_run += 1
-        if corrupt:
-            self.failures += 1
-        elif advance_audit_sn:
-            self.last_clean_audit_lsn = begin_lsn
-        return AuditReport(
-            audit_id=audit_id,
-            begin_lsn=begin_lsn,
-            clean=not corrupt,
-            corrupt_regions=corrupt,
-            region_size=region_size,
-            regions_checked=regions_checked,
-            corrupt_ranges=ranges,
-            image_size=table.memory.size if table is not None else 0,
-            quarantined_regions=quarantined,
+        audit_id, begin = self._open()
+        ids, quarantined = self._exclude_quarantined(region_ids, skip_quarantined)
+        corrupt = tuple(self.scheme.audit_regions(ids))
+        return self._close(
+            audit_id,
+            begin,
+            corrupt,
+            ids,
+            quarantined,
+            sweep_begin=begin if region_ids is None else None,
         )
 
-    def run_dirty(
-        self, flush: bool = True, skip_quarantined: bool = False
-    ) -> AuditReport:
-        """Audit only the regions dirtied since they were last verified.
+    def run_routine(self, skip_quarantined: bool = False) -> AuditReport:
+        """The routine audit: ``Database.audit()``, the replica's audit
+        tick and checkpoint certification all run this.
 
-        The maintainer marks every region touched through the prescribed
-        interface (maintenance, deferred flushes, physical undo) dirty;
-        this pass folds just those through the vectorized kernel, so its
-        cost scales with the write working set instead of the image size
-        (the Section 5 audit-at-checkpoint cost, made incremental).
+        With ``full_sweep_every`` = 1 it is a full :meth:`run`.  With
+        K > 1 it folds only the regions dirtied through the prescribed
+        interface since they were last verified, so its cost scales with
+        the write working set instead of the image size (the Section 5
+        audit-at-checkpoint cost, made incremental).  A wild write is by
+        definition one that does *not* mark the dirty set, so every K-th
+        call is a full sweep -- that cadence bounds wild-write detection
+        latency; it is a correctness knob, not a tuning knob.  Only full
+        sweeps advance ``Audit_SN``.
 
-        A wild write is by definition one that does *not* mark the dirty
-        set, so every ``full_sweep_every``-th call escalates to a full
-        :meth:`run` -- that cadence bounds wild-write detection latency
-        and is the correctness knob of ``audit_mode="incremental"``.
-        ``Audit_SN`` only advances on those full sweeps: a clean
-        dirty-pass proves nothing about regions it never folded.
+        With ``background`` on, the full sweep's fold is launched at one
+        cadence point (that call is served by a dirty pass, so the
+        mutator never waits for the fold) and joined at the next.
         """
         maintainer = self._maintainer()
         if maintainer is None or self.scheme.codeword_table is None:
-            return self.run(flush=flush)
+            return self.run()
         self._dirty_audits_since_sweep += 1
         if self._dirty_audits_since_sweep >= self.full_sweep_every:
+            if self._sweep is not None:
+                return self._settle_sweep(skip_quarantined)
             self._dirty_audits_since_sweep = 0
-            if self.background:
-                if self._sweep is not None:
-                    # The sweep launched at the previous cadence point has
-                    # had a whole period to fold; join it (near-instant)
-                    # and report its full-image verdict.
-                    report = self.join_background_sweep(
-                        flush=flush, skip_quarantined=skip_quarantined
-                    )
-                    if report.clean:
-                        maintainer.clear_dirty()
-                    return report
-                # First escalation: launch the fold off-thread and serve
-                # this call with an ordinary dirty pass -- the mutator
-                # never waits for the full sweep.
-                self.start_background_sweep()
-            else:
-                report = self.run(flush=flush, skip_quarantined=skip_quarantined)
+            if not self.background:
+                report = self.run(skip_quarantined=skip_quarantined)
                 if report.clean:
                     maintainer.clear_dirty()
                 return report
+            self.start_background_sweep()
         dirty = maintainer.dirty_region_list()
-        report = self.run(
-            region_ids=dirty,
-            flush=flush,
-            advance_audit_sn=False,
-            skip_quarantined=skip_quarantined,
-        )
+        report = self.run(dirty, skip_quarantined=skip_quarantined)
         if report.clean:
             maintainer.clear_dirty(dirty)
         return report
 
+    def certify(self, force_full: bool = False) -> AuditReport:
+        """The certification audit a checkpoint runs.
+
+        An in-flight background sweep is joined: its verdict covers every
+        region of the image (never skipping quarantine -- certification
+        must see everything), so it satisfies even ``force_full``.
+        Otherwise the routine runs -- with K > 1 a documented weakening of
+        certification, bounded by ``full_sweep_every`` -- unless
+        ``force_full`` asks for the unconditional full audit (the
+        checkpoint that ends corruption recovery must certify the whole
+        image).
+        """
+        if self._sweep is not None:
+            return self._settle_sweep()
+        if force_full:
+            return self.run()
+        return self.run_routine()
+
+    def _settle_sweep(self, skip_quarantined: bool = False) -> AuditReport:
+        """Join the in-flight sweep as the routine's full sweep."""
+        self._dirty_audits_since_sweep = 0
+        report = self.join_background_sweep(skip_quarantined)
+        if report.clean:
+            self._maintainer().clear_dirty()
+        return report
+
+    def run_incremental(self, batch: int) -> AuditReport:
+        """Audit the next ``batch`` regions of a round-robin sweep.
+
+        Real deployments amortize audit cost by checking a slice of the
+        database per call instead of everything at once.  Each slice is
+        its own bracket; the slice that finishes a clean sweep advances
+        ``Audit_SN`` to where the sweep's *first* slice began (corruption
+        anywhere could have occurred any time after the sweep began).  A
+        failed slice restarts the sweep.
+
+        Schemes without a codeword table complete a trivially clean sweep.
+        """
+        table = self.scheme.codeword_table
+        if table is None or table.region_count == 0:
+            return self.run()
+        if batch <= 0:
+            raise ValueError(f"batch must be positive: {batch}")
+        audit_id, begin = self._open()
+        start = self._cursor
+        if start == 0:
+            self._round_robin_begin = begin
+        end = min(start + batch, table.region_count)
+        ids = list(range(start, end))
+        corrupt = tuple(self.scheme.audit_regions(ids))
+        finished = end >= table.region_count
+        self._cursor = 0 if corrupt or finished else end
+        return self._close(
+            audit_id,
+            begin,
+            corrupt,
+            ids,
+            flush=bool(corrupt) or finished,
+            sweep_begin=self._round_robin_begin if finished else None,
+        )
+
     # ------------------------------------------------- background sweeps
 
     def start_background_sweep(self) -> bool:
-        """Launch a full-sweep fold in a worker thread; True if started.
+        """Open a full-sweep bracket and spawn its fold; True if started.
 
-        The fold (``CodewordTable.fold_all``) is one big GIL-releasing
-        numpy reduction, so it overlaps the pure-Python mutator.  The
-        snapshot/epoch handshake with the maintainer: pending deferred
+        The snapshot/epoch handshake with the maintainer: pending deferred
         deltas are flushed *first*, then :meth:`begin_sweep_tracking`
         records every region whose bytes or stored codeword change while
         the fold races memory -- those are re-checked synchronously at
@@ -309,28 +436,22 @@ class Auditor:
             # Stored codewords must be current before the fold starts so
             # every later change is a tracked touch.
             maintainer.flush_pending()
-        audit_id = self._next_audit_id
-        self._next_audit_id += 1
-        begin_lsn = self.system_log.append(AuditBeginRecord(audit_id))
+        audit_id, begin = self._open()
         maintainer.begin_sweep_tracking()
-        sweep = BackgroundSweep(audit_id, begin_lsn, table, self.scheduler)
-        sweep.start()
-        self._sweep = sweep
+        handle = self.scheduler.spawn(f"audit.sweep.{audit_id}", table.fold_all)
+        self._sweep = _Sweep(audit_id, begin, handle)
         return True
 
     def join_background_sweep(
-        self, flush: bool = True, skip_quarantined: bool = False
+        self, skip_quarantined: bool = False
     ) -> AuditReport | None:
         """Finish the in-flight sweep and deliver its full-image verdict.
 
-        Charges the meter exactly what the synchronous full-sweep fast
-        path charges (``latch_pair``/``cw_check_fixed`` per region,
-        ``cw_check_word`` for every word of the image) -- the off-thread
-        fold is a wall-clock optimisation, not a cost-model change.
-        Regions the mutator touched while the fold ran are re-audited
-        synchronously (their background folds raced live bytes); a clean
-        verdict advances ``Audit_SN`` to the sweep's *begin* LSN, the
-        same conservative rule as :meth:`run_incremental`.
+        Charges the meter exactly what the synchronous :meth:`run` charges
+        for the same regions -- the off-thread fold is a wall-clock
+        optimisation, not a cost-model change.  Regions the mutator
+        touched while the fold ran are re-audited synchronously (their
+        background folds raced live bytes).
         """
         sweep = self._sweep
         if sweep is None:
@@ -338,67 +459,51 @@ class Auditor:
         self._sweep = None
         maintainer = self._maintainer()
         table = self.scheme.codeword_table
-        assert maintainer is not None and table is not None
-        computed = sweep.join()
+        computed = sweep.handle.result()
+        self.scheduler.forget(sweep.handle)
         touched = maintainer.end_sweep_tracking()
-        meter = maintainer.meter
-        n = table.region_count
-        region_size = table.region_size
-        if meter is not None and n:
-            words_per_region = word_count(region_size)
-            words = n * words_per_region
-            # The final region of the image may be ragged.
-            words += word_count(table.region_bounds(n - 1)[1]) - words_per_region
-            meter.charge("latch_pair", n)
-            meter.charge("cw_check_fixed", n)
-            meter.charge("cw_check_word", words)
+        ids, quarantined = self._exclude_quarantined(None, skip_quarantined)
+        self._charge_folds(ids)
         mismatched = {int(i) for i in np.nonzero(computed != table.stored_words)[0]}
-        quarantined: tuple[int, ...] = ()
-        qset: set[int] = set()
-        if skip_quarantined and maintainer.quarantined:
-            qset = set(maintainer.quarantined)
-            quarantined = tuple(sorted(qset))
-        # Regions the mutator touched mid-fold carry untrustworthy
-        # background folds (either verdict could be stale); re-check them
-        # against the current bytes on this thread.
-        recheck = sorted(set(touched) - qset)
+        skipped = set(quarantined)
+        recheck = sorted(touched - skipped)
         recheck_corrupt = self.scheme.audit_regions(recheck) if recheck else []
-        corrupt = tuple(sorted((mismatched - set(touched) - qset) | set(recheck_corrupt)))
-        self.system_log.append(
-            AuditEndRecord(
-                sweep.audit_id,
-                clean=not corrupt,
-                corrupt_regions=corrupt,
-                region_size=region_size,
-            )
+        corrupt = tuple(
+            sorted((mismatched - touched - skipped) | set(recheck_corrupt))
         )
-        if flush:
-            self.system_log.flush()
-        self.audits_run += 1
-        if corrupt:
-            self.failures += 1
-        elif not quarantined:
-            self.last_clean_audit_lsn = max(
-                self.last_clean_audit_lsn, sweep.begin_lsn
-            )
-        return AuditReport(
-            audit_id=sweep.audit_id,
-            begin_lsn=sweep.begin_lsn,
-            clean=not corrupt,
-            corrupt_regions=corrupt,
-            region_size=region_size,
-            regions_checked=n,
-            corrupt_ranges=tuple(table.region_bounds(r) for r in corrupt),
-            image_size=table.memory.size,
-            quarantined_regions=quarantined,
+        return self._close(
+            sweep.audit_id,
+            sweep.begin_lsn,
+            corrupt,
+            ids,
+            quarantined,
+            sweep_begin=sweep.begin_lsn,
         )
+
+    def _charge_folds(self, ids: list[int] | None) -> None:
+        """Charge what ``audit_regions(ids)`` charges (None: every region)."""
+        table = self.scheme.codeword_table
+        meter = self._maintainer().meter
+        last = table.region_count - 1
+        count = last + 1 if ids is None else len(ids)
+        if meter is None or not count:
+            return
+        words_per_region = word_count(table.region_size)
+        words = count * words_per_region
+        if ids is None or ids[-1] == last:
+            # The final region of the image may be ragged.
+            words += word_count(table.region_bounds(last)[1]) - words_per_region
+        meter.charge("latch_pair", count)
+        meter.charge("cw_check_fixed", count)
+        meter.charge("cw_check_word", words)
 
     def abandon_background_sweep(self) -> None:
         """Discard an in-flight sweep without a verdict (crash/close).
 
         Leaves an unmatched AUDIT_BEGIN in the log -- restart treats an
         audit with no AUDIT_END as never having completed, which is the
-        truth.  ``Audit_SN`` and the dirty set are untouched.
+        truth.  ``Audit_SN`` and the dirty set are untouched.  A threaded
+        fold is waited out and discarded; a deferred one never runs.
         """
         sweep = self._sweep
         if sweep is None:
@@ -407,94 +512,5 @@ class Auditor:
         maintainer = self._maintainer()
         if maintainer is not None and maintainer.sweep_tracking:
             maintainer.end_sweep_tracking()
-        sweep.abandon()
-
-    def checkpoint_tick(self, _event: str = "checkpoint") -> None:
-        """Tick task ``audit.certify_join`` (event ``"checkpoint"``).
-
-        The certification join is scheduled work: when the checkpointer
-        fires the ``"checkpoint"`` tick, any in-flight background sweep
-        is joined *here* -- at the exact program point where
-        :meth:`run_for_checkpoint` used to join it inline, so the meter
-        trace is unchanged -- and its full-image verdict is stashed for
-        the :meth:`run_for_checkpoint` call that follows the tick.
-        """
-        if self._sweep is None:
-            return
-        report = self.join_background_sweep()
-        assert report is not None
-        self._dirty_audits_since_sweep = 0
-        maintainer = self._maintainer()
-        if report.clean and maintainer is not None:
-            maintainer.clear_dirty()
-        self._pending_checkpoint_report = report
-
-    def run_for_checkpoint(self, force_full: bool = False) -> AuditReport:
-        """The certification audit a checkpoint runs.
-
-        Full by default (the paper's "every region of the database is
-        audited"); under ``audit_mode="incremental"`` it is a dirty-region
-        pass on the configured full-sweep cadence -- a documented
-        weakening of certification, bounded by ``full_sweep_every``.
-        ``force_full`` restores the unconditional full audit (used by the
-        checkpoint that ends corruption recovery, which must certify the
-        whole image).
-
-        An in-flight background sweep is joined instead: the join checks
-        every region of the image (never skipping quarantine --
-        certification must see everything), so it satisfies even
-        ``force_full``.
-        """
-        report = self._pending_checkpoint_report
-        if report is not None:
-            # The scheduler's "checkpoint" tick already performed the
-            # certification join; deliver its verdict.
-            self._pending_checkpoint_report = None
-            return report
-        if self.audit_mode == "incremental" and not force_full:
-            return self.run_dirty()
-        return self.run()
-
-    def run_incremental(self, batch: int) -> AuditReport:
-        """Audit the next ``batch`` regions of a round-robin sweep.
-
-        Real deployments amortize audit cost by checking a slice of the
-        database per call instead of everything at once.  ``Audit_SN``
-        semantics are preserved conservatively: ``last_clean_audit_lsn``
-        only advances when a *full* sweep completes without finding
-        corruption, and it advances to the LSN at which that sweep
-        *started* (corruption anywhere could have occurred any time after
-        the sweep began).
-
-        Schemes without a codeword table complete a trivially clean sweep.
-        """
-        table = self.scheme.codeword_table
-        if table is None or table.region_count == 0:
-            return self.run(region_ids=[])
-        if batch <= 0:
-            raise ValueError(f"batch must be positive: {batch}")
-        if self._sweep_begin_lsn is None:
-            # A sweep starts at the *current* end of log.
-            self._sweep_begin_lsn = self.system_log.next_lsn
-        start = self._cursor
-        end = min(start + batch, table.region_count)
-        report = self.run(
-            region_ids=range(start, end), flush=False, advance_audit_sn=False
-        )
-        if not report.clean:
-            # Restart the sweep; Audit_SN stays at the last clean point.
-            self._cursor = 0
-            self._sweep_begin_lsn = None
-            self.system_log.flush()
-            return report
-        if end >= table.region_count:
-            # Sweep complete and clean: Audit_SN moves to its start.
-            self.last_clean_audit_lsn = max(
-                self.last_clean_audit_lsn, self._sweep_begin_lsn
-            )
-            self._cursor = 0
-            self._sweep_begin_lsn = None
-            self.system_log.flush()
-        else:
-            self._cursor = end
-        return report
+        sweep.handle.abandon()
+        self.scheduler.forget(sweep.handle)

@@ -14,6 +14,13 @@ Following Section 2.1 and Section 4.2:
   only a clean audit toggles the anchor, certifying the checkpoint free of
   both direct and indirect corruption ("If no page in the database has
   direct corruption, no indirect corruption could have occurred either").
+
+The certification audit is one call into the audit engine
+(:meth:`~repro.core.audit.Auditor.certify`), which joins an in-flight
+background sweep or runs the routine audit.  Under
+``DBConfig(full_sweep_every=K > 1)`` the routine is a dirty-region pass
+between full sweeps -- a documented weakening of the paper's
+every-region certification, bounded by K.
 """
 
 from __future__ import annotations
@@ -75,13 +82,14 @@ class Checkpointer:
     ) -> CheckpointResult:
         """Write the next checkpoint image; certify it with an audit.
 
-        The certification audit is full by default; under
-        ``DBConfig(audit_mode="incremental")`` it folds only dirty
-        regions, escalating to a full sweep on the configured cadence
-        (see :meth:`~repro.core.audit.Auditor.run_dirty`).
-        ``force_full_audit`` overrides that and always audits every
-        region -- corruption recovery's final checkpoint must certify
-        the whole image, not just the write working set.
+        The certification audit is the auditor's
+        :meth:`~repro.core.audit.Auditor.certify`: it joins an in-flight
+        background sweep, or runs the routine audit -- full by default,
+        a dirty-region pass on the full-sweep cadence under
+        ``DBConfig(full_sweep_every=K > 1)``.  ``force_full_audit``
+        always audits every region -- corruption recovery's final
+        checkpoint must certify the whole image, not just the write
+        working set.
         """
         db = self.db
         crashpoints = db.crashpoints
@@ -105,12 +113,7 @@ class Checkpointer:
 
         report: AuditReport | None = None
         if audit:
-            # Certification is a scheduled trigger point: the
-            # "checkpoint" tick joins any in-flight background sweep
-            # (the auditor's ``audit.certify_join`` task) before the
-            # certification audit below consumes its verdict.
-            db.scheduler.tick("checkpoint")
-            report = db.auditor.run_for_checkpoint(force_full=force_full_audit)
+            report = db.auditor.certify(force_full=force_full_audit)
             if not report.clean:
                 # Not certified: the anchor keeps pointing at the previous
                 # image, and the caller is expected to crash into

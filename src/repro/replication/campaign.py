@@ -291,9 +291,8 @@ class _ReplicationSchedule:
             scheme=self.spec.scheme,
             scheme_params={"region_size": self.spec.region_size},
             quarantine=True,
-            audit_mode="incremental",
-            # The primary's full-sweep escalation is pushed past the
-            # schedule horizon on purpose: cold corruption must be
+            # Dirty-region routine audits with the full sweep pushed past
+            # the schedule horizon on purpose: cold corruption must be
             # invisible to the primary's own routine audits so the
             # replica's digest channel is what catches it.
             full_sweep_every=1000,

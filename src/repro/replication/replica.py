@@ -28,10 +28,10 @@ words and mask it), then roll back in-flight transactions and checkpoint
 through the shared recovery tail.  The surviving image is certified
 clean, and the lost-commit window is surfaced explicitly.
 
-The replica brackets its own audits in a private scratch log
-(``replica_audit.log``): audit begin/end records must not burn LSNs in
-the replicated log, which stays a pure prefix-copy of the primary's
-until promotion.
+The replica's auditor brackets its audits in a private scratch log
+(``replica_audit.log``) so the replicated log stays a pure prefix-copy
+of the primary's until promotion; ``Audit_SN`` stays in the replicated
+log's LSN space (:meth:`~repro.core.audit.Auditor.use_scratch_log`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.recovery.restart import RecoveryReport, RestartRecovery
 from repro.replication.divergence import DivergenceDetector
 from repro.replication.transport import KIND_DIGEST, KIND_RECORDS, ShipBatch
 from repro.wal.records import UpdateRecord
-from repro.wal.system_log import PAYLOAD_OFFSET, SystemLog, decode_frames, walk_frames
+from repro.wal.system_log import PAYLOAD_OFFSET, decode_frames, walk_frames
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.audit import AuditReport
@@ -202,7 +202,7 @@ class Replica:
         db.scheme.startup()
         # Audit brackets go to a scratch log so the replicated log stays
         # a byte-identical prefix of the primary's.
-        db.auditor.system_log = SystemLog(db.path(REPLICA_AUDIT_LOG), db.meter)
+        db.auditor.use_scratch_log(db.path(REPLICA_AUDIT_LOG))
         replica = cls(db, recovery, ck_end, audit_every)
         # Reopen path: replay every frame already ingested (bootstrap
         # scans an empty log and falls straight through).
@@ -330,9 +330,9 @@ class Replica:
         """Tick task ``replica.audit`` (event ``"replay"``).
 
         The replica's own audit cadence: every ``audit_every`` applied
-        batches run the database's routine audit (incremental with
-        full-sweep escalation under ``audit_mode="incremental"``, full
-        otherwise) -- entirely against the replica's own table.
+        batches run the database's routine audit (dirty-region passes
+        with a full sweep every ``full_sweep_every``-th call) -- entirely
+        against the replica's own table.
         """
         self._batches_since_audit += 1
         if self._batches_since_audit < self.audit_every:
@@ -380,11 +380,12 @@ class Replica:
                 audit_report=audit_report,
             )
         db.crashpoints.reach("promote.after_sweep")
+        # The promoted node is a primary now: audits bracket themselves in
+        # the real log again -- before the recovery tail's certifying
+        # checkpoint, whose Audit_SN its meta records -- and transactions
+        # are admitted.
+        db.auditor.use_data_log()
         recovery_report = self.recovery.complete(last_lsn)
-        # The promoted node is a primary now: audits bracket themselves
-        # in the real log again, and transactions are admitted.
-        db.auditor.system_log.close()
-        db.auditor.system_log = db.system_log
         db._started = True
         self.promoted = True
         lost = None
@@ -403,13 +404,10 @@ class Replica:
         return self.db.repair_quarantined()
 
     def close(self) -> None:
-        self.db.auditor.system_log.close()
         self.db.close()
 
     def crash(self) -> None:
         """Simulated standby process death; :meth:`reopen` recovers it."""
-        if self.db.auditor.system_log is not self.db.system_log:
-            self.db.auditor.system_log.crash()
         self.db.crash()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

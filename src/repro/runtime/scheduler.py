@@ -2,17 +2,19 @@
 
 Before this subsystem existed, "who runs when" was scattered: the
 group-commit window flushed itself from inside ``TransactionManager.commit``,
-background full-sweep folds managed a private worker thread
-(:mod:`repro.core.background`), and shutdown/crash each re-implemented
-their own join/flush ordering.  The scheduler centralizes all of it:
+background full-sweep folds managed a private worker thread, and
+shutdown/crash each re-implemented their own join/flush ordering.  The
+scheduler centralizes all of it:
 
 * **Tick tasks** run at named trigger points (``"commit"``,
-  ``"checkpoint"``, ``"interval"``): the group-commit size trigger and
-  the certification join are tick tasks, not inline code.
+  ``"interval"``, ``"replay"``): the group-commit size trigger, the
+  shard supervisor's sweep and a replica's audit cadence are tick
+  tasks, not inline code.
 * **Background work** is spawned through :meth:`Scheduler.spawn`, which
-  returns a :class:`TaskHandle`.  In ``threaded`` mode the work runs on
-  a worker thread; in ``deterministic`` mode it is *deferred* and runs
-  inline at join -- same results, same meter charges, no threads.
+  returns a :class:`TaskHandle` (the audit engine's background sweep
+  folds, :mod:`repro.core.audit`).  In ``threaded`` mode the work runs
+  on a worker thread; in ``deterministic`` mode it is *deferred* and
+  runs inline at join -- same results, same meter charges, no threads.
 * **Drain steps** give shutdown and crash one fixed order (flush the
   group-commit window, then settle in-flight sweeps, then the caller
   closes the log) instead of scattered joins.
@@ -41,7 +43,7 @@ THREADED = "threaded"
 #: ``"replay"`` fires on a replica after each applied ship batch (its
 #: commits happen on the primary, so replayed work needs its own program
 #: point for audit cadence and ship-pump tasks).
-TICK_EVENTS = ("commit", "checkpoint", "interval", "replay")
+TICK_EVENTS = ("commit", "interval", "replay")
 
 
 class TaskHandle:

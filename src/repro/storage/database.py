@@ -81,23 +81,21 @@ class DBConfig:
     #: N > 1 a crash can lose the last N-1 reported commits (restart
     #: recovery rolls them back like commits torn mid-flush).
     group_commit_size: int = 1
-    #: Audit scheduling: ``"full"`` folds every region on every audit
-    #: (the paper's checkpoint audit); ``"incremental"`` folds only
-    #: regions dirtied through the prescribed interface since the last
-    #: clean audit, with a full sweep every ``full_sweep_every``-th
-    #: audit.  A wild write is precisely a write that does NOT mark the
-    #: dirty set, so the full-sweep cadence bounds its detection latency
-    #: -- it is a correctness knob, not a tuning knob.
-    audit_mode: str = "full"
-    full_sweep_every: int = 8
-    #: Run the full-sweep certification fold of ``audit_mode="incremental"``
-    #: in a worker thread (numpy releases the GIL during the fold), so the
-    #: escalation audit overlaps the mutator instead of stalling it.  The
-    #: sweep started at one full-sweep cadence point joins at the next (or
-    #: at the next checkpoint, whichever comes first); regions dirtied
-    #: while it ran are re-checked synchronously at join, and ``Audit_SN``
-    #: advances only to the sweep's *begin* LSN -- the same conservative
-    #: semantics as the round-robin incremental sweep.
+    #: The routine audit cadence (``Database.audit()``, checkpoint
+    #: certification, a replica's audit tick): 1 folds every region on
+    #: every audit (the paper's checkpoint audit); K > 1 folds only
+    #: regions dirtied through the prescribed interface since they were
+    #: last verified, with every K-th audit a full sweep.  A wild write is
+    #: precisely a write that does NOT mark the dirty set, so K bounds its
+    #: detection latency -- it is a correctness knob, not a tuning knob.
+    full_sweep_every: int = 1
+    #: Run the full sweep's fold (K > 1 only) as background work (numpy
+    #: releases the GIL during the fold), so it overlaps the mutator
+    #: instead of stalling it.  The sweep started at one full-sweep
+    #: cadence point joins at the next (or at the next checkpoint,
+    #: whichever comes first); regions dirtied while it ran are re-checked
+    #: synchronously at join, and ``Audit_SN`` advances only to the
+    #: sweep's *begin* LSN -- the same rule as every whole-image sweep.
     background_sweeps: bool = False
     #: Segment storage: ``"heap"`` (default) keeps segments in bytearrays;
     #: ``"mmap"`` maps each segment onto a sparse file under ``image_path``
@@ -156,18 +154,14 @@ class Database:
             raise ConfigError(
                 f"group_commit_size must be >= 1: {config.group_commit_size}"
             )
-        if config.audit_mode not in ("full", "incremental"):
-            raise ConfigError(
-                f"audit_mode must be 'full' or 'incremental': {config.audit_mode!r}"
-            )
         if config.full_sweep_every < 1:
             raise ConfigError(
                 f"full_sweep_every must be >= 1: {config.full_sweep_every}"
             )
-        if config.background_sweeps and config.audit_mode != "incremental":
+        if config.background_sweeps and config.full_sweep_every == 1:
             raise ConfigError(
-                "background_sweeps only makes sense with audit_mode="
-                "'incremental' (it offloads the full-sweep escalation)"
+                "background_sweeps only makes sense with full_sweep_every > 1 "
+                "(it offloads the periodic full sweep of dirty-region audits)"
             )
         # Validate eagerly (ConfigError at construction, like every other
         # knob); the scheduler itself is built per log/manager epoch.
@@ -418,7 +412,6 @@ class Database:
         self.auditor = Auditor(
             self.system_log,
             self.pipeline,
-            audit_mode=self.config.audit_mode,
             full_sweep_every=self.config.full_sweep_every,
             background=self.config.background_sweeps,
             scheduler=self.scheduler,
@@ -428,17 +421,12 @@ class Database:
         # close/crash in :meth:`close` / :meth:`crash`): make held-back
         # commits durable (clean shutdown only -- a crash loses the
         # window, restart recovery rolls those commits back), then settle
-        # any in-flight sweep fold.
+        # any in-flight sweep fold (and a standby's scratch audit log).
         self.scheduler.add_drain_step(
             "group_commit.flush", on_close=self.manager.flush_commits
         )
         self.scheduler.add_drain_step(
-            "audit.sweeps",
-            on_close=self.auditor.abandon_background_sweep,
-            on_crash=self.auditor.abandon_background_sweep,
-        )
-        self.scheduler.register_tick(
-            "audit.certify_join", ("checkpoint",), self.auditor.checkpoint_tick
+            "audit.sweeps", on_close=self.auditor.close, on_crash=self.auditor.close
         )
 
     def _format_structures(self) -> None:
@@ -588,9 +576,8 @@ class Database:
     def audit(self, region_ids=None) -> AuditReport:
         """Run a codeword audit (no-op clean under baseline/hardware).
 
-        With ``audit_mode="incremental"`` and no explicit region list,
-        the auditor folds only dirty regions, escalating to a full sweep
-        on the configured cadence (see :meth:`Auditor.run_dirty`).
+        With no explicit region list this is the routine audit on the
+        ``full_sweep_every`` cadence (see :meth:`Auditor.run_routine`).
 
         Under quarantine, already-quarantined regions are skipped and
         reported (``report.quarantined_regions``) rather than re-failed,
@@ -600,8 +587,8 @@ class Database:
         """
         self._require_usable()
         skip = self.quarantine_enabled
-        if region_ids is None and self.config.audit_mode == "incremental":
-            report = self.auditor.run_dirty(skip_quarantined=skip)
+        if region_ids is None:
+            report = self.auditor.run_routine(skip_quarantined=skip)
         else:
             report = self.auditor.run(region_ids, skip_quarantined=skip)
         if skip and not report.clean:

@@ -1,8 +1,8 @@
 """Background full-sweep audits: off-thread folds with a tracked-touch
 handshake, joined on cadence or at checkpoint certification.
 
-Under ``DBConfig(audit_mode="incremental", background_sweeps=True)`` the
-periodic full-sweep escalation of :meth:`Auditor.run_dirty` runs its
+Under ``DBConfig(full_sweep_every=K > 1, background_sweeps=True)`` the
+periodic full sweep of :meth:`Auditor.run_routine` runs its
 fold (one GIL-releasing numpy reduction) in a worker thread.  The
 correctness core is the snapshot/epoch handshake: any region whose bytes
 or stored codeword change while the fold is in flight lands in the
@@ -32,7 +32,6 @@ def _make_db(dirname: str, *, background: bool = True, **config_kwargs) -> Datab
         dir=dirname,
         scheme="data_cw",
         scheme_params={"region_size": 64},
-        audit_mode="incremental",
         full_sweep_every=2,
         background_sweeps=background,
         **config_kwargs,
@@ -136,7 +135,7 @@ class TestSweepVerdicts:
         db = _make_db(str(tmp_path / "db"))
         auditor = db.auditor
         assert auditor.start_background_sweep()
-        auditor._sweep.join()  # let the fold finish with the old bytes
+        auditor._sweep.handle.result()  # let the fold finish with the old bytes
         address = db.table("acct").record_address(5) + 8
         db.memory.poke(address, b"\xaa" * 8)
         region = db.scheme.codeword_table.region_of(address)
@@ -234,7 +233,7 @@ class TestConfigValidation:
         config = DBConfig(
             dir=str(tmp_path / "bad"),
             scheme="data_cw",
-            audit_mode="full",
+            full_sweep_every=1,
             background_sweeps=True,
         )
         with pytest.raises(ConfigError):

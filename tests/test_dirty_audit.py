@@ -1,4 +1,4 @@
-"""Dirty-region incremental audits (``DBConfig(audit_mode="incremental")``).
+"""Dirty-region incremental audits (``DBConfig(full_sweep_every=K > 1)``).
 
 The maintainer records which protection regions updates touched; an
 incremental audit folds only those through the vectorized kernel.  Wild
@@ -26,7 +26,6 @@ def make_incremental_db(tmp_path, name="idb", **overrides) -> Database:
         dir=str(tmp_path / name),
         scheme="data_cw",
         scheme_params={"region_size": 512},
-        audit_mode="incremental",
         full_sweep_every=3,
     )
     kwargs.update(overrides)
@@ -82,7 +81,7 @@ class TestDirtySet:
         maintainer = maintainer_of(db)
         maintainer.clear_dirty()
         maintainer.dirty_regions.update({1, 4})
-        report = db.auditor.run(region_ids=[1], advance_audit_sn=False)
+        report = db.auditor.run(region_ids=[1])
         assert report.clean
         maintainer.clear_dirty([1])
         assert maintainer.dirty_region_list() == [4]

@@ -35,7 +35,6 @@ def _config(path) -> DBConfig:
         scheme="data_cw+cw_read_logging",
         scheme_params={"region_size": 256},
         quarantine=True,
-        audit_mode="incremental",
         full_sweep_every=1000,
     )
 

@@ -45,11 +45,11 @@ class TestSchedulerMechanics:
         sched = Scheduler(DETERMINISTIC)
         ran = []
         sched.register_tick("a", ("commit",), lambda e: ran.append(("a", e)))
-        sched.register_tick("b", ("commit", "checkpoint"), lambda e: ran.append(("b", e)))
-        sched.register_tick("c", ("checkpoint",), lambda e: ran.append(("c", e)))
+        sched.register_tick("b", ("commit", "replay"), lambda e: ran.append(("b", e)))
+        sched.register_tick("c", ("replay",), lambda e: ran.append(("c", e)))
         sched.tick("commit")
-        sched.tick("checkpoint")
-        assert ran == [("a", "commit"), ("b", "commit"), ("b", "checkpoint"), ("c", "checkpoint")]
+        sched.tick("replay")
+        assert ran == [("a", "commit"), ("b", "commit"), ("b", "replay"), ("c", "replay")]
         assert sched.tick_count == 2
 
     def test_duplicate_or_unknown_tick_rejected(self):
@@ -123,7 +123,6 @@ class TestDatabaseWiring:
         db = make_db(tmp_path, "wiring")
         rows = {(info.name, info.kind) for info in db.scheduler.tasks()}
         assert ("group_commit.flush", "tick") in rows
-        assert ("audit.certify_join", "tick") in rows
         assert ("group_commit.flush", "drain") in rows
         assert ("audit.sweeps", "drain") in rows
         drain_names = [i.name for i in db.scheduler.tasks() if i.kind == "drain"]
@@ -134,7 +133,7 @@ class TestDatabaseWiring:
         plain = make_db(tmp_path, "plain")
         assert plain.scheduler.mode == DETERMINISTIC
         sweeping = make_db(
-            tmp_path, "sweeping", audit_mode="incremental", background_sweeps=True
+            tmp_path, "sweeping", full_sweep_every=8, background_sweeps=True
         )
         assert sweeping.scheduler.mode == THREADED
         plain.close()
@@ -155,7 +154,6 @@ class TestDatabaseWiring:
             tmp_path,
             "detsweep",
             scheme="data_codeword",
-            audit_mode="incremental",
             full_sweep_every=2,
             background_sweeps=True,
             scheduler_mode="deterministic",
@@ -164,8 +162,8 @@ class TestDatabaseWiring:
         for _ in range(2):
             db.audit()  # second call hits the cadence -> sweep launched
         assert db.auditor._sweep is not None
-        assert isinstance(db.auditor._sweep._handle, InlineHandle)
-        assert not db.auditor._sweep.done  # deferred, not yet run
+        assert isinstance(db.auditor._sweep.handle, InlineHandle)
+        assert not db.auditor._sweep.handle.done  # deferred, not yet run
         report = db.auditor.join_background_sweep()
         assert report is not None and report.clean
         db.close()

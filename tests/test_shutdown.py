@@ -89,7 +89,6 @@ class TestCrashDrain:
             tmp_path,
             "sweep",
             scheme="data_codeword",
-            audit_mode="incremental",
             full_sweep_every=2,
             background_sweeps=True,
         )
@@ -99,7 +98,7 @@ class TestCrashDrain:
         assert db.auditor._sweep is not None
         db.crash()
         assert db.scheduler.live_background == ()
-        assert db.auditor._sweep is None or db.auditor._sweep.done
+        assert db.auditor._sweep is None or db.auditor._sweep.handle.done
 
     def test_close_after_crash_is_a_noop(self, tmp_path):
         db = make_db(tmp_path, "postcrash", group_commit_size=8)
