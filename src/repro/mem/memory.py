@@ -14,8 +14,12 @@ Three write paths exist, mirroring the paper's threat model:
 * :meth:`MemoryImage.poke` -- an *addressing error*: a wild write that
   bypasses logging and dirty tracking entirely.  It still traps on a
   hardware-protected page, because the MMU does not care about intent.
-* checkpoint restore -- bulk replacement of segment contents during
-  recovery, below the MMU.
+* :meth:`MemoryImage.restore_batch` -- the recovery path: an ordered
+  batch of stores below the MMU (restart redo applies every finished
+  transaction's after-images as one batch; :meth:`MemoryImage.restore` is
+  a batch of one).  It locates a segment once per run of stores that fall
+  in it and marks each touched page dirty once, for both checkpoint
+  images.
 
 Segment storage is pluggable: the default keeps each segment in a
 ``bytearray`` (heap backing), while ``backing="mmap"`` maps each segment
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 from repro.errors import ConfigError, MemoryError_
-from repro.mem.pages import DirtyPageTable, PAGE_SIZE_DEFAULT
+from repro.mem.pages import DirtyPageTable, PAGE_SIZE_DEFAULT, page_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.mprotect import SimulatedMMU
@@ -300,12 +304,60 @@ class MemoryImage:
         self._store(address, data)
 
     def restore(self, address: int, data: bytes) -> None:
-        """Recovery-path write: below the MMU, still dirty-tracked.
+        """Recovery-path write of one range: a :meth:`restore_batch` of one."""
+        self.restore_batch(data, ((address, 0, len(data)),))
 
-        Used when loading checkpoint images and applying redo at restart.
+    def restore_batch(self, source, stores) -> set[int]:
+        """Recovery-path writes: below the MMU, still dirty-tracked.
+
+        ``stores`` are ``(address, start, end)`` triples, each storing
+        ``source[start:end]`` at ``address``, applied in order: a later
+        store overwrites an earlier one exactly as a loop of
+        :meth:`restore` calls would.  A segment is looked up once per run
+        of stores that fall in it (a dict hit once its page was seen in
+        this batch, a bisect before), and the pages touched are marked
+        dirty once, for both checkpoint images -- also when a store fails,
+        so the stores before it are applied and tracked.  An unmapped or
+        negative range raises :class:`MemoryError_`.  Returns the pages
+        marked.
         """
-        self._store(address, data)
-        self.dirty_pages.note_dirty_range(address, len(data), self.page_size)
+        page_size = self.page_size
+        segments, bases, space = self._segments, self._bases, self._next_base
+        pages: set[int] = set()
+        add_page = pages.add
+        #: page id -> (base, end, bytes) of its segment, located once a batch
+        located: dict[int, tuple] = {}
+        data, base, limit = None, 0, 0  # the current segment: none yet
+        try:
+            for address, start, end in stores:
+                length = end - start
+                first = address // page_size
+                if address < base or address + length > limit or length <= 0:
+                    extent = located.get(first)
+                    if extent is None and 0 <= address < space:
+                        segment = segments[bisect_right(bases, address) - 1]
+                        extent = located[first] = (
+                            segment.base,
+                            segment.base + segment.size,
+                            segment.data,
+                        )
+                    if extent is not None:
+                        base, limit, data = extent
+                    if address < base or address + length > limit or length <= 0:
+                        # Empty, unmapped or straddling a segment boundary:
+                        # the span walk stores it or raises.
+                        self._store_spans(address, source, start, length)
+                        pages.update(page_range(address, length, page_size))
+                        continue
+                offset = address - base
+                data[offset : offset + length] = source[start:end]
+                add_page(first)
+                last = (address + length - 1) // page_size
+                if last != first:
+                    pages.update(range(first + 1, last + 1))
+        finally:
+            self.dirty_pages.mark_all_dirty(pages)
+        return pages
 
     def _store(self, address: int, data: bytes) -> None:
         length = len(data)
@@ -316,10 +368,14 @@ class MemoryImage:
             if offset + length <= segment.size:
                 segment.data[offset : offset + length] = data
                 return
-        consumed = 0
+        self._store_spans(address, data, 0, length)
+
+    def _store_spans(self, address: int, source, start: int, length: int) -> None:
+        """Store ``source[start:start + length]`` at ``address`` across
+        however many segments it covers (raises if any byte is unmapped)."""
         for segment, offset, chunk in self._spans(address, length):
-            segment.data[offset : offset + chunk] = data[consumed : consumed + chunk]
-            consumed += chunk
+            segment.data[offset : offset + chunk] = source[start : start + chunk]
+            start += chunk
 
     # -------------------------------------------------------- page views
 

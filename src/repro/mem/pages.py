@@ -64,7 +64,8 @@ class DirtyPageTable:
         self._pending[image].difference_update(pages)
 
     def mark_all_dirty(self, page_ids: Iterable[int]) -> None:
-        """Force pages dirty for both images (used after recovery)."""
+        """Mark pages dirty for both images at once (a recovery batch, or
+        every page after recovery)."""
         ids = list(page_ids)
         for pending in self._pending.values():
             pending.update(ids)

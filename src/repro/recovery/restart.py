@@ -21,10 +21,15 @@ Normal restart ("repeating history physically", Section 2.1):
    that is not finished (pre-images captured before each redo; operation
    commit records replace an operation's physical undo with its logical
    undo).  A finished transaction's frames are applied as they lie in the
-   log buffer: the after-image is stored from the frame bytes, its
-   operation brackets are matched by id, and no record object, pre-image
-   or undo entry is built -- only the undo sequence counter advances as
-   if they had been;
+   log buffer: its after-images are queued as offsets into the frame
+   bytes and stored, in log order, as one batch write
+   (:meth:`~repro.mem.memory.MemoryImage.restore_batch`: one segment
+   lookup per run of stores in a segment, each dirty page marked once);
+   its operation brackets are matched by id, and no record object,
+   pre-image or undo entry is built -- only the undo sequence counter
+   advances as if they had been.  The queue is stored before any other
+   record is replayed, since a tracked update reads its pre-image from
+   memory;
 4. undo phase: transactions without a commit/abort record are rolled back
    level by level -- physical (level-0) undo first, then logical undo of
    committed operations, newest first;
@@ -244,8 +249,9 @@ class RecoveryReport:
     lost_committed: tuple[int, ...] = ()
     #: Where the time went: wall seconds of ``load`` (checkpoint image and
     #: ATT), ``analysis`` (log read, frame verification, finisher set),
-    #: ``redo``, ``undo`` and ``finish``, plus ``frames`` walked and the
-    #: ``fast_frames`` among them replayed without building a record.
+    #: ``redo``, ``undo`` and ``finish``, plus ``frames`` walked, the
+    #: ``fast_frames`` among them replayed without building a record and
+    #: the distinct ``redo_pages`` those frames' after-images dirtied.
     #: Measurement only -- nothing reads it to decide anything, and two
     #: runs that did the same work still compare equal.
     phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
@@ -504,13 +510,14 @@ class RestartRecovery:
             # Frames below from_lsn are verified like the rest (the true
             # end of log is last_scanned_lsn, whatever replay skips).
             view = system_log.read_stable()
-            frames = list(system_log.frames(view))
+            frames = system_log.frames(view)
             finished = self._finished_transactions(view, frames, from_lsn, stop)
             self._max_txn_id = max(self._max_txn_id, max(finished, default=0))
         with self._timed("redo"):
-            fast = self._redo(view, frames, finished, from_lsn, stop)
+            fast, redo_pages = self._redo(view, frames, finished, from_lsn, stop)
         self.report.phase_seconds["frames"] = len(frames)
         self.report.phase_seconds["fast_frames"] = fast
+        self.report.phase_seconds["redo_pages"] = redo_pages
         # A crash mid-flush can leave a torn record at the end of the
         # stable log; cut it off before recovery appends anything new.
         system_log.truncate_torn_tail()
@@ -544,11 +551,21 @@ class RestartRecovery:
 
     def _redo(
         self, view, frames, finished: set[int], from_lsn: int, stop: int
-    ) -> int:
+    ) -> tuple[int, int]:
         """Apply ``frames`` in ``[from_lsn, stop)``; returns how many took
         the fast path (records of ``finished`` transactions, replayed from
-        the frame bytes with no record, pre-image or undo entry built)."""
-        restore = self.db.memory.restore
+        the frame bytes with no record, pre-image or undo entry built) and
+        how many distinct pages their after-images dirtied.
+
+        The fast path queues each after-image as ``(address, start, end)``
+        offsets into ``view`` and stores the queue in log order as one
+        :meth:`~repro.mem.memory.MemoryImage.restore_batch`.  The queue is
+        applied before any record is dispatched (a tracked update reads
+        its pre-image from memory), before a malformed log raises, and at
+        the end; the undo sequence numbers of the entries not built are
+        taken at the same points.
+        """
+        restore_batch = self.db.memory.restore_batch
         update_head = UPDATE_HEAD.unpack_from
         image_at = UPDATE_HEAD.size
         op_head = OP_HEAD.unpack_from
@@ -558,63 +575,85 @@ class RestartRecovery:
         open_ops: dict[int, list[int]] = {}
         lost: list[int] = []
         recovery_txns: set[int] = set()
+        queue: list[tuple[int, int, int]] = []
+        enqueue = queue.append
+        pages: set[int] = set()
         fast = applied = 0
-        for lsn, code, pos, end in frames:
-            if lsn < from_lsn:
-                continue
-            if lsn >= stop:
-                # Past the early stop nothing is applied; the tail still
-                # yields the end of the log, the highest transaction id
-                # and the commits being lost.  Compensation transactions
-                # of an interrupted earlier attempt are not user work.
-                if code == _TXN_BEGIN:
-                    record = decode_payload(code, view, pos, end)
-                    self._max_txn_id = max(self._max_txn_id, record.txn_id)
-                    if record.is_recovery:
-                        recovery_txns.add(record.txn_id)
-                elif code == _TXN_COMMIT:
-                    txn_id = txn_id_at(view, pos)[0]
-                    if txn_id not in recovery_txns:
-                        lost.append(txn_id)
-                continue
-            txn_id = txn_id_at(view, pos)[0]
-            if txn_id in finished and code in _TXN_RECORD_CODES:
-                if code == _UPDATE:
-                    _txn_id, address, length, _checksum = update_head(view, pos)
+        skipped = 0  # operation commits whose LogicalUndoEntry was not built
+
+        def apply_queued() -> None:
+            nonlocal applied, skipped
+            # Each queued update skipped a PhysicalUndo's sequence number.
+            self._seq += len(queue) + skipped
+            applied += len(queue)
+            skipped = 0
+            pages.update(restore_batch(view, queue))
+            queue.clear()
+
+        # Frames ascend by LSN, so the replayed span is one slice.
+        first = bisect.bisect_left(frames, (from_lsn,))
+        past_stop = bisect.bisect_left(frames, (stop,), first)
+        for lsn, code, pos, end in frames[first:past_stop]:
+            if code == _UPDATE:
+                txn_id, address, length, _checksum = update_head(view, pos)
+                if txn_id in finished:
                     image = pos + image_at
-                    restore(address, view[image : image + length])
-                    applied += 1
-                    self._seq += 1  # the PhysicalUndo not built
-                elif code == _OP_BEGIN:
-                    open_ops.setdefault(txn_id, []).append(op_head(view, pos)[1])
-                elif code == _OP_COMMIT:
-                    op_id = op_head(view, pos)[1]
+                    enqueue((address, image, image + length))
+                    continue
+            elif code == _OP_BEGIN or code == _OP_COMMIT:
+                txn_id, op_id, _level = op_head(view, pos)
+                if txn_id in finished:
+                    fast += 1
+                    if code == _OP_BEGIN:
+                        open_ops.setdefault(txn_id, []).append(op_id)
+                        continue
                     ops = open_ops.get(txn_id, ())
                     if op_id not in ops:
+                        apply_queued()
                         raise RecoveryError(
                             f"operation commit {op_id} without matching begin "
                             f"(txn {txn_id})"
                         )
                     while ops.pop() != op_id:
                         pass  # operations nested inside it end with it
-                    self._seq += 1  # the LogicalUndoEntry not built
-                elif code == _TXN_COMMIT or code == _TXN_ABORT:
-                    # Whatever the log says of this id from here on is a
-                    # new transaction with no end in sight: tracked.
-                    finished.discard(txn_id)
-                    open_ops.pop(txn_id, None)
-                # Nothing to keep of the rest: reads matter to corruption
-                # tracing only, is_recovery to recruitment, a prepare to a
-                # branch still in doubt.
-                fast += 1
-                continue
+                    skipped += 1
+                    continue
+            elif code in _TXN_RECORD_CODES:
+                txn_id = txn_id_at(view, pos)[0]
+                if txn_id in finished:
+                    if code == _TXN_COMMIT or code == _TXN_ABORT:
+                        # Whatever the log says of this id from here on is
+                        # a new transaction with no end in sight: tracked.
+                        finished.discard(txn_id)
+                        open_ops.pop(txn_id, None)
+                    # Nothing to keep of the rest: reads matter to
+                    # corruption tracing only, is_recovery to recruitment,
+                    # a prepare to a branch still in doubt.
+                    fast += 1
+                    continue
+            if queue or skipped:
+                apply_queued()
             self._seed_due_contexts(lsn)
             self._dispatch(decode_payload(code, view, pos, end))
+        apply_queued()
         if applied:
             self.db.meter.charge("redo_apply", applied)
             self.report.redo_applied += applied
+        # Past the early stop nothing is applied; the tail still yields the
+        # highest transaction id and the commits being lost.  Compensation
+        # transactions of an interrupted earlier attempt are not user work.
+        for _lsn, code, pos, end in frames[past_stop:]:
+            if code == _TXN_BEGIN:
+                record = decode_payload(code, view, pos, end)
+                self._max_txn_id = max(self._max_txn_id, record.txn_id)
+                if record.is_recovery:
+                    recovery_txns.add(record.txn_id)
+            elif code == _TXN_COMMIT:
+                txn_id = txn_id_at(view, pos)[0]
+                if txn_id not in recovery_txns:
+                    lost.append(txn_id)
         self.report.lost_committed = tuple(sorted(lost))
-        return fast
+        return fast + applied, len(pages)
 
     def _dispatch(self, record) -> None:
         if isinstance(record, UpdateRecord):

@@ -35,6 +35,8 @@ from repro.wal.records import LogRecord, decode_payload, encode_into, type_codes
 _LSN_HEADER = struct.Struct("<Q")
 _FRAME_HEAD = struct.Struct("<QI")  # the LSN header plus the record frame's u32 length
 _CRC = struct.Struct("<I")
+#: CRC-32 of any bytes followed by their own ``_CRC``-packed CRC-32.
+_CRC_RESIDUE = 0x2144DF1C
 #: A frame occupies ``[payload start - PAYLOAD_OFFSET, body end + _CRC.size)``:
 #: LSN, length and the type byte precede the payload, the CRC follows the body.
 PAYLOAD_OFFSET = _FRAME_HEAD.size + 1
@@ -60,7 +62,6 @@ def walk_frames(view: memoryview) -> Iterator[tuple[int, int, int, int]]:
     size = len(view)
     head = _FRAME_HEAD.unpack_from
     head_size = _FRAME_HEAD.size
-    crc_at = _CRC.unpack_from
     crc_size = _CRC.size
     crc32 = zlib.crc32
     offset = 0
@@ -70,16 +71,18 @@ def walk_frames(view: memoryview) -> Iterator[tuple[int, int, int, int]]:
         if body_start > size:
             raise _TornFrame("truncated frame header")
         lsn, body_len = head(view, offset)
-        body_end = body_start + body_len
-        if body_len == 0 or body_end + crc_size > size:
+        offset = body_start + body_len + crc_size  # the next frame
+        if body_len == 0 or offset > size:
             raise _TornFrame("truncated record body")
-        if crc32(view[body_start:body_end]) != crc_at(view, body_end)[0]:
+        # One pass checks body and stored CRC together: a CRC-32 run over
+        # its data followed by that data's little-endian CRC always ends
+        # at _CRC_RESIDUE, and at it only when the stored CRC is right.
+        if crc32(view[body_start:offset]) != _CRC_RESIDUE:
             raise _TornFrame("log record CRC mismatch")
         if lsn <= previous_lsn:
             raise LogError(f"frame LSNs out of order: {lsn} after {previous_lsn}")
         previous_lsn = lsn
-        yield lsn, view[body_start], body_start + 1, body_end
-        offset = body_end + crc_size
+        yield lsn, view[body_start], body_start + 1, offset - crc_size
 
 
 def decode_frames(payload: bytes) -> Iterator[tuple[int, LogRecord]]:
@@ -242,42 +245,46 @@ class SystemLog:
 
     def frames(
         self, view: memoryview, strict: bool = False
-    ) -> Iterator[tuple[int, int, int, int]]:
-        """Walk the whole *stable* log: :func:`walk_frames` over ``view``,
-        which the caller got from :meth:`read_stable`.
+    ) -> list[tuple[int, int, int, int]]:
+        """The verified frames of the whole *stable* log, as a list:
+        :func:`walk_frames` over ``view``, which the caller got from
+        :meth:`read_stable`.
 
         A crash can tear the last flush, leaving a truncated or
         CRC-damaged record at the end of the file.  By default the walk
         stops cleanly at the first such frame (setting
         :attr:`torn_tail_detected`), which is the standard write-ahead-log
         recovery behaviour; ``strict=True`` raises instead, for integrity
-        checks that must see every byte accounted for.
+        checks that must see every byte accounted for.  The end of the
+        clean prefix and :attr:`last_scanned_lsn` come from the last
+        frame verified.
         """
-        self.torn_tail_detected = False
-        self._clean_prefix_bytes = 0
-        self.last_scanned_lsn = -1
-        clean, last, count = 0, -1, 0
+        frames: list[tuple[int, int, int, int]] = []
+        torn = False
         try:
-            for frame in walk_frames(view):
-                last = frame[0]
-                clean = frame[3] + _CRC.size
-                count += 1
-                yield frame
+            frames.extend(walk_frames(view))
         except _TornFrame:
             if strict:
                 raise
-            self.torn_tail_detected = True
-            # The file holds bytes the counter can no longer vouch
-            # for; recount lazily after the tail is repaired.
-            self._stable_count = None
-        else:
-            if self._stable_count is None:
-                # A clean full traversal counted every frame; repair the
-                # counter for free.
-                self._stable_count = count
+            torn = True
         finally:
-            self._clean_prefix_bytes = clean
-            self.last_scanned_lsn = last
+            self.torn_tail_detected = torn
+            if frames:
+                last_lsn, _code, _pos, end = frames[-1]
+                self.last_scanned_lsn = last_lsn
+                self._clean_prefix_bytes = end + _CRC.size
+            else:
+                self.last_scanned_lsn = -1
+                self._clean_prefix_bytes = 0
+        if torn:
+            # The file holds bytes the counter can no longer vouch for;
+            # recount lazily after the tail is repaired.
+            self._stable_count = None
+        elif self._stable_count is None:
+            # A clean full traversal counted every frame; repair the
+            # counter for free.
+            self._stable_count = len(frames)
+        return frames
 
     def scan(
         self, from_lsn: int = 0, strict: bool = False, only=None

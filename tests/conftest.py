@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import Database, DBConfig, Field, FieldType, Schema
+from repro.mem.memory import MemoryImage
 from repro.storage.table import Table, TxnAccessor
 
 ACCT_SCHEMA = Schema(
@@ -38,6 +39,26 @@ def window_per_update():
         yield
     finally:
         Table._ctx = real
+
+
+def per_store_restore(memory: MemoryImage, address: int, data) -> None:
+    """One recovery store made the way it was before batching: locate,
+    slice-store, mark its page range dirty.  Written without
+    :meth:`MemoryImage.restore_batch` -- the reference batched redo is
+    held to."""
+    memory._store(address, data)
+    memory.dirty_pages.note_dirty_range(address, len(data), memory.page_size)
+
+
+@contextmanager
+def restore_per_store():
+    """``MemoryImage.restore`` inside the block is :func:`per_store_restore`."""
+    real = MemoryImage.restore
+    MemoryImage.restore = per_store_restore
+    try:
+        yield
+    finally:
+        MemoryImage.restore = real
 
 
 @pytest.fixture

@@ -7,16 +7,19 @@ change the *cost* of recovery only.  The identity test recovers one
 crashed directory twice -- once as shipped, once through a subclass whose
 analysis names nobody, so every record is decoded and tracked, which is
 what redo did before -- and requires equal memory, codewords, meter
-counts, virtual time, resumed counters, stable-log bytes and report, over
-generated histories (hash and B+tree tables, multi-operation
-transactions, aborts, a checkpoint with transactions open, a crash with
-up to three in flight).  The directed cases pin what the property may not
-hit: same-byte interleavings, a torn commit, an early stop, in-doubt
-branches, a malformed log, and the runs that must never take the path.
+counts, virtual time, resumed counters, stable-log bytes and report, and
+equal dirty page sets (where redo ends and after recovery) and checkpoint
+image files, over generated histories (hash and B+tree tables,
+multi-operation transactions, aborts, a checkpoint with transactions
+open, a crash with up to three in flight, pages smaller than a row).
+The directed cases pin what the property may not hit: same-byte
+interleavings, a torn commit, an early stop, in-doubt branches, a
+malformed log, and the runs that must never take the path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
 from contextlib import contextmanager
 
@@ -37,7 +40,7 @@ from repro.wal.records import (
     TxnCommitRecord,
     UpdateRecord,
 )
-from tests.conftest import ACCT_SCHEMA, insert_accounts
+from tests.conftest import ACCT_SCHEMA, insert_accounts, restore_per_store
 
 SCHEMES = [
     ("baseline", {}),
@@ -47,6 +50,10 @@ SCHEMES = [
 TABLES = ("acct", "ordered")
 LANES = 3
 KEYS_PER_LANE = 6
+#: The default page, and one smaller than a row: every insert then
+#: straddles a page boundary, so redo's dirty-page marking is exercised
+#: past a store's first page.
+PAGE_SIZES = (8192, 24)
 
 
 class TrackedReplay(restart.RestartRecovery):
@@ -60,11 +67,12 @@ class TrackedReplay(restart.RestartRecovery):
 def every_record_tracked():
     """Recoveries opened inside the block replay through
     :class:`TrackedReplay` (``Database._run_recovery`` looks the class up
-    at call time)."""
+    at call time), storing every record the way redo did before batching."""
     real = restart.RestartRecovery
     restart.RestartRecovery = TrackedReplay
     try:
-        yield
+        with restore_per_store():
+            yield
     finally:
         restart.RestartRecovery = real
 
@@ -82,24 +90,61 @@ def _spy_dispatch(monkeypatch) -> list:
     return seen
 
 
-def _config(path, scheme: str = "data_cw", params: dict | None = None) -> DBConfig:
-    return DBConfig(dir=str(path), scheme=scheme, scheme_params=dict(params or {}))
+@contextmanager
+def dirty_pages_after_redo(seen: list):
+    """Record both images' pending page sets where redo hands over to
+    undo.  After that, recovery marks every page dirty for its finishing
+    checkpoint, so only here does redo's own marking show."""
+    real = restart.RestartRecovery._undo_phase
+
+    def undo_phase(self):
+        dirty = self.db.memory.dirty_pages
+        seen.append((dirty.pending_for("A"), dirty.pending_for("B")))
+        return real(self)
+
+    restart.RestartRecovery._undo_phase = undo_phase
+    try:
+        yield
+    finally:
+        restart.RestartRecovery._undo_phase = real
 
 
-def _build(path, scheme: str = "data_cw", params: dict | None = None) -> Database:
-    db = Database(_config(path, scheme, params))
+def _config(
+    path, scheme: str = "data_cw", params: dict | None = None, page_size: int = 8192
+) -> DBConfig:
+    return DBConfig(
+        dir=str(path),
+        scheme=scheme,
+        scheme_params=dict(params or {}),
+        page_size=page_size,
+    )
+
+
+def _build(
+    path, scheme: str = "data_cw", params: dict | None = None, page_size: int = 8192
+) -> Database:
+    db = Database(_config(path, scheme, params, page_size))
     db.create_table("acct", ACCT_SCHEMA, 64, key_field="id")
     db.create_table("ordered", ACCT_SCHEMA, 64, key_field="id", index_type="btree")
     db.start()
     return db
 
 
-def _observe(db: Database, report) -> dict:
+def _observe(db: Database, report, dirty_after_redo) -> dict:
     maintainer = db.pipeline.maintainer
     with open(db.system_log.path, "rb") as handle:
         log_bytes = handle.read()
+    images = {}
+    for image in db.memory.dirty_pages.IMAGES:
+        with open(db.checkpointer._image_path(image), "rb") as handle:
+            images[image] = handle.read()
     state = {
         "segments": db.memory.snapshot_segments(),
+        "dirty_after_redo": dirty_after_redo,
+        "pending": {
+            image: db.memory.dirty_pages.pending_for(image) for image in images
+        },
+        "checkpoint_images": images,
         "meter": dict(db.meter.counts),
         "now_ns": db.clock.now_ns,
         "next_seq": db.manager._next_seq,
@@ -121,16 +166,16 @@ def _recover_both_ways(crashed: DBConfig, recover=Database.recover):
     for name, reference in (("fast", False), ("tracked", True)):
         workdir = f"{crashed.dir}.{name}"
         shutil.copytree(crashed.dir, workdir)
-        config = DBConfig(
-            dir=workdir, scheme=crashed.scheme, scheme_params=crashed.scheme_params
-        )
-        if reference:
-            with every_record_tracked():
+        config = dataclasses.replace(crashed, dir=workdir)
+        dirty: list = []
+        with dirty_pages_after_redo(dirty):
+            if reference:
+                with every_record_tracked():
+                    db, report = recover(config)
+            else:
                 db, report = recover(config)
-        else:
-            db, report = recover(config)
         try:
-            observed.append((_observe(db, report), report.phase_seconds))
+            observed.append((_observe(db, report, dirty), report.phase_seconds))
             assert db.audit().clean
         finally:
             db.close()
@@ -210,34 +255,54 @@ def _play(db: Database, steps, checkpoint_at: int) -> None:
 
 
 @pytest.mark.parametrize("scheme,params", SCHEMES, ids=[s for s, _ in SCHEMES])
-@given(steps=_STEPS, checkpoint_share=st.floats(0.0, 1.0), data=st.data())
+@given(
+    steps=_STEPS,
+    checkpoint_share=st.floats(0.0, 1.0),
+    page_size=st.sampled_from(PAGE_SIZES),
+    data=st.data(),
+)
 @settings(max_examples=25, deadline=None)
 def test_fast_path_identical_to_tracked_replay(
-    tmp_path_factory, scheme, params, steps, checkpoint_share, data
+    tmp_path_factory, scheme, params, steps, checkpoint_share, page_size, data
 ):
     base = tmp_path_factory.mktemp("replay")
-    db = _build(base / "db", scheme, params)
+    db = _build(base / "db", scheme, params, page_size)
     _play(db, steps, int(checkpoint_share * len(steps)))
     # Whatever the open transactions did so far reaches the stable log
     # with the next commit's flush, or not at all.
     if data.draw(st.booleans(), label="flush before the crash"):
         db.system_log.flush()
     db.crash()
-    got, want, _fast = _recover_both_ways(_config(base / "db", scheme, params))
+    got, want, _fast = _recover_both_ways(
+        _config(base / "db", scheme, params, page_size)
+    )
     assert got == want
 
 
 def test_the_property_exercises_the_fast_path(tmp_path):
     """Guard against a vacuous identity: a plain committed history is
-    replayed almost entirely from frames."""
-    db = _build(tmp_path / "db")
+    replayed almost entirely from frames, and its pages are marked."""
+    _replay_committed_history(tmp_path, page_size=8192)
+
+
+def test_rows_straddling_pages_are_marked_on_every_page(tmp_path):
+    """The same with every row straddling a page boundary."""
+    _replay_committed_history(tmp_path, page_size=24)
+
+
+def _replay_committed_history(tmp_path, page_size: int) -> None:
+    db = _build(tmp_path / "db", page_size=page_size)
     insert_accounts(db, 10)
     db.crash()
-    got, want, fast = _recover_both_ways(_config(tmp_path / "db"))
+    got, want, fast = _recover_both_ways(_config(tmp_path / "db", page_size=page_size))
     assert got == want
     assert got["report"].redo_applied > 0
     # Everything but the format transaction's frames below CK_end.
     assert fast >= got["report"].redo_applied
+    [(pending_a, pending_b)] = got["dirty_after_redo"]
+    assert pending_a == pending_b
+    # Only the fast path stored anything, so every pending page is its.
+    assert got["report"].phase_seconds["redo_pages"] == len(pending_a) > 0
 
 
 # ------------------------------------------------------- directed cases

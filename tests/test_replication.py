@@ -263,18 +263,21 @@ class TestArchiveErrors:
 
     def test_uncertified_checkpoint_refused(self, tmp_path):
         primary = Database(_config(tmp_path / "primary"))
-        primary.create_table("acct", ACCT_SCHEMA, 64, key_field="id")
-        primary.start()
-        slots = insert_accounts(primary, 4)
-        table = primary.table("acct")
-        # A dirty-region wild write: the incremental certifying audit
-        # sees it, the checkpoint fails certification, and the archive
-        # is refused with the typed error.
-        FaultInjector(primary, seed=5).wild_write(
-            address=table.record_address(slots[0]) + 8, length=8
-        )
-        with pytest.raises(ArchiveError, match="certification"):
-            create_archive(primary, str(tmp_path / "archive"))
+        try:
+            primary.create_table("acct", ACCT_SCHEMA, 64, key_field="id")
+            primary.start()
+            slots = insert_accounts(primary, 4)
+            table = primary.table("acct")
+            # A dirty-region wild write: the incremental certifying audit
+            # sees it, the checkpoint fails certification, and the archive
+            # is refused with the typed error.
+            FaultInjector(primary, seed=5).wild_write(
+                address=table.record_address(slots[0]) + 8, length=8
+            )
+            with pytest.raises(ArchiveError, match="certification"):
+                create_archive(primary, str(tmp_path / "archive"))
+        finally:
+            primary.close()
 
 
 class TestReadOnlyServing:
