@@ -38,6 +38,14 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   which is what redo did for every transaction before).  Records/s of
   both, gated on their ratio.
 
+* **shard.round_trip** -- the shard pipe's transport.  One command tuple
+  echoed through a worker process over :class:`repro.shard.worker.Channel`
+  (one framed write, buffered reads) against the same echo over the
+  ``multiprocessing`` ``Connection.send`` / ``recv`` it replaced, copied
+  inline below.  Both sides run pinned to one CPU in alternated pairs;
+  the best time of each side is reported and the median pair's ratio is
+  gated.
+
 ``TXN_BENCH_QUICK=1`` shrinks the workload and relaxes the lifecycle
 gate for CI smoke runs.
 """
@@ -54,6 +62,8 @@ import pytest
 
 from repro import Database, DBConfig, Field, FieldType, Schema
 from repro.recovery.restart import RestartRecovery
+from repro.shard.shard import _mp_context
+from repro.shard.worker import Channel
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.txn.latches import Latch
@@ -650,6 +660,85 @@ def audit_results(tmp_path_factory) -> dict:
     return results
 
 
+ROUND_TRIPS = 200 if QUICK else 300
+ROUND_TRIP_PAIRS = 11 if QUICK else 21
+#: Median over alternated pairs of Connection-echo time over channel-echo
+#: time.  On a contended 2-vCPU box six quick runs read 1.44-1.50, while
+#: ratios of single best-of-N samples spread from 1.0 to 2.4.
+REQUIRED_ROUND_TRIP_SPEEDUP = 1.2 if QUICK else 1.3
+#: A routed data op, as ``ShardRouter`` sends it.
+ECHO_COMMAND = ("apply", 17, "add", "account", 4242, {"balance": -30})
+
+
+def _connection_echo(conn) -> None:
+    """The replaced transport: ``Connection.send`` / ``recv``."""
+    while (cmd := conn.recv()) is not None:
+        conn.send(("ok", cmd))
+    conn.close()
+
+
+def _channel_echo(conn) -> None:
+    channel = Channel(conn)
+    while (cmd := channel.recv()) is not None:
+        channel.send(("ok", cmd))
+    channel.close()
+
+
+class _EchoWorker:
+    """A worker process echoing commands back over one pipe end."""
+
+    def __init__(self, target, framed: bool) -> None:
+        ctx = _mp_context()
+        parent, child = ctx.Pipe()
+        self._proc = ctx.Process(target=target, args=(child,), daemon=True)
+        self._proc.start()
+        child.close()
+        self.end = Channel(parent) if framed else parent
+
+    def round_trips_us(self, count: int) -> float:
+        end = self.end
+        start = time.perf_counter()
+        for _ in range(count):
+            end.send(ECHO_COMMAND)
+            reply = end.recv()
+        elapsed = time.perf_counter() - start
+        assert reply == ("ok", ECHO_COMMAND)
+        return elapsed / count * 1e6
+
+    def close(self) -> None:
+        self.end.send(None)
+        self._proc.join(timeout=10)
+        self.end.close()
+
+
+@pytest.fixture(scope="module")
+def round_trip_results() -> dict:
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})  # the workers inherit the pin
+    try:
+        connection = _EchoWorker(_connection_echo, framed=False)
+        channel = _EchoWorker(_channel_echo, framed=True)
+        try:
+            pairs = []
+            for n in range(ROUND_TRIP_PAIRS):
+                sides = (connection, channel) if n % 2 else (channel, connection)
+                timed = {side: side.round_trips_us(ROUND_TRIPS) for side in sides}
+                pairs.append((timed[connection], timed[channel]))
+        finally:
+            connection.close()
+            channel.close()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    ratios = sorted(c / f for c, f in pairs)
+    return {
+        "round_trips": ROUND_TRIPS,
+        "pairs": ROUND_TRIP_PAIRS,
+        "connection_us_best": min(c for c, _ in pairs),
+        "channel_us_best": min(f for _, f in pairs),
+        "speedup": ratios[len(ratios) // 2],
+    }
+
+
 # --------------------------------------------------------------------------
 # Gates + emission
 # --------------------------------------------------------------------------
@@ -701,6 +790,16 @@ class TestTxnPath:
             f"{replay_results['ratio']:.2f} (required {REQUIRED_REPLAY_RATIO})"
         )
 
+    def test_shard_round_trip_beats_connection(self, round_trip_results):
+        assert round_trip_results["speedup"] >= REQUIRED_ROUND_TRIP_SPEEDUP, (
+            f"a framed channel round trip takes "
+            f"{round_trip_results['channel_us_best']:.1f} us against "
+            f"{round_trip_results['connection_us_best']:.1f} us over "
+            f"Connection (best of {round_trip_results['pairs']}); the median "
+            f"pair reads {round_trip_results['speedup']:.2f}x "
+            f"(required {REQUIRED_ROUND_TRIP_SPEEDUP}x)"
+        )
+
     def test_incremental_audit_scales_with_dirty_set(self, audit_results):
         costs = [e["virtual_ns"] for e in audit_results["dirty"]]
         assert costs == sorted(costs)  # audit cost grows with the dirty set
@@ -714,6 +813,7 @@ class TestTxnPath:
         audit_results,
         lock_release_results,
         replay_results,
+        round_trip_results,
     ):
         payload = {
             "version": 1,
@@ -724,6 +824,7 @@ class TestTxnPath:
             "incremental_audit": audit_results,
             "lock_release": lock_release_results,
             "recovery": {"replay": replay_results},
+            "shard": {"round_trip": round_trip_results},
         }
         with open(BENCH_PATH, "w") as handle:
             json.dump(payload, handle, indent=2)

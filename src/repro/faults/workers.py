@@ -61,9 +61,9 @@ def sever_pipe(db, shard_id: int) -> None:
     :class:`~repro.shard.shard.ShardCrashed`; the orphaned worker is
     reaped when the supervisor terminates the handle during restart."""
     handle = db.shards[shard_id]
-    conn = getattr(handle, "_conn", None)
-    if conn is not None:
-        conn.close()
+    channel = getattr(handle, "_channel", None)
+    if channel is not None:
+        channel.close()
     else:  # inproc: the closest analogue is a plain crash
         handle.crash()
 

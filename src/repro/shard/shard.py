@@ -11,6 +11,10 @@ against the unsharded database).  :class:`ProcessShard` sends them to a
 worker process; because the pipe is FIFO, ``call_nowait`` may queue an
 arbitrary backlog and ``drain`` collects answers in order, which keeps
 every worker core busy while the parent does nothing but pickle tuples.
+The protocol over the pipe is the worker's
+:class:`~repro.shard.worker.Channel`: one framed write per command and
+replies parsed out of one buffered read, so a round trip costs what the
+pipe costs.
 
 Failure semantics (what the supervisor builds on):
 
@@ -38,7 +42,7 @@ import time
 
 from repro.errors import ConfigError, ReproError, ShardError, ShardTimeoutError
 from repro.shard.core import ShardCore
-from repro.shard.worker import shard_worker_main
+from repro.shard.worker import Channel, shard_worker_main
 
 
 def _mp_context():
@@ -163,7 +167,7 @@ class ProcessShard:
     ) -> None:
         self.shard_id = shard_id
         ctx = _mp_context()
-        self._conn, child_conn = ctx.Pipe()
+        parent_conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=shard_worker_main,
             args=(child_conn, config, table_defs, committed),
@@ -172,6 +176,7 @@ class ProcessShard:
         )
         self._proc.start()
         child_conn.close()
+        self._channel = Channel(parent_conn)
         self._outstanding = 0
         #: Replies drained early by an intervening ``call`` (the pipe is
         #: FIFO, so a synchronous call must consume the pipelined
@@ -204,7 +209,7 @@ class ProcessShard:
                 # or this call would read somebody else's reply.
                 self._drain_backlog(timeout)
             try:
-                self._conn.send(cmd)
+                self._channel.send(cmd)
             except (BrokenPipeError, EOFError, OSError):
                 self._mark_dead()
             return self._decode(self._recv(timeout))
@@ -214,7 +219,7 @@ class ProcessShard:
             self.wait_ready()
             self._require_usable()
             try:
-                self._conn.send(cmd)
+                self._channel.send(cmd)
             except (BrokenPipeError, EOFError, OSError):
                 self._mark_dead()
             self._outstanding += 1
@@ -280,7 +285,7 @@ class ProcessShard:
         progressed = False
         while self._outstanding:
             try:
-                ready = self._conn.poll(0)
+                ready = self._channel.poll(0)
             except (BrokenPipeError, EOFError, OSError):
                 self._mark_dead()
             if not ready:
@@ -318,14 +323,14 @@ class ProcessShard:
 
     def _recv(self, timeout: float | None = None):
         try:
-            if timeout is not None and not self._conn.poll(timeout):
+            if timeout is not None and not self._channel.poll(timeout):
                 # A reply may still arrive later; consuming it would be
                 # paired with the WRONG request.  Poison the handle: the
                 # supervisor kills and recovers the worker.
                 self._poisoned = True
                 self._outstanding = 0
                 raise ShardTimeoutError(self.shard_id, timeout)
-            return self._conn.recv()
+            return self._channel.recv()
         except (BrokenPipeError, EOFError, OSError):
             self._mark_dead()
 
@@ -347,12 +352,12 @@ class ProcessShard:
         if self._proc.is_alive() and not self._poisoned:
             try:
                 self.wait_ready()
-                self._conn.send(("exit",))
-                self._conn.recv()
+                self._channel.send(("exit",))
+                self._channel.recv()
             except (BrokenPipeError, EOFError, OSError, ShardError):
                 pass
         self._proc.join(timeout=10)
-        self._conn.close()
+        self._channel.close()
 
     def terminate(self) -> None:
         """Hard-kill the worker (crash simulation in process mode)."""
@@ -360,4 +365,4 @@ class ProcessShard:
         if self._proc.is_alive():
             self._proc.terminate()
         self._proc.join(timeout=10)
-        self._conn.close()
+        self._channel.close()

@@ -24,7 +24,10 @@ class FieldType(Enum):
 
     @property
     def struct_code(self) -> str:
-        return {"int64": "q", "uint32": "I", "float64": "d"}[self.value]
+        return _STRUCT_CODES[self.value]
+
+
+_STRUCT_CODES = {"int64": "q", "uint32": "I", "float64": "d"}
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,12 @@ class Field:
 
 
 class Schema:
-    """An ordered set of fields with computed offsets."""
+    """An ordered set of fields with computed offsets.
+
+    The codecs are compiled once, here: a ``(offset, size, struct)`` entry
+    per field (``struct`` is None for CHAR) and one ``struct.Struct`` over
+    the whole record, so encoding or decoding a row is one pack or unpack.
+    """
 
     def __init__(self, fields: list[Field]) -> None:
         if not fields:
@@ -59,14 +67,35 @@ class Schema:
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate field names in schema: {names}")
         self.fields = tuple(fields)
-        self._offsets: dict[str, int] = {}
         self._by_name: dict[str, Field] = {}
+        self._codecs: dict[str, tuple[int, int, struct.Struct | None]] = {}
+        codes = []
         offset = 0
         for f in fields:
-            self._offsets[f.name] = offset
+            size = f.byte_size
+            if f.type is FieldType.CHAR:
+                code, codec = f"{size}s", None
+            else:
+                code = f.type.struct_code
+                codec = struct.Struct("<" + code)
             self._by_name[f.name] = f
-            offset += f.byte_size
+            self._codecs[f.name] = (offset, size, codec)
+            codes.append(code)
+            offset += size
         self.record_size = offset
+        self._record = struct.Struct("<" + "".join(codes))
+        self._names = tuple(names)
+        self._defaults = tuple(
+            (f.name, b"" if f.type is FieldType.CHAR else 0) for f in fields
+        )
+        #: ``(column, size)`` of each CHAR field.
+        self._char_columns = tuple(
+            (i, f.size) for i, f in enumerate(fields) if f.type is FieldType.CHAR
+        )
+
+    def __reduce__(self):
+        # Compiled structs do not pickle; a worker recompiles them.
+        return Schema, (list(self.fields),)
 
     def field(self, name: str) -> Field:
         try:
@@ -74,60 +103,75 @@ class Schema:
         except KeyError:
             raise ConfigError(f"no field named {name!r}") from None
 
+    def _codec(self, name: str) -> tuple[int, int, struct.Struct | None]:
+        try:
+            return self._codecs[name]
+        except KeyError:
+            raise ConfigError(f"no field named {name!r}") from None
+
     def offset_of(self, name: str) -> int:
-        self.field(name)
-        return self._offsets[name]
+        return self._codec(name)[0]
 
     def field_range(self, name: str) -> tuple[int, int]:
         """``(offset, byte_size)`` of a field within the record."""
-        f = self.field(name)
-        return self._offsets[name], f.byte_size
+        offset, size, _codec = self._codec(name)
+        return offset, size
 
     # ------------------------------------------------------------ codec
 
     def encode_field(self, name: str, value) -> bytes:
-        f = self.field(name)
-        if f.type is FieldType.CHAR:
-            if isinstance(value, str):
-                value = value.encode("utf-8")
-            if len(value) > f.size:
-                raise ConfigError(
-                    f"value for {name!r} is {len(value)} bytes, field holds {f.size}"
-                )
-            return value.ljust(f.size, b"\x00")
-        return struct.pack("<" + f.type.struct_code, value)
+        _offset, size, codec = self._codec(name)
+        if codec is not None:
+            return codec.pack(value)
+        if isinstance(value, str):
+            value = value.encode("utf-8")
+        if len(value) > size:
+            raise ConfigError(
+                f"value for {name!r} is {len(value)} bytes, field holds {size}"
+            )
+        return value.ljust(size, b"\x00")
 
     def decode_field(self, name: str, data: bytes):
-        f = self.field(name)
-        if f.type is FieldType.CHAR:
+        _offset, _size, codec = self._codec(name)
+        if codec is None:
             return bytes(data).rstrip(b"\x00")
-        return struct.unpack("<" + f.type.struct_code, data)[0]
+        return codec.unpack(data)[0]
 
     def encode(self, values: dict) -> bytes:
         """Encode a full record; missing fields default to zero/empty."""
-        unknown = set(values) - set(self._by_name)
+        unknown = values.keys() - self._codecs.keys()
         if unknown:
             raise ConfigError(f"unknown fields: {sorted(unknown)}")
-        parts = []
-        for f in self.fields:
-            value = values.get(f.name)
-            if value is None:
-                value = b"" if f.type is FieldType.CHAR else 0
-            parts.append(self.encode_field(f.name, value))
-        return b"".join(parts)
+        row = []
+        for name, default in self._defaults:
+            value = values.get(name)
+            row.append(default if value is None else value)
+        try:
+            for i, size in self._char_columns:
+                value = row[i]
+                if isinstance(value, str):
+                    row[i] = value = value.encode("utf-8")
+                if len(value) > size:
+                    break
+            else:
+                return self._record.pack(*row)
+        except (struct.error, TypeError, ValueError):
+            pass
+        # Some value does not fit its field: encode field by field, so the
+        # first bad field in record order raises its own error.
+        return b"".join(map(self.encode_field, self._names, row))
 
     def decode(self, record: bytes) -> dict:
         if len(record) != self.record_size:
             raise ConfigError(
                 f"record is {len(record)} bytes, schema says {self.record_size}"
             )
-        values = {}
-        for f in self.fields:
-            offset = self._offsets[f.name]
-            values[f.name] = self.decode_field(
-                f.name, record[offset : offset + f.byte_size]
-            )
-        return values
+        values = self._record.unpack(record)
+        if self._char_columns:
+            values = list(values)
+            for i, _size in self._char_columns:
+                values[i] = values[i].rstrip(b"\x00")
+        return dict(zip(self._names, values))
 
     def to_dict(self) -> dict:
         """JSON-friendly description (persisted in the catalog)."""
