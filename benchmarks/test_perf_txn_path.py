@@ -46,20 +46,32 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   the best time of each side is reported and the median pair's ratio is
   gated.
 
+* **census** -- Python calls per op under ``cProfile``: 1 000 seeded ops
+  of the paper, readmix and served op shapes of the end-to-end benchmark
+  (``benchmarks/e2e``'s shapes and load generator, used read-only), after
+  1 000 warm-up ops.  A count does not depend on how busy the machine
+  is, so it can be gated where wall-clock ratios cannot: each must stay
+  within 10 % of the count this tree measured on Python 3.11.
+
 ``TXN_BENCH_QUICK=1`` shrinks the workload and relaxes the lifecycle
-gate for CI smoke runs.
+gate for CI smoke runs (the census runs the same ops either way).
 """
 
 from __future__ import annotations
 
+import cProfile
 import json
 import os
+import platform
+import pstats
 import struct
 import time
 import zlib
 
 import pytest
 
+from benchmarks.e2e import loadgen, shapes
+from benchmarks.e2e.workloads import workload
 from repro import Database, DBConfig, Field, FieldType, Schema
 from repro.recovery.restart import RestartRecovery
 from repro.shard.shard import _mp_context
@@ -740,6 +752,72 @@ def round_trip_results() -> dict:
 
 
 # --------------------------------------------------------------------------
+# census: deterministic Python calls per op
+# --------------------------------------------------------------------------
+
+CENSUS_SHAPES = {
+    "paper": "embedded_paper_datacw",
+    "readmix": "embedded_readmix_strict",
+    "served": "served_short_datacw",
+}
+CENSUS_WARMUP_OPS = 1000
+CENSUS_OPS = 1000
+CENSUS_SEED = 1
+#: Calls per op this tree measured (Python 3.11.7); a count may grow 10 %
+#: past it before the gate fails.  Before log records were packed as
+#: frames where they are made, the counts were 1 737 / 2 008 / 2 374.
+CENSUS_MEASURED = {"paper": 1236, "readmix": 1264, "served": 1795}
+CENSUS_SLACK = 1.10
+
+
+def _census_calls_per_op(tmp_path, workload_name: str) -> float:
+    spec = workload(workload_name)
+    ops = loadgen.generate(spec, CENSUS_SEED, CENSUS_WARMUP_OPS + CENSUS_OPS)
+    shape = shapes.shape_class(spec).create(
+        spec, str(tmp_path / workload_name), len(ops) + loadgen.MIX_BLOCK
+    )
+
+    def drive(client, chunk) -> None:
+        for start in range(0, len(chunk), spec.ops_per_txn):
+            client.begin()
+            for op in chunk[start : start + spec.ops_per_txn]:
+                client.apply(op)
+            client.commit()
+
+    try:
+        client = shape.client()
+        drive(client, ops[:CENSUS_WARMUP_OPS])
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            drive(client, ops[CENSUS_WARMUP_OPS:])
+        finally:
+            profile.disable()
+    finally:
+        shape.close()
+    return pstats.Stats(profile).total_calls / CENSUS_OPS
+
+
+@pytest.fixture(scope="module")
+def census_results(tmp_path_factory) -> dict:
+    base = tmp_path_factory.mktemp("census")
+    calls = {
+        name: round(_census_calls_per_op(base, workload_name), 1)
+        for name, workload_name in CENSUS_SHAPES.items()
+    }
+    return {
+        "warmup_ops": CENSUS_WARMUP_OPS,
+        "ops": CENSUS_OPS,
+        "seed": CENSUS_SEED,
+        "python": platform.python_version(),
+        "calls_per_op": calls,
+        "gate": {
+            name: round(CENSUS_SLACK * count) for name, count in CENSUS_MEASURED.items()
+        },
+    }
+
+
+# --------------------------------------------------------------------------
 # Gates + emission
 # --------------------------------------------------------------------------
 
@@ -800,6 +878,16 @@ class TestTxnPath:
             f"(required {REQUIRED_ROUND_TRIP_SPEEDUP}x)"
         )
 
+    def test_calls_per_op_census(self, census_results):
+        over = {
+            name: (calls, census_results["gate"][name])
+            for name, calls in census_results["calls_per_op"].items()
+            if calls > census_results["gate"][name]
+        }
+        assert not over, (
+            f"Python calls per op over the census gate (measured, gate): {over}"
+        )
+
     def test_incremental_audit_scales_with_dirty_set(self, audit_results):
         costs = [e["virtual_ns"] for e in audit_results["dirty"]]
         assert costs == sorted(costs)  # audit cost grows with the dirty set
@@ -814,6 +902,7 @@ class TestTxnPath:
         lock_release_results,
         replay_results,
         round_trip_results,
+        census_results,
     ):
         payload = {
             "version": 1,
@@ -825,6 +914,7 @@ class TestTxnPath:
             "lock_release": lock_release_results,
             "recovery": {"replay": replay_results},
             "shard": {"round_trip": round_trip_results},
+            "census": census_results,
         }
         with open(BENCH_PATH, "w") as handle:
             json.dump(payload, handle, indent=2)

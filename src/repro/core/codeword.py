@@ -22,9 +22,10 @@ import struct
 import numpy as np
 
 WORD = 4
-# Below this many bytes one integer XOR-halving beats numpy's call overhead;
-# the two cross near 1 KiB.
-_NUMPY_THRESHOLD = 1024
+#: Below this many bytes one integer XOR-halving (``HALVINGS``) beats
+#: numpy's call overhead; the two cross near 1 KiB.  Public, with
+#: ``HALVINGS``, for the read precheck, which inlines the fold.
+INT_FOLD_LIMIT = 1024
 
 CODEWORD_MASK = 0xFFFFFFFF
 
@@ -40,19 +41,21 @@ def _halvings(words: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-# Per byte length, the halving steps of its word count rounded up to a
-# power of two (the words past the data are zero, so they fold in for
-# free).  Lengths share one step tuple per power of two.
-_STEPS = [_halvings(1 << k) for k in range((_NUMPY_THRESHOLD // WORD).bit_length())]
-_HALVINGS = tuple(
+#: Per byte length below :data:`INT_FOLD_LIMIT`, the ``(shift, mask)``
+#: steps that XOR-halve a little-endian integer of that length to a word:
+#: those of its word count rounded up to a power of two (the words past
+#: the data are zero, so they fold in for free).  Lengths share one step
+#: tuple per power of two.
+_STEPS = [_halvings(1 << k) for k in range((INT_FOLD_LIMIT // WORD).bit_length())]
+HALVINGS = tuple(
     _STEPS[max(0, -(-length // WORD) - 1).bit_length()]
-    for length in range(_NUMPY_THRESHOLD)
+    for length in range(INT_FOLD_LIMIT)
 )
 
 
 def _fold_int(value: int, length: int) -> int:
     """XOR-fold a ``length``-byte little-endian integer to one word."""
-    for shift, mask in _HALVINGS[length]:
+    for shift, mask in HALVINGS[length]:
         value = (value >> shift) ^ (value & mask)
     return value
 
@@ -65,14 +68,14 @@ def fold_words(data: "bytes | bytearray | memoryview") -> int:
     Accepts any contiguous byte buffer (``bytes``, ``bytearray``,
     ``memoryview``).
 
-    Below ``_NUMPY_THRESHOLD`` bytes the buffer is read as one
+    Below ``INT_FOLD_LIMIT`` bytes the buffer is read as one
     little-endian integer and XOR-halved to a word (a 64-byte region is
     four shift/xor steps); a ragged tail is the integer's top bytes, so it
     is zero-padded by construction.  Larger buffers reduce a zero-copy
     numpy view of the aligned prefix.
     """
     length = len(data)
-    if length < _NUMPY_THRESHOLD:
+    if length < INT_FOLD_LIMIT:
         return _fold_int(int.from_bytes(data, "little"), length)
     remainder = length % WORD
     aligned = length - remainder
@@ -96,7 +99,7 @@ def positioned_fold(address: int, data: bytes) -> int:
     """
     lead = address % WORD
     length = lead + len(data)
-    if length < _NUMPY_THRESHOLD:
+    if length < INT_FOLD_LIMIT:
         return _fold_int(int.from_bytes(data, "little") << (8 * lead), length)
     if lead:
         data = b"\x00" * lead + bytes(data)
@@ -112,7 +115,7 @@ def update_delta(address: int, old: bytes, new: bytes) -> int:
     """
     lead = address % WORD
     length = lead + len(old)
-    if length < _NUMPY_THRESHOLD:
+    if length < INT_FOLD_LIMIT:
         value = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
         return _fold_int(value << (8 * lead), length)
     return positioned_fold(address, old) ^ positioned_fold(address, new)

@@ -40,7 +40,7 @@ by ``tests/test_pipeline_equivalence.py`` and
 
 from __future__ import annotations
 
-from repro.core.codeword import fold_words, word_count
+from repro.core.codeword import HALVINGS, INT_FOLD_LIMIT, fold_words, word_count
 from repro.core.regions import CodewordTable
 from repro.errors import CorruptionDetected, QuarantinedRegionError
 from repro.mem.memory import MemoryImage
@@ -197,33 +197,37 @@ class CodewordMaintainer:
         """
         assert self.table is not None and self.meter is not None
         spanning = self.table.regions_spanning
-        regions, pairs = self._window_regions(
-            [spanning(address, length) for address, length in ranges]
-        )
+        spans = [spanning(address, length) for address, length in ranges]
+        regions, pairs = self._window_regions(spans)
+        existing = self.protection_latches.existing
         latch_of = self.protection_latches.latch
         mode = self.update_latch_mode
         acquired = 0
         try:
             for region_id in regions:
-                latch_of(region_id).acquire(mode)
+                (existing(region_id) or latch_of(region_id)).acquire(mode)
                 acquired += 1
         except BaseException:
             for region_id in regions[:acquired]:
                 latch_of(region_id).release()
             raise
-        txn.scheme_state["window_regions"] = regions
+        # The window's geometry, for maintain() and release_window().
+        txn.scheme_state["window"] = (regions, spans, pairs)
         self.meter.charge("latch_pair", pairs)
 
     def release_window(self, txn: Transaction) -> None:
-        latch_of = self.protection_latches.latch
-        for region_id in txn.scheme_state.pop("window_regions", ()):
-            latch_of(region_id).release()
+        window = txn.scheme_state.pop("window", None)
+        if window is not None:
+            latch_of = self.protection_latches.latch
+            for region_id in window[0]:
+                latch_of(region_id).release()
 
     def maintain(
         self, txn: Transaction, items: list[tuple[int, bytes, bytes]]
     ) -> None:
-        """Fold a window's ``(address, old_image, new_image)`` updates into
-        the codewords at ``end_update``.
+        """Fold the open window's ``(address, old_image, new_image)``
+        updates -- one per range it opened with, in order -- into the
+        codewords at ``end_update``.
 
         Section 3.2's codeword latch "guard[s] the update to the actual
         codewords": updaters hold the protection latch only in shared
@@ -238,12 +242,12 @@ class CodewordMaintainer:
         but not physically taken.
         """
         assert self.table is not None and self.meter is not None
+        # ``items`` are the open window's ranges, in order: its geometry
+        # was worked out when it opened.
+        regions, spans, pairs = txn.scheme_state["window"]
         if not self.uses_codeword_latch:
-            self.apply_maintenance(items)
+            self.apply_maintenance(items, spans)
             return
-        spanning = self.table.regions_spanning
-        spans = [spanning(address, len(old_image)) for address, old_image, _new in items]
-        regions, pairs = self._window_regions(spans)
         if self.update_latch_mode == EXCLUSIVE:
             self.meter.charge("latch_pair", pairs)
             self.apply_maintenance(items, spans)
@@ -293,8 +297,9 @@ class CodewordMaintainer:
                     self.meter.charge("deferred_update")
         else:
             words = self.table.apply_update_batch(items)
-            self.meter.charge("cw_maint_fixed", len(items))
-            self.meter.charge("cw_maint_word", words)
+            self.meter.charge_many(
+                (("cw_maint_fixed", len(items)), ("cw_maint_word", words))
+            )
 
     # ------------------------------------------------------------- undo
 
@@ -433,17 +438,17 @@ class CodewordMaintainer:
         :class:`CorruptionDetected`.
         """
         table = self.table
-        memory = self.memory
-        assert table is not None and memory is not None and self.meter is not None
         region_size = self.region_size
         first = address // region_size
-        stop = (address + max(length, 1) - 1) // region_size + 1
-        image_size = memory.size
-        read = memory.read
+        stop = (address + (length if length > 0 else 1) - 1) // region_size + 1
+        # The image's last region may be ragged (region_bounds).
+        last_region = table.region_count - 1
+        read = self.memory.read
+        existing = self.protection_latches.existing
         latch_of = self.protection_latches.latch
         quarantined = self.quarantined
-        stored = table.stored
-        folded = words = 0
+        stored = table.codewords
+        folded = folded_bytes = 0
         mismatch = refused = None
         for region_id in range(first, stop):
             if region_id in checked:
@@ -453,24 +458,38 @@ class CodewordMaintainer:
                 refused = region_id
                 break
             start = region_id * region_size
-            # The image's last region may be ragged (region_bounds).
-            region_len = min(region_size, image_size - start)
-            latch = latch_of(region_id)
+            region_len = (
+                region_size if region_id != last_region else table.last_region_length
+            )
+            latch = existing(region_id) or latch_of(region_id)
             latch.acquire(EXCLUSIVE)
             try:
-                matches = fold_words(read(start, region_len)) == stored(region_id)
+                if region_len < INT_FOLD_LIMIT:
+                    # fold_words inlined: the region as one integer,
+                    # XOR-halved to a word.
+                    fold = int.from_bytes(read(start, region_len), "little")
+                    for shift, mask in HALVINGS[region_len]:
+                        fold = (fold >> shift) ^ (fold & mask)
+                else:
+                    fold = fold_words(read(start, region_len))
+                matches = fold == stored[region_id]
             finally:
                 latch.release()
             folded += 1
-            words += word_count(region_len)
+            folded_bytes += region_len
             if not matches:
                 mismatch = region_id
                 break
         if folded:
-            charge = self.meter.charge
-            charge("latch_pair", folded)
-            charge("cw_check_fixed", folded)
-            charge("cw_check_word", words)
+            # Only the image's last region can be ragged, so the words of
+            # the bytes folded are the sum of each region's word count.
+            self.meter.charge_many(
+                (
+                    ("latch_pair", folded),
+                    ("cw_check_fixed", folded),
+                    ("cw_check_word", (folded_bytes + 3) >> 2),
+                )
+            )
             self.precheck_count += folded
         if refused is not None:
             raise QuarantinedRegionError([refused])

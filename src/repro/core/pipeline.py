@@ -74,6 +74,17 @@ class ProtectionPipeline(ProtectionScheme):
 
         codeword_members = [m for m in self.members if m.uses_codewords]
         self._page_guards = tuple(m for m in self.members if m.guards_pages)
+        # The members that do something on a read / at an operation's
+        # end, bound once: the base class hooks are no-ops, so a member
+        # that does not override one (data_cw's reads) is never called.
+        self._readers = tuple(
+            m for m in self.members if type(m).on_read is not ProtectionScheme.on_read
+        )
+        self._op_enders = tuple(
+            m
+            for m in self.members
+            if type(m).on_operation_end is not ProtectionScheme.on_operation_end
+        )
         self.maintainer: CodewordMaintainer | None = None
         if codeword_members:
             for member in codeword_members:
@@ -164,6 +175,11 @@ class ProtectionPipeline(ProtectionScheme):
         for member in self.members:
             member.attach(memory, meter)
 
+    def bind_log(self, system_log) -> None:
+        super().bind_log(system_log)
+        for member in self.members:
+            member.bind_log(system_log)
+
     def startup(self) -> None:
         """Rebuild the shared table once; run non-codeword startups."""
         if self.maintainer is not None:
@@ -178,10 +194,10 @@ class ProtectionPipeline(ProtectionScheme):
     # maintainer, so the pipeline drives the maintainer directly -- once
     # per window -- and dispatches window hooks only to non-codeword
     # members.  Read/operation hooks have no shared state and dispatch to
-    # every member in stack order.
+    # every member that overrides them, in stack order.
 
     def on_read(self, txn: Transaction, address: int, length: int) -> None:
-        for member in self.members:
+        for member in self._readers:
             member.on_read(txn, address, length)
 
     def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
@@ -264,7 +280,7 @@ class ProtectionPipeline(ProtectionScheme):
                     member.close_update_window(txn, address, length)
 
     def on_operation_end(self, txn: Transaction) -> None:
-        for member in self.members:
+        for member in self._op_enders:
             member.on_operation_end(txn)
 
     def apply_physical_undo(self, txn: Transaction | None, entry: PhysicalUndo) -> None:

@@ -5,10 +5,11 @@ transaction log ... the data logged consists of the identity of the item
 and an optional checksum of the value, but not the value itself."
 
 Read records migrate to the system log with the rest of an operation's
-records, turning the log into a limited audit trail: given a set of
-corrupt regions, corruption recovery (the delete-transaction model,
-Section 4.3) can trace which transactions *read* corrupt data and
-therefore which writes carried the corruption onward.
+records (a read outside any operation goes there directly), turning the
+log into a limited audit trail: given a set of corrupt regions,
+corruption recovery (the delete-transaction model, Section 4.3) can
+trace which transactions *read* corrupt data and therefore which writes
+carried the corruption onward.
 
 With ``log_checksums`` enabled, read records (and, via the
 ``old_checksum`` field of update records, writes treated as
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from repro.core.data_codeword import DataCodewordScheme
 from repro.txn.transaction import Transaction
-from repro.wal.records import ReadRecord
 
 
 class ReadLoggingScheme(DataCodewordScheme):
@@ -44,15 +44,20 @@ class ReadLoggingScheme(DataCodewordScheme):
         return self.log_checksums
 
     def on_read(self, txn: Transaction, address: int, length: int) -> None:
+        """Pack the read's frame where it will live: the transaction's
+        redo arena inside an operation (it migrates at the operation's
+        commit), else straight into the system log tail -- the order an
+        immediate migration gave.  A scheme no manager bound keeps it in
+        the arena."""
         checksum = None
         if self.log_checksums:
             checksum = self.checksum_of(self.memory.read(address, length))
-        record = ReadRecord(txn.txn_id, address, length, checksum)
-        txn.redo_log.append(record)
+        log = self.system_log
+        if txn.op_stack or log is None:
+            log = txn.redo_log
+        size = log.append_read(txn.txn_id, address, length, checksum)
         self.read_records_logged += 1
-        charge = self.meter.charge
-        charge("readlog_record")
-        charge("readlog_byte", record.approx_size())
+        self.meter.charge_many((("readlog_record", 1), ("readlog_byte", size)))
 
     def on_end_update(
         self, txn: Transaction, address: int, old_image: bytes, new_image: bytes

@@ -32,12 +32,15 @@ class CodewordTable:
         self.memory = memory
         self.region_size = region_size
         self.region_count = -(-memory.size // region_size)
-        # Stored words live in an ``array('I')``, so the scalar paths
-        # (precheck compare, delta apply) index plain Python ints; ``_words``
-        # is a zero-copy numpy view of the same buffer for the vector kernels.
-        self._codewords = array("I", bytes(4 * self.region_count))
-        assert self._codewords.itemsize == 4
-        self._words = np.frombuffer(self._codewords, dtype=np.uint32)
+        #: Bytes in the last region (the image may end mid-region).
+        self.last_region_length = memory.size - (self.region_count - 1) * region_size
+        #: The stored words, by region id: an ``array('I')``, so the scalar
+        #: paths (the read precheck's compare, delta apply) index plain
+        #: Python ints.  ``_words`` is a zero-copy numpy view of the same
+        #: buffer for the vector kernels.
+        self.codewords = array("I", bytes(4 * self.region_count))
+        assert self.codewords.itemsize == 4
+        self._words = np.frombuffer(self.codewords, dtype=np.uint32)
 
     # --------------------------------------------------------- geometry
 
@@ -46,12 +49,11 @@ class CodewordTable:
 
     def regions_spanning(self, address: int, length: int) -> range:
         """Region ids covered by ``[address, address + length)``."""
+        region_size = self.region_size
+        first = address // region_size
         if length <= 0:
-            first = self.region_of(address)
             return range(first, first + 1)
-        first = self.region_of(address)
-        last = self.region_of(address + length - 1)
-        return range(first, last + 1)
+        return range(first, (address + length - 1) // region_size + 1)
 
     def region_bounds(self, region_id: int) -> tuple[int, int]:
         """``(start_address, byte_length)`` of a region, clamped to memory."""
@@ -67,14 +69,15 @@ class CodewordTable:
     # ------------------------------------------------------ maintenance
 
     def stored(self, region_id: int) -> int:
-        return self._codewords[region_id]
+        return self.codewords[region_id]
 
     @property
     def stored_words(self) -> np.ndarray:
         """A ``uint32`` copy of every stored codeword, by region id.
 
-        The one way outside this class to copy, compare or (by assigning
-        an array of ``region_count`` words) seed the stored words.
+        The one way outside this class to copy or (by assigning an array
+        of ``region_count`` words) seed the stored words; the read
+        precheck compares against the live :attr:`codewords` array.
         """
         return self._words.copy()
 
@@ -83,7 +86,7 @@ class CodewordTable:
         self._words[:] = words
 
     def set_stored(self, region_id: int, codeword: int) -> None:
-        self._codewords[region_id] = codeword & 0xFFFFFFFF
+        self.codewords[region_id] = codeword & 0xFFFFFFFF
 
     def compute(self, region_id: int) -> int:
         """Fold the region's current memory content (zero-copy when the
@@ -139,7 +142,7 @@ class CodewordTable:
         return deltas
 
     def apply_delta(self, region_id: int, delta: int) -> None:
-        self._codewords[region_id] ^= delta
+        self.codewords[region_id] ^= delta
 
     def apply_update(self, address: int, old: bytes, new: bytes) -> int:
         """Incrementally maintain codewords; returns words folded."""
@@ -147,11 +150,11 @@ class CodewordTable:
         region_size = self.region_size
         if 0 < length == len(new) and address % region_size + length <= region_size:
             # Within one region: one delta, no split.
-            self._codewords[address // region_size] ^= update_delta(address, old, new)
+            self.codewords[address // region_size] ^= update_delta(address, old, new)
             return 2 * ((address % 4 + length + 3) // 4)
         words_folded = 0
         for region_id, delta, words in self.compute_deltas(address, old, new):
-            self._codewords[region_id] ^= delta
+            self.codewords[region_id] ^= delta
             words_folded += words
         return words_folded
 
@@ -225,7 +228,7 @@ class CodewordTable:
             np.frombuffer(buf, dtype="<u4"), np.asarray(starts)
         )
         deltas = (folds[0::2] ^ folds[1::2]).tolist()
-        codewords = self._codewords
+        codewords = self.codewords
         for region_id, delta in zip(chunk_regions, deltas):
             codewords[region_id] ^= delta
         return words_folded

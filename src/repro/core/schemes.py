@@ -28,6 +28,7 @@ from repro.sim.clock import Meter
 from repro.txn.latches import LatchTable, SHARED
 from repro.txn.transaction import Transaction
 from repro.wal.local_log import PhysicalUndo
+from repro.wal.system_log import SystemLog
 
 
 class ProtectionScheme(ABC):
@@ -52,11 +53,18 @@ class ProtectionScheme(ABC):
     def __init__(self) -> None:
         self.memory: MemoryImage | None = None
         self.meter: Meter | None = None
+        #: The system log, once a transaction manager binds it.
+        self.system_log: SystemLog | None = None
 
     def attach(self, memory: MemoryImage, meter: Meter) -> None:
         """Bind the scheme to a database's memory image and cost meter."""
         self.memory = memory
         self.meter = meter
+
+    def bind_log(self, system_log: SystemLog) -> None:
+        """Bind the system log (read logging packs a read made outside
+        any operation straight into its tail)."""
+        self.system_log = system_log
 
     def startup(self) -> None:
         """Called once the image is formatted or recovered."""

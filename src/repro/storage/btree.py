@@ -24,6 +24,12 @@ Deletion removes entries without rebalancing (nodes may underflow; an
 empty leaf stays chained and is skipped by scans).  This matches common
 main-memory practice -- deletes are rare in the paper's workloads -- and
 keeps rollback simple; it is documented behaviour, not an accident.
+
+The image is not trusted to be well formed: a wild write can point a
+child or leaf link anywhere, so reading a node id past the pool, a
+descent deeper than the node capacity or a leaf walk longer than the
+nodes ever allocated raises :class:`~repro.errors.CorruptionDetected`
+instead of reading outside the index or cycling forever.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import bisect
 import struct
 from typing import Iterator
 
-from repro.errors import ConfigError, OutOfSpaceError
+from repro.errors import ConfigError, CorruptionDetected, OutOfSpaceError
 from repro.mem.allocator import MemoryAccessor
 
 NODE_SIZE = 256
@@ -132,7 +138,34 @@ class BTreeIndex:
         return self.pool_base + node_id * NODE_SIZE
 
     def _read_node(self, ctx: MemoryAccessor, node_id: int) -> _Node:
+        if not 0 <= node_id < self.node_capacity:
+            raise self._corrupt(
+                f"node {node_id} is past the {self.node_capacity}-node pool"
+            )
         return _Node.decode(ctx.read(self._node_address(node_id), NODE_SIZE))
+
+    def _corrupt(self, what: str) -> CorruptionDetected:
+        return CorruptionDetected([], context=f"B+tree walk at {self.base:#x}: {what}")
+
+    def _descend(
+        self, ctx: MemoryAccessor, root: int, key: int, path=None
+    ) -> tuple[int, _Node]:
+        """Walk from the root (a node id + 1) to the leaf for ``key``;
+        returns ``(leaf id, leaf)``.  With a ``path`` list, each internal
+        node passed is appended as ``(node id, node, child index)``."""
+        node_id = root - 1
+        node = self._read_node(ctx, node_id)
+        depth = 0
+        while node.kind == INTERNAL:
+            depth += 1
+            if depth > self.node_capacity:  # deeper than the pool: a cycle
+                raise self._corrupt(f"a descent runs past {self.node_capacity} levels")
+            child_index = bisect.bisect_right(node.keys, key)
+            if path is not None:
+                path.append((node_id, node, child_index))
+            node_id = node.children[child_index]
+            node = self._read_node(ctx, node_id)
+        return node_id, node
 
     def _write_node(self, ctx: MemoryAccessor, node_id: int, node: _Node) -> None:
         ctx.update(self._node_address(node_id), node.encode())
@@ -170,11 +203,7 @@ class BTreeIndex:
         _cap, _free, _used, root = self._read_header(ctx)
         if not root:
             return None
-        node_id = root - 1
-        node = self._read_node(ctx, node_id)
-        while node.kind == INTERNAL:
-            node_id = node.children[bisect.bisect_right(node.keys, key)]
-            node = self._read_node(ctx, node_id)
+        _node_id, node = self._descend(ctx, root, key)
         i = bisect.bisect_left(node.keys, key)
         if i < node.count and node.keys[i] == key:
             return node.values[i]
@@ -193,13 +222,7 @@ class BTreeIndex:
             return
         # Descend, remembering the path for splits.
         path: list[tuple[int, _Node, int]] = []  # (node_id, node, child index)
-        node_id = root - 1
-        node = self._read_node(ctx, node_id)
-        while node.kind == INTERNAL:
-            child_index = bisect.bisect_right(node.keys, key)
-            path.append((node_id, node, child_index))
-            node_id = node.children[child_index]
-            node = self._read_node(ctx, node_id)
+        node_id, node = self._descend(ctx, root, key, path)
         i = bisect.bisect_left(node.keys, key)
         if i < node.count and node.keys[i] == key:
             raise ConfigError(f"duplicate key {key} in B+tree")
@@ -275,11 +298,7 @@ class BTreeIndex:
         _cap, _free, _used, root = self._read_header(ctx)
         if not root:
             return False
-        node_id = root - 1
-        node = self._read_node(ctx, node_id)
-        while node.kind == INTERNAL:
-            node_id = node.children[bisect.bisect_right(node.keys, key)]
-            node = self._read_node(ctx, node_id)
+        node_id, node = self._descend(ctx, root, key)
         i = bisect.bisect_left(node.keys, key)
         if i >= node.count or node.keys[i] != key:
             return False
@@ -295,14 +314,11 @@ class BTreeIndex:
         """Yield ``(key, value)`` for ``lo <= key <= hi`` in key order."""
         if lo > hi:
             return
-        _cap, _free, _used, root = self._read_header(ctx)
+        _cap, _free, used, root = self._read_header(ctx)
         if not root:
             return
-        node_id = root - 1
-        node = self._read_node(ctx, node_id)
-        while node.kind == INTERNAL:
-            node_id = node.children[bisect.bisect_right(node.keys, lo)]
-            node = self._read_node(ctx, node_id)
+        _node_id, node = self._descend(ctx, root, lo)
+        leaves = 1
         while True:
             start = bisect.bisect_left(node.keys, lo)
             for i in range(start, node.count):
@@ -311,6 +327,9 @@ class BTreeIndex:
                 yield node.keys[i], node.values[i]
             if not node.link:
                 return
+            leaves += 1
+            if leaves > used:  # more leaves than nodes ever allocated: a cycle
+                raise self._corrupt(f"a leaf walk runs past {used} nodes")
             node = self._read_node(ctx, node.link - 1)
 
     def iter_all(self, ctx: MemoryAccessor) -> Iterator[tuple[int, int]]:
@@ -325,5 +344,7 @@ class BTreeIndex:
         node = self._read_node(ctx, root - 1)
         while node.kind == INTERNAL:
             levels += 1
+            if levels > self.node_capacity:
+                raise self._corrupt(f"a descent runs past {self.node_capacity} levels")
             node = self._read_node(ctx, node.children[0])
         return levels

@@ -19,13 +19,19 @@ Layout (all little-endian):
 * directory: ``bucket_count`` x u32 (head entry id + 1, 0 = empty bucket);
 * entry pool: ``entry_capacity`` entries of ``i64 key | u32 slot |
   u32 next``.
+
+The image is not trusted to be well formed: a wild write can point a
+chain anywhere, so a chain walk stops at an entry id past the pool and
+after ``entry_capacity`` hops (no chain is longer), and raises
+:class:`~repro.errors.CorruptionDetected` instead of reading outside the
+index or cycling forever.
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.errors import ConfigError, OutOfSpaceError
+from repro.errors import ConfigError, CorruptionDetected, OutOfSpaceError
 from repro.mem.allocator import MemoryAccessor
 
 _HEADER = struct.Struct("<IIII")
@@ -89,12 +95,26 @@ class HashIndex:
         ctx.update(self._entry_address(entry_id), _ENTRY.pack(key, slot, head))
         ctx.update(bucket_address, struct.pack("<I", entry_id + 1))
 
+    def _broken_chain(self, entry_id: int, hops: int) -> CorruptionDetected:
+        if entry_id >= self.entry_capacity:
+            what = f"entry {entry_id} is past the {self.entry_capacity}-entry pool"
+        else:
+            what = f"a chain runs past {hops} hops (a cycle)"
+        return CorruptionDetected(
+            [], context=f"hash index walk at {self.base:#x}: {what}"
+        )
+
     def lookup(self, ctx: MemoryAccessor, key: int) -> int | None:
         """Return the slot mapped to ``key``, or None."""
         bucket_address = self._bucket_address(key)
         head = struct.unpack("<I", ctx.read(bucket_address, 4))[0]
+        capacity = self.entry_capacity
+        hops = 0
         while head:
             entry_id = head - 1
+            if entry_id >= capacity or hops == capacity:
+                raise self._broken_chain(entry_id, hops)
+            hops += 1
             entry_key, slot, nxt = _ENTRY.unpack(
                 ctx.read(self._entry_address(entry_id), ENTRY_SIZE)
             )
@@ -108,8 +128,13 @@ class HashIndex:
         bucket_address = self._bucket_address(key)
         prev_address = bucket_address
         head = struct.unpack("<I", ctx.read(bucket_address, 4))[0]
+        capacity = self.entry_capacity
+        hops = 0
         while head:
             entry_id = head - 1
+            if entry_id >= capacity or hops == capacity:
+                raise self._broken_chain(entry_id, hops)
+            hops += 1
             entry_address = self._entry_address(entry_id)
             entry_key, _slot, nxt = _ENTRY.unpack(ctx.read(entry_address, ENTRY_SIZE))
             if entry_key == key:

@@ -9,7 +9,8 @@ therefore exactly the level-1 operations of the paper's model.
 Every physical write of an operation -- allocator, record, fields, index
 -- goes through :class:`TxnAccessor`, which queues them and opens *one*
 update window per flush; ``TxnAccessor.flush`` is the only place this
-package calls the manager's ``update`` / ``begin_updates``.
+package calls the manager's ``update`` / ``begin_updates`` /
+``write_batch``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ class TxnAccessor:
             mgr.update(txn, *pending[0])
             return
         mgr.begin_updates(txn, [(address, len(data)) for address, data in pending])
-        for address, data in pending:
-            mgr.write(txn, address, data)
+        mgr.write_batch(txn, pending)
         mgr.end_update(txn)
 
     def _overlaps_pending(self, address: int, length: int) -> bool:

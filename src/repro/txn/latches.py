@@ -50,9 +50,7 @@ class Latch:
         if mode != EXCLUSIVE and mode != SHARED:
             raise LatchError(f"bad latch mode {mode!r}")
         me = _get_ident()
-        lock = self._lock
-        lock.acquire()
-        try:
+        with self._lock:
             owner = self._exclusive_owner
             if owner == me:
                 # Reentrant: the exclusive owner may nest either mode.
@@ -66,8 +64,6 @@ class Latch:
             else:
                 self._acquire_slow(mode, me, timeout)
             self.acquire_count += 1
-        finally:
-            lock.release()
 
     def _acquire_slow(self, mode: str, me: int, timeout: float | None) -> None:
         """Grant a request the fast path could not; called with the mutex held."""
@@ -113,9 +109,7 @@ class Latch:
 
     def release(self) -> None:
         me = _get_ident()
-        lock = self._lock
-        lock.acquire()
-        try:
+        with self._lock:
             if self._exclusive_owner == me:
                 depth = self._exclusive_depth - 1
                 self._exclusive_depth = depth
@@ -133,8 +127,6 @@ class Latch:
                 )
             if self._waiters:
                 self._cond.notify_all()
-        finally:
-            lock.release()
 
     # ------------------------------------------------------------ views
 
@@ -171,6 +163,9 @@ class LatchTable:
         self.prefix = prefix
         self._latches: dict[int, Latch] = {}
         self._guard = threading.Lock()
+        #: The latch of a key if it exists yet, else None: one dict
+        #: lookup, for hot loops that fall back to :meth:`latch`.
+        self.existing = self._latches.get
 
     def latch(self, key: int) -> Latch:
         # Double-checked fast path: dict reads are atomic under the GIL,

@@ -46,14 +46,11 @@ from repro.txn.transaction import (
 )
 from repro.wal.local_log import LogicalUndoEntry, PhysicalUndo
 from repro.wal.records import (
+    TXN_ABORT,
+    TXN_COMMIT,
     LogicalUndo,
-    OpBeginRecord,
-    OpCommitRecord,
-    TxnAbortRecord,
-    TxnBeginRecord,
-    TxnCommitRecord,
     TxnPrepareRecord,
-    UpdateRecord,
+    pack_update,
 )
 from repro.wal.system_log import SystemLog
 
@@ -80,6 +77,9 @@ class TransactionManager:
         self.locks = locks
         self.scheme = scheme
         self.meter = meter
+        # Read logging packs a read made outside any operation straight
+        # into the tail (it has no operation commit to ride).
+        scheme.bind_log(system_log)
         #: Group commit (opt-in): one latch/flush pair covers up to this
         #: many committers.  1 keeps the paper's flush-per-commit
         #: behaviour, bit-for-bit and meter-identical.  With N > 1 a
@@ -129,7 +129,7 @@ class TransactionManager:
             self._next_txn_id += 1
         txn = Transaction(txn_id)
         self.att.add(txn)
-        self.system_log.append(TxnBeginRecord(txn.txn_id, is_recovery))
+        self.system_log.append_txn_begin(txn.txn_id, is_recovery)
         self.meter.charge("txn_begin")
         return txn
 
@@ -144,10 +144,9 @@ class TransactionManager:
             raise TransactionError(
                 f"transaction {txn.txn_id} has an open update window at commit"
             )
-        # Reads performed outside any operation are still sitting in the
-        # local redo log; migrate them so the audit trail is complete.
-        self.system_log.extend(txn.redo_log.take_from(0), charge=False)
-        self.system_log.append(TxnCommitRecord(txn.txn_id))
+        # No operation is open, so nothing is staged in the local redo
+        # log: reads outside operations went straight to the tail.
+        self.system_log.append_marker(TXN_COMMIT, txn.txn_id)
         with self._gc_lock:
             self._commits_since_flush += 1
         if self.scheduler is not None:
@@ -184,7 +183,7 @@ class TransactionManager:
         # The inverse operations appended their own undo entries; the
         # transaction is ending, so they are discarded.
         txn.undo_log.entries.clear()
-        self.system_log.append(TxnAbortRecord(txn.txn_id))
+        self.system_log.append_marker(TXN_ABORT, txn.txn_id)
         # An abort always flushes (its compensations must be stable), and
         # the flush covers any commits a group-commit window was holding.
         self.system_log.flush()
@@ -201,9 +200,10 @@ class TransactionManager:
     def prepare(self, txn: Transaction, gid: str) -> None:
         """Phase one of presumed-abort 2PC: vote yes and make it stable.
 
-        The branch's redo records migrate to the system log exactly as in
-        :meth:`commit`, followed by a :class:`TxnPrepareRecord` carrying
-        the global transaction id, and the tail is flushed
+        The branch's records are already in the system log tail (every
+        operation migrated its own at commit), so a
+        :class:`TxnPrepareRecord` carrying the global transaction id
+        follows them, and the tail is flushed
         unconditionally -- the prepare vote is a durability promise.  The
         transaction keeps its locks and stays in the ATT with status
         ``PREPARED``; only the coordinator's decision (or restart
@@ -220,7 +220,6 @@ class TransactionManager:
                 f"transaction {txn.txn_id} has an open update window at prepare"
             )
         self.system_log.crashpoints.reach("twopc.pre_prepare")
-        self.system_log.extend(txn.redo_log.take_from(0), charge=False)
         self.system_log.append(TxnPrepareRecord(txn.txn_id, gid))
         # A prepare always flushes, and the flush covers any commits a
         # group-commit window was holding (they precede it in the log).
@@ -238,7 +237,7 @@ class TransactionManager:
             raise TransactionError(
                 f"transaction {txn.txn_id} is {txn.status.value}, not prepared"
             )
-        self.system_log.append(TxnCommitRecord(txn.txn_id))
+        self.system_log.append_marker(TXN_COMMIT, txn.txn_id)
         # The decision is already durable at the coordinator; flushing here
         # just shrinks the in-doubt window the resolver must cover.
         self.system_log.flush()
@@ -314,26 +313,23 @@ class TransactionManager:
         return op
 
     def commit_operation(self, txn: Transaction, logical_undo: LogicalUndo) -> None:
-        txn.require_active()
+        if txn.status is not TxnStatus.ACTIVE:
+            txn.require_active()
         op = txn.current_op
         if txn.pending_update is not None:
             raise TransactionError(
                 f"operation {op.op_id} commits with an open update window"
             )
-        # Move redo records to the system log tail bracketed by OpBegin /
-        # OpCommit, then replace physical undo with the logical undo --
-        # all before lock release.  The OpBegin record is synthesized here
-        # rather than at begin_operation so it carries the operation's
-        # final object key (an insert only knows its slot after
-        # allocation); order in the system log is unchanged since local
-        # records only migrate at commit anyway.
-        migrated = txn.redo_log.take_from(op.redo_mark)
-        self.system_log.append(
-            OpBeginRecord(txn.txn_id, op.op_id, op.level, op.object_key)
-        )
-        self.system_log.extend(migrated, charge=False)
-        self.system_log.append(
-            OpCommitRecord(txn.txn_id, op.op_id, op.level, op.object_key, logical_undo)
+        # Move the operation's frames to the system log tail bracketed by
+        # OpBegin / OpCommit -- one tail append -- then replace physical
+        # undo with the logical undo, all before lock release.  The
+        # OpBegin record is made here rather than at begin_operation so
+        # it carries the operation's final object key (an insert only
+        # knows its slot after allocation); order in the system log is
+        # unchanged since local records only migrate at commit anyway.
+        frames, starts = txn.redo_log.take_from(op.redo_mark)
+        self.system_log.append_operation(
+            txn.txn_id, op.op_id, op.level, op.object_key, logical_undo, frames, starts
         )
         # Replace the operation's undo entries with one logical undo.
         del txn.undo_log.entries[op.undo_mark :]
@@ -428,17 +424,18 @@ class TransactionManager:
     # -------------------------------------------------- prescribed I/O
 
     def read(self, txn: Transaction, address: int, length: int) -> bytes:
-        """Prescribed read; protection schemes hook here (precheck, read log)."""
-        txn.require_active()
+        """Prescribed read; protection schemes hook here (precheck, read log).
+
+        A read record made outside any operation goes straight to the
+        system log tail (read logging packs it there), so the log keeps
+        read-before-subsequent-write order, which delete-transaction
+        recovery relies on for tracing.
+        """
+        if txn.status is not TxnStatus.ACTIVE:
+            txn.require_active()
         if self.quarantine_guard is not None:
             self.quarantine_guard(txn, address, length)
         self.scheme.on_read(txn, address, length)
-        if not txn.op_stack and txn.redo_log.records:
-            # A read outside any operation has no operation commit to ride
-            # to the system log; migrate its read record immediately so
-            # the log preserves read-before-subsequent-write order, which
-            # delete-transaction recovery relies on for tracing.
-            self.system_log.extend(txn.redo_log.take_from(0), charge=False)
         return self.memory.read(address, length)
 
     def begin_update(self, txn: Transaction, address: int, length: int) -> None:
@@ -459,7 +456,7 @@ class TransactionManager:
         (``Meter.charge`` is linear, so bulk charging cannot move any
         Table 2 number).
         """
-        ranges = [(int(a), int(n)) for a, n in regions]
+        ranges = [(a, n) for a, n in regions]
         if not ranges:
             raise TransactionError("begin_updates needs at least one region")
         # Every undo image is captured up front, so overlapping ranges
@@ -476,42 +473,36 @@ class TransactionManager:
 
     def _open_window(self, txn: Transaction, ranges: list[tuple[int, int]]) -> None:
         """Capture the undo images, notify the scheme (the window body)."""
-        txn.require_active()
+        if txn.status is not TxnStatus.ACTIVE:
+            txn.require_active()
         op = txn.current_op  # updates must happen inside an operation
         if txn.pending_update is not None:
             raise TransactionError(
                 f"transaction {txn.txn_id} already has an open update window"
             )
-        if len(ranges) == 1:
+        count = len(ranges)
+        if count == 1:
             self.scheme.on_begin_update(txn, *ranges[0])
         else:
             self.scheme.on_begin_update_batch(txn, ranges)
+        read = self.memory.read
+        entries = txn.undo_log.entries
+        index = len(entries)
+        seq = self._take_seq(count)
+        op_id = op.op_id
         window: list[WindowRegion] = []
         total = 0
         for address, length in ranges:
-            undo_image = self.memory.read(address, length)
-            entry = PhysicalUndo(
-                seq=self._take_seq(),
-                op_id=op.op_id,
-                address=address,
-                image=undo_image,
-                codeword_applied=False,
-            )
-            txn.undo_log.append_physical(entry)
-            window.append(
-                WindowRegion(
-                    address=address,
-                    length=length,
-                    undo_image=undo_image,
-                    undo_index=len(txn.undo_log.entries) - 1,
-                )
-            )
+            undo_image = read(address, length)
+            entries.append(PhysicalUndo(seq, op_id, address, undo_image, False))
+            window.append(WindowRegion(address, length, undo_image, index))
+            seq += 1
+            index += 1
             total += length
         txn.pending_update = PendingUpdate(window)
-        count = len(ranges)
-        self.meter.charge("begin_update", count)
-        self.meter.charge("log_record", count)
-        self.meter.charge("log_byte", total)
+        self.meter.charge_many(
+            (("begin_update", count), ("log_record", count), ("log_byte", total))
+        )
 
     def write(self, txn: Transaction, address: int, data: bytes) -> None:
         """Write inside the currently open update window.
@@ -521,53 +512,92 @@ class TransactionManager:
         """
         pending = self._require_pending(txn)
         length = len(data)
-        end = address + length
         # Fast path: the write covers a whole range exactly (how
-        # ``update()`` and the record-level storage code write).
+        # ``update()`` and the record-level storage code write); its
+        # bytes are the range's redo image.
         target = pending.exact_region(address, length)
-        if target is None:
+        if target is not None:
+            target.new_image = data if data.__class__ is bytes else bytes(data)
+        else:
+            end = address + length
             for region in pending.regions:
                 if region.address <= address and end <= region.address + region.length:
                     target = region
                     break
-        if target is None:
-            raise TransactionError(
-                f"write of {length} bytes at {address:#x} is outside the "
-                f"open update window"
-            )
-        target.new_image[address - target.address : end - target.address] = data
+            else:
+                raise TransactionError(
+                    f"write of {length} bytes at {address:#x} is outside the "
+                    f"open update window"
+                )
+            image = target.redo_image
+            start = address - target.address
+            target.new_image = image[:start] + bytes(data) + image[start + length :]
         self.memory.write(address, data)
+
+    def write_batch(self, txn: Transaction, writes: list[tuple[int, bytes]]) -> None:
+        """Write ``(address, bytes)`` pairs into the open window in one call.
+
+        The store of a write-combining accessor's queue: the window was
+        opened over exactly these ranges, in this order, so each pair
+        fills its range and its bytes become the range's redo image.  A
+        queue that does not line up with the window's ranges goes through
+        :meth:`write` pair by pair.
+        """
+        pending = self._require_pending(txn)
+        regions = pending.regions
+        if len(writes) != len(regions):
+            for address, data in writes:
+                self.write(txn, address, data)
+            return
+        memory_write = self.memory.write
+        for region, (address, data) in zip(regions, writes):
+            if region.address != address or region.length != len(data):
+                self.write(txn, address, data)
+                continue
+            region.new_image = data if data.__class__ is bytes else bytes(data)
+            memory_write(address, data)
 
     def end_update(self, txn: Transaction) -> None:
         """Close the update window: maintain codewords, log the redo images.
 
-        The redo image of each range comes from the bytes tracked by
-        :meth:`write` (byte-identical to re-reading the window from
-        memory, without the copy).
+        The redo image of each range is the bytes :meth:`write` /
+        :meth:`write_batch` stored there (byte-identical to re-reading
+        the window from memory, without the copy); each is packed as an
+        update frame straight into the transaction's redo arena.
         """
         pending = self._require_pending(txn)
         regions = pending.regions
-        items = [(r.address, r.undo_image, bytes(r.new_image)) for r in regions]
-        if len(items) == 1:
-            checksums = [self.scheme.on_end_update(txn, *items[0])]
-        else:
-            checksums = self.scheme.on_end_update_batch(txn, items)
-        total = 0
-        for region, (address, _old, new_image), checksum in zip(
-            regions, items, checksums
-        ):
-            entry = txn.undo_log.entries[region.undo_index]
-            if isinstance(entry, PhysicalUndo):
-                entry.codeword_applied = True
-            txn.redo_log.append(
-                UpdateRecord(txn.txn_id, address, new_image, checksum)
-            )
-            total += len(new_image)
-        txn.pending_update = None
         count = len(regions)
-        self.meter.charge("end_update", count)
-        self.meter.charge("log_record", count)
-        self.meter.charge("log_byte", total)
+        if count == 1:
+            region = regions[0]
+            image = region.new_image
+            if image is None:
+                image = region.undo_image
+            checksums = (
+                self.scheme.on_end_update(
+                    txn, region.address, region.undo_image, image
+                ),
+            )
+            images = (image,)
+        else:
+            items = [(r.address, r.undo_image, r.redo_image) for r in regions]
+            checksums = self.scheme.on_end_update_batch(txn, items)
+            images = [image for _address, _old, image in items]
+        entries = txn.undo_log.entries
+        redo = txn.redo_log
+        arena = redo.arena
+        offsets = redo.offsets
+        txn_id = txn.txn_id
+        total = 0
+        for region, image, checksum in zip(regions, images, checksums):
+            entries[region.undo_index].codeword_applied = True
+            offsets.append(len(arena))
+            pack_update(arena, 0, txn_id, region.address, image, checksum)
+            total += len(image)
+        txn.pending_update = None
+        self.meter.charge_many(
+            (("end_update", count), ("log_record", count), ("log_byte", total))
+        )
 
     def update(self, txn: Transaction, address: int, data: bytes) -> None:
         """Convenience: begin_update + write + end_update."""
@@ -576,7 +606,8 @@ class TransactionManager:
         self.end_update(txn)
 
     def _require_pending(self, txn: Transaction) -> PendingUpdate:
-        txn.require_active()
+        if txn.status is not TxnStatus.ACTIVE:
+            txn.require_active()
         if txn.pending_update is None:
             raise TransactionError(
                 f"transaction {txn.txn_id} has no open update window; writes "
@@ -584,8 +615,9 @@ class TransactionManager:
             )
         return txn.pending_update
 
-    def _take_seq(self) -> int:
+    def _take_seq(self, count: int = 1) -> int:
+        """The first of ``count`` consecutive undo sequence numbers."""
         with self._id_lock:
             seq = self._next_seq
-            self._next_seq += 1
+            self._next_seq = seq + count
             return seq

@@ -44,8 +44,8 @@ class Operation:
 class WindowRegion:
     """One contiguous range of an open update window.
 
-    ``new_image`` accumulates the bytes written into the range (seeded
-    from the undo image), so ``end_update`` can log the redo image
+    ``new_image`` is the range's bytes as written into the window (None
+    until something is written), so ``end_update`` can log the redo image
     without re-reading the window from memory.
     """
 
@@ -53,14 +53,14 @@ class WindowRegion:
     length: int
     undo_image: bytes
     undo_index: int  # position of the PhysicalUndo entry in the undo log
-    new_image: bytearray = field(repr=False, default_factory=bytearray)
+    new_image: bytes | None = field(repr=False, default=None)
 
-    def __post_init__(self) -> None:
-        if not self.new_image and self.length:
-            self.new_image = bytearray(self.undo_image)
+    @property
+    def redo_image(self) -> bytes:
+        """The range's current bytes: written ones, else the undo image."""
+        return self.undo_image if self.new_image is None else self.new_image
 
 
-@dataclass
 class PendingUpdate:
     """State of an open ``begin_update``/``end_update`` window.
 
@@ -69,16 +69,27 @@ class PendingUpdate:
     write inside it belongs to exactly one of them.
     """
 
-    regions: list[WindowRegion]
+    __slots__ = ("regions", "_by_range")
 
-    def __post_init__(self) -> None:
-        # (address, length) -> the region with exactly that range; the
-        # fast path for whole-range writes (how update() and the storage
-        # layer write).
-        self._by_range = {(r.address, r.length): r for r in self.regions}
+    def __init__(self, regions: list[WindowRegion]) -> None:
+        self.regions = regions
+        # (address, length) -> the region with exactly that range, built
+        # on the first lookup of a several-range window.
+        self._by_range: dict | None = None
 
     def exact_region(self, address: int, length: int) -> WindowRegion | None:
-        return self._by_range.get((address, length))
+        """The region with exactly this range (the fast path for
+        whole-range writes, how update() and the storage layer write)."""
+        regions = self.regions
+        if len(regions) == 1:
+            region = regions[0]
+            if region.address == address and region.length == length:
+                return region
+            return None
+        by_range = self._by_range
+        if by_range is None:
+            by_range = self._by_range = {(r.address, r.length): r for r in regions}
+        return by_range.get((address, length))
 
 
 class Transaction:

@@ -17,7 +17,14 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import LogError
-from repro.wal.records import LogRecord, LogicalUndo
+from repro.wal.records import (
+    LSN_SLOT,
+    LogRecord,
+    LogicalUndo,
+    decode_record,
+    pack_read,
+    pack_record,
+)
 
 
 @dataclass(slots=True)
@@ -52,9 +59,6 @@ class UndoLog:
 
     def __init__(self) -> None:
         self.entries: list[UndoEntry] = []
-
-    def append_physical(self, entry: PhysicalUndo) -> None:
-        self.entries.append(entry)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,33 +125,78 @@ class UndoLog:
 
 
 class LocalRedoLog:
-    """Per-transaction redo staging buffer.
+    """Per-transaction redo staging buffer: an arena of frames.
 
-    Records accumulate here during an operation and are *moved* (not
-    copied) to the system log tail when the operation commits.
+    Records are packed into :attr:`arena` as stable-log frames with a
+    zero LSN slot (``end_update`` packs its update frames there directly,
+    read logging calls :meth:`append_read`), and :attr:`offsets` holds
+    where each frame starts.  When an operation commits its frames are
+    *moved* to the system log tail as one byte range, which stamps their
+    LSNs; an aborted operation's frames are cut off.  ``mark`` /
+    ``take_from`` / ``discard_from`` count frames.
     """
 
-    def __init__(self) -> None:
-        self.records: list[LogRecord] = []
+    __slots__ = ("arena", "offsets")
 
-    def append(self, record: LogRecord) -> None:
-        self.records.append(record)
+    def __init__(self) -> None:
+        self.arena = bytearray()
+        self.offsets: list[int] = []
+
+    def append_read(self, txn_id: int, address: int, length: int, checksum) -> int:
+        """Pack a read frame; returns its ``approx_size``.  (The packer
+        raises, if at all, before it appends a byte.)"""
+        arena = self.arena
+        start = len(arena)
+        size = pack_read(arena, 0, txn_id, address, length, checksum)
+        self.offsets.append(start)
+        return size
+
+    def append(self, record: LogRecord) -> int:
+        """Pack a record object (the cold path); returns its ``approx_size``."""
+        arena = self.arena
+        start = len(arena)
+        try:
+            size = pack_record(record, arena)
+        except BaseException:
+            del arena[start:]
+            raise
+        self.offsets.append(start)
+        return size
 
     def mark(self) -> int:
         """Current position; an operation remembers its start mark."""
-        return len(self.records)
+        return len(self.offsets)
 
-    def take_from(self, mark: int) -> list[LogRecord]:
-        """Remove and return all records appended since ``mark``."""
+    def take_from(self, mark: int) -> tuple[bytes | bytearray, list[int]]:
+        """Remove the frames appended since ``mark``; returns their bytes
+        and each frame's start offset within them."""
+        offsets = self.offsets
         if mark == 0:
-            taken, self.records = self.records, []
+            taken = self.arena, offsets
+            self.arena = bytearray()
+            self.offsets = []
             return taken
-        taken = self.records[mark:]
-        del self.records[mark:]
-        return taken
+        if mark == len(offsets):
+            return b"", []
+        base = offsets[mark]
+        frames = bytes(self.arena[base:])
+        starts = [offset - base for offset in offsets[mark:]]
+        self.discard_from(mark)
+        return frames, starts
 
     def discard_from(self, mark: int) -> None:
-        del self.records[mark:]
+        if mark < len(self.offsets):
+            del self.arena[self.offsets[mark] :]
+            del self.offsets[mark:]
+
+    @property
+    def records(self) -> list[LogRecord]:
+        """The staged records, decoded (a read-only view)."""
+        with memoryview(self.arena) as view:
+            return [
+                decode_record(view, offset + LSN_SLOT.size)[0]
+                for offset in self.offsets
+            ]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.offsets)

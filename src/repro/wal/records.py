@@ -8,18 +8,23 @@ Record kinds follow Section 2.1 plus the paper's two additions:
   extension of Section 4.3, which lets a write be treated as a read
   followed by a write during corruption recovery.
 
-Stable-log framing is ``u32 length | u8 type | payload | u32 crc32``; the
+Record framing is ``u32 length | u8 type | payload | u32 crc32``; the
 CRC covers type and payload, so a torn or corrupted stable log is detected
-at scan time instead of silently replayed.
+at scan time instead of silently replayed.  In a log every frame is
+preceded by its ``u64`` LSN.
 
-The codec is batch-oriented: :func:`encode_into` appends a frame to a
-caller-owned ``bytearray`` (one ``zlib.crc32`` per frame, no intermediate
-``bytes`` joins), and :func:`decode_record`/:func:`iter_records` decode
-straight out of a ``memoryview`` so scanning a whole stable file never
-slices per-record copies of it.  Both directions dispatch through
-per-type tables with one combined :class:`struct.Struct` per record kind;
-the wire format is byte-for-byte the original framing (property-tested in
-``tests/test_wal_batch_equivalence.py``).
+A record is a frame from the moment it is made: the logging paths call
+one *packer* per hot record kind (:func:`pack_update`, :func:`pack_read`,
+:func:`pack_op_begin`, :func:`pack_op_commit`, :func:`pack_txn_begin`,
+:func:`pack_marker`) with the record's fields, and it appends the frame
+-- LSN slot included -- to a local redo log's arena or the system log's
+tail, which flush writes as it stands.  The record classes below are the
+decode form and the cold-path form: :func:`pack_record` and
+:func:`encode_into` pack a record object through the same packers, so the
+wire format is written down once, and :func:`decode_record` /
+:func:`iter_records` decode straight out of a ``memoryview``.  The bytes
+are the original framing (property-tested in
+``tests/test_wal_batch_equivalence.py`` and ``tests/test_record_frames.py``).
 """
 
 from __future__ import annotations
@@ -59,21 +64,9 @@ class LogicalUndo:
     args: tuple = ()
 
     def encode(self) -> bytes:
-        parts = [_encode_str(self.op_name), struct.pack("<H", len(self.args))]
-        for arg in self.args:
-            if isinstance(arg, bool):  # bool is an int subclass; keep it distinct
-                parts.append(b"b" + struct.pack("<B", int(arg)))
-            elif isinstance(arg, int):
-                parts.append(b"i" + struct.pack("<q", arg))
-            elif isinstance(arg, str):
-                parts.append(b"s" + _encode_str(arg))
-            elif isinstance(arg, bytes):
-                parts.append(b"y" + struct.pack("<I", len(arg)) + arg)
-            else:
-                raise LogError(
-                    f"logical undo argument of unsupported type {type(arg).__name__}"
-                )
-        return b"".join(parts)
+        buf = bytearray()
+        _pack_undo(buf, self)
+        return bytes(buf)
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["LogicalUndo", int]:
@@ -250,11 +243,6 @@ class AmendRecord(LogRecord):
 # --------------------------------------------------------------- codec
 
 
-def _encode_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
-
-
 def _decode_str(data, offset: int) -> tuple[str, int]:
     (length,) = struct.unpack_from("<H", data, offset)
     offset += 2
@@ -265,138 +253,243 @@ def _decode_str(data, offset: int) -> tuple[str, int]:
 
 _OPT_U32_NONE = 0xFFFFFFFFFFFFFFFF
 
-
-# One combined Struct per record kind covers the type byte plus the fixed
-# part of the payload in a single pack/unpack call ("<" means standard
-# sizes, no padding, so the combined layout is byte-identical to packing
-# the pieces separately).
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_F_OP = struct.Struct("<BQQBH")       # type, txn_id, op_id, level, key_len
-_F_AUDIT_END = struct.Struct("<BQBII")
-_F_AMEND = struct.Struct("<BQQBII")
-_F_TXN_PREPARE = struct.Struct("<BQH")  # type, txn_id, gid_len
-_P_UPDATE = struct.Struct("<QqIQ")    # payload-only variants for decode
+#: A frame as it lies in a log: ``u64 lsn | u32 body length | body | u32
+#: crc32``, the body being the type byte and the payload.  Frames are
+#: packed with their LSN slot in place; a local redo log leaves it zero
+#: and the system log stamps it when the frame migrates to its tail.
+LSN_SLOT = struct.Struct("<Q")
+FRAME_HEAD = 12  # the LSN slot and the body length
+# One Struct per record kind folds the LSN slot, the body length, the
+# type byte and the fixed part of the payload into a single pack call
+# ("<": standard sizes, no padding, so the layout is the pieces' concat).
+_L_UPDATE = struct.Struct("<QIBQqIQ")  # ..., txn, address, length, checksum
+_L_OP = struct.Struct("<QIBQQBH")  # ..., txn, op_id, level, key length
+_L_TXN_BEGIN = struct.Struct("<QIBQB")  # ..., txn, is_recovery
+_L_MARKER = struct.Struct("<QIBQ")  # ..., txn
+_L_TXN_PREPARE = struct.Struct("<QIBQH")  # ..., txn, gid length
+_L_AUDIT_END = struct.Struct("<QIBQBII")  # ..., audit, clean, region size, count
+_L_AMEND = struct.Struct("<QIBQQBII")  # ..., txn, audit_sn, checksums, ranges, roots
+# Tagged logical-undo arguments: the tag byte and the fixed part together.
+_ARG_BOOL = struct.Struct("<BB")
+_ARG_INT = struct.Struct("<Bq")
+_ARG_STR = struct.Struct("<BH")
+_ARG_BYTES = struct.Struct("<BI")
+# Payload-only layouts, for decode.
+_P_UPDATE = struct.Struct("<QqIQ")
 _P_OP = struct.Struct("<QQB")
 _P_TXN_BEGIN = struct.Struct("<QB")
 _P_U64 = struct.Struct("<Q")
 _P_AUDIT_END = struct.Struct("<QBII")
 _P_AMEND = struct.Struct("<QQBII")
-# Hot-path header variants that fold the u32 length prefix into the same
-# pack call: one allocation per frame header instead of two.  Plain-int
-# type codes skip IntEnum __index__ on every pack.
-_H_UPDATE = struct.Struct("<IBQqIQ")  # body_len, type, txn, addr, len, cksum
-_H_TXN_BEGIN = struct.Struct("<IBQB")
-_H_U64 = struct.Struct("<IBQ")
 #: Fixed payload heads, public for readers that act on a verified frame
 #: without building its record (restart redo's fast path).
 UPDATE_HEAD = _P_UPDATE  # txn_id, address, image length, old checksum; the image follows
 OP_HEAD = _P_OP  # txn_id, op_id, level
 TXN_ID = _P_U64  # every payload starts with the txn_id of LogRecord
+# Plain-int type codes skip IntEnum __index__ on every pack.
 _T_UPDATE = int(RecordType.UPDATE)
 _T_READ = int(RecordType.READ)
+_T_OP_BEGIN = int(RecordType.OP_BEGIN)
+_T_OP_COMMIT = int(RecordType.OP_COMMIT)
 _T_TXN_BEGIN = int(RecordType.TXN_BEGIN)
+TXN_COMMIT = int(RecordType.TXN_COMMIT)
+TXN_ABORT = int(RecordType.TXN_ABORT)
+AUDIT_BEGIN = int(RecordType.AUDIT_BEGIN)
 
 _crc32 = zlib.crc32
 
 
-def _append_crc(buf: bytearray, body_start: int) -> None:
-    # The temporary memoryview is released before the append resizes buf.
-    buf += _U32.pack(_crc32(memoryview(buf)[body_start:]) & 0xFFFFFFFF)
+# The packers: one per hot record kind, called with the record's fields
+# where the record is made.  Each appends one whole frame to ``buf`` --
+# LSN slot, length, body, CRC over the body -- and returns the record's
+# ``approx_size`` (what the meter charges as ``log_byte`` / ``readlog_byte``).
+# The cold kinds (prepare, audit end, amendment) are framed after them by
+# the same rules; :func:`pack_record` and :func:`encode_into` reach every
+# kind through its record class.
 
 
-def _enc_update(r: UpdateRecord, buf: bytearray) -> None:
-    image = r.image
-    checksum = r.old_checksum
-    start = len(buf)
-    buf += _H_UPDATE.pack(
-        29 + len(image),
+def pack_update(
+    buf: bytearray, lsn: int, txn_id: int, address: int, image, checksum
+) -> int:
+    """Physical redo: the after-image ``image`` of ``address`` (an
+    :class:`UpdateRecord`); ``checksum`` is the old image's, or None."""
+    length = len(image)
+    buf += _L_UPDATE.pack(
+        lsn,
+        29 + length,
         _T_UPDATE,
-        r.txn_id,
-        r.address,
-        len(image),
+        txn_id,
+        address,
+        length,
         _OPT_U32_NONE if checksum is None else checksum,
     )
     buf += image
-    _append_crc(buf, start + 4)
+    buf += _U32.pack(_crc32(buf[-29 - length :]))
+    return 21 + length
 
 
-def _enc_read(r: ReadRecord, buf: bytearray) -> None:
-    checksum = r.checksum
-    start = len(buf)
-    buf += _H_UPDATE.pack(
+def pack_read(
+    buf: bytearray, lsn: int, txn_id: int, address: int, length: int, checksum
+) -> int:
+    """Limited read logging: the item read, not its value (a :class:`ReadRecord`)."""
+    buf += _L_UPDATE.pack(
+        lsn,
         29,
         _T_READ,
-        r.txn_id,
-        r.address,
-        r.length,
+        txn_id,
+        address,
+        length,
         _OPT_U32_NONE if checksum is None else checksum,
     )
-    _append_crc(buf, start + 4)
+    buf += _U32.pack(_crc32(buf[-29:]))
+    return 21
 
 
-def _enc_op_begin(r: OpBeginRecord, buf: bytearray) -> None:
-    key = r.object_key.encode("utf-8")
-    start = len(buf)
-    buf += _U32.pack(20 + len(key))
-    buf += _F_OP.pack(RecordType.OP_BEGIN, r.txn_id, r.op_id, r.level, len(key))
+def pack_op_begin(
+    buf: bytearray, lsn: int, txn_id: int, op_id: int, level: int, object_key: str
+) -> int:
+    """An :class:`OpBeginRecord`."""
+    key = object_key.encode()
+    body = 20 + len(key)
+    buf += _L_OP.pack(lsn, body, _T_OP_BEGIN, txn_id, op_id, level, len(key))
     buf += key
-    _append_crc(buf, start + 4)
+    buf += _U32.pack(_crc32(buf[-body:]))
+    return 15 + len(object_key)
 
 
-def _enc_op_commit(r: OpCommitRecord, buf: bytearray) -> None:
-    key = r.object_key.encode("utf-8")
-    undo = r.logical_undo.encode()
+def pack_op_commit(
+    buf: bytearray,
+    lsn: int,
+    txn_id: int,
+    op_id: int,
+    level: int,
+    object_key: str,
+    logical_undo: LogicalUndo,
+) -> int:
+    """An :class:`OpCommitRecord` carrying the operation's logical undo."""
+    key = object_key.encode()
     start = len(buf)
-    buf += _U32.pack(20 + len(key) + len(undo))
-    buf += _F_OP.pack(RecordType.OP_COMMIT, r.txn_id, r.op_id, r.level, len(key))
+    buf += _L_OP.pack(lsn, 0, _T_OP_COMMIT, txn_id, op_id, level, len(key))
     buf += key
-    buf += undo
-    _append_crc(buf, start + 4)
+    _pack_undo(buf, logical_undo)
+    _U32.pack_into(buf, start + 8, len(buf) - start - FRAME_HEAD)
+    buf += _U32.pack(_crc32(buf[start + FRAME_HEAD :]))
+    return 15 + len(object_key) + len(logical_undo.op_name) + 8
 
 
-def _enc_txn_begin(r: TxnBeginRecord, buf: bytearray) -> None:
-    start = len(buf)
-    buf += _H_TXN_BEGIN.pack(10, _T_TXN_BEGIN, r.txn_id, int(r.is_recovery))
-    _append_crc(buf, start + 4)
+def pack_txn_begin(buf: bytearray, lsn: int, txn_id: int, is_recovery: bool) -> int:
+    """A :class:`TxnBeginRecord`."""
+    buf += _L_TXN_BEGIN.pack(lsn, 10, _T_TXN_BEGIN, txn_id, is_recovery)
+    buf += _U32.pack(_crc32(buf[-10:]))
+    return 9
 
 
-def _enc_u64(rtype: int):
-    code = int(rtype)
-
-    def enc(r: LogRecord, buf: bytearray) -> None:
-        start = len(buf)
-        buf += _H_U64.pack(9, code, r.txn_id)
-        _append_crc(buf, start + 4)
-
-    return enc
+def pack_marker(buf: bytearray, lsn: int, code: int, txn_id: int) -> int:
+    """A record whose payload is its id alone: ``code`` is
+    :data:`TXN_COMMIT`, :data:`TXN_ABORT` or :data:`AUDIT_BEGIN`."""
+    buf += _L_MARKER.pack(lsn, 9, code, txn_id)
+    buf += _U32.pack(_crc32(buf[-9:]))
+    return 8
 
 
-def _enc_txn_prepare(r: TxnPrepareRecord, buf: bytearray) -> None:
-    gid = r.gid.encode("utf-8")
-    start = len(buf)
-    buf += _U32.pack(11 + len(gid))
-    buf += _F_TXN_PREPARE.pack(RecordType.TXN_PREPARE, r.txn_id, len(gid))
+_UNDO_ARG_KINDS = (bool, int, str, bytes)
+
+
+def _undo_arg_kind(arg) -> type:
+    """The argument kind of a subclass instance (bool before int)."""
+    for kind in _UNDO_ARG_KINDS:
+        if isinstance(arg, kind):
+            return kind
+    raise LogError(f"logical undo argument of unsupported type {type(arg).__name__}")
+
+
+def _pack_undo(buf: bytearray, undo: LogicalUndo) -> None:
+    name = undo.op_name.encode()
+    args = undo.args
+    buf += _U16.pack(len(name))
+    buf += name
+    buf += _U16.pack(len(args))
+    for arg in args:
+        kind = arg.__class__
+        if kind not in _UNDO_ARG_KINDS:
+            kind = _undo_arg_kind(arg)
+        if kind is int:
+            buf += _ARG_INT.pack(105, arg)  # b"i"
+        elif kind is bytes:
+            buf += _ARG_BYTES.pack(121, len(arg))  # b"y"
+            buf += arg
+        elif kind is str:
+            raw = str.encode(arg)
+            buf += _ARG_STR.pack(115, len(raw))  # b"s"
+            buf += raw
+        else:
+            buf += _ARG_BOOL.pack(98, arg)  # b"b"
+
+
+def _frame_update(r: UpdateRecord, buf: bytearray, lsn: int) -> int:
+    return pack_update(buf, lsn, r.txn_id, r.address, r.image, r.old_checksum)
+
+
+def _frame_read(r: ReadRecord, buf: bytearray, lsn: int) -> int:
+    return pack_read(buf, lsn, r.txn_id, r.address, r.length, r.checksum)
+
+
+def _frame_op_begin(r: OpBeginRecord, buf: bytearray, lsn: int) -> int:
+    return pack_op_begin(buf, lsn, r.txn_id, r.op_id, r.level, r.object_key)
+
+
+def _frame_op_commit(r: OpCommitRecord, buf: bytearray, lsn: int) -> int:
+    return pack_op_commit(
+        buf, lsn, r.txn_id, r.op_id, r.level, r.object_key, r.logical_undo
+    )
+
+
+def _frame_txn_begin(r: TxnBeginRecord, buf: bytearray, lsn: int) -> int:
+    return pack_txn_begin(buf, lsn, r.txn_id, r.is_recovery)
+
+
+def _frame_marker(code: int):
+    def frame(r: LogRecord, buf: bytearray, lsn: int) -> int:
+        return pack_marker(buf, lsn, code, r.txn_id)
+
+    return frame
+
+
+def _frame_txn_prepare(r: TxnPrepareRecord, buf: bytearray, lsn: int) -> int:
+    gid = r.gid.encode()
+    body = 11 + len(gid)
+    buf += _L_TXN_PREPARE.pack(lsn, body, RecordType.TXN_PREPARE, r.txn_id, len(gid))
     buf += gid
-    _append_crc(buf, start + 4)
+    buf += _U32.pack(_crc32(buf[-body:]))
+    return r.approx_size()
 
 
-def _enc_audit_end(r: AuditEndRecord, buf: bytearray) -> None:
+def _frame_audit_end(r: AuditEndRecord, buf: bytearray, lsn: int) -> int:
     regions = r.corrupt_regions
-    start = len(buf)
-    buf += _U32.pack(18 + 4 * len(regions))
-    buf += _F_AUDIT_END.pack(
-        RecordType.AUDIT_END, r.txn_id, int(r.clean), r.region_size, len(regions)
+    body = 18 + 4 * len(regions)
+    buf += _L_AUDIT_END.pack(
+        lsn,
+        body,
+        RecordType.AUDIT_END,
+        r.txn_id,
+        int(r.clean),
+        r.region_size,
+        len(regions),
     )
     buf += struct.pack(f"<{len(regions)}I", *regions)
-    _append_crc(buf, start + 4)
+    buf += _U32.pack(_crc32(buf[-body:]))
+    return r.approx_size()
 
 
-def _enc_amend(r: AmendRecord, buf: bytearray) -> None:
+def _frame_amend(r: AmendRecord, buf: bytearray, lsn: int) -> int:
     ranges = r.corrupt_ranges
     roots = r.root_txns
-    start = len(buf)
-    buf += _U32.pack(26 + 16 * len(ranges) + 8 * len(roots))
-    buf += _F_AMEND.pack(
+    body = 26 + 16 * len(ranges) + 8 * len(roots)
+    buf += _L_AMEND.pack(
+        lsn,
+        body,
         RecordType.AMEND,
         r.txn_id,
         r.audit_sn,
@@ -409,41 +502,54 @@ def _enc_amend(r: AmendRecord, buf: bytearray) -> None:
             f"<{2 * len(ranges)}q", *(value for pair in ranges for value in pair)
         )
     buf += struct.pack(f"<{len(roots)}Q", *roots)
-    _append_crc(buf, start + 4)
+    buf += _U32.pack(_crc32(buf[-body:]))
+    return r.approx_size()
 
 
-_ENCODERS: dict[type, object] = {
-    UpdateRecord: _enc_update,
-    ReadRecord: _enc_read,
-    OpBeginRecord: _enc_op_begin,
-    OpCommitRecord: _enc_op_commit,
-    TxnBeginRecord: _enc_txn_begin,
-    TxnCommitRecord: _enc_u64(RecordType.TXN_COMMIT),
-    TxnAbortRecord: _enc_u64(RecordType.TXN_ABORT),
-    AuditBeginRecord: _enc_u64(RecordType.AUDIT_BEGIN),
-    AuditEndRecord: _enc_audit_end,
-    AmendRecord: _enc_amend,
-    TxnPrepareRecord: _enc_txn_prepare,
+_FRAMERS: dict[type, object] = {
+    UpdateRecord: _frame_update,
+    ReadRecord: _frame_read,
+    OpBeginRecord: _frame_op_begin,
+    OpCommitRecord: _frame_op_commit,
+    TxnBeginRecord: _frame_txn_begin,
+    TxnCommitRecord: _frame_marker(TXN_COMMIT),
+    TxnAbortRecord: _frame_marker(TXN_ABORT),
+    AuditBeginRecord: _frame_marker(AUDIT_BEGIN),
+    AuditEndRecord: _frame_audit_end,
+    AmendRecord: _frame_amend,
+    TxnPrepareRecord: _frame_txn_prepare,
 }
 
 
-def encode_into(record: LogRecord, buf: bytearray) -> int:
-    """Append one framed record to ``buf``; returns the bytes appended.
+def _subclass_framer(klass: type):
+    for base in klass.__mro__:  # user subclasses of a record type
+        framer = _FRAMERS.get(base)
+        if framer is not None:
+            return framer
+    raise LogError(f"cannot encode record of type {klass.__name__}")
 
-    The batch entry point: a flush appends every tail record into one
-    preallocated ``bytearray`` and writes it with a single syscall.
+
+def pack_record(record: LogRecord, buf: bytearray, lsn: int = 0) -> int:
+    """Append ``record``'s frame, LSN slot included; returns its approx size.
+
+    The record-object door to the packers, for callers that hold a record
+    rather than its fields (``SystemLog.append`` / ``extend``,
+    ``LocalRedoLog.append``).
     """
-    encoder = _ENCODERS.get(type(record))
-    if encoder is None:
-        for klass in type(record).__mro__:  # user subclasses of a record type
-            encoder = _ENCODERS.get(klass)
-            if encoder is not None:
-                break
-        else:
-            raise LogError(f"cannot encode record of type {type(record).__name__}")
-    before = len(buf)
-    encoder(record, buf)
-    return len(buf) - before
+    klass = type(record)
+    framer = _FRAMERS.get(klass) or _subclass_framer(klass)
+    return framer(record, buf, lsn)
+
+
+def encode_into(record: LogRecord, buf: bytearray) -> int:
+    """Append one framed record *without* its LSN slot -- ``u32 length |
+    u8 type | payload | u32 crc32`` -- to ``buf``; returns the bytes
+    appended.  The record's packer writes the frame and the slot is cut.
+    """
+    start = len(buf)
+    pack_record(record, buf)
+    del buf[start : start + LSN_SLOT.size]
+    return len(buf) - start
 
 
 def encode_record(record: LogRecord) -> bytes:

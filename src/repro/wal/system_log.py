@@ -9,9 +9,12 @@ LSNs are dense sequence numbers assigned when a record enters the tail
 stable file stores ``u64 lsn`` followed by the framed record, so a scan
 can start from any LSN (``CK_end``, ``Audit_SN``).
 
-The write path is batch-oriented: a flush encodes the whole tail into one
-``bytearray`` via :func:`~repro.wal.records.encode_into` (one write
-syscall, no per-record joins), scans decode out of a single
+The tail *is* those bytes: records arrive as frames packed where they
+were made (:mod:`repro.wal.records`), either straight into the tail with
+their LSN (transaction begin/commit/abort, operation begin/commit, reads
+outside any operation) or as a byte range moved from a local redo log
+whose LSN slots are stamped on the way in.  A flush writes the tail
+buffer it holds with one syscall.  Scans decode out of a single
 ``memoryview`` of the file, truncation splices the file at a byte offset
 instead of decoding and re-encoding every survivor, and
 :attr:`stable_record_count` is a counter maintained at flush/truncate
@@ -30,9 +33,20 @@ from repro.errors import LogError
 from repro.faults.crashpoints import CrashPointRegistry
 from repro.sim.clock import Meter
 from repro.txn.latches import Latch
-from repro.wal.records import LogRecord, decode_payload, encode_into, type_codes
+from repro.wal.records import (
+    LSN_SLOT,
+    LogicalUndo,
+    LogRecord,
+    decode_payload,
+    pack_marker,
+    pack_op_begin,
+    pack_op_commit,
+    pack_read,
+    pack_record,
+    pack_txn_begin,
+    type_codes,
+)
 
-_LSN_HEADER = struct.Struct("<Q")
 _FRAME_HEAD = struct.Struct("<QI")  # the LSN header plus the record frame's u32 length
 _CRC = struct.Struct("<I")
 #: CRC-32 of any bytes followed by their own ``_CRC``-packed CRC-32.
@@ -120,7 +134,9 @@ class SystemLog:
         # meter never sees it -- the paper's cost model charges the
         # *system log latch* (held across flushes), not this mutex.
         self._tail_lock = threading.Lock()
-        self.tail: list[tuple[int, LogRecord]] = []
+        #: The tail: stamped frames not yet flushed, and how many.
+        self._tail = bytearray()
+        self._tail_frames = 0
         self.next_lsn = 0
         self.end_of_stable_lsn = 0  # records with lsn < this are on disk
         self.torn_tail_detected = False
@@ -137,71 +153,153 @@ class SystemLog:
         self._stable_count: int | None = 0 if self._file.tell() == 0 else None
 
     # ------------------------------------------------------------ write
+    #
+    # Every tail append takes the tail mutex once, claims dense LSNs and
+    # packs or moves frames into the tail; none of them can leave a
+    # partial frame behind (a failed pack is cut off before the mutex is
+    # released).
+
+    def append_txn_begin(self, txn_id: int, is_recovery: bool) -> int:
+        """A transaction begin record, charged; returns its LSN."""
+        with self._tail_lock:
+            lsn = self.next_lsn
+            size = pack_txn_begin(self._tail, lsn, txn_id, is_recovery)
+            self.next_lsn = lsn + 1
+            self._tail_frames += 1
+        self.meter.charge_many((("log_record", 1), ("log_byte", size)))
+        return lsn
+
+    def append_marker(self, code: int, txn_id: int) -> int:
+        """A transaction commit or abort record (``code``, see
+        :func:`~repro.wal.records.pack_marker`), charged; returns its LSN."""
+        with self._tail_lock:
+            lsn = self.next_lsn
+            size = pack_marker(self._tail, lsn, code, txn_id)
+            self.next_lsn = lsn + 1
+            self._tail_frames += 1
+        self.meter.charge_many((("log_record", 1), ("log_byte", size)))
+        return lsn
+
+    def append_read(self, txn_id: int, address: int, length: int, checksum) -> int:
+        """A read record made outside any operation, not charged here
+        (read logging charges ``readlog_*``); returns its ``approx_size``.
+        The counterpart of :meth:`LocalRedoLog.append_read
+        <repro.wal.local_log.LocalRedoLog.append_read>`."""
+        with self._tail_lock:
+            lsn = self.next_lsn
+            size = pack_read(self._tail, lsn, txn_id, address, length, checksum)
+            self.next_lsn = lsn + 1
+            self._tail_frames += 1
+        return size
+
+    def append_operation(
+        self,
+        txn_id: int,
+        op_id: int,
+        level: int,
+        object_key: str,
+        logical_undo: LogicalUndo,
+        frames,
+        starts: list[int],
+    ) -> int:
+        """An operation commit's one tail append: its OpBegin record, the
+        operation's frames moved from the local redo log (``starts`` are
+        their offsets in ``frames``; each LSN slot is stamped on the way
+        in) and its OpCommit record.  The two new
+        records are charged as one ``log_record`` and one ``log_byte``
+        charge (:meth:`~repro.sim.clock.Meter.charge` is linear); returns
+        the OpCommit record's LSN."""
+        with self._tail_lock:
+            tail = self._tail
+            base = len(tail)
+            first = lsn = self.next_lsn
+            try:
+                size = pack_op_begin(tail, lsn, txn_id, op_id, level, object_key)
+                lsn += 1
+                moved = len(tail)
+                tail += frames
+                stamp = LSN_SLOT.pack_into
+                for start in starts:
+                    stamp(tail, moved + start, lsn)
+                    lsn += 1
+                size += pack_op_commit(
+                    tail, lsn, txn_id, op_id, level, object_key, logical_undo
+                )
+            except BaseException:
+                del tail[base:]
+                raise
+            self.next_lsn = lsn + 1
+            self._tail_frames += lsn + 1 - first
+        self.meter.charge_many((("log_record", 2), ("log_byte", size)))
+        return lsn
 
     def append(self, record: LogRecord, charge: bool = True) -> int:
-        """Add a record to the tail; returns its LSN.
+        """Add a record object to the tail (the cold path); returns its LSN.
 
         Records migrating from a local redo log were already charged when
         first appended there; callers pass ``charge=False`` for those so
         the move itself costs nothing extra (it is a pointer move in Dali).
         """
-        with self._tail_lock:
-            lsn = self.next_lsn
-            self.next_lsn += 1
-            self.tail.append((lsn, record))
-        if charge:
-            self.meter.charge("log_record")
-            self.meter.charge("log_byte", record.approx_size())
-        return lsn
+        return self.extend((record,), charge)[0]
 
     def extend(self, records, charge: bool = True) -> tuple[int, int]:
-        """Append many records in one batch; returns ``(first_lsn, next_lsn)``.
+        """Append many record objects in one batch; returns ``(first_lsn, next_lsn)``.
 
         Meter-identical to a loop of :meth:`append` calls with the same
         ``charge`` flag: :meth:`~repro.sim.clock.Meter.charge` is linear,
         so one bulk ``log_record``/``log_byte`` charge equals the
         per-record sequence in both event counts and virtual nanoseconds.
         """
-        if not isinstance(records, list):
-            records = list(records)
+        size = 0
         with self._tail_lock:
-            first = self.next_lsn
-            lsn = first
-            tail_append = self.tail.append
-            for record in records:
-                tail_append((lsn, record))
-                lsn += 1
+            tail = self._tail
+            base = len(tail)
+            first = lsn = self.next_lsn
+            try:
+                for record in records:
+                    size += pack_record(record, tail, lsn)
+                    lsn += 1
+            except BaseException:
+                del tail[base:]
+                raise
             self.next_lsn = lsn
-        if charge and records:
-            self.meter.charge("log_record", len(records))
-            self.meter.charge(
-                "log_byte", sum(record.approx_size() for record in records)
-            )
+            self._tail_frames += lsn - first
+        if charge and lsn > first:
+            self.meter.charge_many((("log_record", lsn - first), ("log_byte", size)))
         return first, lsn
+
+    @property
+    def tail(self) -> list[tuple[int, LogRecord]]:
+        """The unflushed records, decoded: ``(lsn, record)`` pairs (a
+        read-only view of the tail's frames)."""
+        with self._tail_lock:
+            view = memoryview(bytes(self._tail))
+        return [
+            (lsn, decode_payload(code, view, pos, end))
+            for lsn, code, pos, end in walk_frames(view)
+        ]
 
     def flush(self) -> int:
         """Flush the tail to the stable log; returns end_of_stable_lsn.
 
         Holds the system log latch for the duration, as the paper requires
-        to serialize access to the flush buffers.  The whole tail is
-        encoded into one buffer and written with a single syscall.
+        to serialize access to the flush buffers.  The tail already holds
+        the stable bytes; it is written with a single syscall.
         """
         with self.latch.exclusive():
             self.meter.charge("latch_pair")
             with self._tail_lock:
-                if not self.tail:
+                if not self._tail_frames:
                     return self.end_of_stable_lsn
                 # Detach the tail under the mutex: records appended by
                 # other sessions from here on ride the *next* flush.
-                pending = self.tail
-                self.tail = []
+                buf = self._tail
+                count = self._tail_frames
+                end_lsn = self.next_lsn
+                self._tail = bytearray()
+                self._tail_frames = 0
             self.crashpoints.reach("wal.flush.pre")
             self.meter.charge("flush_fixed")
-            buf = bytearray()
-            pack_lsn = _LSN_HEADER.pack
-            for lsn, record in pending:
-                buf += pack_lsn(lsn)
-                encode_into(record, buf)
             armed = self.crashpoints.reach("wal.flush.mid", defer=True)
             if armed is not None:
                 # A torn flush: a prefix of the buffer reaches disk, then
@@ -222,8 +320,8 @@ class SystemLog:
             self.crashpoints.reach("wal.flush.post")
             self.meter.charge("flush_byte", len(buf))
             if self._stable_count is not None:
-                self._stable_count += len(pending)
-            self.end_of_stable_lsn = pending[-1][0] + 1
+                self._stable_count += count
+            self.end_of_stable_lsn = end_lsn
             return self.end_of_stable_lsn
 
     def close(self) -> None:
@@ -231,7 +329,9 @@ class SystemLog:
 
     def crash(self) -> None:
         """Simulate a process crash: the unflushed tail is lost."""
-        self.tail.clear()
+        with self._tail_lock:
+            self._tail = bytearray()
+            self._tail_frames = 0
         self._file.close()
 
     # ------------------------------------------------------------- read
@@ -361,7 +461,7 @@ class SystemLog:
         with self.latch.exclusive():
             self.meter.charge("latch_pair")
             with self._tail_lock:
-                if self.tail:
+                if self._tail_frames:
                     raise LogError(
                         "cannot ingest frames into a log with a live tail"
                     )

@@ -1,11 +1,14 @@
 """In-image B+tree: structure, model equivalence, table integration."""
 
 import random
+import signal
+import struct
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError, OutOfSpaceError
+from repro.errors import ConfigError, CorruptionDetected, OutOfSpaceError
 from repro.mem.memory import MemoryImage
 from repro.storage.btree import BTreeIndex, LEAF_KEYS
 
@@ -239,3 +242,62 @@ class TestTableIntegration:
         bdb.commit(txn)
         FaultInjector(bdb, seed=1).wild_write(table.index.pool_base + 32, 8)
         assert not bdb.audit().clean
+
+
+@contextmanager
+def hang_guard(seconds: int = 5):
+    """Fail the test instead of hanging it when a walk never returns."""
+
+    def expired(_signum, _frame):
+        raise AssertionError(f"B+tree walk still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_CHILDREN_AT = 8 + 8 * LEAF_KEYS  # node head, then the keys
+
+
+class TestCorruptLinks:
+    """One poked pointer must not hang a walk (the image is not trusted)."""
+
+    def _two_levels(self):
+        tree, ctx = make_tree(node_capacity=32)
+        for key in range(40):
+            tree.insert(ctx, key, key)
+        _cap, _free, used, root = tree._read_header(ctx)
+        assert tree.depth(ctx) == 2
+        return tree, ctx, root - 1, used
+
+    def test_child_pointing_at_its_parent_raises(self):
+        tree, ctx, root_id, _used = self._two_levels()
+        # The root's first child now points back at the root: a descent
+        # toward small keys cycles through internal nodes.
+        address = tree._node_address(root_id) + _CHILDREN_AT
+        ctx.memory.poke(address, struct.pack("<I", root_id))
+        with hang_guard(), pytest.raises(CorruptionDetected, match="32 levels"):
+            tree.lookup(ctx, 0)
+        with hang_guard(), pytest.raises(CorruptionDetected, match="B\\+tree walk"):
+            list(tree.range(ctx, 0, 5))
+
+    def test_leaf_link_cycle_raises(self):
+        tree, ctx, root_id, used = self._two_levels()
+        first_leaf = tree._descend(ctx, root_id + 1, 0)[0]
+        second_leaf = tree._read_node(ctx, first_leaf).link - 1
+        # The second leaf links back to the first: a range scan cycles.
+        link = tree._node_address(second_leaf) + 4
+        ctx.memory.poke(link, struct.pack("<I", first_leaf + 1))
+        with hang_guard(), pytest.raises(CorruptionDetected, match=f"past {used}"):
+            list(tree.range(ctx, 0, 10**6))
+
+    def test_node_past_the_pool_is_rejected(self):
+        tree, ctx, root_id, _used = self._two_levels()
+        address = tree._node_address(root_id) + _CHILDREN_AT
+        ctx.memory.poke(address, struct.pack("<I", 32))
+        with pytest.raises(CorruptionDetected, match="past the 32-node pool"):
+            tree.lookup(ctx, 0)

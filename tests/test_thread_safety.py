@@ -17,7 +17,8 @@ import pytest
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.txn.locks import LockManager, LockMode
-from repro.wal.records import TxnBeginRecord
+from repro.wal.local_log import LocalRedoLog
+from repro.wal.records import TXN_COMMIT, LogicalUndo, TxnBeginRecord, UpdateRecord
 from repro.wal.system_log import SystemLog
 
 THREADS = 8
@@ -130,6 +131,64 @@ class TestSystemLogUnderThreads:
         assert meter.counts["log_record"] == total
         log.flush()
         assert log.stable_record_count == total
+        log.close()
+
+    def test_frame_appends_racing_flushes_stay_dense_and_whole(self, tmp_path):
+        """Every tail door -- begin, read, operation (with moved arena
+        frames), commit -- from many threads while another flushes: each
+        frame lands whole, with a unique dense LSN, and the stable log
+        decodes to exactly what was appended."""
+        meter = Meter(VirtualClock(), DEFAULT_COSTS)
+        meter.enable_thread_safety()
+        log = SystemLog(str(tmp_path / "frames.log"), meter)
+        barrier = threading.Barrier(THREADS + 1)
+        done = threading.Event()
+
+        def worker(thread_id: int) -> None:
+            txn_id = thread_id + 1
+            barrier.wait()
+            for i in range(ROUNDS // 4):
+                log.append_txn_begin(txn_id, False)
+                log.append_read(txn_id, i, 8, None)
+                arena = LocalRedoLog()
+                arena.append_read(txn_id, i, 4, i)
+                arena.append(UpdateRecord(txn_id, i, b"x" * (i % 7)))
+                frames, starts = arena.take_from(0)
+                undo = LogicalUndo("noop")
+                log.append_operation(txn_id, i, 1, "k", undo, frames, starts)
+                log.append_marker(TXN_COMMIT, txn_id)
+
+        def flusher() -> None:
+            barrier.wait()
+            while not done.is_set():
+                log.flush()
+
+        flushing = threading.Thread(target=flusher)
+        flushing.start()
+        try:
+            run_threads(worker)
+        finally:
+            done.set()
+            flushing.join(timeout=60)
+        assert not flushing.is_alive()
+        log.flush()
+        total = THREADS * (ROUNDS // 4) * 7
+        assert log.next_lsn == total == log.stable_record_count
+        stable = list(log.scan(strict=True))
+        assert [lsn for lsn, _record in stable] == list(range(total))
+        per_txn: dict[int, list[str]] = {}
+        for _lsn, record in stable:
+            per_txn.setdefault(record.txn_id, []).append(type(record).__name__)
+        assert per_txn[1][:7] == [
+            "TxnBeginRecord",
+            "ReadRecord",
+            "OpBeginRecord",
+            "ReadRecord",
+            "UpdateRecord",
+            "OpCommitRecord",
+            "TxnCommitRecord",
+        ]
+        assert all(len(kinds) == 7 * (ROUNDS // 4) for kinds in per_txn.values())
         log.close()
 
     def test_appends_racing_a_flush_ride_the_next_flush(self, tmp_path):

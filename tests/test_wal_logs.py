@@ -6,7 +6,13 @@ from repro.errors import LogError
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.wal.local_log import LocalRedoLog, LogicalUndoEntry, PhysicalUndo, UndoLog
-from repro.wal.records import LogicalUndo, ReadRecord, TxnCommitRecord, UpdateRecord
+from repro.wal.records import (
+    LogicalUndo,
+    ReadRecord,
+    TxnCommitRecord,
+    UpdateRecord,
+    decode_record,
+)
 from repro.wal.system_log import SystemLog
 
 
@@ -21,15 +27,15 @@ def logical(seq, op_id=1, key="t:1"):
 class TestUndoLog:
     def test_append_and_len(self):
         log = UndoLog()
-        log.append_physical(physical(1))
-        log.append_physical(physical(2))
+        log.entries.append(physical(1))
+        log.entries.append(physical(2))
         assert len(log) == 2
 
     def test_codec_roundtrip(self):
         log = UndoLog()
         entry = physical(1, address=0x50, image=b"\x01\x02\x03")
         entry.codeword_applied = True
-        log.append_physical(entry)
+        log.entries.append(entry)
         log.entries.append(logical(2))
         decoded, _ = UndoLog.decode(log.encode())
         assert len(decoded) == 2
@@ -56,9 +62,14 @@ class TestLocalRedoLog:
         mark = log.mark()
         log.append(UpdateRecord(1, 1, b"b"))
         log.append(ReadRecord(1, 2, 4))
-        taken = log.take_from(mark)
-        assert len(taken) == 2
+        frames, starts = log.take_from(mark)
+        assert len(starts) == 2
+        assert [decode_record(frames, start + 8)[0] for start in starts] == [
+            UpdateRecord(1, 1, b"b"),
+            ReadRecord(1, 2, 4),
+        ]
         assert len(log) == 1
+        assert log.records == [UpdateRecord(1, 0, b"a")]
 
     def test_discard_from(self):
         log = LocalRedoLog()
@@ -66,6 +77,7 @@ class TestLocalRedoLog:
         log.append(UpdateRecord(1, 1, b"b"))
         log.discard_from(1)
         assert len(log) == 1
+        assert log.records == [UpdateRecord(1, 0, b"a")]
 
 
 class TestSystemLog:
