@@ -53,6 +53,15 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   is, so it can be gated where wall-clock ratios cannot: each must stay
   within 10 % of the count this tree measured on Python 3.11.
 
+* **latch_memory** -- the bytes ``repro/txn/latches.py`` still holds
+  (``tracemalloc``) after the census's seeded drives, load included:
+  latches have state only while held, so each shape must retain at most
+  ``LATCH_MEMORY_GATE`` bytes however many regions it latched (the
+  object-per-key design it replaced kept ~580 B per key ever latched, in
+  each of two tables).  Also reported, not gated: an uncontended
+  acquire/release pair in each mode against ``SeedLatch``, that design's
+  latch copied inline below.
+
 ``TXN_BENCH_QUICK=1`` shrinks the workload and relaxes the lifecycle
 gate for CI smoke runs (the census runs the same ops either way).
 """
@@ -60,12 +69,15 @@ gate for CI smoke runs (the census runs the same ops either way).
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import os
 import platform
 import pstats
 import struct
+import threading
 import time
+import tracemalloc
 import zlib
 
 import pytest
@@ -73,12 +85,14 @@ import pytest
 from benchmarks.e2e import loadgen, shapes
 from benchmarks.e2e.workloads import workload
 from repro import Database, DBConfig, Field, FieldType, Schema
+from repro.errors import LatchError
 from repro.recovery.restart import RestartRecovery
 from repro.shard.shard import _mp_context
 from repro.shard.worker import Channel
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
-from repro.txn.latches import Latch
+from repro.txn import latches as latches_module
+from repro.txn.latches import EXCLUSIVE, SHARED, Latch, LatchTable
 from repro.txn.locks import LockManager, LockMode
 from repro.wal.records import (
     LogicalUndo,
@@ -763,34 +777,46 @@ CENSUS_SHAPES = {
 CENSUS_WARMUP_OPS = 1000
 CENSUS_OPS = 1000
 CENSUS_SEED = 1
-#: Calls per op this tree measured (Python 3.11.7); a count may grow 10 %
-#: past it before the gate fails.  Before log records were packed as
-#: frames where they are made, the counts were 1 737 / 2 008 / 2 374.
-CENSUS_MEASURED = {"paper": 1236, "readmix": 1264, "served": 1795}
+#: Calls per op measured on Python 3.11.7; a count may grow 10 % past it
+#: before the gate fails.  Before log records were packed as frames where
+#: they are made, the counts were 1 737 / 2 008 / 2 374.  Since latches
+#: are entries of their table, served reads 1 770 (was 1 795) and readmix
+#: 1 280: the table's explicit mutex calls are visible to ``cProfile``
+#: where a ``with`` block was not, and readmix prechecks ~21 regions per op.
+#: Its gate stays at the 1 264 measured before.
+CENSUS_MEASURED = {"paper": 1236, "readmix": 1264, "served": 1770}
 CENSUS_SLACK = 1.10
 
 
-def _census_calls_per_op(tmp_path, workload_name: str) -> float:
+def _seeded_shape(tmp_path, workload_name: str):
+    """The census drive: the workload's shape created and loaded, its
+    seeded warm-up + measured ops, and a function that runs a chunk of
+    them through the shape's client, ``ops_per_txn`` to a transaction."""
     spec = workload(workload_name)
     ops = loadgen.generate(spec, CENSUS_SEED, CENSUS_WARMUP_OPS + CENSUS_OPS)
     shape = shapes.shape_class(spec).create(
         spec, str(tmp_path / workload_name), len(ops) + loadgen.MIX_BLOCK
     )
+    client = shape.client()
 
-    def drive(client, chunk) -> None:
+    def drive(chunk) -> None:
         for start in range(0, len(chunk), spec.ops_per_txn):
             client.begin()
             for op in chunk[start : start + spec.ops_per_txn]:
                 client.apply(op)
             client.commit()
 
+    return shape, ops, drive
+
+
+def _census_calls_per_op(tmp_path, workload_name: str) -> float:
+    shape, ops, drive = _seeded_shape(tmp_path, workload_name)
     try:
-        client = shape.client()
-        drive(client, ops[:CENSUS_WARMUP_OPS])
+        drive(ops[:CENSUS_WARMUP_OPS])
         profile = cProfile.Profile()
         profile.enable()
         try:
-            drive(client, ops[CENSUS_WARMUP_OPS:])
+            drive(ops[CENSUS_WARMUP_OPS:])
         finally:
             profile.disable()
     finally:
@@ -814,6 +840,177 @@ def census_results(tmp_path_factory) -> dict:
         "gate": {
             name: round(CENSUS_SLACK * count) for name, count in CENSUS_MEASURED.items()
         },
+    }
+
+
+# --------------------------------------------------------------------------
+# latch_memory: what the latch tables keep after a drive
+# --------------------------------------------------------------------------
+
+#: Bytes ``repro/txn/latches.py`` may retain after a seeded drive: the
+#: tables and the system log latch themselves, nothing per region.
+LATCH_MEMORY_GATE = 4096
+LATCH_PAIRS = 20_000 if QUICK else 100_000
+LATCH_PAIR_ROUNDS = 5 if QUICK else 15
+
+
+class SeedLatch:
+    """The object-per-key latch the tables kept for every region ever
+    latched, copied inline (grant, wait and release) as the pair-time
+    reference."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._lock = threading.Lock()
+        self._cond: threading.Condition | None = None
+        self._waiters = 0
+        self._shared_holders: dict[int, int] = {}  # thread id -> depth
+        self._exclusive_owner: int | None = None
+        self._exclusive_depth = 0
+        self.acquire_count = 0
+
+    def acquire(self, mode: str, timeout: float | None = 10.0) -> None:
+        if mode != EXCLUSIVE and mode != SHARED:
+            raise LatchError(f"bad latch mode {mode!r}")
+        me = threading.get_ident()
+        with self._lock:
+            owner = self._exclusive_owner
+            if owner == me:
+                self._exclusive_depth += 1
+            elif owner is None and not self._shared_holders:
+                if mode == EXCLUSIVE:
+                    self._exclusive_owner = me
+                    self._exclusive_depth = 1
+                else:
+                    self._shared_holders[me] = 1
+            else:
+                self._acquire_slow(mode, me, timeout)
+            self.acquire_count += 1
+
+    def _acquire_slow(self, mode: str, me: int, timeout: float | None) -> None:
+        if not self._grantable(mode, me):
+            cond = self._cond
+            if cond is None:
+                cond = self._cond = threading.Condition(self._lock)
+            deadline = None if timeout is None else (
+                threading.TIMEOUT_MAX if timeout <= 0 else timeout
+            )
+            self._waiters += 1
+            try:
+                while not self._grantable(mode, me):
+                    if not cond.wait(timeout=deadline):
+                        raise LatchError(f"timeout acquiring latch {self.name!r}")
+            finally:
+                self._waiters -= 1
+        self._grant(mode, me)
+
+    def _grantable(self, mode: str, me: int) -> bool:
+        if self._exclusive_owner is not None:
+            return False
+        if mode == SHARED or not self._shared_holders:
+            return True
+        return set(self._shared_holders) == {me}
+
+    def _grant(self, mode: str, me: int) -> None:
+        if mode == SHARED:
+            self._shared_holders[me] = self._shared_holders.get(me, 0) + 1
+            return
+        upgraded_depth = self._shared_holders.pop(me, 0)
+        self._exclusive_owner = me
+        self._exclusive_depth = 1 + upgraded_depth
+
+    def release(self) -> None:
+        me = threading.get_ident()
+        with self._lock:
+            if self._exclusive_owner == me:
+                depth = self._exclusive_depth - 1
+                self._exclusive_depth = depth
+                if depth == 0:
+                    self._exclusive_owner = None
+            elif me in self._shared_holders:
+                depth = self._shared_holders[me] - 1
+                if depth:
+                    self._shared_holders[me] = depth
+                else:
+                    del self._shared_holders[me]
+            else:
+                raise LatchError(f"thread releasing latch {self.name!r} it does not hold")
+            if self._waiters:
+                self._cond.notify_all()
+
+
+def _latch_bytes_retained(tmp_path, workload_name: str) -> dict:
+    """Run the census drive (load included) under ``tracemalloc``; return
+    what ``repro/txn/latches.py`` still holds before the shape closes."""
+    only_latches = [tracemalloc.Filter(True, latches_module.__file__)]
+    tracemalloc.start()
+    try:
+        shape, ops, drive = _seeded_shape(tmp_path, workload_name)
+        try:
+            drive(ops)
+            # A full collection empties the interpreter's list and dict
+            # free lists, whose parked blocks tracemalloc still counts
+            # against the line that first allocated them.
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(only_latches)
+        finally:
+            shape.close()
+    finally:
+        tracemalloc.stop()
+    stats = snapshot.statistics("filename")
+    return {
+        "bytes": sum(stat.size for stat in stats),
+        "blocks": sum(stat.count for stat in stats),
+    }
+
+
+def _pair_ns(pair, mode: str) -> float:
+    """Best-of-rounds time of one uncontended acquire/release pair."""
+    best = float("inf")
+    for _ in range(LATCH_PAIR_ROUNDS):
+        start = time.perf_counter()
+        for _ in range(LATCH_PAIRS):
+            pair(mode)
+        best = min(best, time.perf_counter() - start)
+    return best / LATCH_PAIRS * 1e9
+
+
+@pytest.fixture(scope="module")
+def latch_memory_results(tmp_path_factory) -> dict:
+    base = tmp_path_factory.mktemp("latchmem")
+    retained = {
+        name: _latch_bytes_retained(base, workload_name)
+        for name, workload_name in CENSUS_SHAPES.items()
+    }
+    # The reference pair as the hot paths took it: the key's latch
+    # object found in the table's dict, then acquired and released.
+    seed_latches = {7: SeedLatch("protection[7]")}
+
+    def seed_pair(mode: str) -> None:
+        latch = seed_latches.get(7)
+        latch.acquire(mode)
+        latch.release()
+
+    table = LatchTable("protection")
+    acquire, release = table.acquire, table.release
+
+    def table_pair(mode: str) -> None:
+        acquire(7, mode)
+        release(7)
+
+    pair_ns = {}
+    for mode in (EXCLUSIVE, SHARED):
+        seed_ns = table_ns = float("inf")
+        for _ in range(3):  # the sides alternated
+            seed_ns = min(seed_ns, _pair_ns(seed_pair, mode))
+            table_ns = min(table_ns, _pair_ns(table_pair, mode))
+        pair_ns[mode] = {"seed_latch": seed_ns, "table": table_ns}
+    return {
+        "seed": CENSUS_SEED,
+        "ops": CENSUS_WARMUP_OPS + CENSUS_OPS,
+        "retained": retained,
+        "gate_bytes": LATCH_MEMORY_GATE,
+        "uncontended_pair_ns": pair_ns,
     }
 
 
@@ -888,6 +1085,17 @@ class TestTxnPath:
             f"Python calls per op over the census gate (measured, gate): {over}"
         )
 
+    def test_latch_memory_is_per_hold(self, latch_memory_results):
+        over = {
+            name: entry["bytes"]
+            for name, entry in latch_memory_results["retained"].items()
+            if entry["bytes"] > LATCH_MEMORY_GATE
+        }
+        assert not over, (
+            f"bytes repro/txn/latches.py retains after the seeded drive, over "
+            f"the {LATCH_MEMORY_GATE} B gate: {over}"
+        )
+
     def test_incremental_audit_scales_with_dirty_set(self, audit_results):
         costs = [e["virtual_ns"] for e in audit_results["dirty"]]
         assert costs == sorted(costs)  # audit cost grows with the dirty set
@@ -903,6 +1111,7 @@ class TestTxnPath:
         replay_results,
         round_trip_results,
         census_results,
+        latch_memory_results,
     ):
         payload = {
             "version": 1,
@@ -915,6 +1124,7 @@ class TestTxnPath:
             "recovery": {"replay": replay_results},
             "shard": {"round_trip": round_trip_results},
             "census": census_results,
+            "latch_memory": latch_memory_results,
         }
         with open(BENCH_PATH, "w") as handle:
             json.dump(payload, handle, indent=2)

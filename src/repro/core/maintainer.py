@@ -82,6 +82,26 @@ def _contiguous_runs(ids, region_count: int):
     return runs
 
 
+def _latch_all(latches: LatchTable, regions, mode: str) -> None:
+    """Latch ``regions`` in order; if an acquire fails, release exactly
+    the latches already taken and re-raise."""
+    acquire = latches.acquire
+    acquired = 0
+    try:
+        for region_id in regions:
+            acquire(region_id, mode)
+            acquired += 1
+    except BaseException:
+        _unlatch_all(latches, regions[:acquired])
+        raise
+
+
+def _unlatch_all(latches: LatchTable, regions) -> None:
+    release = latches.release
+    for region_id in regions:
+        release(region_id)
+
+
 class CodewordMaintainer:
     """Owns a codeword table plus its latches and cost accounting.
 
@@ -173,19 +193,24 @@ class CodewordMaintainer:
     # ---------------------------------------------------------- windows
 
     def _window_regions(self, spans: list[range]) -> tuple[range | list[int], int]:
-        """Distinct region ids of a window's per-range spans, in first-seen
-        order, and the range-and-region occurrence count ``latch_pair`` is
+        """Distinct region ids of a window's per-range spans, ascending,
+        and the range-and-region occurrence count ``latch_pair`` is
         charged by (what one window per range would charge).  A one-range
-        window returns its span itself, building nothing."""
+        window returns its span itself, building nothing.
+
+        Every multi-latch path takes its latches in ascending region id
+        (protection table before codeword table), so two windows over
+        the same regions cannot deadlock whatever order their ranges
+        come in."""
         if len(spans) == 1:
             span = spans[0]
             return span, len(span)
-        regions: dict[int, None] = {}
+        regions: set[int] = set()
         pairs = 0
         for span in spans:
             pairs += len(span)
-            regions.update(dict.fromkeys(span))
-        return list(regions), pairs
+            regions.update(span)
+        return sorted(regions), pairs
 
     def open_window(self, txn: Transaction, ranges: list[tuple[int, int]]) -> None:
         """Latch every region the update window's ranges touch, in one pass.
@@ -199,18 +224,7 @@ class CodewordMaintainer:
         spanning = self.table.regions_spanning
         spans = [spanning(address, length) for address, length in ranges]
         regions, pairs = self._window_regions(spans)
-        existing = self.protection_latches.existing
-        latch_of = self.protection_latches.latch
-        mode = self.update_latch_mode
-        acquired = 0
-        try:
-            for region_id in regions:
-                (existing(region_id) or latch_of(region_id)).acquire(mode)
-                acquired += 1
-        except BaseException:
-            for region_id in regions[:acquired]:
-                latch_of(region_id).release()
-            raise
+        _latch_all(self.protection_latches, regions, self.update_latch_mode)
         # The window's geometry, for maintain() and release_window().
         txn.scheme_state["window"] = (regions, spans, pairs)
         self.meter.charge("latch_pair", pairs)
@@ -218,9 +232,7 @@ class CodewordMaintainer:
     def release_window(self, txn: Transaction) -> None:
         window = txn.scheme_state.pop("window", None)
         if window is not None:
-            latch_of = self.protection_latches.latch
-            for region_id in window[0]:
-                latch_of(region_id).release()
+            _unlatch_all(self.protection_latches, window[0])
 
     def maintain(
         self, txn: Transaction, items: list[tuple[int, bytes, bytes]]
@@ -252,15 +264,13 @@ class CodewordMaintainer:
             self.meter.charge("latch_pair", pairs)
             self.apply_maintenance(items, spans)
             return
-        latch_of = self.codeword_latches.latch
-        for region_id in regions:
-            latch_of(region_id).acquire(EXCLUSIVE)
+        latches = self.codeword_latches
+        _latch_all(latches, regions, EXCLUSIVE)
         try:
             self.meter.charge("latch_pair", pairs)
             self.apply_maintenance(items, spans)
         finally:
-            for region_id in regions:
-                latch_of(region_id).release()
+            _unlatch_all(latches, regions)
 
     def _note_dirty(self, regions) -> None:
         """Record prescribed-path dirtiness (and sweep interference)."""
@@ -316,11 +326,11 @@ class CodewordMaintainer:
         # The restore writes below the hooks; mark the regions for the
         # next dirty-region audit whether or not the codeword moves.
         self._note_dirty(regions)
-        latches = [self.protection_latches.latch(r) for r in regions]
-        for latch in latches:
-            latch.acquire(EXCLUSIVE)
-            self.meter.charge("latch_pair")
+        latches = self.protection_latches
+        _latch_all(latches, regions, EXCLUSIVE)
         try:
+            for _region_id in regions:
+                self.meter.charge("latch_pair")
             if entry.codeword_applied:
                 current = self.memory.read(entry.address, len(entry.image))
                 self.apply_maintenance(
@@ -328,8 +338,7 @@ class CodewordMaintainer:
                 )
             self.memory.write(entry.address, entry.image)
         finally:
-            for latch in latches:
-                latch.release()
+            _unlatch_all(latches, regions)
 
     # --------------------------------------------------------- deferred
 
@@ -337,12 +346,16 @@ class CodewordMaintainer:
         """Apply accumulated deltas to the codeword table."""
         assert self.table is not None and self.meter is not None
         applied = 0
+        acquire = self.protection_latches.acquire
+        release = self.protection_latches.release
         for region_id, delta in self._pending.items():
-            latch = self.protection_latches.latch(region_id)
-            with latch.exclusive():
+            acquire(region_id, EXCLUSIVE)
+            try:
                 self.meter.charge("latch_pair")
                 self.table.apply_delta(region_id, delta)
                 applied += 1
+            finally:
+                release(region_id)
         self._pending.clear()
         self.flush_count += 1
         return applied
@@ -444,8 +457,8 @@ class CodewordMaintainer:
         # The image's last region may be ragged (region_bounds).
         last_region = table.region_count - 1
         read = self.memory.read
-        existing = self.protection_latches.existing
-        latch_of = self.protection_latches.latch
+        acquire = self.protection_latches.acquire
+        release = self.protection_latches.release
         quarantined = self.quarantined
         stored = table.codewords
         folded = folded_bytes = 0
@@ -461,8 +474,7 @@ class CodewordMaintainer:
             region_len = (
                 region_size if region_id != last_region else table.last_region_length
             )
-            latch = existing(region_id) or latch_of(region_id)
-            latch.acquire(EXCLUSIVE)
+            acquire(region_id, EXCLUSIVE)
             try:
                 if region_len < INT_FOLD_LIMIT:
                     # fold_words inlined: the region as one integer,
@@ -474,7 +486,7 @@ class CodewordMaintainer:
                     fold = fold_words(read(start, region_len))
                 matches = fold == stored[region_id]
             finally:
-                latch.release()
+                release(region_id)
             folded += 1
             folded_bytes += region_len
             if not matches:
@@ -550,15 +562,19 @@ class CodewordMaintainer:
                     self.meter.charge("cw_check_word", words)
                 return corrupt
         corrupt = []
+        acquire = self.protection_latches.acquire
+        release = self.protection_latches.release
         for region_id in ids:
-            latch = self.protection_latches.latch(region_id)
-            with latch.exclusive():
+            acquire(region_id, EXCLUSIVE)
+            try:
                 self.meter.charge("latch_pair")
                 _start, length = table.region_bounds(region_id)
                 self.meter.charge("cw_check_fixed")
                 self.meter.charge("cw_check_word", word_count(length))
                 if not table.matches(region_id):
                     corrupt.append(region_id)
+            finally:
+                release(region_id)
         return corrupt
 
     def checksum_of(self, data: bytes, charge: bool = True) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError
+from repro.txn.latches import EXCLUSIVE
 from repro.wal.records import UpdateRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,13 +54,12 @@ def repair_regions(db: "Database", region_ids: list[int]) -> int:
         raise RecoveryError("cache recovery needs a codeword scheme")
 
     ck_end = db.checkpointer.anchored_ck_end()
+    latches = getattr(db.scheme, "protection_latches", None)
     repaired = 0
     for region_id in region_ids:
         start, length = table.region_bounds(region_id)
-        latch = getattr(db.scheme, "protection_latches", None)
-        if latch is not None:
-            region_latch = latch.latch(region_id)
-            region_latch.acquire("X")
+        if latches is not None:
+            latches.acquire(region_id, EXCLUSIVE)
         try:
             buffer = bytearray(db.checkpointer.read_image_range(start, length))
             _apply_overlapping_updates(db, buffer, start, length, ck_end)
@@ -69,8 +69,8 @@ def repair_regions(db: "Database", region_ids: list[int]) -> int:
                 raise RecoveryError(f"region {region_id} still corrupt after repair")
             repaired += 1
         finally:
-            if latch is not None:
-                region_latch.release()
+            if latches is not None:
+                latches.release(region_id)
     maintainer = getattr(db.scheme, "maintainer", None)
     if maintainer is not None:
         # A repaired region matches its (recomputed) codeword again;

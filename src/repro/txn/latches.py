@@ -9,6 +9,11 @@ Latches here are real (thread-safe, blocking) so multi-threaded tests can
 exercise them, but the performance study -- like the paper's -- runs a
 single process, so only their *cost* (charged by callers per
 acquire/release pair) shows up in the benchmark, never contention.
+
+A latch has state only while some thread holds it: a :class:`LatchTable`
+keeps one entry per *held* key, and a key leaves the table on its last
+release.  Protection therefore costs memory for the latches in flight,
+not for every region ever latched.
 """
 
 from __future__ import annotations
@@ -22,119 +27,190 @@ _get_ident = threading.get_ident
 
 SHARED = "S"
 EXCLUSIVE = "X"
+_MODES = (EXCLUSIVE, SHARED)
 
 
-class Latch:
-    """A shared/exclusive latch, reentrant for its current owner thread.
+class LatchTable:
+    """Shared/exclusive latches named by key (one per region), reentrant
+    for their exclusive owner thread.
 
-    The uncontended cases -- the latch is free, or the caller is its
-    exclusive owner -- are granted inline under the raw mutex.  The
-    ``threading.Condition`` waiters park on is only built the first time
-    a request has to wait, so the one-latch-per-region tables never pay
-    for one on a single-threaded run.
+    ``_held`` maps each held key to ``[exclusive owner, exclusive depth,
+    {shared holder: depth}]``; an exclusive owner never coexists with
+    shared holders, and a key granted exclusively first has no holder
+    dict (``None``).  The uncontended cases -- the key is free, or the
+    caller is its exclusive owner -- are granted inline under the one
+    raw mutex.  The ``threading.Condition`` waiters park on is only built
+    the first time a request has to wait, so a single-threaded run never
+    pays for one.
     """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
+    def __init__(self, prefix: str) -> None:
+        self.prefix = prefix
+        self._mutex = threading.Lock()
         self._cond: threading.Condition | None = None
         self._waiters = 0
-        self._shared_holders: dict[int, int] = {}  # thread id -> depth
-        self._exclusive_owner: int | None = None
-        self._exclusive_depth = 0
-        self.acquire_count = 0
+        self._held: dict = {}
+
+    def _name(self, key) -> str:
+        return self.prefix if key is None else f"{self.prefix}[{key}]"
 
     # ---------------------------------------------------------- acquire
 
-    def acquire(self, mode: str, timeout: float | None = 10.0) -> None:
-        if mode != EXCLUSIVE and mode != SHARED:
-            raise LatchError(f"bad latch mode {mode!r}")
+    def acquire(self, key, mode: str, timeout: float | None = 10.0) -> None:
         me = _get_ident()
-        with self._lock:
-            owner = self._exclusive_owner
-            if owner == me:
-                # Reentrant: the exclusive owner may nest either mode.
-                self._exclusive_depth += 1
-            elif owner is None and not self._shared_holders:
+        held = self._held
+        mutex = self._mutex
+        # An explicit mutex acquire/release pair and ``in`` / subscript
+        # instead of ``with`` and ``dict.get``: this is the hot path.
+        mutex.acquire()
+        try:
+            if key not in held:
                 if mode == EXCLUSIVE:
-                    self._exclusive_owner = me
-                    self._exclusive_depth = 1
+                    held[key] = [me, 1, None]
+                elif mode == SHARED:
+                    held[key] = [None, 0, {me: 1}]
                 else:
-                    self._shared_holders[me] = 1
+                    self._acquire_slow(key, mode, me, timeout)
+            elif held[key][0] == me and mode in _MODES:
+                # Reentrant: the exclusive owner may nest either mode.
+                held[key][1] += 1
             else:
-                self._acquire_slow(mode, me, timeout)
-            self.acquire_count += 1
+                self._acquire_slow(key, mode, me, timeout)
+        finally:
+            mutex.release()
 
-    def _acquire_slow(self, mode: str, me: int, timeout: float | None) -> None:
+    def _acquire_slow(self, key, mode: str, me: int, timeout: float | None) -> None:
         """Grant a request the fast path could not; called with the mutex held."""
-        if not self._grantable(mode, me):
+        if mode not in _MODES:
+            raise LatchError(f"bad latch mode {mode!r}")
+        if not self._grantable(key, mode, me):
             cond = self._cond
             if cond is None:
-                cond = self._cond = threading.Condition(self._lock)
-            deadline = None if timeout is None else (
+                cond = self._cond = threading.Condition(self._mutex)
+            wait = None if timeout is None else (
                 threading.TIMEOUT_MAX if timeout <= 0 else timeout
             )
             self._waiters += 1
             try:
-                while not self._grantable(mode, me):
-                    if not cond.wait(timeout=deadline):
-                        raise LatchError(
-                            f"timeout acquiring latch {self.name!r} in mode {mode}"
-                        )
+                # wait_for keeps one deadline across wake-ups: a release
+                # of any key wakes every waiter of the table.
+                if not cond.wait_for(lambda: self._grantable(key, mode, me), wait):
+                    raise LatchError(
+                        f"timeout acquiring latch {self._name(key)!r} in mode {mode}"
+                    )
             finally:
                 self._waiters -= 1
-        self._grant(mode, me)
+        entry = self._held.get(key)
+        if entry is None:
+            self._held[key] = [me, 1, None] if mode == EXCLUSIVE else [None, 0, {me: 1}]
+        elif mode == SHARED:
+            holders = entry[2]
+            holders[me] = holders.get(me, 0) + 1
+        else:
+            # Upgrade by the sole shared holder: fold its shared depth into
+            # the exclusive depth so releases pair up.
+            entry[0] = me
+            entry[1] = 1 + entry[2].pop(me)
 
-    def _grantable(self, mode: str, me: int) -> bool:
+    def _grantable(self, key, mode: str, me: int) -> bool:
         # Only reached when the caller is not the exclusive owner (the fast
         # path re-enters that), and waiting cannot make it one.
-        if self._exclusive_owner is not None:
-            return False
-        if mode == SHARED or not self._shared_holders:
+        entry = self._held.get(key)
+        if entry is None:
             return True
-        # Exclusive request while shared: an upgrade by the sole holder.
-        return set(self._shared_holders) == {me}
-
-    def _grant(self, mode: str, me: int) -> None:
-        if mode == SHARED:
-            self._shared_holders[me] = self._shared_holders.get(me, 0) + 1
-            return
-        # Exclusive grant; fold any shared depth we held into exclusive depth
-        # so releases pair up (upgrade path).
-        upgraded_depth = self._shared_holders.pop(me, 0)
-        self._exclusive_owner = me
-        self._exclusive_depth = 1 + upgraded_depth
+        if entry[0] is not None:
+            return False
+        # Shared holders only: an exclusive request is an upgrade by the
+        # sole holder.
+        return mode == SHARED or entry[2].keys() == {me}
 
     # ---------------------------------------------------------- release
 
-    def release(self) -> None:
+    def release(self, key) -> None:
         me = _get_ident()
-        with self._lock:
-            if self._exclusive_owner == me:
-                depth = self._exclusive_depth - 1
-                self._exclusive_depth = depth
-                if depth == 0:
-                    self._exclusive_owner = None
-            elif me in self._shared_holders:
-                depth = self._shared_holders[me] - 1
+        held = self._held
+        mutex = self._mutex
+        mutex.acquire()
+        try:
+            entry = held[key] if key in held else None
+            if entry is not None and entry[0] == me:
+                depth = entry[1] - 1
                 if depth:
-                    self._shared_holders[me] = depth
+                    entry[1] = depth
                 else:
-                    del self._shared_holders[me]
+                    del held[key]
+            elif entry is not None and entry[0] is None and me in entry[2]:
+                holders = entry[2]
+                depth = holders[me] - 1
+                if depth:
+                    holders[me] = depth
+                elif len(holders) == 1:
+                    del held[key]
+                else:
+                    del holders[me]
             else:
                 raise LatchError(
-                    f"thread releasing latch {self.name!r} it does not hold"
+                    f"thread releasing latch {self._name(key)!r} it does not hold"
                 )
             if self._waiters:
                 self._cond.notify_all()
+        finally:
+            mutex.release()
 
     # ------------------------------------------------------------ views
 
+    def latch(self, key) -> Latch:
+        """A handle on one key's latch (for cold paths and tests)."""
+        return Latch(self._name(key), self, key)
+
+    def held(self, key) -> bool:
+        return key in self._held
+
+    def held_exclusive(self, key) -> bool:
+        entry = self._held.get(key)
+        return entry is not None and entry[0] is not None
+
+    def any_held(self) -> bool:
+        """Whether any latch in the table is currently held.
+
+        Used by the batch audit fast path: when nothing is in flight, a
+        whole-table scan may fold every region in one vectorized kernel
+        instead of latching region by region.
+        """
+        return bool(self._held)
+
+    def __len__(self) -> int:
+        """The number of keys held right now."""
+        return len(self._held)
+
+
+class Latch:
+    """One latch: a one-key view of a :class:`LatchTable`.
+
+    ``Latch(name)`` is a latch of its own (the system log latch);
+    :meth:`LatchTable.latch` returns a view of one key of a shared table.
+    Either way the grant, wait and release code is the table's.
+    """
+
+    def __init__(self, name: str, table: LatchTable | None = None, key=None) -> None:
+        self.name = name
+        self.table = LatchTable(name) if table is None else table
+        self.key = key
+        #: Acquires made through this view.
+        self.acquire_count = 0
+
+    def acquire(self, mode: str, timeout: float | None = 10.0) -> None:
+        self.table.acquire(self.key, mode, timeout)
+        self.acquire_count += 1
+
+    def release(self) -> None:
+        self.table.release(self.key)
+
     def held_exclusive(self) -> bool:
-        return self._exclusive_owner is not None
+        return self.table.held_exclusive(self.key)
 
     def held(self) -> bool:
-        return self._exclusive_owner is not None or bool(self._shared_holders)
+        return self.table.held(self.key)
 
     @contextmanager
     def shared(self):
@@ -154,42 +230,3 @@ class Latch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Latch({self.name!r})"
-
-
-class LatchTable:
-    """Lazily-created named latches (one protection latch per region)."""
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self._latches: dict[int, Latch] = {}
-        self._guard = threading.Lock()
-        #: The latch of a key if it exists yet, else None: one dict
-        #: lookup, for hot loops that fall back to :meth:`latch`.
-        self.existing = self._latches.get
-
-    def latch(self, key: int) -> Latch:
-        # Double-checked fast path: dict reads are atomic under the GIL,
-        # and this lookup is on the per-update hot path.  The guard is
-        # only taken to serialize creation of a missing latch.
-        latch = self._latches.get(key)
-        if latch is not None:
-            return latch
-        with self._guard:
-            latch = self._latches.get(key)
-            if latch is None:
-                latch = Latch(f"{self.prefix}[{key}]")
-                self._latches[key] = latch
-            return latch
-
-    def any_held(self) -> bool:
-        """Whether any latch in the table is currently held.
-
-        Used by the batch audit fast path: when nothing is in flight, a
-        whole-table scan may fold every region in one vectorized kernel
-        instead of latching region by region.
-        """
-        with self._guard:
-            return any(latch.held() for latch in self._latches.values())
-
-    def __len__(self) -> int:
-        return len(self._latches)

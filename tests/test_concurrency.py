@@ -24,14 +24,18 @@ from __future__ import annotations
 import sys
 import threading
 
+import pytest
+
 from repro import Database, DBConfig
 from repro.core.data_codeword import DataCodewordScheme
 from repro.core.precheck import ReadPrecheckScheme
 from repro.core.regions import CodewordTable
+from repro.errors import LatchError
 from repro.mem.memory import MemoryImage
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import CostModel
 from repro.txn.transaction import Transaction
+from repro.wal.local_log import PhysicalUndo
 from tests.conftest import ACCT_SCHEMA, insert_accounts
 
 REGION = 4096
@@ -268,3 +272,117 @@ class TestCodewordLatchGuardsTheFold:
         finally:
             db.close()
 
+
+
+def _fail_acquire_of(monkeypatch, latches, failing_key) -> None:
+    """Make ``latches``' acquire of ``failing_key`` raise, as a timeout would."""
+    real = latches.acquire
+
+    def acquire(key, mode, timeout=10.0):
+        if key == failing_key:
+            raise LatchError(f"injected timeout on {key}")
+        real(key, mode, timeout)
+
+    monkeypatch.setattr(latches, "acquire", acquire)
+
+
+def _assert_nothing_held(maintainer) -> None:
+    assert len(maintainer.protection_latches) == 0
+    assert len(maintainer.codeword_latches) == 0
+
+
+class TestFailedAcquireReleasesTakenLatches:
+    """A latch loop whose second acquire fails releases the first."""
+
+    def test_physical_undo(self, monkeypatch):
+        scheme, _memory = make_scheme(ReadPrecheckScheme)
+        maintainer = scheme.maintainer
+        _fail_acquire_of(monkeypatch, maintainer.protection_latches, 1)
+        # Eight bytes across the boundary of regions 0 and 1.
+        entry = PhysicalUndo(seq=0, op_id=0, address=REGION - 4, image=bytes(8))
+        with pytest.raises(LatchError):
+            maintainer.apply_physical_undo(entry)
+        _assert_nothing_held(maintainer)
+
+    def test_maintain(self, monkeypatch):
+        scheme, memory = make_scheme(DataCodewordScheme)
+        maintainer = scheme.maintainer
+        txn = Transaction(txn_id=1)
+        ranges = [(0, 8), (REGION, 8)]
+        maintainer.open_window(txn, ranges)
+        _fail_acquire_of(monkeypatch, maintainer.codeword_latches, 1)
+        items = [(a, memory.read(a, n), b"\x01" * n) for a, n in ranges]
+        with pytest.raises(LatchError):
+            maintainer.maintain(txn, items)
+        # The window's owner closes it after a failed end_update.
+        maintainer.release_window(txn)
+        _assert_nothing_held(maintainer)
+
+
+def _pause_after_first_latch(monkeypatch, latches, names: tuple[str, str]) -> None:
+    """Each named thread, once it holds its first latch of ``latches``,
+    waits up to a second for the other thread to hold its own first
+    latch; every acquire gives up after two seconds instead of ten."""
+    first = {name: threading.Event() for name in names}
+    real = latches.acquire
+
+    def acquire(key, mode, timeout=10.0):
+        real(key, mode, 2.0)
+        me = threading.current_thread().name
+        if not first[me].is_set():
+            first[me].set()
+            (other,) = set(names) - {me}
+            first[other].wait(timeout=1.0)
+
+    monkeypatch.setattr(latches, "acquire", acquire)
+
+
+class TestAscendingLatchOrder:
+    """Two windows over regions (A, B) and (B, A), no record locks: with
+    latches taken in ascending region id they cannot deadlock."""
+
+    @pytest.mark.parametrize(
+        "cls, probed",
+        [
+            (ReadPrecheckScheme, "protection_latches"),  # exclusive update latches
+            (DataCodewordScheme, "codeword_latches"),  # exclusive codeword latches
+        ],
+    )
+    def test_crossed_windows_both_complete(self, monkeypatch, cls, probed):
+        scheme, memory = make_scheme(cls)
+        maintainer = scheme.maintainer
+        _pause_after_first_latch(monkeypatch, getattr(maintainer, probed), ("ab", "ba"))
+        windows = {
+            "ab": [(0, 8), (REGION, 8)],
+            "ba": [(REGION + 64, 8), (64, 8)],
+        }
+        failures: list[Exception] = []
+
+        def window(name: str, txn_id: int) -> None:
+            txn = Transaction(txn_id=txn_id)
+            ranges = windows[name]
+            try:
+                maintainer.open_window(txn, ranges)
+                items = []
+                for address, length in ranges:
+                    old = memory.read(address, length)
+                    new = bytes([txn_id]) * length
+                    memory.write(address, new)
+                    items.append((address, old, new))
+                maintainer.maintain(txn, items)
+                maintainer.release_window(txn)
+            except LatchError as exc:
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=window, args=(name, n), name=name)
+            for n, name in enumerate(windows, start=1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        _assert_nothing_held(maintainer)
+        assert scheme.codeword_table.scan_mismatches() == []
