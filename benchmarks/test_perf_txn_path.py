@@ -13,7 +13,9 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   truncate and cached counter remove.  Required speedup: >= 5x; each
   side's best of three runs, the two sides alternated.
 * **codec** -- pure encode/decode subscores (no file I/O), gated only at
-  parity (> 1x): frame building is cheap relative to CPython dataclass
+  parity (> 1x): ``pack_record`` (LSN slot included) against the seed
+  encoder, ``walk_frames`` + ``decode_payload`` against the seed
+  decoder.  Frame building is cheap relative to CPython dataclass
   construction, so most of the lifecycle win comes from batching and the
   O(file) -> O(1)/O(suffix) rewrites, not raw codec arithmetic.
 * **commit_path / incremental_audit** -- commits/sec under group-commit
@@ -32,11 +34,12 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
 
 * **recovery.replay** -- restart redo's fast path.  ``replay()`` over a
   generated log whose transactions all commit (analysis names every one
-  a finisher; their frames are applied without building a record)
-  against the same records with the commit frames left off (nobody
-  finishes: every record is decoded, tracked and given an undo entry,
+  a finisher; their frames are applied without a handler call) against
+  the same records with the commit frames left off (nobody finishes:
+  every frame goes to its handler, is tracked and given an undo entry,
   which is what redo did for every transaction before).  Records/s of
-  both, gated on their ratio.
+  both, gated on their ratio, and a census of each: Python calls per
+  replayed record under ``cProfile``, gated like the op census.
 
 * **shard.round_trip** -- the shard pipe's transport.  One command tuple
   echoed through a worker process over :class:`repro.shard.worker.Channel`
@@ -102,10 +105,10 @@ from repro.wal.records import (
     TxnBeginRecord,
     TxnCommitRecord,
     UpdateRecord,
-    encode_into,
-    iter_records,
+    decode_payload,
+    pack_record,
 )
-from repro.wal.system_log import SystemLog
+from repro.wal.system_log import SystemLog, walk_frames
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_txn.json")
@@ -404,14 +407,17 @@ def codec_results() -> dict:
 
     def batched_encode_all():
         buf = bytearray()
-        for record in records:
-            encode_into(record, buf)
+        for lsn, record in enumerate(records):
+            pack_record(record, buf, lsn)
         return buf
 
     repeats = 5 if QUICK else 9
     encode_seed_s, blob = _best_of(seed_encode_all, repeats)
     encode_new_s, buf = _best_of(batched_encode_all, repeats)
-    assert bytes(buf) == blob  # byte-identical framing
+    # Byte-identical framing; the new side also writes each LSN slot.
+    assert bytes(buf) == b"".join(
+        _LSN.pack(lsn) + _seed_encode(record) for lsn, record in enumerate(records)
+    )
 
     def seed_decode_all():
         out = []
@@ -422,7 +428,11 @@ def codec_results() -> dict:
         return out
 
     def batched_decode_all():
-        return list(iter_records(buf))
+        view = memoryview(buf)
+        return [
+            decode_payload(code, view, pos, end)
+            for _lsn, code, pos, end in walk_frames(view)
+        ]
 
     decode_seed_s, seed_records = _best_of(seed_decode_all, repeats)
     decode_new_s, new_records = _best_of(batched_decode_all, repeats)
@@ -570,6 +580,13 @@ REPLAY_UPDATES_PER_OP = 7  # a TPC-B operation logs 6-7 update records
 #: 350-530 k records/s, tracked 110-170 k; best of three each); five quick
 #: runs, 2.2-2.9.  The verified frame walk is in both and bounds the ratio.
 REQUIRED_REPLAY_RATIO = 1.5 if QUICK else 2.0
+#: Python calls per replayed record under ``cProfile`` (the census's
+#: measure; the log is generated, so the count does not depend on the
+#: machine), measured on Python 3.11 on the full-size logs and gated at
+#: ``CENSUS_SLACK`` over; the quick logs read 6.2 / 22.1.  Before tracked
+#: frames went to the handler table (a record decoded, then dispatched
+#: through an ``isinstance`` chain), tracked replay read 32.0.
+REPLAY_CENSUS_MEASURED = {"fast": 6.0, "tracked": 22.0}
 
 
 def _replay_records(txn_id: int, addresses: list[int], commit: bool):
@@ -591,10 +608,13 @@ def _replay_records(txn_id: int, addresses: list[int], commit: bool):
     return records
 
 
-def _replay_records_per_s(base, name: str, commit: bool) -> tuple[float, int, int]:
+def _replay_records_per_s(
+    base, name: str, commit: bool
+) -> tuple[float, int, int, float]:
     """Crash a database whose stable log holds ``REPLAY_TXNS`` generated
     transactions, then time ``replay()`` alone on fresh shells; returns
-    the best records/s of three, the record count and the fast frames."""
+    the best records/s of three, the record count, the fast frames and
+    the Python calls per record of one more replay under ``cProfile``."""
     db = _make_db(base, name, scheme="data_cw")
     db.checkpoint()  # replay starts at the generated transactions
     config = db.config
@@ -619,14 +639,29 @@ def _replay_records_per_s(base, name: str, commit: bool) -> tuple[float, int, in
     assert recovery.report.redo_applied == (
         REPLAY_TXNS * REPLAY_OPS_PER_TXN * REPLAY_UPDATES_PER_OP
     )
-    return records / best, records, int(phases["fast_frames"])
+    shell = Database._open_shell(config)
+    recovery = RestartRecovery(shell, None)
+    ck_end = recovery._load_checkpoint()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        recovery.replay(ck_end)
+    finally:
+        profile.disable()
+        shell.crash()
+    calls = pstats.Stats(profile).total_calls / records
+    return records / best, records, int(phases["fast_frames"]), calls
 
 
 @pytest.fixture(scope="module")
 def replay_results(tmp_path_factory) -> dict:
     base = tmp_path_factory.mktemp("replaybench")
-    fast, records, fast_frames = _replay_records_per_s(base, "finished", True)
-    tracked, tracked_records, none_fast = _replay_records_per_s(base, "open", False)
+    fast, records, fast_frames, fast_calls = _replay_records_per_s(
+        base, "finished", True
+    )
+    tracked, tracked_records, none_fast, tracked_calls = _replay_records_per_s(
+        base, "open", False
+    )
     assert fast_frames == records and none_fast == 0
     return {
         "transactions": REPLAY_TXNS,
@@ -635,6 +670,14 @@ def replay_results(tmp_path_factory) -> dict:
         "tracked_records": tracked_records,
         "tracked_records_per_s": tracked,
         "ratio": fast / tracked,
+        "calls_per_record": {
+            "fast": round(fast_calls, 1),
+            "tracked": round(tracked_calls, 1),
+        },
+        "calls_gate": {
+            name: round(CENSUS_SLACK * count, 1)
+            for name, count in REPLAY_CENSUS_MEASURED.items()
+        },
     }
 
 
@@ -1063,6 +1106,16 @@ class TestTxnPath:
             f"{replay_results['fast_records_per_s']:.0f} records/s against "
             f"{replay_results['tracked_records_per_s']:.0f} tracked: ratio "
             f"{replay_results['ratio']:.2f} (required {REQUIRED_REPLAY_RATIO})"
+        )
+
+    def test_replay_calls_per_record_census(self, replay_results):
+        over = {
+            name: (calls, replay_results["calls_gate"][name])
+            for name, calls in replay_results["calls_per_record"].items()
+            if calls > replay_results["calls_gate"][name]
+        }
+        assert not over, (
+            f"Python calls per replayed record over the gate (measured, gate): {over}"
         )
 
     def test_shard_round_trip_beats_connection(self, round_trip_results):

@@ -32,12 +32,13 @@ from repro.recovery.restart import (
     RecoveryReport,
     load_corruption_note,
 )
-from repro.wal.records import AmendRecord
+from repro.wal.records import RecordType, decode_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database, DBConfig
 
 ARCHIVE_MANIFEST = "archive.json"
+_AMEND = int(RecordType.AMEND)
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,12 @@ def recover_from_archive(
     # was at note-load time.
     combine = bool(getattr(db.scheme, "combines_evidence", False))
     contexts: list[CorruptionContext] = []
-    # Type-filtered scan: every non-Amend frame is CRC-checked and
-    # skipped without constructing the record, so this prepass costs one
-    # pass over the bytes instead of materializing the whole log.
-    for _lsn, record in db.system_log.scan(info.ck_end, only=(AmendRecord,)):
+    # Every frame is CRC-checked, and only amendments are decoded, so
+    # this prepass costs one pass over the bytes.
+    for view, _lsn, code, pos, end in db.system_log.live_frames(info.ck_end):
+        if code != _AMEND:
+            continue
+        record = decode_payload(code, view, pos, end)
         contexts.append(
             CorruptionContext(
                 corrupt_ranges=tuple(record.corrupt_ranges),

@@ -28,10 +28,12 @@ from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError
 from repro.txn.latches import EXCLUSIVE
-from repro.wal.records import UpdateRecord
+from repro.wal.records import UPDATE_HEAD, RecordType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
+
+_UPDATE = int(RecordType.UPDATE)
 
 
 def _overlap(start_a: int, len_a: int, start_b: int, len_b: int) -> tuple[int, int] | None:
@@ -85,24 +87,15 @@ def repair_regions(db: "Database", region_ids: list[int]) -> int:
 def _apply_overlapping_updates(
     db: "Database", buffer: bytearray, start: int, length: int, ck_end: int
 ) -> None:
-    """Replay every prescribed write overlapping ``[start, start+length)``."""
-
-    def apply(record: UpdateRecord) -> None:
-        clip = _overlap(start, length, record.address, len(record.image))
-        if clip is None:
-            return
-        lo, n = clip
-        img_off = lo - record.address
-        buf_off = lo - start
-        buffer[buf_off : buf_off + n] = record.image[img_off : img_off + n]
-
-    for _lsn, record in db.system_log.scan(ck_end, only=(UpdateRecord,)):
-        apply(record)
-    for _lsn, record in db.system_log.tail:
-        if isinstance(record, UpdateRecord):
-            apply(record)
-    # Open operations' updates are still in local redo logs.
-    for txn in db.manager.att:
-        for record in txn.redo_log.records:
-            if isinstance(record, UpdateRecord):
-                apply(record)
+    """Replay every prescribed write overlapping ``[start, start+length)``:
+    the live log's update frames, open operations' included."""
+    arenas = (txn.redo_log.arena for txn in db.manager.att)
+    for view, _lsn, code, pos, end in db.system_log.live_frames(ck_end, arenas):
+        if code != _UPDATE:
+            continue
+        _txn_id, address, size, _checksum = UPDATE_HEAD.unpack_from(view, pos)
+        clip = _overlap(start, length, address, size)
+        if clip is not None:
+            lo, n = clip
+            image = pos + UPDATE_HEAD.size + lo - address
+            buffer[lo - start : lo - start + n] = view[image : image + n]

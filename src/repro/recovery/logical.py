@@ -32,10 +32,12 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import RecoveryError
 from repro.recovery.restart import CorruptionContext, RecoveryReport
-from repro.wal.records import ReadRecord
+from repro.wal.records import UPDATE_HEAD, RecordType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database, DBConfig
+
+_READ = int(RecordType.READ)
 
 
 def delete_transactions(
@@ -77,28 +79,20 @@ def trace_readers(
 ) -> dict[int, list[tuple[int, int, int]]]:
     """Audit-trail query: which transactions read the given byte ranges?
 
-    Scans the stable log (and the in-memory tail) for read records
-    overlapping ``(start, length)`` ranges; returns
-    ``{txn_id: [(lsn, address, length), ...]}``.  Purely informational --
-    the Bjork-style audit trail the paper says read logging provides.
+    Walks the live log -- the stable log from ``from_lsn``, the in-memory
+    tail, and the local redo logs of open operations -- for read records
+    overlapping ``(start, length)`` ranges; returns ``{txn_id: [(lsn,
+    address, length), ...]}``, with lsn -1 for a read whose operation is
+    still open (it has no LSN yet).  Purely informational -- the
+    Bjork-style audit trail the paper says read logging provides.
     """
-
-    def overlaps(address: int, length: int) -> bool:
-        for start, span in ranges:
-            if address < start + span and start < address + length:
-                return True
-        return False
-
     hits: dict[int, list[tuple[int, int, int]]] = {}
-    def note(lsn: int, record) -> None:
-        if isinstance(record, ReadRecord) and overlaps(record.address, record.length):
-            hits.setdefault(record.txn_id, []).append(
-                (lsn, record.address, record.length)
-            )
-
-    for lsn, record in db.system_log.scan(from_lsn, only=(ReadRecord,)):
-        note(lsn, record)
-    for lsn, record in db.system_log.tail:
-        if lsn >= from_lsn:
-            note(lsn, record)
+    arenas = (txn.redo_log.arena for txn in db.manager.att)
+    for view, lsn, code, pos, _end in db.system_log.live_frames(from_lsn, arenas):
+        if code != _READ:
+            continue
+        txn_id, address, length, _checksum = UPDATE_HEAD.unpack_from(view, pos)
+        stop = address + length
+        if any(start < stop and address < start + span for start, span in ranges):
+            hits.setdefault(txn_id, []).append((lsn, address, length))
     return hits

@@ -5,7 +5,7 @@ corruption recovery algorithm of Section 4.3.
 an image.  It has three drivers: :meth:`RestartRecovery.run` (restart,
 archive and delete-transaction recovery scan to the end of the log); the
 hot standby's :meth:`~RestartRecovery.continuous` /
-:meth:`~RestartRecovery.apply_record` / :meth:`~RestartRecovery.complete`
+:meth:`~RestartRecovery.apply_frames` / :meth:`~RestartRecovery.complete`
 (a restart that never finishes); and prior-state recovery's early stop,
 ``run(until_lsn=...)`` (a restart that finishes early -- exactly a crash at
 the cutoff).
@@ -20,13 +20,17 @@ Normal restart ("repeating history physically", Section 2.1):
    record, while reconstructing the local undo logs of every transaction
    that is not finished (pre-images captured before each redo; operation
    commit records replace an operation's physical undo with its logical
-   undo).  A finished transaction's frames are applied as they lie in the
+   undo).  Every frame is read where it lies in the log buffer, by the
+   handler its type code selects in one table
+   (``RestartRecovery._HANDLERS``), which unpacks only the fields it acts
+   on -- no record object is built.  A finished transaction's frames
+   skip even that and are applied as they lie in the
    log buffer: its after-images are queued as offsets into the frame
    bytes and stored, in log order, as one batch write
    (:meth:`~repro.mem.memory.MemoryImage.restore_batch`: one segment
    lookup per run of stores in a segment, each dirty page marked once);
-   its operation brackets are matched by id, and no record object,
-   pre-image or undo entry is built -- only the undo sequence counter
+   its operation brackets are matched by id, and no pre-image or undo
+   entry is built -- only the undo sequence counter
    advances as if they had been.  The queue is stored before any other
    record is replayed, since a tracked update reads its pre-image from
    memory;
@@ -37,7 +41,7 @@ Normal restart ("repeating history physically", Section 2.1):
 
 The eligibility rule for step 3's shortcut is one test per frame: the
 record names a transaction in the finished set.  The set is empty -- so
-every record is decoded and tracked, at the old cost -- whenever an undo
+every frame goes to its handler and is tracked -- whenever an undo
 log can be needed from a transaction that does finish: in every
 delete-transaction mode (below), because a transaction may be recruited
 at any record and its undo log must exist from its first action; for the
@@ -78,27 +82,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.codeword import fold_words
-from repro.errors import RecoveryError
+from repro.errors import LogError, RecoveryError
 from repro.storage.database import CORRUPTION_NOTE_FILE
 from repro.txn.transaction import ActiveTransactionTable
 from repro.wal.local_log import LogicalUndoEntry, PhysicalUndo
 from repro.wal.records import (
+    NO_CHECKSUM,
     OP_HEAD,
+    TXN_BEGIN_HEAD,
     TXN_ID,
     UPDATE_HEAD,
     AmendRecord,
-    AuditBeginRecord,
-    AuditEndRecord,
-    OpBeginRecord,
-    OpCommitRecord,
-    ReadRecord,
+    LogicalUndo,
     RecordType,
-    TxnAbortRecord,
-    TxnBeginRecord,
     TxnCommitRecord,
-    TxnPrepareRecord,
-    UpdateRecord,
-    decode_payload,
+    decode_str,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,11 +104,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Plain-int wire type codes: the replay loop compares one per frame.
 _UPDATE = int(RecordType.UPDATE)
+_READ = int(RecordType.READ)
 _OP_BEGIN = int(RecordType.OP_BEGIN)
 _OP_COMMIT = int(RecordType.OP_COMMIT)
 _TXN_BEGIN = int(RecordType.TXN_BEGIN)
 _TXN_COMMIT = int(RecordType.TXN_COMMIT)
 _TXN_ABORT = int(RecordType.TXN_ABORT)
+_TXN_PREPARE = int(RecordType.TXN_PREPARE)
 #: Records whose ``txn_id`` names a transaction (an audit's or an
 #: amendment's names an audit or a recovery episode).
 _TXN_RECORD_CODES = frozenset(
@@ -358,19 +358,11 @@ class RestartRecovery:
         #: rebuilds the table wholesale, so per-record maintenance there
         #: would be wasted work.
         self.maintain_codewords = False
-
-    @property
-    def corruption_mode(self) -> bool:
-        return bool(self.contexts)
-
-    @property
-    def _track_cdt(self) -> bool:
-        """Whether the CorruptDataTable participates in this scan.
-
-        Pure checksum mode dispenses with it (Section 4.3); combined mode
-        keeps it alongside the checksum comparison.
-        """
-        return not self.use_checksums or self.combine
+        self.corruption_mode = bool(contexts)
+        #: Whether the CorruptDataTable participates in this scan: pure
+        #: checksum mode dispenses with it (Section 4.3), combined mode
+        #: keeps it alongside the checksum comparison.
+        self._track_cdt = not self.use_checksums or self.combine
 
     # --------------------------------------------------------------- run
 
@@ -441,27 +433,28 @@ class RestartRecovery:
 
     @classmethod
     def continuous(cls, db: "Database") -> "RestartRecovery":
-        """A recovery run driven one record at a time: the hot standby.
+        """A recovery run driven one shipped batch at a time: the hot standby.
 
         A replica is a restart recovery that never finishes.  The
         archived checkpoint image is loaded here; the caller then feeds
-        every shipped record through :meth:`apply_record` as it arrives,
-        instead of this class scanning a local log; :meth:`complete`
-        (promotion) runs the undo/finish tail whenever failover demands
-        it.  Replay keeps the replica's codeword table incrementally
-        correct (``maintain_codewords``) -- redo bypasses the prescribed
-        update interface, so without it the table would only match the
-        image at rebuild points and the replica's own audits could not
-        convict replica-side wild writes.
+        every shipped batch's verified frames through :meth:`apply_frames`
+        as it arrives, instead of this class scanning a local log;
+        :meth:`complete` (promotion) runs the undo/finish tail whenever
+        failover demands it.  Replay keeps the replica's codeword table
+        incrementally correct (``maintain_codewords``) -- redo bypasses
+        the prescribed update interface, so without it the table would
+        only match the image at rebuild points and the replica's own
+        audits could not convict replica-side wild writes.
         """
         recovery = cls(db, None)
         recovery.maintain_codewords = True
         recovery._load_checkpoint()
         return recovery
 
-    def apply_record(self, record) -> None:
-        """Replay one shipped record through the redo machinery."""
-        self._dispatch(record)
+    def apply_frames(self, view, frames) -> None:
+        """Replay one shipped batch -- ``frames`` walked out of ``view`` --
+        through the redo loop, every frame tracked."""
+        self._redo(view, frames, set(), 0, sys.maxsize)
 
     def complete(self, last_lsn: int) -> RecoveryReport:
         """Finish a continuous replay: the promotion tail of :meth:`run`.
@@ -502,7 +495,7 @@ class RestartRecovery:
         through it.  The log is read and its frames verified once; an
         analysis pass names the transactions that finish below the stop,
         and redo applies their records straight from the frame bytes.
-        Every other record is decoded and handed to :meth:`_dispatch`.
+        Every other frame goes to its handler in :attr:`_HANDLERS`.
         """
         system_log = self.db.system_log
         stop = sys.maxsize if until_lsn is None else until_lsn
@@ -560,7 +553,7 @@ class RestartRecovery:
         The fast path queues each after-image as ``(address, start, end)``
         offsets into ``view`` and stores the queue in log order as one
         :meth:`~repro.mem.memory.MemoryImage.restore_batch`.  The queue is
-        applied before any record is dispatched (a tracked update reads
+        applied before any frame goes to its handler (a tracked update reads
         its pre-image from memory), before a malformed log raises, and at
         the end; the undo sequence numbers of the entries not built are
         taken at the same points.
@@ -570,6 +563,7 @@ class RestartRecovery:
         image_at = UPDATE_HEAD.size
         op_head = OP_HEAD.unpack_from
         txn_id_at = TXN_ID.unpack_from
+        handlers = self._HANDLERS
         #: open operation ids per finished transaction: all that is kept of
         #: their op stacks, so an unmatched operation commit still raises
         open_ops: dict[int, list[int]] = {}
@@ -633,8 +627,13 @@ class RestartRecovery:
                     continue
             if queue or skipped:
                 apply_queued()
-            self._seed_due_contexts(lsn)
-            self._dispatch(decode_payload(code, view, pos, end))
+            if self._unseeded:
+                self._seed_due_contexts(lsn)
+            try:
+                handler = handlers[code]
+            except KeyError:
+                raise LogError(f"unknown record type {code}") from None
+            handler(self, lsn, view, pos, end)
         apply_queued()
         if applied:
             self.db.meter.charge("redo_apply", applied)
@@ -642,59 +641,18 @@ class RestartRecovery:
         # Past the early stop nothing is applied; the tail still yields the
         # highest transaction id and the commits being lost.  Compensation
         # transactions of an interrupted earlier attempt are not user work.
-        for _lsn, code, pos, end in frames[past_stop:]:
+        for _lsn, code, pos, _end in frames[past_stop:]:
             if code == _TXN_BEGIN:
-                record = decode_payload(code, view, pos, end)
-                self._max_txn_id = max(self._max_txn_id, record.txn_id)
-                if record.is_recovery:
-                    recovery_txns.add(record.txn_id)
+                txn_id, is_recovery = TXN_BEGIN_HEAD.unpack_from(view, pos)
+                self._max_txn_id = max(self._max_txn_id, txn_id)
+                if is_recovery:
+                    recovery_txns.add(txn_id)
             elif code == _TXN_COMMIT:
                 txn_id = txn_id_at(view, pos)[0]
                 if txn_id not in recovery_txns:
                     lost.append(txn_id)
         self.report.lost_committed = tuple(sorted(lost))
         return fast + applied, len(pages)
-
-    def _dispatch(self, record) -> None:
-        if isinstance(record, UpdateRecord):
-            self._on_update(record)
-        elif isinstance(record, ReadRecord):
-            self._on_read(record)
-        elif isinstance(record, OpBeginRecord):
-            self._on_op_begin(record)
-        elif isinstance(record, OpCommitRecord):
-            self._on_op_commit(record)
-        elif isinstance(record, TxnBeginRecord):
-            rec = self._get_txn(record.txn_id)
-            rec.is_recovery = rec.is_recovery or record.is_recovery
-        elif isinstance(record, TxnCommitRecord):
-            self._on_txn_end(record.txn_id, committed=True)
-        elif isinstance(record, TxnAbortRecord):
-            self._on_txn_end(record.txn_id, committed=False)
-        elif isinstance(record, TxnPrepareRecord):
-            rec = self._get_txn(record.txn_id)
-            rec.prepared = True
-            rec.gid = record.gid
-        elif isinstance(record, AmendRecord):
-            # An amend record marks the end of a corruption-recovery
-            # episode: everything corrupt was removed, compensations were
-            # logged (as is_recovery transactions), and a certified
-            # checkpoint followed.  Heal the CorruptDataTable and the
-            # conflict-key set so post-recovery transactions that touch
-            # the once-corrupt ranges are not wrongly recruited during an
-            # archive replay, and drop the frozen undo logs of corrupt
-            # transactions -- the logged compensations already undid them;
-            # re-running them in this scan's undo phase would compensate
-            # twice.
-            self.cdt = CorruptDataTable()
-            self._corrupt_keys.clear()
-            for rec in self._txns.values():
-                if rec.corrupt:
-                    rec.entries.clear()
-        elif isinstance(record, (AuditBeginRecord, AuditEndRecord)):
-            pass
-        else:  # pragma: no cover - codec and dispatch must stay in sync
-            raise RecoveryError(f"unhandled record {type(record).__name__}")
 
     def _get_txn(self, txn_id: int) -> _RecTxn:
         rec = self._txns.get(txn_id)
@@ -729,108 +687,154 @@ class RestartRecovery:
         for _op_id, _level, key, _mark in rec.op_stack:
             self._corrupt_keys.add(key)
 
-    def _on_update(self, record: UpdateRecord) -> None:
-        rec = self._get_txn(record.txn_id)
+    # The frame handlers: ``handler(self, lsn, view, pos, end)`` with the
+    # payload at ``view[pos:end]`` of a verified frame, one per wire type
+    # code in _HANDLERS.  Each unpacks only the fields it acts on; no
+    # record object is built.
+
+    def _on_update(self, lsn: int, view, pos: int, end: int) -> None:
+        txn_id, address, length, checksum = UPDATE_HEAD.unpack_from(view, pos)
+        rec = self._get_txn(txn_id)
+        memory = self.db.memory
         if self.corruption_mode and not rec.corrupt:
-            if self.use_checksums and record.old_checksum is not None:
-                current = self.db.memory.read(record.address, record.length)
-                if fold_words(current) != record.old_checksum:
+            if self.use_checksums and checksum != NO_CHECKSUM:
+                if fold_words(memory.read(address, length)) != checksum:
                     self._recruit(rec, "write checksum mismatch")
             if (
                 not rec.corrupt
                 and self._track_cdt
-                and self.cdt.overlaps(record.address, record.length)
+                and self.cdt.overlaps(address, length)
             ):
                 self._recruit(rec, "wrote data marked corrupt")
         if self.corruption_mode and rec.corrupt:
             # Suppress the write; everything it would have produced is
             # corrupt data.
             if self._track_cdt:
-                self.cdt.add(record.address, record.length)
+                self.cdt.add(address, length)
             self.report.writes_suppressed += 1
             return
         op_id = rec.op_stack[-1][0] if rec.op_stack else 0
-        pre_image = self.db.memory.read(record.address, record.length)
+        pre_image = memory.read(address, length)
         rec.entries.append(
-            PhysicalUndo(self._take_seq(), op_id, record.address, pre_image, True)
+            PhysicalUndo(self._take_seq(), op_id, address, pre_image, True)
         )
-        self.db.memory.restore(record.address, record.image)
+        image = bytes(view[pos + UPDATE_HEAD.size : end])
+        memory.restore(address, image)
         if self.maintain_codewords:
             maintainer = getattr(self.db.pipeline, "maintainer", None)
             if maintainer is not None:
-                maintainer.apply_maintenance(
-                    [(record.address, pre_image, record.image)]
-                )
+                maintainer.apply_maintenance([(address, pre_image, image)])
         self.db.meter.charge("redo_apply")
         self.report.redo_applied += 1
 
-    def _on_read(self, record: ReadRecord) -> None:
+    def _on_read(self, lsn: int, view, pos: int, end: int) -> None:
         if not self.corruption_mode:
             return
-        rec = self._get_txn(record.txn_id)
+        txn_id, address, length, checksum = UPDATE_HEAD.unpack_from(view, pos)
+        rec = self._get_txn(txn_id)
         if rec.corrupt:
             return
-        if self.use_checksums and record.checksum is not None:
-            current = self.db.memory.read(record.address, record.length)
-            if fold_words(current) != record.checksum:
+        if self.use_checksums and checksum != NO_CHECKSUM:
+            current = self.db.memory.read(address, length)
+            if fold_words(current) != checksum:
                 self._recruit(rec, "read checksum mismatch")
                 return
-        if self._track_cdt and self.cdt.overlaps(record.address, record.length):
+        if self._track_cdt and self.cdt.overlaps(address, length):
             self._recruit(rec, "read data marked corrupt")
 
-    def _on_op_begin(self, record: OpBeginRecord) -> None:
-        rec = self._get_txn(record.txn_id)
+    def _on_op_begin(self, lsn: int, view, pos: int, end: int) -> None:
+        txn_id, op_id, level = OP_HEAD.unpack_from(view, pos)
+        rec = self._get_txn(txn_id)
         if self.corruption_mode and rec.corrupt:
             return
+        object_key = decode_str(view, pos + OP_HEAD.size)[0]
         if (
             self.corruption_mode
-            and record.object_key in self._corrupt_keys
+            and object_key in self._corrupt_keys
             and not rec.is_recovery
         ):
             # The operation conflicts with an operation that must be
             # rolled back from a corrupt transaction; it cannot be allowed
             # to proceed in the delete history.  (A recovery transaction's
             # op on that key IS the rollback -- it proceeds.)
-            self._recruit(rec, f"conflicts with corrupt undo on {record.object_key}")
+            self._recruit(rec, f"conflicts with corrupt undo on {object_key}")
             return
-        rec.op_stack.append(
-            (record.op_id, record.level, record.object_key, len(rec.entries))
-        )
+        rec.op_stack.append((op_id, level, object_key, len(rec.entries)))
 
-    def _on_op_commit(self, record: OpCommitRecord) -> None:
-        rec = self._get_txn(record.txn_id)
+    def _on_op_commit(self, lsn: int, view, pos: int, end: int) -> None:
+        txn_id, op_id, level = OP_HEAD.unpack_from(view, pos)
+        rec = self._get_txn(txn_id)
         if self.corruption_mode and rec.corrupt:
             return
         mark = None
         for i in range(len(rec.op_stack) - 1, -1, -1):
-            if rec.op_stack[i][0] == record.op_id:
+            if rec.op_stack[i][0] == op_id:
                 mark = rec.op_stack[i][3]
                 del rec.op_stack[i:]
                 break
         if mark is None:
             raise RecoveryError(
-                f"operation commit {record.op_id} without matching begin "
-                f"(txn {record.txn_id})"
+                f"operation commit {op_id} without matching begin (txn {txn_id})"
             )
         del rec.entries[mark:]
+        object_key, undo_at = decode_str(view, pos + OP_HEAD.size)
+        undo = LogicalUndo.decode(view, undo_at)[0]
         rec.entries.append(
-            LogicalUndoEntry(
-                self._take_seq(),
-                record.op_id,
-                record.level,
-                record.object_key,
-                record.logical_undo,
-            )
+            LogicalUndoEntry(self._take_seq(), op_id, level, object_key, undo)
         )
 
-    def _on_txn_end(self, txn_id: int, committed: bool) -> None:
+    def _on_txn_begin(self, lsn: int, view, pos: int, end: int) -> None:
+        txn_id, is_recovery = TXN_BEGIN_HEAD.unpack_from(view, pos)
         rec = self._get_txn(txn_id)
+        rec.is_recovery = rec.is_recovery or bool(is_recovery)
+
+    def _on_txn_end(self, lsn: int, view, pos: int, end: int) -> None:
+        """A commit or abort frame (the type byte precedes the payload)."""
+        rec = self._get_txn(TXN_ID.unpack_from(view, pos)[0])
         if self.corruption_mode and rec.corrupt:
             # Commit/abort records of corrupt transactions are ignored;
             # the transaction is deleted from history instead.
-            rec.committed_in_log = rec.committed_in_log or committed
+            rec.committed_in_log = rec.committed_in_log or view[pos - 1] == _TXN_COMMIT
             return
-        self._txns.pop(txn_id, None)
+        self._txns.pop(rec.txn_id, None)
+
+    def _on_prepare(self, lsn: int, view, pos: int, end: int) -> None:
+        rec = self._get_txn(TXN_ID.unpack_from(view, pos)[0])
+        rec.prepared = True
+        rec.gid = decode_str(view, pos + TXN_ID.size)[0]
+
+    def _on_amend(self, lsn: int, view, pos: int, end: int) -> None:
+        """An amend record marks the end of a corruption-recovery episode:
+        everything corrupt was removed, compensations were logged (as
+        is_recovery transactions), and a certified checkpoint followed.
+        Heal the CorruptDataTable and the conflict-key set so
+        post-recovery transactions that touch the once-corrupt ranges are
+        not wrongly recruited during an archive replay, and drop the
+        frozen undo logs of corrupt transactions -- the logged
+        compensations already undid them; re-running them in this scan's
+        undo phase would compensate twice."""
+        self.cdt = CorruptDataTable()
+        self._corrupt_keys.clear()
+        for rec in self._txns.values():
+            if rec.corrupt:
+                rec.entries.clear()
+
+    def _on_audit(self, lsn: int, view, pos: int, end: int) -> None:
+        """Audit brackets change nothing a replay rebuilds."""
+
+    _HANDLERS = {
+        _UPDATE: _on_update,
+        _READ: _on_read,
+        _OP_BEGIN: _on_op_begin,
+        _OP_COMMIT: _on_op_commit,
+        _TXN_BEGIN: _on_txn_begin,
+        _TXN_COMMIT: _on_txn_end,
+        _TXN_ABORT: _on_txn_end,
+        _TXN_PREPARE: _on_prepare,
+        int(RecordType.AMEND): _on_amend,
+        int(RecordType.AUDIT_BEGIN): _on_audit,
+        int(RecordType.AUDIT_END): _on_audit,
+    }
 
     def _take_seq(self) -> int:
         seq = self._seq

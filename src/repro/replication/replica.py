@@ -36,6 +36,7 @@ log's LSN space (:meth:`~repro.core.audit.Auditor.use_scratch_log`).
 
 from __future__ import annotations
 
+import bisect
 import os
 import shutil
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ from repro.recovery.checkpoint import ANCHOR_FILE
 from repro.recovery.restart import RecoveryReport, RestartRecovery
 from repro.replication.divergence import DivergenceDetector
 from repro.replication.transport import KIND_DIGEST, KIND_RECORDS, ShipBatch
-from repro.wal.records import UpdateRecord
-from repro.wal.system_log import PAYLOAD_OFFSET, decode_frames, walk_frames
+from repro.wal.records import NO_CHECKSUM, UPDATE_HEAD, RecordType
+from repro.wal.system_log import PAYLOAD_OFFSET, walk_frames
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.audit import AuditReport
@@ -59,21 +60,7 @@ import numpy as np
 
 #: The replica's private audit-bracket log (never shipped, never replayed).
 REPLICA_AUDIT_LOG = "replica_audit.log"
-
-
-def _first_frame_at(payload: bytes, from_lsn: int) -> int:
-    """Byte offset of the first frame with ``lsn >= from_lsn``.
-
-    Retransmitted batches can overlap what a crashed-and-reopened replica
-    already has durable; the already-ingested prefix is sliced off by
-    LSN (the idempotence key) before a byte touches the log.  Shipped
-    batches are verbatim stable-log frames, so the skipped prefix is
-    CRC-checked like any other walk of them.
-    """
-    for lsn, _code, pos, _end in walk_frames(memoryview(payload)):
-        if lsn >= from_lsn:
-            return pos - PAYLOAD_OFFSET
-    return len(payload)
+_UPDATE = int(RecordType.UPDATE)
 
 
 @dataclass(frozen=True)
@@ -273,25 +260,28 @@ class Replica:
         if batch.kind != KIND_RECORDS:  # pragma: no cover - decode validates
             raise ReplicationError(f"unknown batch kind {batch.kind}")
         log = self.db.system_log
-        offset = _first_frame_at(batch.payload, log.next_lsn)
-        payload = batch.payload[offset:]
-        if not payload:
+        # One walk verifies the batch.  Retransmitted batches can overlap
+        # what a crashed-and-reopened replica already has durable: frames
+        # below its next LSN (the idempotence key) are dropped before a
+        # byte touches the log.
+        view = memoryview(batch.payload)
+        frames = list(walk_frames(view))
+        frames = frames[bisect.bisect_left(frames, (log.next_lsn,)) :]
+        if not frames:
             self.duplicate_batches += 1
             return
-        frames = list(decode_frames(payload))
-        self._check_replay_checksums(frames)
+        self._check_replay_checksums(view, frames)
         crashpoints = self.db.crashpoints
         crashpoints.reach("replica.before_ingest")
-        log.ingest_frames(payload, frames[0][0])
+        log.ingest_frames(view[frames[0][2] - PAYLOAD_OFFSET :], frames[0][0])
         crashpoints.reach("replica.after_ingest")
-        for _lsn, record in frames:
-            self.recovery.apply_record(record)
+        self.recovery.apply_frames(view, frames)
         self.applied_records += len(frames)
         self.applied_batches += 1
         crashpoints.reach("replica.after_apply")
         self.db.scheduler.tick("replay")
 
-    def _check_replay_checksums(self, frames) -> None:
+    def _check_replay_checksums(self, view, frames) -> None:
         """First-touch divergence: a logged pre-image checksum vs my bytes.
 
         Schemes that checksum updates record the fold of the bytes the
@@ -302,26 +292,22 @@ class Replica:
         smears across every later update of the region).
         """
         maintainer = self.db.pipeline.maintainer
-        for _lsn, record in frames:
-            if not isinstance(record, UpdateRecord):
+        for _lsn, code, pos, _end in frames:
+            if code != _UPDATE:
                 continue
-            if record.old_checksum is None:
+            _txn_id, address, length, checksum = UPDATE_HEAD.unpack_from(view, pos)
+            if checksum == NO_CHECKSUM:
                 continue
-            current = self.db.memory.read(record.address, record.length)
-            if fold_words(current) != record.old_checksum:
+            if fold_words(self.db.memory.read(address, length)) != checksum:
                 regions = ()
                 if maintainer.table is not None:
-                    regions = tuple(
-                        maintainer.table.regions_spanning(
-                            record.address, record.length
-                        )
-                    )
+                    regions = tuple(maintainer.table.regions_spanning(address, length))
                 self.detections.append(
                     ReplicaDetection(
                         "replay_checksum",
                         regions,
                         self.applied_batches,
-                        detail=f"update at {record.address:#x}",
+                        detail=f"update at {address:#x}",
                     )
                 )
                 return

@@ -55,7 +55,7 @@ def status_report(db: "Database") -> dict:
         "log": {
             "next_lsn": db.system_log.next_lsn,
             "stable_through_lsn": db.system_log.end_of_stable_lsn,
-            "tail_records": len(db.system_log.tail),
+            "tail_records": db.system_log.tail_records,
         },
         "audits": {
             "runs": db.auditor.audits_run,

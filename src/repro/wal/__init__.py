@@ -12,8 +12,6 @@ from repro.wal.records import (
     TxnBeginRecord,
     TxnCommitRecord,
     UpdateRecord,
-    decode_record,
-    encode_record,
 )
 from repro.wal.local_log import LocalRedoLog, LogicalUndoEntry, PhysicalUndo, UndoLog
 from repro.wal.system_log import SystemLog
@@ -30,8 +28,6 @@ __all__ = [
     "AuditBeginRecord",
     "AuditEndRecord",
     "LogicalUndo",
-    "encode_record",
-    "decode_record",
     "PhysicalUndo",
     "LogicalUndoEntry",
     "UndoLog",

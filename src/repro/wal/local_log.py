@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import LogError
 from repro.wal.records import (
-    LSN_SLOT,
     LogRecord,
     LogicalUndo,
-    decode_record,
+    decode_payload,
     pack_read,
     pack_record,
 )
+from repro.wal.system_log import walk_frames
 
 
 @dataclass(slots=True)
@@ -191,12 +191,13 @@ class LocalRedoLog:
 
     @property
     def records(self) -> list[LogRecord]:
-        """The staged records, decoded (a read-only view)."""
-        with memoryview(self.arena) as view:
-            return [
-                decode_record(view, offset + LSN_SLOT.size)[0]
-                for offset in self.offsets
-            ]
+        """The staged records, decoded (a read-only view, for tests and
+        cold paths)."""
+        view = memoryview(bytes(self.arena))
+        return [
+            decode_payload(code, view, pos, end)
+            for _lsn, code, pos, end in walk_frames(view, stamped=False)
+        ]
 
     def __len__(self) -> int:
         return len(self.offsets)

@@ -18,12 +18,15 @@ one *packer* per hot record kind (:func:`pack_update`, :func:`pack_read`,
 :func:`pack_op_begin`, :func:`pack_op_commit`, :func:`pack_txn_begin`,
 :func:`pack_marker`) with the record's fields, and it appends the frame
 -- LSN slot included -- to a local redo log's arena or the system log's
-tail, which flush writes as it stands.  The record classes below are the
-decode form and the cold-path form: :func:`pack_record` and
-:func:`encode_into` pack a record object through the same packers, so the
-wire format is written down once, and :func:`decode_record` /
-:func:`iter_records` decode straight out of a ``memoryview``.  The bytes
-are the original framing (property-tested in
+tail, which flush writes as it stands.  Readers act on verified frames
+(:func:`~repro.wal.system_log.walk_frames`) and unpack only the fields
+they need with the payload heads stated here (:data:`UPDATE_HEAD`,
+:data:`OP_HEAD`, :data:`TXN_ID`, :data:`TXN_BEGIN_HEAD`,
+:func:`decode_str`).  The record classes below are the test and
+cold-path form: :func:`pack_record` packs a record object through the
+same packers, so the wire format is written down once, and
+:func:`decode_payload` builds one from a verified frame.  The bytes are
+the original framing (property-tested in
 ``tests/test_wal_batch_equivalence.py`` and ``tests/test_record_frames.py``).
 """
 
@@ -70,7 +73,7 @@ class LogicalUndo:
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["LogicalUndo", int]:
-        op_name, offset = _decode_str(data, offset)
+        op_name, offset = decode_str(data, offset)
         (count,) = struct.unpack_from("<H", data, offset)
         offset += 2
         args = []
@@ -85,7 +88,7 @@ class LogicalUndo:
                 args.append(value)
                 offset += 8
             elif tag == b"s":
-                value, offset = _decode_str(data, offset)
+                value, offset = decode_str(data, offset)
                 args.append(value)
             elif tag == b"y":
                 (length,) = struct.unpack_from("<I", data, offset)
@@ -243,7 +246,9 @@ class AmendRecord(LogRecord):
 # --------------------------------------------------------------- codec
 
 
-def _decode_str(data, offset: int) -> tuple[str, int]:
+def decode_str(data, offset: int) -> tuple[str, int]:
+    """The ``u16``-length-prefixed UTF-8 string at ``offset``, and the
+    offset after it (an operation's object key, a prepare's gid)."""
     (length,) = struct.unpack_from("<H", data, offset)
     offset += 2
     # str(buffer, encoding) accepts bytes and memoryview slices alike.
@@ -251,7 +256,8 @@ def _decode_str(data, offset: int) -> tuple[str, int]:
     return text, offset + length
 
 
-_OPT_U32_NONE = 0xFFFFFFFFFFFFFFFF
+#: The optional-checksum slot's value for "no checksum" (a checksum is a u32).
+NO_CHECKSUM = 0xFFFFFFFFFFFFFFFF
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -276,18 +282,15 @@ _ARG_BOOL = struct.Struct("<BB")
 _ARG_INT = struct.Struct("<Bq")
 _ARG_STR = struct.Struct("<BH")
 _ARG_BYTES = struct.Struct("<BI")
-# Payload-only layouts, for decode.
-_P_UPDATE = struct.Struct("<QqIQ")
-_P_OP = struct.Struct("<QQB")
-_P_TXN_BEGIN = struct.Struct("<QB")
-_P_U64 = struct.Struct("<Q")
-_P_AUDIT_END = struct.Struct("<QBII")
-_P_AMEND = struct.Struct("<QQBII")
-#: Fixed payload heads, public for readers that act on a verified frame
-#: without building its record (restart redo's fast path).
-UPDATE_HEAD = _P_UPDATE  # txn_id, address, image length, old checksum; the image follows
-OP_HEAD = _P_OP  # txn_id, op_id, level
-TXN_ID = _P_U64  # every payload starts with the txn_id of LogRecord
+#: Fixed payload heads: what a reader unpacks from a verified frame's
+#: payload, and what :func:`decode_payload` builds records from.  An
+#: update's image follows its head; a read record is the head alone.
+UPDATE_HEAD = struct.Struct("<QqIQ")  # txn_id, address, length, checksum
+OP_HEAD = struct.Struct("<QQB")  # txn_id, op_id, level; then the object key
+TXN_BEGIN_HEAD = struct.Struct("<QB")  # txn_id, is_recovery
+TXN_ID = struct.Struct("<Q")  # every payload starts with the txn_id of LogRecord
+_AUDIT_END_HEAD = struct.Struct("<QBII")
+_AMEND_HEAD = struct.Struct("<QQBII")
 # Plain-int type codes skip IntEnum __index__ on every pack.
 _T_UPDATE = int(RecordType.UPDATE)
 _T_READ = int(RecordType.READ)
@@ -306,8 +309,8 @@ _crc32 = zlib.crc32
 # LSN slot, length, body, CRC over the body -- and returns the record's
 # ``approx_size`` (what the meter charges as ``log_byte`` / ``readlog_byte``).
 # The cold kinds (prepare, audit end, amendment) are framed after them by
-# the same rules; :func:`pack_record` and :func:`encode_into` reach every
-# kind through its record class.
+# the same rules; :func:`pack_record` reaches every kind through its
+# record class.
 
 
 def pack_update(
@@ -323,7 +326,7 @@ def pack_update(
         txn_id,
         address,
         length,
-        _OPT_U32_NONE if checksum is None else checksum,
+        NO_CHECKSUM if checksum is None else checksum,
     )
     buf += image
     buf += _U32.pack(_crc32(buf[-29 - length :]))
@@ -341,7 +344,7 @@ def pack_read(
         txn_id,
         address,
         length,
-        _OPT_U32_NONE if checksum is None else checksum,
+        NO_CHECKSUM if checksum is None else checksum,
     )
     buf += _U32.pack(_crc32(buf[-29:]))
     return 21
@@ -521,14 +524,6 @@ _FRAMERS: dict[type, object] = {
 }
 
 
-def _subclass_framer(klass: type):
-    for base in klass.__mro__:  # user subclasses of a record type
-        framer = _FRAMERS.get(base)
-        if framer is not None:
-            return framer
-    raise LogError(f"cannot encode record of type {klass.__name__}")
-
-
 def pack_record(record: LogRecord, buf: bytearray, lsn: int = 0) -> int:
     """Append ``record``'s frame, LSN slot included; returns its approx size.
 
@@ -536,65 +531,48 @@ def pack_record(record: LogRecord, buf: bytearray, lsn: int = 0) -> int:
     rather than its fields (``SystemLog.append`` / ``extend``,
     ``LocalRedoLog.append``).
     """
-    klass = type(record)
-    framer = _FRAMERS.get(klass) or _subclass_framer(klass)
+    framer = _FRAMERS.get(type(record))
+    if framer is None:
+        raise LogError(f"cannot encode record of type {type(record).__name__}")
     return framer(record, buf, lsn)
 
 
-def encode_into(record: LogRecord, buf: bytearray) -> int:
-    """Append one framed record *without* its LSN slot -- ``u32 length |
-    u8 type | payload | u32 crc32`` -- to ``buf``; returns the bytes
-    appended.  The record's packer writes the frame and the slot is cut.
-    """
-    start = len(buf)
-    pack_record(record, buf)
-    del buf[start : start + LSN_SLOT.size]
-    return len(buf) - start
-
-
-def encode_record(record: LogRecord) -> bytes:
-    """Encode a record with framing and CRC for the stable log."""
-    buf = bytearray()
-    encode_into(record, buf)
-    return bytes(buf)
-
-
 def _dec_update(data, pos: int, end: int) -> UpdateRecord:
-    txn_id, address, image_len, raw = _P_UPDATE.unpack_from(data, pos)
-    pos += 28
+    txn_id, address, image_len, raw = UPDATE_HEAD.unpack_from(data, pos)
+    pos += UPDATE_HEAD.size
     return UpdateRecord(
         txn_id,
         address,
         bytes(data[pos : pos + image_len]),
-        None if raw == _OPT_U32_NONE else raw,
+        None if raw == NO_CHECKSUM else raw,
     )
 
 
 def _dec_read(data, pos: int, end: int) -> ReadRecord:
-    txn_id, address, length, raw = _P_UPDATE.unpack_from(data, pos)
-    return ReadRecord(txn_id, address, length, None if raw == _OPT_U32_NONE else raw)
+    txn_id, address, length, raw = UPDATE_HEAD.unpack_from(data, pos)
+    return ReadRecord(txn_id, address, length, None if raw == NO_CHECKSUM else raw)
 
 
 def _dec_op_begin(data, pos: int, end: int) -> OpBeginRecord:
-    txn_id, op_id, level = _P_OP.unpack_from(data, pos)
-    key, _pos = _decode_str(data, pos + 17)
+    txn_id, op_id, level = OP_HEAD.unpack_from(data, pos)
+    key, _pos = decode_str(data, pos + OP_HEAD.size)
     return OpBeginRecord(txn_id, op_id, level, key)
 
 
 def _dec_op_commit(data, pos: int, end: int) -> OpCommitRecord:
-    txn_id, op_id, level = _P_OP.unpack_from(data, pos)
-    key, pos = _decode_str(data, pos + 17)
+    txn_id, op_id, level = OP_HEAD.unpack_from(data, pos)
+    key, pos = decode_str(data, pos + OP_HEAD.size)
     undo, _pos = LogicalUndo.decode(data, pos)
     return OpCommitRecord(txn_id, op_id, level, key, undo)
 
 
 def _dec_txn_begin(data, pos: int, end: int) -> TxnBeginRecord:
-    txn_id, is_recovery = _P_TXN_BEGIN.unpack_from(data, pos)
+    txn_id, is_recovery = TXN_BEGIN_HEAD.unpack_from(data, pos)
     return TxnBeginRecord(txn_id, bool(is_recovery))
 
 
 def _dec_u64(klass):
-    unpack = _P_U64.unpack_from
+    unpack = TXN_ID.unpack_from
 
     def dec(data, pos: int, end: int):
         return klass(unpack(data, pos)[0])
@@ -603,19 +581,19 @@ def _dec_u64(klass):
 
 
 def _dec_txn_prepare(data, pos: int, end: int) -> TxnPrepareRecord:
-    (txn_id,) = _P_U64.unpack_from(data, pos)
-    gid, _pos = _decode_str(data, pos + 8)
+    (txn_id,) = TXN_ID.unpack_from(data, pos)
+    gid, _pos = decode_str(data, pos + TXN_ID.size)
     return TxnPrepareRecord(txn_id, gid)
 
 
 def _dec_audit_end(data, pos: int, end: int) -> AuditEndRecord:
-    audit_id, clean, region_size, count = _P_AUDIT_END.unpack_from(data, pos)
+    audit_id, clean, region_size, count = _AUDIT_END_HEAD.unpack_from(data, pos)
     regions = struct.unpack_from(f"<{count}I", data, pos + 17)
     return AuditEndRecord(audit_id, bool(clean), tuple(regions), region_size)
 
 
 def _dec_amend(data, pos: int, end: int) -> AmendRecord:
-    txn_id, audit_sn, use_checksums, count, root_count = _P_AMEND.unpack_from(
+    txn_id, audit_sn, use_checksums, count, root_count = _AMEND_HEAD.unpack_from(
         data, pos
     )
     values = struct.unpack_from(f"<{2 * count}q", data, pos + 25)
@@ -638,57 +616,6 @@ _DECODERS: dict[int, object] = {
     RecordType.TXN_PREPARE: _dec_txn_prepare,
 }
 
-#: Record class -> wire type code, for building :func:`decode_record`
-#: ``want`` filters from record classes.
-RECORD_TYPE_CODES: dict[type, int] = {
-    UpdateRecord: RecordType.UPDATE,
-    ReadRecord: RecordType.READ,
-    OpBeginRecord: RecordType.OP_BEGIN,
-    OpCommitRecord: RecordType.OP_COMMIT,
-    TxnBeginRecord: RecordType.TXN_BEGIN,
-    TxnCommitRecord: RecordType.TXN_COMMIT,
-    TxnAbortRecord: RecordType.TXN_ABORT,
-    AuditBeginRecord: RecordType.AUDIT_BEGIN,
-    AuditEndRecord: RecordType.AUDIT_END,
-    AmendRecord: RecordType.AMEND,
-    TxnPrepareRecord: RecordType.TXN_PREPARE,
-}
-
-
-def type_codes(classes) -> frozenset:
-    """Wire type codes for an iterable of record classes (``want`` filter)."""
-    try:
-        return frozenset(RECORD_TYPE_CODES[klass] for klass in classes)
-    except KeyError as exc:
-        raise LogError(f"not a log record class: {exc.args[0]!r}") from None
-
-
-def decode_record(data, offset: int = 0, want=None):
-    """Decode one framed record; returns ``(record, next_offset)``.
-
-    ``data`` may be ``bytes`` or a ``memoryview`` (batch scans pass one
-    view over the whole file, so nothing is sliced per record).  With a
-    ``want`` set of wire type codes (see :func:`type_codes`), frames of
-    other types are CRC-verified but not constructed and ``record`` is
-    ``None`` -- the cheap path for type-filtered scans.
-    """
-    size = len(data)
-    if offset + 4 > size:
-        raise LogError("truncated record frame")
-    (body_len,) = _U32.unpack_from(data, offset)
-    body_start = offset + 4
-    body_end = body_start + body_len
-    if body_len == 0 or body_end + 4 > size:
-        raise LogError("truncated record body")
-    (crc,) = _U32.unpack_from(data, body_end)
-    if _crc32(data[body_start:body_end]) & 0xFFFFFFFF != crc:
-        raise LogError("log record CRC mismatch")
-    next_offset = body_end + 4
-    rtype = data[body_start]
-    if want is not None and rtype not in want:
-        return None, next_offset
-    return decode_payload(rtype, data, body_start + 1, body_end), next_offset
-
 
 def decode_payload(rtype: int, data, pos: int, end: int) -> LogRecord:
     """Build the record of wire type ``rtype`` whose payload is
@@ -698,19 +625,3 @@ def decode_payload(rtype: int, data, pos: int, end: int) -> LogRecord:
         raise LogError(f"unknown record type {rtype}")
     return decoder(data, pos, end)
 
-
-def iter_records(data, offset: int = 0, want=None):
-    """Stream-decode a buffer of framed records (no LSN headers).
-
-    Wraps ``data`` in a single ``memoryview`` and yields records until
-    the buffer is exhausted; a torn or corrupt frame raises
-    :class:`~repro.errors.LogError` at that point.  ``want`` filters by
-    wire type code without constructing skipped records.
-    """
-    if not isinstance(data, memoryview):
-        data = memoryview(data)
-    size = len(data)
-    while offset < size:
-        record, offset = decode_record(data, offset, want)
-        if record is not None:
-            yield record

@@ -14,9 +14,10 @@ were made (:mod:`repro.wal.records`), either straight into the tail with
 their LSN (transaction begin/commit/abort, operation begin/commit, reads
 outside any operation) or as a byte range moved from a local redo log
 whose LSN slots are stamped on the way in.  A flush writes the tail
-buffer it holds with one syscall.  Scans decode out of a single
-``memoryview`` of the file, truncation splices the file at a byte offset
-instead of decoding and re-encoding every survivor, and
+buffer it holds with one syscall.  Readers walk verified frames out of
+a single ``memoryview`` of the file (:func:`walk_frames`), truncation
+splices the file at a byte offset instead of decoding and re-encoding
+every survivor, and
 :attr:`stable_record_count` is a counter maintained at flush/truncate
 time instead of an O(file) scan per call.
 """
@@ -44,7 +45,6 @@ from repro.wal.records import (
     pack_read,
     pack_record,
     pack_txn_begin,
-    type_codes,
 )
 
 _FRAME_HEAD = struct.Struct("<QI")  # the LSN header plus the record frame's u32 length
@@ -60,13 +60,18 @@ class _TornFrame(LogError):
     """A frame that ends early or fails its CRC: where a crash tore a flush."""
 
 
-def walk_frames(view: memoryview) -> Iterator[tuple[int, int, int, int]]:
-    """The one verified-frame iterator over ``u64 lsn | framed record`` bytes.
+def walk_frames(
+    view: memoryview, stamped: bool = True
+) -> Iterator[tuple[int, int, int, int]]:
+    """The one frame verifier, over ``u64 lsn | framed record`` bytes.
 
     Yields ``(lsn, type code, payload start, body end)`` per frame, the
     offsets into ``view``: the CRC of every frame is checked and LSNs must
-    ascend, but no record is built -- ``decode_payload(code, view, start,
-    end)`` does that for the frames a caller wants.  (All-int tuples: the
+    ascend, but no record is built -- a reader unpacks the fields it needs
+    (:mod:`repro.wal.records`' payload heads), and ``decode_payload(code,
+    view, start, end)`` builds the record where one is wanted.  A local
+    redo log's arena holds frames whose LSN slots are not stamped yet
+    (all zero): walk it with ``stamped=False``.  (All-int tuples: the
     garbage collector stops tracking them, so a caller may keep a whole
     log's worth in a list.)  A truncated or CRC-damaged frame raises
     :class:`_TornFrame` (a :class:`~repro.errors.LogError`); an LSN out of
@@ -93,23 +98,10 @@ def walk_frames(view: memoryview) -> Iterator[tuple[int, int, int, int]]:
         # at _CRC_RESIDUE, and at it only when the stored CRC is right.
         if crc32(view[body_start:offset]) != _CRC_RESIDUE:
             raise _TornFrame("log record CRC mismatch")
-        if lsn <= previous_lsn:
+        if lsn <= previous_lsn and stamped:
             raise LogError(f"frame LSNs out of order: {lsn} after {previous_lsn}")
         previous_lsn = lsn
         yield lsn, view[body_start], body_start + 1, offset - crc_size
-
-
-def decode_frames(payload: bytes) -> Iterator[tuple[int, LogRecord]]:
-    """Decode exported frame bytes into ``(lsn, record)`` pairs.
-
-    Strict: a truncated header, bad CRC or non-ascending LSN raises
-    :class:`~repro.errors.LogError`.  Used by the replica to turn a
-    shipped batch into replayable records (and to reject corrupt batches
-    before a single byte lands in its log).
-    """
-    view = memoryview(payload)
-    for lsn, code, pos, end in walk_frames(view):
-        yield lsn, decode_payload(code, view, pos, end)
 
 
 class SystemLog:
@@ -141,11 +133,10 @@ class SystemLog:
         self.end_of_stable_lsn = 0  # records with lsn < this are on disk
         self.torn_tail_detected = False
         self._clean_prefix_bytes = 0
-        #: LSN of the last decodable frame seen by the most recent
-        #: :meth:`scan` (-1 for an empty file) -- tracked for *every*
-        #: frame, even ones a ``from_lsn``/``only`` filter skipped, so
-        #: restart recovery can learn the true end of log from a
-        #: filtered scan.
+        #: LSN of the last verified frame seen by the most recent
+        #: :meth:`frames` (-1 for an empty file) -- tracked for *every*
+        #: frame, even ones a ``from_lsn`` filter skipped, so restart
+        #: recovery learns the true end of log.
         self.last_scanned_lsn = -1
         self._file = open(path, "ab")
         # Stable-record counter: exact from birth for a fresh file,
@@ -271,13 +262,18 @@ class SystemLog:
     @property
     def tail(self) -> list[tuple[int, LogRecord]]:
         """The unflushed records, decoded: ``(lsn, record)`` pairs (a
-        read-only view of the tail's frames)."""
+        read-only view of the tail's frames, for tests and cold paths)."""
         with self._tail_lock:
             view = memoryview(bytes(self._tail))
         return [
             (lsn, decode_payload(code, view, pos, end))
             for lsn, code, pos, end in walk_frames(view)
         ]
+
+    @property
+    def tail_records(self) -> int:
+        """How many records the tail holds, counted without decoding."""
+        return self._tail_frames
 
     def flush(self) -> int:
         """Flush the tail to the stable log; returns end_of_stable_lsn.
@@ -387,23 +383,41 @@ class SystemLog:
         return frames
 
     def scan(
-        self, from_lsn: int = 0, strict: bool = False, only=None
+        self, from_lsn: int = 0, strict: bool = False
     ) -> Iterator[tuple[int, LogRecord]]:
-        """Yield ``(lsn, record)`` from the *stable* log, lsn >= from_lsn.
+        """Yield ``(lsn, record)`` from the *stable* log, lsn >= from_lsn
+        (the test and cold-path form of :meth:`live_frames`).
 
-        Torn tails and ``strict`` are those of :meth:`frames`.  ``only``
-        restricts the yield to an iterable of record *classes* (e.g.
-        ``only=(AmendRecord,)`` for archive replay's amendment prepass).
-        Skipped frames -- filtered by type or below ``from_lsn`` -- are
-        still CRC-verified and LSN-ordered, but the record object is never
-        constructed, so a filtered scan touches each byte once and
-        allocates nothing per skipped record.
+        Torn tails and ``strict`` are those of :meth:`frames`; frames
+        below ``from_lsn`` are verified like the rest.
         """
-        want = type_codes(only) if only is not None else None
         view = self.read_stable()
         for lsn, code, pos, end in self.frames(view, strict):
-            if lsn >= from_lsn and (want is None or code in want):
+            if lsn >= from_lsn:
                 yield lsn, decode_payload(code, view, pos, end)
+
+    def live_frames(
+        self, from_lsn: int = 0, arenas=()
+    ) -> Iterator[tuple[memoryview, int, int, int, int]]:
+        """Every verified frame of the live log, in log order, as ``(view,
+        lsn, type code, payload start, body end)``: the stable log from
+        ``from_lsn`` (torn tails as in :meth:`frames`), then the unflushed
+        tail, then each of ``arenas`` -- local redo logs' frames, whose
+        operations are still open and which have no LSN yet (``-1``).
+        """
+        view = self.read_stable()
+        for lsn, code, pos, end in self.frames(view):
+            if lsn >= from_lsn:
+                yield view, lsn, code, pos, end
+        with self._tail_lock:
+            view = memoryview(bytes(self._tail))
+        for lsn, code, pos, end in walk_frames(view):
+            if lsn >= from_lsn:
+                yield view, lsn, code, pos, end
+        for arena in arenas:
+            view = memoryview(bytes(arena))
+            for _lsn, code, pos, end in walk_frames(view, stamped=False):
+                yield view, -1, code, pos, end
 
     def export_frames(
         self,
@@ -455,8 +469,8 @@ class SystemLog:
         tail must be empty: a replica's log only ever grows by ingestion
         until promotion.
         """
-        frames = list(decode_frames(payload))
-        if not frames:
+        lsns = [lsn for lsn, _code, _pos, _end in walk_frames(memoryview(payload))]
+        if not lsns:
             return self.end_of_stable_lsn
         with self.latch.exclusive():
             self.meter.charge("latch_pair")
@@ -465,25 +479,24 @@ class SystemLog:
                     raise LogError(
                         "cannot ingest frames into a log with a live tail"
                     )
-                if first_lsn != self.next_lsn or frames[0][0] != first_lsn:
+                if first_lsn != self.next_lsn or lsns[0] != first_lsn:
                     raise LogError(
                         f"ingest expects frames starting at LSN {self.next_lsn}, "
-                        f"got {frames[0][0]} (declared {first_lsn})"
+                        f"got {lsns[0]} (declared {first_lsn})"
                     )
-                expected = first_lsn
-                for lsn, _record in frames:
-                    if lsn != expected:
-                        raise LogError(
-                            f"ingested frames not dense: expected LSN "
-                            f"{expected}, got {lsn}"
-                        )
-                    expected += 1
+                # The walk saw them ascend: dense iff the last one fits.
+                expected = first_lsn + len(lsns)
+                if lsns[-1] != expected - 1:
+                    raise LogError(
+                        f"ingested frames not dense: {len(lsns)} frames from "
+                        f"LSN {first_lsn} end at {lsns[-1]}"
+                    )
                 self.meter.charge("flush_fixed")
                 self._file.write(payload)
                 self._file.flush()
                 self.meter.charge("flush_byte", len(payload))
                 if self._stable_count is not None:
-                    self._stable_count += len(frames)
+                    self._stable_count += len(lsns)
                 self.next_lsn = expected
                 self.end_of_stable_lsn = expected
                 return self.end_of_stable_lsn

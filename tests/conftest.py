@@ -10,6 +10,8 @@ import pytest
 from repro import Database, DBConfig, Field, FieldType, Schema
 from repro.mem.memory import MemoryImage
 from repro.storage.table import Table, TxnAccessor
+from repro.wal.records import decode_payload, pack_record
+from repro.wal.system_log import walk_frames
 
 ACCT_SCHEMA = Schema(
     [
@@ -18,6 +20,23 @@ ACCT_SCHEMA = Schema(
         Field("name", FieldType.CHAR, 16),
     ]
 )
+
+
+def frames_of(*records, first_lsn: int = 0) -> bytes:
+    """``records`` packed as one log's frames, with dense LSNs."""
+    buf = bytearray()
+    for lsn, record in enumerate(records, first_lsn):
+        pack_record(record, buf, lsn)
+    return bytes(buf)
+
+
+def records_of(data, stamped: bool = True) -> list:
+    """Every frame of ``data`` verified and decoded: ``(lsn, record)``."""
+    view = memoryview(data)
+    return [
+        (lsn, decode_payload(code, view, pos, end))
+        for lsn, code, pos, end in walk_frames(view, stamped)
+    ]
 
 
 class PassThroughAccessor(TxnAccessor):
@@ -75,18 +94,21 @@ def aggressive_thread_switching():
 
 @pytest.fixture
 def built_record_codes(monkeypatch) -> list[int]:
-    """Wire type code of every record a stable-log scan constructs from
-    here on (frames it only verifies and skips do not appear)."""
-    import repro.wal.system_log as system_log
+    """Wire type code of every record object built from a frame from here
+    on, by any reader (frames it only verifies and skips do not appear)."""
+    import repro.wal.records as records
 
     built: list[int] = []
-    real = system_log.decode_payload
 
-    def spy(code, view, pos, end):
-        built.append(code)
-        return real(code, view, pos, end)
+    def spying(code, decode):
+        def spy(view, pos, end):
+            built.append(code)
+            return decode(view, pos, end)
 
-    monkeypatch.setattr(system_log, "decode_payload", spy)
+        return spy
+
+    for code, decode in list(records._DECODERS.items()):
+        monkeypatch.setitem(records._DECODERS, code, spying(code, decode))
     return built
 
 

@@ -7,7 +7,7 @@ from repro.errors import RecoveryError
 from repro.recovery.archive import create_archive, read_archive_info, recover_from_archive
 from repro.wal.records import AmendRecord
 
-from tests.conftest import insert_accounts
+from tests.conftest import frames_of, insert_accounts, records_of
 
 
 def archive_dir(db, name="arch"):
@@ -157,20 +157,14 @@ class TestAmendedMediaRecovery:
 
 class TestAmendRecordCodec:
     def test_roundtrip(self):
-        from repro.wal.records import decode_record, encode_record
-
         record = AmendRecord(
             7, corrupt_ranges=((100, 64), (4096, 8192)), audit_sn=42, use_checksums=True
         )
-        decoded, _ = decode_record(encode_record(record))
-        assert decoded == record
+        assert records_of(frames_of(record)) == [(0, record)]
 
     def test_empty_ranges(self):
-        from repro.wal.records import decode_record, encode_record
-
         record = AmendRecord(0, corrupt_ranges=(), audit_sn=0, use_checksums=False)
-        decoded, _ = decode_record(encode_record(record))
-        assert decoded == record
+        assert records_of(frames_of(record)) == [(0, record)]
 
 
 @pytest.mark.xfail(

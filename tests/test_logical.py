@@ -139,10 +139,22 @@ class TestTraceReaders:
         assert trace_readers(db, []) == {}
 
     def test_builds_only_read_records(self, db_factory, request):
-        from repro.wal.records import RecordType
-
+        """The query reads the read frames' heads: no record object at
+        all is built."""
         db, slots, _bad, carrier, _b = setup_history(db_factory)
         address = db.table("acct").record_address(slots[1])
         built = request.getfixturevalue("built_record_codes")  # spy from here on
         assert carrier in trace_readers(db, [(address, 32)])
-        assert built and set(built) == {RecordType.READ}
+        assert built == []
+
+    def test_reader_inside_an_open_operation_found(self, db_factory):
+        """A read made inside a still-open operation lies in its
+        transaction's local redo log, not yet on the system log."""
+        db = db_factory(scheme="read_logging", region_size=32)
+        slots = insert_accounts(db, 2)
+        address = db.table("acct").record_address(slots[1])
+        txn = db.begin()
+        db.manager.begin_operation(txn, "acct:probe")
+        db.manager.read(txn, address, 8)
+        assert trace_readers(db, [(address, 32)]) == {txn.txn_id: [(-1, address, 8)]}
+        assert trace_readers(db, [(address + 64, 32)]) == {}

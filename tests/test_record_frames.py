@@ -14,7 +14,7 @@ flush:
   pinned values were recorded with the record-per-dataclass logging path.
 * **Frame identity.**  A hypothesis property drives random histories
   through one database and rebuilds the stable log from the decoded
-  records with ``encode_record`` and dense LSNs; the bytes must match,
+  records with ``pack_record`` and dense LSNs; the bytes must match,
   the ``tail`` / ``records`` views must decode to the expected records,
   and the read-log charges must be the read-record count and size sum.
 """
@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import random
-import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -51,7 +50,7 @@ from repro.wal.records import (
     TxnAbortRecord,
     TxnCommitRecord,
     UpdateRecord,
-    encode_record,
+    pack_record,
 )
 
 ACCOUNTS, TELLERS, BRANCHES = 200, 20, 4
@@ -348,9 +347,10 @@ ACTIONS = st.lists(
 
 def _reference(pairs) -> bytes:
     """Stable-log bytes of ``(lsn, record)`` pairs, built record by record."""
-    return b"".join(
-        struct.pack("<Q", lsn) + encode_record(record) for lsn, record in pairs
-    )
+    buf = bytearray()
+    for lsn, record in pairs:
+        pack_record(record, buf, lsn)
+    return bytes(buf)
 
 
 def _stable(db: Database) -> tuple[bytes, list]:

@@ -1,10 +1,17 @@
-"""Log record codec: roundtrips, CRC protection, logical undo encoding."""
+"""Log record codec: roundtrips, CRC protection, logical undo encoding,
+and the payload layout frame readers unpack."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import LogError
 from repro.wal.records import (
+    LSN_SLOT,
+    NO_CHECKSUM,
+    OP_HEAD,
+    TXN_BEGIN_HEAD,
+    TXN_ID,
+    UPDATE_HEAD,
     AmendRecord,
     AuditBeginRecord,
     AuditEndRecord,
@@ -12,13 +19,17 @@ from repro.wal.records import (
     OpBeginRecord,
     OpCommitRecord,
     ReadRecord,
+    RecordType,
     TxnAbortRecord,
     TxnBeginRecord,
     TxnCommitRecord,
+    TxnPrepareRecord,
     UpdateRecord,
-    decode_record,
-    encode_record,
+    decode_payload,
+    decode_str,
 )
+from repro.wal.system_log import walk_frames
+from tests.conftest import frames_of, records_of
 
 EXAMPLES = [
     UpdateRecord(1, 0x100, b"image-bytes"),
@@ -49,18 +60,14 @@ EXAMPLES = [
 class TestRoundtrips:
     @pytest.mark.parametrize("record", EXAMPLES, ids=lambda r: type(r).__name__)
     def test_encode_decode_roundtrip(self, record):
-        decoded, offset = decode_record(encode_record(record))
-        assert decoded == record
-        assert offset == len(encode_record(record))
+        frame = frames_of(record, first_lsn=5)
+        ((lsn, code, pos, end),) = walk_frames(memoryview(frame))
+        assert (lsn, decode_payload(code, frame, pos, end)) == (5, record)
+        assert end + 4 == len(frame)  # the frame is the whole buffer
 
     def test_stream_of_records(self):
-        blob = b"".join(encode_record(r) for r in EXAMPLES)
-        offset = 0
-        decoded = []
-        while offset < len(blob):
-            record, offset = decode_record(blob, offset)
-            decoded.append(record)
-        assert decoded == EXAMPLES
+        blob = frames_of(*EXAMPLES)
+        assert records_of(blob) == list(enumerate(EXAMPLES))
 
     @given(
         st.integers(min_value=0, max_value=2**63),
@@ -70,25 +77,81 @@ class TestRoundtrips:
     )
     def test_update_record_roundtrip_property(self, txn_id, address, image, checksum):
         record = UpdateRecord(txn_id, address, image, checksum)
-        decoded, _ = decode_record(encode_record(record))
-        assert decoded == record
+        assert records_of(frames_of(record)) == [(0, record)]
 
 
 class TestCorruptionOfTheLogItself:
     def test_flipped_byte_detected_by_crc(self):
-        blob = bytearray(encode_record(EXAMPLES[0]))
-        blob[6] ^= 0xFF
+        blob = bytearray(frames_of(EXAMPLES[0]))
+        blob[LSN_SLOT.size + 6] ^= 0xFF
         with pytest.raises(LogError, match="CRC"):
-            decode_record(bytes(blob))
+            records_of(bytes(blob))
 
     def test_truncated_frame_detected(self):
-        blob = encode_record(EXAMPLES[0])
+        blob = frames_of(EXAMPLES[0])
         with pytest.raises(LogError):
-            decode_record(blob[: len(blob) - 3])
+            records_of(blob[: len(blob) - 3])
 
     def test_truncated_header_detected(self):
         with pytest.raises(LogError):
-            decode_record(b"\x01\x02")
+            records_of(b"\x01\x02")
+
+
+def _handler_fields(code: int, view, pos: int, end: int) -> dict:
+    """What a frame reader unpacks from a payload, by the heads and
+    helpers restart's handlers, region repair, ``trace_readers`` and the
+    standby use -- the layout stated once in ``repro.wal.records``."""
+    if code in (RecordType.UPDATE, RecordType.READ):
+        txn_id, address, length, checksum = UPDATE_HEAD.unpack_from(view, pos)
+        fields = {
+            "txn_id": txn_id,
+            "address": address,
+            "length": length,
+            "old_checksum" if code == RecordType.UPDATE else "checksum": (
+                None if checksum == NO_CHECKSUM else checksum
+            ),
+        }
+        if code == RecordType.UPDATE:
+            fields["image"] = bytes(view[pos + UPDATE_HEAD.size : end])
+        else:
+            assert pos + UPDATE_HEAD.size == end
+        return fields
+    if code in (RecordType.OP_BEGIN, RecordType.OP_COMMIT):
+        txn_id, op_id, level = OP_HEAD.unpack_from(view, pos)
+        key, after = decode_str(view, pos + OP_HEAD.size)
+        fields = {"txn_id": txn_id, "op_id": op_id, "level": level, "object_key": key}
+        if code == RecordType.OP_COMMIT:
+            fields["logical_undo"], after = LogicalUndo.decode(view, after)
+        assert after == end
+        return fields
+    if code == RecordType.TXN_BEGIN:
+        txn_id, is_recovery = TXN_BEGIN_HEAD.unpack_from(view, pos)
+        assert pos + TXN_BEGIN_HEAD.size == end
+        return {"txn_id": txn_id, "is_recovery": bool(is_recovery)}
+    fields = {"txn_id": TXN_ID.unpack_from(view, pos)[0]}
+    if code == RecordType.TXN_PREPARE:
+        fields["gid"], after = decode_str(view, pos + TXN_ID.size)
+        assert after == end
+    return fields
+
+
+EVERY_KIND = EXAMPLES + [TxnPrepareRecord(16, gid="g-7"), TxnPrepareRecord(17)]
+
+
+class TestHandlerLayout:
+    def test_every_kind_is_covered(self):
+        assert {int(code) for code in RecordType} == {
+            next(walk_frames(memoryview(frames_of(r))))[1] for r in EVERY_KIND
+        }
+
+    @pytest.mark.parametrize("record", EVERY_KIND, ids=lambda r: type(r).__name__)
+    def test_handler_unpack_matches_decode_payload(self, record):
+        frame = memoryview(frames_of(record))
+        ((_lsn, code, pos, end),) = walk_frames(frame)
+        decoded = decode_payload(code, frame, pos, end)
+        assert decoded == record
+        fields = _handler_fields(code, frame, pos, end)
+        assert fields == {name: getattr(decoded, name) for name in fields}
 
 
 class TestLogicalUndo:
@@ -135,7 +198,7 @@ class TestApproxSizes:
     @pytest.mark.parametrize("record", EXAMPLES, ids=lambda r: type(r).__name__)
     def test_approx_size_within_2x_of_encoded(self, record):
         """Cost accounting uses approx_size; keep it honest."""
-        encoded = len(encode_record(record))
+        encoded = len(frames_of(record)) - LSN_SLOT.size
         approx = record.approx_size()
         assert approx > 0
         assert encoded / 3 <= approx <= encoded * 3

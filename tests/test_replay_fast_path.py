@@ -2,11 +2,11 @@
 
 ``RestartRecovery.replay`` names the transactions that finish below the
 stop in an analysis pass and applies their records straight from the
-frame bytes -- no record object, pre-image or undo entry.  That must
+frame bytes -- no handler call, pre-image or undo entry.  That must
 change the *cost* of recovery only.  The identity test recovers one
 crashed directory twice -- once as shipped, once through a subclass whose
-analysis names nobody, so every record is decoded and tracked, which is
-what redo did before -- and requires equal memory, codewords, meter
+analysis names nobody, so every frame goes to its handler and is
+tracked, which is what redo did before -- and requires equal memory, codewords, meter
 counts, virtual time, resumed counters, stable-log bytes and report, and
 equal dirty page sets (where redo ends and after recovery) and checkpoint
 image files, over generated histories (hash and B+tree tables,
@@ -36,9 +36,9 @@ from repro.replication.shipper import LogShipper
 from repro.replication.transport import ShipTransport
 from repro.wal.records import (
     OpCommitRecord,
+    RecordType,
     TxnBeginRecord,
     TxnCommitRecord,
-    UpdateRecord,
 )
 from tests.conftest import ACCT_SCHEMA, insert_accounts, restore_per_store
 
@@ -78,15 +78,20 @@ def every_record_tracked():
 
 
 def _spy_dispatch(monkeypatch) -> list:
-    """Every record the engine decodes and tracks, in order."""
+    """The type code of every frame the engine hands to its handler
+    table (every frame it tracks), in order."""
     seen: list = []
-    real = restart.RestartRecovery._dispatch
 
-    def dispatch(self, record):
-        seen.append(record)
-        return real(self, record)
+    def spying(code, handler):
+        def handle(self, lsn, view, pos, end):
+            seen.append(code)
+            return handler(self, lsn, view, pos, end)
 
-    monkeypatch.setattr(restart.RestartRecovery, "_dispatch", dispatch)
+        return handle
+
+    handlers = restart.RestartRecovery._HANDLERS
+    table = {code: spying(code, handler) for code, handler in handlers.items()}
+    monkeypatch.setattr(restart.RestartRecovery, "_HANDLERS", table)
     return seen
 
 
@@ -384,8 +389,8 @@ def test_stop_between_last_update_and_commit(tmp_path):
     db.commit(later)
     commit_lsn = next(
         lsn
-        for lsn, record in db.system_log.scan(only=(TxnCommitRecord,))
-        if record.txn_id == txn.txn_id
+        for lsn, record in db.system_log.scan()
+        if isinstance(record, TxnCommitRecord) and record.txn_id == txn.txn_id
     )
     db.crash()
 
@@ -453,7 +458,7 @@ def test_op_commit_without_begin_in_a_finished_transaction_raises(tmp_path):
 
 class TestNeverFast:
     """(vi) Runs whose transactions may need their undo log at any record
-    decode and track every one of them."""
+    hand every frame to its handler and track it."""
 
     def _committed_history(self, path, scheme="data_cw", params=None) -> Database:
         db = _build(path, scheme, params)
@@ -475,8 +480,8 @@ class TestNeverFast:
         recovered, report = Database.recover(_config(tmp_path / "db"))
         recovered.close()
         assert report.phase_seconds["fast_frames"] > 0
-        # Only what belongs to no transaction (here: nothing) is decoded.
-        assert not [r for r in seen if isinstance(r, UpdateRecord)]
+        # Only what belongs to no transaction (here: nothing) is tracked.
+        assert RecordType.UPDATE not in seen
 
     def test_read_checksums_run_delete_transaction_every_restart(
         self, tmp_path, monkeypatch
@@ -521,8 +526,7 @@ class TestNeverFast:
         seen = _spy_dispatch(monkeypatch)
         reopened = Replica.reopen(replica_config)
         try:
-            updates = [r for r in seen if isinstance(r, UpdateRecord)]
-            assert updates  # the shipped update, replayed record by record
+            assert RecordType.UPDATE in seen  # the shipped update, tracked
             assert reopened.recovery.report.phase_seconds["fast_frames"] == 0
         finally:
             reopened.close()

@@ -108,6 +108,22 @@ class TestShipAndReplay:
         primary.close()
         replica.close()
 
+    def test_shipped_batch_builds_no_record(self, tmp_path, request):
+        """A standby replays shipped frames where they lie: one walk
+        verifies each batch, and its handlers read only the fields they
+        act on -- no record object is built."""
+        primary, replica, shipper, _t, slots, _c = _build_pair(tmp_path)
+        built = request.getfixturevalue("built_record_codes")  # spy from here on
+        applied = replica.applied_records
+        for op in range(4):
+            _update(primary, slots, op, 6000 + op)
+        assert shipper.drain()
+        assert replica.applied_records > applied
+        assert built == []
+        assert _read_balance(replica.db, slots[3]) == 6003
+        primary.close()
+        replica.close()
+
     def test_promote_clean_standby(self, tmp_path):
         primary, replica, shipper, _t, slots, _c = _build_pair(tmp_path)
         _update(primary, slots, 0, 7777)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import Database
+from repro import Database, DBConfig
 
-from tests.conftest import insert_accounts
+from tests.conftest import ACCT_SCHEMA, insert_accounts
 
 
 class TestStatusReport:
@@ -30,6 +30,20 @@ class TestStatusReport:
         assert after["checkpoints"]["taken"] > before["checkpoints"]["taken"]
         assert after["audits"]["runs"] > before["audits"]["runs"]
         assert after["virtual_time_s"] > before["virtual_time_s"]
+
+    def test_tail_records_counts_unflushed_commits(self, tmp_path):
+        db = Database(DBConfig(dir=str(tmp_path / "db"), group_commit_size=8))
+        db.create_table("acct", ACCT_SCHEMA, 16, key_field="id")
+        db.start()
+        db.system_log.flush()
+        for key in range(3):
+            txn = db.begin()
+            db.table("acct").insert(txn, {"id": key, "balance": 1, "name": "a"})
+            db.commit(txn)
+        tail = len(db.system_log.tail)
+        assert tail > 3  # the commits wait in the tail for their group
+        assert db.report()["log"]["tail_records"] == tail
+        db.close()
 
     def test_status_text(self, db_factory):
         db = db_factory(scheme="data_cw")

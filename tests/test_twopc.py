@@ -28,13 +28,9 @@ from repro.faults.crashpoints import CRASH_POINTS, TWOPC_CRASH_POINTS
 from repro.shard import DecisionLog, ShardedConfig, ShardedDatabase
 from repro.shard.core import ShardCore
 from repro.txn.transaction import TxnStatus
-from repro.wal.records import (
-    RECORD_TYPE_CODES,
-    RecordType,
-    TxnPrepareRecord,
-    decode_record,
-    encode_record,
-)
+from repro.wal.records import RecordType, TxnPrepareRecord
+from repro.wal.system_log import walk_frames
+from tests.conftest import frames_of, records_of
 
 ACCOUNT_SCHEMA = Schema(
     [
@@ -47,19 +43,21 @@ ACCOUNT_SCHEMA = Schema(
 class TestPrepareRecordCodec:
     def test_roundtrip(self):
         record = TxnPrepareRecord(txn_id=77, gid="g123")
-        decoded, offset = decode_record(bytes(encode_record(record)))
+        ((lsn, decoded),) = records_of(frames_of(record, first_lsn=3))
         assert isinstance(decoded, TxnPrepareRecord)
         assert decoded.txn_id == 77
         assert decoded.gid == "g123"
-        assert offset > 0
+        assert lsn == 3
 
     def test_empty_gid_roundtrip(self):
         record = TxnPrepareRecord(txn_id=1, gid="")
-        decoded, _ = decode_record(bytes(encode_record(record)))
+        ((_lsn, decoded),) = records_of(frames_of(record))
         assert decoded.gid == ""
 
     def test_registered_in_type_codes(self):
-        assert RECORD_TYPE_CODES[TxnPrepareRecord] == RecordType.TXN_PREPARE
+        frame = memoryview(frames_of(TxnPrepareRecord(txn_id=5, gid="g")))
+        ((_lsn, code, _pos, _end),) = walk_frames(frame)
+        assert code == RecordType.TXN_PREPARE
 
     def test_twopc_points_are_registered(self):
         assert set(TWOPC_CRASH_POINTS) <= set(CRASH_POINTS)

@@ -1,11 +1,12 @@
 """Batched WAL codec equivalence: bytes and meter identical to the seed.
 
-The batched write path (``encode_into`` + single-buffer ``flush`` +
+The batched write path (``pack_record`` + single-buffer ``flush`` +
 ``extend`` bulk charging) is a pure performance change: the stable-log
 *bytes* and the *meter trace* must be indistinguishable from the original
 per-record implementation.  This suite pins that with a seed-faithful
-reference codec copied inline (the pre-batching ``encode_record`` /
-``flush`` logic) and property tests over randomized records.
+reference codec copied inline (the pre-batching per-record encoder and
+``flush`` logic) and property tests over randomized records, read back
+through ``walk_frames`` + ``decode_payload``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from repro.wal.records import (
     TxnBeginRecord,
     TxnCommitRecord,
     UpdateRecord,
-    decode_record,
-    encode_into,
-    encode_record,
-    iter_records,
+    decode_payload,
+    pack_record,
 )
-from repro.wal.system_log import SystemLog
+from repro.wal.system_log import SystemLog, walk_frames
+from tests.conftest import frames_of, records_of
 
 # --------------------------------------------------------------------------
 # Seed-faithful reference codec: the pre-batching encoder, verbatim logic
@@ -210,37 +210,37 @@ def make_meter() -> Meter:
 
 
 class TestCodecByteIdentity:
-    @given(record=_record)
+    @given(record=_record, lsn=_u64)
     @settings(max_examples=300, deadline=None)
-    def test_encode_into_matches_seed_bytes(self, record):
+    def test_pack_record_matches_seed_bytes(self, record, lsn):
         expected = seed_encode_record(record)
         buf = bytearray()
-        encode_into(record, buf)
-        assert bytes(buf) == expected
-        assert encode_record(record) == expected
+        pack_record(record, buf, lsn)
+        assert bytes(buf) == struct.pack("<Q", lsn) + expected
+        assert frames_of(record) == seed_stable_bytes([(0, record)])
 
     @given(record=_record, prefix=st.binary(max_size=16))
     @settings(max_examples=200, deadline=None)
-    def test_encode_into_appends_after_existing_content(self, record, prefix):
+    def test_pack_record_appends_after_existing_content(self, record, prefix):
         buf = bytearray(prefix)
-        encode_into(record, buf)
-        assert bytes(buf) == prefix + seed_encode_record(record)
+        pack_record(record, buf)
+        assert bytes(buf) == prefix + seed_stable_bytes([(0, record)])
 
     @given(record=_record)
     @settings(max_examples=200, deadline=None)
     def test_decode_roundtrip_from_memoryview(self, record):
-        frame = encode_record(record)
-        decoded, end = decode_record(memoryview(frame))
-        assert decoded == record
-        assert end == len(frame)
+        frame = frames_of(record)
+        ((_lsn, code, pos, end),) = walk_frames(memoryview(frame))
+        assert decode_payload(code, memoryview(frame), pos, end) == record
+        assert end + 4 == len(frame)
 
     @given(records=st.lists(_record, max_size=8))
     @settings(max_examples=100, deadline=None)
-    def test_iter_records_matches_sequential_decode(self, records):
+    def test_walk_frames_matches_sequential_decode(self, records):
         buf = bytearray()
-        for record in records:
-            encode_into(record, buf)
-        assert list(iter_records(buf)) == records
+        for lsn, record in enumerate(records):
+            pack_record(record, buf, lsn)
+        assert records_of(buf) == list(enumerate(records))
 
 
 # --------------------------------------------------------------------------
@@ -351,20 +351,20 @@ class TestTruncateAndCount:
         assert reopened.stable_record_count == 9
         reopened.close()
 
-    def test_scan_with_only_filter_still_verifies_crcs(self, tmp_path):
+    def test_scan_from_lsn_still_verifies_crcs(self, tmp_path):
         log = SystemLog(str(tmp_path / "sys.log"), make_meter())
         log.append(TxnBeginRecord(1))
         log.append(UpdateRecord(1, 0, b"\x01" * 8))
         log.append(TxnCommitRecord(1))
         log.flush()
-        picked = list(log.scan(only=(TxnCommitRecord,)))
+        picked = list(log.scan(from_lsn=2))
         assert [type(r).__name__ for _l, r in picked] == ["TxnCommitRecord"]
-        # Damage a skipped record's body: the filtered scan must still
-        # notice (every frame is CRC-checked even when not constructed).
+        # Damage a skipped record's body: the scan must still notice
+        # (every frame is CRC-checked even when not constructed).
         with open(log.path, "r+b") as handle:
             handle.seek(20)
             handle.write(b"\xff\xfe")
-        list(log.scan(only=(TxnCommitRecord,)))
+        list(log.scan(from_lsn=2))
         assert log.torn_tail_detected
         log.close()
 

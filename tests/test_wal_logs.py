@@ -6,14 +6,9 @@ from repro.errors import LogError
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.wal.local_log import LocalRedoLog, LogicalUndoEntry, PhysicalUndo, UndoLog
-from repro.wal.records import (
-    LogicalUndo,
-    ReadRecord,
-    TxnCommitRecord,
-    UpdateRecord,
-    decode_record,
-)
-from repro.wal.system_log import SystemLog
+from repro.wal.records import LogicalUndo, ReadRecord, TxnCommitRecord, UpdateRecord
+from repro.wal.system_log import PAYLOAD_OFFSET, SystemLog, walk_frames
+from tests.conftest import records_of
 
 
 def physical(seq, op_id=1, address=0, image=b"old!"):
@@ -64,9 +59,11 @@ class TestLocalRedoLog:
         log.append(ReadRecord(1, 2, 4))
         frames, starts = log.take_from(mark)
         assert len(starts) == 2
-        assert [decode_record(frames, start + 8)[0] for start in starts] == [
-            UpdateRecord(1, 1, b"b"),
-            ReadRecord(1, 2, 4),
+        walked = walk_frames(memoryview(frames), stamped=False)
+        assert [pos - PAYLOAD_OFFSET for _lsn, _code, pos, _end in walked] == starts
+        assert records_of(frames, stamped=False) == [
+            (0, UpdateRecord(1, 1, b"b")),
+            (0, ReadRecord(1, 2, 4)),
         ]
         assert len(log) == 1
         assert log.records == [UpdateRecord(1, 0, b"a")]
