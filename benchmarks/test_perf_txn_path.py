@@ -41,6 +41,14 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   both, gated on their ratio, and a census of each: Python calls per
   replayed record under ``cProfile``, gated like the op census.
 
+* **recovery.repair** -- in-place region repair (the cache-recovery
+  model).  ``repair_regions`` over k = 1 / 8 / 64 wild-written 256-byte
+  regions of a table whose stable log holds ``REPAIR_UPDATES`` committed
+  updates past the checkpoint.  Gated: exactly one
+  ``SystemLog.read_stable`` call per repair, whatever k (one walk of the
+  live log serves every region; it was walked once per region).  The
+  repair's wall seconds at each k are reported, not gated.
+
 * **shard.round_trip** -- the shard pipe's transport.  One command tuple
   echoed through a worker process over :class:`repro.shard.worker.Channel`
   (one framed write, buffered reads) against the same echo over the
@@ -89,6 +97,7 @@ from benchmarks.e2e import loadgen, shapes
 from benchmarks.e2e.workloads import workload
 from repro import Database, DBConfig, Field, FieldType, Schema
 from repro.errors import LatchError
+from repro.recovery.cache_recovery import repair_regions
 from repro.recovery.restart import RestartRecovery
 from repro.shard.shard import _mp_context
 from repro.shard.worker import Channel
@@ -729,6 +738,89 @@ def audit_results(tmp_path_factory) -> dict:
     return results
 
 
+REPAIR_UPDATES = 2000 if QUICK else 20000
+REPAIR_UPDATES_PER_TXN = 10
+REPAIR_ACCOUNTS = 1024  # 32-byte records: 128 regions of 256 bytes
+REPAIR_REGION_COUNTS = (1, 8, 64)
+#: ``SystemLog.read_stable`` calls per ``repair_regions`` call.
+REPAIR_READS_GATE = 1
+
+
+def _repair_results(base) -> dict:
+    """Time ``repair_regions`` over k wild-written regions, best of three
+    at each k, counting the stable-log reads each call makes."""
+    db = Database(
+        DBConfig(
+            dir=str(base / "repair"),
+            scheme="data_cw",
+            scheme_params={"region_size": 256},
+            full_sweep_every=10**6,
+        )
+    )
+    db.create_table("acct", ACCT_SCHEMA, REPAIR_ACCOUNTS, key_field="id")
+    db.start()
+    table = db.table("acct")
+    txn = db.begin()
+    slots = [
+        table.insert(txn, {"id": i, "balance": 100, "name": f"a{i}"})
+        for i in range(REPAIR_ACCOUNTS)
+    ]
+    db.commit(txn)
+    db.checkpoint()
+    for first in range(0, REPAIR_UPDATES, REPAIR_UPDATES_PER_TXN):
+        txn = db.begin()
+        for n in range(first, first + REPAIR_UPDATES_PER_TXN):
+            table.update(txn, slots[n * 7 % REPAIR_ACCOUNTS], {"balance": n})
+        db.commit(txn)
+    codewords = db.scheme.codeword_table
+    low = codewords.region_of(table.record_address(slots[0]))
+    high = codewords.region_of(table.record_address(slots[-1]))
+    log = db.system_log
+    stable_bytes = len(log.read_stable())
+    read_stable = log.read_stable
+    reads = [0]
+
+    def counting_read_stable():
+        reads[0] += 1
+        return read_stable()
+
+    log.read_stable = counting_read_stable
+    arms = []
+    for k in REPAIR_REGION_COUNTS:
+        regions = [low + i * (high - low) // k for i in range(k)]
+        clean = {r: db.memory.read(*codewords.region_bounds(r)) for r in regions}
+        best, calls = float("inf"), set()
+        for _ in range(3):
+            for region in regions:
+                start = codewords.region_bounds(region)[0]
+                db.memory.poke(start, bytes(b ^ 0xFF for b in clean[region][:4]))
+            reads[0] = 0
+            began = time.perf_counter()
+            repaired = repair_regions(db, regions)
+            best = min(best, time.perf_counter() - began)
+            calls.add(reads[0])
+            assert repaired == k
+            assert all(
+                db.memory.read(*codewords.region_bounds(r)) == clean[r] for r in regions
+            )
+        arms.append(
+            {"regions": k, "read_stable_calls": max(calls), "repair_s": best}
+        )
+    db.close()
+    return {
+        "updates": REPAIR_UPDATES,
+        "stable_log_bytes": stable_bytes,
+        "region_size": 256,
+        "arms": arms,
+        "read_stable_gate": REPAIR_READS_GATE,
+    }
+
+
+@pytest.fixture(scope="module")
+def repair_results(tmp_path_factory) -> dict:
+    return _repair_results(tmp_path_factory.mktemp("repairbench"))
+
+
 ROUND_TRIPS = 200 if QUICK else 300
 ROUND_TRIP_PAIRS = 11 if QUICK else 21
 #: Median over alternated pairs of Connection-echo time over channel-echo
@@ -1118,6 +1210,17 @@ class TestTxnPath:
             f"Python calls per replayed record over the gate (measured, gate): {over}"
         )
 
+    def test_repair_reads_the_stable_log_once(self, repair_results):
+        over = {
+            arm["regions"]: arm["read_stable_calls"]
+            for arm in repair_results["arms"]
+            if arm["read_stable_calls"] != REPAIR_READS_GATE
+        }
+        assert not over, (
+            f"read_stable calls per repair_regions call by region count, "
+            f"expected {REPAIR_READS_GATE} each: {over}"
+        )
+
     def test_shard_round_trip_beats_connection(self, round_trip_results):
         assert round_trip_results["speedup"] >= REQUIRED_ROUND_TRIP_SPEEDUP, (
             f"a framed channel round trip takes "
@@ -1162,6 +1265,7 @@ class TestTxnPath:
         audit_results,
         lock_release_results,
         replay_results,
+        repair_results,
         round_trip_results,
         census_results,
         latch_memory_results,
@@ -1174,7 +1278,7 @@ class TestTxnPath:
             "commit_path": commit_results,
             "incremental_audit": audit_results,
             "lock_release": lock_release_results,
-            "recovery": {"replay": replay_results},
+            "recovery": {"replay": replay_results, "repair": repair_results},
             "shard": {"round_trip": round_trip_results},
             "census": census_results,
             "latch_memory": latch_memory_results,

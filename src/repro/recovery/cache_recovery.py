@@ -8,15 +8,17 @@ propagates it).  The corrupted cache region can then be repaired in place,
 without crashing, "by applying standard recovery techniques to the region
 of data corrupted":
 
-1. reload the region's bytes from the anchored (certified clean)
-   checkpoint image;
-2. replay physical redo records overlapping the region -- first from the
-   stable log starting at the checkpoint's ``CK_end``, then from the
-   in-memory system log tail;
-3. replay not-yet-migrated updates from the local redo logs of active
-   transactions (committed operations' records are already in the system
-   log; open operations' records are still local);
-4. recompute the region's codeword.
+1. latch every region in ascending id order and reload its bytes from the
+   anchored (certified clean) checkpoint image;
+2. replay, in one pass over the live log for all the regions together,
+   the physical redo overlapping any of them: the stable log from the
+   checkpoint's ``CK_end``, then the in-memory system log tail, then the
+   local redo logs of active transactions (committed operations' records
+   are already in the system log; open operations' records are still
+   local).  Each update is clipped to the regions it touches and stored
+   in log order, one :meth:`~repro.mem.memory.MemoryImage.restore_batch`
+   per log buffer -- restart redo's store path;
+3. recompute the regions' codewords.
 
 This restores exactly the state the prescribed interface produced, erasing
 the wild write.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.maintainer import _latch_all, _unlatch_all
 from repro.errors import RecoveryError
 from repro.txn.latches import EXCLUSIVE
 from repro.wal.records import UPDATE_HEAD, RecordType
@@ -36,18 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover
 _UPDATE = int(RecordType.UPDATE)
 
 
-def _overlap(start_a: int, len_a: int, start_b: int, len_b: int) -> tuple[int, int] | None:
-    lo = max(start_a, start_b)
-    hi = min(start_a + len_a, start_b + len_b)
-    if hi <= lo:
-        return None
-    return lo, hi - lo
-
-
-def repair_regions(db: "Database", region_ids: list[int]) -> int:
+def repair_regions(db: "Database", region_ids) -> int:
     """Repair directly-corrupted regions in the cache image.
 
-    Returns the number of regions repaired.  Raises
+    Returns the number of distinct regions repaired.  Raises
     :class:`~repro.errors.RecoveryError` if the scheme has no codeword
     table (there is nothing to define a region or verify the repair).
     """
@@ -56,46 +51,55 @@ def repair_regions(db: "Database", region_ids: list[int]) -> int:
         raise RecoveryError("cache recovery needs a codeword scheme")
 
     ck_end = db.checkpointer.anchored_ck_end()
+    ids = sorted(set(region_ids))
     latches = getattr(db.scheme, "protection_latches", None)
-    repaired = 0
-    for region_id in region_ids:
-        start, length = table.region_bounds(region_id)
-        if latches is not None:
-            latches.acquire(region_id, EXCLUSIVE)
-        try:
-            buffer = bytearray(db.checkpointer.read_image_range(start, length))
-            _apply_overlapping_updates(db, buffer, start, length, ck_end)
-            db.memory.restore(start, bytes(buffer))
+    if latches is not None:
+        _latch_all(latches, ids, EXCLUSIVE)
+    try:
+        for region_id in ids:
+            start, length = table.region_bounds(region_id)
+            db.memory.restore(start, db.checkpointer.read_image_range(start, length))
+        _redo_into_regions(db, table, set(ids), ck_end)
+        for region_id in ids:
             table.rebuild_region(region_id)
             if not table.matches(region_id):  # pragma: no cover - sanity
                 raise RecoveryError(f"region {region_id} still corrupt after repair")
-            repaired += 1
-        finally:
-            if latches is not None:
-                latches.release(region_id)
+    finally:
+        if latches is not None:
+            _unlatch_all(latches, ids)
     maintainer = getattr(db.scheme, "maintainer", None)
     if maintainer is not None:
         # A repaired region matches its (recomputed) codeword again;
         # release it from quarantine so reads flow.  The repair wrote
         # below the hooks, so an in-flight background sweep must
         # re-check these regions at join.
-        maintainer.note_repair(region_ids)
-        maintainer.unquarantine(region_ids)
-    return repaired
+        maintainer.note_repair(ids)
+        maintainer.unquarantine(ids)
+    return len(ids)
 
 
-def _apply_overlapping_updates(
-    db: "Database", buffer: bytearray, start: int, length: int, ck_end: int
-) -> None:
-    """Replay every prescribed write overlapping ``[start, start+length)``:
-    the live log's update frames, open operations' included."""
+def _redo_into_regions(db: "Database", table, wanted: set[int], ck_end: int) -> None:
+    """Store every logged after-image byte that lands in a ``wanted``
+    region, in log order: one walk of the live log's update frames, open
+    operations' included, each clipped to the wanted regions it spans."""
+    restore_batch = db.memory.restore_batch
     arenas = (txn.redo_log.arena for txn in db.manager.att)
-    for view, _lsn, code, pos, end in db.system_log.live_frames(ck_end, arenas):
+    source, queue = None, []
+    for view, _lsn, code, pos, _end in db.system_log.live_frames(ck_end, arenas):
+        if view is not source:
+            if queue:
+                restore_batch(source, queue)
+                queue.clear()
+            source = view
         if code != _UPDATE:
             continue
         _txn_id, address, size, _checksum = UPDATE_HEAD.unpack_from(view, pos)
-        clip = _overlap(start, length, address, size)
-        if clip is not None:
-            lo, n = clip
-            image = pos + UPDATE_HEAD.size + lo - address
-            buffer[lo - start : lo - start + n] = view[image : image + n]
+        shift = pos + UPDATE_HEAD.size - address  # address -> offset in view
+        for region_id in table.regions_spanning(address, size):
+            if region_id in wanted:
+                start, length = table.region_bounds(region_id)
+                lo, hi = max(start, address), min(start + length, address + size)
+                if lo < hi:
+                    queue.append((lo, lo + shift, hi + shift))
+    if queue:
+        restore_batch(source, queue)

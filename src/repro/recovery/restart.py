@@ -358,6 +358,8 @@ class RestartRecovery:
         #: rebuilds the table wholesale, so per-record maintenance there
         #: would be wasted work.
         self.maintain_codewords = False
+        #: ``(address, length)`` of the first checksum mismatch a standby saw.
+        self.first_mismatch: tuple[int, int] | None = None
         self.corruption_mode = bool(contexts)
         #: Whether the CorruptDataTable participates in this scan: pure
         #: checksum mode dispenses with it (Section 4.3), combined mode
@@ -448,13 +450,18 @@ class RestartRecovery:
         """
         recovery = cls(db, None)
         recovery.maintain_codewords = True
+        recovery.use_checksums = True  # first-touch divergence detection
         recovery._load_checkpoint()
         return recovery
 
-    def apply_frames(self, view, frames) -> None:
+    def apply_frames(self, view, frames) -> tuple[int, int] | None:
         """Replay one shipped batch -- ``frames`` walked out of ``view`` --
-        through the redo loop, every frame tracked."""
+        through the redo loop, every frame tracked.  Returns ``(address,
+        length)`` of the batch's first update whose logged pre-image
+        checksum differs from the bytes it overwrote here, or ``None``."""
+        self.first_mismatch = None
         self._redo(view, frames, set(), 0, sys.maxsize)
+        return self.first_mismatch
 
     def complete(self, last_lsn: int) -> RecoveryReport:
         """Finish a continuous replay: the promotion tail of :meth:`run`.
@@ -693,19 +700,30 @@ class RestartRecovery:
     # record object is built.
 
     def _on_update(self, lsn: int, view, pos: int, end: int) -> None:
+        """One pre-image read serves the logged checksum, the undo entry
+        and codeword maintenance.  A checksum mismatch recruits the writer
+        in corruption mode; a standby notes it in :attr:`first_mismatch`."""
         txn_id, address, length, checksum = UPDATE_HEAD.unpack_from(view, pos)
         rec = self._get_txn(txn_id)
         memory = self.db.memory
-        if self.corruption_mode and not rec.corrupt:
-            if self.use_checksums and checksum != NO_CHECKSUM:
-                if fold_words(memory.read(address, length)) != checksum:
-                    self._recruit(rec, "write checksum mismatch")
-            if (
-                not rec.corrupt
-                and self._track_cdt
-                and self.cdt.overlaps(address, length)
-            ):
-                self._recruit(rec, "wrote data marked corrupt")
+        pre_image = memory.read(address, length)
+        if (
+            self.use_checksums
+            and checksum != NO_CHECKSUM
+            and not rec.corrupt
+            and fold_words(pre_image) != checksum
+        ):
+            if self.corruption_mode:
+                self._recruit(rec, "write checksum mismatch")
+            elif self.first_mismatch is None:
+                self.first_mismatch = (address, length)
+        if (
+            self.corruption_mode
+            and not rec.corrupt
+            and self._track_cdt
+            and self.cdt.overlaps(address, length)
+        ):
+            self._recruit(rec, "wrote data marked corrupt")
         if self.corruption_mode and rec.corrupt:
             # Suppress the write; everything it would have produced is
             # corrupt data.
@@ -714,7 +732,6 @@ class RestartRecovery:
             self.report.writes_suppressed += 1
             return
         op_id = rec.op_stack[-1][0] if rec.op_stack else 0
-        pre_image = memory.read(address, length)
         rec.entries.append(
             PhysicalUndo(self._take_seq(), op_id, address, pre_image, True)
         )

@@ -42,14 +42,12 @@ import shutil
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.codeword import fold_words
 from repro.errors import ArchiveError, ConfigError, PromotionError, ReplicationError
 from repro.recovery.archive import ARCHIVE_MANIFEST, read_archive_info
 from repro.recovery.checkpoint import ANCHOR_FILE
 from repro.recovery.restart import RecoveryReport, RestartRecovery
 from repro.replication.divergence import DivergenceDetector
 from repro.replication.transport import KIND_DIGEST, KIND_RECORDS, ShipBatch
-from repro.wal.records import NO_CHECKSUM, UPDATE_HEAD, RecordType
 from repro.wal.system_log import PAYLOAD_OFFSET, walk_frames
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +58,6 @@ import numpy as np
 
 #: The replica's private audit-bracket log (never shipped, never replayed).
 REPLICA_AUDIT_LOG = "replica_audit.log"
-_UPDATE = int(RecordType.UPDATE)
 
 
 @dataclass(frozen=True)
@@ -270,47 +267,28 @@ class Replica:
         if not frames:
             self.duplicate_batches += 1
             return
-        self._check_replay_checksums(view, frames)
         crashpoints = self.db.crashpoints
         crashpoints.reach("replica.before_ingest")
         log.ingest_frames(view[frames[0][2] - PAYLOAD_OFFSET :], frames[0][0])
         crashpoints.reach("replica.after_ingest")
-        self.recovery.apply_frames(view, frames)
+        mismatch = self.recovery.apply_frames(view, frames)
+        if mismatch is not None:
+            # The primary's bytes before this update differ from mine: one
+            # of us diverged here, long before the next digest epoch.
+            address, length = mismatch
+            table = self.db.pipeline.codeword_table
+            self.detections.append(
+                ReplicaDetection(
+                    "replay_checksum",
+                    tuple(table.regions_spanning(address, length)),
+                    self.applied_batches,
+                    detail=f"update at {address:#x}",
+                )
+            )
         self.applied_records += len(frames)
         self.applied_batches += 1
         crashpoints.reach("replica.after_apply")
         self.db.scheduler.tick("replay")
-
-    def _check_replay_checksums(self, view, frames) -> None:
-        """First-touch divergence: a logged pre-image checksum vs my bytes.
-
-        Schemes that checksum updates record the fold of the bytes the
-        *primary* overwrote; if my image disagrees before I apply the
-        same record, one of us diverged at this address -- detection at
-        the first replayed touch, well before the next digest epoch.
-        Only the first mismatch per batch is recorded (one wild write
-        smears across every later update of the region).
-        """
-        maintainer = self.db.pipeline.maintainer
-        for _lsn, code, pos, _end in frames:
-            if code != _UPDATE:
-                continue
-            _txn_id, address, length, checksum = UPDATE_HEAD.unpack_from(view, pos)
-            if checksum == NO_CHECKSUM:
-                continue
-            if fold_words(self.db.memory.read(address, length)) != checksum:
-                regions = ()
-                if maintainer.table is not None:
-                    regions = tuple(maintainer.table.regions_spanning(address, length))
-                self.detections.append(
-                    ReplicaDetection(
-                        "replay_checksum",
-                        regions,
-                        self.applied_batches,
-                        detail=f"update at {address:#x}",
-                    )
-                )
-                return
 
     def _audit_tick(self, _event: str) -> None:
         """Tick task ``replica.audit`` (event ``"replay"``).

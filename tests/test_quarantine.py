@@ -142,9 +142,9 @@ class TestRepair:
         db.checkpoint()
         corrupt_one_record(db, slots[1])
         db.audit()
-        assert db.quarantined_regions()
-        repaired = db.repair_quarantined()
-        assert repaired == len(db.quarantined_regions()) or repaired > 0
+        quarantined = db.quarantined_regions()
+        assert quarantined
+        assert db.repair_quarantined() == len(quarantined)
         assert db.quarantined_regions() == ()
         txn = db.begin()
         assert db.table("acct").read(txn, slots[1])["balance"] == 100

@@ -81,6 +81,41 @@ def _read_balance(db, slot: int) -> int:
         db.abort(txn)
 
 
+class TestReplayChecksum:
+    """The ``replay_checksum`` channel: each shipped update's logged
+    pre-image checksum against the standby's bytes just before that
+    update applies."""
+
+    def test_two_updates_of_one_record_in_one_batch_are_clean(self, tmp_path):
+        primary, replica, shipper, _t, slots, _c = _build_pair(
+            tmp_path, batch_records=64
+        )
+        _update(primary, slots, 0, 7001)
+        _update(primary, slots, 0, 7002)
+        assert shipper.drain()
+        assert replica.detections == []
+        assert _read_balance(replica.db, slots[0]) == 7002
+        primary.close()
+        replica.close()
+
+    def test_replica_wild_write_is_caught_at_first_touch(self, tmp_path):
+        primary, replica, shipper, _t, slots, _c = _build_pair(tmp_path)
+        table = replica.db.table("acct")
+        offset, _size = table.schema.field_range("balance")
+        address = table.record_address(slots[3]) + offset
+        memory = replica.db.memory
+        memory.poke(address, bytes(b ^ 0xFF for b in memory.read(address, 4)))
+        _update(primary, slots, 3, 7003)
+        assert shipper.drain()
+        region = replica.db.pipeline.codeword_table.region_of(address)
+        found = [d for d in replica.detections if d.channel == "replay_checksum"]
+        assert [(d.regions, d.detail) for d in found] == [
+            ((region,), f"update at {address:#x}")
+        ]
+        primary.close()
+        replica.close()
+
+
 class TestShipAndReplay:
     def test_replayed_image_matches_primary(self, tmp_path):
         primary, replica, shipper, _t, slots, _c = _build_pair(tmp_path)
