@@ -64,6 +64,14 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   is, so it can be gated where wall-clock ratios cannot: each must stay
   within 10 % of the count this tree measured on Python 3.11.
 
+* **opcodes** -- the exact ruler under the census: bytecodes per op
+  (``sys.settrace`` with opcode events) and C calls per op
+  (``sys.setprofile``) over 200 of the census's seeded ops after its
+  warm-up, on the driving thread, with the totals over those ops by
+  function, by file and by builtin (the function table sums exactly).  Gated like the census at 10 % over
+  ``OPCODES_MEASURED``, keyed by Python minor version since the bytecode
+  differs between minors; a version with no entry reports ungated.
+
 * **latch_memory** -- the bytes ``repro/txn/latches.py`` still holds
   (``tracemalloc``) after the census's seeded drives, load included:
   latches have state only while held, so each shape must retain at most
@@ -86,10 +94,12 @@ import os
 import platform
 import pstats
 import struct
+import sys
 import threading
 import time
 import tracemalloc
 import zlib
+from collections import defaultdict
 
 import pytest
 
@@ -979,6 +989,115 @@ def census_results(tmp_path_factory) -> dict:
 
 
 # --------------------------------------------------------------------------
+# opcodes: deterministic bytecodes and C calls per op
+# --------------------------------------------------------------------------
+
+OPCODE_OPS = 200
+#: Bytecodes and C calls per op of each census shape, keyed by Python
+#: minor version (the bytecode differs between minors); each may grow
+#: ``CENSUS_SLACK`` past its count before the gate fails.  A version with
+#: no entry reports its counts without a gate.  Python 3.11.7; before
+#: the meter kept only counts (its clock advanced on every charge) the
+#: bytecodes read 22 380 / 28 981 / 31 930, with the same C calls.
+OPCODES_MEASURED = {
+    "3.11": {
+        "paper": {"bytecodes": 21504, "c_calls": 663},
+        "readmix": {"bytecodes": 27333, "c_calls": 690},
+        "served": {"bytecodes": 30858, "c_calls": 930},
+    },
+}
+
+
+def _code_name(code) -> str:
+    """``file:qualname``: the file relative to ``src/`` or the repo root,
+    or its bare name when it lies outside the repo (the standard library)."""
+    path = os.path.relpath(code.co_filename, REPO_ROOT)
+    if path.startswith(os.pardir):
+        path = os.path.basename(path)
+    elif path.startswith("src" + os.sep):
+        path = path[len("src" + os.sep) :]
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def _builtin_name(function) -> str:
+    module = getattr(function, "__module__", None)
+    qualname = getattr(function, "__qualname__", type(function).__qualname__)
+    return f"{module}.{qualname}" if module else qualname
+
+
+def _opcode_census(tmp_path, workload_name: str) -> dict:
+    """Bytecodes per op by function (``sys.settrace`` with opcode events)
+    and C calls per op by builtin (``sys.setprofile``) over ``OPCODE_OPS``
+    seeded ops after the census warm-up, on the driving thread."""
+    shape, ops, drive = _seeded_shape(tmp_path, workload_name)
+    bytecodes: dict = defaultdict(int)
+    c_calls: dict = defaultdict(int)
+
+    def on_opcode(frame, event, _arg):
+        if event == "opcode":
+            bytecodes[frame.f_code] += 1
+        return on_opcode
+
+    def on_call(frame, _event, _arg):
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    def on_profile(_frame, event, arg):
+        if event == "c_call":
+            c_calls[_builtin_name(arg)] += 1
+
+    try:
+        drive(ops[:CENSUS_WARMUP_OPS])
+        measured = ops[CENSUS_WARMUP_OPS : CENSUS_WARMUP_OPS + OPCODE_OPS]
+        sys.setprofile(on_profile)
+        sys.settrace(on_call)
+        try:
+            drive(measured)
+        finally:
+            sys.settrace(None)
+            sys.setprofile(None)
+    finally:
+        shape.close()
+    by_function: dict[str, int] = defaultdict(int)
+    for code, count in bytecodes.items():
+        by_function[_code_name(code)] += count
+    by_file: dict[str, int] = defaultdict(int)
+    for name, count in by_function.items():
+        by_file[name.split(":", 1)[0]] += count
+    ranked = lambda table: dict(sorted(table.items(), key=lambda kv: (-kv[1], kv[0])))  # noqa: E731
+    return {
+        "bytecodes_per_op": sum(by_function.values()) / OPCODE_OPS,
+        "c_calls_per_op": sum(c_calls.values()) / OPCODE_OPS,
+        "bytecodes_by_file": ranked(by_file),
+        "bytecodes_by_function": ranked(by_function),
+        "c_calls_by_builtin": ranked(c_calls),
+    }
+
+
+@pytest.fixture(scope="module")
+def opcode_results(tmp_path_factory) -> dict:
+    base = tmp_path_factory.mktemp("opcodes")
+    minor = "%d.%d" % sys.version_info[:2]
+    measured = OPCODES_MEASURED.get(minor)
+    return {
+        "warmup_ops": CENSUS_WARMUP_OPS,
+        "ops": OPCODE_OPS,
+        "seed": CENSUS_SEED,
+        "python": platform.python_version(),
+        "shapes": {
+            name: _opcode_census(base, workload_name)
+            for name, workload_name in CENSUS_SHAPES.items()
+        },
+        "gate": None
+        if measured is None
+        else {
+            name: {kind: round(CENSUS_SLACK * count) for kind, count in counts.items()}
+            for name, counts in measured.items()
+        },
+    }
+
+
+# --------------------------------------------------------------------------
 # latch_memory: what the latch tables keep after a drive
 # --------------------------------------------------------------------------
 
@@ -1241,6 +1360,22 @@ class TestTxnPath:
             f"Python calls per op over the census gate (measured, gate): {over}"
         )
 
+    def test_opcodes_per_op(self, opcode_results):
+        for name, counts in opcode_results["shapes"].items():
+            assert sum(counts["bytecodes_by_function"].values()) == round(
+                counts["bytecodes_per_op"] * OPCODE_OPS
+            )
+        gate = opcode_results["gate"]
+        if gate is None:
+            return  # no counts recorded for this Python minor version
+        over = {
+            (name, kind): (counts[f"{kind}_per_op"], gate[name][kind])
+            for name, counts in opcode_results["shapes"].items()
+            for kind in ("bytecodes", "c_calls")
+            if counts[f"{kind}_per_op"] > gate[name][kind]
+        }
+        assert not over, f"bytecodes / C calls per op over the gate (measured, gate): {over}"
+
     def test_latch_memory_is_per_hold(self, latch_memory_results):
         over = {
             name: entry["bytes"]
@@ -1268,6 +1403,7 @@ class TestTxnPath:
         repair_results,
         round_trip_results,
         census_results,
+        opcode_results,
         latch_memory_results,
     ):
         payload = {
@@ -1281,6 +1417,7 @@ class TestTxnPath:
             "recovery": {"replay": replay_results, "repair": repair_results},
             "shard": {"round_trip": round_trip_results},
             "census": census_results,
+            "opcodes": opcode_results,
             "latch_memory": latch_memory_results,
         }
         with open(BENCH_PATH, "w") as handle:

@@ -4,50 +4,50 @@ The performance results of the paper were measured on a 2x200 MHz
 UltraSPARC running a C storage manager.  Re-measuring the same algorithms
 in CPython wall-clock time would invert every relative result (interpreter
 overhead dwarfs a 16-word XOR), so the benchmark harness instead runs the
-*real* implementation while charging each primitive event -- a word folded
+*real* implementation while counting each primitive event -- a word folded
 into a codeword, a latch acquired, a log byte appended, an ``mprotect``
-call issued -- to a :class:`VirtualClock` at calibrated unit costs.
-
-Every component receives a :class:`Meter`, which pairs the clock with a
-:class:`~repro.sim.costs.CostModel` and keeps per-event counters.  The
-counters make the benchmarks auditable: a reported slowdown can always be
-decomposed into "N events of kind K at C ns each".
+call issued -- in a :class:`Meter`.  Time is derived from the counts: the
+:class:`VirtualClock` reads ``sum(count x unit cost)`` at the calibrated
+unit costs of a :class:`~repro.sim.costs.CostModel`, so events are priced
+in one place and a reported slowdown always decomposes into "N events of
+kind K at C ns each".
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.costs import CostModel
 
+#: Stands in for a thread-safe meter's lock on the single-threaded path.
+_UNLOCKED = nullcontext()
+
 
 class VirtualClock:
-    """A monotonically advancing nanosecond counter.
-
-    The clock only moves when a component charges time to it; it is the
-    single source of "elapsed time" for throughput calculations in the
-    benchmark harness.
+    """Nanoseconds of virtual time, computed when read: what its meter's
+    counts are worth plus ``base_ns``, the worth of the counts earlier
+    :meth:`Meter.reset` calls cleared.  It is the single source of
+    "elapsed time" for throughput calculations in the benchmark harness.
     """
 
-    __slots__ = ("now_ns",)
+    __slots__ = ("base_ns", "meter")
 
     def __init__(self) -> None:
-        self.now_ns: int = 0
+        self.base_ns: int = 0
+        #: The one :class:`Meter` whose counts this clock reads.
+        self.meter: Meter | None = None
 
-    def advance(self, ns: int) -> None:
-        """Advance the clock by ``ns`` nanoseconds (must be >= 0)."""
-        if ns < 0:
-            raise ValueError(f"cannot advance clock by negative time: {ns}")
-        self.now_ns += ns
+    @property
+    def now_ns(self) -> int:
+        meter = self.meter
+        return self.base_ns if meter is None else meter._now_ns()
 
     @property
     def now_seconds(self) -> float:
         return self.now_ns / 1e9
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now_ns={self.now_ns})"
 
 
 class _Tally(dict):
@@ -65,90 +65,82 @@ class _Tally(dict):
 
 
 class Meter:
-    """Charges named events to a clock at unit costs from a cost model.
+    """Counts named events; its clock prices them at a cost model's units.
 
-    ``meter.charge("cw_maint_word", 16)`` advances the clock by sixteen
-    times the ``cw_maint_word`` unit cost and increments the event counter.
-    Unknown event names raise ``KeyError`` immediately: silent free events
-    would corrupt the cost accounting.
+    ``meter.charge("cw_maint_word", 16)`` adds sixteen to the
+    ``cw_maint_word`` counter, which moves the clock by sixteen times that
+    event's unit cost.  Unknown event names raise ``KeyError`` immediately:
+    silent free events would corrupt the cost accounting.
     """
 
     __slots__ = ("clock", "costs", "counts", "_explicit", "_lock", "_unit_ns")
 
     def __init__(self, clock: VirtualClock, costs: "CostModel") -> None:
+        if clock.meter is not None:
+            raise ValueError("this clock already reads another meter's counts")
+        clock.meter = self
         self.clock = clock
         self.costs = costs
-        #: The (frozen) cost model's table, read directly on every charge.
+        #: The (frozen) cost model's table, read to validate every charge.
         self._unit_ns = costs.unit_costs
         self.counts: dict[str, int] = _Tally()
-        #: Events charged an explicit duration (:meth:`charge_ns`):
-        #: ``event -> [count, ns]``.  Every other charge is ``count x
-        #: unit``, so its nanoseconds follow from ``counts`` (:attr:`time_ns`).
-        self._explicit: dict[str, list[int]] = {}
+        #: ``event -> ns``: how far the durations :meth:`charge_ns` gave
+        #: differ from ``count x unit`` for the same charges, so every
+        #: event's nanoseconds follow from ``counts`` (:attr:`time_ns`).
+        self._explicit: dict[str, int] = _Tally()
         # ``None`` on the single-threaded fast path; installed by
         # ``enable_thread_safety`` when concurrent serving sessions share
-        # this meter, so clock advances and counters never lose updates.
+        # this meter, so counters never lose updates and readers never see
+        # them change mid-read.
         self._lock: threading.Lock | None = None
 
     def enable_thread_safety(self) -> None:
-        """Serialize charges (concurrent serving / threaded scheduler).
-
-        Virtual time loses its single-call-stack meaning once real
-        threads interleave, but the counters stay exact and the clock
-        still advances monotonically -- which is what the fault and
-        audit machinery relies on.
-        """
+        """Serialize charges and reads (concurrent serving / threaded
+        scheduler).  Virtual time loses its single-call-stack meaning once
+        real threads interleave, but the counters stay exact and the clock
+        never runs backwards -- which the fault and audit machinery needs."""
         if self._lock is None:
             self._lock = threading.Lock()
 
     def charge(self, event: str, count: int = 1) -> None:
-        """Charge ``count`` occurrences of ``event`` to the clock.
+        """Count ``count`` occurrences of ``event``.
 
-        The hottest call in the system (80-150 per TPC-B operation), so
-        the cost lookup and the clock advance are inlined; an unknown
-        event or a negative charge still raises before anything moves.
+        The hottest call in the system (80-150 per TPC-B operation): an
+        unknown event or a negative count raises before anything moves,
+        and nothing is priced until the clock is read.
         """
-        try:
-            ns = self._unit_ns[event] * count
-        except KeyError:
-            ns = self.costs.unit_ns(event) * count  # raises the explanatory KeyError
-        if ns < 0:
-            raise ValueError(f"cannot advance clock by negative time: {ns}")
+        if event not in self._unit_ns:
+            self.costs.unit_ns(event)  # raises the explanatory KeyError
+        if count < 0:
+            raise ValueError(f"cannot charge a negative count: {count}")
         lock = self._lock
         if lock is None:
-            self.clock.now_ns += ns
             self.counts[event] += count
             return
         with lock:
-            self.clock.now_ns += ns
             self.counts[event] += count
 
     def charge_many(self, charges) -> None:
         """Charge ``(event, count)`` pairs in one call.
 
-        Identical to one :meth:`charge` per pair, in order -- counters,
-        nanoseconds and the clock, and the error a bad pair raises (the
-        pairs before it stay charged, as they would have been).  For hot
-        paths that charge a fixed group of events together.
+        Identical to one :meth:`charge` per pair, in order -- counters and
+        the error a bad pair raises (the pairs before it stay charged, as
+        they would have been).  For hot paths that charge a fixed group of
+        events together.
         """
         unit_ns = self._unit_ns
+        counts = self.counts
         lock = self._lock
         if lock is not None:
             lock.acquire()
-        counts = self.counts
-        total = 0
         try:
             for event, count in charges:
-                try:
-                    ns = unit_ns[event] * count
-                except KeyError:
-                    ns = self.costs.unit_ns(event) * count
-                if ns < 0:
-                    raise ValueError(f"cannot advance clock by negative time: {ns}")
+                if event not in unit_ns:
+                    self.costs.unit_ns(event)
+                if count < 0:
+                    raise ValueError(f"cannot charge a negative count: {count}")
                 counts[event] += count
-                total += ns
         finally:
-            self.clock.now_ns += total
             if lock is not None:
                 lock.release()
 
@@ -158,43 +150,42 @@ class Meter:
         Used for costs that are not a simple ``unit x count`` product, such
         as a platform-dependent ``mprotect`` call.
         """
-        lock = self._lock
-        if lock is None:
-            self._charge_explicit(event, ns, count)
-            return
-        with lock:
-            self._charge_explicit(event, ns, count)
+        if ns < 0:
+            raise ValueError(f"cannot charge a negative duration: {ns}")
+        with self._lock or _UNLOCKED:
+            self.counts[event] += count
+            self._explicit[event] += ns - self._unit_ns.get(event, 0) * count
 
-    def _charge_explicit(self, event: str, ns: int, count: int) -> None:
-        self.clock.advance(ns)
-        self.counts[event] += count
-        explicit = self._explicit.setdefault(event, [0, 0])
-        explicit[0] += count
-        explicit[1] += ns
+    def _times(self) -> dict[str, int]:
+        # The caller holds the lock (if any).
+        unit_ns, explicit = self._unit_ns, self._explicit
+        return _Tally(
+            (event, unit_ns.get(event, 0) * count + explicit[event])
+            for event, count in self.counts.items()
+        )
+
+    def _now_ns(self) -> int:
+        with self._lock or _UNLOCKED:
+            return self.clock.base_ns + sum(self._times().values())
 
     @property
     def time_ns(self) -> dict[str, int]:
         """Nanoseconds charged per event: ``count x unit`` for the charges
         priced by the cost model (a sum of such products is the product
         of the sum), plus the durations :meth:`charge_ns` was given."""
-        unit_ns = self._unit_ns
-        explicit = self._explicit
-        times: dict[str, int] = _Tally()
-        for event, count in self.counts.items():
-            extra = explicit.get(event)
-            if extra is None:
-                times[event] = unit_ns[event] * count
-            else:
-                times[event] = unit_ns.get(event, 0) * (count - extra[0]) + extra[1]
-        return times
+        with self._lock or _UNLOCKED:
+            return self._times()
 
     def snapshot(self) -> dict[str, tuple[int, int]]:
         """Return ``{event: (count, total_ns)}`` for reporting."""
-        time_ns = self.time_ns
-        return {
-            event: (self.counts[event], time_ns[event]) for event in sorted(self.counts)
-        }
+        with self._lock or _UNLOCKED:
+            time_ns = self._times()
+            counts = self.counts
+            return {event: (counts[event], time_ns[event]) for event in sorted(counts)}
 
     def reset(self) -> None:
-        self.counts.clear()
-        self._explicit.clear()
+        """Clear the counters; the clock keeps the time they were worth."""
+        with self._lock or _UNLOCKED:
+            self.clock.base_ns += sum(self._times().values())
+            self.counts.clear()
+            self._explicit.clear()

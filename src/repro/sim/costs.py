@@ -101,6 +101,11 @@ class CostModel:
 
     unit_costs: dict[str, int] = field(default_factory=_default_unit_costs)
 
+    def __post_init__(self) -> None:
+        negative = {event: ns for event, ns in self.unit_costs.items() if ns < 0}
+        if negative:
+            raise ValueError(f"negative unit costs would run the clock backwards: {negative}")
+
     def unit_ns(self, event: str) -> int:
         try:
             return self.unit_costs[event]

@@ -12,18 +12,45 @@ class TestVirtualClock:
 
     def test_advance_accumulates(self):
         clock = VirtualClock()
-        clock.advance(5)
-        clock.advance(7)
-        assert clock.now_ns == 12
+        meter = Meter(clock, DEFAULT_COSTS)
+        meter.charge("latch_pair", 5)
+        meter.charge_ns("mprotect_call", 7)
+        assert clock.now_ns == 5 * DEFAULT_COSTS.unit_ns("latch_pair") + 7
 
     def test_negative_advance_rejected(self):
+        clock = VirtualClock()
+        meter = Meter(clock, DEFAULT_COSTS)
         with pytest.raises(ValueError):
-            VirtualClock().advance(-1)
+            meter.charge("latch_pair", -1)
+        with pytest.raises(ValueError):
+            meter.charge_many([("latch_pair", -1)])
+        with pytest.raises(ValueError):
+            meter.charge_ns("mprotect_call", -1)
+        assert clock.now_ns == 0 and meter.snapshot() == {}
 
     def test_now_seconds(self):
         clock = VirtualClock()
-        clock.advance(2_500_000_000)
+        Meter(clock, DEFAULT_COSTS).charge_ns("mprotect_call", 2_500_000_000)
         assert clock.now_seconds == pytest.approx(2.5)
+
+    def test_now_keeps_rising_across_reset(self):
+        """The harness pattern: read the clock, reset the meter, run,
+        read again -- the reset clears the counts, not the time."""
+        clock = VirtualClock()
+        meter = Meter(clock, DEFAULT_COSTS)
+        meter.charge("base_operation", 3)
+        meter.charge_ns("mprotect_call", 11)
+        start_ns = clock.now_ns
+        meter.reset()
+        assert clock.now_ns == start_ns and meter.snapshot() == {}
+        meter.charge("latch_pair")
+        assert clock.now_ns - start_ns == DEFAULT_COSTS.unit_ns("latch_pair")
+
+    def test_one_meter_per_clock(self):
+        clock = VirtualClock()
+        Meter(clock, DEFAULT_COSTS)
+        with pytest.raises(ValueError):
+            Meter(clock, DEFAULT_COSTS)
 
 
 class TestMeter:
@@ -70,6 +97,12 @@ class TestCostModel:
     def test_override_unknown_event_rejected(self):
         with pytest.raises(KeyError):
             DEFAULT_COSTS.override(bogus=1)
+
+    def test_negative_unit_cost_rejected(self):
+        with pytest.raises(ValueError):
+            DEFAULT_COSTS.override(latch_pair=-1)
+        with pytest.raises(ValueError):
+            CostModel(unit_costs={"latch_pair": -1})
 
     def test_free_model_charges_nothing(self):
         clock = VirtualClock()

@@ -23,6 +23,7 @@ from repro.wal.system_log import SystemLog
 
 THREADS = 8
 ROUNDS = 400
+READS = 3000
 
 
 pytestmark = pytest.mark.usefixtures("aggressive_thread_switching")
@@ -239,3 +240,47 @@ class TestMeterUnderThreads:
             + total * 3 * DEFAULT_COSTS.unit_ns("log_byte")
         )
         assert meter.clock.now_ns == expected_ns
+
+    def test_readers_never_see_counts_change_mid_read(self):
+        """``snapshot`` / ``time_ns`` / ``now_ns`` walk the counters under
+        the same mutex the charges take: a reader racing charges and
+        resets neither trips over a counter table that changes size under
+        it nor sees the clock run backwards."""
+        clock = VirtualClock()
+        meter = Meter(clock, DEFAULT_COSTS)
+        meter.enable_thread_safety()
+        barrier = threading.Barrier(2)
+        errors: list[BaseException] = []
+        readings: list[int] = []
+
+        def charger() -> None:
+            barrier.wait()
+            for _ in range(3000):
+                for event in DEFAULT_COSTS.unit_costs:
+                    meter.charge(event)
+                meter.charge_ns("mprotect_call", 5)
+                meter.reset()
+
+        def reader() -> None:
+            # A fixed number of reads, not "until the charger is done":
+            # the mutex is not fair, and a reader that re-takes it in a
+            # tight loop can hold the charger off for minutes.
+            barrier.wait()
+            for _ in range(READS):
+                try:
+                    meter.snapshot()
+                    meter.time_ns
+                    readings.append(clock.now_ns)
+                except Exception as exc:  # noqa: BLE001 - every failure is reported
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=charger), threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "stress worker deadlocked"
+        assert errors == []
+        assert readings == sorted(readings)
+        per_round = sum(DEFAULT_COSTS.unit_costs.values()) + 5
+        assert clock.now_ns == 3000 * per_round
