@@ -68,7 +68,9 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   (``sys.settrace`` with opcode events) and C calls per op
   (``sys.setprofile``) over 200 of the census's seeded ops after its
   warm-up, on the driving thread, with the totals over those ops by
-  function, by file and by builtin (the function table sums exactly).  Gated like the census at 10 % over
+  function, by file and by builtin (the function table sums exactly).  Also
+  the bytecodes of one ``Table.insert`` and of one lookup + ``Table.update``
+  of the paper shape after the warm-up.  Gated like the census at 10 % over
   ``OPCODES_MEASURED``, keyed by Python minor version since the bytecode
   differs between minors; a version with no entry reports ungated.
 
@@ -100,6 +102,7 @@ import time
 import tracemalloc
 import zlib
 from collections import defaultdict
+from functools import partial
 
 import pytest
 
@@ -924,12 +927,9 @@ CENSUS_OPS = 1000
 CENSUS_SEED = 1
 #: Calls per op measured on Python 3.11.7; a count may grow 10 % past it
 #: before the gate fails.  Before log records were packed as frames where
-#: they are made, the counts were 1 737 / 2 008 / 2 374.  Since latches
-#: are entries of their table, served reads 1 770 (was 1 795) and readmix
-#: 1 280: the table's explicit mutex calls are visible to ``cProfile``
-#: where a ``with`` block was not, and readmix prechecks ~21 regions per op.
-#: Its gate stays at the 1 264 measured before.
-CENSUS_MEASURED = {"paper": 1236, "readmix": 1264, "served": 1770}
+#: they are made, the counts were 1 737 / 2 008 / 2 374; before an update
+#: window ran in one manager call, 1 236 / 1 280 / 1 770.
+CENSUS_MEASURED = {"paper": 1086, "readmix": 1195, "served": 1612}
 CENSUS_SLACK = 1.10
 
 
@@ -996,14 +996,19 @@ OPCODE_OPS = 200
 #: Bytecodes and C calls per op of each census shape, keyed by Python
 #: minor version (the bytecode differs between minors); each may grow
 #: ``CENSUS_SLACK`` past its count before the gate fails.  A version with
-#: no entry reports its counts without a gate.  Python 3.11.7; before
-#: the meter kept only counts (its clock advanced on every charge) the
-#: bytecodes read 22 380 / 28 981 / 31 930, with the same C calls.
+#: no entry reports its counts without a gate.  ``per_call`` holds the
+#: bytecodes of one ``Table.insert`` and of one lookup + ``Table.update``
+#: of the paper shape after the warm-up.  Python 3.11.7; before the meter
+#: kept only counts (its clock advanced on every charge) the bytecodes
+#: read 22 380 / 28 981 / 31 930, and before an update window ran in one
+#: manager call 21 504 / 27 333 / 30 858 (C calls 663 / 690 / 930; per
+#: call 9 119 / 4 046).
 OPCODES_MEASURED = {
     "3.11": {
-        "paper": {"bytecodes": 21504, "c_calls": 663},
-        "readmix": {"bytecodes": 27333, "c_calls": 690},
-        "served": {"bytecodes": 30858, "c_calls": 930},
+        "paper": {"bytecodes": 19231, "c_calls": 609},
+        "readmix": {"bytecodes": 25880, "c_calls": 660},
+        "served": {"bytecodes": 28405, "c_calls": 867},
+        "per_call": {"insert": 7734, "lookup_update": 3750},
     },
 }
 
@@ -1074,6 +1079,51 @@ def _opcode_census(tmp_path, workload_name: str) -> dict:
     }
 
 
+def _bytecodes_of(call) -> tuple[int, object]:
+    """Bytecodes one call runs (``sys.settrace`` opcode events), and its result."""
+    count = 0
+
+    def on_opcode(_frame, event, _arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return on_opcode
+
+    def on_call(frame, _event, _arg):
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    sys.settrace(on_call)
+    try:
+        result = call()
+    finally:
+        sys.settrace(None)
+    return count, result
+
+
+def _opcodes_per_call(tmp_path) -> dict:
+    """Bytecodes of one ``Table.insert`` (the history row) and of one
+    lookup + ``Table.update`` (the account balance) of the paper shape's
+    first measured op, after the census warm-up."""
+    shape, ops, drive = _seeded_shape(tmp_path, CENSUS_SHAPES["paper"])
+    try:
+        drive(ops[:CENSUS_WARMUP_OPS])
+        op = ops[CENSUS_WARMUP_OPS]
+        _kind, aid, _tid, _bid, delta, _hid = op
+        client = shape.client()
+        client.begin()
+        txn, account, row = client.txn, client.tables[0], shapes._history_row(op)
+        inserted, _slot = _bytecodes_of(partial(client.history.insert, txn, row))
+        looked_up, slot = _bytecodes_of(partial(account.lookup, txn, aid))
+        updated, _ = _bytecodes_of(
+            partial(account.update, txn, slot, {"balance": lambda cur: cur + delta})
+        )
+        client.commit()
+    finally:
+        shape.close()
+    return {"insert": inserted, "lookup_update": looked_up + updated}
+
+
 @pytest.fixture(scope="module")
 def opcode_results(tmp_path_factory) -> dict:
     base = tmp_path_factory.mktemp("opcodes")
@@ -1088,6 +1138,7 @@ def opcode_results(tmp_path_factory) -> dict:
             name: _opcode_census(base, workload_name)
             for name, workload_name in CENSUS_SHAPES.items()
         },
+        "per_call": _opcodes_per_call(base / "per_call"),
         "gate": None
         if measured is None
         else {
@@ -1374,6 +1425,11 @@ class TestTxnPath:
             for kind in ("bytecodes", "c_calls")
             if counts[f"{kind}_per_op"] > gate[name][kind]
         }
+        over.update(
+            (("per_call", call), (count, gate["per_call"][call]))
+            for call, count in opcode_results["per_call"].items()
+            if count > gate["per_call"][call]
+        )
         assert not over, f"bytecodes / C calls per op over the gate (measured, gate): {over}"
 
     def test_latch_memory_is_per_hold(self, latch_memory_results):

@@ -16,16 +16,18 @@ maintainer from the folded policy of its codeword members (smallest
 region size, strictest latch mode) and makes every member adopt it, so a
 stack audits and maintains exactly one table.
 
-There is one window API, over lists: ``open_window(txn, ranges)`` latches
-every protection region the window's ranges span, ``maintain(txn, items)``
-folds the ``(address, old_image, new_image)`` items into the table with
-the Section 3.2 codeword latches held *across* the table update (Data
-Codeword updaters hold the protection latch only shared, so nothing else
-serializes the codeword's read-modify-write), and ``apply_maintenance``
-is the unlatched table update itself, for callers that already exclude
-everyone else (physical undo under the exclusive protection latch,
-single-threaded restart redo).  The scalar scheme hooks pass one-element
-lists.
+There is one window API, over lists: ``open_window(ranges)`` latches
+every protection region the window's ranges span and returns the
+window's geometry, ``close_window(window, items)`` folds the ``(address,
+old_image, new_image)`` items into the table with the Section 3.2
+codeword latches held *across* the table update (Data Codeword updaters
+hold the protection latch only shared, so nothing else serializes the
+codeword's read-modify-write) and then drops the protection latches,
+``release_window(window)`` drops them without folding (a rollback), and
+``apply_maintenance`` is the unlatched table update itself, for callers
+that already exclude everyone else (physical undo under the exclusive
+protection latch, single-threaded restart redo).  The scalar scheme
+hooks pass one-element lists.
 
 Read prechecking is one call per read, ``precheck(checked, address,
 length)``: one latched pass over the regions the read spans.
@@ -192,54 +194,49 @@ class CodewordMaintainer:
 
     # ---------------------------------------------------------- windows
 
-    def _window_regions(self, spans: list[range]) -> tuple[range | list[int], int]:
-        """Distinct region ids of a window's per-range spans, ascending,
-        and the range-and-region occurrence count ``latch_pair`` is
-        charged by (what one window per range would charge).  A one-range
-        window returns its span itself, building nothing.
+    def open_window(self, ranges: list[tuple[int, int]]) -> tuple:
+        """Latch every region the update window's ranges touch, in one pass.
+
+        Returns the window, ``(regions, pairs)`` -- the distinct region
+        ids ascending and the range-and-region occurrence count -- for
+        :meth:`close_window` and :meth:`release_window`.  Each latch is
+        physically acquired once (they are reentrant, so this is purely a
+        wall-clock saving) but ``latch_pair`` is charged ``pairs`` times,
+        exactly what opening the ranges as separate windows would charge.
 
         Every multi-latch path takes its latches in ascending region id
         (protection table before codeword table), so two windows over
         the same regions cannot deadlock whatever order their ranges
-        come in."""
-        if len(spans) == 1:
-            span = spans[0]
-            return span, len(span)
-        regions: set[int] = set()
-        pairs = 0
-        for span in spans:
-            pairs += len(span)
-            regions.update(span)
-        return sorted(regions), pairs
-
-    def open_window(self, txn: Transaction, ranges: list[tuple[int, int]]) -> None:
-        """Latch every region the update window's ranges touch, in one pass.
-
-        Each latch is physically acquired once (they are reentrant, so
-        this is purely a wall-clock saving) but ``latch_pair`` is charged
-        once per range-and-region occurrence -- exactly what opening the
-        ranges as separate windows would charge.
+        come in.
         """
-        assert self.table is not None and self.meter is not None
-        spanning = self.table.regions_spanning
-        spans = [spanning(address, length) for address, length in ranges]
-        regions, pairs = self._window_regions(spans)
+        region_size = self.region_size
+        if len(ranges) == 1:
+            ((address, length),) = ranges
+            first = address // region_size
+            regions = range(
+                first, (address + length - 1) // region_size + 1 if length > 0 else first + 1
+            )
+            pairs = len(regions)
+        else:
+            distinct: set[int] = set()
+            pairs = 0
+            for address, length in ranges:
+                first = address // region_size
+                last = (address + length - 1) // region_size if length > 0 else first
+                pairs += last - first + 1
+                if last == first:
+                    distinct.add(first)
+                else:
+                    distinct.update(range(first, last + 1))
+            regions = sorted(distinct)
         _latch_all(self.protection_latches, regions, self.update_latch_mode)
-        # The window's geometry, for maintain() and release_window().
-        txn.scheme_state["window"] = (regions, spans, pairs)
         self.meter.charge("latch_pair", pairs)
+        return regions, pairs
 
-    def release_window(self, txn: Transaction) -> None:
-        window = txn.scheme_state.pop("window", None)
-        if window is not None:
-            _unlatch_all(self.protection_latches, window[0])
-
-    def maintain(
-        self, txn: Transaction, items: list[tuple[int, bytes, bytes]]
-    ) -> None:
-        """Fold the open window's ``(address, old_image, new_image)``
-        updates -- one per range it opened with, in order -- into the
-        codewords at ``end_update``.
+    def close_window(self, window: tuple, items: list[tuple[int, bytes, bytes]]) -> None:
+        """Fold the window's ``(address, old_image, new_image)`` updates
+        -- one per range it opened with, in order -- into the codewords,
+        then release its protection latches.
 
         Section 3.2's codeword latch "guard[s] the update to the actual
         codewords": updaters hold the protection latch only in shared
@@ -251,26 +248,28 @@ class CodewordMaintainer:
         latches *exclusively*, which already excludes every other writer
         of those regions' codewords (windows, physical undo, repairs);
         there the codeword latch is charged as the stacked scheme's cost
-        but not physically taken.
+        but not physically taken.  If a codeword latch cannot be taken,
+        the ones already taken are released, the codewords are untouched
+        and the window stays open for its owner to release.
         """
-        assert self.table is not None and self.meter is not None
-        # ``items`` are the open window's ranges, in order: its geometry
-        # was worked out when it opened.
-        regions, spans, pairs = txn.scheme_state["window"]
+        regions, pairs = window
         if not self.uses_codeword_latch:
-            self.apply_maintenance(items, spans)
-            return
-        if self.update_latch_mode == EXCLUSIVE:
-            self.meter.charge("latch_pair", pairs)
-            self.apply_maintenance(items, spans)
-            return
-        latches = self.codeword_latches
-        _latch_all(latches, regions, EXCLUSIVE)
-        try:
-            self.meter.charge("latch_pair", pairs)
-            self.apply_maintenance(items, spans)
-        finally:
-            _unlatch_all(latches, regions)
+            self.apply_maintenance(items, regions)
+        elif self.update_latch_mode == EXCLUSIVE:
+            self.apply_maintenance(items, regions, pairs)
+        else:
+            latches = self.codeword_latches
+            _latch_all(latches, regions, EXCLUSIVE)
+            try:
+                self.apply_maintenance(items, regions, pairs)
+            finally:
+                _unlatch_all(latches, regions)
+        _unlatch_all(self.protection_latches, regions)
+
+    def release_window(self, window: tuple) -> None:
+        """Release an open window's protection latches without folding
+        (the window is being rolled back)."""
+        _unlatch_all(self.protection_latches, window[0])
 
     def _note_dirty(self, regions) -> None:
         """Record prescribed-path dirtiness (and sweep interference)."""
@@ -279,25 +278,25 @@ class CodewordMaintainer:
             self._sweep_touched.update(regions)
 
     def apply_maintenance(
-        self,
-        items: list[tuple[int, bytes, bytes]],
-        spans: list[range] | None = None,
+        self, items: list[tuple[int, bytes, bytes]], regions=None, latch_pairs: int = 0
     ) -> None:
         """Immediate table update, or delta accumulation when deferred.
 
-        ``spans`` lets the caller pass the per-item region spans it
-        already computed (:meth:`maintain` needs them for latching), so
-        the geometry is not re-derived here.
+        ``regions`` are the regions the items span, when the caller has
+        already worked them out (a window latched them); they join the
+        dirty set.  ``latch_pairs`` codeword latch pairs are charged with
+        the update.
         """
         assert self.table is not None and self.meter is not None
-        if spans is None:
-            spans = [
-                self.table.regions_spanning(address, len(old_image))
-                for address, old_image, _new in items
-            ]
-        for span in spans:
-            self._note_dirty(span)
+        if regions is None:
+            spanning = self.table.regions_spanning
+            regions = set()
+            for address, old_image, _new in items:
+                regions.update(spanning(address, len(old_image)))
+        self._note_dirty(regions)
         if self.deferred:
+            if latch_pairs:
+                self.meter.charge("latch_pair", latch_pairs)
             for address, old_image, new_image in items:
                 for region_id, delta, words in self.table.compute_deltas(
                     address, old_image, new_image
@@ -307,9 +306,10 @@ class CodewordMaintainer:
                     self.meter.charge("deferred_update")
         else:
             words = self.table.apply_update_batch(items)
-            self.meter.charge_many(
-                (("cw_maint_fixed", len(items)), ("cw_maint_word", words))
-            )
+            charges = (("cw_maint_fixed", len(items)), ("cw_maint_word", words))
+            if latch_pairs:
+                charges = (("latch_pair", latch_pairs), *charges)
+            self.meter.charge_many(charges)
 
     # ------------------------------------------------------------- undo
 
@@ -334,7 +334,7 @@ class CodewordMaintainer:
             if entry.codeword_applied:
                 current = self.memory.read(entry.address, len(entry.image))
                 self.apply_maintenance(
-                    [(entry.address, current, entry.image)], [regions]
+                    [(entry.address, current, entry.image)], regions
                 )
             self.memory.write(entry.address, entry.image)
         finally:

@@ -19,7 +19,7 @@ Composition rules
   codeword latch if any member wants one, and deferred maintenance if
   any member defers (rejected when another member prechecks reads, which
   needs fresh codewords).  The pipeline -- not each member -- drives the
-  maintainer's window open/maintain/release exactly once per update, so
+  maintainer's window open/close exactly once per update window, so
   stacking two codeword schemes never double-folds a delta.
 * **Capability folding.**  ``uses_codewords`` / ``logs_reads`` /
   ``logs_read_checksums`` are ORs over members; ``direct_protection``
@@ -84,6 +84,13 @@ class ProtectionPipeline(ProtectionScheme):
             m
             for m in self.members
             if type(m).on_operation_end is not ProtectionScheme.on_operation_end
+        )
+        # The non-codeword members with window hooks (page guards).
+        self._window_members = tuple(
+            m
+            for m in self.members
+            if not m.uses_codewords
+            and type(m).on_begin_update is not ProtectionScheme.on_begin_update
         )
         self.maintainer: CodewordMaintainer | None = None
         if codeword_members:
@@ -192,92 +199,89 @@ class ProtectionPipeline(ProtectionScheme):
     #
     # Codeword members delegate their window hooks to the (now shared)
     # maintainer, so the pipeline drives the maintainer directly -- once
-    # per window -- and dispatches window hooks only to non-codeword
-    # members.  Read/operation hooks have no shared state and dispatch to
-    # every member that overrides them, in stack order.
+    # per window -- and dispatches window hooks only to the non-codeword
+    # members that have them (page guards), per range.  Read/operation
+    # hooks have no shared state and dispatch to every member that
+    # overrides them, in stack order.
 
     def on_read(self, txn: Transaction, address: int, length: int) -> None:
         for member in self._readers:
             member.on_read(txn, address, length)
 
-    def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
+    # An update window is three steps, each one call per window whatever
+    # its range count: open (latch every spanned region once, ascending,
+    # and expose guarded pages), close (fold the deltas under the
+    # codeword latches, release, re-cover) or abandon (release and
+    # re-cover without folding, when the window is rolled back).  Open
+    # returns the window's geometry and the transaction manager hands it
+    # back to close or abandon.
+
+    def on_begin_update_batch(
+        self, txn: Transaction, ranges: list[tuple[int, int]]
+    ) -> tuple | None:
+        """Open a window over ``ranges``; returns its geometry (None
+        without a codeword member)."""
+        window = None
         if self.maintainer is not None:
-            self.maintainer.open_window(txn, [(address, length)])
-        for member in self.members:
-            if not member.uses_codewords:
+            window = self.maintainer.open_window(ranges)
+        for member in self._window_members:
+            for address, length in ranges:
                 member.on_begin_update(txn, address, length)
+        return window
+
+    def on_end_update_batch(
+        self, txn: Transaction, window, items: list[tuple[int, bytes, bytes]]
+    ) -> list[int | None]:
+        """Close a window: fold ``(address, old_image, new_image)`` per
+        range, release its latches, re-cover its pages.  Returns the
+        per-range old-image checksums update records carry (Section 4.3:
+        the update is treated as a read of the old value followed by a
+        write), None where no member logs one.  If the fold fails the
+        codewords are untouched and the window is still open."""
+        checksums: list[int | None] = [None] * len(items)
+        maintainer = self.maintainer
+        if maintainer is not None:
+            maintainer.close_window(window, items)
+            if self.logs_read_checksums:
+                checksums = [
+                    maintainer.checksum_of(old_image) for _address, old_image, _new in items
+                ]
+        for member in self._window_members:
+            for index, (address, old_image, new_image) in enumerate(items):
+                result = member.on_end_update(txn, address, old_image, new_image)
+                if checksums[index] is None:
+                    checksums[index] = result
+        return checksums
+
+    def close_update_window_batch(
+        self, txn: Transaction, window, ranges: list[tuple[int, int]]
+    ) -> None:
+        """Abandon an open window: release and re-cover, fold nothing."""
+        if window is not None:
+            self.maintainer.release_window(window)
+        for member in self._window_members:
+            for address, length in ranges:
+                member.close_update_window(txn, address, length)
+
+    # The one-range hooks, for callers that drive a scheme hook by hook:
+    # the window's geometry waits in ``txn.scheme_state`` between them.
+
+    def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
+        txn.scheme_state["window"] = self.on_begin_update_batch(txn, [(address, length)])
 
     def on_end_update(
         self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
     ) -> int | None:
-        checksum: int | None = None
-        if self.maintainer is not None:
-            self.maintainer.maintain(txn, [(address, old_image, new_image)])
-            self.maintainer.release_window(txn)
-            if self.logs_read_checksums:
-                # Codewords-in-write-records (Section 4.3): the update is
-                # treated as a read of the old value followed by a write.
-                checksum = self.maintainer.checksum_of(old_image)
-        for member in self.members:
-            if not member.uses_codewords:
-                result = member.on_end_update(txn, address, old_image, new_image)
-                if checksum is None:
-                    checksum = result
+        state = txn.scheme_state
+        (checksum,) = self.on_end_update_batch(
+            txn, state["window"], [(address, old_image, new_image)]
+        )
+        del state["window"]
         return checksum
 
     def close_update_window(self, txn: Transaction, address: int, length: int) -> None:
-        if self.maintainer is not None:
-            self.maintainer.release_window(txn)
-        for member in self.members:
-            if not member.uses_codewords:
-                member.close_update_window(txn, address, length)
-
-    # ------------------------------------------------------ batch hooks
-    #
-    # A multi-region window drives the shared maintainer once for the
-    # whole batch -- one bulk latch pass, one vectorized delta-fold --
-    # while non-codeword members (page guards, read logging bookkeeping)
-    # see the same per-range scalar hooks they would under N windows.
-
-    def on_begin_update_batch(
-        self, txn: Transaction, regions: list[tuple[int, int]]
-    ) -> None:
-        if self.maintainer is not None:
-            self.maintainer.open_window(txn, regions)
-        for member in self.members:
-            if not member.uses_codewords:
-                for address, length in regions:
-                    member.on_begin_update(txn, address, length)
-
-    def on_end_update_batch(
-        self, txn: Transaction, items: list[tuple[int, bytes, bytes]]
-    ) -> list[int | None]:
-        checksums: list[int | None] = [None] * len(items)
-        if self.maintainer is not None:
-            self.maintainer.maintain(txn, items)
-            self.maintainer.release_window(txn)
-            if self.logs_read_checksums:
-                checksums = [
-                    self.maintainer.checksum_of(old_image)
-                    for _address, old_image, _new in items
-                ]
-        for member in self.members:
-            if not member.uses_codewords:
-                for index, (address, old_image, new_image) in enumerate(items):
-                    result = member.on_end_update(txn, address, old_image, new_image)
-                    if checksums[index] is None:
-                        checksums[index] = result
-        return checksums
-
-    def close_update_window_batch(
-        self, txn: Transaction, regions: list[tuple[int, int]]
-    ) -> None:
-        if self.maintainer is not None:
-            self.maintainer.release_window(txn)
-        for member in self.members:
-            if not member.uses_codewords:
-                for address, length in regions:
-                    member.close_update_window(txn, address, length)
+        window = txn.scheme_state.pop("window")
+        self.close_update_window_batch(txn, window, [(address, length)])
 
     def on_operation_end(self, txn: Transaction) -> None:
         for member in self._op_enders:

@@ -96,41 +96,6 @@ class ProtectionScheme(ABC):
         Section 3.1).
         """
 
-    # ------------------------------------------------------ batch hooks
-    #
-    # Multi-range update windows (``begin_updates``) dispatch through
-    # these.  The defaults loop the scalar hooks, so every scheme is
-    # batch-correct by construction; the pipeline overrides them to drive
-    # the shared maintainer once for the whole window instead.
-
-    def on_begin_update_batch(
-        self, txn: Transaction, regions: list[tuple[int, int]]
-    ) -> None:
-        """Called when a multi-region update window opens."""
-        for address, length in regions:
-            self.on_begin_update(txn, address, length)
-
-    def on_end_update_batch(
-        self, txn: Transaction, items: list[tuple[int, bytes, bytes]]
-    ) -> list[int | None]:
-        """Called when a multi-region window closes.
-
-        ``items`` holds ``(address, old_image, new_image)`` per range;
-        returns the per-range old-image checksums (``None`` entries for
-        schemes that do not log them), positionally matching ``items``.
-        """
-        return [
-            self.on_end_update(txn, address, old_image, new_image)
-            for address, old_image, new_image in items
-        ]
-
-    def close_update_window_batch(
-        self, txn: Transaction, regions: list[tuple[int, int]]
-    ) -> None:
-        """Release a multi-region window abandoned before ``end_update``."""
-        for address, length in regions:
-            self.close_update_window(txn, address, length)
-
     def on_operation_end(self, txn: Transaction) -> None:
         """Called at operation commit/abort (clears per-op scheme caches)."""
 
@@ -227,18 +192,23 @@ class CodewordSchemeBase(ProtectionScheme):
 
     # ---------------------------------------------------------- windows
 
+    # A bare scheme's window waits in ``txn.scheme_state`` between its
+    # hooks; a pipeline drives the maintainer itself and hands the window
+    # back (see :class:`~repro.core.pipeline.ProtectionPipeline`).
+
     def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
-        self.maintainer.open_window(txn, [(address, length)])
+        txn.scheme_state["window"] = self.maintainer.open_window([(address, length)])
 
     def on_end_update(
         self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
     ) -> int | None:
-        self.maintainer.maintain(txn, [(address, old_image, new_image)])
-        self.maintainer.release_window(txn)
+        state = txn.scheme_state
+        self.maintainer.close_window(state["window"], [(address, old_image, new_image)])
+        del state["window"]
         return None
 
     def close_update_window(self, txn: Transaction, address: int, length: int) -> None:
-        self.maintainer.release_window(txn)
+        self.maintainer.release_window(txn.scheme_state.pop("window"))
 
     # ------------------------------------------------------------- undo
 

@@ -8,9 +8,9 @@ tuples and is load-bearing for the hardware-protection results.
 
 Three write paths exist, mirroring the paper's threat model:
 
-* :meth:`MemoryImage.write` -- the prescribed path used by the storage
-  manager.  Subject to the simulated MMU (a protected page traps) and
-  noted in the dirty page table.
+* :meth:`MemoryImage.write` / :meth:`MemoryImage.write_batch` -- the
+  prescribed path used by the storage manager.  Subject to the simulated
+  MMU (a protected page traps) and noted in the dirty page table.
 * :meth:`MemoryImage.poke` -- an *addressing error*: a wild write that
   bypasses logging and dirty tracking entirely.  It still traps on a
   hardware-protected page, because the MMU does not care about intent.
@@ -247,17 +247,20 @@ class MemoryImage:
 
     def read(self, address: int, length: int) -> bytes:
         """Raw read; protection-scheme hooks live above this layer."""
-        if length == 0:
+        bases = self._bases
+        if length > 0 and bases:
+            # Fast path: the whole range lies within one segment (the
+            # overwhelmingly common case -- reads rarely straddle).  An
+            # address outside the image lands in the first or the last
+            # segment at an offset outside it.
+            segment = self._segments[bisect_right(bases, address) - 1]
+            offset = address - segment.base
+            if 0 <= offset and offset + length <= segment.size:
+                return bytes(segment.data[offset : offset + length])
+        elif length == 0:
             # Validate the address even for empty reads.
             self._segment_at(address)
             return b""
-        if length > 0 and address >= 0 and address + length <= self._next_base:
-            # Fast path: the whole range lies within one segment (the
-            # overwhelmingly common case -- reads rarely straddle).
-            segment = self._segments[bisect_right(self._bases, address) - 1]
-            offset = address - segment.base
-            if offset + length <= segment.size:
-                return bytes(segment.data[offset : offset + length])
         chunks = [
             bytes(seg.data[off : off + n]) for seg, off, n in self._spans(address, length)
         ]
@@ -287,10 +290,42 @@ class MemoryImage:
 
     def write(self, address: int, data: bytes) -> None:
         """Prescribed-path write: MMU-checked and dirty-tracked."""
-        if self.mmu is not None:
-            self.mmu.check_write(address, len(data))
-        self._store(address, data)
-        self.dirty_pages.note_dirty_range(address, len(data), self.page_size)
+        self.write_batch(((address, data),))
+
+    def write_batch(self, writes) -> None:
+        """Prescribed-path writes of ``(address, bytes)`` pairs, in order.
+
+        Each is MMU-checked (a protected page traps) and stored; the
+        pages they cover are marked dirty once, for both checkpoint
+        images -- also when a store fails, so the stores before it are
+        tracked.  An update window stores its ranges through one call.
+        """
+        mmu = self.mmu
+        page_size = self.page_size
+        segments, bases = self._segments, self._bases
+        pages: set[int] = set()
+        try:
+            for address, data in writes:
+                length = len(data)
+                if mmu is not None:
+                    mmu.check_write(address, length)
+                # The single-segment fast path, as in read().
+                if length > 0 and bases:
+                    segment = segments[bisect_right(bases, address) - 1]
+                    offset = address - segment.base
+                    if 0 <= offset and offset + length <= segment.size:
+                        segment.data[offset : offset + length] = data
+                    else:
+                        self._store_spans(address, data, 0, length)
+                else:
+                    self._store_spans(address, data, 0, length)
+                first = address // page_size
+                last = (address + length - 1) // page_size
+                pages.add(first)
+                if last > first:
+                    pages.update(range(first + 1, last + 1))
+        finally:
+            self.dirty_pages.mark_all_dirty(pages)
 
     def poke(self, address: int, data: bytes) -> None:
         """A wild write: bypasses dirty tracking but not the MMU.

@@ -52,8 +52,7 @@ class DirtyPageTable:
             pending.add(page_id)
 
     def note_dirty_range(self, address: int, length: int, page_size: int) -> None:
-        for page_id in page_range(address, length, page_size):
-            self.note_dirty(page_id)
+        self.mark_all_dirty(page_range(address, length, page_size))
 
     def pending_for(self, image: str) -> frozenset[int]:
         """Pages that must be written to checkpoint ``image``."""

@@ -7,10 +7,9 @@ the recovery machinery can execute to compensate it.  Table methods are
 therefore exactly the level-1 operations of the paper's model.
 
 Every physical write of an operation -- allocator, record, fields, index
--- goes through :class:`TxnAccessor`, which queues them and opens *one*
-update window per flush; ``TxnAccessor.flush`` is the only place this
-package calls the manager's ``update`` / ``begin_updates`` /
-``write_batch``.
+-- goes through :class:`TxnAccessor`, which queues them and applies
+them as *one* update window per flush; ``TxnAccessor.flush`` is the only
+place this package calls the manager's ``apply_writes``.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ class TxnAccessor:
     """Adapts a transaction to the allocator/index accessor protocol.
 
     The accessor is write-combining: ``update`` only queues
-    ``(address, bytes)`` in program order, and :meth:`flush` applies the
-    queue through one multi-region update window.  An insert's bitmap
-    byte, allocator header, record and index writes therefore share one
-    window (one latch pass, one vectorized codeword fold) instead of
+    ``(address, bytes)`` in program order, and :meth:`flush` hands the
+    queue to the manager as one multi-region update window.  An insert's
+    bitmap byte, allocator header, record and index writes therefore share
+    one window (one latch pass, one vectorized codeword fold) instead of
     opening one each -- with the same meter events, log records and
     codewords, since a batch window is event-for-event identical to the
     scalar windows it replaces.  A ``read`` or ``update`` that overlaps a
@@ -66,17 +65,9 @@ class TxnAccessor:
     def flush(self) -> None:
         """Apply the queued updates, in order, through one update window."""
         pending = self.pending
-        if not pending:
-            return
-        self.pending = []
-        mgr = self.db.manager
-        txn = self.txn
-        if len(pending) == 1:
-            mgr.update(txn, *pending[0])
-            return
-        mgr.begin_updates(txn, [(address, len(data)) for address, data in pending])
-        mgr.write_batch(txn, pending)
-        mgr.end_update(txn)
+        if pending:
+            self.pending = []
+            self.db.manager.apply_writes(self.txn, pending)
 
     def _overlaps_pending(self, address: int, length: int) -> bool:
         end = address + length

@@ -8,12 +8,15 @@ hook these three points; anything that writes memory without them (a wild
 write through :meth:`~repro.mem.memory.MemoryImage.poke`) is by definition
 an addressing error.
 
-An update window has one shape: a list of pairwise-disjoint ranges opened
-once (``begin_updates``; ``begin_update`` is its one-range case), written
-through ``write`` and closed by one ``end_update``.  The only thing that
-depends on the range count is which scheme hook is told about it.  The
-manager never batches on its own -- the storage layer's write-combining
-:class:`~repro.storage.table.TxnAccessor` decides what shares a window.
+An update window has one shape: a list of pairwise-disjoint ranges,
+opened once, written and closed.  :meth:`TransactionManager.apply_writes`
+runs a whole window in one call; ``begin_updates`` (``begin_update`` is
+its one-range case), ``write`` and ``end_update`` hold one open across
+calls.  Both are built from the same open, close and abandon steps, each
+of which crosses into the scheme once per window whatever its range
+count.  The manager never batches on its own -- the storage layer's
+write-combining :class:`~repro.storage.table.TxnAccessor` decides what
+shares a window.
 
 The manager dispatches only to the hook interface, never to a concrete
 scheme: since the pipeline refactor the object handed in by ``Database``
@@ -42,7 +45,6 @@ from repro.txn.transaction import (
     PendingUpdate,
     Transaction,
     TxnStatus,
-    WindowRegion,
 )
 from repro.wal.local_log import LogicalUndoEntry, PhysicalUndo
 from repro.wal.records import (
@@ -383,30 +385,11 @@ class TransactionManager:
         self.meter.charge("undo_apply")
 
     def _rollback_pending_update(self, txn: Transaction) -> None:
-        """Close an update window left open by an error path.
-
-        Every captured range rolls back, newest-first; none of the
-        window's codewords moved (``end_update`` never ran), so the
-        physical undos restore bytes only.
-        """
-        if txn.pending_update is None:
-            return
+        """Roll back an update window left open by an error path."""
         pending = txn.pending_update
-        txn.pending_update = None
-        first = pending.regions[0].undo_index
-        entries = txn.undo_log.entries[first:]
-        if len(entries) != len(pending.regions) or not all(
-            isinstance(entry, PhysicalUndo) for entry in entries
-        ):  # pragma: no cover
-            raise TransactionError("pending update lost its undo entries")
-        del txn.undo_log.entries[first:]
-        ranges = [(r.address, r.length) for r in pending.regions]
-        if len(ranges) == 1:
-            self.scheme.close_update_window(txn, *ranges[0])
-        else:
-            self.scheme.close_update_window_batch(txn, ranges)
-        for entry in reversed(entries):
-            self._apply_physical_undo(txn, entry)
+        if pending is not None:
+            txn.pending_update = None
+            self._abandon_window(txn, pending.window, pending.undo_mark)
 
     # ------------------------------------------------------------ locks
 
@@ -438,15 +421,42 @@ class TransactionManager:
         self.scheme.on_read(txn, address, length)
         return self.memory.read(address, length)
 
+    # An update window has three steps, shared by every way of running
+    # one: open (check, latch, capture the undo images), close (fold,
+    # release, pack the redo frames) and abandon (release, restore the
+    # undo images).  ``apply_writes`` runs a whole window in one call;
+    # the explicit ``begin_update(s)`` / ``write`` / ``end_update`` form
+    # holds it open between calls (tests and fault injection that audit
+    # or crash mid-window).
+
+    def apply_writes(self, txn: Transaction, writes: list[tuple[int, bytes]]) -> None:
+        """Store ``(address, bytes)`` pairs through one update window.
+
+        The pairs' ranges must be pairwise disjoint.  The window opens,
+        the bytes are stored (each pair's bytes are its range's redo
+        image) and it closes, all before this returns; if anything fails
+        on the way, the window is rolled back -- bytes, undo log and
+        latches as they were -- and the error propagates.
+        """
+        window, mark = self._open_window(txn, [(a, len(data)) for a, data in writes])
+        try:
+            self.memory.write_batch(writes)
+            self._close_window(txn, window, mark, writes)
+        except BaseException:
+            self._abandon_window(txn, window, mark)
+            raise
+
     def begin_update(self, txn: Transaction, address: int, length: int) -> None:
         """Open a one-range update window."""
-        self._open_window(txn, [(address, length)])
+        ranges = [(address, length)]
+        window, mark = self._open_window(txn, ranges)
+        txn.pending_update = PendingUpdate(window, mark, ranges)
 
     def begin_updates(
         self, txn: Transaction, regions: list[tuple[int, int]]
     ) -> None:
-        """Open one update window covering several ``(address, length)``
-        ranges at once.
+        """Open one update window covering several pairwise-disjoint
+        ``(address, length)`` ranges at once.
 
         One scheme notification latches every spanned protection region,
         the undo images are captured range by range, and the matching
@@ -457,22 +467,16 @@ class TransactionManager:
         Table 2 number).
         """
         ranges = [(a, n) for a, n in regions]
-        if not ranges:
-            raise TransactionError("begin_updates needs at least one region")
-        # Every undo image is captured up front, so overlapping ranges
-        # would double-count codeword deltas and replay stale bytes on
-        # redo.
-        ordered = sorted(ranges)
-        for (a, n), (b, _m) in zip(ordered, ordered[1:]):
-            if a + n > b:
-                raise TransactionError(
-                    f"begin_updates ranges overlap at {b:#x}; window "
-                    "ranges must be pairwise disjoint"
-                )
-        self._open_window(txn, ranges)
+        window, mark = self._open_window(txn, ranges)
+        txn.pending_update = PendingUpdate(window, mark, ranges)
 
-    def _open_window(self, txn: Transaction, ranges: list[tuple[int, int]]) -> None:
-        """Capture the undo images, notify the scheme (the window body)."""
+    def _open_window(
+        self, txn: Transaction, ranges: list[tuple[int, int]]
+    ) -> tuple[object, int]:
+        """The open step: check the window may open, latch its regions
+        through the scheme and append each range's undo image to the undo
+        log.  Returns the scheme's window and the undo log index of its
+        first entry."""
         if txn.status is not TxnStatus.ACTIVE:
             txn.require_active()
         op = txn.current_op  # updates must happen inside an operation
@@ -481,28 +485,82 @@ class TransactionManager:
                 f"transaction {txn.txn_id} already has an open update window"
             )
         count = len(ranges)
-        if count == 1:
-            self.scheme.on_begin_update(txn, *ranges[0])
-        else:
-            self.scheme.on_begin_update_batch(txn, ranges)
+        if count != 1:
+            if not count:
+                raise TransactionError("an update window needs at least one region")
+            # Every undo image is captured up front, so overlapping ranges
+            # would double-count codeword deltas and replay stale bytes on
+            # redo.
+            ordered = sorted(ranges)
+            for (a, n), (b, _m) in zip(ordered, ordered[1:]):
+                if a + n > b:
+                    raise TransactionError(
+                        f"update window ranges overlap at {b:#x}; window "
+                        "ranges must be pairwise disjoint"
+                    )
+        window = self.scheme.on_begin_update_batch(txn, ranges)
         read = self.memory.read
-        entries = txn.undo_log.entries
-        index = len(entries)
         seq = self._take_seq(count)
         op_id = op.op_id
-        window: list[WindowRegion] = []
+        undo = []
         total = 0
-        for address, length in ranges:
-            undo_image = read(address, length)
-            entries.append(PhysicalUndo(seq, op_id, address, undo_image, False))
-            window.append(WindowRegion(address, length, undo_image, index))
-            seq += 1
-            index += 1
-            total += length
-        txn.pending_update = PendingUpdate(window)
+        try:
+            for address, length in ranges:
+                undo.append(PhysicalUndo(seq, op_id, address, read(address, length), False))
+                seq += 1
+                total += length
+        except BaseException:
+            self.scheme.close_update_window_batch(txn, window, ranges)
+            raise
+        entries = txn.undo_log.entries
+        mark = len(entries)
+        entries += undo
         self.meter.charge_many(
             (("begin_update", count), ("log_record", count), ("log_byte", total))
         )
+        return window, mark
+
+    def _close_window(
+        self, txn: Transaction, window, mark: int, writes: list[tuple[int, bytes]]
+    ) -> None:
+        """The close step: fold each range's ``(address, redo image)`` in
+        ``writes`` and release the latches through the scheme, mark the
+        undo entries applied and pack one update frame per range straight
+        into the transaction's redo arena."""
+        undo = txn.undo_log.entries[mark:]
+        checksums = self.scheme.on_end_update_batch(
+            txn,
+            window,
+            [(address, entry.image, image) for entry, (address, image) in zip(undo, writes)],
+        )
+        redo = txn.redo_log
+        arena = redo.arena
+        offsets = redo.offsets
+        txn_id = txn.txn_id
+        total = 0
+        for entry, (address, image), checksum in zip(undo, writes, checksums):
+            entry.codeword_applied = True
+            offsets.append(len(arena))
+            pack_update(arena, 0, txn_id, address, image, checksum)
+            total += len(image)
+        count = len(undo)
+        self.meter.charge_many(
+            (("end_update", count), ("log_record", count), ("log_byte", total))
+        )
+
+    def _abandon_window(self, txn: Transaction, window, mark: int) -> None:
+        """The abandon step: release the window through the scheme, drop
+        its undo entries and restore their images newest-first.  No
+        codeword moved (the close step never ran), so the restores move
+        bytes only."""
+        entries = txn.undo_log.entries
+        undo = entries[mark:]
+        del entries[mark:]
+        self.scheme.close_update_window_batch(
+            txn, window, [(entry.address, len(entry.image)) for entry in undo]
+        )
+        for entry in reversed(undo):
+            self._apply_physical_undo(txn, entry)
 
     def write(self, txn: Transaction, address: int, data: bytes) -> None:
         """Write inside the currently open update window.
@@ -512,92 +570,46 @@ class TransactionManager:
         """
         pending = self._require_pending(txn)
         length = len(data)
-        # Fast path: the write covers a whole range exactly (how
-        # ``update()`` and the record-level storage code write); its
-        # bytes are the range's redo image.
-        target = pending.exact_region(address, length)
-        if target is not None:
-            target.new_image = data if data.__class__ is bytes else bytes(data)
-        else:
+        image = data if data.__class__ is bytes else bytes(data)
+        # Fast path: the write covers a whole range exactly; its bytes are
+        # the range's redo image.
+        index = pending.index_of(address, length)
+        if index is None:
             end = address + length
-            for region in pending.regions:
-                if region.address <= address and end <= region.address + region.length:
-                    target = region
+            for index, (start, size) in enumerate(pending.regions):
+                if start <= address and end <= start + size:
                     break
             else:
                 raise TransactionError(
                     f"write of {length} bytes at {address:#x} is outside the "
                     f"open update window"
                 )
-            image = target.redo_image
-            start = address - target.address
-            target.new_image = image[:start] + bytes(data) + image[start + length :]
+            current = pending.images[index]
+            if current is None:
+                current = txn.undo_log.entries[pending.undo_mark + index].image
+            offset = address - start
+            image = current[:offset] + image + current[offset + length :]
+        pending.images[index] = image
         self.memory.write(address, data)
-
-    def write_batch(self, txn: Transaction, writes: list[tuple[int, bytes]]) -> None:
-        """Write ``(address, bytes)`` pairs into the open window in one call.
-
-        The store of a write-combining accessor's queue: the window was
-        opened over exactly these ranges, in this order, so each pair
-        fills its range and its bytes become the range's redo image.  A
-        queue that does not line up with the window's ranges goes through
-        :meth:`write` pair by pair.
-        """
-        pending = self._require_pending(txn)
-        regions = pending.regions
-        if len(writes) != len(regions):
-            for address, data in writes:
-                self.write(txn, address, data)
-            return
-        memory_write = self.memory.write
-        for region, (address, data) in zip(regions, writes):
-            if region.address != address or region.length != len(data):
-                self.write(txn, address, data)
-                continue
-            region.new_image = data if data.__class__ is bytes else bytes(data)
-            memory_write(address, data)
 
     def end_update(self, txn: Transaction) -> None:
         """Close the update window: maintain codewords, log the redo images.
 
-        The redo image of each range is the bytes :meth:`write` /
-        :meth:`write_batch` stored there (byte-identical to re-reading
-        the window from memory, without the copy); each is packed as an
-        update frame straight into the transaction's redo arena.
+        The redo image of each range is the bytes :meth:`write` stored
+        there, or its undo image where nothing was written
+        (byte-identical to re-reading the window from memory).
         """
         pending = self._require_pending(txn)
-        regions = pending.regions
-        count = len(regions)
-        if count == 1:
-            region = regions[0]
-            image = region.new_image
-            if image is None:
-                image = region.undo_image
-            checksums = (
-                self.scheme.on_end_update(
-                    txn, region.address, region.undo_image, image
-                ),
-            )
-            images = (image,)
-        else:
-            items = [(r.address, r.undo_image, r.redo_image) for r in regions]
-            checksums = self.scheme.on_end_update_batch(txn, items)
-            images = [image for _address, _old, image in items]
+        mark = pending.undo_mark
         entries = txn.undo_log.entries
-        redo = txn.redo_log
-        arena = redo.arena
-        offsets = redo.offsets
-        txn_id = txn.txn_id
-        total = 0
-        for region, image, checksum in zip(regions, images, checksums):
-            entries[region.undo_index].codeword_applied = True
-            offsets.append(len(arena))
-            pack_update(arena, 0, txn_id, region.address, image, checksum)
-            total += len(image)
+        writes = [
+            (address, entries[mark + index].image if image is None else image)
+            for index, ((address, _length), image) in enumerate(
+                zip(pending.regions, pending.images)
+            )
+        ]
+        self._close_window(txn, pending.window, mark, writes)
         txn.pending_update = None
-        self.meter.charge_many(
-            (("end_update", count), ("log_record", count), ("log_byte", total))
-        )
 
     def update(self, txn: Transaction, address: int, data: bytes) -> None:
         """Convenience: begin_update + write + end_update."""

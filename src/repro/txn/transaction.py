@@ -6,10 +6,9 @@ carries its *local* undo and redo logs; the ATT (with the local undo logs)
 is written out with every checkpoint so restart recovery can roll back
 transactions that were in progress at checkpoint time.
 
-A transaction has at most one open update window
-(:class:`PendingUpdate`): a list of pairwise-disjoint ranges
-(:class:`WindowRegion`), each tracking its undo image and the bytes
-written into it.
+A transaction has at most one open explicit update window
+(:class:`PendingUpdate`): a list of pairwise-disjoint ranges and the
+bytes written into each.
 """
 
 from __future__ import annotations
@@ -40,55 +39,39 @@ class Operation:
     undo_mark: int = 0  # undo log position at operation begin
 
 
-@dataclass(slots=True)
-class WindowRegion:
-    """One contiguous range of an open update window.
-
-    ``new_image`` is the range's bytes as written into the window (None
-    until something is written), so ``end_update`` can log the redo image
-    without re-reading the window from memory.
-    """
-
-    address: int
-    length: int
-    undo_image: bytes
-    undo_index: int  # position of the PhysicalUndo entry in the undo log
-    new_image: bytes | None = field(repr=False, default=None)
-
-    @property
-    def redo_image(self) -> bytes:
-        """The range's current bytes: written ones, else the undo image."""
-        return self.undo_image if self.new_image is None else self.new_image
-
-
 class PendingUpdate:
-    """State of an open ``begin_update``/``end_update`` window.
+    """State of an open explicit ``begin_update``/``end_update`` window.
 
-    A window is a list of pairwise-disjoint target ranges
-    (``begin_updates``; ``begin_update`` opens the one-range case), so a
-    write inside it belongs to exactly one of them.
+    A window is a list of pairwise-disjoint ``(address, length)`` target
+    ranges (``begin_updates``; ``begin_update`` opens the one-range case),
+    so a write inside it belongs to exactly one of them.  ``images`` holds
+    each range's bytes as written into the window (None until something
+    is written), so ``end_update`` can log the redo images without
+    re-reading memory; the undo images are the undo log's entries from
+    ``undo_mark`` on, in range order.  ``window`` is the protection
+    pipeline's geometry of the window, handed back when it closes.
     """
 
-    __slots__ = ("regions", "_by_range")
+    __slots__ = ("window", "undo_mark", "regions", "images", "_by_range")
 
-    def __init__(self, regions: list[WindowRegion]) -> None:
+    def __init__(self, window, undo_mark: int, regions: list[tuple[int, int]]) -> None:
+        self.window = window
+        self.undo_mark = undo_mark
         self.regions = regions
-        # (address, length) -> the region with exactly that range, built
-        # on the first lookup of a several-range window.
+        self.images: list[bytes | None] = [None] * len(regions)
+        # (address, length) -> range index, built on the first lookup of a
+        # several-range window.
         self._by_range: dict | None = None
 
-    def exact_region(self, address: int, length: int) -> WindowRegion | None:
-        """The region with exactly this range (the fast path for
-        whole-range writes, how update() and the storage layer write)."""
+    def index_of(self, address: int, length: int) -> int | None:
+        """The index of the range that is exactly this one (the fast path
+        for whole-range writes, how update() writes)."""
         regions = self.regions
         if len(regions) == 1:
-            region = regions[0]
-            if region.address == address and region.length == length:
-                return region
-            return None
+            return 0 if regions[0] == (address, length) else None
         by_range = self._by_range
         if by_range is None:
-            by_range = self._by_range = {(r.address, r.length): r for r in regions}
+            by_range = self._by_range = {r: i for i, r in enumerate(regions)}
         return by_range.get((address, length))
 
 

@@ -33,7 +33,7 @@ from typing import Iterator
 from repro.errors import LogError
 from repro.faults.crashpoints import CrashPointRegistry
 from repro.sim.clock import Meter
-from repro.txn.latches import Latch
+from repro.txn.latches import EXCLUSIVE, Latch
 from repro.wal.records import (
     LSN_SLOT,
     LogicalUndo,
@@ -282,10 +282,14 @@ class SystemLog:
         to serialize access to the flush buffers.  The tail already holds
         the stable bytes; it is written with a single syscall.
         """
-        with self.latch.exclusive():
-            self.meter.charge("latch_pair")
+        # An explicit acquire / release pair, not ``Latch.exclusive()``'s
+        # generator: this runs once per commit.
+        latch = self.latch
+        latch.acquire(EXCLUSIVE)
+        try:
             with self._tail_lock:
                 if not self._tail_frames:
+                    self.meter.charge("latch_pair")
                     return self.end_of_stable_lsn
                 # Detach the tail under the mutex: records appended by
                 # other sessions from here on ride the *next* flush.
@@ -295,7 +299,6 @@ class SystemLog:
                 self._tail = bytearray()
                 self._tail_frames = 0
             self.crashpoints.reach("wal.flush.pre")
-            self.meter.charge("flush_fixed")
             armed = self.crashpoints.reach("wal.flush.mid", defer=True)
             if armed is not None:
                 # A torn flush: a prefix of the buffer reaches disk, then
@@ -314,11 +317,15 @@ class SystemLog:
             self._file.write(buf)
             self._file.flush()
             self.crashpoints.reach("wal.flush.post")
-            self.meter.charge("flush_byte", len(buf))
+            self.meter.charge_many(
+                (("latch_pair", 1), ("flush_fixed", 1), ("flush_byte", len(buf)))
+            )
             if self._stable_count is not None:
                 self._stable_count += count
             self.end_of_stable_lsn = end_lsn
             return self.end_of_stable_lsn
+        finally:
+            latch.release()
 
     def close(self) -> None:
         self._file.close()

@@ -307,15 +307,14 @@ class TestFailedAcquireReleasesTakenLatches:
     def test_maintain(self, monkeypatch):
         scheme, memory = make_scheme(DataCodewordScheme)
         maintainer = scheme.maintainer
-        txn = Transaction(txn_id=1)
         ranges = [(0, 8), (REGION, 8)]
-        maintainer.open_window(txn, ranges)
+        window = maintainer.open_window(ranges)
         _fail_acquire_of(monkeypatch, maintainer.codeword_latches, 1)
         items = [(a, memory.read(a, n), b"\x01" * n) for a, n in ranges]
         with pytest.raises(LatchError):
-            maintainer.maintain(txn, items)
+            maintainer.close_window(window, items)
         # The window's owner closes it after a failed end_update.
-        maintainer.release_window(txn)
+        maintainer.release_window(window)
         _assert_nothing_held(maintainer)
 
 
@@ -359,19 +358,17 @@ class TestAscendingLatchOrder:
         failures: list[Exception] = []
 
         def window(name: str, txn_id: int) -> None:
-            txn = Transaction(txn_id=txn_id)
             ranges = windows[name]
             try:
-                maintainer.open_window(txn, ranges)
+                opened = maintainer.open_window(ranges)
                 items = []
                 for address, length in ranges:
                     old = memory.read(address, length)
                     new = bytes([txn_id]) * length
                     memory.write(address, new)
                     items.append((address, old, new))
-                maintainer.maintain(txn, items)
-                maintainer.release_window(txn)
-            except LatchError as exc:
+                maintainer.close_window(opened, items)
+            except Exception as exc:  # a dying thread must fail the test
                 failures.append(exc)
 
         threads = [

@@ -2,7 +2,7 @@
 
 A multi-field update used to open one maintenance window per field; it
 now queues the field writes on the accessor and flushes them as a single
-``begin_updates`` window over all changed field ranges, folding the
+``apply_writes`` window over all changed field ranges, folding the
 codeword delta once.  That must be *identical* to a window per field in
 everything but shape: same final bytes, same undo behavior, and -- the
 meter-identity claim -- exactly the same virtual charge counts event for
@@ -33,20 +33,22 @@ def _meter_delta(after: dict, before: dict) -> dict:
 
 
 def _spy_windows(db):
-    """Wrap the manager's window-open entry points with call counters."""
-    counts = {"begin_updates": [], "begin_update": 0}
+    """Wrap the manager's window entry points with call counters: the
+    accessor's one-call windows (their range counts) and explicit
+    one-range windows."""
+    counts = {"apply_writes": [], "begin_update": 0}
     mgr = db.manager
-    real_batch, real_scalar = mgr.begin_updates, mgr.begin_update
+    real_batch, real_scalar = mgr.apply_writes, mgr.begin_update
 
-    def begin_updates(txn, regions, **kwargs):
-        counts["begin_updates"].append(len(regions))
-        return real_batch(txn, regions, **kwargs)
+    def apply_writes(txn, writes):
+        counts["apply_writes"].append(len(writes))
+        return real_batch(txn, writes)
 
     def begin_update(txn, address, length):
         counts["begin_update"] += 1
         return real_scalar(txn, address, length)
 
-    mgr.begin_updates = begin_updates
+    mgr.apply_writes = apply_writes
     mgr.begin_update = begin_update
     return counts
 
@@ -63,7 +65,7 @@ class TestBatchedDispatch:
         db.commit(txn)
         # One batched window covering both field ranges, no per-field
         # scalar windows.
-        assert counts["begin_updates"] == [2]
+        assert counts["apply_writes"] == [2]
         assert counts["begin_update"] == 0
 
     def test_single_field_update_stays_scalar(self, db_factory):
@@ -73,8 +75,8 @@ class TestBatchedDispatch:
         txn = db.begin()
         db.table("acct").update(txn, slots[0], {"balance": 500})
         db.commit(txn)
-        assert counts["begin_updates"] == []
-        assert counts["begin_update"] == 1
+        assert counts["apply_writes"] == [1]
+        assert counts["begin_update"] == 0
 
 
 class TestBatchedScalarIdentity:
@@ -177,5 +179,5 @@ class TestBatchedScalarIdentity:
         scalar_meter, scalar_windows = results["scalar"]
         assert batched_meter == scalar_meter
         # The two sides really took different shapes.
-        assert batched_windows == {"begin_updates": [2, 2], "begin_update": 0}
-        assert scalar_windows == {"begin_updates": [], "begin_update": 4}
+        assert batched_windows == {"apply_writes": [2, 2], "begin_update": 0}
+        assert scalar_windows == {"apply_writes": [], "begin_update": 4}

@@ -1,7 +1,7 @@
 """The write-combining ``TxnAccessor``: one update window per insert.
 
 ``TxnAccessor.update`` queues its writes and ``flush`` applies them
-through one ``begin_updates`` window, so an insert's bitmap byte,
+through one ``apply_writes`` window, so an insert's bitmap byte,
 allocator header, record and index writes stop opening a window each.
 That must change the *shape* of the work only.  The identity tests run
 one insert / delete / insert_at / update / abort history twice -- once
