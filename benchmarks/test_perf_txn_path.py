@@ -928,8 +928,9 @@ CENSUS_SEED = 1
 #: Calls per op measured on Python 3.11.7; a count may grow 10 % past it
 #: before the gate fails.  Before log records were packed as frames where
 #: they are made, the counts were 1 737 / 2 008 / 2 374; before an update
-#: window ran in one manager call, 1 236 / 1 280 / 1 770.
-CENSUS_MEASURED = {"paper": 1086, "readmix": 1195, "served": 1612}
+#: window ran in one manager call, 1 236 / 1 280 / 1 770; before the
+#: codeword table kept one delta loop, 1 086 / 1 195 / 1 612.
+CENSUS_MEASURED = {"paper": 1051, "readmix": 1169, "served": 1560}
 CENSUS_SLACK = 1.10
 
 
@@ -1002,13 +1003,16 @@ OPCODE_OPS = 200
 #: kept only counts (its clock advanced on every charge) the bytecodes
 #: read 22 380 / 28 981 / 31 930, and before an update window ran in one
 #: manager call 21 504 / 27 333 / 30 858 (C calls 663 / 690 / 930; per
-#: call 9 119 / 4 046).
+#: call 9 119 / 4 046), and before the codeword table kept one delta loop
+#: 19 231 / 25 880 / 28 405 (C calls 609 / 660 / 867; per call 7 734 /
+#: 3 750).  One lookup + update now reads 3 762: a one-item window pays
+#: for the loop its one-chunk branch sits in.
 OPCODES_MEASURED = {
     "3.11": {
-        "paper": {"bytecodes": 19231, "c_calls": 609},
-        "readmix": {"bytecodes": 25880, "c_calls": 660},
-        "served": {"bytecodes": 28405, "c_calls": 867},
-        "per_call": {"insert": 7734, "lookup_update": 3750},
+        "paper": {"bytecodes": 19140, "c_calls": 597},
+        "readmix": {"bytecodes": 25711, "c_calls": 650},
+        "served": {"bytecodes": 28075, "c_calls": 848},
+        "per_call": {"insert": 7607, "lookup_update": 3750},
     },
 }
 

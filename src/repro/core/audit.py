@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.codeword import word_count
 from repro.core.schemes import ProtectionScheme
 from repro.runtime.scheduler import TaskHandle
 from repro.wal.records import AuditBeginRecord, AuditEndRecord
@@ -463,7 +462,7 @@ class Auditor:
         self.scheduler.forget(sweep.handle)
         touched = maintainer.end_sweep_tracking()
         ids, quarantined = self._exclude_quarantined(None, skip_quarantined)
-        self._charge_folds(ids)
+        maintainer.charge_checks(ids)
         mismatched = {int(i) for i in np.nonzero(computed != table.stored_words)[0]}
         skipped = set(quarantined)
         recheck = sorted(touched - skipped)
@@ -479,23 +478,6 @@ class Auditor:
             quarantined,
             sweep_begin=sweep.begin_lsn,
         )
-
-    def _charge_folds(self, ids: list[int] | None) -> None:
-        """Charge what ``audit_regions(ids)`` charges (None: every region)."""
-        table = self.scheme.codeword_table
-        meter = self._maintainer().meter
-        last = table.region_count - 1
-        count = last + 1 if ids is None else len(ids)
-        if meter is None or not count:
-            return
-        words_per_region = word_count(table.region_size)
-        words = count * words_per_region
-        if ids is None or ids[-1] == last:
-            # The final region of the image may be ragged.
-            words += word_count(table.region_bounds(last)[1]) - words_per_region
-        meter.charge("latch_pair", count)
-        meter.charge("cw_check_fixed", count)
-        meter.charge("cw_check_word", words)
 
     def abandon_background_sweep(self) -> None:
         """Discard an in-flight sweep without a verdict (crash/close).

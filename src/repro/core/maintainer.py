@@ -42,6 +42,8 @@ by ``tests/test_pipeline_equivalence.py`` and
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.core.codeword import HALVINGS, INT_FOLD_LIMIT, fold_words, word_count
 from repro.core.regions import CodewordTable
 from repro.errors import CorruptionDetected, QuarantinedRegionError
@@ -141,7 +143,7 @@ class CodewordMaintainer:
         self.table: CodewordTable | None = None
         self.protection_latches = LatchTable("protection")
         self.codeword_latches = LatchTable("codeword")
-        self._pending: dict[int, int] = {}
+        self._pending: defaultdict[int, int] = defaultdict(int)
         self.flush_count = 0
         #: Regions touched through the prescribed interface since they
         #: were last verified by a clean audit.  Fed by maintenance and
@@ -295,20 +297,14 @@ class CodewordMaintainer:
                 regions.update(spanning(address, len(old_image)))
         self._note_dirty(regions)
         if self.deferred:
-            if latch_pairs:
-                self.meter.charge("latch_pair", latch_pairs)
-            for address, old_image, new_image in items:
-                for region_id, delta, words in self.table.compute_deltas(
-                    address, old_image, new_image
-                ):
-                    self._pending[region_id] = self._pending.get(region_id, 0) ^ delta
-                    self.meter.charge("cw_maint_word", words)
-                    self.meter.charge("deferred_update")
+            words, chunks = self.table.fold_updates(items, self._pending)
+            charges = (("cw_maint_word", words), ("deferred_update", chunks)) if chunks else ()
         else:
-            words = self.table.apply_update_batch(items)
+            words, _chunks = self.table.fold_updates(items)
             charges = (("cw_maint_fixed", len(items)), ("cw_maint_word", words))
-            if latch_pairs:
-                charges = (("latch_pair", latch_pairs), *charges)
+        if latch_pairs:
+            charges = (("latch_pair", latch_pairs), *charges)
+        if charges:
             self.meter.charge_many(charges)
 
     # ------------------------------------------------------------- undo
@@ -329,8 +325,7 @@ class CodewordMaintainer:
         latches = self.protection_latches
         _latch_all(latches, regions, EXCLUSIVE)
         try:
-            for _region_id in regions:
-                self.meter.charge("latch_pair")
+            self.meter.charge("latch_pair", len(regions))
             if entry.codeword_applied:
                 current = self.memory.read(entry.address, len(entry.image))
                 self.apply_maintenance(
@@ -348,11 +343,12 @@ class CodewordMaintainer:
         applied = 0
         acquire = self.protection_latches.acquire
         release = self.protection_latches.release
+        codewords = self.table.codewords
         for region_id, delta in self._pending.items():
             acquire(region_id, EXCLUSIVE)
             try:
                 self.meter.charge("latch_pair")
-                self.table.apply_delta(region_id, delta)
+                codewords[region_id] ^= delta
                 applied += 1
             finally:
                 release(region_id)
@@ -527,10 +523,9 @@ class CodewordMaintainer:
         through the vectorized
         :meth:`~repro.core.regions.CodewordTable.scan_mismatches` kernel.
         Ascending lists are what dirty-region and round-robin incremental
-        audits pass, so those ride the kernel too.  The meter is charged
-        the *same* event counts as the per-region loop -- ``charge`` is
-        linear, so bulk charging leaves every Table 2 words-folded number
-        unchanged (property-tested in ``tests/test_dirty_audit.py``).
+        audits pass, so those ride the kernel too.  Both paths charge the
+        regions they checked through :meth:`charge_checks`, once per call
+        (``charge`` is linear, so the totals are a per-region charge's).
         """
         assert self.table is not None and self.meter is not None
         if self.deferred:
@@ -540,42 +535,51 @@ class CodewordMaintainer:
         if not self.protection_latches.any_held():
             runs = _contiguous_runs(ids, table.region_count)
             if runs is not None:
-                checked = 0
-                words = 0
                 corrupt: list[int] = []
-                last = table.region_count - 1
-                words_per_region = word_count(table.region_size)
                 for start, stop in runs:
-                    count = stop - start
-                    checked += count
-                    # Every region folds word_count(region_size) words
-                    # except the possibly ragged final region of the image.
-                    words += count * words_per_region
-                    if start <= last < stop:
-                        words += word_count(table.region_bounds(last)[1]) - (
-                            words_per_region
-                        )
                     corrupt.extend(table.scan_mismatches(range(start, stop)))
-                if checked:
-                    self.meter.charge("latch_pair", checked)
-                    self.meter.charge("cw_check_fixed", checked)
-                    self.meter.charge("cw_check_word", words)
+                self.charge_checks(ids)
                 return corrupt
         corrupt = []
+        checked: list[int] = []
         acquire = self.protection_latches.acquire
         release = self.protection_latches.release
-        for region_id in ids:
-            acquire(region_id, EXCLUSIVE)
-            try:
-                self.meter.charge("latch_pair")
-                _start, length = table.region_bounds(region_id)
-                self.meter.charge("cw_check_fixed")
-                self.meter.charge("cw_check_word", word_count(length))
-                if not table.matches(region_id):
-                    corrupt.append(region_id)
-            finally:
-                release(region_id)
+        try:
+            for region_id in ids:
+                acquire(region_id, EXCLUSIVE)
+                try:
+                    checked.append(region_id)
+                    if not table.matches(region_id):
+                        corrupt.append(region_id)
+                finally:
+                    release(region_id)
+        finally:
+            self.charge_checks(checked)
         return corrupt
+
+    def charge_checks(self, region_ids=None) -> None:
+        """Charge the audit bill for checking ``region_ids`` (None: every
+        region): a ``latch_pair`` and a ``cw_check_fixed`` per region, and
+        ``cw_check_word`` for the words each folds -- a whole region's,
+        or the image's possibly ragged last region's.  ``region_ids`` is
+        a range or a list (repeats are charged again)."""
+        table = self.table
+        last = table.region_count - 1
+        count = last + 1 if region_ids is None else len(region_ids)
+        if not count:
+            return
+        words_per_region = word_count(table.region_size)
+        ragged = 1 if region_ids is None else region_ids.count(last)
+        words = count * words_per_region + ragged * (
+            word_count(table.last_region_length) - words_per_region
+        )
+        self.meter.charge_many(
+            (
+                ("latch_pair", count),
+                ("cw_check_fixed", count),
+                ("cw_check_word", words),
+            )
+        )
 
     def checksum_of(self, data: bytes, charge: bool = True) -> int:
         """Checksum a read value (used by read logging with codewords)."""

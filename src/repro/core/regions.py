@@ -116,133 +116,48 @@ class CodewordTable:
         """Recompute every codeword from memory (vectorized)."""
         self._words[:] = self.fold_all()
 
-    def compute_deltas(self, address: int, old: bytes, new: bytes) -> list[tuple[int, int, int]]:
-        """Per-region codeword deltas for an in-place update.
+    def fold_updates(self, items, target=None) -> tuple[int, int]:
+        """Fold in-place updates into per-region codewords: ``cw ^=
+        fold(old) ^ fold(new)`` for every region chunk an update touches.
 
-        ``old`` and ``new`` are the undo and redo images of the updated
-        range; the update may span several regions.  Returns
-        ``(region_id, delta, words_folded)`` triples, where ``delta`` is
-        the value to XOR into the region's codeword and ``words_folded``
-        counts the 32-bit words touched (old + new images) for cost
-        accounting.
+        ``items`` holds ``(address, old_image, new_image)`` per update;
+        the images are the undo and redo images of the updated range,
+        which may span several regions.  Each chunk's delta is XORed into
+        ``target[region_id]`` -- the stored :attr:`codewords` by default,
+        or a deferred maintainer's pending-delta mapping.  Returns
+        ``(words_folded, chunks)``: the 32-bit words touched (old + new
+        images) for cost accounting, and the region chunks folded.
         """
-        if len(old) != len(new):
-            raise ConfigError(
-                f"undo and redo images differ in length: {len(old)} vs {len(new)}"
-            )
-        deltas = []
-        for region_id, offset, chunk_len in self._split(address, len(old)):
-            old_chunk = old[offset : offset + chunk_len]
-            new_chunk = new[offset : offset + chunk_len]
-            chunk_address = address + offset
-            delta = update_delta(chunk_address, old_chunk, new_chunk)
-            lead = chunk_address % 4
-            words = 2 * ((lead + chunk_len + 3) // 4)
-            deltas.append((region_id, delta, words))
-        return deltas
-
-    def apply_delta(self, region_id: int, delta: int) -> None:
-        self.codewords[region_id] ^= delta
-
-    def apply_update(self, address: int, old: bytes, new: bytes) -> int:
-        """Incrementally maintain codewords; returns words folded."""
-        length = len(old)
+        if target is None:
+            target = self.codewords
         region_size = self.region_size
-        if 0 < length == len(new) and address % region_size + length <= region_size:
-            # Within one region: one delta, no split.
-            self.codewords[address // region_size] ^= update_delta(address, old, new)
-            return 2 * ((address % 4 + length + 3) // 4)
-        words_folded = 0
-        for region_id, delta, words in self.compute_deltas(address, old, new):
-            self.codewords[region_id] ^= delta
-            words_folded += words
-        return words_folded
-
-    #: Below this many image bytes (old + new, summed over the batch) the
-    #: scalar per-update loop -- one integer fold per region chunk -- beats
-    #: the numpy call overhead; the two tie between 400 and 600 bytes.
-    _BATCH_NUMPY_THRESHOLD = 512
-
-    def apply_update_batch(self, items: list[tuple[int, bytes, bytes]]) -> int:
-        """Incrementally maintain codewords for a batch of updates.
-
-        ``items`` holds ``(address, old_image, new_image)`` per update.
-        Bit-identical to calling :meth:`apply_update` per item (XOR
-        folding is associative and commutative, and the positioned
-        padding is reproduced exactly), and returns the same total
-        words-folded count, but all the per-chunk folds go through a
-        single ``np.bitwise_xor.reduceat`` over one packed buffer instead
-        of 2 scalar folds per region chunk -- unless the batch is too
-        small for that to pay (``_BATCH_NUMPY_THRESHOLD``).
-        """
-        if len(items) == 1:
-            return self.apply_update(*items[0])
-        if 2 * sum(len(old) for _address, old, _new in items) < (
-            self._BATCH_NUMPY_THRESHOLD
-        ):
-            return sum(self.apply_update(*item) for item in items)
-        # Pack every chunk's positioned old and new images, word-aligned,
-        # into one buffer: lead = chunk_address % 4 zero bytes in front
-        # (positioned_fold), zero padding to the next word boundary behind
-        # (fold_words' ragged-tail rule).
-        buf = bytearray()
-        starts: list[int] = []
-        chunk_regions: list[int] = []
-        words_folded = 0
-        region_size = self.region_size
+        words = chunks = 0
         for address, old, new in items:
             length = len(old)
             if length != len(new):
                 raise ConfigError(
                     f"undo and redo images differ in length: {length} vs {len(new)}"
                 )
-            # Word-aligned update inside one region: append both images
-            # directly, no split or padding arithmetic needed.
-            if (
-                address % 4 == 0
-                and length % 4 == 0
-                and address % region_size + length <= region_size
-            ):
-                word = len(buf) // 4
-                starts.append(word)
-                starts.append(word + length // 4)
-                buf += old
-                buf += new
-                chunk_regions.append(address // region_size)
-                words_folded += length // 2
+            if address % region_size + length <= region_size:
+                # Within one region: one delta, no slicing.
+                if length:
+                    target[address // region_size] ^= update_delta(address, old, new)
+                    words += 2 * ((address % 4 + length + 3) // 4)
+                    chunks += 1
                 continue
-            for region_id, offset, chunk_len in self._split(address, length):
-                chunk_address = address + offset
-                lead = chunk_address % 4
-                for image in (old, new):
-                    starts.append(len(buf) // 4)
-                    if lead:
-                        buf += b"\x00" * lead
-                    buf += image[offset : offset + chunk_len]
-                    pad = -len(buf) % 4
-                    if pad:
-                        buf += b"\x00" * pad
-                chunk_regions.append(region_id)
-                words_folded += 2 * ((lead + chunk_len + 3) // 4)
-        folds = np.bitwise_xor.reduceat(
-            np.frombuffer(buf, dtype="<u4"), np.asarray(starts)
-        )
-        deltas = (folds[0::2] ^ folds[1::2]).tolist()
-        codewords = self.codewords
-        for region_id, delta in zip(chunk_regions, deltas):
-            codewords[region_id] ^= delta
-        return words_folded
-
-    def _split(self, address: int, length: int) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(region_id, offset_in_update, chunk_length)`` per region."""
-        offset = 0
-        while offset < length:
-            position = address + offset
-            region_id = self.region_of(position)
-            region_end = (region_id + 1) * self.region_size
-            chunk_len = min(length - offset, region_end - position)
-            yield region_id, offset, chunk_len
-            offset += chunk_len
+            offset = 0
+            while offset < length:
+                position = address + offset
+                region_id = position // region_size
+                chunk_len = min(length - offset, (region_id + 1) * region_size - position)
+                stop = offset + chunk_len
+                target[region_id] ^= update_delta(
+                    position, old[offset:stop], new[offset:stop]
+                )
+                words += 2 * ((position % 4 + chunk_len + 3) // 4)
+                chunks += 1
+                offset = stop
+        return words, chunks
 
     # ------------------------------------------------------------ audit
 

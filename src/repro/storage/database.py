@@ -37,7 +37,6 @@ from repro.errors import (
     ConfigError,
     QuarantinedRegionError,
     ReproError,
-    SimulatedCrash,
     TransactionError,
 )
 from repro.faults.crashpoints import CrashPointRegistry
@@ -319,16 +318,16 @@ class Database:
     def _run_recovery(self, corruption, in_doubt_resolver=None, until_lsn=None):
         """Run restart recovery on this shell and open it for business.
 
-        If an armed crash point fires mid-recovery the half-recovered
-        shell is crashed (its log handle closed) before the
-        :class:`~repro.errors.SimulatedCrash` propagates.
+        If recovery raises -- an armed crash point fires, or the log is
+        malformed -- the half-recovered shell is crashed (its log handle
+        closed) before the exception propagates.
         """
         from repro.recovery.restart import RestartRecovery
 
         recovery = RestartRecovery(self, corruption, in_doubt_resolver)
         try:
             report = recovery.run(until_lsn=until_lsn)
-        except SimulatedCrash:
+        except BaseException:
             self.crash()
             raise
         self._started = True

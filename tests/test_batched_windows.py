@@ -5,7 +5,7 @@ wall-clock optimisation: ``begin_updates`` (one multi-range window) must
 leave memory bytes, codewords, log contents and every meter count exactly
 where N one-range windows would have left them.  ``Meter.charge`` is
 linear and XOR folding is associative, so the bulk charges and the one
-vectorized delta-fold cannot move any Table 2 number -- these tests make
+delta fold per window cannot move any Table 2 number -- these tests make
 that claim load-bearing.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -98,58 +99,87 @@ def _state(db: Database) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Kernel-level fold identity: apply_update_batch vs per-item apply_update
+# Kernel-level fold identity: fold_updates against the image itself
 # --------------------------------------------------------------------------
 
 
 @st.composite
-def _batch_items(draw):
-    """(region_size, image_size, [(address, old, new)]) with ragged,
-    unaligned, region-straddling updates."""
-    region_size = draw(st.sampled_from([8, 16, 64, 256]))
-    image_size = draw(st.sampled_from([512, 2048]))
-    count = draw(st.integers(min_value=1, max_value=12))
+def _image_writes(draw):
+    """(region_size, segment sizes, [(address, new)], deferred): writes
+    that may be unaligned, empty, longer than a region, straddle regions
+    and segments, and reach the image's (often ragged) last region."""
+    region_size = draw(st.sampled_from([8, 16, 64, 256, 65536]))
+    pages = st.integers(min_value=1, max_value=128).map(lambda k: 8 * k)
+    sizes = draw(st.lists(pages, min_size=1, max_size=3))
+    image_size = sum(sizes)
+    writes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        length = draw(st.integers(min_value=0, max_value=96) | st.integers(1000, 1100))
+        length = min(length, image_size - 1)
+        address = draw(st.integers(min_value=0, max_value=image_size - 1 - length))
+        writes.append((address, draw(st.binary(min_size=length, max_size=length))))
+    return region_size, sizes, writes, draw(st.booleans())
+
+
+def _words_and_chunks(region_size: int, writes) -> tuple[int, int]:
+    """Words folded (old + new images) and region chunks, from the ranges
+    alone: every 32-bit word each region chunk of a write overlaps."""
+    words = chunks = 0
+    for address, new in writes:
+        if not new:
+            continue  # an empty write folds nothing
+        end = address + len(new)
+        for region_id in range(address // region_size, -(-end // region_size)):
+            lo = max(address, region_id * region_size)
+            hi = min(end, (region_id + 1) * region_size)
+            words += 2 * ((hi - 1) // 4 - lo // 4 + 1)
+            chunks += 1
+    return words, chunks
+
+
+def _fold_writes(sizes, region_size: int, writes, deferred: bool) -> tuple[int, int]:
+    """Apply ``writes`` to a filled image and fold them with one
+    ``fold_updates`` call -- into the stored words, or into a pending
+    mapping flushed afterwards -- then require the stored words to equal
+    a fresh fold of the image.  Returns what the call returned."""
+    memory = MemoryImage(page_size=8)
+    for index, size in enumerate(sizes):
+        memory.add_segment(f"s{index}", size)
+    memory.restore(0, bytes((i * 37 + 11) % 256 for i in range(memory.size)))
+    table = CodewordTable(memory, region_size)
+    table.rebuild_all()
+    before = table.stored_words
     items = []
-    for _ in range(count):
-        length = draw(st.integers(min_value=1, max_value=96))
-        address = draw(st.integers(min_value=0, max_value=image_size - length))
-        old = draw(st.binary(min_size=length, max_size=length))
-        new = draw(st.binary(min_size=length, max_size=length))
-        items.append((address, old, new))
-    return region_size, image_size, items
+    for address, new in writes:
+        items.append((address, memory.read(address, len(new)), new))
+        memory.poke(address, new)
+    pending = defaultdict(int) if deferred else None
+    folded = table.fold_updates(items, pending)
+    if deferred:
+        assert np.array_equal(table.stored_words, before)
+        for region_id, delta in pending.items():
+            table.codewords[region_id] ^= delta
+    assert np.array_equal(table.stored_words, table.fold_all())
+    return folded
 
 
 class TestKernelFoldIdentity:
-    @given(_batch_items())
-    @settings(max_examples=120, deadline=None)
-    def test_batch_fold_bit_identical_to_scalar(self, case):
-        region_size, image_size, items = case
-        memory = MemoryImage(page_size=256)
-        memory.add_segment("seg", image_size)
-        scalar = CodewordTable(memory, region_size)
-        batch = CodewordTable(memory, region_size)
-        seed = np.arange(scalar.region_count, dtype=np.uint32) * 0x9E3779B9
-        scalar.stored_words = seed
-        batch.stored_words = seed
+    @given(_image_writes())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_updates_matches_image_fold(self, case):
+        region_size, sizes, writes, deferred = case
+        assert _fold_writes(sizes, region_size, writes, deferred) == _words_and_chunks(
+            region_size, writes
+        )
 
-        scalar_words = sum(scalar.apply_update(a, o, n) for a, o, n in items)
-        batch_words = batch.apply_update_batch(items)
-
-        assert batch_words == scalar_words
-        assert np.array_equal(scalar.stored_words, batch.stored_words)
-
-    def test_both_threshold_paths_agree(self):
-        """Force the scalar fallback and the reduceat path explicitly."""
-        memory = MemoryImage(page_size=256)
-        memory.add_segment("seg", 4096)
-        small = [(3, b"ab", b"cd")]  # < _BATCH_NUMPY_THRESHOLD packed bytes
-        big = [(i * 64 + 1, bytes(range(40)), bytes(range(40, 80))) for i in range(20)]
-        for items in (small, big):
-            scalar = CodewordTable(memory, 64)
-            batch = CodewordTable(memory, 64)
-            words = sum(scalar.apply_update(a, o, n) for a, o, n in items)
-            assert batch.apply_update_batch(items) == words
-            assert np.array_equal(scalar.stored_words, batch.stored_words)
+    def test_one_and_many_region_batches(self):
+        """A two-byte write straddling a word boundary, and twenty 40-byte
+        writes inside their own 64-byte regions, on both targets."""
+        small = [(3, b"cd")]
+        big = [(i * 64 + 1, bytes(range(40, 80))) for i in range(20)]
+        for deferred in (False, True):
+            assert _fold_writes([4096], 64, small, deferred) == (4, 1)
+            assert _fold_writes([4096], 64, big, deferred) == (20 * 2 * 11, 20)
 
 
 # --------------------------------------------------------------------------

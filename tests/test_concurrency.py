@@ -46,29 +46,21 @@ def _assert_held_across_table_writes(db, monkeypatch, latches) -> None:
     table write must find each region it spans latched exclusively in
     ``latches``."""
     slots = insert_accounts(db, 2)
-    seen: list[tuple[str, bool]] = []
+    seen: list[bool] = []
 
-    def spy(name):
-        real = getattr(CodewordTable, name)
+    real = CodewordTable.fold_updates
 
-        def wrapper(table, *args):
-            items = args[0] if name == "apply_update_batch" else [args]
-            seen.append(
-                (
-                    name,
-                    all(
-                        latches.latch(r).held_exclusive()
-                        for address, old, _new in items
-                        for r in table.regions_spanning(address, len(old))
-                    ),
-                )
+    def spy(table, items, *args):
+        seen.append(
+            all(
+                latches.latch(r).held_exclusive()
+                for address, old, _new in items
+                for r in table.regions_spanning(address, len(old))
             )
-            return real(table, *args)
+        )
+        return real(table, items, *args)
 
-        monkeypatch.setattr(CodewordTable, name, wrapper)
-
-    spy("apply_update")
-    spy("apply_update_batch")
+    monkeypatch.setattr(CodewordTable, "fold_updates", spy)
     table = db.table("acct")
     operations = {
         "single-field update": lambda txn: table.update(txn, slots[0], {"balance": 1}),
@@ -82,7 +74,7 @@ def _assert_held_across_table_writes(db, monkeypatch, latches) -> None:
         txn = db.begin()
         operation(txn)
         db.commit(txn)
-        assert seen and all(held for _name, held in seen), (label, seen)
+        assert seen and all(seen), (label, seen)
     assert db.audit().clean
 
 

@@ -1,5 +1,7 @@
 """Codeword table: geometry, incremental maintenance, audits."""
 
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,7 +66,7 @@ class TestMaintenance:
         memory, table = make_table()
         old = memory.read(10, 8)
         memory.write(10, b"ABCDEFGH")
-        table.apply_update(10, old, b"ABCDEFGH")
+        table.fold_updates([(10, old, b"ABCDEFGH")])
         assert all(table.matches(r) for r in range(table.region_count))
 
     def test_update_spanning_regions(self):
@@ -72,7 +74,7 @@ class TestMaintenance:
         old = memory.read(60, 12)
         new = b"x" * 12
         memory.write(60, new)
-        table.apply_update(60, old, new)
+        table.fold_updates([(60, old, new)])
         assert table.matches(0)
         assert table.matches(1)
 
@@ -80,13 +82,13 @@ class TestMaintenance:
         memory, table = make_table()
         old = memory.read(3, 5)
         memory.write(3, b"abcde")
-        table.apply_update(3, old, b"abcde")
+        table.fold_updates([(3, old, b"abcde")])
         assert table.matches(0)
 
     def test_mismatched_image_lengths_rejected(self):
         _, table = make_table()
         with pytest.raises(ConfigError):
-            table.apply_update(0, b"ab", b"abc")
+            table.fold_updates([(0, b"ab", b"abc")])
 
     def test_wild_write_breaks_match(self):
         memory, table = make_table()
@@ -102,18 +104,23 @@ class TestMaintenance:
 
     def test_words_folded_counts_both_images(self):
         _, table = make_table()
-        words = table.apply_update(0, b"\x00" * 8, b"\x01" * 8)
+        words, chunks = table.fold_updates([(0, b"\x00" * 8, b"\x01" * 8)])
         assert words == 4  # 2 words old + 2 words new
+        assert chunks == 1
 
-    def test_compute_deltas_roundtrip(self):
+    def test_pending_target_roundtrip(self):
+        """Deltas folded into a pending mapping, applied later, leave the
+        table where folding into the stored words would have."""
         memory, table = make_table(64)
         old = memory.read(62, 8)
         new = b"ZZZZZZZZ"
-        deltas = table.compute_deltas(62, old, new)
-        assert [d[0] for d in deltas] == [0, 1]
+        pending = defaultdict(int)
+        assert table.fold_updates([(62, old, new)], pending) == (6, 2)
+        assert sorted(pending) == [0, 1]
+        assert not table.codewords[0] and not table.codewords[1]
         memory.write(62, new)
-        for region_id, delta, _words in deltas:
-            table.apply_delta(region_id, delta)
+        for region_id, delta in pending.items():
+            table.codewords[region_id] ^= delta
         assert table.matches(0) and table.matches(1)
 
     @settings(max_examples=50)
@@ -133,7 +140,7 @@ class TestMaintenance:
         table.rebuild_all()
         old = memory.read(address, len(patch))
         memory.write(address, patch)
-        table.apply_update(address, old, patch)
+        table.fold_updates([(address, old, patch)])
         assert table.scan_mismatches() == []
 
 

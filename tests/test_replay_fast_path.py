@@ -272,12 +272,16 @@ def test_fast_path_identical_to_tracked_replay(
 ):
     base = tmp_path_factory.mktemp("replay")
     db = _build(base / "db", scheme, params, page_size)
-    _play(db, steps, int(checkpoint_share * len(steps)))
-    # Whatever the open transactions did so far reaches the stable log
-    # with the next commit's flush, or not at all.
-    if data.draw(st.booleans(), label="flush before the crash"):
-        db.system_log.flush()
-    db.crash()
+    try:
+        _play(db, steps, int(checkpoint_share * len(steps)))
+        # Whatever the open transactions did so far reaches the stable log
+        # with the next commit's flush, or not at all.
+        if data.draw(st.booleans(), label="flush before the crash"):
+            db.system_log.flush()
+    finally:
+        # Also when hypothesis abandons the example mid-draw: the crash
+        # closes the log.
+        db.crash()
     got, want, _fast = _recover_both_ways(
         _config(base / "db", scheme, params, page_size)
     )
@@ -435,9 +439,10 @@ def test_prepared_branches_resolved_both_ways(tmp_path):
     assert got["report"].resolved_committed == ()
 
 
-def test_op_commit_without_begin_in_a_finished_transaction_raises(tmp_path):
-    """(v) The malformed-log check does not depend on who finishes."""
-    db = _build(tmp_path / "db")
+def _crash_with_malformed_log(path) -> None:
+    """A database at ``path`` whose log commits an operation its finished
+    transaction never began."""
+    db = _build(path)
     insert_accounts(db, 1)
     log = db.system_log
     log.append(TxnBeginRecord(900))
@@ -445,6 +450,11 @@ def test_op_commit_without_begin_in_a_finished_transaction_raises(tmp_path):
     log.append(TxnCommitRecord(900))
     log.flush()
     db.crash()
+
+
+def test_op_commit_without_begin_in_a_finished_transaction_raises(tmp_path):
+    """(v) The malformed-log check does not depend on who finishes."""
+    _crash_with_malformed_log(tmp_path / "db")
     for tracked in (False, True):
         workdir = tmp_path / f"copy{int(tracked)}"
         shutil.copytree(tmp_path / "db", workdir)
@@ -454,6 +464,24 @@ def test_op_commit_without_begin_in_a_finished_transaction_raises(tmp_path):
                     Database.recover(_config(workdir))
             else:
                 Database.recover(_config(workdir))
+
+
+def test_recovery_that_raises_closes_the_shells_log(tmp_path, monkeypatch):
+    """A recovery that raises on a malformed log crashes its
+    half-recovered shell: the recovered directory's log is not left open."""
+    _crash_with_malformed_log(tmp_path / "db")
+    shells = []
+    open_shell = Database._open_shell
+
+    def spy(config, crashpoints=None):
+        shells.append(open_shell(config, crashpoints))
+        return shells[-1]
+
+    monkeypatch.setattr(Database, "_open_shell", spy)
+    with pytest.raises(RecoveryError, match="operation commit 77 without"):
+        Database.recover(_config(tmp_path / "db"))
+    assert len(shells) == 1
+    assert shells[0].system_log._file.closed
 
 
 class TestNeverFast:

@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.audit import Auditor
 from repro.core.codeword import fold_words
 from repro.core.regions import CodewordTable
 from repro.core.schemes import make_scheme
 from repro.mem.memory import MemoryImage
+from repro.runtime.scheduler import DETERMINISTIC, Scheduler
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
+from repro.wal.system_log import SystemLog
 
 # Tiny pages so small segments produce regions that straddle boundaries.
 PAGE = 8
@@ -126,19 +129,37 @@ class TestCostModelInvariance:
         assert batch_events == scalar_events
         assert batch_ns == scalar_ns
 
-    def test_ragged_tail_word_accounting(self):
-        """The bulk cw_check_word charge must clamp the final region."""
-        memory = MemoryImage(page_size=8)
-        memory.add_segment("a", 72)  # 72 bytes -> ragged 8-byte tail at 64B
-        scheme = make_scheme("data_cw", region_size=64)
-        meter = Meter(VirtualClock(), DEFAULT_COSTS)
-        scheme.attach(memory, meter)
-        scheme.startup()
-        scheme.audit_regions()
-        # Region 0 folds 16 words, region 1 only the 2 words that exist.
-        assert meter.counts["cw_check_word"] == 16 + 2
-        assert meter.counts["cw_check_fixed"] == 2
-        assert meter.counts["latch_pair"] == 2
+    def test_ragged_tail_word_accounting(self, tmp_path):
+        """Every audit path clamps the final region's cw_check_word charge:
+        the vectorised runs, the latched per-region loop and a joined
+        background sweep.  They share one bill, so the equivalence test
+        above cannot catch a wrong formula; these literals can."""
+        for path in ("vectorised", "latched", "sweep"):
+            memory = MemoryImage(page_size=8)
+            memory.add_segment("a", 72)  # 72 bytes -> ragged 8-byte tail at 64B
+            scheme = make_scheme("data_cw", region_size=64)
+            meter = Meter(VirtualClock(), DEFAULT_COSTS)
+            scheme.attach(memory, meter)
+            scheme.startup()
+            if path == "vectorised":
+                assert scheme.audit_regions() == []
+            elif path == "latched":
+                # An iterator is not a run of ids: the per-region loop.
+                assert scheme.audit_regions(iter(range(2))) == []
+            else:
+                # The bracket log charges its own meter, so only the
+                # sweep's bill lands on the scheme's.
+                log = SystemLog(
+                    str(tmp_path / "system.log"), Meter(VirtualClock(), DEFAULT_COSTS)
+                )
+                auditor = Auditor(log, scheme, scheduler=Scheduler(DETERMINISTIC))
+                assert auditor.start_background_sweep()
+                assert auditor.join_background_sweep().clean
+                log.close()
+            # Region 0 folds 16 words, region 1 only the 2 words that exist.
+            assert meter.counts["cw_check_word"] == 16 + 2, path
+            assert meter.counts["cw_check_fixed"] == 2, path
+            assert meter.counts["latch_pair"] == 2, path
 
 
 def test_view_backed_compute_equals_copying_fold():
