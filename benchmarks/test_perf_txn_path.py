@@ -929,8 +929,10 @@ CENSUS_SEED = 1
 #: before the gate fails.  Before log records were packed as frames where
 #: they are made, the counts were 1 737 / 2 008 / 2 374; before an update
 #: window ran in one manager call, 1 236 / 1 280 / 1 770; before the
-#: codeword table kept one delta loop, 1 086 / 1 195 / 1 612.
-CENSUS_MEASURED = {"paper": 1051, "readmix": 1169, "served": 1560}
+#: codeword table kept one delta loop, 1 086 / 1 195 / 1 612; before a
+#: precheck of a region nobody holds folded under the latch table's
+#: mutex instead of an acquire / release pair, 1 051 / 1 169 / 1 560.
+CENSUS_MEASURED = {"paper": 1051, "readmix": 1059, "served": 1541}
 CENSUS_SLACK = 1.10
 
 
@@ -1005,14 +1007,16 @@ OPCODE_OPS = 200
 #: manager call 21 504 / 27 333 / 30 858 (C calls 663 / 690 / 930; per
 #: call 9 119 / 4 046), and before the codeword table kept one delta loop
 #: 19 231 / 25 880 / 28 405 (C calls 609 / 660 / 867; per call 7 734 /
-#: 3 750).  One lookup + update now reads 3 762: a one-item window pays
-#: for the loop its one-chunk branch sits in.
+#: 3 750), and before hot sites charged through compiled meter counters
+#: and a precheck of a free region folded under the latch table's mutex
+#: 19 140 / 25 711 / 28 074 (C calls 597 / 650 / 848; per call 7 607 /
+#: 3 762).
 OPCODES_MEASURED = {
     "3.11": {
-        "paper": {"bytecodes": 19140, "c_calls": 597},
-        "readmix": {"bytecodes": 25711, "c_calls": 650},
-        "served": {"bytecodes": 28075, "c_calls": 848},
-        "per_call": {"insert": 7607, "lookup_update": 3750},
+        "paper": {"bytecodes": 18203, "c_calls": 597},
+        "readmix": {"bytecodes": 21738, "c_calls": 564},
+        "served": {"bytecodes": 26941, "c_calls": 829},
+        "per_call": {"insert": 7373, "lookup_update": 3528},
     },
 }
 

@@ -30,11 +30,13 @@ protection latch, single-threaded restart redo).  The scalar scheme
 hooks pass one-element lists.
 
 Read prechecking is one call per read, ``precheck(checked, address,
-length)``: one latched pass over the regions the read spans.
+length)``: one pass over the regions the read spans, each folded with
+every other thread excluded from it.
 
 Every meter event in this module is the seed scheme code's; read
 prechecks and audits sum a read's or a run's charges into one call per
-event, which :meth:`~repro.sim.clock.Meter.charge`'s linearity makes
+event group, through counters compiled in
+:meth:`CodewordMaintainer.attach`, which the meter's linearity makes
 identical.  The refactor is observably pure for Table 2 (property-tested
 by ``tests/test_pipeline_equivalence.py`` and
 ``tests/test_fused_precheck.py``).
@@ -180,6 +182,16 @@ class CodewordMaintainer:
         self.memory = memory
         self.meter = meter
         self.table = CodewordTable(memory, self.region_size)
+        # Compiled counters for the fixed event groups charged per read,
+        # per window and per audit (one per apply_maintenance composition).
+        self._charge_latches = meter.counter("latch_pair")
+        self._charge_checks = meter.counter("latch_pair", "cw_check_fixed", "cw_check_word")
+        if self.deferred:
+            maint = ("cw_maint_word", "deferred_update")
+        else:
+            maint = ("cw_maint_fixed", "cw_maint_word")
+        self._charge_maint = meter.counter(*maint)
+        self._charge_latched_maint = meter.counter("latch_pair", *maint)
 
     def rebuild(self) -> None:
         assert self.table is not None
@@ -232,7 +244,7 @@ class CodewordMaintainer:
                     distinct.update(range(first, last + 1))
             regions = sorted(distinct)
         _latch_all(self.protection_latches, regions, self.update_latch_mode)
-        self.meter.charge("latch_pair", pairs)
+        self._charge_latches(pairs)
         return regions, pairs
 
     def close_window(self, window: tuple, items: list[tuple[int, bytes, bytes]]) -> None:
@@ -298,14 +310,18 @@ class CodewordMaintainer:
         self._note_dirty(regions)
         if self.deferred:
             words, chunks = self.table.fold_updates(items, self._pending)
-            charges = (("cw_maint_word", words), ("deferred_update", chunks)) if chunks else ()
+            if not chunks:  # only empty ranges: nothing to defer
+                if latch_pairs:
+                    self._charge_latches(latch_pairs)
+                return
+            first, second = words, chunks
         else:
             words, _chunks = self.table.fold_updates(items)
-            charges = (("cw_maint_fixed", len(items)), ("cw_maint_word", words))
+            first, second = len(items), words
         if latch_pairs:
-            charges = (("latch_pair", latch_pairs), *charges)
-        if charges:
-            self.meter.charge_many(charges)
+            self._charge_latched_maint(latch_pairs, first, second)
+        else:
+            self._charge_maint(first, second)
 
     # ------------------------------------------------------------- undo
 
@@ -325,7 +341,7 @@ class CodewordMaintainer:
         latches = self.protection_latches
         _latch_all(latches, regions, EXCLUSIVE)
         try:
-            self.meter.charge("latch_pair", len(regions))
+            self._charge_latches(len(regions))
             if entry.codeword_applied:
                 current = self.memory.read(entry.address, len(entry.image))
                 self.apply_maintenance(
@@ -347,7 +363,7 @@ class CodewordMaintainer:
         for region_id, delta in self._pending.items():
             acquire(region_id, EXCLUSIVE)
             try:
-                self.meter.charge("latch_pair")
+                self._charge_latches(1)
                 codewords[region_id] ^= delta
                 applied += 1
             finally:
@@ -431,19 +447,25 @@ class CodewordMaintainer:
         order.  A region already in ``checked`` (verified earlier in this
         operation) is skipped; a quarantined region refuses the read
         without being folded again; every other region is read straight
-        from its segment and folded under its exclusive protection latch,
+        from its segment and folded with nobody else able to latch it,
         and the first fold that differs from the stored word fails the
-        read.  The
-        latch is taken and released per region, so a reader never holds
-        two and cannot deadlock against an update window.  Every region
-        the pass reaches joins ``checked``.
+        read.  A region below ``INT_FOLD_LIMIT`` that no thread holds is
+        folded under the protection latch table's mutex
+        (:meth:`~repro.txn.latches.LatchTable.exclusion`): no latch can be
+        granted meanwhile, so bytes and codeword are seen at least as
+        exclusively as under the region's exclusive latch, without making
+        one.  A held region (an update window, this thread's or
+        another's) or a larger one is folded under its exclusive latch.
+        Either way one region at a time, so a reader never holds two and
+        cannot deadlock against an update window.  Every region the pass
+        reaches joins ``checked``.
 
         ``latch_pair`` / ``cw_check_fixed`` / ``cw_check_word`` are charged
         once per read for the regions folded, through the first failing
-        one -- the totals a charge per region gave, since
-        :meth:`~repro.sim.clock.Meter.charge` is linear.  Raises
-        :class:`QuarantinedRegionError` for a quarantined region (or a
-        mismatch under ``quarantine_on_detect``), else
+        one -- the totals a charge per region gave: the paper's latch
+        pair is charged per region however the exclusion was had.
+        Raises :class:`QuarantinedRegionError` for a quarantined region
+        (or a mismatch under ``quarantine_on_detect``), else
         :class:`CorruptionDetected`.
         """
         table = self.table
@@ -453,8 +475,7 @@ class CodewordMaintainer:
         # The image's last region may be ragged (region_bounds).
         last_region = table.region_count - 1
         read = self.memory.read
-        acquire = self.protection_latches.acquire
-        release = self.protection_latches.release
+        mutex, held = self.protection_latches.exclusion()
         quarantined = self.quarantined
         stored = table.codewords
         folded = folded_bytes = 0
@@ -470,19 +491,23 @@ class CodewordMaintainer:
             region_len = (
                 region_size if region_id != last_region else table.last_region_length
             )
-            acquire(region_id, EXCLUSIVE)
-            try:
-                if region_len < INT_FOLD_LIMIT:
-                    # fold_words inlined: the region as one integer,
-                    # XOR-halved to a word.
-                    fold = int.from_bytes(read(start, region_len), "little")
-                    for shift, mask in HALVINGS[region_len]:
-                        fold = (fold >> shift) ^ (fold & mask)
+            if region_len < INT_FOLD_LIMIT:
+                mutex.acquire()
+                if region_id in held:
+                    mutex.release()
+                    matches = self._check_latched(region_id, start, region_len)
                 else:
-                    fold = fold_words(read(start, region_len))
-                matches = fold == stored[region_id]
-            finally:
-                release(region_id)
+                    try:
+                        # fold_words inlined: the region as one integer,
+                        # XOR-halved to a word.
+                        fold = int.from_bytes(read(start, region_len), "little")
+                        for shift, mask in HALVINGS[region_len]:
+                            fold = (fold >> shift) ^ (fold & mask)
+                        matches = fold == stored[region_id]
+                    finally:
+                        mutex.release()
+            else:
+                matches = self._check_latched(region_id, start, region_len)
             folded += 1
             folded_bytes += region_len
             if not matches:
@@ -491,13 +516,7 @@ class CodewordMaintainer:
         if folded:
             # Only the image's last region can be ragged, so the words of
             # the bytes folded are the sum of each region's word count.
-            self.meter.charge_many(
-                (
-                    ("latch_pair", folded),
-                    ("cw_check_fixed", folded),
-                    ("cw_check_word", (folded_bytes + 3) >> 2),
-                )
-            )
+            self._charge_checks(folded, folded, (folded_bytes + 3) >> 2)
             self.precheck_count += folded
         if refused is not None:
             raise QuarantinedRegionError([refused])
@@ -507,6 +526,17 @@ class CodewordMaintainer:
                 self.quarantine([mismatch])
                 raise QuarantinedRegionError([mismatch])
             raise CorruptionDetected([mismatch], context="read precheck")
+
+    def _check_latched(self, region_id: int, start: int, length: int) -> bool:
+        """Fold one region under its exclusive protection latch; whether
+        it matches its stored codeword."""
+        latches = self.protection_latches
+        latches.acquire(region_id, EXCLUSIVE)
+        try:
+            fold = fold_words(self.memory.read(start, length))
+            return fold == self.table.codewords[region_id]
+        finally:
+            latches.release(region_id)
 
     def audit_regions(self, region_ids=None) -> list[int]:
         """Check codewords against content; returns mismatching regions.
@@ -573,13 +603,7 @@ class CodewordMaintainer:
         words = count * words_per_region + ragged * (
             word_count(table.last_region_length) - words_per_region
         )
-        self.meter.charge_many(
-            (
-                ("latch_pair", count),
-                ("cw_check_fixed", count),
-                ("cw_check_word", words),
-            )
-        )
+        self._charge_checks(count, count, words)
 
     def checksum_of(self, data: bytes, charge: bool = True) -> int:
         """Checksum a read value (used by read logging with codewords)."""

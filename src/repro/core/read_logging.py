@@ -22,6 +22,8 @@ last audit (Section 4.3, "Codewords in Read Log Records").
 from __future__ import annotations
 
 from repro.core.data_codeword import DataCodewordScheme
+from repro.mem.memory import MemoryImage
+from repro.sim.clock import Meter
 from repro.txn.transaction import Transaction
 
 
@@ -43,6 +45,10 @@ class ReadLoggingScheme(DataCodewordScheme):
     def logs_read_checksums(self) -> bool:  # type: ignore[override]
         return self.log_checksums
 
+    def attach(self, memory: MemoryImage, meter: Meter) -> None:
+        super().attach(memory, meter)
+        self._charge_read = meter.counter("readlog_record", "readlog_byte")
+
     def on_read(self, txn: Transaction, address: int, length: int) -> None:
         """Pack the read's frame where it will live: the transaction's
         redo arena inside an operation (it migrates at the operation's
@@ -57,7 +63,7 @@ class ReadLoggingScheme(DataCodewordScheme):
             log = txn.redo_log
         size = log.append_read(txn.txn_id, address, length, checksum)
         self.read_records_logged += 1
-        self.meter.charge_many((("readlog_record", 1), ("readlog_byte", size)))
+        self._charge_read(1, size)
 
     def on_end_update(
         self, txn: Transaction, address: int, old_image: bytes, new_image: bytes

@@ -173,6 +173,11 @@ class Database:
         os.makedirs(config.dir, exist_ok=True)
         self.clock = VirtualClock()
         self.meter = Meter(self.clock, config.costs)
+        # Compiled counters for the per-record events Table charges.
+        self.charge_record_read = self.meter.counter("record_read")
+        self.charge_record_write = self.meter.counter("record_write")
+        self.charge_index_update = self.meter.counter("index_update")
+        self.charge_index_probe = self.meter.counter("index_probe")
         backing_dir = None
         if config.image_backing == "mmap":
             backing_dir = config.image_path or os.path.join(config.dir, "image")

@@ -134,9 +134,9 @@ class Table:
             op.object_key = self._record_key(slot)
             mgr.lock(txn, op.object_key, LockMode.EXCLUSIVE)
             ctx.update(self.record_address(slot), record)
-            self.db.meter.charge("record_write")
+            self.db.charge_record_write(1)
             if self.index is not None:
-                self.db.meter.charge("index_update")
+                self.db.charge_index_update(1)
                 self.index.insert(ctx, self._key_of(record), slot)
             ctx.flush()
             self.db.note_write(txn, self.name, slot, record)
@@ -156,9 +156,9 @@ class Table:
             mgr.lock(txn, self._record_key(slot), LockMode.EXCLUSIVE)
             self.allocator.allocate_at(ctx, slot)
             ctx.update(self.record_address(slot), record)
-            self.db.meter.charge("record_write")
+            self.db.charge_record_write(1)
             if self.index is not None:
-                self.db.meter.charge("index_update")
+                self.db.charge_index_update(1)
                 self.index.insert(ctx, self._key_of(record), slot)
             ctx.flush()
             self.db.note_write(txn, self.name, slot, record)
@@ -177,7 +177,7 @@ class Table:
         ctx = self._ctx(txn)
         if not self.allocator.is_allocated(ctx, slot):
             raise ConfigError(f"{self.name} slot {slot} is not allocated")
-        self.db.meter.charge("record_read")
+        self.db.charge_record_read(1)
         record = mgr.read(txn, self.record_address(slot), self.schema.record_size)
         self.db.note_read(txn, self.name, slot, record)
         return record
@@ -204,7 +204,7 @@ class Table:
             if not self.allocator.is_allocated(ctx, slot):
                 raise ConfigError(f"{self.name} slot {slot} is not allocated")
             base = self.record_address(slot)
-            self.db.meter.charge("record_read")
+            self.db.charge_record_read(1)
             old_record = mgr.read(txn, base, self.schema.record_size)
             self.db.note_read(txn, self.name, slot, old_record)
             undo_args: list = [self.name, slot]
@@ -222,7 +222,7 @@ class Table:
                 ctx.update(base + offset, encoded)
                 new_record[offset : offset + size] = encoded
             ctx.flush()
-            self.db.meter.charge("record_write")
+            self.db.charge_record_write(1)
             self.db.note_write(txn, self.name, slot, bytes(new_record))
             mgr.commit_operation(
                 txn, LogicalUndo("undo_update", tuple(undo_args))
@@ -241,12 +241,12 @@ class Table:
             base = self.record_address(slot)
             undo_args: list = [self.name, slot]
             for offset, data in pairs:
-                self.db.meter.charge("record_read")
+                self.db.charge_record_read(1)
                 current = ctx.read(base + offset, len(data))
                 undo_args.extend([offset, current])
                 ctx.update(base + offset, data)
             ctx.flush()
-            self.db.meter.charge("record_write")
+            self.db.charge_record_write(1)
             record = self.db.memory.read(base, self.schema.record_size)
             self.db.note_write(txn, self.name, slot, record)
             mgr.commit_operation(txn, LogicalUndo("undo_update", tuple(undo_args)))
@@ -262,11 +262,11 @@ class Table:
             ctx = self._ctx(txn)
             mgr.lock(txn, self._record_key(slot), LockMode.EXCLUSIVE)
             mgr.lock(txn, f"{self.name}:allocator", LockMode.EXCLUSIVE, duration="op")
-            self.db.meter.charge("record_read")
+            self.db.charge_record_read(1)
             old_record = mgr.read(txn, self.record_address(slot), self.schema.record_size)
             self.db.note_read(txn, self.name, slot, old_record)
             if self.index is not None:
-                self.db.meter.charge("index_update")
+                self.db.charge_index_update(1)
                 self.index.delete(ctx, self._key_of(old_record))
             self.allocator.free(ctx, slot)
             ctx.flush()
@@ -282,7 +282,7 @@ class Table:
         """Find a slot by primary key through the in-image hash index."""
         if self.index is None:
             raise ConfigError(f"table {self.name!r} has no index")
-        self.db.meter.charge("index_probe")
+        self.db.charge_index_probe(1)
         return self.index.lookup(self._ctx(txn), key)
 
     def range(self, txn: Transaction, lo: int, hi: int):

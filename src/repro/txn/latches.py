@@ -13,13 +13,16 @@ acquire/release pair) shows up in the benchmark, never contention.
 A latch has state only while some thread holds it: a :class:`LatchTable`
 keeps one entry per *held* key, and a key leaves the table on its last
 release.  Protection therefore costs memory for the latches in flight,
-not for every region ever latched.
+not for every region ever latched.  A read precheck of a key nobody
+holds makes no entry at all: it checks under the table's mutex
+(:meth:`LatchTable.exclusion`).
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from types import MappingProxyType
 
 from repro.errors import LatchError
 
@@ -50,6 +53,7 @@ class LatchTable:
         self._cond: threading.Condition | None = None
         self._waiters = 0
         self._held: dict = {}
+        self._held_view = MappingProxyType(self._held)
 
     def _name(self, key) -> str:
         return self.prefix if key is None else f"{self.prefix}[{key}]"
@@ -158,6 +162,21 @@ class LatchTable:
             mutex.release()
 
     # ------------------------------------------------------------ views
+
+    def exclusion(self) -> tuple:
+        """``(mutex, held)``: the table's raw mutex and a live read-only
+        view of the keys some thread holds, for reading what a free key's
+        latch guards without taking it.
+
+        No latch is granted or released while ``mutex`` is held, so a key
+        not in ``held`` then belongs to no thread and cannot be granted
+        to one: work done under the mutex sees that key's state at least
+        as exclusively as under its ``EXCLUSIVE`` latch.  A key in
+        ``held`` must be latched through :meth:`acquire` after the mutex
+        is released (it is not reentrant).  Hold the mutex only for short
+        work that touches no latch.
+        """
+        return self._mutex, self._held_view
 
     def latch(self, key) -> Latch:
         """A handle on one key's latch (for cold paths and tests)."""

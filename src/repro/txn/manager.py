@@ -79,6 +79,17 @@ class TransactionManager:
         self.locks = locks
         self.scheme = scheme
         self.meter = meter
+        # Compiled counters for the events every transaction, operation,
+        # lock and update window charges.
+        counter = meter.counter
+        self._charge_txn_begin = counter("txn_begin")
+        self._charge_txn_commit = counter("txn_commit")
+        self._charge_op_begin = counter("op_begin")
+        self._charge_op_commit = counter("op_commit")
+        self._charge_lock_acquire = counter("lock_acquire")
+        self._charge_lock_release = counter("lock_release")
+        self._charge_window_open = counter("begin_update", "log_record", "log_byte")
+        self._charge_window_close = counter("end_update", "log_record", "log_byte")
         # Read logging packs a read made outside any operation straight
         # into the tail (it has no operation commit to ride).
         scheme.bind_log(system_log)
@@ -132,7 +143,7 @@ class TransactionManager:
         txn = Transaction(txn_id)
         self.att.add(txn)
         self.system_log.append_txn_begin(txn.txn_id, is_recovery)
-        self.meter.charge("txn_begin")
+        self._charge_txn_begin(1)
         return txn
 
     def commit(self, txn: Transaction) -> None:
@@ -159,7 +170,7 @@ class TransactionManager:
             # tests compare against.
             self.system_log.flush()
             self._commits_since_flush = 0
-        self.meter.charge("txn_commit")
+        self._charge_txn_commit(1)
         txn.status = TxnStatus.COMMITTED
         self._release_txn_locks(txn)
         self.att.remove(txn.txn_id)
@@ -245,7 +256,7 @@ class TransactionManager:
         self.system_log.flush()
         with self._gc_lock:
             self._commits_since_flush = 0
-        self.meter.charge("txn_commit")
+        self._charge_txn_commit(1)
         txn.status = TxnStatus.COMMITTED
         self._release_txn_locks(txn)
         self.att.remove(txn.txn_id)
@@ -293,7 +304,7 @@ class TransactionManager:
     def _release_txn_locks(self, txn: Transaction) -> None:
         held = len(self.locks.locks_held(txn.txn_id))
         if held:  # a zero charge would still create the meter's event row
-            self.meter.charge("lock_release", held)
+            self._charge_lock_release(held)
         self.locks.release_all(txn.txn_id)
 
     # ------------------------------------------------------- operations
@@ -311,7 +322,7 @@ class TransactionManager:
             undo_mark=len(txn.undo_log.entries),
         )
         txn.op_stack.append(op)
-        self.meter.charge("op_begin")
+        self._charge_op_begin(1)
         return op
 
     def commit_operation(self, txn: Transaction, logical_undo: LogicalUndo) -> None:
@@ -347,7 +358,7 @@ class TransactionManager:
         txn.op_stack.pop()
         self.locks.release_operation(txn.txn_id, op.op_id)
         self.scheme.on_operation_end(txn)
-        self.meter.charge("op_commit")
+        self._charge_op_commit(1)
 
     def abort_operation(self, txn: Transaction) -> None:
         """Roll back the innermost open operation."""
@@ -402,7 +413,7 @@ class TransactionManager:
     ) -> None:
         op_id = txn.op_stack[-1].op_id if txn.op_stack else None
         self.locks.acquire(txn.txn_id, key, mode, duration, op_id)
-        self.meter.charge("lock_acquire")
+        self._charge_lock_acquire(1)
 
     # -------------------------------------------------- prescribed I/O
 
@@ -515,9 +526,7 @@ class TransactionManager:
         entries = txn.undo_log.entries
         mark = len(entries)
         entries += undo
-        self.meter.charge_many(
-            (("begin_update", count), ("log_record", count), ("log_byte", total))
-        )
+        self._charge_window_open(count, count, total)
         return window, mark
 
     def _close_window(
@@ -544,9 +553,7 @@ class TransactionManager:
             pack_update(arena, 0, txn_id, address, image, checksum)
             total += len(image)
         count = len(undo)
-        self.meter.charge_many(
-            (("end_update", count), ("log_record", count), ("log_byte", total))
-        )
+        self._charge_window_close(count, count, total)
 
     def _abandon_window(self, txn: Transaction, window, mark: int) -> None:
         """The abandon step: release the window through the scheme, drop

@@ -115,6 +115,8 @@ class SystemLog:
     ) -> None:
         self.path = path
         self.meter = meter
+        self._charge_records = meter.counter("log_record", "log_byte")
+        self._charge_flush = meter.counter("latch_pair", "flush_fixed", "flush_byte")
         # A private inert registry when none is shared in: ``reach`` on an
         # un-armed registry is a dict lookup, so the flush path needs no
         # conditional instrumentation.
@@ -157,7 +159,7 @@ class SystemLog:
             size = pack_txn_begin(self._tail, lsn, txn_id, is_recovery)
             self.next_lsn = lsn + 1
             self._tail_frames += 1
-        self.meter.charge_many((("log_record", 1), ("log_byte", size)))
+        self._charge_records(1, size)
         return lsn
 
     def append_marker(self, code: int, txn_id: int) -> int:
@@ -168,7 +170,7 @@ class SystemLog:
             size = pack_marker(self._tail, lsn, code, txn_id)
             self.next_lsn = lsn + 1
             self._tail_frames += 1
-        self.meter.charge_many((("log_record", 1), ("log_byte", size)))
+        self._charge_records(1, size)
         return lsn
 
     def append_read(self, txn_id: int, address: int, length: int, checksum) -> int:
@@ -221,7 +223,7 @@ class SystemLog:
                 raise
             self.next_lsn = lsn + 1
             self._tail_frames += lsn + 1 - first
-        self.meter.charge_many((("log_record", 2), ("log_byte", size)))
+        self._charge_records(2, size)
         return lsn
 
     def append(self, record: LogRecord, charge: bool = True) -> int:
@@ -256,7 +258,7 @@ class SystemLog:
             self.next_lsn = lsn
             self._tail_frames += lsn - first
         if charge and lsn > first:
-            self.meter.charge_many((("log_record", lsn - first), ("log_byte", size)))
+            self._charge_records(lsn - first, size)
         return first, lsn
 
     @property
@@ -317,9 +319,7 @@ class SystemLog:
             self._file.write(buf)
             self._file.flush()
             self.crashpoints.reach("wal.flush.post")
-            self.meter.charge_many(
-                (("latch_pair", 1), ("flush_fixed", 1), ("flush_byte", len(buf)))
-            )
+            self._charge_flush(1, 1, len(buf))
             if self._stable_count is not None:
                 self._stable_count += count
             self.end_of_stable_lsn = end_lsn

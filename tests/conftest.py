@@ -159,6 +159,25 @@ def db_factory(tmp_path):
 
 
 @pytest.fixture
+def recover():
+    """``Database.recover`` that closes every database it recovered at
+    teardown (a recovered database owns its ``system.log``)."""
+    recovered: list[Database] = []
+
+    def run(config: DBConfig, **kwargs):
+        db, report = Database.recover(config, **kwargs)
+        recovered.append(db)
+        return db, report
+
+    yield run
+    for db in recovered:
+        try:
+            db.close()
+        except Exception:
+            pass
+
+
+@pytest.fixture
 def db(db_factory):
     """A baseline-scheme single-table database."""
     return db_factory()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, FaultInjector
+from repro import FaultInjector
 from repro.recovery.history import (
     check_conflict_consistent,
     check_view_consistent,
@@ -61,6 +61,19 @@ def corrupted_db(db_factory, scheme, n_accounts=12, region_size=None):
     return db, slots
 
 
+@pytest.fixture
+def recover_corrupt(recover):
+    """Audit (it must fail), crash with the corruption note, recover."""
+
+    def run(db):
+        report = db.audit()
+        assert not report.clean
+        db.crash_with_corruption(report)
+        return recover(db.config)
+
+    return run
+
+
 def run_carrier_scenario(db, slots):
     """Wild write on account 1; T_carrier reads it and writes account 2."""
     table = db.table("acct")
@@ -76,13 +89,7 @@ def run_carrier_scenario(db, slots):
 class TestViewConsistentRecovery:
     """The checksum extension: precise, view-consistent delete histories."""
 
-    def recover(self, db):
-        report = db.audit()
-        assert not report.clean
-        db.crash_with_corruption(report)
-        return Database.recover(db.config)
-
-    def test_only_carrier_deleted(self, db_factory):
+    def test_only_carrier_deleted(self, db_factory, recover_corrupt):
         db, slots = corrupted_db(db_factory, "cw_read_logging")
         table = db.table("acct")
         carrier = run_carrier_scenario(db, slots)
@@ -90,7 +97,7 @@ class TestViewConsistentRecovery:
         table.update(txn, slots[5], {"balance": 555})  # clean bystander
         db.commit(txn)
         clean_txn = txn.txn_id
-        db2, report = self.recover(db)
+        db2, report = recover_corrupt(db)
         assert report.mode == "delete-transaction-view"
         assert report.deleted_set == {carrier}
         assert clean_txn not in report.deleted_set
@@ -101,7 +108,7 @@ class TestViewConsistentRecovery:
         assert t2.read(txn, slots[1])["balance"] == 100  # direct corruption gone
         db2.commit(txn)
 
-    def test_transitive_corruption_traced(self, db_factory):
+    def test_transitive_corruption_traced(self, db_factory, recover_corrupt):
         """T2 reads what the carrier wrote -> T2 is deleted too."""
         db, slots = corrupted_db(db_factory, "cw_read_logging")
         table = db.table("acct")
@@ -111,13 +118,13 @@ class TestViewConsistentRecovery:
         table.update(txn, slots[3], {"balance": v + 1})
         db.commit(txn)
         second_carrier = txn.txn_id
-        db2, report = self.recover(db)
+        db2, report = recover_corrupt(db)
         assert report.deleted_set == {carrier, second_carrier}
         txn = db2.begin()
         assert db2.table("acct").read(txn, slots[3])["balance"] == 100
         db2.commit(txn)
 
-    def test_history_oracles_hold(self, db_factory):
+    def test_history_oracles_hold(self, db_factory, recover_corrupt):
         db, slots = corrupted_db(db_factory, "cw_read_logging")
         table = db.table("acct")
         run_carrier_scenario(db, slots)
@@ -125,18 +132,18 @@ class TestViewConsistentRecovery:
         table.update(txn, slots[6], {"balance": 606})
         db.commit(txn)
         history = db.history
-        _db2, report = self.recover(db)
+        _db2, report = recover_corrupt(db)
         # The checksum variant guarantees view-consistency (Section 4.3);
         # in this particular schedule conflict-consistency holds too.
         assert check_view_consistent(history, report.deleted_set) == []
         assert check_conflict_consistent(history, report.deleted_set) == []
 
-    def test_final_state_matches_delete_history(self, db_factory):
+    def test_final_state_matches_delete_history(self, db_factory, recover_corrupt):
         db, slots = corrupted_db(db_factory, "cw_read_logging")
         table = db.table("acct")
         run_carrier_scenario(db, slots)
         history = db.history
-        db2, report = self.recover(db)
+        db2, report = recover_corrupt(db)
         expected = expected_final_state(history, report.deleted_set)
         txn = db2.begin()
         t2 = db2.table("acct")
@@ -146,22 +153,22 @@ class TestViewConsistentRecovery:
             assert t2.read_bytes(txn, slot) == value
         db2.commit(txn)
 
-    def test_recovery_runs_even_without_corruption_note(self, db_factory):
+    def test_recovery_runs_even_without_corruption_note(self, db_factory, recover):
         """With checksummed read logs, every restart traces corruption."""
         db, slots = corrupted_db(db_factory, "cw_read_logging")
         carrier = run_carrier_scenario(db, slots)
         db.crash()  # a 'true' crash: no failed audit, no note
-        db2, report = Database.recover(db.config)
+        db2, report = recover(db.config)
         assert report.mode == "delete-transaction-view"
         assert carrier in report.deleted_set
         txn = db2.begin()
         assert db2.table("acct").read(txn, slots[2])["balance"] == 100
         db2.commit(txn)
 
-    def test_post_recovery_database_is_certified(self, db_factory):
+    def test_post_recovery_database_is_certified(self, db_factory, recover_corrupt):
         db, slots = corrupted_db(db_factory, "cw_read_logging")
         run_carrier_scenario(db, slots)
-        db2, _report = self.recover(db)
+        db2, _report = recover_corrupt(db)
         assert db2.audit().clean
         # and the corruption note is gone
         import os
@@ -176,7 +183,7 @@ class TestViewNotConflictConsistent:
     same data to a data item as it would have had in the delete-history".
     """
 
-    def test_same_value_writer_does_not_recruit_reader(self, db_factory):
+    def test_same_value_writer_does_not_recruit_reader(self, db_factory, recover):
         db = db_factory(scheme="cw_read_logging")
         slots = insert_accounts(db, 4)
         db.checkpoint()
@@ -200,7 +207,7 @@ class TestViewNotConflictConsistent:
         reader = txn.txn_id
         report = db.audit()
         db.crash_with_corruption(report)
-        _db2, recovery = Database.recover(db.config)
+        _db2, recovery = recover(db.config)
         assert writer in recovery.deleted_set
         assert reader not in recovery.deleted_set  # kept: view-consistent
         history = db.history
@@ -218,24 +225,18 @@ class TestViewNotConflictConsistent:
 class TestConflictConsistentRecovery:
     """Plain read logging: region-granular CorruptDataTable tracing."""
 
-    def recover(self, db):
-        report = db.audit()
-        assert not report.clean
-        db.crash_with_corruption(report)
-        return Database.recover(db.config)
-
-    def test_carrier_deleted_conservatively(self, db_factory):
+    def test_carrier_deleted_conservatively(self, db_factory, recover_corrupt):
         # Small regions keep the corrupt range focused on one record.
         db, slots = corrupted_db(db_factory, "read_logging", region_size=32)
         carrier = run_carrier_scenario(db, slots)
-        db2, report = self.recover(db)
+        db2, report = recover_corrupt(db)
         assert report.mode == "delete-transaction"
         assert carrier in report.deleted_set
         txn = db2.begin()
         assert db2.table("acct").read(txn, slots[2])["balance"] == 100
         db2.commit(txn)
 
-    def test_conflict_consistency_oracle_holds(self, db_factory):
+    def test_conflict_consistency_oracle_holds(self, db_factory, recover_corrupt):
         db, slots = corrupted_db(db_factory, "read_logging", region_size=32)
         table = db.table("acct")
         run_carrier_scenario(db, slots)
@@ -243,10 +244,10 @@ class TestConflictConsistentRecovery:
         table.update(txn, slots[8], {"balance": 808})
         db.commit(txn)
         history = db.history
-        _db2, report = self.recover(db)
+        _db2, report = recover_corrupt(db)
         assert check_conflict_consistent(history, report.deleted_set) == []
 
-    def test_reader_of_untouched_region_survives(self, db_factory):
+    def test_reader_of_untouched_region_survives(self, db_factory, recover_corrupt):
         db, slots = corrupted_db(db_factory, "read_logging", region_size=32)
         table = db.table("acct")
         carrier = run_carrier_scenario(db, slots)
@@ -254,20 +255,20 @@ class TestConflictConsistentRecovery:
         table.update(txn, slots[9], {"balance": 909})
         db.commit(txn)
         bystander = txn.txn_id
-        _db2, report = self.recover(db)
+        _db2, report = recover_corrupt(db)
         assert carrier in report.deleted_set
         assert bystander not in report.deleted_set
 
-    def test_writes_of_corrupt_txn_suppressed(self, db_factory):
+    def test_writes_of_corrupt_txn_suppressed(self, db_factory, recover_corrupt):
         db, slots = corrupted_db(db_factory, "read_logging", region_size=32)
         carrier = run_carrier_scenario(db, slots)
-        _db2, report = self.recover(db)
+        _db2, report = recover_corrupt(db)
         assert report.writes_suppressed > 0
         assert report.recruited[carrier].startswith("read data")
 
 
 class TestConflictRecruitment:
-    def test_op_conflicting_with_corrupt_undo_recruited(self, db_factory):
+    def test_op_conflicting_with_corrupt_undo_recruited(self, db_factory, recover):
         """A later op on the same object as a corrupt txn's undone op must
         be recruited, or the corrupt op could not be rolled back."""
         db, slots = corrupted_db(db_factory, "read_logging", region_size=32)
@@ -293,7 +294,7 @@ class TestConflictRecruitment:
         assert new_slot == slots[4]  # allocator reused the freed slot
         report = db.audit()
         db.crash_with_corruption(report)
-        db2, rec = Database.recover(db.config)
+        db2, rec = recover(db.config)
         assert carrier in rec.deleted_set
         assert reuser in rec.deleted_set
         reason = rec.recruited[reuser]
@@ -305,7 +306,7 @@ class TestConflictRecruitment:
 
 
 class TestHardwareNeedsNoRecovery:
-    def test_trap_leaves_nothing_to_recover(self, db_factory):
+    def test_trap_leaves_nothing_to_recover(self, db_factory, recover):
         from repro.errors import ProtectionFault
 
         db = db_factory(scheme="hardware")
@@ -315,7 +316,7 @@ class TestHardwareNeedsNoRecovery:
         with pytest.raises(ProtectionFault):
             injector.wild_write(db.table("acct").record_address(slots[1]), 8)
         db.crash()
-        db2, report = Database.recover(db.config)
+        db2, report = recover(db.config)
         assert report.mode == "normal"
         txn = db2.begin()
         assert db2.table("acct").read(txn, slots[1])["balance"] == 100

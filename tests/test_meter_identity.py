@@ -1,14 +1,23 @@
-"""The count-only meter against the meter it replaced.
+"""The count-only meter against the meter it replaced, and its compiled
+counters against ``charge``.
 
 ``SeedClock`` and ``SeedMeter`` below are the advancing clock and the
 meter that priced every charge into it, copied as they were before the
 clock became a value derived from the counts.  A hypothesis property
 drives both with the same calls and asserts the same counters, the same
 snapshot, the same clock reading and the same exception type after every
-step.  The one deliberate difference -- a negative count of an event
-whose unit cost is zero moved no clock, so the seed let its counter go
-negative, and the count-only meter rejects it -- is kept out of the
-property and pinned by its own test.
+step; a compiled counter's call is driven on the seed as one ``charge``
+per pair, the whole group checked first (a counter moves nothing when
+any event or count is bad).  Two deliberate differences are
+pinned by their own tests: a negative count of an event whose unit cost
+is zero moved no clock, so the seed let its counter go negative, and the
+count-only meter rejects it (kept out of the property); and the seed's
+``charge_ns`` took a negative ``count``, which the meter rejects -- the
+reference's ``charge_ns`` below rejects it too, so the property keeps
+drawing negative counts there.
+
+A second property holds ``Meter.counter`` to ``Meter.charge`` on two
+meters: the same calls, with and without thread safety, across resets.
 """
 
 from __future__ import annotations
@@ -71,29 +80,9 @@ class SeedMeter:
             self.clock.now_ns += ns
             self.counts[event] += count
 
-    def charge_many(self, charges) -> None:
-        unit_ns = self._unit_ns
-        lock = self._lock
-        if lock is not None:
-            lock.acquire()
-        counts = self.counts
-        total = 0
-        try:
-            for event, count in charges:
-                try:
-                    ns = unit_ns[event] * count
-                except KeyError:
-                    ns = self.costs.unit_ns(event) * count
-                if ns < 0:
-                    raise ValueError(f"cannot advance clock by negative time: {ns}")
-                counts[event] += count
-                total += ns
-        finally:
-            self.clock.now_ns += total
-            if lock is not None:
-                lock.release()
-
     def charge_ns(self, event: str, ns: int, count: int = 1) -> None:
+        if count < 0:  # the deliberate difference: the seed took it
+            raise ValueError(f"cannot charge a negative count: {count}")
         lock = self._lock
         if lock is None:
             self._charge_explicit(event, ns, count)
@@ -146,11 +135,13 @@ bad_pairs = st.one_of(
     st.tuples(st.just("no_such_event"), st.integers(0, 5)),
     st.tuples(st.sampled_from(PRICED), st.integers(-3, -1)),
 )
+#: A compiled counter's call: one to three pairs, at most one of them bad.
+groups = st.tuples(
+    st.lists(pairs, max_size=2), st.lists(bad_pairs, max_size=1), st.lists(pairs, max_size=2)
+).map(lambda parts: parts[0] + parts[1] + parts[2]).filter(lambda group: 1 <= len(group) <= 3)
 calls = st.one_of(
     pairs.map(lambda pair: ("charge", *pair)),
-    st.tuples(
-        st.lists(pairs, max_size=6), st.lists(bad_pairs, max_size=1), st.lists(pairs, max_size=3)
-    ).map(lambda parts: ("charge_many", parts[0] + parts[1] + parts[2])),
+    groups.map(lambda group: ("counter", group)),
     st.tuples(
         st.just("charge_ns"),
         st.sampled_from(EVENTS),
@@ -162,11 +153,26 @@ calls = st.one_of(
 )
 
 
+def _charge_group(meter, group) -> None:
+    """What ``counter(*events)(*counts)`` is, written with ``charge``:
+    every event checked, then every count, then one charge per pair."""
+    for event, _count in group:
+        meter.costs.unit_ns(event)  # an unknown event: KeyError
+    if any(count < 0 for _event, count in group):
+        raise ValueError("cannot charge a negative count")
+    for event, count in group:
+        meter.charge(event, count)
+
+
+def _count_group(meter, group) -> None:
+    meter.counter(*(e for e, _c in group))(*(c for _e, c in group))
+
+
 def _call(meter, call) -> type | None:
     name, *args = call
     try:
-        if name == "charge_many":
-            meter.charge_many(iter(args[0]))
+        if name == "counter":
+            (_charge_group if isinstance(meter, SeedMeter) else _count_group)(meter, args[0])
         else:
             getattr(meter, name)(*args)
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
@@ -200,3 +206,103 @@ class TestParentMeterIdentity:
         with pytest.raises(ValueError):
             meter.charge("audit_region", -1)
         assert meter.counts == {}
+
+    def test_negative_charge_ns_count_is_rejected(self):
+        """The seed's ``charge_ns`` let a count go negative; the meter
+        raises before anything moves, as ``charge`` and counters do."""
+        meter = Meter(VirtualClock(), DEFAULT_COSTS)
+        with pytest.raises(ValueError):
+            meter.charge_ns("mprotect_call", 100, count=-3)
+        assert meter.counts == {} and meter.snapshot() == {} and meter.clock.now_ns == 0
+        meter.charge_ns("mprotect_call", 100, count=0)  # unpriced events stay legal
+        assert meter.snapshot() == {"mprotect_call": (0, 100)}
+
+
+#: ``("counter", group)`` compiles a counter for the group's events and
+#: calls it with its counts; the charge side runs ``_charge_group``.
+counter_calls = st.one_of(
+    groups.map(lambda group: ("counter", group)),
+    st.just(("reset",)),
+    st.just(("enable_thread_safety",)),
+)
+
+
+def _drive(meter, call, compiled: bool) -> type | None:
+    name, *args = call
+    try:
+        if name != "counter":
+            getattr(meter, name)()
+        elif compiled:
+            _count_group(meter, args[0])
+        else:
+            _charge_group(meter, args[0])
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return None
+
+
+class TestCounterIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(counter_calls, max_size=40), st.booleans())
+    def test_counters_are_charges(self, history, precompile):
+        """``precompile`` compiles every counter before the first call,
+        so the ones called after ``enable_thread_safety`` or ``reset``
+        were compiled before it."""
+        charged, counted = Meter(VirtualClock(), DEFAULT_COSTS), Meter(VirtualClock(), DEFAULT_COSTS)
+        adders = {}
+        if precompile:
+            for name, *args in history:
+                if name == "counter":
+                    events = tuple(e for e, _c in args[0])
+                    try:
+                        adders[events] = counted.counter(*events)
+                    except KeyError:
+                        pass
+        for step, call in enumerate(history):
+            name, *args = call
+            events = tuple(e for e, _c in args[0]) if name == "counter" else None
+            if events in adders:
+                try:
+                    adders[events](*(c for _e, c in args[0]))
+                    error = None
+                except Exception as exc:  # noqa: BLE001
+                    error = type(exc)
+            else:
+                error = _drive(counted, call, compiled=True)
+            assert error is _drive(charged, call, compiled=False), (step, call)
+            assert counted.counts == charged.counts, (step, call)
+            assert counted.snapshot() == charged.snapshot(), (step, call)
+            assert counted.clock.now_ns == charged.clock.now_ns, (step, call)
+
+    def test_compiling_checks_events_once(self):
+        meter = Meter(VirtualClock(), DEFAULT_COSTS)
+        with pytest.raises(KeyError):
+            meter.counter("latch_pair", "no_such_event")
+        with pytest.raises(TypeError):
+            meter.counter()
+        with pytest.raises(TypeError):
+            meter.counter("latch_pair", "log_record", "log_byte", "flush_fixed")
+        add = meter.counter("log_record", "log_byte")
+        with pytest.raises(ValueError):
+            add(1, -1)
+        assert meter.counts == {}
+        add(2, 40)
+        meter.reset()
+        add(1, 8)
+        assert meter.snapshot() == {
+            "log_record": (1, DEFAULT_COSTS.unit_ns("log_record")),
+            "log_byte": (8, 8 * DEFAULT_COSTS.unit_ns("log_byte")),
+        }
+
+    def test_counter_compiled_before_thread_safety_takes_the_lock(self):
+        meter = Meter(VirtualClock(), DEFAULT_COSTS)
+        add = meter.counter("latch_pair")
+        meter.enable_thread_safety()
+        done = threading.Event()
+        with meter._lock:
+            worker = threading.Thread(target=lambda: (add(1), done.set()))
+            worker.start()
+            assert not done.wait(0.05)  # blocked behind the meter's lock
+            assert meter.counts == {}
+        worker.join(5)
+        assert done.is_set() and meter.counts == {"latch_pair": 1}

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro import Database
-
 from tests.conftest import insert_accounts
 
 
-def reopen(db):
-    return Database.recover(db.config)
+@pytest.fixture
+def reopen(recover):
+    """Recover a crashed database's directory (closed at teardown)."""
+    return lambda db: recover(db.config)
 
 
 def balances(db, slots):
@@ -20,7 +20,7 @@ def balances(db, slots):
 
 
 class TestCommittedWorkSurvives:
-    def test_committed_after_checkpoint(self, db):
+    def test_committed_after_checkpoint(self, db, reopen):
         slots = insert_accounts(db, 3)
         db.checkpoint()
         txn = db.begin()
@@ -32,14 +32,14 @@ class TestCommittedWorkSurvives:
         assert balances(db2, slots)[0] == 777
         assert report.redo_applied > 0
 
-    def test_committed_without_any_explicit_checkpoint(self, db):
+    def test_committed_without_any_explicit_checkpoint(self, db, reopen):
         """start() takes checkpoint 0; commits after it must replay."""
         slots = insert_accounts(db, 2)
         db.crash()
         db2, _report = reopen(db)
         assert balances(db2, slots) == {0: 100, 1: 100}
 
-    def test_inserts_and_deletes_survive(self, db):
+    def test_inserts_and_deletes_survive(self, db, reopen):
         slots = insert_accounts(db, 4)
         txn = db.begin()
         db.table("acct").delete(txn, slots[3])
@@ -53,7 +53,7 @@ class TestCommittedWorkSurvives:
         assert table.read(txn, table.lookup(txn, 40))["balance"] == 40
         db2.commit(txn)
 
-    def test_multiple_checkpoints_then_crash(self, db):
+    def test_multiple_checkpoints_then_crash(self, db, reopen):
         slots = insert_accounts(db, 2)
         for value in (10, 20, 30):
             txn = db.begin()
@@ -67,7 +67,7 @@ class TestCommittedWorkSurvives:
         db2, _ = reopen(db)
         assert balances(db2, slots)[0] == 40
 
-    def test_recovered_db_is_fully_usable(self, db):
+    def test_recovered_db_is_fully_usable(self, db, reopen):
         slots = insert_accounts(db, 2)
         db.crash()
         db2, _ = reopen(db)
@@ -83,7 +83,7 @@ class TestCommittedWorkSurvives:
 
 
 class TestInFlightWorkRolledBack:
-    def test_uncommitted_txn_rolled_back(self, db):
+    def test_uncommitted_txn_rolled_back(self, db, reopen):
         slots = insert_accounts(db, 2)
         txn = db.begin()
         db.table("acct").update(txn, slots[0], {"balance": 999})
@@ -95,7 +95,7 @@ class TestInFlightWorkRolledBack:
         assert balances(db2, slots)[0] == 100
         assert txn.txn_id in report.rolled_back
 
-    def test_txn_open_across_checkpoint_rolled_back_from_att(self, db):
+    def test_txn_open_across_checkpoint_rolled_back_from_att(self, db, reopen):
         """The checkpointed ATT's undo log drives rollback."""
         slots = insert_accounts(db, 2)
         txn = db.begin()
@@ -111,7 +111,7 @@ class TestInFlightWorkRolledBack:
         assert result[1] == 666   # committed work preserved
         assert txn.txn_id in report.rolled_back
 
-    def test_unflushed_commit_is_lost(self, db):
+    def test_unflushed_commit_is_lost(self, db, reopen):
         """Commit flushes; but operations without commit may be unflushed."""
         slots = insert_accounts(db, 1)
         txn = db.begin()
@@ -122,7 +122,7 @@ class TestInFlightWorkRolledBack:
         db2, report = reopen(db)
         assert balances(db2, slots)[0] == 100
 
-    def test_open_update_window_at_checkpoint(self, db):
+    def test_open_update_window_at_checkpoint(self, db, reopen):
         """codeword_applied=False path through checkpointed undo."""
         slots = insert_accounts(db, 1)
         address = db.table("acct").record_address(slots[0])
@@ -140,27 +140,27 @@ class TestInFlightWorkRolledBack:
 
 class TestCodewordsAfterRecovery:
     @pytest.mark.parametrize("scheme", ["data_cw", "precheck", "cw_read_logging"])
-    def test_audit_clean_after_recovery(self, db_factory, scheme):
+    def test_audit_clean_after_recovery(self, db_factory, scheme, recover):
         db = db_factory(scheme=scheme)
         slots = insert_accounts(db, 5)
         txn = db.begin()
         db.table("acct").update(txn, slots[0], {"balance": 1})
         db.commit(txn)
         db.crash()
-        db2, _ = Database.recover(db.config)
+        db2, _ = recover(db.config)
         assert db2.audit().clean
 
-    def test_hardware_reprotects_after_recovery(self, db_factory):
+    def test_hardware_reprotects_after_recovery(self, db_factory, recover):
         db = db_factory(scheme="hardware")
         insert_accounts(db, 2)
         db.crash()
-        db2, _ = Database.recover(db.config)
+        db2, _ = recover(db.config)
         assert db2.scheme.mmu.enforcing
         assert db2.scheme.mmu.protected_page_count == db2.memory.page_count
 
 
 class TestLogContinuation:
-    def test_lsns_continue_after_recovery(self, db):
+    def test_lsns_continue_after_recovery(self, db, reopen):
         insert_accounts(db, 1)
         db.crash()
         db2, _ = reopen(db)
@@ -171,7 +171,7 @@ class TestLogContinuation:
         assert lsns2 == sorted(set(lsns2))
         assert len(lsns2) > len(lsns)
 
-    def test_txn_ids_do_not_collide_after_recovery(self, db):
+    def test_txn_ids_do_not_collide_after_recovery(self, db, reopen):
         txn = db.begin()
         db.commit(txn)
         db.crash()

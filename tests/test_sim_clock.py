@@ -23,7 +23,7 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             meter.charge("latch_pair", -1)
         with pytest.raises(ValueError):
-            meter.charge_many([("latch_pair", -1)])
+            meter.counter("latch_pair", "log_record")(1, -1)
         with pytest.raises(ValueError):
             meter.charge_ns("mprotect_call", -1)
         assert clock.now_ns == 0 and meter.snapshot() == {}
