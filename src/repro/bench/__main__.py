@@ -9,7 +9,7 @@ Usage::
     python -m repro.bench --json BENCH_tables.json   # machine-readable copy
     python -m repro.bench --profile       # cProfile the TPC-B update loop
     python -m repro.bench --faults --faults-backing mmap
-    python -m repro.bench --serving       # concurrent-session throughput/latency
+    python -m repro.bench --serving       # interleaved sessions + cold wild writes
     python -m repro.bench --replication   # hot-standby detection/failover gate
     python -m repro.bench --sharded       # shard-per-core scale-up curves
     python -m repro.bench --chaos         # supervised worker-kill/hang soak
@@ -27,15 +27,7 @@ from repro.bench.replication import REPLICATION_SUITE
 from repro.bench.serving import SERVING_SUITE
 from repro.bench.sharded import SHARDED_SUITE
 from repro.bench.suites import dispatch
-from repro.bench.tables import (  # noqa: F401 - re-exported for callers
-    PROFILE_SUITE,
-    TABLES_SUITE,
-    print_fault_campaign,
-    print_profile,
-    print_region_sweep,
-    print_table1,
-    print_table2,
-)
+from repro.bench.tables import PROFILE_SUITE, TABLES_SUITE
 
 #: Argument-registration order (= --help order); TABLES_SUITE is the
 #: default and runs when no other suite's flag is present.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.bench.reporting import BENCH_JSON_VERSION, render_table, write_bench_json
-from repro.bench.suites import Suite, run_gated
+from repro.bench.suites import harness_suite
 from repro.replication.campaign import (
     ReplicationCampaignResult,
     ReplicationCampaignSpec,
@@ -138,28 +138,7 @@ def gate_failures(result: ReplicationCampaignResult) -> list[str]:
     return failures
 
 
-# --------------------------------------------------------- registration
-
-
-def _add_arguments(parser) -> None:
-    parser.add_argument(
-        "--replication",
-        action="store_true",
-        help="run the two-node replication campaign (log-shipped hot "
-        "standby, independent replica audits, certified failover): exit 1 "
-        "on any false negative, untolerated transport fault, uncertified "
-        "promotion, or lost-commit window past the ship window bound",
-    )
-    parser.add_argument(
-        "--replication-json",
-        metavar="PATH",
-        default="BENCH_replication.json",
-        help="where --replication writes its JSON artifact "
-        "(default: BENCH_replication.json)",
-    )
-
-
-def _run(args) -> int:
+def _run(args, workdir: str) -> tuple[dict, list[str]]:
     """``--replication``: the full 3-seed matrix, or one seed under ``--quick``.
 
     ``--json`` alongside it also writes a ``{"replication": ...}`` section
@@ -169,43 +148,41 @@ def _run(args) -> int:
     spec = ReplicationCampaignSpec()
     if args.quick:
         spec = replace(spec, seeds=(1,))
-
-    def run(workdir: str) -> tuple[dict, list[str]]:
-        result = run_replication_campaign(spec, workdir)
-        print(render_replication_table(result))
-        latency = result.latency_percentiles()
-        cold = result.cold_comparison()
-        lost = result.lost_commit_stats()
+    result = run_replication_campaign(spec, workdir)
+    print(render_replication_table(result))
+    latency = result.latency_percentiles()
+    cold = result.cold_comparison()
+    lost = result.lost_commit_stats()
+    print(
+        f"\nDetection latency (corruption kinds, workload ops): "
+        f"p50={latency['p50']} p90={latency['p90']} max={latency['max']}"
+    )
+    if cold["compared"]:
         print(
-            f"\nDetection latency (corruption kinds, workload ops): "
-            f"p50={latency['p50']} p90={latency['p90']} max={latency['max']}"
+            f"Cold-region wild writes: replica digest latency "
+            f"{cold['replica_latencies']} vs single-node full-sweep "
+            f"{cold['single_node_latencies']} ops "
+            f"(strictly faster: {cold['replica_strictly_faster']})"
         )
-        if cold["compared"]:
-            print(
-                f"Cold-region wild writes: replica digest latency "
-                f"{cold['replica_latencies']} vs single-node full-sweep "
-                f"{cold['single_node_latencies']} ops "
-                f"(strictly faster: {cold['replica_strictly_faster']})"
-            )
-        print(
-            f"Lost-commit windows: {lost['nonzero']} nonzero, "
-            f"max {lost['max_lost_records']} record(s), "
-            f"{lost['bound_violations']} bound violation(s)."
+    print(
+        f"Lost-commit windows: {lost['nonzero']} nonzero, "
+        f"max {lost['max_lost_records']} record(s), "
+        f"{lost['bound_violations']} bound violation(s)."
+    )
+    payload = replication_payload(result, args.quick)
+    if args.json:
+        write_bench_json(
+            args.json, {"version": BENCH_JSON_VERSION, "replication": payload}
         )
-        payload = replication_payload(result, args.quick)
-        if args.json:
-            write_bench_json(
-                args.json, {"version": BENCH_JSON_VERSION, "replication": payload}
-            )
-            print(f"wrote {args.json}")
-        return payload, gate_failures(result)
-
-    return run_gated("replication", args.replication_json, run)
+        print(f"wrote {args.json}")
+    return payload, gate_failures(result)
 
 
-REPLICATION_SUITE = Suite(
-    name="replication",
-    add_arguments=_add_arguments,
-    run=_run,
-    selected=lambda args: args.replication,
+REPLICATION_SUITE = harness_suite(
+    "replication",
+    "run the two-node replication campaign (log-shipped hot standby, "
+    "independent replica audits, certified failover): exit 1 on any false "
+    "negative, untolerated transport fault, uncertified promotion, or "
+    "lost-commit window past the ship window bound",
+    _run,
 )

@@ -8,19 +8,27 @@ runner.  ``__main__`` just assembles the registered suites and calls
 ``elif`` arm in a 400-line main.
 
 The fault harnesses (``--serving``, ``--sharded``, ``--chaos``,
-``--replication``) share one gate driver, :func:`run_gated`, and one
-``--quick`` flag that shrinks each of them to its CI smoke size.
+``--replication``) register through one helper, :func:`harness_suite`
+(a ``--NAME`` flag and a ``--NAME-json`` path), share one gate driver,
+:func:`run_gated`, and one ``--quick`` flag that shrinks each of them to
+its CI smoke size.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
+import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
-from repro.bench.reporting import write_bench_json
+from repro.bench.reporting import render_table, write_bench_json
+from repro.faults.campaign import gate_lines, spec_payload
+
+#: Layout version of the serving, sharded and chaos JSON artifacts.
+HARNESS_JSON_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -105,3 +113,78 @@ def run_gated(
         write_bench_json(json_path, payload)
         print(f"\nwrote {json_path}")
     return report_gates(failures)
+
+
+def harness_suite(
+    name: str,
+    help: str,
+    run: Callable[[argparse.Namespace, str], tuple[dict, list[str]]],
+) -> Suite:
+    """A fault harness's registration: ``--NAME`` selects it,
+    ``--NAME-json`` names its artifact (``BENCH_NAME.json``), and
+    ``run(args, workdir)`` goes through :func:`run_gated`."""
+
+    def add_arguments(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(f"--{name}", action="store_true", help=help)
+        parser.add_argument(
+            f"--{name}-json",
+            metavar="PATH",
+            default=f"BENCH_{name}.json",
+            help=f"where --{name} writes its JSON artifact "
+            f"(default: BENCH_{name}.json)",
+        )
+
+    return Suite(
+        name=name,
+        add_arguments=add_arguments,
+        run=lambda args: run_gated(
+            name, getattr(args, f"{name}_json"),
+            lambda workdir: run(args, workdir),
+        ),
+        selected=lambda args: getattr(args, name),
+    )
+
+
+def env_stamp() -> dict:
+    """Where an artifact was measured: core count and source revision
+    (``-dirty`` when the tree had uncommitted changes)."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], capture_output=True,
+            text=True, cwd=os.path.dirname(os.path.abspath(__file__)),
+        ).stdout.strip() or None
+    except OSError:
+        commit = None
+    return {"nproc": os.cpu_count(), "commit": commit}
+
+
+def harness_payload(spec, outcomes: list, quick: bool, **extra) -> dict:
+    """The JSON artifact of a schedule-kind harness: its spec, every
+    schedule's outcome, and whatever the harness adds."""
+    return {
+        "version": HARNESS_JSON_VERSION,
+        "quick": quick,
+        "env": env_stamp(),
+        "spec": spec_payload(spec),
+        "schedules": [asdict(o) for o in outcomes],
+        "breaches": gate_lines(outcomes),
+        **extra,
+    }
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return "-" if value is None else str(value)
+
+
+def render_schedules(title: str, outcomes: list, *columns: str) -> str:
+    """One row per schedule: where it ran, then the named outcome fields."""
+    return render_table(
+        ["Schedule", *columns, "Error"],
+        [
+            [o.where, *(_cell(getattr(o, c)) for c in columns), _cell(o.error)]
+            for o in outcomes
+        ],
+        title=title,
+    )

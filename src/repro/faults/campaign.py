@@ -31,12 +31,14 @@ string ``"{seed}:{scheme}:{index}"`` (string seeding is stable across
 processes, unlike ``hash``), so a campaign is exactly reproducible from
 its spec.
 
-This module is also the campaign kernel every fault harness scores
-with: the :class:`Outcome` base, the seeded schedule loop
-(:func:`run_schedules`), the account bank and its committed-value
-:class:`Ledger`, the convicted-address predicate with the detect ->
-quarantine -> repair -> re-audit tail (:func:`score_injections`), and
-the scoreboard columns and percentile every campaign reports.
+This module is also the campaign kernel every fault harness runs on:
+the :class:`Outcome` base, one seeded schedule (:func:`run_schedule`)
+and the loop over them (:func:`run_schedules`), the account bank and
+its committed-value :class:`Ledger`, the convicted-address predicate
+with the detect -> quarantine -> repair -> re-audit tail
+(:func:`score_injections`), the serving/sharded/chaos
+:class:`HarnessOutcome` with its named gate lines (:func:`gate_lines`),
+and the scoreboard columns and percentile every campaign reports.
 """
 
 from __future__ import annotations
@@ -171,85 +173,111 @@ def percentile(sorted_values: list, fraction: float) -> float:
     return float(sorted_values[index])
 
 
+def run_schedule(spec, key: str, seed: int, index: int, schedule,
+                 base_dir: str):
+    """Run one seeded schedule in a fresh directory and return its outcome.
+
+    The schedule gets its own ``random.Random(f"{seed}:{key}:{index}")``;
+    ``schedule(spec, key, seed, index, work_dir, rng)`` builds it,
+    ``.run()`` returns its outcome and ``.close()`` releases it.  An
+    exception is scored into ``outcome.error``, not raised: one bad
+    schedule must not hide the rest of the campaign's scoreboard.
+    """
+    work_dir = os.path.join(base_dir, f"{key.replace('+', '_')}-s{seed}-{index}")
+    shutil.rmtree(work_dir, ignore_errors=True)
+    os.makedirs(work_dir)
+    run = schedule(spec, key, seed, index, work_dir,
+                   random.Random(f"{seed}:{key}:{index}"))
+    try:
+        return run.run()
+    except Exception as exc:  # scored, not raised
+        run.outcome.error = f"{type(exc).__name__}: {exc}"
+        return run.outcome
+    finally:
+        run.close()
+        shutil.rmtree(work_dir, ignore_errors=True)
+
+
 def run_schedules(spec, keys: Iterable[str], per_key: int, schedule,
                   base_dir: str) -> list:
-    """The seeded schedule loop every campaign runs: key -> seed -> index.
-
-    Each schedule gets a fresh directory and its own
-    ``random.Random(f"{seed}:{key}:{index}")``; ``schedule(spec, key,
-    seed, index, work_dir, rng)`` builds it, ``.run()`` returns its
-    outcome and ``.close()`` releases it.  An exception is scored into
-    ``outcome.error``, not raised: one bad schedule must not hide the
-    rest of the campaign's scoreboard.
-    """
-    os.makedirs(base_dir, exist_ok=True)
-    outcomes = []
-    for key in keys:
-        for seed in spec.seeds:
-            for index in range(per_key):
-                work_dir = os.path.join(
-                    base_dir, f"{key.replace('+', '_')}-s{seed}-{index}"
-                )
-                shutil.rmtree(work_dir, ignore_errors=True)
-                os.makedirs(work_dir)
-                rng = random.Random(f"{seed}:{key}:{index}")
-                run = schedule(spec, key, seed, index, work_dir, rng)
-                try:
-                    outcome = run.run()
-                except Exception as exc:  # scored, not raised
-                    run.outcome.error = f"{type(exc).__name__}: {exc}"
-                    outcome = run.outcome
-                finally:
-                    run.close()
-                    shutil.rmtree(work_dir, ignore_errors=True)
-                outcomes.append(outcome)
-    return outcomes
+    """The seeded loop every campaign runs: key -> seed -> index, each a
+    :func:`run_schedule`, so any one reruns from its spec alone."""
+    return [
+        run_schedule(spec, key, seed, index, schedule, base_dir)
+        for key in keys
+        for seed in spec.seeds
+        for index in range(per_key)
+    ]
 
 
 class Ledger:
     """Committed-value ground truth for the bank's accounts.
 
-    ``slots`` maps an account id to its record slot; ``history`` holds
-    every value ever committed to it, initial balance first.  Without a
-    crash the last committed value must be exact; after one (a lost
-    group-commit window, rolled-back or deleted transactions) any value
-    in the history is acceptable, but bytes from outside it are
-    corruption served as data.
+    ``slots`` maps an account id to what its reader takes (a record slot,
+    or the account key on a sharded store); ``history`` holds every value
+    ever committed to it, initial balance first.  Without a crash the
+    last committed value must be exact; after one (a lost group-commit
+    window, rolled-back or deleted transactions) any value in the history
+    is acceptable, but bytes from outside it are corruption served as
+    data.
     """
 
-    def __init__(self) -> None:
-        self.slots: dict[int, int] = {}
-        self.history: dict[int, list[int]] = {}
+    def __init__(self, accounts: Iterable[int] = ()) -> None:
+        """A ledger of keyed accounts (slot = key) that all start at the
+        loaded balance of 0; :func:`open_bank` fills an empty one."""
+        self.slots: dict[int, int] = {acct: acct for acct in accounts}
+        self.history: dict[int, list[int]] = {acct: [0] for acct in self.slots}
 
     def commit(self, acct: int, value: int) -> None:
         self.history[acct].append(value)
+
+    def commit_adds(self, ops: Iterable[tuple], table: str) -> None:
+        """Commit one transaction's ``("add", table, acct, {"balance":
+        delta})`` data ops to the accounts they move."""
+        for op in ops:
+            if op[0] == "add" and op[1] == table:
+                self.commit(op[2], self.history[op[2]][-1] + op[3]["balance"])
 
     def admits(self, acct: int, value: int, exact: bool = False) -> bool:
         history = self.history[acct]
         return value == history[-1] if exact else value in history
 
-    def check(self, db: Database, exact: bool) -> tuple[list[int], list[int]]:
+    def check(self, read: Callable[[int], int],
+              exact: bool) -> tuple[list[int], list[int]]:
         """Read every account back: ``(unreadable, wrong)`` account ids.
 
+        ``read(slot)`` returns the balance stored there (a ``Database``
+        through :func:`db_reader`, a server session, a sharded store).
         Unreadable accounts are still fenced by the protection stack
         (honest, but not repaired); wrong ones hold a value the ledger
         does not admit.
         """
-        table = db.table("acct")
         unreadable: list[int] = []
         wrong: list[int] = []
         for acct, slot in self.slots.items():
-            txn = db.begin()
             try:
-                row = table.read(txn, slot)
+                value = read(slot)
             except (QuarantinedRegionError, CorruptionDetected):
                 unreadable.append(acct)
                 continue
-            finally:
-                abort_if_active(db, txn)
-            if not self.admits(acct, row["balance"], exact):
+            if not self.admits(acct, value, exact):
                 wrong.append(acct)
         return unreadable, wrong
+
+
+def db_reader(db: Database) -> Callable[[int], int]:
+    """``read(slot)`` over the bank's ``acct`` table, one probe transaction
+    per read."""
+    table = db.table("acct")
+
+    def read(slot: int) -> int:
+        txn = db.begin()
+        try:
+            return table.read(txn, slot)["balance"]
+        finally:
+            abort_if_active(db, txn)
+
+    return read
 
 
 def abort_if_active(db: Database, txn) -> None:
@@ -317,6 +345,65 @@ def score_injections(addresses: list[int], byte_ranges, quarantined: int,
         "repaired_regions": repair(),
         "post_repair_audit_clean": audit_clean(),
     }
+
+
+@dataclass(kw_only=True)
+class HarnessOutcome(Outcome):
+    """One schedule of a serving, sharded or chaos harness.
+
+    ``faults`` is the schedule the rng drew, one ``(op, kind, shard,
+    account)`` per fault, so a rerun from the spec can be compared fault
+    for fault.  The injection columns are :func:`score_injections`' keys.
+    """
+
+    key: str
+    faults: list = field(default_factory=list)
+    traffic_errors: int = 0
+    injected: int = 0
+    detected: int = 0
+    false_negatives: int = 0
+    quarantined_regions: int = 0
+    repaired_regions: int = 0
+    post_repair_audit_clean: bool = True
+
+    @property
+    def where(self) -> str:
+        return f"{self.key} seed={self.seed} idx={self.index}"
+
+    def score(self, scored: dict, op: int) -> None:
+        """Take one :func:`score_injections` result, from an audit at ``op``."""
+        for name, value in scored.items():
+            setattr(self, name, value)
+        self.false_negative = self.false_negatives > 0
+        if self.faults:
+            self.fault_op = self.faults[0][0]
+        if self.detected:
+            self.on_detect("audit", op)
+
+    def breaches(self) -> list[str]:
+        """Every guarantee this schedule broke, one line each."""
+        checks = (
+            (self.false_negatives,
+             f"{self.false_negatives} of {self.injected} injections never convicted"),
+            (self.traffic_errors, f"{self.traffic_errors} traffic errors"),
+            (not self.post_repair_audit_clean, "post-repair audit not clean"),
+            (not self.value_ok, "an account read back a value the ledger "
+             "does not admit, or stayed unreadable"),
+        )
+        return [line for broken, line in checks if broken]
+
+
+def gate_lines(outcomes: Iterable[HarnessOutcome]) -> list[str]:
+    """One gate breach per line, each naming its schedule's key, seed and
+    index; a schedule that raised is one breach."""
+    return [
+        f"{o.where}: {line}"
+        for o in outcomes
+        for line in (
+            [f"schedule raised {o.error}"] if o.error is not None
+            else o.breaches()
+        )
+    ]
 
 
 # ----------------------------------------------------- the fault campaign
@@ -672,7 +759,9 @@ class _Schedule:
         """Committed values must survive repair/recovery; an account the
         stack still fences is honest, but the repair did not finish."""
         out = self.outcome
-        unreadable, wrong = self.ledger.check(self.db, exact=not out.crashed)
+        unreadable, wrong = self.ledger.check(
+            db_reader(self.db), exact=not out.crashed
+        )
         if unreadable:
             out.repair_ok = False
         if wrong:

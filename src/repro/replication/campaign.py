@@ -66,6 +66,7 @@ from repro.faults.campaign import (
     CampaignOutcomes,
     Outcome,
     close_quietly,
+    db_reader,
     detection_latencies,
     open_bank,
     percentile,
@@ -571,7 +572,7 @@ class _ReplicationSchedule:
             and not out.lost_commit_window
             and out.detection_stage not in ("primary_inline", "primary_certify")
         )
-        unreadable, wrong = self.ledger.check(self.replica.db, exact)
+        unreadable, wrong = self.ledger.check(db_reader(self.replica.db), exact)
         if unreadable or wrong:
             out.value_ok = False
 

@@ -4,11 +4,18 @@ import dataclasses
 
 import pytest
 
+from repro.bench.__main__ import main
+from repro.core.audit import AuditReport
 from repro.faults.campaign import (
     CampaignSpec,
     DEFAULT_SCHEMES,
     DIRECT_FAULT_KINDS,
+    HarnessOutcome,
+    convicted,
+    gate_lines,
     run_campaign,
+    run_schedules,
+    score_injections,
 )
 
 
@@ -79,3 +86,62 @@ class TestSpec:
 
     def test_acceptance_scale_meets_200_schedules(self):
         assert CampaignSpec().total_schedules >= 200
+
+
+class TestPlantedMisses:
+    """The one scorer every harness convicts through must report a miss."""
+
+    def test_convicted_stops_at_the_range_edges(self):
+        ranges = [(100, 16)]
+        assert convicted(100, ranges)
+        assert convicted(115, ranges)
+        assert not convicted(99, ranges)  # just before the range
+        assert not convicted(116, ranges)  # just past it
+
+    def test_score_injections_counts_one_miss(self):
+        scored = score_injections(
+            [100, 300], [(96, 8)], quarantined=1,
+            repair=lambda: 1, audit_clean=lambda: True,
+        )
+        assert scored["injected"] == 2
+        assert scored["detected"] == 1
+        assert scored["false_negatives"] == 1
+
+    def test_blind_detection_audit_is_a_gate_breach(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # The detection audit still quarantines and repairs its regions,
+        # but reports no corrupt byte ranges: nothing is convicted.
+        monkeypatch.setattr(
+            AuditReport, "corrupt_byte_ranges", property(lambda self: ())
+        )
+        argv = ["--serving", "--quick", "--serving-json", str(tmp_path / "s.json")]
+        assert main(argv) == 1
+        gates = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("GATE: ")
+        ]
+        assert gates == [
+            f"GATE: group_commit_{n} seed=97 idx=0: 3 of 3 injections never "
+            "convicted"
+            for n in (1, 4)
+        ]
+
+
+class _Raises:
+    def __init__(self, spec, key, seed, index, work_dir, rng) -> None:
+        self.outcome = HarnessOutcome(key=key, seed=seed, index=index)
+
+    def run(self):
+        raise RuntimeError("boom")
+
+    def close(self) -> None:
+        pass
+
+
+def test_schedule_error_names_key_seed_and_index(tmp_path):
+    outcomes = run_schedules(TINY, ["kill"], 1, _Raises, str(tmp_path))
+    assert gate_lines(outcomes) == [
+        "kill seed=1 idx=0: schedule raised RuntimeError: boom",
+        "kill seed=2 idx=0: schedule raised RuntimeError: boom",
+    ]
