@@ -712,8 +712,8 @@ def audit_results(tmp_path_factory) -> dict:
         scheme_params={"region_size": 256},
         full_sweep_every=10**6,
     )
-    maintainer = db.scheme.maintainer
-    table = db.scheme.codeword_table
+    maintainer = db.pipeline.maintainer
+    table = db.pipeline.codeword_table
 
     def timed_audit(dirty_count):
         maintainer.clear_dirty()
@@ -785,7 +785,7 @@ def _repair_results(base) -> dict:
         for n in range(first, first + REPAIR_UPDATES_PER_TXN):
             table.update(txn, slots[n * 7 % REPAIR_ACCOUNTS], {"balance": n})
         db.commit(txn)
-    codewords = db.scheme.codeword_table
+    codewords = db.pipeline.codeword_table
     low = codewords.region_of(table.record_address(slots[0]))
     high = codewords.region_of(table.record_address(slots[-1]))
     log = db.system_log

@@ -183,7 +183,7 @@ def batched_results(tmp_path_factory) -> dict:
                 assert report.clean
                 states[label] = (
                     db.memory.snapshot_segments(),
-                    db.scheme.codeword_table.stored_words.tolist(),
+                    db.pipeline.codeword_table.stored_words.tolist(),
                     dict(db.meter.counts),
                     db.meter.clock.now_ns,
                 )
@@ -244,7 +244,7 @@ def sweep_results(tmp_path_factory) -> dict:
         assert report.clean
         entries[mode] = {
             "image_bytes": db.memory.size,
-            "regions": db.scheme.codeword_table.region_count,
+            "regions": db.pipeline.codeword_table.region_count,
             "audit_calls": len(latencies),
             "audit_p50_s": _percentile(latencies, 0.50),
             "audit_p99_s": _percentile(latencies, 0.99),

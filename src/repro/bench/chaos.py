@@ -12,8 +12,12 @@ fresh supervised two-shard process-mode database:
   branch), plus a plain kill and a hang.
 - **Soak** (``soak``): single-branch transactions and cross-shard
   transfers submitted synchronously while kills, hangs and wild writes
-  land at seeded transaction indices; after the final heal one more cold
-  wild write lands on each shard, so the audit always has one to convict.
+  land at seeded transaction indices.  Right after each kill or hang,
+  before anything ticks the supervisor, the surviving shard is probed.
+  One seeded single-branch transaction loses its reply: its worker
+  commits it and dies before the client sees the answer, so only the
+  outcome check can ack it.  After the final heal one more cold wild
+  write lands on each shard, so the audit always has one to convict.
 
 Clients follow the error taxonomy: a retryable failure ticks the
 supervisor (a tick restarts a dead shard before it returns) and
@@ -60,6 +64,7 @@ from repro.faults.injector import wild_payload
 from repro.faults.workers import (
     hang_worker,
     kill_after_decision,
+    kill_after_reply,
     kill_on_command,
     kill_worker,
 )
@@ -141,6 +146,8 @@ class ChaosOutcome(HarnessOutcome):
     gave_up: int = 0
     kills: int = 0
     hangs: int = 0
+    #: reply-loss kills armed (the commit lands, the reply does not)
+    reply_losses: int = 0
     injection_races: int = 0
     survivor_probes: int = 0
     survivor_probe_failures: int = 0
@@ -183,6 +190,13 @@ class ChaosOutcome(HarnessOutcome):
              "decision log disagrees with the acked transfers"),
             (self.key == "soak" and not self.wild_writes_convicted,
              "no wild write convicted: the false-negative gate checked nothing"),
+            (self.key == "soak" and (self.kills or self.hangs)
+             and not self.survivor_probes,
+             "no survivor probed after a kill or hang: the mid-recovery "
+             "gate checked nothing"),
+            (self.reply_losses and not self.acked_by_outcome_check,
+             "no reply-loss kill acked by an outcome check: the "
+             "indeterminate-outcome gate checked nothing"),
         )
         return super().breaches() + [line for broken, line in checks if broken]
 
@@ -368,6 +382,15 @@ class ChaosSchedule:
             out.faults.append(
                 (i, kind, sid, cold_aid(sid) if kind == "wild_write" else None)
             )
+        # One reply-loss kill before a single-branch transaction with no
+        # other fault: it lands on the shard that transaction commits on.
+        taken = {fault[0] for fault in out.faults}
+        op = rng.choice([i for i in range(5, spec.soak_txns)
+                         if i % TRANSFER_EVERY and i not in taken])
+        out.faults.append(
+            (op, "reply_loss", self.db.partition.shard_of(op % spec.branches), None)
+        )
+        out.faults.sort(key=lambda fault: fault[0])
         # One cold wild write per shard after the final heal: no restart
         # can erase it, so the scoring audit always has one to convict.
         out.faults += [
@@ -399,12 +422,6 @@ class ChaosSchedule:
                 self.ledger.commit_adds(ops, "account")
                 out.acked += 1
                 out.acked_transfers += i % TRANSFER_EVERY == 0
-            serving = [
-                self.supervisor.state_of(sid) == "serving"
-                for sid in range(N_SHARDS)
-            ]
-            if any(serving) and not all(serving):
-                self._survivor_probe(serving.index(True))
             self.supervisor.tick()
         out.healed = self.supervisor.heal()
         while faults:
@@ -436,7 +453,9 @@ class ChaosSchedule:
                 wild_writes: list) -> None:
         """One scheduled fault against a serving shard; a target that is
         not serving (or dies under the injection) is a race, and the
-        supervisor picks it up either way."""
+        supervisor picks it up either way.  A kill or hang is followed
+        at once by a probe of the other shard, which every tick has
+        heartbeated since the last fault."""
         out = self.outcome
         if self.supervisor.state_of(sid) != "serving":
             out.injection_races += 1
@@ -448,6 +467,9 @@ class ChaosSchedule:
             elif kind == "hang":
                 hang_worker(self.db, sid, self.spec.hang_s)
                 out.hangs += 1
+            elif kind == "reply_loss":
+                kill_after_reply(self.db, sid, "txn")
+                out.reply_losses += 1
             else:
                 # The payload has its own rng, so it never perturbs the
                 # traffic stream.
@@ -461,6 +483,9 @@ class ChaosSchedule:
                 wild_writes.append((sid, address, restarts))
         except ReproError:
             out.injection_races += 1
+            return
+        if kind in ("kill", "hang"):
+            self._survivor_probe((sid + 1) % N_SHARDS)
 
     # ----------------------------------------------------------- scoring
 
@@ -522,9 +547,11 @@ def _run(args, workdir: str) -> tuple[dict, list[str]]:
     print()
     print(render_schedules(
         f"Chaos soak: {spec.soak_txns} transactions, {spec.soak_faults} "
-        "seeded kills/hangs/wild writes, then one cold wild write per shard",
+        "seeded kills/hangs/wild writes and one reply-loss kill, then one "
+        "cold wild write per shard",
         [o for o in outcomes if o.key == "soak"],
-        "acked", "kills", "hangs", "injected", "wild_writes_convicted",
+        "acked", "kills", "hangs", "survivor_probes", "reply_losses",
+        "acked_by_outcome_check", "injected", "wild_writes_convicted",
         "wild_writes_erased_by_restart", "false_negatives", "restarts",
         "retryable_errors", "lost_committed", "conserved", "value_ok",
     ))

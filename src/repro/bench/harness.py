@@ -133,7 +133,7 @@ def run_scheme(
         slowdown_pct=None,
         paper_ops_per_sec=spec.paper_ops_per_sec,
         paper_slowdown_pct=spec.paper_slowdown_pct,
-        space_overhead_pct=db.scheme.space_overhead * 100.0,
+        space_overhead_pct=db.pipeline.space_overhead * 100.0,
         events=db.meter.snapshot(),
         scheme_params=dict(spec.params),
     )

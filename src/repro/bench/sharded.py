@@ -104,7 +104,7 @@ class ShardedSpec:
             mode="process",
             branches=self.branches,
             scheme=scheme,
-            scheme_params={"region_size": 64},
+            scheme_params={} if scheme == "baseline" else {"region_size": 64},
             group_commit_size=8,
             quarantine=quarantine,
             quarantine_repair=quarantine,

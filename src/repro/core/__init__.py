@@ -1,7 +1,8 @@
 """Codeword protection: the paper's primary contribution.
 
-The public surface is the :class:`~repro.core.schemes.ProtectionScheme`
-family; :func:`~repro.core.schemes.make_scheme` builds one by name.
+The public surface is :func:`~repro.core.schemes.make_scheme`, which
+builds a :class:`~repro.core.pipeline.ProtectionPipeline` by name over
+members of the :class:`~repro.core.schemes.ProtectionScheme` family.
 """
 
 from repro.core.codeword import fold_words, positioned_fold

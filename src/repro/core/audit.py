@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.schemes import ProtectionScheme
+from repro.core.pipeline import ProtectionPipeline
 from repro.runtime.scheduler import TaskHandle
 from repro.wal.records import AuditBeginRecord, AuditEndRecord
 from repro.wal.system_log import SystemLog
@@ -97,12 +97,12 @@ class _Sweep(NamedTuple):
 
 
 class Auditor:
-    """Runs audits for a scheme and tracks ``Audit_SN``."""
+    """Runs audits for a protection pipeline and tracks ``Audit_SN``."""
 
     def __init__(
         self,
         system_log: SystemLog,
-        scheme: ProtectionScheme,
+        scheme: ProtectionPipeline,
         *,
         full_sweep_every: int = 1,
         background: bool = False,
@@ -140,9 +140,6 @@ class Auditor:
         #: :meth:`publish_digests`).
         self.digest_listeners: list = []
         self.digests_published = 0
-
-    def _maintainer(self):
-        return getattr(self.scheme, "maintainer", None)
 
     # ------------------------------------------------------- bracket logs
 
@@ -251,7 +248,7 @@ class Auditor:
         """
         if region_ids is not None:
             region_ids = list(region_ids)
-        maintainer = self._maintainer()
+        maintainer = self.scheme.maintainer
         if not skip or maintainer is None or not maintainer.quarantined:
             return region_ids, ()
         qset = set(maintainer.quarantined)
@@ -334,7 +331,7 @@ class Auditor:
         cadence point (that call is served by a dirty pass, so the
         mutator never waits for the fold) and joined at the next.
         """
-        maintainer = self._maintainer()
+        maintainer = self.scheme.maintainer
         if maintainer is None or self.scheme.codeword_table is None:
             return self.run()
         self._dirty_audits_since_sweep += 1
@@ -377,7 +374,7 @@ class Auditor:
         self._dirty_audits_since_sweep = 0
         report = self.join_background_sweep(skip_quarantined)
         if report.clean:
-            self._maintainer().clear_dirty()
+            self.scheme.maintainer.clear_dirty()
         return report
 
     def run_incremental(self, batch: int) -> AuditReport:
@@ -427,7 +424,7 @@ class Auditor:
         :meth:`join_background_sweep`, so a torn fold can never produce a
         false verdict either way.
         """
-        maintainer = self._maintainer()
+        maintainer = self.scheme.maintainer
         table = self.scheme.codeword_table
         if maintainer is None or table is None or self._sweep is not None:
             return False
@@ -456,7 +453,7 @@ class Auditor:
         if sweep is None:
             return None
         self._sweep = None
-        maintainer = self._maintainer()
+        maintainer = self.scheme.maintainer
         table = self.scheme.codeword_table
         computed = sweep.handle.result()
         self.scheduler.forget(sweep.handle)
@@ -491,7 +488,7 @@ class Auditor:
         if sweep is None:
             return
         self._sweep = None
-        maintainer = self._maintainer()
+        maintainer = self.scheme.maintainer
         if maintainer is not None and maintainer.sweep_tracking:
             maintainer.end_sweep_tracking()
         sweep.handle.abandon()

@@ -3,9 +3,12 @@
 Implements the Expose Page Update Model of Sullivan & Stonebraker [21] as
 described in Section 3: database pages are kept write-protected; a call to
 ``beginUpdate`` unprotects the page (or pages) being updated and
-``endUpdate`` reprotects them.  A write to a protected page -- including a
-wild write -- traps and is not performed, so this scheme *prevents* direct
-physical corruption rather than detecting it.
+``endUpdate`` reprotects them.  The scheme is a page guard: the
+:class:`~repro.core.pipeline.ProtectionPipeline` calls its :meth:`expose`
+and :meth:`cover` around every update window and every physical undo.
+A write to a protected page -- including a wild write -- traps and is not
+performed, so this scheme *prevents* direct physical corruption rather
+than detecting it.
 
 The MMU is simulated (see :mod:`repro.mem.mprotect`); per-syscall costs
 come from a platform profile calibrated against Table 1.  Each call made
@@ -21,8 +24,6 @@ from repro.core.schemes import ProtectionScheme
 from repro.mem.memory import MemoryImage
 from repro.mem.mprotect import MprotectCosts, PROT_READ, PROT_READWRITE, SimulatedMMU
 from repro.sim.clock import Meter
-from repro.txn.transaction import Transaction
-from repro.wal.local_log import PhysicalUndo
 
 #: Default profile: the paper's benchmark machine (UltraSPARC 2).
 ULTRASPARC_MPROTECT = MprotectCosts(syscall_fixed_ns=10_500, per_page_ns=1_100)
@@ -34,8 +35,8 @@ class HardwareProtectionScheme(ProtectionScheme):
     name = "hardware"
     direct_protection = "prevent"
     indirect_protection = "unneeded"
-    # The pipeline brackets below-the-hooks writes (physical undo) with
-    # expose()/cover() for page-guarding members.
+    # The pipeline brackets update windows and physical undo with
+    # expose()/cover().
     guards_pages = True
 
     def __init__(self, mprotect_costs: MprotectCosts = ULTRASPARC_MPROTECT) -> None:
@@ -52,27 +53,6 @@ class HardwareProtectionScheme(ProtectionScheme):
         assert self.mmu is not None and self.memory is not None
         self.mmu.protect_pages(range(self.memory.page_count), PROT_READ)
         self.mmu.enable()
-
-    # ---------------------------------------------------------- windows
-
-    def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
-        self.expose(address, length)
-
-    def on_end_update(
-        self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
-    ) -> int | None:
-        self.cover(address, length=len(new_image))
-        return None
-
-    def close_update_window(self, txn: Transaction, address: int, length: int) -> None:
-        self.cover(address, length)
-
-    def apply_physical_undo(self, txn: Transaction | None, entry: PhysicalUndo) -> None:
-        """Rollback writes also go through an expose/cover pair."""
-        assert self.memory is not None
-        self.expose(entry.address, len(entry.image))
-        self.memory.write(entry.address, entry.image)
-        self.cover(entry.address, len(entry.image))
 
     def expose(self, address: int, length: int) -> None:
         """Unprotect the pages under a window (``beginUpdate``)."""

@@ -10,11 +10,10 @@ copy of all of it; stacking two such schemes would have maintained two
 divergent tables over the same bytes.
 
 :class:`CodewordMaintainer` is that machinery extracted into one object.
-A bare scheme owns a private maintainer; a
-:class:`~repro.core.pipeline.ProtectionPipeline` builds a single shared
-maintainer from the folded policy of its codeword members (smallest
-region size, strictest latch mode) and makes every member adopt it, so a
-stack audits and maintains exactly one table.
+A :class:`~repro.core.pipeline.ProtectionPipeline` -- every config is
+one -- builds a single maintainer from the folded policy of its codeword
+members (smallest region size, strictest latch mode) and makes every
+member adopt it, so a stack audits and maintains exactly one table.
 
 There is one window API, over lists: ``open_window(ranges)`` latches
 every protection region the window's ranges span and returns the
@@ -26,8 +25,8 @@ codeword's read-modify-write) and then drops the protection latches,
 ``release_window(window)`` drops them without folding (a rollback), and
 ``apply_maintenance`` is the unlatched table update itself, for callers
 that already exclude everyone else (physical undo under the exclusive
-protection latch, single-threaded restart redo).  The scalar scheme
-hooks pass one-element lists.
+protection latch, single-threaded restart redo).  A one-range window
+passes one-element lists.
 
 Read prechecking is one call per read, ``precheck(checked, address,
 length)``: one pass over the regions the read spans, each folded with
@@ -37,9 +36,9 @@ Every meter event in this module is the seed scheme code's; read
 prechecks and audits sum a read's or a run's charges into one call per
 event group, through counters compiled in
 :meth:`CodewordMaintainer.attach`, which the meter's linearity makes
-identical.  The refactor is observably pure for Table 2 (property-tested
-by ``tests/test_pipeline_equivalence.py`` and
-``tests/test_fused_precheck.py``).
+identical.  The refactor is observably pure for Table 2 (pinned by
+``tests/test_pipeline_equivalence.py``'s golden digests and
+property-tested by ``tests/test_fused_precheck.py``).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro.errors import CorruptionDetected, QuarantinedRegionError
 from repro.mem.memory import MemoryImage
 from repro.sim.clock import Meter
 from repro.txn.latches import LatchTable, EXCLUSIVE, SHARED
-from repro.txn.transaction import Transaction
 from repro.wal.local_log import PhysicalUndo
 
 

@@ -29,16 +29,15 @@ Composition rules
   member -- which switches restart recovery into combined-evidence mode
   (checksum comparison unioned with the audit-populated
   CorruptDataTable).
-* **Page guards bracket below-the-hook writes.**  Physical undo restores
-  bytes beneath the prescribed interface; for page-guarding members
-  (hardware) the pipeline exposes the pages first and re-covers them
-  after, preserving the bare hardware scheme's expose/write/cover
-  sequence.
+* **Page guards bracket every write.**  For page-guarding members
+  (hardware) the pipeline calls ``expose`` when a window opens and
+  ``cover`` when it closes or is abandoned, and brackets physical undo
+  -- which restores bytes beneath the prescribed interface -- the same
+  way.
 
-A single-member pipeline is meter-identical to the bare scheme -- same
-events, same virtual nanoseconds (property-tested by
-``tests/test_pipeline_equivalence.py``) -- so `Database` can route every
-config, stacked or not, through one pipeline object.
+Every config, stacked or not, is one pipeline: a single scheme name is a
+one-member stack, and the members keep only their policy and their
+``on_read`` / ``on_operation_end`` / page-guard hooks.
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ _INDIRECT_RANK = {"none": 0, "detect+correct": 1, "prevent": 2, "unneeded": 3}
 
 
 class ProtectionPipeline(ProtectionScheme):
-    """An ordered stack of protection schemes behind the scheme hooks."""
+    """The one protection object: an ordered stack of member policies
+    behind the hooks the transaction manager, auditor and recovery call."""
 
     def __init__(self, members) -> None:
         super().__init__()
@@ -84,13 +84,6 @@ class ProtectionPipeline(ProtectionScheme):
             m
             for m in self.members
             if type(m).on_operation_end is not ProtectionScheme.on_operation_end
-        )
-        # The non-codeword members with window hooks (page guards).
-        self._window_members = tuple(
-            m
-            for m in self.members
-            if not m.uses_codewords
-            and type(m).on_begin_update is not ProtectionScheme.on_begin_update
         )
         self.maintainer: CodewordMaintainer | None = None
         if codeword_members:
@@ -147,11 +140,6 @@ class ProtectionPipeline(ProtectionScheme):
 
     # -------------------------------------------------------- accessors
 
-    @property
-    def sole(self) -> ProtectionScheme | None:
-        """The single member of a one-scheme pipeline, else None."""
-        return self.members[0] if len(self.members) == 1 else None
-
     def member(self, name: str) -> ProtectionScheme:
         """Return the first member with the given scheme name."""
         for member in self.members:
@@ -179,6 +167,8 @@ class ProtectionPipeline(ProtectionScheme):
 
     def attach(self, memory: MemoryImage, meter: Meter) -> None:
         super().attach(memory, meter)
+        if self.maintainer is not None:
+            self.maintainer.attach(memory, meter)
         for member in self.members:
             member.attach(memory, meter)
 
@@ -188,19 +178,17 @@ class ProtectionPipeline(ProtectionScheme):
             member.bind_log(system_log)
 
     def startup(self) -> None:
-        """Rebuild the shared table once; run non-codeword startups."""
+        """Rebuild the shared table; start the members (page guards
+        protect the image)."""
         if self.maintainer is not None:
             self.maintainer.rebuild()
         for member in self.members:
-            if not member.uses_codewords:
-                member.startup()
+            member.startup()
 
     # ------------------------------------------------------------ hooks
     #
-    # Codeword members delegate their window hooks to the (now shared)
-    # maintainer, so the pipeline drives the maintainer directly -- once
-    # per window -- and dispatches window hooks only to the non-codeword
-    # members that have them (page guards), per range.  Read/operation
+    # The pipeline drives the shared maintainer once per window and
+    # exposes/covers each page guard's pages per range.  Read/operation
     # hooks have no shared state and dispatch to every member that
     # overrides them, in stack order.
 
@@ -224,9 +212,9 @@ class ProtectionPipeline(ProtectionScheme):
         window = None
         if self.maintainer is not None:
             window = self.maintainer.open_window(ranges)
-        for member in self._window_members:
+        for guard in self._page_guards:
             for address, length in ranges:
-                member.on_begin_update(txn, address, length)
+                guard.expose(address, length)
         return window
 
     def on_end_update_batch(
@@ -246,11 +234,9 @@ class ProtectionPipeline(ProtectionScheme):
                 checksums = [
                     maintainer.checksum_of(old_image) for _address, old_image, _new in items
                 ]
-        for member in self._window_members:
-            for index, (address, old_image, new_image) in enumerate(items):
-                result = member.on_end_update(txn, address, old_image, new_image)
-                if checksums[index] is None:
-                    checksums[index] = result
+        for guard in self._page_guards:
+            for address, _old, new_image in items:
+                guard.cover(address, len(new_image))
         return checksums
 
     def close_update_window_batch(
@@ -259,12 +245,15 @@ class ProtectionPipeline(ProtectionScheme):
         """Abandon an open window: release and re-cover, fold nothing."""
         if window is not None:
             self.maintainer.release_window(window)
-        for member in self._window_members:
+        for guard in self._page_guards:
             for address, length in ranges:
-                member.close_update_window(txn, address, length)
+                guard.cover(address, length)
 
-    # The one-range hooks, for callers that drive a scheme hook by hook:
-    # the window's geometry waits in ``txn.scheme_state`` between them.
+    # The one-range hooks: the window's geometry waits in
+    # ``txn.scheme_state`` between them.  Nothing in the package calls
+    # them; they stay because ``benchmarks/e2e/spans.py`` wraps them by
+    # name for the per-layer tracer, until the tracer names the batch
+    # hooks alone.
 
     def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
         txn.scheme_state["window"] = self.on_begin_update_batch(txn, [(address, length)])
@@ -278,10 +267,6 @@ class ProtectionPipeline(ProtectionScheme):
         )
         del state["window"]
         return checksum
-
-    def close_update_window(self, txn: Transaction, address: int, length: int) -> None:
-        window = txn.scheme_state.pop("window")
-        self.close_update_window_batch(txn, window, [(address, length)])
 
     def on_operation_end(self, txn: Transaction) -> None:
         for member in self._op_enders:
@@ -313,10 +298,6 @@ class ProtectionPipeline(ProtectionScheme):
         if self.maintainer is None:
             return []
         return self.maintainer.audit_regions(region_ids)
-
-    def checksum_of(self, data: bytes, charge: bool = True) -> int:
-        assert self.maintainer is not None, "checksum_of needs a codeword member"
-        return self.maintainer.checksum_of(data, charge)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(repr(m) for m in self.members)

@@ -12,11 +12,12 @@ trace which transactions *read* corrupt data and therefore which writes
 carried the corruption onward.
 
 With ``log_checksums`` enabled, read records (and, via the
-``old_checksum`` field of update records, writes treated as
-read-then-write) carry a fold of the value read.  That upgrade makes
-recovery *view-consistent* instead of conflict-consistent and lets a
-restart after a genuine crash detect corruption that occurred after the
-last audit (Section 4.3, "Codewords in Read Log Records").
+``old_checksum`` field of update records, which the pipeline fills as a
+window closes, writes treated as read-then-write) carry a fold of the
+value read.  That upgrade makes recovery *view-consistent* instead of
+conflict-consistent and lets a restart after a genuine crash detect
+corruption that occurred after the last audit (Section 4.3, "Codewords
+in Read Log Records").
 """
 
 from __future__ import annotations
@@ -57,25 +58,10 @@ class ReadLoggingScheme(DataCodewordScheme):
         the arena."""
         checksum = None
         if self.log_checksums:
-            checksum = self.checksum_of(self.memory.read(address, length))
+            checksum = self.maintainer.checksum_of(self.memory.read(address, length))
         log = self.system_log
         if txn.op_stack or log is None:
             log = txn.redo_log
         size = log.append_read(txn.txn_id, address, length, checksum)
         self.read_records_logged += 1
         self._charge_read(1, size)
-
-    def on_end_update(
-        self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
-    ) -> int | None:
-        """Maintain codewords; optionally checksum the overwritten value.
-
-        An in-place update reads the old value, so under the checksum
-        extension the update record carries a checksum of the *old* image
-        ("a codeword stored in a write log record, indicating that it
-        should be treated as a read followed by a write", Section 4.3).
-        """
-        super().on_end_update(txn, address, old_image, new_image)
-        if not self.log_checksums:
-            return None
-        return self.checksum_of(old_image)

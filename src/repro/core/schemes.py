@@ -1,38 +1,44 @@
-"""The protection scheme framework.
+"""The protection scheme framework: member policies.
 
-A :class:`ProtectionScheme` hooks the three points of the prescribed
-update model (Section 1): reads, ``begin_update`` and ``end_update``.  The
-transaction manager calls the hooks; the scheme maintains whatever state
-(codeword tables, protection latches, MMU protection bits) its level of
-protection requires and charges its costs to the shared meter.
+Every protection configuration is one
+:class:`~repro.core.pipeline.ProtectionPipeline`, and the transaction
+manager, auditor and recovery layers call only the pipeline.  A single
+scheme name is a one-member pipeline; several joined with ``+`` stack
+(``make_scheme("data_cw+read_logging")``).  The pipeline owns every
+update window, physical undo and audit, and drives one shared
+:class:`~repro.core.maintainer.CodewordMaintainer` for the whole stack.
+
+A :class:`ProtectionScheme` is a *member policy*: its class policy
+(region size, update latch mode, capability flags) plus the hooks that
+differ per scheme -- ``on_read``, ``on_operation_end`` and, for a page
+guard, ``expose`` / ``cover``.  It charges its costs to the shared
+meter.
 
 Scheme capability metadata mirrors the "Corruption: Direct / Indirect"
 columns of Table 2 of the paper.
-
-Since the pipeline refactor, codeword schemes no longer own the codeword
-machinery directly: each delegates to a
-:class:`~repro.core.maintainer.CodewordMaintainer`, so a
-:class:`~repro.core.pipeline.ProtectionPipeline` can substitute one
-*shared* maintainer for a whole stack (``make_scheme("data_cw+read_logging")``).
 """
 
 from __future__ import annotations
 
 from abc import ABC
+from typing import TYPE_CHECKING
 
 from repro.core.maintainer import CodewordMaintainer
-from repro.core.regions import CodewordTable
 from repro.errors import ConfigError
 from repro.mem.memory import MemoryImage
 from repro.sim.clock import Meter
-from repro.txn.latches import LatchTable, SHARED
+from repro.txn.latches import SHARED
 from repro.txn.transaction import Transaction
-from repro.wal.local_log import PhysicalUndo
 from repro.wal.system_log import SystemLog
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.pipeline import ProtectionPipeline
 
 
 class ProtectionScheme(ABC):
-    """Base class: the baseline behaviour is 'do nothing, cost nothing'."""
+    """A member policy; the baseline behaviour is 'do nothing, cost
+    nothing'.  Only a :class:`~repro.core.pipeline.ProtectionPipeline`
+    calls these hooks."""
 
     name = "abstract"
     direct_protection = "none"    # "none" | "detect" | "prevent"
@@ -40,11 +46,9 @@ class ProtectionScheme(ABC):
     uses_codewords = False
     logs_reads = False
     logs_read_checksums = False
-    #: True when the configuration carries both audit-based and
-    #: checksum-based corruption evidence (only pipelines set this).
-    combines_evidence = False
-    #: True for schemes that keep pages write-protected outside windows
-    #: (the pipeline must expose pages before writing below the hooks).
+    #: True for schemes that keep pages write-protected outside windows:
+    #: the pipeline calls their ``expose`` / ``cover`` around every window
+    #: and every physical undo.
     guards_pages = False
     #: True for schemes whose reads require up-to-date stored codewords
     #: (incompatible with deferred maintenance in a stack).
@@ -74,50 +78,8 @@ class ProtectionScheme(ABC):
     def on_read(self, txn: Transaction, address: int, length: int) -> None:
         """Called before every prescribed read."""
 
-    def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
-        """Called when an update window opens."""
-
-    def on_end_update(
-        self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
-    ) -> int | None:
-        """Called when an update window closes.
-
-        Returns an optional checksum of the *old* image to store in the
-        update's redo record (the codewords-in-write-records extension of
-        Section 4.3); ``None`` for schemes that do not log it.
-        """
-        return None
-
-    def close_update_window(self, txn: Transaction, address: int, length: int) -> None:
-        """Release window resources without normal end-of-update work.
-
-        Used when a window is abandoned by a rollback before
-        ``end_update`` ran (the codeword_applied=False path of
-        Section 3.1).
-        """
-
     def on_operation_end(self, txn: Transaction) -> None:
         """Called at operation commit/abort (clears per-op scheme caches)."""
-
-    def apply_physical_undo(self, txn: Transaction | None, entry: PhysicalUndo) -> None:
-        """Restore a physical before-image during rollback."""
-        assert self.memory is not None
-        self.memory.write(entry.address, entry.image)
-
-    # ------------------------------------------------------------ audit
-
-    def audit_regions(self, region_ids=None) -> list[int]:
-        """Return corrupt region ids; schemes without codewords see none."""
-        return []
-
-    @property
-    def codeword_table(self) -> CodewordTable | None:
-        return None
-
-    @property
-    def space_overhead(self) -> float:
-        """Extra bytes per data byte this scheme needs."""
-        return 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -130,15 +92,14 @@ class BaselineScheme(ProtectionScheme):
 
 
 class CodewordSchemeBase(ProtectionScheme):
-    """Shared behaviour for every codeword-maintaining scheme.
+    """Policy shared by every codeword-maintaining scheme.
 
-    The actual machinery -- codeword table, protection/codeword latches,
-    window bookkeeping, maintenance, codeword-aware undo and the audit
-    fold -- lives in a :class:`CodewordMaintainer`.  A bare scheme owns a
-    private maintainer configured from its class policy; when stacked in
-    a :class:`~repro.core.pipeline.ProtectionPipeline`, members
-    :meth:`adopt_maintainer` one shared instance instead so the stack
-    keeps a single table and latch set.
+    The machinery -- codeword table, protection/codeword latches, window
+    bookkeeping, maintenance, codeword-aware undo and the audit fold --
+    lives in one :class:`CodewordMaintainer` that the
+    :class:`~repro.core.pipeline.ProtectionPipeline` builds from the
+    folded policy of its codeword members; each member takes it through
+    :meth:`adopt_maintainer`.
     """
 
     uses_codewords = True
@@ -152,77 +113,14 @@ class CodewordSchemeBase(ProtectionScheme):
 
     def __init__(self, region_size: int) -> None:
         super().__init__()
-        self.maintainer = CodewordMaintainer(
-            region_size,
-            update_latch_mode=self.update_latch_mode,
-            uses_codeword_latch=self.uses_codeword_latch,
-            deferred=self.deferred_maintenance,
-        )
+        #: This member's region size; the pipeline's maintainer uses the
+        #: smallest of its members'.
+        self.region_size = region_size
+        self.maintainer: CodewordMaintainer | None = None
 
     def adopt_maintainer(self, maintainer: CodewordMaintainer) -> None:
-        """Replace the private maintainer with a pipeline-shared one."""
+        """Take the pipeline's shared maintainer."""
         self.maintainer = maintainer
-
-    @property
-    def region_size(self) -> int:
-        return self.maintainer.region_size
-
-    @property
-    def protection_latches(self) -> LatchTable:
-        return self.maintainer.protection_latches
-
-    @property
-    def codeword_latches(self) -> LatchTable:
-        return self.maintainer.codeword_latches
-
-    def attach(self, memory: MemoryImage, meter: Meter) -> None:
-        super().attach(memory, meter)
-        self.maintainer.attach(memory, meter)
-
-    def startup(self) -> None:
-        self.maintainer.rebuild()
-
-    @property
-    def codeword_table(self) -> CodewordTable | None:
-        return self.maintainer.table
-
-    @property
-    def space_overhead(self) -> float:
-        return self.maintainer.space_overhead
-
-    # ---------------------------------------------------------- windows
-
-    # A bare scheme's window waits in ``txn.scheme_state`` between its
-    # hooks; a pipeline drives the maintainer itself and hands the window
-    # back (see :class:`~repro.core.pipeline.ProtectionPipeline`).
-
-    def on_begin_update(self, txn: Transaction, address: int, length: int) -> None:
-        txn.scheme_state["window"] = self.maintainer.open_window([(address, length)])
-
-    def on_end_update(
-        self, txn: Transaction, address: int, old_image: bytes, new_image: bytes
-    ) -> int | None:
-        state = txn.scheme_state
-        self.maintainer.close_window(state["window"], [(address, old_image, new_image)])
-        del state["window"]
-        return None
-
-    def close_update_window(self, txn: Transaction, address: int, length: int) -> None:
-        self.maintainer.release_window(txn.scheme_state.pop("window"))
-
-    # ------------------------------------------------------------- undo
-
-    def apply_physical_undo(self, txn: Transaction | None, entry: PhysicalUndo) -> None:
-        self.maintainer.apply_physical_undo(entry)
-
-    # ------------------------------------------------------------ audit
-
-    def audit_regions(self, region_ids=None) -> list[int]:
-        return self.maintainer.audit_regions(region_ids)
-
-    def checksum_of(self, data: bytes, charge: bool = True) -> int:
-        """Checksum a read value (used by read logging with codewords)."""
-        return self.maintainer.checksum_of(data, charge)
 
 
 SCHEME_NAMES = (
@@ -243,8 +141,8 @@ SCHEME_ALIASES = {
     "memory_protection": "hardware",
 }
 
-#: Keyword parameters each scheme understands.  Used when a stacked config
-#: distributes one shared ``scheme_params`` dict across its members.
+#: Keyword parameters each scheme understands: :func:`make_scheme` hands
+#: each member the ``scheme_params`` keys it understands.
 SCHEME_PARAMS: dict[str, frozenset[str]] = {
     "baseline": frozenset(),
     "data_cw": frozenset({"region_size"}),
@@ -268,84 +166,68 @@ def resolve_scheme_name(name: str) -> str:
     return canonical
 
 
-def _make_single(name: str, **params) -> ProtectionScheme:
+def _member(name: str, params: dict) -> ProtectionScheme:
+    """Build one member from its canonical name and its own parameters."""
     from repro.core.data_codeword import DataCodewordScheme
     from repro.core.deferred import DeferredMaintenanceScheme
     from repro.core.hardware import HardwareProtectionScheme
     from repro.core.precheck import ReadPrecheckScheme
     from repro.core.read_logging import ReadLoggingScheme
 
-    if name == "baseline":
-        return BaselineScheme()
-    if name == "data_cw":
-        return DataCodewordScheme(region_size=params.pop("region_size", 65536), **params)
-    if name == "precheck":
-        return ReadPrecheckScheme(region_size=params.pop("region_size", 64), **params)
-    if name == "read_logging":
-        return ReadLoggingScheme(
-            region_size=params.pop("region_size", 65536),
-            log_checksums=params.pop("log_checksums", False),
-            **params,
-        )
-    if name == "cw_read_logging":
-        return ReadLoggingScheme(
-            region_size=params.pop("region_size", 65536),
-            log_checksums=params.pop("log_checksums", True),
-            **params,
-        )
-    if name == "hardware":
-        return HardwareProtectionScheme(**params)
-    assert name == "deferred"
-    return DeferredMaintenanceScheme(region_size=params.pop("region_size", 65536), **params)
+    if name in ("read_logging", "cw_read_logging"):
+        params = {"log_checksums": name == "cw_read_logging", **params}
+    cls = {
+        "baseline": BaselineScheme,
+        "data_cw": DataCodewordScheme,
+        "precheck": ReadPrecheckScheme,
+        "read_logging": ReadLoggingScheme,
+        "cw_read_logging": ReadLoggingScheme,
+        "hardware": HardwareProtectionScheme,
+        "deferred": DeferredMaintenanceScheme,
+    }[name]
+    return cls(**params)
 
 
-def make_scheme(name: str, **params) -> ProtectionScheme:
-    """Build a protection scheme (or a stacked pipeline of them) by name.
+def make_scheme(name: str, **params) -> "ProtectionPipeline":
+    """Build the protection pipeline a scheme name describes.
 
     Parameters
     ----------
     name:
         One of :data:`SCHEME_NAMES` (or an alias from
         :data:`SCHEME_ALIASES`), or several joined with ``+`` -- e.g.
-        ``"data_codeword+read_logging"`` -- to build a
-        :class:`~repro.core.pipeline.ProtectionPipeline` whose codeword
-        members share a single table and latch set.
+        ``"data_codeword+read_logging"`` -- whose codeword members share
+        a single table and latch set.  A single name is a one-member
+        pipeline.
     params:
         ``region_size`` for codeword schemes (default 64 for ``precheck``,
         65536 for audit-based schemes); ``log_checksums`` for the read
-        logging schemes; ``mprotect_costs`` for ``hardware``.  For a
-        stacked name, each parameter is routed to every member that
-        understands it; a parameter no member understands is an error.
+        logging schemes; ``mprotect_costs`` for ``hardware``.  Each
+        parameter is routed to every member that understands it; a
+        parameter no member understands is a :class:`ConfigError`.
     """
-    if "+" in name:
-        from repro.core.pipeline import ProtectionPipeline
+    from repro.core.pipeline import ProtectionPipeline
 
-        member_names = [part.strip() for part in name.split("+")]
-        if any(not part for part in member_names):
-            raise ConfigError(
-                f"malformed stacked scheme name {name!r}: empty member between '+'"
-            )
-        canonical = [resolve_scheme_name(part) for part in member_names]
-        duplicates = {n for n in canonical if canonical.count(n) > 1}
-        if duplicates:
-            raise ConfigError(
-                f"stacked scheme {name!r} repeats member(s) {sorted(duplicates)}"
-            )
-        accepted: set[str] = set()
-        members = []
-        for member in canonical:
-            member_params = {
-                key: value
-                for key, value in params.items()
-                if key in SCHEME_PARAMS[member]
-            }
-            accepted.update(member_params)
-            members.append(_make_single(member, **member_params))
-        unknown = set(params) - accepted
-        if unknown:
-            raise ConfigError(
-                f"scheme parameters {sorted(unknown)} not understood by any "
-                f"member of stacked scheme {name!r}"
-            )
-        return ProtectionPipeline(members)
-    return _make_single(resolve_scheme_name(name), **params)
+    member_names = [part.strip() for part in name.split("+")]
+    if len(member_names) > 1 and not all(member_names):
+        raise ConfigError(
+            f"malformed stacked scheme name {name!r}: empty member between '+'"
+        )
+    canonical = [resolve_scheme_name(part) for part in member_names]
+    duplicates = {n for n in canonical if canonical.count(n) > 1}
+    if duplicates:
+        raise ConfigError(
+            f"stacked scheme {name!r} repeats member(s) {sorted(duplicates)}"
+        )
+    unknown = set(params).difference(*(SCHEME_PARAMS[n] for n in canonical))
+    if unknown:
+        raise ConfigError(
+            f"scheme parameters {sorted(unknown)} not understood by any "
+            f"member of scheme {name!r}"
+        )
+    return ProtectionPipeline(
+        [
+            _member(n, {k: v for k, v in params.items() if k in SCHEME_PARAMS[n]})
+            for n in canonical
+        ]
+    )

@@ -15,6 +15,7 @@ from repro.faults.injector import CorruptionEvent, FaultInjector, tear_log_tail
 from repro.faults.workers import (
     hang_worker,
     kill_after_decision,
+    kill_after_reply,
     kill_on_command,
     kill_worker,
     sever_pipe,
@@ -30,6 +31,7 @@ __all__ = [
     "RECOVERY_CRASH_POINTS",
     "hang_worker",
     "kill_after_decision",
+    "kill_after_reply",
     "kill_on_command",
     "kill_worker",
     "sever_pipe",

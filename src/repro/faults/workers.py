@@ -14,11 +14,12 @@ Two injection styles:
 * **Direct** -- :func:`kill_worker` / :func:`hang_worker` /
   :func:`sever_pipe` hit the shard right now (the chaos soak's random
   low-rate faults).
-* **Targeted** -- :func:`kill_on_command` and
-  :func:`kill_after_decision` wrap a handle's ``call`` (or the decision
-  log's ``append``) so the worker dies at a *protocol moment*: as a 2PC
-  prepare or decide reaches it, or in the gap after the coordinator
-  fsyncs the commit decision but before delivery.  That last gap is the
+* **Targeted** -- :func:`kill_on_command`, :func:`kill_after_reply`
+  and :func:`kill_after_decision` wrap a handle's ``call`` (or the
+  decision log's ``append``) so the worker dies at a *protocol moment*:
+  as a 2PC prepare or decide reaches it, after a command ran but before
+  its caller sees the reply, or in the gap after the coordinator fsyncs
+  the commit decision but before delivery.  That last gap is the
   "committed but undelivered" window the coordinator's redelivery
   queue exists for.
 """
@@ -94,6 +95,34 @@ def kill_on_command(db, shard_id: int, command: str):
     return disarm
 
 
+def kill_after_reply(db, shard_id: int, command: str):
+    """Arm a one-shot reply loss: the next ``command`` routed to this
+    shard runs to completion (a whole transaction commits, durably under
+    group commit size 1), then the worker dies and the caller gets
+    :class:`~repro.shard.shard.ShardCrashed` instead of the reply.  To
+    the caller the attempt is indeterminate: only an outcome check can
+    tell that it committed.  Returns ``disarm()``."""
+    from repro.shard.shard import ShardCrashed
+
+    handle = db.shards[shard_id]
+    original = handle.call
+
+    def wrapped(cmd, timeout=None):
+        if not (cmd and cmd[0] == command):
+            return original(cmd, timeout=timeout)
+        handle.call = original
+        original(cmd, timeout=timeout)
+        kill_worker(db, shard_id)
+        raise ShardCrashed(shard_id, f"{command} reply", 1)
+
+    handle.call = wrapped
+
+    def disarm():
+        handle.call = original
+
+    return disarm
+
+
 def kill_after_decision(db, shard_id: int):
     """Arm a one-shot kill in the commit gap: the worker dies right
     after the coordinator fsyncs the next commit decision, before any
@@ -121,6 +150,7 @@ def kill_after_decision(db, shard_id: int):
 __all__ = [
     "hang_worker",
     "kill_after_decision",
+    "kill_after_reply",
     "kill_on_command",
     "kill_worker",
     "sever_pipe",

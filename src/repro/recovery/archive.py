@@ -123,7 +123,7 @@ def recover_from_archive(
     # stack, not of the logged amendment (the AmendRecord codec predates
     # pipelines); derive it from the scheme like use_checksums originally
     # was at note-load time.
-    combine = bool(getattr(db.scheme, "combines_evidence", False))
+    combine = db.pipeline.combines_evidence
     contexts: list[CorruptionContext] = []
     # Every frame is CRC-checked, and only amendments are decoded, so
     # this prepass costs one pass over the bytes.

@@ -46,15 +46,15 @@ def repair_regions(db: "Database", region_ids) -> int:
     :class:`~repro.errors.RecoveryError` if the scheme has no codeword
     table (there is nothing to define a region or verify the repair).
     """
-    table = db.scheme.codeword_table
+    table = db.pipeline.codeword_table
     if table is None:
         raise RecoveryError("cache recovery needs a codeword scheme")
 
     ck_end = db.checkpointer.anchored_ck_end()
     ids = sorted(set(region_ids))
-    latches = getattr(db.scheme, "protection_latches", None)
-    if latches is not None:
-        _latch_all(latches, ids, EXCLUSIVE)
+    maintainer = db.pipeline.maintainer
+    latches = maintainer.protection_latches
+    _latch_all(latches, ids, EXCLUSIVE)
     try:
         for region_id in ids:
             start, length = table.region_bounds(region_id)
@@ -65,16 +65,13 @@ def repair_regions(db: "Database", region_ids) -> int:
             if not table.matches(region_id):  # pragma: no cover - sanity
                 raise RecoveryError(f"region {region_id} still corrupt after repair")
     finally:
-        if latches is not None:
-            _unlatch_all(latches, ids)
-    maintainer = getattr(db.scheme, "maintainer", None)
-    if maintainer is not None:
-        # A repaired region matches its (recomputed) codeword again;
-        # release it from quarantine so reads flow.  The repair wrote
-        # below the hooks, so an in-flight background sweep must
-        # re-check these regions at join.
-        maintainer.note_repair(ids)
-        maintainer.unquarantine(ids)
+        _unlatch_all(latches, ids)
+    # A repaired region matches its (recomputed) codeword again; release
+    # it from quarantine so reads flow.  The repair wrote below the
+    # hooks, so an in-flight background sweep must re-check these
+    # regions at join.
+    maintainer.note_repair(ids)
+    maintainer.unquarantine(ids)
     return len(ids)
 
 

@@ -58,7 +58,7 @@ def delete_transactions(
     if not roots:
         raise RecoveryError("no transactions named for deletion")
     db = Database._open_shell(config, crashpoints)
-    if not getattr(db.scheme, "logs_reads", False):
+    if not db.pipeline.logs_reads:
         raise RecoveryError(
             "logical deletion needs read logging (scheme 'read_logging' or "
             "'cw_read_logging'): without read records the taint of "

@@ -156,9 +156,9 @@ def load_corruption_note(db: "Database") -> CorruptionContext | None:
     (Section 4.3).
     """
     path = db.path(CORRUPTION_NOTE_FILE)
-    use_checksums = bool(getattr(db.scheme, "logs_read_checksums", False))
-    reads_traced = bool(getattr(db.scheme, "logs_reads", False))
-    combine = bool(getattr(db.scheme, "combines_evidence", False))
+    use_checksums = db.pipeline.logs_read_checksums
+    reads_traced = db.pipeline.logs_reads
+    combine = db.pipeline.combines_evidence
     if os.path.exists(path):
         with open(path) as handle:
             note = json.load(handle)
@@ -910,7 +910,7 @@ class RestartRecovery:
             db.meter.charge("undo_apply")
         # Codewords now match the post-physical-undo image; hardware
         # protection re-covers the pages.
-        db.scheme.startup()
+        db.pipeline.startup()
         # Level-0 state is consistent, logical compensation has not begun;
         # everything so far was volatile, so a crash here re-runs from the
         # same stable inputs.

@@ -183,7 +183,7 @@ class Replica:
         ck_end = recovery.report.ck_end
         # Codewords from the restored content: the replica's table is
         # built from its own image, never copied from the primary.
-        db.scheme.startup()
+        db.pipeline.startup()
         # Audit brackets go to a scratch log so the replicated log stays
         # a byte-identical prefix of the primary's.
         db.auditor.use_scratch_log(db.path(REPLICA_AUDIT_LOG))

@@ -32,7 +32,7 @@ from operator import add
 
 from repro.core.audit import AuditReport, Auditor
 from repro.core.pipeline import ProtectionPipeline
-from repro.core.schemes import ProtectionScheme, make_scheme
+from repro.core.schemes import make_scheme
 from repro.errors import (
     ConfigError,
     QuarantinedRegionError,
@@ -186,14 +186,11 @@ class Database:
             backing=config.image_backing,
             backing_dir=backing_dir,
         )
-        # Every config -- single scheme or "+"-stacked -- is normalised to
-        # one ProtectionPipeline; the manager, auditor and recovery layers
+        # Every config -- single scheme or "+"-stacked -- is one
+        # ProtectionPipeline; the manager, auditor and recovery layers
         # dispatch to the pipeline object only.
-        built = make_scheme(config.scheme, **dict(config.scheme_params))
-        self.pipeline: ProtectionPipeline = (
-            built
-            if isinstance(built, ProtectionPipeline)
-            else ProtectionPipeline([built])
+        self.pipeline: ProtectionPipeline = make_scheme(
+            config.scheme, **dict(config.scheme_params)
         )
         self.quarantine_enabled = bool(config.quarantine or config.quarantine_repair)
         if self.quarantine_enabled:
@@ -220,17 +217,6 @@ class Database:
 
             self.history = HistoryRecorder()
         self.stats = {"reads": 0, "writes": 0}
-
-    @property
-    def scheme(self) -> ProtectionScheme:
-        """The protection configuration seen through the hook interface.
-
-        For a single-scheme config this is the bare scheme object (so
-        scheme-specific surfaces like ``precheck_count`` or ``mmu`` stay
-        reachable); for a stacked config it is the pipeline itself, whose
-        capability metadata is the fold over its members.
-        """
-        return self.pipeline.sole or self.pipeline
 
     # ------------------------------------------------------------ setup
 

@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def status_report(db: "Database") -> dict:
     """A structured snapshot of the database's protection and activity."""
-    scheme = db.scheme
+    scheme = db.pipeline
     table = scheme.codeword_table
     tables = {
         name: {
@@ -32,10 +32,10 @@ def status_report(db: "Database") -> dict:
     report = {
         "scheme": {
             "name": scheme.name,
-            "members": [member.name for member in db.pipeline.members],
+            "members": [member.name for member in scheme.members],
             "direct_protection": scheme.direct_protection,
             "indirect_protection": scheme.indirect_protection,
-            "region_size": getattr(scheme, "region_size", None),
+            "region_size": scheme.region_size,
             "region_count": table.region_count if table is not None else 0,
             "space_overhead_pct": round(scheme.space_overhead * 100, 3),
         },

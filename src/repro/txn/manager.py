@@ -57,7 +57,7 @@ from repro.wal.records import (
 from repro.wal.system_log import SystemLog
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.schemes import ProtectionScheme
+    from repro.core.pipeline import ProtectionPipeline
     from repro.runtime.scheduler import Scheduler
 
 
@@ -69,7 +69,7 @@ class TransactionManager:
         memory: MemoryImage,
         system_log: SystemLog,
         locks: LockManager,
-        scheme: "ProtectionScheme",
+        scheme: "ProtectionPipeline",
         meter: Meter,
         group_commit_size: int = 1,
         scheduler: "Scheduler | None" = None,

@@ -54,7 +54,7 @@ class TestAuditRuns:
     def test_subset_audit(self, adb):
         insert_accounts(adb, 1)
         adb.memory.poke(adb.table("acct").record_address(0), b"\xff")
-        corrupt_region = adb.scheme.codeword_table.region_of(
+        corrupt_region = adb.pipeline.codeword_table.region_of(
             adb.table("acct").record_address(0)
         )
         clean_subset = adb.auditor.run([corrupt_region + 1])

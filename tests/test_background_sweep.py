@@ -61,7 +61,7 @@ class TestSweepCadence:
     def test_escalation_starts_then_joins(self, tmp_path):
         db = _make_db(str(tmp_path / "db"))
         auditor = db.auditor
-        table = db.scheme.codeword_table
+        table = db.pipeline.codeword_table
 
         _touch(db, 0, 11)
         r1 = db.audit()  # dirty pass #1
@@ -104,7 +104,7 @@ class TestSweepVerdicts:
         db = _make_db(str(tmp_path / "db"))
         address = db.table("acct").record_address(3) + 8
         db.memory.poke(address, b"\x99" * 8)
-        region = db.scheme.codeword_table.region_of(address)
+        region = db.pipeline.codeword_table.region_of(address)
         assert db.auditor.start_background_sweep()
         report = db.auditor.join_background_sweep()
         assert not report.clean
@@ -138,7 +138,7 @@ class TestSweepVerdicts:
         auditor._sweep.handle.result()  # let the fold finish with the old bytes
         address = db.table("acct").record_address(5) + 8
         db.memory.poke(address, b"\xaa" * 8)
-        region = db.scheme.codeword_table.region_of(address)
+        region = db.pipeline.codeword_table.region_of(address)
         report = auditor.join_background_sweep()
         assert report.clean  # the sweep predates the corruption
         assert auditor.start_background_sweep()
@@ -157,7 +157,7 @@ class TestCheckpointJoin:
         assert auditor._sweep is None
         assert (
             result.audit_report.regions_checked
-            == db.scheme.codeword_table.region_count
+            == db.pipeline.codeword_table.region_count
         )
         db.close()
 
@@ -168,7 +168,7 @@ class TestCheckpointJoin:
         assert result.certified
         assert (
             result.audit_report.regions_checked
-            < db.scheme.codeword_table.region_count
+            < db.pipeline.codeword_table.region_count
         )
         db.close()
 

@@ -89,7 +89,7 @@ def _run_updates(db: Database, updates, batched_api: bool) -> None:
 
 
 def _state(db: Database) -> tuple:
-    codewords = db.scheme.codeword_table.stored_words
+    codewords = db.pipeline.codeword_table.stored_words
     return (
         db.memory.snapshot_segments(),
         codewords.tolist(),
@@ -312,7 +312,7 @@ class TestBatchWindowSemantics:
         mgr = db.manager
         addresses = [_record_addr(db, s) + 8 for s in (1, 2, 3)]
         before = db.memory.snapshot_segments()
-        codewords = db.scheme.codeword_table.stored_words
+        codewords = db.pipeline.codeword_table.stored_words
         txn = db.begin()
         mgr.begin_operation(txn, "op")
         mgr.begin_updates(txn, [(address, 8) for address in addresses])
@@ -324,8 +324,8 @@ class TestBatchWindowSemantics:
         db.abort(txn)
         assert txn.pending_update is None
         assert db.memory.snapshot_segments() == before
-        assert np.array_equal(db.scheme.codeword_table.stored_words, codewords)
-        assert not db.scheme.protection_latches.any_held()
+        assert np.array_equal(db.pipeline.codeword_table.stored_words, codewords)
+        assert not db.pipeline.protection_latches.any_held()
         assert db.audit().clean
         db.close()
 

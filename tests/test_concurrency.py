@@ -5,8 +5,10 @@ update to the actual codewords, and the protection latch for a region
 need only be held in shared mode by updaters.  During audit, the
 protection latch must be taken in exclusive mode."
 
-These tests drive the scheme hooks directly from two threads (each with
-its own transaction object) and verify who blocks whom:
+These tests drive a one-member pipeline's window hooks (or its
+maintainer's ``open_window`` / ``close_window``) directly from two
+threads, each with its own transaction object, and verify who blocks
+whom:
 
 * Data Codeword: two updaters share a region's protection latch;
 * Read Prechecking: updaters exclude each other and readers;
@@ -28,6 +30,7 @@ import pytest
 
 from repro import Database, DBConfig
 from repro.core.data_codeword import DataCodewordScheme
+from repro.core.pipeline import ProtectionPipeline
 from repro.core.precheck import ReadPrecheckScheme
 from repro.core.regions import CodewordTable
 from repro.errors import LatchError
@@ -79,12 +82,13 @@ def _assert_held_across_table_writes(db, monkeypatch, latches) -> None:
 
 
 def make_scheme(cls, **kwargs):
+    """A one-member pipeline over ``cls`` on a two-region image."""
     memory = MemoryImage(page_size=4096)
     memory.add_segment("data", 2 * REGION)
-    scheme = cls(region_size=REGION, **kwargs)
-    scheme.attach(memory, Meter(VirtualClock(), CostModel.free()))
-    scheme.startup()
-    return scheme, memory
+    pipeline = ProtectionPipeline([cls(region_size=REGION, **kwargs)])
+    pipeline.attach(memory, Meter(VirtualClock(), CostModel.free()))
+    pipeline.startup()
+    return pipeline, memory
 
 
 def window_in_thread(scheme, address, entered: threading.Event, release: threading.Event):
@@ -92,13 +96,13 @@ def window_in_thread(scheme, address, entered: threading.Event, release: threadi
     txn = Transaction(txn_id=999)
 
     def work():
-        scheme.on_begin_update(txn, address, 8)
+        window = scheme.on_begin_update_batch(txn, [(address, 8)])
         entered.set()
         release.wait(timeout=5)
         old = scheme.memory.read(address, 8)
         new = b"\x01" * 8
         scheme.memory.write(address, new)
-        scheme.on_end_update(txn, address, old, new)
+        scheme.on_end_update_batch(txn, window, [(address, old, new)])
 
     thread = threading.Thread(target=work)
     thread.start()
@@ -375,3 +379,61 @@ class TestAscendingLatchOrder:
         assert not failures
         _assert_nothing_held(maintainer)
         assert scheme.codeword_table.scan_mismatches() == []
+
+
+class TestWindowCrossesRepair:
+    """A two-range window over regions (A, B) crossed with
+    ``repair_regions`` over the same two regions: both latch in ascending
+    region id, the repair exclusively, so neither waits on the other for
+    good.  A window that latched its regions in descending id would hold
+    B while the repair holds A, and one of the two would time out."""
+
+    def test_window_and_repair_both_complete(self, db_factory, monkeypatch):
+        from repro.recovery.cache_recovery import repair_regions
+
+        db = db_factory(scheme="data_cw", region_size=64)
+        table = db.table("acct")
+        slots = insert_accounts(db, 8)
+        db.checkpoint()
+        maintainer = db.pipeline.maintainer
+        codewords = maintainer.table
+        first = table.record_address(slots[0])
+        region_a = codewords.region_of(first)
+        second = next(
+            table.record_address(s)
+            for s in slots
+            if codewords.region_of(table.record_address(s)) == region_a + 1
+        )
+        # Ranges listed B first: only the window's own sort orders them.
+        ranges = [(second, 8), (first, 8)]
+        _pause_after_first_latch(
+            monkeypatch, maintainer.protection_latches, ("window", "repair")
+        )
+        failures: list[Exception] = []
+
+        def window() -> None:
+            try:
+                opened = maintainer.open_window(ranges)
+                items = [(a, db.memory.read(a, n), db.memory.read(a, n)) for a, n in ranges]
+                maintainer.close_window(opened, items)
+            except Exception as exc:  # a dying thread must fail the test
+                failures.append(exc)
+
+        def repair() -> None:
+            try:
+                repair_regions(db, [region_a, region_a + 1])
+            except Exception as exc:
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=window, name="window"),
+            threading.Thread(target=repair, name="repair"),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        _assert_nothing_held(maintainer)
+        assert db.audit().clean

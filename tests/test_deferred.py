@@ -11,28 +11,28 @@ class TestDeferral:
     def test_updates_accumulate_pending_deltas(self, db_factory):
         db = make(db_factory)
         insert_accounts(db, 5)
-        assert db.scheme.pending_region_count > 0
+        assert db.pipeline.member("deferred").pending_region_count > 0
 
     def test_stored_codewords_stale_until_flush(self, db_factory):
         db = make(db_factory)
         insert_accounts(db, 5)
-        table = db.scheme.codeword_table
+        table = db.pipeline.codeword_table
         assert table.scan_mismatches() != []  # stale before flush
-        db.scheme.flush_pending()
+        db.pipeline.member("deferred").flush_pending()
         assert table.scan_mismatches() == []
 
     def test_audit_flushes_then_checks(self, db_factory):
         db = make(db_factory)
         insert_accounts(db, 5)
         assert db.audit().clean
-        assert db.scheme.pending_region_count == 0
+        assert db.pipeline.member("deferred").pending_region_count == 0
 
     def test_flush_is_idempotent(self, db_factory):
         db = make(db_factory)
         insert_accounts(db, 3)
-        db.scheme.flush_pending()
-        assert db.scheme.flush_pending() == 0
-        assert db.scheme.codeword_table.scan_mismatches() == []
+        db.pipeline.member("deferred").flush_pending()
+        assert db.pipeline.member("deferred").flush_pending() == 0
+        assert db.pipeline.codeword_table.scan_mismatches() == []
 
 
 class TestDetection:

@@ -36,7 +36,7 @@ def make_incremental_db(tmp_path, name="idb", **overrides) -> Database:
 
 
 def maintainer_of(db: Database):
-    return db.scheme.maintainer
+    return db.pipeline.maintainer
 
 
 def deposit(db: Database, slot: int, balance: int) -> None:
@@ -55,7 +55,7 @@ class TestDirtySet:
         dirty = maintainer.dirty_region_list()
         assert dirty  # the touched region is tracked
         address = db.table("acct").record_address(slots[0])
-        table = db.scheme.codeword_table
+        table = db.pipeline.codeword_table
         assert set(dirty) >= set(table.regions_spanning(address, 8))
         db.close()
 
@@ -101,7 +101,7 @@ class TestDirtySet:
 
 class TestWildWriteVsDirtySet:
     def _clean_region_not_in(self, db, dirty: set[int]) -> int:
-        table = db.scheme.codeword_table
+        table = db.pipeline.codeword_table
         for region_id in range(table.region_count):
             if region_id not in dirty:
                 return region_id
@@ -115,7 +115,7 @@ class TestWildWriteVsDirtySet:
         maintainer.clear_dirty()
         db.auditor._dirty_audits_since_sweep = 0
 
-        table = db.scheme.codeword_table
+        table = db.pipeline.codeword_table
         target = self._clean_region_not_in(db, set(maintainer.dirty_region_list()))
         start, length = table.region_bounds(target)
         FaultInjector(db, seed=3).wild_write(start, min(8, length))
@@ -170,7 +170,7 @@ class TestWildWriteVsDirtySet:
         maintainer = maintainer_of(db)
         maintainer.clear_dirty()
         target = self._clean_region_not_in(db, set())
-        table = db.scheme.codeword_table
+        table = db.pipeline.codeword_table
         start, length = table.region_bounds(target)
         FaultInjector(db, seed=6).wild_write(start, min(8, length))
         # The routine incremental checkpoint audit misses it...
@@ -198,7 +198,7 @@ class TestRunGroupedEquivalence:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_grouped_matches_scalar(self, eqdb, data):
-        table = eqdb.scheme.codeword_table
+        table = eqdb.pipeline.codeword_table
         maintainer = maintainer_of(eqdb)
         ids = sorted(
             data.draw(
@@ -227,7 +227,7 @@ class TestRunGroupedEquivalence:
         assert grouped_delta == scalar_delta
 
     def test_full_range_matches_scalar(self, eqdb):
-        table = eqdb.scheme.codeword_table
+        table = eqdb.pipeline.codeword_table
         maintainer = maintainer_of(eqdb)
         before = dict(eqdb.meter.counts)
         grouped = maintainer.audit_regions(range(table.region_count))

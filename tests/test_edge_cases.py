@@ -117,7 +117,7 @@ class TestStatsAndRepr:
         insert_accounts(db, 1)
         txn = db.begin()
         repr(txn)
-        repr(db.scheme)
+        repr(db.pipeline)
         repr(db.memory.dirty_pages)
         repr(db.clock)
         repr(db.table("acct").schema)

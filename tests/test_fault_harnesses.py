@@ -15,7 +15,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.chaos import CHAOS_KEYS, KILL_POINTS, ChaosSchedule, ChaosSpec
+from repro.bench.chaos import (
+    CHAOS_KEYS,
+    KILL_POINTS,
+    ChaosOutcome,
+    ChaosSchedule,
+    ChaosSpec,
+)
 from repro.bench.serving import ServingSchedule, ServingSpec
 from repro.bench.sharded import SHARDED_KEYS, InFlightSchedule, ShardedSpec
 from repro.faults.campaign import gate_lines, run_schedule
@@ -154,6 +160,34 @@ def test_survivor_probe_fails_on_a_missing_row():
     assert not schedule.outcome.survivor_served_mid_recovery
     assert any("surviving shard" in line
                for line in gate_lines([schedule.outcome]))
+
+
+@pytest.mark.parametrize(
+    "counts, breach",
+    [
+        ({"kills": 1, "survivor_probes": 0}, "no survivor probed"),
+        ({"hangs": 2, "survivor_probes": 0}, "no survivor probed"),
+        ({"reply_losses": 1, "acked_by_outcome_check": 0}, "no reply-loss kill acked"),
+    ],
+)
+def test_soak_gates_that_checked_nothing_breach(counts, breach):
+    """A soak whose kills probed no survivor, or whose reply-loss kill no
+    outcome check confirmed, fails its gate instead of passing vacuously."""
+    outcome = ChaosOutcome(
+        key="soak", seed=CHAOS.seeds[0], index=0, txns=1, acked=1,
+        wild_writes_convicted=1, healed=True, all_serving=True, **counts,
+    )
+    assert [line for line in gate_lines([outcome]) if breach in line]
+    fixed = replace(outcome, survivor_probes=1, acked_by_outcome_check=1)
+    assert not gate_lines([fixed])
+
+
+def test_soak_probes_survivors_and_checks_a_lost_reply(run):
+    outcome = run("soak")
+    assert outcome.kills + outcome.hangs >= 1
+    assert outcome.survivor_probes == outcome.kills + outcome.hangs
+    assert outcome.reply_losses == 1
+    assert outcome.acked_by_outcome_check >= 1
 
 
 @pytest.mark.parametrize("key", [*SERVING.keys][-1:] + [*SHARDED_KEYS, "soak"])

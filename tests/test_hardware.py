@@ -36,7 +36,7 @@ class TestPrevention:
         hdb.commit(txn)
 
     def test_whole_image_protected_after_startup(self, hdb):
-        mmu = hdb.scheme.mmu
+        mmu = hdb.pipeline.member("hardware").mmu
         assert mmu.enforcing
         assert mmu.protected_page_count == hdb.memory.page_count
 
@@ -46,7 +46,7 @@ class TestPrevention:
         txn = hdb.begin()
         table.update(txn, slots[0], {"balance": 1})
         hdb.commit(txn)
-        assert hdb.scheme.mmu.protected_page_count == hdb.memory.page_count
+        assert hdb.pipeline.member("hardware").mmu.protected_page_count == hdb.memory.page_count
 
     def test_corruption_during_open_window_not_prevented(self, hdb):
         """The Ng/Chen residual-risk window (Section 4): while a page is
@@ -75,7 +75,7 @@ class TestPrevention:
         txn = hdb.begin()
         assert table.read(txn, slots[0])["balance"] == 100
         hdb.commit(txn)
-        assert hdb.scheme.mmu.protected_page_count == hdb.memory.page_count
+        assert hdb.pipeline.member("hardware").mmu.protected_page_count == hdb.memory.page_count
 
 
 class TestCosts:
@@ -108,4 +108,4 @@ class TestCosts:
     def test_audit_is_trivially_clean(self, hdb):
         insert_accounts(hdb, 1)
         assert hdb.audit().clean
-        assert hdb.scheme.codeword_table is None
+        assert hdb.pipeline.codeword_table is None

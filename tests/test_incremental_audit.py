@@ -14,7 +14,7 @@ def adb(db_factory):
 
 
 def region_count(db) -> int:
-    return db.scheme.codeword_table.region_count
+    return db.pipeline.codeword_table.region_count
 
 
 class TestSweepMechanics:

@@ -72,7 +72,7 @@ class TestMultiPageRecords:
         txn = db.begin()
         db.table("blob").insert(txn, {"oid": 1, "payload": b"p" * 20_000})
         db.commit(txn)
-        assert db.scheme.mmu.protected_page_count == db.memory.page_count
+        assert db.pipeline.member("hardware").mmu.protected_page_count == db.memory.page_count
         txn = db.begin()
         assert db.table("blob").read(txn, 0)["oid"] == 1
         db.commit(txn)

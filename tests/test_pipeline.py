@@ -122,15 +122,14 @@ class TestPipelineFolding:
         assert pipeline.indirect_protection == "unneeded"
         assert pipeline.member("hardware").guards_pages
 
-    def test_single_scheme_config_exposes_bare_scheme(self, db_factory):
+    def test_single_scheme_config_is_a_one_member_pipeline(self, db_factory):
         db = db_factory(scheme="data_cw")
-        assert db.pipeline.sole is db.scheme
-        assert not isinstance(db.scheme, ProtectionPipeline)
+        assert isinstance(db.pipeline, ProtectionPipeline)
+        assert [m.name for m in db.pipeline.members] == ["data_cw"]
+        assert db.pipeline.member("data_cw").maintainer is db.pipeline.maintainer
 
     def test_stacked_config_exposes_pipeline(self, db_factory):
         db = db_factory(scheme="data_cw+read_logging")
-        assert db.pipeline.sole is None
-        assert db.scheme is db.pipeline
         report = db.report()
         assert report["scheme"]["members"] == ["data_cw", "read_logging"]
 
@@ -152,7 +151,7 @@ class TestStackedWindowsAndUndo:
         return slots
 
     def test_abandoned_window_rolls_back_cleanly(self, db_factory):
-        """Abort inside an open window: close_update_window + undo with
+        """Abort inside an open window: close_update_window_batch + undo with
         codeword_applied=False must leave codewords and latches intact."""
         db = db_factory(scheme="data_cw+cw_read_logging")
         slots = self._open_window_then_abort(db)

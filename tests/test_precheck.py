@@ -62,8 +62,8 @@ class TestPrevention:
         txn = pdb.begin()
         with pytest.raises(CorruptionDetected):
             table.read(txn, slots[0])
-        assert pdb.scheme.precheck_failures == 1
-        assert pdb.scheme.precheck_count > 0
+        assert pdb.pipeline.member("precheck").precheck_failures == 1
+        assert pdb.pipeline.member("precheck").precheck_count > 0
 
 
 class TestCheckCache:
@@ -71,12 +71,12 @@ class TestCheckCache:
         slots = insert_accounts(pdb, 1)
         table = pdb.table("acct")
         txn = pdb.begin()
-        before = pdb.scheme.precheck_count
+        before = pdb.pipeline.member("precheck").precheck_count
         pdb.manager.begin_operation(txn, "op")
         pdb.manager.read(txn, table.record_address(slots[0]), 8)
-        mid = pdb.scheme.precheck_count
+        mid = pdb.pipeline.member("precheck").precheck_count
         pdb.manager.read(txn, table.record_address(slots[0]), 8)
-        assert pdb.scheme.precheck_count == mid > before
+        assert pdb.pipeline.member("precheck").precheck_count == mid > before
         from repro.wal.records import LogicalUndo
 
         pdb.manager.commit_operation(txn, LogicalUndo("noop"))
@@ -92,10 +92,10 @@ class TestCheckCache:
         pdb.manager.begin_operation(txn, "op1")
         pdb.manager.read(txn, address, 8)
         pdb.manager.commit_operation(txn, LogicalUndo("noop"))
-        count_after_op1 = pdb.scheme.precheck_count
+        count_after_op1 = pdb.pipeline.member("precheck").precheck_count
         pdb.manager.begin_operation(txn, "op2")
         pdb.manager.read(txn, address, 8)
-        assert pdb.scheme.precheck_count > count_after_op1
+        assert pdb.pipeline.member("precheck").precheck_count > count_after_op1
         pdb.manager.commit_operation(txn, LogicalUndo("noop"))
         pdb.commit(txn)
 
@@ -107,15 +107,15 @@ class TestRegionGranularity:
         slots = insert_accounts(db, 1)
         table = db.table("acct")
         address = table.record_address(slots[0])
-        regions = db.scheme.codeword_table.regions_spanning(
+        regions = db.pipeline.codeword_table.regions_spanning(
             address, table.schema.record_size
         )
         assert len(regions) == 2
         txn = db.begin()
-        before = db.scheme.precheck_count
+        before = db.pipeline.member("precheck").precheck_count
         db.manager.begin_operation(txn, "op")
         db.manager.read(txn, address, table.schema.record_size)
-        assert db.scheme.precheck_count - before == len(regions)
+        assert db.pipeline.member("precheck").precheck_count - before == len(regions)
         from repro.wal.records import LogicalUndo
 
         db.manager.commit_operation(txn, LogicalUndo("noop"))

@@ -246,7 +246,7 @@ class TestDeleteTransactionProperties:
     @given(script=corruption_script, fault_at=st.integers(0, 5))
     def test_conflict_consistent_recovery(self, tmp_path, script, fault_at):
         db = fresh_db(tmp_path, "read_logging", "del2")
-        db.scheme.region_size  # plain variant, large regions
+        db.pipeline.region_size  # plain variant, large regions
         try:
             table = db.table("acct")
             txn = db.begin()

@@ -57,11 +57,11 @@ class TestPlainReadLogging:
     def test_read_count_statistic(self, db_factory):
         db = db_factory(scheme="read_logging")
         slots = insert_accounts(db, 2)
-        before = db.scheme.read_records_logged
+        before = db.pipeline.member("read_logging").read_records_logged
         txn = db.begin()
         db.table("acct").read(txn, slots[0])
         db.commit(txn)
-        assert db.scheme.read_records_logged > before
+        assert db.pipeline.member("read_logging").read_records_logged > before
 
 
 class TestChecksummedReadLogging:

@@ -155,8 +155,8 @@ class TestCodewordsAfterRecovery:
         insert_accounts(db, 2)
         db.crash()
         db2, _ = recover(db.config)
-        assert db2.scheme.mmu.enforcing
-        assert db2.scheme.mmu.protected_page_count == db2.memory.page_count
+        assert db2.pipeline.member("hardware").mmu.enforcing
+        assert db2.pipeline.member("hardware").mmu.protected_page_count == db2.memory.page_count
 
 
 class TestLogContinuation:

@@ -109,7 +109,7 @@ class TestDeferredSchemeCrash:
         stay clean and detection still works afterwards."""
         db = db_factory(scheme="deferred", region_size=4096)
         slots = insert_accounts(db, 5)
-        assert db.scheme.pending_region_count > 0  # deltas in memory only
+        assert db.pipeline.member("deferred").pending_region_count > 0  # deltas in memory only
         db.crash()
         db2, _ = Database.recover(db.config)
         assert db2.audit().clean

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import make_scheme, SCHEME_NAMES
+from repro.core import ProtectionPipeline, make_scheme, SCHEME_NAMES
 from repro.core.data_codeword import DataCodewordScheme
 from repro.core.deferred import DeferredMaintenanceScheme
 from repro.core.hardware import HardwareProtectionScheme
@@ -14,43 +14,69 @@ from repro.errors import ConfigError
 from tests.conftest import insert_accounts
 
 
+def sole_member(name, **params):
+    """Build ``name`` and return the one member of its pipeline."""
+    pipeline = make_scheme(name, **params)
+    assert isinstance(pipeline, ProtectionPipeline)
+    (member,) = pipeline.members
+    return member
+
+
 class TestFactory:
     def test_all_names_construct(self):
         for name in SCHEME_NAMES:
-            assert make_scheme(name) is not None
+            assert sole_member(name).name == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             make_scheme("magic")
 
     def test_baseline(self):
-        scheme = make_scheme("baseline")
+        scheme = sole_member("baseline")
         assert isinstance(scheme, BaselineScheme)
         assert scheme.direct_protection == "none"
 
     def test_precheck_region_size(self):
-        scheme = make_scheme("precheck", region_size=512)
+        scheme = sole_member("precheck", region_size=512)
         assert isinstance(scheme, ReadPrecheckScheme)
         assert scheme.region_size == 512
+        assert make_scheme("precheck", region_size=512).region_size == 512
 
     def test_data_cw_defaults_to_large_regions(self):
-        scheme = make_scheme("data_cw")
+        scheme = sole_member("data_cw")
         assert isinstance(scheme, DataCodewordScheme)
         assert scheme.region_size == 65536
 
     def test_read_logging_variants(self):
-        plain = make_scheme("read_logging")
-        checksummed = make_scheme("cw_read_logging")
+        plain = sole_member("read_logging")
+        checksummed = sole_member("cw_read_logging")
         assert isinstance(plain, ReadLoggingScheme)
         assert not plain.logs_read_checksums
         assert checksummed.logs_read_checksums
         assert checksummed.name == "cw_read_logging"
 
     def test_hardware(self):
-        assert isinstance(make_scheme("hardware"), HardwareProtectionScheme)
+        assert isinstance(sole_member("hardware"), HardwareProtectionScheme)
 
     def test_deferred(self):
-        assert isinstance(make_scheme("deferred"), DeferredMaintenanceScheme)
+        assert isinstance(sole_member("deferred"), DeferredMaintenanceScheme)
+
+
+class TestParams:
+    """A single name is a one-member stack: a parameter its member does
+    not understand is the same named ConfigError a stack raises."""
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("data_cw", {"bogus": 1}, "bogus"),
+            ("hardware", {"region_size": 64}, "region_size"),
+            ("baseline", {"region_size": 64}, "region_size"),
+        ],
+    )
+    def test_foreign_parameter_names_itself(self, name, params, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            make_scheme(name, **params)
 
 
 class TestCapabilityMetadata:

@@ -690,5 +690,5 @@ class TestThreadedServing:
         server.close()
         assert set(outcomes) <= {"ok", "LockError"}
         assert "ok" in outcomes
-        assert db.scheme.precheck_count > 0
+        assert db.pipeline.member("precheck").precheck_count > 0
         db.close()
