@@ -146,7 +146,7 @@ class ChaosOutcome(HarnessOutcome):
     gave_up: int = 0
     kills: int = 0
     hangs: int = 0
-    #: reply-loss kills armed (the commit lands, the reply does not)
+    #: reply-loss kills that fired (the commit landed, the reply did not)
     reply_losses: int = 0
     injection_races: int = 0
     survivor_probes: int = 0
@@ -383,14 +383,18 @@ class ChaosSchedule:
                 (i, kind, sid, cold_aid(sid) if kind == "wild_write" else None)
             )
         # One reply-loss kill before a single-branch transaction with no
-        # other fault: it lands on the shard that transaction commits on.
+        # other fault, if one is left: it lands on the shard that
+        # transaction commits on.
         taken = {fault[0] for fault in out.faults}
-        op = rng.choice([i for i in range(5, spec.soak_txns)
-                         if i % TRANSFER_EVERY and i not in taken])
-        out.faults.append(
-            (op, "reply_loss", self.db.partition.shard_of(op % spec.branches), None)
-        )
-        out.faults.sort(key=lambda fault: fault[0])
+        free = [i for i in range(5, spec.soak_txns)
+                if i % TRANSFER_EVERY and i not in taken]
+        if free:
+            op = rng.choice(free)
+            out.faults.append(
+                (op, "reply_loss", self.db.partition.shard_of(op % spec.branches),
+                 None)
+            )
+            out.faults.sort(key=lambda fault: fault[0])
         # One cold wild write per shard after the final heal: no restart
         # can erase it, so the scoring audit always has one to convict.
         out.faults += [
@@ -468,8 +472,7 @@ class ChaosSchedule:
                 hang_worker(self.db, sid, self.spec.hang_s)
                 out.hangs += 1
             elif kind == "reply_loss":
-                kill_after_reply(self.db, sid, "txn")
-                out.reply_losses += 1
+                kill_after_reply(self.db, sid, self._count_reply_loss)
             else:
                 # The payload has its own rng, so it never perturbs the
                 # traffic stream.
@@ -486,6 +489,9 @@ class ChaosSchedule:
             return
         if kind in ("kill", "hang"):
             self._survivor_probe((sid + 1) % N_SHARDS)
+
+    def _count_reply_loss(self) -> None:
+        self.outcome.reply_losses += 1
 
     # ----------------------------------------------------------- scoring
 

@@ -41,6 +41,7 @@ from repro.bench.tpcb import (
     branch_table_defs,
     branch_txn,
 )
+from repro.core.schemes import understood_params
 from repro.faults.campaign import (
     HarnessOutcome,
     Ledger,
@@ -104,7 +105,7 @@ class ShardedSpec:
             mode="process",
             branches=self.branches,
             scheme=scheme,
-            scheme_params={} if scheme == "baseline" else {"region_size": 64},
+            scheme_params=understood_params(scheme, {"region_size": 64}),
             group_commit_size=8,
             quarantine=quarantine,
             quarantine_repair=quarantine,

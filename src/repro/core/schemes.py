@@ -166,6 +166,17 @@ def resolve_scheme_name(name: str) -> str:
     return canonical
 
 
+def understood_params(name: str, params: dict) -> dict:
+    """The ``params`` some member of scheme ``name`` understands: what a
+    harness that runs any scheme with one parameter set passes to
+    :func:`make_scheme`, which refuses the rest."""
+    known = set().union(
+        *(SCHEME_PARAMS[resolve_scheme_name(part.strip())]
+          for part in name.split("+"))
+    )
+    return {k: v for k, v in params.items() if k in known}
+
+
 def _member(name: str, params: dict) -> ProtectionScheme:
     """Build one member from its canonical name and its own parameters."""
     from repro.core.data_codeword import DataCodewordScheme

@@ -50,6 +50,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
+from repro.core.schemes import understood_params
 from repro.errors import (
     ConfigError,
     CorruptionDetected,
@@ -530,7 +531,9 @@ class _Schedule:
         config = DBConfig(
             dir=self.db_dir,
             scheme=self.scheme,
-            scheme_params={"region_size": spec.region_size},
+            scheme_params=understood_params(
+                self.scheme, {"region_size": spec.region_size}
+            ),
             quarantine=True,
             image_backing=spec.image_backing,
         )

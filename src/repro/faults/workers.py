@@ -95,25 +95,27 @@ def kill_on_command(db, shard_id: int, command: str):
     return disarm
 
 
-def kill_after_reply(db, shard_id: int, command: str):
-    """Arm a one-shot reply loss: the next ``command`` routed to this
-    shard runs to completion (a whole transaction commits, durably under
-    group commit size 1), then the worker dies and the caller gets
-    :class:`~repro.shard.shard.ShardCrashed` instead of the reply.  To
-    the caller the attempt is indeterminate: only an outcome check can
-    tell that it committed.  Returns ``disarm()``."""
+def kill_after_reply(db, shard_id: int, on_kill):
+    """Arm a one-shot reply loss: the next ``txn`` routed to this shard
+    runs to completion (the whole transaction commits, durably under
+    group commit size 1), then the worker dies, ``on_kill()`` runs and
+    the caller gets :class:`~repro.shard.shard.ShardCrashed` instead of
+    the reply.  To the caller the attempt is indeterminate: only an
+    outcome check can tell that it committed.  A ``txn`` that raises
+    disarms the fault without a kill.  Returns ``disarm()``."""
     from repro.shard.shard import ShardCrashed
 
     handle = db.shards[shard_id]
     original = handle.call
 
     def wrapped(cmd, timeout=None):
-        if not (cmd and cmd[0] == command):
+        if not (cmd and cmd[0] == "txn"):
             return original(cmd, timeout=timeout)
         handle.call = original
         original(cmd, timeout=timeout)
         kill_worker(db, shard_id)
-        raise ShardCrashed(shard_id, f"{command} reply", 1)
+        on_kill()
+        raise ShardCrashed(shard_id, "txn reply", 1)
 
     handle.call = wrapped
 

@@ -56,6 +56,7 @@ import os
 import random
 from dataclasses import dataclass
 
+from repro.core.schemes import understood_params
 from repro.errors import (
     CorruptionDetected,
     PromotionError,
@@ -290,7 +291,9 @@ class _ReplicationSchedule:
         return DBConfig(
             dir=os.path.join(self.work_dir, name),
             scheme=self.spec.scheme,
-            scheme_params={"region_size": self.spec.region_size},
+            scheme_params=understood_params(
+                self.spec.scheme, {"region_size": self.spec.region_size}
+            ),
             quarantine=True,
             # Dirty-region routine audits with the full sweep pushed past
             # the schedule horizon on purpose: cold corruption must be

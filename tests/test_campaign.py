@@ -145,3 +145,18 @@ def test_schedule_error_names_key_seed_and_index(tmp_path):
         "kill seed=1 idx=0: schedule raised RuntimeError: boom",
         "kill seed=2 idx=0: schedule raised RuntimeError: boom",
     ]
+
+
+def test_scheme_without_codewords_fails_on_quarantine_not_on_params(tmp_path):
+    """The campaign passes ``region_size`` only to schemes that take it:
+    a scheme with no codewords fails on the quarantine the campaign
+    needs, not on a parameter it does not understand."""
+    spec = dataclasses.replace(
+        TINY, seeds=(1,), schemes=("baseline", "hardware"), schedules_per_config=1
+    )
+    outcomes = run_campaign(spec, str(tmp_path)).outcomes
+    assert [o.scheme for o in outcomes] == ["baseline", "hardware"]
+    for outcome in outcomes:
+        assert outcome.error.startswith(
+            "ConfigError: quarantine needs a codeword scheme"
+        ), outcome

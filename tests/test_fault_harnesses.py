@@ -25,6 +25,8 @@ from repro.bench.chaos import (
 from repro.bench.serving import ServingSchedule, ServingSpec
 from repro.bench.sharded import SHARDED_KEYS, InFlightSchedule, ShardedSpec
 from repro.faults.campaign import gate_lines, run_schedule
+from repro.faults.workers import kill_after_reply
+from repro.shard.shard import ShardCrashed
 
 SERVING = ServingSpec().quick()
 CHAOS = ChaosSpec().quick()
@@ -188,6 +190,43 @@ def test_soak_probes_survivors_and_checks_a_lost_reply(run):
     assert outcome.survivor_probes == outcome.kills + outcome.hangs
     assert outcome.reply_losses == 1
     assert outcome.acked_by_outcome_check >= 1
+
+
+def test_reply_loss_fires_only_after_the_txn_returned():
+    """A ``txn`` that raises disarms the reply loss with no kill and no
+    count; one that returns is followed by the kill, ``on_kill`` and a
+    lost reply."""
+    events = []
+
+    def lost(cmd, timeout=None):
+        raise ShardCrashed(0, "worker-lost", 0)
+
+    handle = SimpleNamespace(call=lost, terminate=lambda: events.append("kill"))
+    db = SimpleNamespace(shards=[handle])
+    kill_after_reply(db, 0, lambda: events.append("on_kill"))
+    with pytest.raises(ShardCrashed, match="worker-lost"):
+        handle.call(("txn", []))
+    assert events == [] and handle.call is lost
+
+    def answered(cmd, timeout=None):
+        return "reply"
+
+    handle.call = answered
+    kill_after_reply(db, 0, lambda: events.append("on_kill"))
+    assert handle.call(("ping",)) == "reply"
+    with pytest.raises(ShardCrashed, match="txn reply"):
+        handle.call(("txn", []))
+    assert events == ["kill", "on_kill"] and handle.call is answered
+
+
+def test_soak_with_every_index_faulted_skips_the_reply_loss(tmp_path):
+    spec = replace(SHORT_DEADLINES, soak_txns=8, soak_faults=3)
+    outcome = run_schedule(spec, "soak", spec.seeds[0], 0, ChaosSchedule,
+                           str(tmp_path))
+    assert outcome.error is None
+    assert [fault[0] for fault in outcome.faults[:3]] == [5, 6, 7]
+    assert "reply_loss" not in {fault[1] for fault in outcome.faults}
+    assert outcome.reply_losses == 0
 
 
 @pytest.mark.parametrize("key", [*SERVING.keys][-1:] + [*SHARDED_KEYS, "soak"])

@@ -13,6 +13,7 @@ from repro.bench.replication import gate_failures, replication_payload
 from repro.replication.campaign import (
     ReplicationCampaignResult,
     ReplicationCampaignSpec,
+    _ReplicationSchedule,
     run_replication_campaign,
 )
 
@@ -60,3 +61,15 @@ def test_payload_spec_reproduces_the_run():
     rebuilt = ReplicationCampaignSpec(**payload["spec"])
     assert rebuilt.audit_every_batches == 2
     assert ReplicationCampaignResult(rebuilt).to_payload()["spec"] == payload["spec"]
+
+
+def test_region_size_goes_only_to_schemes_that_take_it(tmp_path):
+    def params(scheme):
+        spec = ReplicationCampaignSpec(scheme=scheme)
+        schedule = _ReplicationSchedule(spec, "kill", 7, 0, str(tmp_path), None)
+        return schedule._db_config("primary").scheme_params
+
+    assert params("baseline") == {}
+    assert params(ReplicationCampaignSpec.scheme) == {
+        "region_size": ReplicationCampaignSpec.region_size
+    }

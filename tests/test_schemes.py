@@ -8,7 +8,7 @@ from repro.core.deferred import DeferredMaintenanceScheme
 from repro.core.hardware import HardwareProtectionScheme
 from repro.core.precheck import ReadPrecheckScheme
 from repro.core.read_logging import ReadLoggingScheme
-from repro.core.schemes import BaselineScheme
+from repro.core.schemes import BaselineScheme, understood_params
 from repro.errors import ConfigError
 
 from tests.conftest import insert_accounts
@@ -77,6 +77,22 @@ class TestParams:
     def test_foreign_parameter_names_itself(self, name, params, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             make_scheme(name, **params)
+
+    @pytest.mark.parametrize(
+        "name, kept",
+        [
+            ("baseline", {}),
+            ("hardware", {}),
+            ("data_cw", {"region_size": 64}),
+            ("hardware+data_cw", {"region_size": 64}),
+        ],
+    )
+    def test_understood_params_keeps_what_a_member_takes(self, name, kept):
+        """What a harness that runs any scheme with one parameter set
+        hands ``make_scheme``: the keys some member understands."""
+        params = understood_params(name, {"region_size": 64})
+        assert params == kept
+        make_scheme(name, **params)
 
 
 class TestCapabilityMetadata:
