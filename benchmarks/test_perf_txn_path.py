@@ -59,8 +59,9 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
 
 * **census** -- Python calls per op under ``cProfile``: 1 000 seeded ops
   of the paper, readmix and served op shapes of the end-to-end benchmark
-  (``benchmarks/e2e``'s shapes and load generator, used read-only), after
-  1 000 warm-up ops.  A count does not depend on how busy the machine
+  (``benchmarks/e2e``'s shapes and load generator, used read-only), and of
+  the served spec driven embedded (``served_twin``), after 1 000 warm-up
+  ops.  A count does not depend on how busy the machine
   is, so it can be gated where wall-clock ratios cannot: each must stay
   within 10 % of the count this tree measured on Python 3.11.
 
@@ -70,7 +71,8 @@ Three measurements, written to ``BENCH_txn.json`` at the repo root:
   warm-up, on the driving thread, with the totals over those ops by
   function, by file and by builtin (the function table sums exactly).  Also
   the bytecodes of one ``Table.insert`` and of one lookup + ``Table.update``
-  of the paper shape after the warm-up.  Gated like the census at 10 % over
+  of the paper shape after the warm-up, and ``front_end``: served less
+  ``served_twin``, bytecodes and C calls per op.  Gated like the census at 10 % over
   ``OPCODES_MEASURED``, keyed by Python minor version since the bytecode
   differs between minors; a version with no entry reports ungated.
 
@@ -90,6 +92,7 @@ gate for CI smoke runs (the census runs the same ops either way).
 from __future__ import annotations
 
 import cProfile
+import dataclasses
 import gc
 import json
 import os
@@ -918,9 +921,13 @@ def round_trip_results() -> dict:
 # --------------------------------------------------------------------------
 
 CENSUS_SHAPES = {
-    "paper": "embedded_paper_datacw",
-    "readmix": "embedded_readmix_strict",
-    "served": "served_short_datacw",
+    "paper": workload("embedded_paper_datacw"),
+    "readmix": workload("embedded_readmix_strict"),
+    "served": workload("served_short_datacw"),
+    #: The served spec's ops driven embedded: what served costs above it
+    #: is the serve front end (``front_end`` in the opcodes arm), less the
+    #: read the served client sends before each update.
+    "served_twin": dataclasses.replace(workload("served_short_datacw"), shape="embedded"),
 }
 CENSUS_WARMUP_OPS = 1000
 CENSUS_OPS = 1000
@@ -931,19 +938,20 @@ CENSUS_SEED = 1
 #: window ran in one manager call, 1 236 / 1 280 / 1 770; before the
 #: codeword table kept one delta loop, 1 086 / 1 195 / 1 612; before a
 #: precheck of a region nobody holds folded under the latch table's
-#: mutex instead of an acquire / release pair, 1 051 / 1 169 / 1 560.
-CENSUS_MEASURED = {"paper": 1051, "readmix": 1059, "served": 1541}
+#: mutex instead of an acquire / release pair, 1 051 / 1 169 / 1 560;
+#: before requests were tuples and the session found a data op's fields
+#: in the same lookup that refuses an unknown op, 1 051 / 1 059 / 1 541.
+CENSUS_MEASURED = {"paper": 1051, "readmix": 1059, "served": 1456, "served_twin": 1234}
 CENSUS_SLACK = 1.10
 
 
-def _seeded_shape(tmp_path, workload_name: str):
+def _seeded_shape(tmp_path, spec):
     """The census drive: the workload's shape created and loaded, its
     seeded warm-up + measured ops, and a function that runs a chunk of
     them through the shape's client, ``ops_per_txn`` to a transaction."""
-    spec = workload(workload_name)
     ops = loadgen.generate(spec, CENSUS_SEED, CENSUS_WARMUP_OPS + CENSUS_OPS)
     shape = shapes.shape_class(spec).create(
-        spec, str(tmp_path / workload_name), len(ops) + loadgen.MIX_BLOCK
+        spec, str(tmp_path / f"{spec.name}_{spec.shape}"), len(ops) + loadgen.MIX_BLOCK
     )
     client = shape.client()
 
@@ -957,8 +965,8 @@ def _seeded_shape(tmp_path, workload_name: str):
     return shape, ops, drive
 
 
-def _census_calls_per_op(tmp_path, workload_name: str) -> float:
-    shape, ops, drive = _seeded_shape(tmp_path, workload_name)
+def _census_calls_per_op(tmp_path, spec) -> float:
+    shape, ops, drive = _seeded_shape(tmp_path, spec)
     try:
         drive(ops[:CENSUS_WARMUP_OPS])
         profile = cProfile.Profile()
@@ -976,8 +984,8 @@ def _census_calls_per_op(tmp_path, workload_name: str) -> float:
 def census_results(tmp_path_factory) -> dict:
     base = tmp_path_factory.mktemp("census")
     calls = {
-        name: round(_census_calls_per_op(base, workload_name), 1)
-        for name, workload_name in CENSUS_SHAPES.items()
+        name: round(_census_calls_per_op(base, spec), 1)
+        for name, spec in CENSUS_SHAPES.items()
     }
     return {
         "warmup_ops": CENSUS_WARMUP_OPS,
@@ -1010,13 +1018,18 @@ OPCODE_OPS = 200
 #: 3 750), and before hot sites charged through compiled meter counters
 #: and a precheck of a free region folded under the latch table's mutex
 #: 19 140 / 25 711 / 28 074 (C calls 597 / 650 / 848; per call 7 607 /
-#: 3 762).
+#: 3 762), and before the meter counted into per-thread tallies with no
+#: lock, requests and responses were tuples and the session found a data
+#: op's fields in the same lookup that refuses an unknown op 18 203 /
+#: 21 738 / 26 941, twin 21 010 (C calls 597 /
+#: 564 / 829, twin 707; per call 7 373 / 3 528).
 OPCODES_MEASURED = {
     "3.11": {
-        "paper": {"bytecodes": 18203, "c_calls": 597},
-        "readmix": {"bytecodes": 21738, "c_calls": 564},
-        "served": {"bytecodes": 26941, "c_calls": 829},
-        "per_call": {"insert": 7373, "lookup_update": 3528},
+        "paper": {"bytecodes": 18055, "c_calls": 597},
+        "readmix": {"bytecodes": 21558, "c_calls": 563},
+        "served": {"bytecodes": 24989, "c_calls": 785},
+        "served_twin": {"bytecodes": 20844, "c_calls": 707},
+        "per_call": {"insert": 7337, "lookup_update": 3492},
     },
 }
 
@@ -1038,11 +1051,11 @@ def _builtin_name(function) -> str:
     return f"{module}.{qualname}" if module else qualname
 
 
-def _opcode_census(tmp_path, workload_name: str) -> dict:
+def _opcode_census(tmp_path, spec) -> dict:
     """Bytecodes per op by function (``sys.settrace`` with opcode events)
     and C calls per op by builtin (``sys.setprofile``) over ``OPCODE_OPS``
     seeded ops after the census warm-up, on the driving thread."""
-    shape, ops, drive = _seeded_shape(tmp_path, workload_name)
+    shape, ops, drive = _seeded_shape(tmp_path, spec)
     bytecodes: dict = defaultdict(int)
     c_calls: dict = defaultdict(int)
 
@@ -1137,14 +1150,16 @@ def opcode_results(tmp_path_factory) -> dict:
     base = tmp_path_factory.mktemp("opcodes")
     minor = "%d.%d" % sys.version_info[:2]
     measured = OPCODES_MEASURED.get(minor)
+    by_shape = {name: _opcode_census(base, spec) for name, spec in CENSUS_SHAPES.items()}
     return {
         "warmup_ops": CENSUS_WARMUP_OPS,
         "ops": OPCODE_OPS,
         "seed": CENSUS_SEED,
         "python": platform.python_version(),
-        "shapes": {
-            name: _opcode_census(base, workload_name)
-            for name, workload_name in CENSUS_SHAPES.items()
+        "shapes": by_shape,
+        "front_end": {
+            kind: round(by_shape["served"][kind] - by_shape["served_twin"][kind], 3)
+            for kind in ("bytecodes_per_op", "c_calls_per_op")
         },
         "per_call": _opcodes_per_call(base / "per_call"),
         "gate": None
@@ -1252,13 +1267,13 @@ class SeedLatch:
                 self._cond.notify_all()
 
 
-def _latch_bytes_retained(tmp_path, workload_name: str) -> dict:
+def _latch_bytes_retained(tmp_path, spec) -> dict:
     """Run the census drive (load included) under ``tracemalloc``; return
     what ``repro/txn/latches.py`` still holds before the shape closes."""
     only_latches = [tracemalloc.Filter(True, latches_module.__file__)]
     tracemalloc.start()
     try:
-        shape, ops, drive = _seeded_shape(tmp_path, workload_name)
+        shape, ops, drive = _seeded_shape(tmp_path, spec)
         try:
             drive(ops)
             # A full collection empties the interpreter's list and dict
@@ -1292,8 +1307,8 @@ def _pair_ns(pair, mode: str) -> float:
 def latch_memory_results(tmp_path_factory) -> dict:
     base = tmp_path_factory.mktemp("latchmem")
     retained = {
-        name: _latch_bytes_retained(base, workload_name)
-        for name, workload_name in CENSUS_SHAPES.items()
+        name: _latch_bytes_retained(base, spec)
+        for name, spec in CENSUS_SHAPES.items()
     }
     # The reference pair as the hot paths took it: the key's latch
     # object found in the table's dict, then acquired and released.

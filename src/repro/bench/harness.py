@@ -119,7 +119,7 @@ def run_scheme(
     db.checkpoint()
 
     start_ns = db.clock.now_ns
-    db.meter.reset()
+    db.meter.reset()  # exact: no other thread is charging yet
     runner = TPCBWorkload(db, workload_config)
     operations = runner.run()
     elapsed_s = (db.clock.now_ns - start_ns) / 1e9

@@ -105,7 +105,7 @@ def run_mix(
     """Run the mix once; returns (virtual ops/sec, event snapshot)."""
     db = build_mix_database(db_config, mix)
     db.checkpoint()
-    db.meter.reset()
+    db.meter.reset()  # exact: no other thread is charging yet
     start_ns = db.clock.now_ns
     workload = MixWorkload(db, mix)
     operations = workload.run()

@@ -28,7 +28,7 @@ request a data op is one tuple everywhere, ``(op, table, *args)`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: Data op -> the request fields it requires, in data-op tuple order.
 #: The one table the session validates against and the sharded router
@@ -54,22 +54,20 @@ ROW_OPS = frozenset({"read", "query"})
 MUTATING_OPS = frozenset({"insert", "update", "delete", "add"})
 
 
-@dataclass(frozen=True)
-class Request:
-    """One client operation."""
+class Request(NamedTuple):
+    """One client operation: a tuple, immutable and equal to any tuple of its fields."""
 
     op: str
     table: str | None = None
     slot: int | None = None
     key: int | None = None
-    values: dict | None = field(default=None)
+    values: dict | None = None
     #: Client-chosen correlation id, echoed in the response.
     request_id: int = 0
 
 
-@dataclass(frozen=True)
-class Response:
-    """Outcome of one request.
+class Response(NamedTuple):
+    """Outcome of one request, a tuple like :class:`Request`.
 
     ``ok=False`` carries the contained exception itself (``exc``, its
     traceback dropped; it pickles with its class and attributes, as on

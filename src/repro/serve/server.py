@@ -68,7 +68,8 @@ class Server:
         #: Guards the session registry and every field of the gate.
         self._guard = threading.Lock()
         self._closed = False
-        self._executing = 0
+        #: Executor slots not taken: ``workers`` less the requests executing.
+        self._free = workers
         #: One held lock per admitted-but-waiting request, oldest first;
         #: releasing it passes an executor slot to that request.
         self._waiters: deque[threading.Lock] = deque()
@@ -121,8 +122,8 @@ class Server:
         with self._guard:
             if self._closed:
                 raise ServeError("server is closed")
-            if self._executing < self.workers:
-                self._executing += 1
+            if self._free:
+                self._free -= 1
                 turn = None
             elif len(self._waiters) < self.queue_depth:
                 turn = threading.Lock()
@@ -147,7 +148,7 @@ class Server:
                     elif self._waiters:
                         self._waiters.popleft().release()
                     else:
-                        self._executing -= 1
+                        self._free += 1
                 raise
         try:
             return session.execute(request)
@@ -156,13 +157,13 @@ class Server:
                 if self._waiters:
                     self._waiters.popleft().release()
                 else:
-                    self._executing -= 1
+                    self._free += 1
 
     @property
     def executing(self) -> int:
         """Requests inside ``session.execute`` right now (<= ``workers``)."""
         with self._guard:
-            return self._executing
+            return self.workers - self._free
 
     @property
     def waiting(self) -> int:
@@ -195,6 +196,6 @@ class Server:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Server(sessions={len(self._sessions)}, executing={self._executing}, "
+            f"Server(sessions={len(self._sessions)}, executing={self.workers - self._free}, "
             f"waiting={len(self._waiters)}, admitted={self.requests_admitted})"
         )

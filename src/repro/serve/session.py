@@ -27,7 +27,8 @@ survives.
 from __future__ import annotations
 
 import threading
-from operator import attrgetter
+from functools import partial
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, ServeError, SimulatedCrash
@@ -37,8 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
     from repro.txn.transaction import Transaction
 
-#: Data op -> a getter of its request fields as a tuple, in data-op order.
-_DATA_FIELDS = {op: attrgetter(*fields) for op, fields in DATA_OPS.items()}
+#: Op -> the getter of a data op's tuple ``(op, table, *args)`` off a request, or None.
+_DATA_OP_OF = dict.fromkeys(OPS) | {
+    op: itemgetter(0, *map(Request._fields.index, f)) for op, f in DATA_OPS.items()
+}
 
 
 class LocalContext:
@@ -46,31 +49,32 @@ class LocalContext:
 
     def __init__(self, db: "Database") -> None:
         self.db = db
-        self.txn: "Transaction | None" = None
-
-    @property
-    def in_txn(self) -> bool:
-        return self.txn is not None
+        self._clear()
 
     def begin(self) -> int:
-        self.txn = self.db.begin()
-        return self.txn.txn_id
-
-    def apply(self, op: str, table: str, *args):
-        return self.db.apply(self.txn, op, table, *args)
+        self.txn = txn = self.db.begin()
+        self.in_txn = True
+        self.apply = partial(self.db.apply, txn)
+        return txn.txn_id
 
     def commit(self) -> int:
         # Cleared only on success: a failed commit leaves the transaction
         # for the session's containment to roll back.
         txn = self.txn
         self.db.commit(txn)
-        self.txn = None
+        self._clear()
         return txn.txn_id
 
     def abort(self) -> int:
-        txn, self.txn = self.txn, None
+        txn = self.txn
+        self._clear()
         self.db.abort(txn)
         return txn.txn_id
+
+    def _clear(self) -> None:
+        self.txn: "Transaction | None" = None
+        self.in_txn = False
+        self.apply = partial(self.db.apply, None)
 
 
 class Session:
@@ -104,40 +108,44 @@ class Session:
             if self.closed:
                 return self._error(request, ServeError("session is closed"))
             try:
-                return self._ok(request, self._dispatch(request))
+                value = self._dispatch(request)
             except SimulatedCrash:
                 raise
             except ReproError as exc:
                 return self._contain(request, exc)
+            self.requests_served += 1
+            return Response(True, request.op, request.request_id, value)
 
     def _dispatch(self, request: Request):
         op = request.op
-        if op not in OPS:
-            raise ServeError(f"unknown op {op!r}")
+        try:
+            data_op_of = _DATA_OP_OF[op]
+        except (KeyError, TypeError):  # TypeError: an unhashable op
+            raise ServeError(f"unknown op {op!r}") from None
         if self.read_only and op in MUTATING_OPS:
             raise ServeError(
                 f"op {op!r} rejected: session {self.session_id} is "
                 "read-only (replica not promoted)"
             )
-        if op == "begin":
-            if self.in_txn:
+        context = self.context
+        if data_op_of is None and op == "begin":
+            if context.in_txn:
                 raise ServeError(
                     f"session {self.session_id} already has an open transaction"
                 )
-            return self.context.begin()
-        if not self.in_txn:
+            return context.begin()
+        if not context.in_txn:
             raise ServeError(
                 f"session {self.session_id} has no open transaction; "
                 "send 'begin' first"
             )
-        get_args = _DATA_FIELDS.get(op)
-        if get_args is not None:
-            args = get_args(request)
-            if None in args:
-                missing = DATA_OPS[op][args.index(None)]
-                raise ServeError(f"op {op!r} needs {missing!r}")
-            return self.context.apply(op, *args)
-        return self._end(commit=op == "commit")
+        if data_op_of is None:
+            return self._end(commit=op == "commit")
+        data_op = data_op_of(request)
+        if None in data_op:
+            missing = DATA_OPS[op][data_op.index(None) - 1]
+            raise ServeError(f"op {op!r} needs {missing!r}")
+        return context.apply(*data_op)
 
     def _end(self, commit: bool) -> int:
         """Finish the open transaction; every commit and rollback on this
@@ -180,19 +188,8 @@ class Session:
 
     # ---------------------------------------------------------- helpers
 
-    def _ok(self, request: Request, value) -> Response:
-        self.requests_served += 1
-        return Response(
-            ok=True, op=request.op, request_id=request.request_id, value=value
-        )
-
     def _error(self, request: Request, exc: Exception) -> Response:
-        return Response(
-            ok=False,
-            op=request.op,
-            request_id=request.request_id,
-            exc=exc.with_traceback(None),
-        )
+        return Response(False, request.op, request.request_id, None, exc.with_traceback(None))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else ("in-txn" if self.in_txn else "idle")

@@ -109,7 +109,8 @@ class ShardSession(Session):
             if self._waiting:
                 self._waiting = False
                 self.server._graph_progress(self.session_id)
-            return self._ok(request, value)
+            self.requests_served += 1
+            return Response(True, request.op, request.request_id, value)
 
     def _consume_conviction(self) -> DeadlockError | None:
         """The detector convicted us since our last request; abort now."""

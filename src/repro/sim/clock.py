@@ -11,19 +11,21 @@ call issued -- in a :class:`Meter`.  Time is derived from the counts: the
 unit costs of a :class:`~repro.sim.costs.CostModel`, so events are priced
 in one place and a reported slowdown always decomposes into "N events of
 kind K at C ns each".
+
+Every thread counts into a tally of its own, so a charge takes no lock in
+either scheduler mode; reads merge the tallies under one registry lock.
+A read in mid-run never raises and the clock never runs backwards; totals
+are exact once the charging threads are quiet; ``Meter.reset`` is exact
+only when no other thread is charging.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.costs import CostModel
-
-#: Stands in for a thread-safe meter's lock on the single-threaded path.
-_UNLOCKED = nullcontext()
 
 
 def _reject_negative(*counts: int) -> None:
@@ -58,17 +60,32 @@ class VirtualClock:
 
 
 class _Tally(dict):
-    """Event totals: reading an event never charged gives 0 and adds no row.
-
-    ``collections.Counter`` reads the same way, but it defines
-    ``__delitem__``, which routes every ``tally[event] = n`` through a
-    Python-level slot lookup -- the larger half of what a charge cost.
-    """
+    """Event totals: reading an event never charged gives 0 and adds no row."""
 
     __slots__ = ()
 
     def __missing__(self, event: str) -> int:
         return 0
+
+
+def _add_touched(total: dict[str, int], tally: dict[str, int]) -> None:
+    """Add a thread's tally into ``total``, skipping rows no charge touched."""
+    for event, count in tally.items():
+        if count is not False:
+            total[event] += count
+
+
+class _ThreadTally(threading.local):
+    """One thread's event counts, made and registered on its first charge
+    (``threading.local`` runs ``__init__`` in each thread on first read): a
+    plain dict of every priced event, so an add takes the exact-dict fast
+    path.  ``False`` adds like 0 and marks an event no charge touched."""
+
+    def __init__(self, meter: "Meter") -> None:
+        self.counts = dict.fromkeys(meter._unit_ns, False)
+        with meter._registry:
+            meter._retire_exited()
+            meter._tallies.append((threading.current_thread(), self.counts))
 
 
 class Meter:
@@ -80,7 +97,7 @@ class Meter:
     silent free events would corrupt the cost accounting.
     """
 
-    __slots__ = ("clock", "costs", "counts", "_explicit", "_lock", "_unit_ns")
+    __slots__ = ("clock", "costs", "_explicit", "_mine", "_registry", "_retired", "_tallies", "_unit_ns")
 
     def __init__(self, clock: VirtualClock, costs: "CostModel") -> None:
         if clock.meter is not None:
@@ -90,24 +107,17 @@ class Meter:
         self.costs = costs
         #: The (frozen) cost model's table, read to validate every charge.
         self._unit_ns = costs.unit_costs
-        self.counts: dict[str, int] = _Tally()
+        #: Guards ``_tallies``, ``_retired``, ``_explicit`` and every merge.
+        self._registry = threading.Lock()
+        #: ``(thread, tally)`` for every live thread that has charged.
+        self._tallies: list[tuple[threading.Thread, dict[str, int]]] = []
+        #: The summed tallies of threads that have exited.
+        self._retired: dict[str, int] = _Tally()
+        self._mine = _ThreadTally(self)
         #: ``event -> ns``: how far the durations :meth:`charge_ns` gave
         #: differ from ``count x unit`` for the same charges, so every
-        #: event's nanoseconds follow from ``counts`` (:attr:`time_ns`).
+        #: event's nanoseconds follow from the counts (:attr:`time_ns`).
         self._explicit: dict[str, int] = _Tally()
-        # ``None`` on the single-threaded fast path; installed by
-        # ``enable_thread_safety`` when concurrent serving sessions share
-        # this meter, so counters never lose updates and readers never see
-        # them change mid-read.
-        self._lock: threading.Lock | None = None
-
-    def enable_thread_safety(self) -> None:
-        """Serialize charges and reads (concurrent serving / threaded
-        scheduler).  Virtual time loses its single-call-stack meaning once
-        real threads interleave, but the counters stay exact and the clock
-        never runs backwards -- which the fault and audit machinery needs."""
-        if self._lock is None:
-            self._lock = threading.Lock()
 
     def charge(self, event: str, count: int = 1) -> None:
         """Count ``count`` occurrences of ``event``.
@@ -123,12 +133,7 @@ class Meter:
             self.costs.unit_ns(event)  # raises the explanatory KeyError
         if count < 0:
             raise ValueError(f"cannot charge a negative count: {count}")
-        lock = self._lock
-        if lock is None:
-            self.counts[event] += count
-            return
-        with lock:
-            self.counts[event] += count
+        self._mine.counts[event] += count
 
     def counter(self, *events: str):
         """Compile an adder for a fixed group of one to three events.
@@ -138,30 +143,21 @@ class Meter:
         size)`` then counts ``1`` of the first and ``size`` of the second,
         the same as ``charge("log_record", 1)`` then ``charge("log_byte",
         size)``, in one call.  A negative count raises ``ValueError``
-        before any counter moves.  The adder adds to :attr:`counts` in
-        place (:meth:`reset` clears that dict, never replaces it) and
-        looks the meter's lock up when called, so one compiled before
-        :meth:`enable_thread_safety` serializes like :meth:`charge` after
-        it, the whole group at once.
+        before any counter moves.  The adder counts into the calling
+        thread's tally, so one compiled on any thread serves every thread.
         """
         unit_ns = self._unit_ns
         for event in events:
             if event not in unit_ns:
                 self.costs.unit_ns(event)  # raises the explanatory KeyError
-        counts = self.counts
-        meter = self
+        mine = self._mine
         if len(events) == 1:
             (e0,) = events
 
             def add(c0: int) -> None:
                 if c0 < 0:
                     _reject_negative(c0)
-                lock = meter._lock
-                if lock is None:
-                    counts[e0] += c0
-                    return
-                with lock:
-                    counts[e0] += c0
+                mine.counts[e0] += c0
 
         elif len(events) == 2:
             e0, e1 = events
@@ -169,14 +165,9 @@ class Meter:
             def add(c0: int, c1: int) -> None:
                 if c0 < 0 or c1 < 0:
                     _reject_negative(c0, c1)
-                lock = meter._lock
-                if lock is None:
-                    counts[e0] += c0
-                    counts[e1] += c1
-                    return
-                with lock:
-                    counts[e0] += c0
-                    counts[e1] += c1
+                counts = mine.counts
+                counts[e0] += c0
+                counts[e1] += c1
 
         elif len(events) == 3:
             e0, e1, e2 = events
@@ -184,16 +175,10 @@ class Meter:
             def add(c0: int, c1: int, c2: int) -> None:
                 if c0 < 0 or c1 < 0 or c2 < 0:
                     _reject_negative(c0, c1, c2)
-                lock = meter._lock
-                if lock is None:
-                    counts[e0] += c0
-                    counts[e1] += c1
-                    counts[e2] += c2
-                    return
-                with lock:
-                    counts[e0] += c0
-                    counts[e1] += c1
-                    counts[e2] += c2
+                counts = mine.counts
+                counts[e0] += c0
+                counts[e1] += c1
+                counts[e2] += c2
 
         else:
             raise TypeError(f"a counter counts one to three events, not {len(events)}")
@@ -211,40 +196,65 @@ class Meter:
             raise ValueError(f"cannot charge a negative duration: {ns}")
         if count < 0:
             raise ValueError(f"cannot charge a negative count: {count}")
-        with self._lock or _UNLOCKED:
-            self.counts[event] += count
+        counts = self._mine.counts  # outside the lock: a first read registers
+        with self._registry:
+            counts[event] = counts.get(event, False) + count
             self._explicit[event] += ns - self._unit_ns.get(event, 0) * count
 
-    def _times(self) -> dict[str, int]:
-        # The caller holds the lock (if any).
+    def _retire_exited(self) -> None:
+        """Move each exited thread's (final) tally into ``_retired``; run under
+        the registry lock on every read and registration."""
+        for entry in [entry for entry in self._tallies if not entry[0].is_alive()]:
+            self._tallies.remove(entry)
+            _add_touched(self._retired, entry[1])
+
+    def _merged(self) -> dict[str, int]:
+        """Every thread's counts summed, under the registry lock."""
+        self._retire_exited()
+        merged = _Tally(self._retired)
+        for _thread, tally in self._tallies:
+            _add_touched(merged, tally.copy())  # ``dict.copy`` runs whole, in C
+        return merged
+
+    def _times(self, counts: dict[str, int]) -> dict[str, int]:
         unit_ns, explicit = self._unit_ns, self._explicit
         return _Tally(
             (event, unit_ns.get(event, 0) * count + explicit[event])
-            for event, count in self.counts.items()
+            for event, count in counts.items()
         )
 
     def _now_ns(self) -> int:
-        with self._lock or _UNLOCKED:
-            return self.clock.base_ns + sum(self._times().values())
+        with self._registry:
+            return self.clock.base_ns + sum(self._times(self._merged()).values())
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Events counted so far, over every thread (a merged copy)."""
+        with self._registry:
+            return self._merged()
 
     @property
     def time_ns(self) -> dict[str, int]:
         """Nanoseconds charged per event: ``count x unit`` for the charges
         priced by the cost model (a sum of such products is the product
         of the sum), plus the durations :meth:`charge_ns` was given."""
-        with self._lock or _UNLOCKED:
-            return self._times()
+        with self._registry:
+            return self._times(self._merged())
 
     def snapshot(self) -> dict[str, tuple[int, int]]:
         """Return ``{event: (count, total_ns)}`` for reporting."""
-        with self._lock or _UNLOCKED:
-            time_ns = self._times()
-            counts = self.counts
+        with self._registry:
+            counts = self._merged()
+            time_ns = self._times(counts)
             return {event: (counts[event], time_ns[event]) for event in sorted(counts)}
 
     def reset(self) -> None:
-        """Clear the counters; the clock keeps the time they were worth."""
-        with self._lock or _UNLOCKED:
-            self.clock.base_ns += sum(self._times().values())
-            self.counts.clear()
+        """Clear the counters; the clock keeps the time they were worth.  Exact
+        only while no other thread charges: an add that spans the reset
+        writes back its pre-reset row, so that row counts twice."""
+        with self._registry:
+            self.clock.base_ns += sum(self._times(self._merged()).values())
+            for _thread, tally in self._tallies:
+                tally.update(dict.fromkeys(tally, False))
+            self._retired.clear()
             self._explicit.clear()

@@ -42,11 +42,7 @@ from repro.errors import (
 from repro.faults.crashpoints import CrashPointRegistry
 from repro.mem.allocator import SlotAllocator
 from repro.mem.memory import MemoryImage
-from repro.runtime.scheduler import (
-    THREADED,
-    Scheduler,
-    resolve_scheduler_mode,
-)
+from repro.runtime.scheduler import Scheduler, resolve_scheduler_mode
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import CostModel, DEFAULT_COSTS
 from repro.storage.btree import BTreeIndex
@@ -378,10 +374,6 @@ class Database:
         from repro.recovery.checkpoint import Checkpointer
 
         self.scheduler = Scheduler(self._scheduler_mode)
-        if self._scheduler_mode == THREADED:
-            # Worker threads and serving sessions share this meter; the
-            # lock keeps counts exact without touching the cost model.
-            self.meter.enable_thread_safety()
         self.system_log = SystemLog(
             os.path.join(self.config.dir, LOG_FILE),
             self.meter,
@@ -528,20 +520,21 @@ class Database:
         ``txn`` / ``txn_prepare`` commands all land here.
         """
         target = self.table(table)
-        if op == "insert":
-            return target.insert(txn, *args)
+        # The served TPC-B op's requests first: lookup, read, update, insert.
+        if op == "lookup":
+            return target.lookup(txn, *args)
         if op == "read":
             return target.read(txn, *args)
         if op == "update":
             slot, values = args
             target.update(txn, slot, values)
             return slot
+        if op == "insert":
+            return target.insert(txn, *args)
         if op == "delete":
             (slot,) = args
             target.delete(txn, slot)
             return slot
-        if op == "lookup":
-            return target.lookup(txn, *args)
         if op == "query":  # index lookup + record read, the TPC-B point read
             slot = target.lookup(txn, *args)
             return None if slot is None else target.read(txn, slot)

@@ -305,6 +305,40 @@ class TestConflictRecruitment:
         db2.commit(txn)
 
 
+    @pytest.mark.parametrize("scheme", ["read_logging", "cw_read_logging"])
+    def test_conflict_alone_recruits_a_txn_the_cdt_cannot(
+        self, db_factory, recover, scheme
+    ):
+        """The carrier updates account 8 before it reads the corrupt
+        account 1, so that write is redone, stays on its frozen undo log
+        and never enters the CDT.  A later transaction that only updates
+        account 8 touches nothing the CDT holds and passes every read
+        checksum; the conflict rule alone recruits it, or the carrier's
+        rollback of account 8 would land on top of the later write."""
+        db, slots = corrupted_db(db_factory, scheme, region_size=32)
+        table = db.table("acct")
+        FaultInjector(db, seed=9).wild_write(table.record_address(slots[1]) + 8, 8)
+        txn = db.begin()
+        table.update(txn, slots[8], {"balance": 800})
+        table.read(txn, slots[1])  # becomes corrupt at recovery
+        db.commit(txn)
+        carrier = txn.txn_id
+        txn = db.begin()
+        table.update(txn, slots[8], {"balance": 801})
+        db.commit(txn)
+        later = txn.txn_id
+        report = db.audit()
+        assert not report.clean
+        db.crash_with_corruption(report)
+        db2, rec = recover(db.config)
+        assert rec.recruited[carrier].startswith("read")
+        assert rec.recruited[later] == f"conflicts with corrupt undo on acct:{slots[8]}"
+        assert rec.deleted_set == {carrier, later}
+        txn = db2.begin()
+        assert db2.table("acct").read(txn, slots[8])["balance"] == 100
+        db2.commit(txn)
+
+
 class TestHardwareNeedsNoRecovery:
     def test_trap_leaves_nothing_to_recover(self, db_factory, recover):
         from repro.errors import ProtectionFault

@@ -17,7 +17,8 @@ reference's ``charge_ns`` below rejects it too, so the property keeps
 drawing negative counts there.
 
 A second property holds ``Meter.counter`` to ``Meter.charge`` on two
-meters: the same calls, with and without thread safety, across resets.
+meters: the same calls, across resets.  The meter under threads is
+``tests/test_thread_safety.py::TestMeterUnderThreads``.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ calls = st.one_of(
         st.integers(-2, 4),
     ),
     st.just(("reset",)),
-    st.just(("enable_thread_safety",)),
 )
 
 
@@ -223,7 +223,6 @@ class TestParentMeterIdentity:
 counter_calls = st.one_of(
     groups.map(lambda group: ("counter", group)),
     st.just(("reset",)),
-    st.just(("enable_thread_safety",)),
 )
 
 
@@ -246,8 +245,7 @@ class TestCounterIdentity:
     @given(st.lists(counter_calls, max_size=40), st.booleans())
     def test_counters_are_charges(self, history, precompile):
         """``precompile`` compiles every counter before the first call,
-        so the ones called after ``enable_thread_safety`` or ``reset``
-        were compiled before it."""
+        so the ones called after ``reset`` were compiled before it."""
         charged, counted = Meter(VirtualClock(), DEFAULT_COSTS), Meter(VirtualClock(), DEFAULT_COSTS)
         adders = {}
         if precompile:
@@ -293,16 +291,3 @@ class TestCounterIdentity:
             "log_record": (1, DEFAULT_COSTS.unit_ns("log_record")),
             "log_byte": (8, 8 * DEFAULT_COSTS.unit_ns("log_byte")),
         }
-
-    def test_counter_compiled_before_thread_safety_takes_the_lock(self):
-        meter = Meter(VirtualClock(), DEFAULT_COSTS)
-        add = meter.counter("latch_pair")
-        meter.enable_thread_safety()
-        done = threading.Event()
-        with meter._lock:
-            worker = threading.Thread(target=lambda: (add(1), done.set()))
-            worker.start()
-            assert not done.wait(0.05)  # blocked behind the meter's lock
-            assert meter.counts == {}
-        worker.join(5)
-        assert done.is_set() and meter.counts == {"latch_pair": 1}

@@ -14,7 +14,9 @@ gauges, with the waits of ``tests/gate_probe.py``.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -143,6 +145,17 @@ class TestSessionSemantics:
         ok(server, session, op="begin")
         ok(server, session, op="commit")
 
+    @pytest.mark.parametrize("end", ["commit", "abort"])
+    def test_an_idle_session_holds_no_finished_transaction(self, served, end):
+        db, server = served
+        session = server.open_session()
+        ok(server, session, op="begin")
+        ok(server, session, op="update", table="acct", slot=0, values={"balance": 7})
+        finished = weakref.ref(session.context.txn)
+        ok(server, session, op=end)
+        gc.collect()
+        assert finished() is None
+
     def test_closed_session_refuses_requests(self, served):
         db, server = served
         session = server.open_session()
@@ -200,6 +213,7 @@ def _malformed_requests():
             yield f"{op}-without-{missing}", True, Request(op, **kept)
     yield "unknown-op-idle", False, Request("frobnicate")
     yield "unknown-op-in-txn", True, Request("frobnicate")
+    yield "unhashable-op-in-txn", True, Request(["insert"], table="acct", values={})
     yield "commit-without-begin", False, Request("commit")
     yield "abort-without-begin", False, Request("abort")
     yield "data-op-without-begin", False, Request("query", table="acct", key=1)

@@ -5,7 +5,7 @@ meter from many threads at once and assert *exact* invariants (no lost
 grants, dense LSNs, exact counters).  They fail on the pre-hardening
 code -- an unsynchronized ``grants[:] = [...]`` rebuild loses concurrent
 appends, and unguarded ``next_lsn += 1`` duplicates LSNs -- and pin the
-mutexes added for concurrent serving.
+mutexes added for concurrent serving and the meter's per-thread tallies.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class TestLockManagerUnderThreads:
 class TestSystemLogUnderThreads:
     def test_concurrent_appends_assign_dense_unique_lsns(self, tmp_path):
         meter = Meter(VirtualClock(), DEFAULT_COSTS)
-        meter.enable_thread_safety()
         log = SystemLog(str(tmp_path / "stress.log"), meter)
         barrier = threading.Barrier(THREADS)
 
@@ -140,7 +139,6 @@ class TestSystemLogUnderThreads:
         frame lands whole, with a unique dense LSN, and the stable log
         decodes to exactly what was appended."""
         meter = Meter(VirtualClock(), DEFAULT_COSTS)
-        meter.enable_thread_safety()
         log = SystemLog(str(tmp_path / "frames.log"), meter)
         barrier = threading.Barrier(THREADS + 1)
         done = threading.Event()
@@ -194,7 +192,6 @@ class TestSystemLogUnderThreads:
 
     def test_appends_racing_a_flush_ride_the_next_flush(self, tmp_path):
         meter = Meter(VirtualClock(), DEFAULT_COSTS)
-        meter.enable_thread_safety()
         log = SystemLog(str(tmp_path / "raceflush.log"), meter)
         stop = threading.Event()
         appended = [0]
@@ -222,7 +219,6 @@ class TestSystemLogUnderThreads:
 class TestMeterUnderThreads:
     def test_charges_are_exact_with_thread_safety_enabled(self):
         meter = Meter(VirtualClock(), DEFAULT_COSTS)
-        meter.enable_thread_safety()
         barrier = threading.Barrier(THREADS)
 
         def worker(_thread_id: int) -> None:
@@ -242,13 +238,12 @@ class TestMeterUnderThreads:
         assert meter.clock.now_ns == expected_ns
 
     def test_readers_never_see_counts_change_mid_read(self):
-        """``snapshot`` / ``time_ns`` / ``now_ns`` walk the counters under
-        the same mutex the charges take: a reader racing charges and
-        resets neither trips over a counter table that changes size under
-        it nor sees the clock run backwards."""
+        """``snapshot`` / ``time_ns`` / ``now_ns`` merge the tallies under
+        the registry lock that ``charge_ns`` and ``reset`` take: a reader
+        racing charges and resets neither trips over a tally that changes
+        size under it nor sees the clock run backwards."""
         clock = VirtualClock()
         meter = Meter(clock, DEFAULT_COSTS)
-        meter.enable_thread_safety()
         barrier = threading.Barrier(2)
         errors: list[BaseException] = []
         readings: list[int] = []
@@ -284,3 +279,114 @@ class TestMeterUnderThreads:
         assert readings == sorted(readings)
         per_round = sum(DEFAULT_COSTS.unit_costs.values()) + 5
         assert clock.now_ns == 3000 * per_round
+
+    def test_exited_threads_tallies_retire_when_a_thread_registers(self):
+        """A run that keeps starting short-lived charging threads and never
+        reads the meter holds no tally of a thread that has exited."""
+        meter = Meter(VirtualClock(), DEFAULT_COSTS)
+        add = meter.counter("log_record")
+        for _ in range(20):
+            thread = threading.Thread(target=add, args=(1,))
+            thread.start()
+            thread.join()
+        assert len(meter._tallies) <= 2  # this thread's and the last one's
+        assert meter.counts["log_record"] == 20
+
+    def test_adders_compiled_before_the_threads_count_exactly(self):
+        """Adders compiled on this thread and called from ``THREADS``
+        others count into each caller's own tally.  One thread exits
+        before the first read while the rest stay alive; the totals and
+        the clock are exact at that read and after every thread exits."""
+        meter = Meter(VirtualClock(), DEFAULT_COSTS)
+        one = meter.counter("latch_pair")
+        two = meter.counter("log_record", "log_byte")
+        three = meter.counter("cw_maint_fixed", "cw_maint_word", "flush_fixed")
+        start, charged = threading.Barrier(THREADS), threading.Barrier(THREADS + 1)
+        release = threading.Event()
+
+        def worker(thread_id: int) -> None:
+            start.wait()
+            for _ in range(ROUNDS):
+                one(1)
+                two(1, 3)
+                three(1, 16, 2)
+            charged.wait()
+            if thread_id:  # thread 0 exits before the first read
+                release.wait(120)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        total = THREADS * ROUNDS
+        expected = {
+            "latch_pair": total,
+            "log_record": total,
+            "log_byte": 3 * total,
+            "cw_maint_fixed": total,
+            "cw_maint_word": 16 * total,
+            "flush_fixed": 2 * total,
+        }
+        expected_ns = sum(DEFAULT_COSTS.unit_ns(e) * count for e, count in expected.items())
+        try:
+            charged.wait()
+            threads[0].join(120)
+            assert not threads[0].is_alive() and all(t.is_alive() for t in threads[1:])
+            assert meter.counts == expected
+            assert meter.clock.now_ns == expected_ns
+        finally:
+            release.set()
+        for thread in threads:
+            thread.join(120)
+            assert not thread.is_alive(), "stress worker deadlocked"
+        assert meter.counts == expected
+        assert meter.clock.now_ns == expected_ns
+
+    def test_readers_racing_adders_never_raise_or_run_the_clock_backwards(self):
+        """Two threads charge every priced event through adders compiled
+        before they started, one more event each round (so their tallies
+        keep growing rows while being read), and two readers merge them
+        throughout: no read raises, each reader's clock never decreases,
+        and the totals come out exact once the chargers have exited."""
+        clock = VirtualClock()
+        meter = Meter(clock, DEFAULT_COSTS)
+        events = sorted(DEFAULT_COSTS.unit_costs)
+        adders = [meter.counter(event) for event in events]
+        chargers, readers = 2, 2
+        barrier = threading.Barrier(chargers + readers)
+        errors: list[BaseException] = []
+        readings: list[list[int]] = [[] for _ in range(readers)]
+
+        def charger() -> None:
+            barrier.wait()
+            for round_ in range(ROUNDS):
+                for add in adders[: round_ + 1]:
+                    add(round_ % 3)
+
+        def reader(index: int) -> None:
+            barrier.wait()
+            for _ in range(READS // 3):
+                try:
+                    meter.snapshot()
+                    meter.counts
+                    meter.time_ns
+                    readings[index].append(clock.now_ns)
+                except Exception as exc:  # noqa: BLE001 - every failure is reported
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=charger) for _ in range(chargers)]
+        threads += [threading.Thread(target=reader, args=(i,)) for i in range(readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "stress worker deadlocked"
+        assert errors == []
+        assert all(mine == sorted(mine) for mine in readings)
+        expected = {
+            event: chargers * sum(round_ % 3 for round_ in range(index, ROUNDS))
+            for index, event in enumerate(events)
+        }
+        assert meter.counts == expected
+        assert clock.now_ns == sum(
+            DEFAULT_COSTS.unit_ns(event) * count for event, count in expected.items()
+        )
