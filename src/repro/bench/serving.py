@@ -2,7 +2,7 @@
 wild writes into cold records scored on ground truth.
 
 Each schedule opens ``sessions`` sessions on one
-:class:`~repro.serve.Server` over a default (deterministic-scheduler)
+:class:`~repro.serve.Server` over a default (no background threads)
 ``data_codeword`` database.  Session ``s`` runs begin/query/update/commit
 transactions on account ``s``; the schedule's rng picks whose request
 runs next, one at a time, so many sessions hold open transactions while

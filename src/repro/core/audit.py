@@ -20,26 +20,26 @@ restart can seed its CorruptDataTable.
 The routine policy has one knob, ``full_sweep_every``: 1 makes every
 routine audit a full sweep (the paper's checkpoint audit); K > 1 makes
 routine audits dirty-region passes with every K-th one a full sweep.
-With ``background`` on, that full sweep's fold runs as scheduler work
-(:meth:`~repro.runtime.scheduler.Scheduler.spawn`): ``fold_all`` is one
-GIL-releasing numpy reduction, so under a threaded scheduler it overlaps
-the mutator -- validate beside the mutator, not on its critical path
-(the Sandboxing-STM observation).  Under a deterministic scheduler the
-fold defers and runs inline at join.  Either way the verdict, the log
-records and the meter charges are the inline sweep's: only the fold is
+With ``background`` on, the auditor runs that full sweep's fold apart
+from its bracket (:class:`_Fold`).  With ``threaded`` on, the fold runs
+on a daemon thread: ``fold_all`` is one GIL-releasing numpy reduction,
+so it overlaps the mutator -- validate beside the mutator, not on its
+critical path (the Sandboxing-STM observation).  Otherwise the fold
+defers and runs inline at join.  Either way the verdict, the log records
+and the meter charges are the inline sweep's: only the fold is
 background work, and regions the mutator touched while it raced memory
 are re-checked on the joining thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.core.pipeline import ProtectionPipeline
-from repro.runtime.scheduler import TaskHandle
 from repro.wal.records import AuditBeginRecord, AuditEndRecord
 from repro.wal.system_log import SystemLog
 
@@ -88,12 +88,53 @@ class AuditReport:
         return tuple(ranges)
 
 
+class _Fold:
+    """A background sweep's fold, in one of two forms.
+
+    *Threaded*: the fold starts on a daemon thread at once; ``result()``
+    joins it and re-raises its exception.  *Deferred*: the fold runs
+    inline at the first ``result()``, and never runs if the sweep is
+    abandoned.  ``result()`` is idempotent; ``abandon()`` waits a
+    threaded fold out and discards its value.
+    """
+
+    def __init__(self, fn: Callable[[], np.ndarray], threaded: bool, name: str) -> None:
+        self._fn: Callable[[], np.ndarray] | None = fn
+        self._value: np.ndarray | None = None
+        self._error: BaseException | None = None
+        self._thread: threading.Thread | None = None
+        if threaded:
+            self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+            self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            self._value = self._fn()
+        except BaseException as exc:
+            self._error = exc
+        self._fn = None
+
+    def result(self) -> np.ndarray:
+        if self._thread is not None:
+            self._thread.join()
+        elif self._fn is not None:
+            self._run()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def abandon(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+        self._fn = None
+
+
 class _Sweep(NamedTuple):
     """An in-flight background sweep: its open bracket and its fold."""
 
     audit_id: int
     begin_lsn: int
-    handle: TaskHandle
+    handle: _Fold
 
 
 class Auditor:
@@ -106,17 +147,16 @@ class Auditor:
         *,
         full_sweep_every: int = 1,
         background: bool = False,
-        scheduler,
+        threaded: bool = False,
     ) -> None:
         #: The data log: ``Audit_SN`` is an LSN of this log, and audit
         #: brackets go here unless :meth:`use_scratch_log` redirects them.
         self.system_log = system_log
         self._scratch_log: SystemLog | None = None
         self.scheme = scheme
-        #: The database's task scheduler (``repro.runtime``).  Background
-        #: sweep folds are spawned through it so the shutdown/crash drain
-        #: settles them.
-        self.scheduler = scheduler
+        #: Run a background sweep's fold on a daemon thread rather than
+        #: deferring it to the join (see :class:`_Fold`).
+        self.threaded = threaded
         self._next_audit_id = 1
         #: LSN at which the last clean whole-image sweep began (Audit_SN);
         #: recovery conservatively treats everything after it as suspect.
@@ -415,7 +455,7 @@ class Auditor:
     # ------------------------------------------------- background sweeps
 
     def start_background_sweep(self) -> bool:
-        """Open a full-sweep bracket and spawn its fold; True if started.
+        """Open a full-sweep bracket and start its fold; True if started.
 
         The snapshot/epoch handshake with the maintainer: pending deferred
         deltas are flushed *first*, then :meth:`begin_sweep_tracking`
@@ -434,8 +474,8 @@ class Auditor:
             maintainer.flush_pending()
         audit_id, begin = self._open()
         maintainer.begin_sweep_tracking()
-        handle = self.scheduler.spawn(f"audit.sweep.{audit_id}", table.fold_all)
-        self._sweep = _Sweep(audit_id, begin, handle)
+        fold = _Fold(table.fold_all, self.threaded, f"audit.sweep.{audit_id}")
+        self._sweep = _Sweep(audit_id, begin, fold)
         return True
 
     def join_background_sweep(
@@ -456,7 +496,6 @@ class Auditor:
         maintainer = self.scheme.maintainer
         table = self.scheme.codeword_table
         computed = sweep.handle.result()
-        self.scheduler.forget(sweep.handle)
         touched = maintainer.end_sweep_tracking()
         ids, quarantined = self._exclude_quarantined(None, skip_quarantined)
         maintainer.charge_checks(ids)
@@ -492,4 +531,3 @@ class Auditor:
         if maintainer is not None and maintainer.sweep_tracking:
             maintainer.end_sweep_tracking()
         sweep.handle.abandon()
-        self.scheduler.forget(sweep.handle)

@@ -112,7 +112,6 @@ class Replica:
         self.failed_audits: list = []
         self.promoted = False
         self._batches_since_audit = 0
-        db.scheduler.register_tick("replica.audit", ("replay",), self._audit_tick)
 
     # --------------------------------------------------------- lifecycle
 
@@ -288,15 +287,15 @@ class Replica:
         self.applied_records += len(frames)
         self.applied_batches += 1
         crashpoints.reach("replica.after_apply")
-        self.db.scheduler.tick("replay")
+        self._audit_cadence()
 
-    def _audit_tick(self, _event: str) -> None:
-        """Tick task ``replica.audit`` (event ``"replay"``).
+    def _audit_cadence(self) -> None:
+        """The replica's own audit cadence, run after each applied batch.
 
-        The replica's own audit cadence: every ``audit_every`` applied
-        batches run the database's routine audit (dirty-region passes
-        with a full sweep every ``full_sweep_every``-th call) -- entirely
-        against the replica's own table.
+        Every ``audit_every`` applied batches run the database's routine
+        audit (dirty-region passes with a full sweep every
+        ``full_sweep_every``-th call) -- entirely against the replica's
+        own table.
         """
         self._batches_since_audit += 1
         if self._batches_since_audit < self.audit_every:

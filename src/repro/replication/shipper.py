@@ -24,9 +24,7 @@ The replica therefore evaluates each epoch at exactly the state the
 primary certified.
 
 The pump is a program point, not a thread: the campaign and the serving
-integration call :meth:`LogShipper.pump` at commit/checkpoint ticks, in
-keeping with the deterministic scheduler
-(:mod:`repro.runtime.scheduler`).
+integration call :meth:`LogShipper.pump` after commits and checkpoints.
 """
 
 from __future__ import annotations

@@ -1,27 +1,13 @@
-"""Runtime subsystem: the explicit task scheduler.
+"""Runtime subsystem: the interval ticker and the scheduler-mode knob.
 
-See :mod:`repro.runtime.scheduler` for the model (tick tasks, background
-handles, drain steps) and ``docs/serving.md`` for the task taxonomy.
+See :mod:`repro.runtime.scheduler`.
 """
 
 from repro.runtime.scheduler import (
     DETERMINISTIC,
     THREADED,
-    InlineHandle,
     Scheduler,
-    TaskHandle,
-    TaskInfo,
-    ThreadHandle,
     resolve_scheduler_mode,
 )
 
-__all__ = [
-    "DETERMINISTIC",
-    "THREADED",
-    "InlineHandle",
-    "Scheduler",
-    "TaskHandle",
-    "TaskInfo",
-    "ThreadHandle",
-    "resolve_scheduler_mode",
-]
+__all__ = ["DETERMINISTIC", "THREADED", "Scheduler", "resolve_scheduler_mode"]

@@ -50,9 +50,6 @@ OPS = ("begin", "commit", "abort", *DATA_OPS)
 #: Data ops that answer with a row; the others answer with a slot id.
 ROW_OPS = frozenset({"read", "query"})
 
-#: Ops a read-only session (an unpromoted replica) rejects.
-MUTATING_OPS = frozenset({"insert", "update", "delete", "add"})
-
 
 class Request(NamedTuple):
     """One client operation: a tuple, immutable and equal to any tuple of its fields."""

@@ -14,11 +14,10 @@ admission gate every submit passes through:
   to the submitting client: load is shed at admission, never buffered
   without bound.
 
-The gate is the same under either scheduler mode; a single-threaded
-(deterministic) caller always finds a free slot and never waits.
+A single-threaded caller always finds a free slot and never waits.
 
 The server adds no locking of its own around database state: the lock
-manager, latches, system-log mutex and scheduler already make the
+manager, latches, system-log mutex and group-commit mutex already make the
 storage layers safe for concurrent sessions; the server only guards its
 own session registry and the gate.
 """
@@ -50,7 +49,6 @@ class Server:
         *,
         queue_depth: int = 64,
         workers: int = 4,
-        read_only: bool = False,
         threaded: bool | None = None,
     ) -> None:
         if queue_depth < 1:
@@ -58,9 +56,6 @@ class Server:
         if workers < 1:
             raise ServeError(f"workers must be >= 1: {workers}")
         self.db = db
-        #: A replica front-end: every session rejects mutating ops until
-        #: :meth:`promote_to_primary` flips the flag after failover.
-        self.read_only = read_only
         self.workers = workers
         self.queue_depth = queue_depth
         self._sessions: dict[int, Session] = {}
@@ -90,18 +85,7 @@ class Server:
     def _make_session(self, session_id: int) -> Session:
         """Session factory, overridden by fronts with richer sessions
         (the sharded front-end builds router-backed sessions here)."""
-        return Session(self.db, session_id, read_only=self.read_only)
-
-    def promote_to_primary(self) -> None:
-        """After a certified failover, start admitting writes.
-
-        Existing sessions flip too: the promotion point is a state
-        change of the node, not of individual connections.
-        """
-        with self._guard:
-            self.read_only = False
-            for session in self._sessions.values():
-                session.read_only = False
+        return Session(self.db, session_id)
 
     def close_session(self, session: Session) -> None:
         session.close()

@@ -4,7 +4,7 @@ A session owns at most one open transaction at a time and serializes its
 own requests (an internal lock -- a client that shares a session between
 threads gets in-order execution, not interleaving).  It validates every
 request against :mod:`repro.serve.protocol` -- known op, required fields
-(``DATA_OPS``), transaction state, read-only -- and then drives a
+(``DATA_OPS``), transaction state -- and then drives a
 **transaction context**: ``begin() / apply(op, table, *args) / commit()
 / abort()`` plus ``in_txn``, where ``(op, table, *args)`` is the data-op
 tuple built from the request's ``DATA_OPS`` fields.  There are exactly
@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, ServeError, SimulatedCrash
-from repro.serve.protocol import DATA_OPS, MUTATING_OPS, OPS, Request, Response
+from repro.serve.protocol import DATA_OPS, OPS, Request, Response
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.database import Database
@@ -80,13 +80,8 @@ class LocalContext:
 class Session:
     """One client's view of the database."""
 
-    def __init__(
-        self, db, session_id: int, read_only: bool = False, context=None
-    ) -> None:
+    def __init__(self, db, session_id: int, context=None) -> None:
         self.session_id = session_id
-        #: Read-only sessions (a hot standby serving reads before
-        #: promotion) reject every mutating op with a contained error.
-        self.read_only = read_only
         self.context = LocalContext(db) if context is None else context
         self.closed = False
         self._serial = threading.Lock()
@@ -122,11 +117,6 @@ class Session:
             data_op_of = _DATA_OP_OF[op]
         except (KeyError, TypeError):  # TypeError: an unhashable op
             raise ServeError(f"unknown op {op!r}") from None
-        if self.read_only and op in MUTATING_OPS:
-            raise ServeError(
-                f"op {op!r} rejected: session {self.session_id} is "
-                "read-only (replica not promoted)"
-            )
         context = self.context
         if data_op_of is None and op == "begin":
             if context.in_txn:

@@ -39,10 +39,9 @@ caller and stayed there.  :class:`ShardSupervisor` closes the loop:
 
 The supervisor runs either *manually* (call :meth:`tick` from a test or
 a driver loop; fully deterministic) or *automatically*: :meth:`start`
-rides the existing :class:`~repro.runtime.scheduler.Scheduler` machinery
--- a threaded scheduler whose ``"interval"`` tick drives supervision in
-the background, the same task plumbing that drives group-commit
-deadlines and background sweeps.  Closing or crashing the database
+registers :meth:`tick` on a
+:class:`~repro.runtime.scheduler.Scheduler`, whose ``"interval"`` ticker
+drives supervision in the background.  Closing or crashing the database
 stops it: no tick reopens a shard of a closed database.
 
 :class:`WaitForGraph` is the cross-shard deadlock half of the story.
@@ -64,7 +63,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from repro.errors import ReproError, ShardError, ShardUnavailableError
-from repro.runtime.scheduler import THREADED, Scheduler
+from repro.runtime.scheduler import Scheduler
 from repro.shard.router import ShardedDatabase
 from repro.shard.shard import open_shard
 
@@ -145,18 +144,14 @@ class ShardSupervisor:
         self._attached = False
 
     def start(self) -> "ShardSupervisor":
-        """Run supervision automatically on a threaded scheduler tick.
-
-        The supervisor owns a tiny :class:`Scheduler` of its own (the
-        router has no single scheduler -- each shard database runs one
-        *inside* its worker) and registers :meth:`tick` as an
-        ``"interval"`` task, the same machinery that drives background
-        sweeps elsewhere.
+        """Run supervision automatically: :meth:`tick` becomes the
+        ``"interval"`` task of a :class:`Scheduler` this
+        supervisor owns.
         """
         if not self._attached:
             self.attach()
         if self._scheduler is None:
-            self._scheduler = Scheduler(THREADED, tick_interval_s=TICK_INTERVAL_S)
+            self._scheduler = Scheduler(TICK_INTERVAL_S)
             self._scheduler.register_tick(
                 "supervise", ("interval",), self._scheduled_tick
             )

@@ -1,7 +1,7 @@
 """The per-core shard worker: a ShardCore behind a multiprocessing pipe.
 
 One worker process owns one shard outright -- image, codeword table,
-system log, checkpointer, scheduler threads -- so N shards fold codewords
+system log, checkpointer, sweep threads -- so N shards fold codewords
 and flush logs on N cores with no shared GIL.  The protocol over the pipe
 is deliberately dumb: the parent sends command tuples
 (:meth:`~repro.shard.core.ShardCore.execute` commands), the worker answers

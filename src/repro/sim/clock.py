@@ -12,8 +12,8 @@ unit costs of a :class:`~repro.sim.costs.CostModel`, so events are priced
 in one place and a reported slowdown always decomposes into "N events of
 kind K at C ns each".
 
-Every thread counts into a tally of its own, so a charge takes no lock in
-either scheduler mode; reads merge the tallies under one registry lock.
+Every thread counts into a tally of its own, so a charge takes no lock,
+threaded or not; reads merge the tallies under one registry lock.
 A read in mid-run never raises and the clock never runs backwards; totals
 are exact once the charging threads are quiet; ``Meter.reset`` is exact
 only when no other thread is charging.

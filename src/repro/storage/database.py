@@ -42,7 +42,7 @@ from repro.errors import (
 from repro.faults.crashpoints import CrashPointRegistry
 from repro.mem.allocator import SlotAllocator
 from repro.mem.memory import MemoryImage
-from repro.runtime.scheduler import Scheduler, resolve_scheduler_mode
+from repro.runtime.scheduler import THREADED, resolve_scheduler_mode
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import CostModel, DEFAULT_COSTS
 from repro.storage.btree import BTreeIndex
@@ -114,13 +114,10 @@ class DBConfig:
     #: image + overlapping log records, the Section 4.1/4.2 cache-recovery
     #: machinery -- and then proceeds instead of raising.
     quarantine_repair: bool = False
-    #: Task scheduler mode (see :mod:`repro.runtime.scheduler`).
-    #: ``"auto"`` keeps pre-scheduler behaviour: ``"threaded"`` iff
-    #: ``background_sweeps`` is on, ``"deterministic"`` otherwise.
-    #: Deterministic mode runs every scheduled task inline at its trigger
-    #: point (meter-identical to the historical inline code, property-
-    #: tested); threaded mode backs background folds with worker threads
-    #: and is what the serving front-end (:mod:`repro.serve`) requires.
+    #: Whether a background sweep's fold runs on a thread: ``"threaded"``
+    #: runs it on a daemon thread beside the mutator, ``"deterministic"``
+    #: defers it to the join (same verdict and meter charges, no
+    #: threads).  ``"auto"`` is ``"threaded"`` iff ``background_sweeps``.
     scheduler_mode: str = "auto"
 
 
@@ -159,12 +156,11 @@ class Database:
                 "(it offloads the periodic full sweep of dirty-region audits)"
             )
         # Validate eagerly (ConfigError at construction, like every other
-        # knob); the scheduler itself is built per log/manager epoch.
-        # Note background_sweeps under an explicit "deterministic" mode is
-        # legal: the sweep fold defers and runs inline at its join point,
-        # same verdict and same meter charges, no threads.
-        self._scheduler_mode = resolve_scheduler_mode(
-            config.scheduler_mode, config.background_sweeps
+        # knob).  background_sweeps under "deterministic" is legal: the
+        # sweep fold defers and runs inline at its join point.
+        self._threaded_sweeps = (
+            resolve_scheduler_mode(config.scheduler_mode, config.background_sweeps)
+            == THREADED
         )
         os.makedirs(config.dir, exist_ok=True)
         self.clock = VirtualClock()
@@ -200,7 +196,6 @@ class Database:
         self.system_log: SystemLog | None = None
         self.manager: TransactionManager | None = None
         self.auditor: Auditor | None = None
-        self.scheduler: Scheduler | None = None
         self.checkpointer = None  # set in start()/recover()
         self.tables: dict[str, Table] = {}
         self._table_defs: list[_TableDef] = []
@@ -373,7 +368,6 @@ class Database:
     def _open_log_and_manager(self) -> None:
         from repro.recovery.checkpoint import Checkpointer
 
-        self.scheduler = Scheduler(self._scheduler_mode)
         self.system_log = SystemLog(
             os.path.join(self.config.dir, LOG_FILE),
             self.meter,
@@ -386,7 +380,6 @@ class Database:
             self.pipeline,
             self.meter,
             group_commit_size=self.config.group_commit_size,
-            scheduler=self.scheduler,
         )
         self.manager.undo_executor = self._dispatch_logical_undo
         if self.quarantine_enabled:
@@ -396,20 +389,9 @@ class Database:
             self.pipeline,
             full_sweep_every=self.config.full_sweep_every,
             background=self.config.background_sweeps,
-            scheduler=self.scheduler,
+            threaded=self._threaded_sweeps,
         )
         self.checkpointer = Checkpointer(self)
-        # The one drain order for shutdown/crash (paired with the log
-        # close/crash in :meth:`close` / :meth:`crash`): make held-back
-        # commits durable (clean shutdown only -- a crash loses the
-        # window, restart recovery rolls those commits back), then settle
-        # any in-flight sweep fold (and a standby's scratch audit log).
-        self.scheduler.add_drain_step(
-            "group_commit.flush", on_close=self.manager.flush_commits
-        )
-        self.scheduler.add_drain_step(
-            "audit.sweeps", on_close=self.auditor.close, on_crash=self.auditor.close
-        )
 
     def _format_structures(self) -> None:
         txn = self.manager.begin()
@@ -652,15 +634,14 @@ class Database:
     def crash(self) -> None:
         """Simulate a process crash: volatile state is gone.
 
-        The scheduler drains on its crash path (the group-commit window
-        is *lost*, not flushed; in-flight sweep folds are settled and
-        discarded), then the log tail is dropped and volatile transaction
-        state cleared.  Idempotent.
+        The group-commit window is *lost*, not flushed; an in-flight sweep
+        fold is settled and discarded; then the log tail is dropped and
+        volatile transaction state cleared.  Idempotent.
         """
         if self._crashed:
             return
-        if self.scheduler is not None:
-            self.scheduler.shutdown(crash=True)
+        if self.auditor is not None:
+            self.auditor.close()
         if self.system_log is not None:
             self.system_log.crash()
         self.locks.clear()
@@ -694,19 +675,20 @@ class Database:
     def close(self) -> None:
         """Clean shutdown with one fixed drain order; idempotent.
 
-        The scheduler's close drain runs its registered steps in order --
-        flush the group-commit window (held-back commits become durable),
-        then settle any in-flight sweep fold -- and only then does the
-        log close.  A second ``close()``, or a ``close()`` after
-        ``crash()``, is a no-op.
+        Flush the group-commit window (held-back commits become durable),
+        then settle any in-flight sweep fold and a standby's scratch audit
+        log, and only then close the log.  A second ``close()``, or a
+        ``close()`` after ``crash()``, is a no-op.
         """
         if self._closed:
             return
         self._closed = True
         if self._crashed:
             return
-        if self.scheduler is not None:
-            self.scheduler.shutdown(crash=False)
+        if self.manager is not None:
+            self.manager.flush_commits()
+        if self.auditor is not None:
+            self.auditor.close()
         if self.system_log is not None:
             self.system_log.close()
         self.memory.close()

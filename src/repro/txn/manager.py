@@ -58,7 +58,6 @@ from repro.wal.system_log import SystemLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pipeline import ProtectionPipeline
-    from repro.runtime.scheduler import Scheduler
 
 
 class TransactionManager:
@@ -72,7 +71,6 @@ class TransactionManager:
         scheme: "ProtectionPipeline",
         meter: Meter,
         group_commit_size: int = 1,
-        scheduler: "Scheduler | None" = None,
     ) -> None:
         self.memory = memory
         self.system_log = system_log
@@ -106,17 +104,6 @@ class TransactionManager:
         self._gc_lock = threading.Lock()
         #: Guards txn/op/seq id assignment and the commit/abort tallies.
         self._id_lock = threading.Lock()
-        #: When a scheduler is installed, the group-commit size trigger is
-        #: a tick task fired from :meth:`commit` -- the same program point
-        #: where the pre-scheduler code flushed inline, so deterministic
-        #: mode is meter-identical to the ``scheduler=None`` fallback
-        #: (which keeps the historical inline flush for exactly that
-        #: property test).
-        self.scheduler = scheduler
-        if scheduler is not None:
-            scheduler.register_tick(
-                "group_commit.flush", ("commit",), self._on_commit_tick
-            )
         self.att = ActiveTransactionTable()
         # The storage layer installs an executor that interprets logical
         # undo descriptions by running the inverse operation through the
@@ -162,14 +149,9 @@ class TransactionManager:
         self.system_log.append_marker(TXN_COMMIT, txn.txn_id)
         with self._gc_lock:
             self._commits_since_flush += 1
-        if self.scheduler is not None:
-            self.scheduler.tick("commit")
-        elif self._commits_since_flush >= self.group_commit_size:
-            # Scheduler-less fallback: the historical inline flush.  This
-            # path is the meter-identity reference the scheduler property
-            # tests compare against.
-            self.system_log.flush()
-            self._commits_since_flush = 0
+            if self._commits_since_flush >= self.group_commit_size:
+                self.system_log.flush()
+                self._commits_since_flush = 0
         self._charge_txn_commit(1)
         txn.status = TxnStatus.COMMITTED
         self._release_txn_locks(txn)
@@ -286,18 +268,6 @@ class TransactionManager:
         """
         with self._gc_lock:
             if self._commits_since_flush:
-                self.system_log.flush()
-                self._commits_since_flush = 0
-
-    def _on_commit_tick(self, _event: str) -> None:
-        """Tick task ``group_commit.flush`` -- the size trigger.
-
-        Flushes once the window holds ``group_commit_size`` commits.
-        Fired from :meth:`commit` right where the pre-scheduler code
-        flushed inline.
-        """
-        with self._gc_lock:
-            if self._commits_since_flush >= self.group_commit_size:
                 self.system_log.flush()
                 self._commits_since_flush = 0
 

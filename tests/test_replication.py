@@ -18,7 +18,6 @@ from repro.errors import (
     ArchiveError,
     PromotionError,
     ReproError,
-    ServeError,
 )
 from repro.recovery.archive import create_archive, read_archive_info
 from repro.replication import (
@@ -28,8 +27,6 @@ from repro.replication import (
     ShipBatch,
     ShipTransport,
 )
-from repro.serve import Request, Server
-
 from tests.conftest import ACCT_SCHEMA, insert_accounts
 
 ACCOUNTS = 8
@@ -329,55 +326,3 @@ class TestArchiveErrors:
                 create_archive(primary, str(tmp_path / "archive"))
         finally:
             primary.close()
-
-
-class TestReadOnlyServing:
-    def test_replica_sessions_reject_writes_until_promoted(self, db_factory):
-        db = db_factory(scheme="data_codeword", region_size=256)
-        slots = insert_accounts(db, 3)
-        with Server(db, read_only=True) as server:
-            session = server.open_session()
-            assert session.execute(Request(op="begin")).ok
-            # Reads flow...
-            resp = session.execute(Request(op="read", table="acct", slot=slots[0]))
-            assert resp.ok and resp.value["balance"] == 100
-            # ...mutations are rejected with a contained error.
-            resp = session.execute(
-                Request(op="update", table="acct", slot=slots[0], values={"balance": 1})
-            )
-            assert not resp.ok
-            assert resp.error == "ServeError"
-            assert "read-only" in resp.detail
-            # Containment rolled the open transaction back.
-            assert not session.in_txn
-            # Failover flips the whole node, existing sessions included.
-            server.promote_to_primary()
-            assert session.execute(Request(op="begin")).ok
-            resp = session.execute(
-                Request(op="update", table="acct", slot=slots[0], values={"balance": 1})
-            )
-            assert resp.ok
-            assert session.execute(Request(op="commit")).ok
-
-    def test_direct_session_read_only_flag(self, db):
-        from repro.serve.session import Session
-
-        session = Session(db, 1, read_only=True)
-        with pytest.raises(ServeError, match="read-only"):
-            session._dispatch(Request(op="insert", table="acct", values={}))
-
-    def test_read_only_session_rejects_add(self, db_factory):
-        db = db_factory(scheme="data_codeword", region_size=256)
-        insert_accounts(db, 1)
-        with Server(db, read_only=True) as server:
-            session = server.open_session()
-            assert session.execute(Request(op="begin")).ok
-            resp = session.execute(
-                Request(op="add", table="acct", key=0, values={"balance": 1})
-            )
-            assert (resp.ok, resp.error) == (False, "ServeError")
-            assert "read-only" in resp.detail
-            assert not session.in_txn
-        txn = db.begin()
-        assert db.apply(txn, "query", "acct", 0)["balance"] == 100
-        db.commit(txn)

@@ -1,13 +1,15 @@
 """Deterministic shutdown (``Database.close``/``Database.crash``).
 
-Both lifecycle exits route through the scheduler so there is exactly one
-drain order: flush the group-commit window (close only -- crash *loses*
-it), then settle any in-flight sweep fold.  ``close()`` is idempotent,
+Both lifecycle exits drain in one fixed order: flush the group-commit
+window (close only -- crash *loses* it), then settle any in-flight sweep
+fold.  ``close()`` is idempotent,
 and a ``close()`` after ``crash()`` is a no-op that must not resurrect
 the lost window.
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro import Database, DBConfig
 
@@ -23,8 +25,8 @@ def make_db(tmp_path, name, **config_kwargs) -> Database:
     return db
 
 
-def drain_runs(db: Database) -> dict[str, int]:
-    return {i.name: i.runs for i in db.scheduler.tasks() if i.kind == "drain"}
+def flushes(db: Database) -> int:
+    return db.meter.snapshot().get("flush_fixed", (0, 0))[0]
 
 
 class TestCloseDrain:
@@ -45,24 +47,33 @@ class TestCloseDrain:
         recovered.close()
 
     def test_drain_steps_run_once_in_fixed_order(self, tmp_path):
-        db = make_db(tmp_path, "order", group_commit_size=8)
+        """close flushes the held-back window and settles an in-flight
+        sweep; the log then holds the window's commits."""
+        db = make_db(
+            tmp_path,
+            "order",
+            scheme="data_codeword",
+            group_commit_size=8,
+            full_sweep_every=2,
+            background_sweeps=True,
+        )
         insert_accounts(db, 2)
-        assert drain_runs(db) == {"group_commit.flush": 0, "audit.sweeps": 0}
-        scheduler = db.scheduler
+        db.auditor.abandon_background_sweep()
+        assert db.auditor.start_background_sweep()
+        assert db.system_log.tail
+        before = flushes(db)
         db.close()
-        assert drain_runs(db) == {"group_commit.flush": 1, "audit.sweeps": 1}
-        # The drain is safe to repeat and always yields the same order:
-        # window flush strictly before sweep settlement.
-        assert scheduler.drain() == ["group_commit.flush", "audit.sweeps"]
+        assert flushes(db) == before + 1
+        assert not db.system_log.tail
+        assert db.auditor._sweep is None
 
     def test_double_close_is_idempotent(self, tmp_path):
         db = make_db(tmp_path, "twice", group_commit_size=8)
         insert_accounts(db, 2)
+        before = flushes(db)
         db.close()
-        runs_after_first = drain_runs(db)
         db.close()  # no error, no second drain
-        assert drain_runs(db) == runs_after_first
-        assert runs_after_first["group_commit.flush"] == 1
+        assert flushes(db) == before + 1
 
 
 class TestCrashDrain:
@@ -74,10 +85,9 @@ class TestCrashDrain:
         db.table("acct").update(txn, slots[1], {"balance": 777})
         db.commit(txn)
         assert db.system_log.tail  # commit record still volatile
+        before = flushes(db)
         db.crash()
-        # Crash drain must not run the close-only flush step.
-        assert drain_runs(db)["group_commit.flush"] == 0
-        assert drain_runs(db)["audit.sweeps"] == 1
+        assert flushes(db) == before  # the window is lost, not flushed
         recovered, _report = Database.recover(DBConfig(dir=db.config.dir, scheme="baseline"))
         check = recovered.begin()
         assert recovered.table("acct").read(check, slots[1])["balance"] == 100
@@ -97,8 +107,8 @@ class TestCrashDrain:
             db.audit()  # cadence launches a background sweep
         assert db.auditor._sweep is not None
         db.crash()
-        assert db.scheduler.live_background == ()
-        assert db.auditor._sweep is None or db.auditor._sweep.handle.done
+        assert db.auditor._sweep is None
+        assert not [t for t in threading.enumerate() if t.name.startswith("audit.sweep.")]
 
     def test_close_after_crash_is_a_noop(self, tmp_path):
         db = make_db(tmp_path, "postcrash", group_commit_size=8)
@@ -107,9 +117,10 @@ class TestCrashDrain:
         txn = db.begin()
         db.table("acct").update(txn, slots[0], {"balance": 999})
         db.commit(txn)
+        before = flushes(db)
         db.crash()
         db.close()  # must not flush the lost window
-        assert drain_runs(db)["group_commit.flush"] == 0
+        assert flushes(db) == before
         recovered, _report = Database.recover(DBConfig(dir=db.config.dir, scheme="baseline"))
         check = recovered.begin()
         assert recovered.table("acct").read(check, slots[0])["balance"] == 100
@@ -120,6 +131,6 @@ class TestCrashDrain:
         db = make_db(tmp_path, "crash2")
         insert_accounts(db, 2)
         db.crash()
-        runs = drain_runs(db)
+        snapshot = db.meter.snapshot()
         db.crash()
-        assert drain_runs(db) == runs
+        assert db.meter.snapshot() == snapshot

@@ -17,7 +17,6 @@ from repro.core.codeword import fold_words
 from repro.core.regions import CodewordTable
 from repro.core.schemes import make_scheme
 from repro.mem.memory import MemoryImage
-from repro.runtime.scheduler import DETERMINISTIC, Scheduler
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.wal.system_log import SystemLog
@@ -152,7 +151,7 @@ class TestCostModelInvariance:
                 log = SystemLog(
                     str(tmp_path / "system.log"), Meter(VirtualClock(), DEFAULT_COSTS)
                 )
-                auditor = Auditor(log, scheme, scheduler=Scheduler(DETERMINISTIC))
+                auditor = Auditor(log, scheme, threaded=False)
                 assert auditor.start_background_sweep()
                 assert auditor.join_background_sweep().clean
                 log.close()
